@@ -37,7 +37,7 @@ BENCH9_PATTERN = ^(BenchmarkPageChanMono2K|BenchmarkPageChanPipe2K|BenchmarkPage
 # `make bench-drain` records the contrast in BENCH_10.json.
 BENCH10_PATTERN = ^(BenchmarkDrainSameRackPar1|BenchmarkDrainSameRackPar8|BenchmarkDrainCrossRackPar1|BenchmarkDrainCrossRackPar8)$$
 
-.PHONY: all build vet test test-race chaos chaos-abort chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz check bench bench-smoke bench-cutover bench-parallel bench-tenancy bench-pagechan bench-drain trajectory
+.PHONY: all build vet test test-race chaos chaos-abort chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz check bench bench-smoke bench-fixed bench-fixed-smoke bench-compare bench-cutover bench-parallel bench-tenancy bench-pagechan bench-drain trajectory
 
 all: build
 
@@ -169,4 +169,28 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '$(BENCH6_PATTERN)' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^(BenchmarkTenancySessions250|BenchmarkPageChanPipe2K|BenchmarkDrainSameRackPar8)$$' -benchtime 1x .
 
-check: vet test bench-smoke chaos chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz test-race
+# The repository's one fixed benchmark (BENCHMARK.json, bench/README.md):
+# eight migration workloads, one process each. bench-fixed appends one
+# record per workload to OUT (run it several times per commit before
+# comparing host times: one run has no spread); add TRACE=1 for the
+# per-layer probes. bench-compare judges B against A with the bounds the
+# benchmark fixed:
+#   make bench-fixed OUT=/tmp/a.json          # at the parent commit
+#   make bench-fixed OUT=/tmp/b.json          # at the change
+#   make bench-compare A=/tmp/a.json B=/tmp/b.json
+OUT ?= bench-fixed.json
+SEED ?= 1
+TRACE ?= 0
+bench-fixed:
+	bash bench/run.sh --workload all --seed $(SEED) --trace $(TRACE) --out $(OUT)
+
+bench-compare:
+	bash bench/run.sh --compare $(A) $(B)
+
+# The benchmark's own smoke test (a module of its own, so `go test
+# ./...` at the root does not reach it): every workload for one rep,
+# declared metrics against BENCHMARK.json.
+bench-fixed-smoke:
+	cd bench && $(GO) test .
+
+check: vet test bench-smoke bench-fixed-smoke chaos chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz test-race

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/codec"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/verbs"
@@ -290,18 +289,6 @@ type suspendedSet struct {
 	qps []*QP
 }
 
-func enc(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic("core: encode control message: " + err.Error())
-	}
-	return buf.Bytes()
-}
-
-func dec(data []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
 // --- Handlers ----------------------------------------------------------------
 
 func (d *Daemon) installHandlers() {
@@ -320,40 +307,40 @@ func (d *Daemon) installHandlers() {
 
 func (d *Daemon) hFetchRKey(_ string, body []byte) []byte {
 	var req fetchRKeyReq
-	if err := dec(body, &req); err != nil {
-		return enc(fetchRKeyResp{Err: err.Error()})
+	if err := codec.Decode(body, &req); err != nil {
+		return codec.MustEncode(fetchRKeyResp{Err: err.Error()})
 	}
 	s, ok := d.byPhys[req.RQPN]
 	if !ok {
-		return enc(fetchRKeyResp{Err: fmt.Sprintf("no session owns QPN %#x", req.RQPN)})
+		return codec.MustEncode(fetchRKeyResp{Err: fmt.Sprintf("no session owns QPN %#x", req.RQPN)})
 	}
 	phys, ok := s.rkeys.lookup(req.VRKey)
 	if !ok {
-		return enc(fetchRKeyResp{Err: fmt.Sprintf("unknown virtual rkey %#x", req.VRKey)})
+		return codec.MustEncode(fetchRKeyResp{Err: fmt.Sprintf("unknown virtual rkey %#x", req.VRKey)})
 	}
-	return enc(fetchRKeyResp{Phys: phys})
+	return codec.MustEncode(fetchRKeyResp{Phys: phys})
 }
 
 func (d *Daemon) hFetchQPN(_ string, body []byte) []byte {
 	var req fetchQPNReq
-	if err := dec(body, &req); err != nil {
-		return enc(fetchQPNResp{Err: err.Error()})
+	if err := codec.Decode(body, &req); err != nil {
+		return codec.MustEncode(fetchQPNResp{Err: err.Error()})
 	}
 	// Find the session QP whose *virtual* QPN matches.
 	for _, s := range d.sessions {
 		if qp, ok := s.byVQPN[req.VQPN]; ok {
-			return enc(fetchQPNResp{Node: d.Node(), Phys: qp.v.QPN()})
+			return codec.MustEncode(fetchQPNResp{Node: d.Node(), Phys: qp.v.QPN()})
 		}
 	}
 	if node, ok := d.movedVQPN[req.VQPN]; ok {
-		return enc(fetchQPNResp{Moved: node})
+		return codec.MustEncode(fetchQPNResp{Moved: node})
 	}
-	return enc(fetchQPNResp{Err: fmt.Sprintf("unknown virtual QPN %#x", req.VQPN)})
+	return codec.MustEncode(fetchQPNResp{Err: fmt.Sprintf("unknown virtual QPN %#x", req.VQPN)})
 }
 
 func (d *Daemon) hNSent(_ string, body []byte) []byte {
 	var m nsentMsg
-	if err := dec(body, &m); err != nil {
+	if err := codec.Decode(body, &m); err != nil {
 		return nil
 	}
 	d.deliverOrStashNSent(m.DstQPN, m.NSent)
@@ -379,8 +366,8 @@ func (d *Daemon) deliverOrStashNSent(phys uint32, nSent uint64) {
 // own migration's QPs.
 func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
 	var req suspendForReq
-	if err := dec(body, &req); err != nil {
-		return enc(suspendForResp{})
+	if err := codec.Decode(body, &req); err != nil {
+		return codec.MustEncode(suspendForResp{})
 	}
 	var worst WBSResult
 	for _, s := range d.sessions {
@@ -401,7 +388,7 @@ func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
 	}
 	d.partnerWBS[req.MigID] = worst
 	d.LastPartnerWBS = worst
-	return enc(suspendForResp{ElapsedNS: int64(worst.Elapsed), TimedOut: worst.TimedOut})
+	return codec.MustEncode(suspendForResp{ElapsedNS: int64(worst.Elapsed), TimedOut: worst.TimedOut})
 }
 
 // PartnerWBSResult reports the partner-side wait-before-stop result
@@ -416,7 +403,7 @@ func (d *Daemon) PartnerWBSResult(migID string) (WBSResult, bool) {
 // the migration destination, and stash it for the later switch-over.
 func (d *Daemon) hNotify(_ string, body []byte) []byte {
 	var req notifyReq
-	if err := dec(body, &req); err != nil {
+	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	for _, pair := range req.Pairs {
@@ -434,7 +421,7 @@ func (d *Daemon) hNotify(_ string, body []byte) []byte {
 		if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 			return []byte(err.Error())
 		}
-		resp, ok := d.call(req.DestNode, "connect-new", enc(connectNewReq{
+		resp, ok := d.call(req.DestNode, "connect-new", codec.MustEncode(connectNewReq{
 			MigID: req.MigID, Proc: req.Proc, VQPN: pair.VQPN,
 			PartnerNode: d.Node(), PartnerQPN: nv.QPN(),
 		}))
@@ -442,7 +429,7 @@ func (d *Daemon) hNotify(_ string, body []byte) []byte {
 			return []byte("connect-new: no response from " + req.DestNode)
 		}
 		var cr connectNewResp
-		if err := dec(resp, &cr); err != nil || cr.Err != "" {
+		if err := codec.Decode(resp, &cr); err != nil || cr.Err != "" {
 			return []byte("connect-new: " + cr.Err)
 		}
 		if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTR, RemoteNode: req.DestNode, RemoteQPN: cr.DestQPN}); err != nil {
@@ -461,8 +448,8 @@ func (d *Daemon) hNotify(_ string, body []byte) []byte {
 // staged QP for vqpn to connect to its fresh QP.
 func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 	var req connectNewReq
-	if err := dec(body, &req); err != nil {
-		return enc(connectNewResp{Err: err.Error()})
+	if err := codec.Decode(body, &req); err != nil {
+		return codec.MustEncode(connectNewResp{Err: err.Error()})
 	}
 	st, ok := d.staging[stagingKey(req.MigID, req.Proc)]
 	if !ok {
@@ -471,7 +458,7 @@ func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 		st, ok = d.staging[req.Proc]
 	}
 	if !ok {
-		return enc(connectNewResp{Err: "no staged restore for " + req.Proc})
+		return codec.MustEncode(connectNewResp{Err: "no staged restore for " + req.Proc})
 	}
 	nv, ok := st.qpByVQPN[req.VQPN]
 	if !ok {
@@ -479,15 +466,15 @@ func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 		for k := range st.qpByVQPN {
 			keys = append(keys, k)
 		}
-		return enc(connectNewResp{Err: fmt.Sprintf("no staged QP for vqpn %#x (have %#x, metas %d, qps %d)", req.VQPN, keys, len(st.qpMeta), len(st.qps))})
+		return codec.MustEncode(connectNewResp{Err: fmt.Sprintf("no staged QP for vqpn %#x (have %#x, metas %d, qps %d)", req.VQPN, keys, len(st.qpMeta), len(st.qps))})
 	}
 	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTR, RemoteNode: req.PartnerNode, RemoteQPN: req.PartnerQPN}); err != nil {
-		return enc(connectNewResp{Err: err.Error()})
+		return codec.MustEncode(connectNewResp{Err: err.Error()})
 	}
 	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTS}); err != nil {
-		return enc(connectNewResp{Err: err.Error()})
+		return codec.MustEncode(connectNewResp{Err: err.Error()})
 	}
-	return enc(connectNewResp{DestQPN: nv.QPN()})
+	return codec.MustEncode(connectNewResp{DestQPN: nv.QPN()})
 }
 
 // hSwitch runs on partners after the destination restore completed:
@@ -513,7 +500,7 @@ func (d *Daemon) hSwitchDefer(_ string, body []byte) []byte {
 
 func (d *Daemon) switchTo(body []byte, deferResume bool) []byte {
 	var req switchReq
-	if err := dec(body, &req); err != nil {
+	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	for _, s := range d.sessions {
@@ -579,7 +566,7 @@ func (d *Daemon) retireOldQPs(qps []*QP) {
 // migrated service) and retire the old incarnations.
 func (d *Daemon) hResumePartners(_ string, body []byte) []byte {
 	var req switchReq
-	if err := dec(body, &req); err != nil {
+	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	sets := d.pendingResume[req.MigID]
@@ -602,7 +589,7 @@ func (d *Daemon) hResumePartners(_ string, body []byte) []byte {
 // other in-flight migrations sharing this node are untouched.
 func (d *Daemon) hAbort(_ string, body []byte) []byte {
 	var req abortReq
-	if err := dec(body, &req); err != nil {
+	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	// Drop the pending-switch markers: the spares connect to a
@@ -728,12 +715,12 @@ func (d *Daemon) fetchRKey(node string, rqpn, vrkey uint32) (uint32, error) {
 		}
 		return 0, fmt.Errorf("core: local rkey fetch failed for %#x", vrkey)
 	}
-	resp, ok := d.call(node, "fetch-rkey", enc(fetchRKeyReq{RQPN: rqpn, VRKey: vrkey}))
+	resp, ok := d.call(node, "fetch-rkey", codec.MustEncode(fetchRKeyReq{RQPN: rqpn, VRKey: vrkey}))
 	if !ok {
 		return 0, fmt.Errorf("core: rkey fetch: %s unreachable", node)
 	}
 	var r fetchRKeyResp
-	if err := dec(resp, &r); err != nil {
+	if err := codec.Decode(resp, &r); err != nil {
 		return 0, err
 	}
 	if r.Err != "" {
@@ -746,12 +733,12 @@ func (d *Daemon) fetchRKey(node string, rqpn, vrkey uint32) (uint32, error) {
 // physical QPN, following at most one relocation redirect.
 func (d *Daemon) fetchQPN(node string, vqpn uint32) (string, uint32, error) {
 	for hops := 0; hops < 3; hops++ {
-		resp, ok := d.call(node, "fetch-qpn", enc(fetchQPNReq{VQPN: vqpn}))
+		resp, ok := d.call(node, "fetch-qpn", codec.MustEncode(fetchQPNReq{VQPN: vqpn}))
 		if !ok {
 			return "", 0, fmt.Errorf("core: qpn fetch: %s unreachable", node)
 		}
 		var r fetchQPNResp
-		if err := dec(resp, &r); err != nil {
+		if err := codec.Decode(resp, &r); err != nil {
 			return "", 0, err
 		}
 		if r.Moved != "" {
@@ -772,7 +759,7 @@ func (d *Daemon) sendNSent(node string, dstQPN uint32, nSent uint64) {
 		d.deliverOrStashNSent(dstQPN, nSent)
 		return
 	}
-	d.ep.Send(node, "nsent", enc(nsentMsg{DstQPN: dstQPN, NSent: nSent}))
+	d.ep.Send(node, "nsent", codec.MustEncode(nsentMsg{DstQPN: dstQPN, NSent: nSent}))
 }
 
 // stagingKey keys an in-progress restore: migration ID plus process

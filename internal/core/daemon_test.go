@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/codec"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
 )
@@ -41,9 +42,9 @@ func TestFetchRKeyHandler(t *testing.T) {
 	cl.Sched.Go("test", func() {
 		// A peer asks: translate this virtual rkey of the process that
 		// owns this physical QPN.
-		resp := d.hFetchRKey("peer", enc(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: mr.RKey()}))
+		resp := d.hFetchRKey("peer", codec.MustEncode(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: mr.RKey()}))
 		var r fetchRKeyResp
-		if err := dec(resp, &r); err != nil {
+		if err := codec.Decode(resp, &r); err != nil {
 			t.Error(err)
 			return
 		}
@@ -55,14 +56,14 @@ func TestFetchRKeyHandler(t *testing.T) {
 		}
 		// An attacker guessing a virtual rkey the process never assigned
 		// is rejected (§3.3 security note).
-		resp = d.hFetchRKey("peer", enc(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: 0x7777}))
-		dec(resp, &r)
+		resp = d.hFetchRKey("peer", codec.MustEncode(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: 0x7777}))
+		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("bogus virtual rkey resolved")
 		}
 		// An unknown QPN (no owning process) is rejected too.
-		resp = d.hFetchRKey("peer", enc(fetchRKeyReq{RQPN: 0xABCDEF, VRKey: mr.RKey()}))
-		dec(resp, &r)
+		resp = d.hFetchRKey("peer", codec.MustEncode(fetchRKeyReq{RQPN: 0xABCDEF, VRKey: mr.RKey()}))
+		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("rkey fetch for unowned QPN resolved")
 		}
@@ -73,22 +74,22 @@ func TestFetchRKeyHandler(t *testing.T) {
 func TestFetchQPNHandlerAndRedirect(t *testing.T) {
 	cl, d, _, _, qp := newSessionHost(t)
 	cl.Sched.Go("test", func() {
-		resp := d.hFetchQPN("peer", enc(fetchQPNReq{VQPN: qp.VQPN()}))
+		resp := d.hFetchQPN("peer", codec.MustEncode(fetchQPNReq{VQPN: qp.VQPN()}))
 		var r fetchQPNResp
-		dec(resp, &r)
+		codec.Decode(resp, &r)
 		if r.Err != "" || r.Node != "h" || r.Phys != qp.v.QPN() {
 			t.Errorf("fetch-qpn = %+v", r)
 		}
 		// Simulate the owner having migrated away: the daemon redirects.
 		d.movedVQPN[0x424242] = "elsewhere"
-		resp = d.hFetchQPN("peer", enc(fetchQPNReq{VQPN: 0x424242}))
-		dec(resp, &r)
+		resp = d.hFetchQPN("peer", codec.MustEncode(fetchQPNReq{VQPN: 0x424242}))
+		codec.Decode(resp, &r)
 		if r.Moved != "elsewhere" {
 			t.Errorf("expected redirect, got %+v", r)
 		}
 		// Entirely unknown QPN errors.
-		resp = d.hFetchQPN("peer", enc(fetchQPNReq{VQPN: 0x99999}))
-		dec(resp, &r)
+		resp = d.hFetchQPN("peer", codec.MustEncode(fetchQPNReq{VQPN: 0x99999}))
+		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("unknown virtual QPN resolved")
 		}
@@ -99,7 +100,7 @@ func TestFetchQPNHandlerAndRedirect(t *testing.T) {
 func TestNSentDelivery(t *testing.T) {
 	cl, d, _, _, qp := newSessionHost(t)
 	cl.Sched.Go("test", func() {
-		d.hNSent("peer", enc(nsentMsg{DstQPN: qp.v.QPN(), NSent: 321}))
+		d.hNSent("peer", codec.MustEncode(nsentMsg{DstQPN: qp.v.QPN(), NSent: 321}))
 		if !qp.peerNSentKnown || qp.peerNSent != 321 {
 			t.Errorf("nsent not delivered: known=%v val=%d", qp.peerNSentKnown, qp.peerNSent)
 		}

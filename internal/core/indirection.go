@@ -1,10 +1,9 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/verbs"
 )
@@ -115,19 +114,19 @@ type Blob struct {
 	Final     bool
 }
 
-// encodeBlob serializes a blob with encoding/gob.
+// encodeBlob serializes a blob.
 func encodeBlob(b *Blob) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(b); err != nil {
+	data, err := codec.Encode(b)
+	if err != nil {
 		return nil, fmt.Errorf("core: encode blob: %w", err)
 	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // DecodeBlob deserializes a checkpoint blob.
 func DecodeBlob(data []byte) (*Blob, error) {
 	var b Blob
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&b); err != nil {
+	if err := codec.Decode(data, &b); err != nil {
 		return nil, fmt.Errorf("core: decode blob: %w", err)
 	}
 	return &b, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/criu"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
@@ -249,7 +250,7 @@ func (pl *Plugin) AbortPartners() error {
 			continue
 		}
 		seen[node] = true
-		resp, ok := pl.Src.call(node, "abort", enc(abortReq{
+		resp, ok := pl.Src.call(node, "abort", codec.MustEncode(abortReq{
 			MigID: pl.ID, Proc: s.Proc.Name, SrcNode: pl.Src.Node(),
 		}))
 		if !ok {
@@ -286,7 +287,7 @@ func (pl *Plugin) NotifyPartners() error {
 	}
 	for _, node := range nodes {
 		req := notifyReq{MigID: pl.ID, Proc: s.Proc.Name, DestNode: pl.Dst.Node(), Pairs: byNode[node]}
-		resp, ok := pl.Src.call(node, "notify-migr", enc(req))
+		resp, ok := pl.Src.call(node, "notify-migr", codec.MustEncode(req))
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for notification", node)
 		}
@@ -320,14 +321,14 @@ func (pl *Plugin) SuspendPartners() error {
 		byNode[node] = append(byNode[node], qp.v.RemoteQPN())
 	}
 	for _, node := range nodes {
-		resp, ok := pl.Src.call(node, "suspend-for", enc(suspendForReq{
+		resp, ok := pl.Src.call(node, "suspend-for", codec.MustEncode(suspendForReq{
 			MigID: pl.ID, SrcNode: pl.Src.Node(), PartnerQPNs: byNode[node],
 		}))
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for suspension", node)
 		}
 		var sr suspendForResp
-		if err := dec(resp, &sr); err == nil {
+		if err := codec.Decode(resp, &sr); err == nil {
 			if d := time.Duration(sr.ElapsedNS); d > pl.partnerWBS.Elapsed {
 				pl.partnerWBS = WBSResult{Elapsed: d, TimedOut: sr.TimedOut}
 			}
@@ -377,7 +378,7 @@ func (pl *Plugin) callPartners(kind string) error {
 			continue
 		}
 		seen[node] = true
-		resp, ok := pl.Dst.call(node, kind, enc(switchReq{
+		resp, ok := pl.Dst.call(node, kind, codec.MustEncode(switchReq{
 			MigID: pl.ID, Proc: s.Proc.Name, SrcNode: pl.Src.Node(), DestNode: pl.Dst.Node(),
 		}))
 		if !ok {

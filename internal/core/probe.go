@@ -132,11 +132,11 @@ func (p *TranslationProbe) TranslateRecv() {
 }
 
 // TranslateCQE runs the physical→virtual QPN translation on the
-// completion path.
+// completion path the way CQ.PollInto does: the device has written the
+// CQE into the caller's buffer, and the QPN is patched there.
 func (p *TranslationProbe) TranslateCQE() {
-	e := p.cqe
-	p.sess.translateCQE(p.cq, &e)
-	sinkCQE = e
+	sinkCQE = p.cqe
+	p.sess.translateCQE(p.cq, &sinkCQE)
 }
 
 // CopySendBaseline performs only the WQE-copy work translateSend shares

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/rnic"
@@ -334,7 +335,7 @@ type SRQ struct {
 	v    *verbs.SRQ
 	// pending holds receive WRs posted but not yet completed (virtual
 	// keys), replayed after restore (§3.4).
-	pending []rnic.RecvWR
+	pending fifo.Queue[rnic.RecvWQE]
 }
 
 // CreateSRQ creates a shared receive queue.
@@ -360,7 +361,7 @@ func (srq *SRQ) postRecv(wr rnic.RecvWR) error {
 		return err
 	}
 	srq.v.PostRecv(pwr)
-	srq.pending = append(srq.pending, wr)
+	srq.pending.Push(rnic.NewRecvWQE(wr))
 	return nil
 }
 
@@ -411,13 +412,13 @@ type QP struct {
 	// suspended gates the data path during migration (§3.4): posts are
 	// intercepted and buffered instead of reaching the NIC.
 	suspended   bool
-	intercepted []rnic.SendWR
+	intercepted fifo.Queue[sendShadow]
 
 	// unfinished tracks send WRs handed to the NIC whose completion has
 	// not been observed — the SQ head/tail window of §3.4. pendingRecvs
 	// is the RQ equivalent, replayed after restore.
-	unfinished   []rnic.SendWR
-	pendingRecvs []rnic.RecvWR
+	unfinished   fifo.Queue[sendShadow]
+	pendingRecvs fifo.Queue[rnic.RecvWQE]
 
 	// peerNSent is the partner's n_sent counter received during
 	// wait-before-stop; peerNSentKnown marks its arrival.
@@ -455,6 +456,31 @@ type QP struct {
 	// place) the device still owns every one of them and a replay would
 	// double-post.
 	suspendedOn *verbs.QP
+}
+
+// sendShadow is the library's own copy of a posted send work request,
+// virtual keys and all (rnic.RecvWQE is the receive-side counterpart).
+// The scatter/gather list is copied at post time like the rest of the
+// WR: the application may reuse its SGE array as soon as the post
+// returns, and a replay after migration must still see what was posted.
+type sendShadow struct {
+	wr   rnic.SendWR // SGEs live in sges
+	sges rnic.SGEList
+}
+
+func shadowSend(wr rnic.SendWR) sendShadow {
+	e := sendShadow{wr: wr}
+	e.wr.SGEs = nil
+	e.sges.Set(wr.SGEs)
+	return e
+}
+
+// request rebuilds the posted WR. Its SGEs alias e, so e must stay in
+// place until the WR has been re-posted.
+func (e *sendShadow) request() rnic.SendWR {
+	wr := e.wr
+	wr.SGEs = e.sges.Get()
+	return wr
 }
 
 // VQPN returns the virtual queue pair number.
@@ -509,7 +535,7 @@ func (qp *QP) PostSend(wr rnic.SendWR) error {
 func (qp *QP) postSend(wr rnic.SendWR) error {
 	s := qp.sess
 	if qp.suspended {
-		qp.intercepted = append(qp.intercepted, wr)
+		qp.intercepted.Push(shadowSend(wr))
 		s.mIntercepts.Inc()
 		return nil
 	}
@@ -520,7 +546,7 @@ func (qp *QP) postSend(wr rnic.SendWR) error {
 	if err := qp.v.PostSend(pwr); err != nil {
 		return err
 	}
-	qp.unfinished = append(qp.unfinished, wr)
+	qp.unfinished.Push(shadowSend(wr))
 	return nil
 }
 
@@ -543,13 +569,13 @@ func (qp *QP) postRecv(wr rnic.RecvWR) error {
 	if err := qp.v.PostRecv(pwr); err != nil {
 		return err
 	}
-	qp.pendingRecvs = append(qp.pendingRecvs, wr)
+	qp.pendingRecvs.Push(rnic.NewRecvWQE(wr))
 	return nil
 }
 
 // Outstanding reports send WRs posted to the NIC whose completions have
 // not been observed.
-func (qp *QP) Outstanding() int { return len(qp.unfinished) }
+func (qp *QP) Outstanding() int { return qp.unfinished.Len() }
 
 // --- Data-path translation ----------------------------------------------------
 
@@ -698,44 +724,61 @@ type CQ struct {
 	// found in fake or drained completions.
 	tempQPN map[uint32]uint32
 
+	pollBuf rnic.PollBuf
+
 	eventPending bool
 }
 
-// Poll returns up to max completions with virtual QPNs, draining the
-// fake CQ before the real one (§3.4).
-func (cq *CQ) Poll(max int) []rnic.CQE {
+// PollInto fills dst with up to len(dst) completions carrying virtual
+// QPNs, draining the fake CQ before the real one (§3.4), and reports how
+// many it wrote.
+func (cq *CQ) PollInto(dst []rnic.CQE) int {
 	s := cq.sess
 	s.Proc.Gate()
 	if cq.eventPending {
 		cq.eventPending = false
 		s.unhandledEvents--
 	}
-	var out []rnic.CQE
-	for len(out) < max && len(cq.fake) > 0 {
-		e := cq.fake[0]
-		cq.fake = cq.fake[1:]
-		s.translateFakeCQE(cq, &e)
-		out = append(out, e)
+	n := copy(dst, cq.fake)
+	for i := range dst[:n] {
+		s.translateFakeCQE(cq, &dst[i])
+	}
+	if n > 0 {
+		// Shift the remainder down so the fake CQ keeps its capacity.
+		cq.fake = cq.fake[:copy(cq.fake, cq.fake[n:])]
 	}
 	if len(cq.fake) == 0 && len(cq.tempQPN) > 0 {
 		// Every pre-migration completion has been consumed; drop the
 		// temporary table so a future QP that happens to reuse one of the
 		// old numbers is not mistranslated.
-		cq.tempQPN = make(map[uint32]uint32)
+		clear(cq.tempQPN)
 	}
 	// During wait-before-stop the application polls the fake CQ only;
 	// the WBS thread owns the real CQ (§3.4).
-	if len(out) < max && !s.wbsActive() {
-		for _, e := range cq.v.Poll(max - len(out)) {
-			if s.staleCQE(e) {
+	if n < len(dst) && !s.wbsActive() {
+		// Polled and translated in place — a CQE is never copied out to
+		// be patched and copied back, which would stall every load of the
+		// entry behind the four-byte QPN store. Survivors are compacted
+		// toward dst[n].
+		for i, end := n, n+cq.v.PollInto(dst[n:]); i < end; i++ {
+			if s.staleCQE(dst[i]) {
 				continue
 			}
-			s.absorb(cq, e)
-			s.translateCQE(cq, &e)
-			out = append(out, e)
+			s.absorb(cq, dst[i])
+			if n != i {
+				dst[n] = dst[i]
+			}
+			s.translateCQE(cq, &dst[n])
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// Poll returns up to max completions in the CQ's rnic.PollBuf.
+func (cq *CQ) Poll(max int) []rnic.CQE {
+	buf := cq.pollBuf.Sized(max, cq.cap)
+	return buf[:cq.PollInto(buf)]
 }
 
 // staleCQE reports whether e is a late completion from a pre-switch QP
@@ -853,15 +896,16 @@ func (s *Session) absorb(cq *CQ, e rnic.CQE) {
 	}
 	if e.Opcode == rnic.OpRecv {
 		if qp.srq != nil {
-			qp.srq.pending = retireRecvWR(qp.srq.pending, e.WRID)
+			retireRecvWR(&qp.srq.pending, e.WRID)
 			return
 		}
-		qp.pendingRecvs = retireRecvWR(qp.pendingRecvs, e.WRID)
+		retireRecvWR(&qp.pendingRecvs, e.WRID)
 		return
 	}
-	for i, wr := range qp.unfinished {
-		if wr.WRID == e.WRID {
-			qp.unfinished = qp.unfinished[i+1:]
+	unfinished := qp.unfinished.Items()
+	for i := range unfinished {
+		if unfinished[i].wr.WRID == e.WRID {
+			qp.unfinished.Drop(i + 1)
 			return
 		}
 	}
@@ -877,13 +921,16 @@ func (s *Session) absorb(cq *CQ, e rnic.CQE) {
 // wrong receive WRs. Recv WRIDs recycle, so the first occurrence is the
 // oldest posting; an error/flush completion whose WR was already
 // retired leaves the list untouched.
-func retireRecvWR(pend []rnic.RecvWR, wrid uint64) []rnic.RecvWR {
-	for i := range pend {
-		if pend[i].WRID == wrid {
-			return append(pend[:i], pend[i+1:]...)
+func retireRecvWR(pend *fifo.Queue[rnic.RecvWQE], wrid uint64) {
+	items := pend.Items()
+	for i := range items {
+		if items[i].WRID == wrid {
+			// Close the gap toward the head (usually i is 0), then pop.
+			copy(items[1:i+1], items[:i])
+			pend.Drop(1)
+			return
 		}
 	}
-	return pend
 }
 
 // Sched is a convenience accessor for workloads built on the session.

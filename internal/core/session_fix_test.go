@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
@@ -108,47 +109,52 @@ func TestAbsorbRetiresMatchingRecvWR(t *testing.T) {
 		cq := s.CreateCQ(64, nil)
 		qp := s.CreateQP(pd, QPConfig{Type: rnic.RC, SendCQ: cq, RecvCQ: cq})
 		phys := qp.v.QPN()
-		qp.pendingRecvs = []rnic.RecvWR{{WRID: 10}, {WRID: 11}, {WRID: 12}}
+		for _, id := range []uint64{10, 11, 12} {
+			qp.pendingRecvs.Push(rnic.NewRecvWQE(rnic.RecvWR{WRID: id}))
+		}
 
 		// A middle completion retires exactly its own WR.
 		s.absorb(cq, rnic.CQE{QPN: phys, WRID: 11, Opcode: rnic.OpRecv, Status: rnic.WCSuccess})
-		if got := recvWRIDs(qp.pendingRecvs); len(got) != 2 || got[0] != 10 || got[1] != 12 {
+		if got := recvWRIDs(&qp.pendingRecvs); len(got) != 2 || got[0] != 10 || got[1] != 12 {
 			t.Fatalf("pending after absorbing WRID 11: %v, want [10 12]", got)
 		}
 		// An already-retired (flush/duplicate) WRID leaves the list alone.
 		s.absorb(cq, rnic.CQE{QPN: phys, WRID: 11, Opcode: rnic.OpRecv, Status: rnic.WCSuccess})
-		if got := recvWRIDs(qp.pendingRecvs); len(got) != 2 {
+		if got := recvWRIDs(&qp.pendingRecvs); len(got) != 2 {
 			t.Fatalf("pending after duplicate absorb: %v, want [10 12]", got)
 		}
 		// Out-of-order completion of the tail, then the head.
 		s.absorb(cq, rnic.CQE{QPN: phys, WRID: 12, Opcode: rnic.OpRecv, Status: rnic.WCSuccess})
 		s.absorb(cq, rnic.CQE{QPN: phys, WRID: 10, Opcode: rnic.OpRecv, Status: rnic.WCSuccess})
-		if got := recvWRIDs(qp.pendingRecvs); len(got) != 0 {
+		if got := recvWRIDs(&qp.pendingRecvs); len(got) != 0 {
 			t.Fatalf("pending after draining: %v, want empty", got)
 		}
 	})
 	cl.Sched.RunFor(time.Second)
 }
 
-func recvWRIDs(pend []rnic.RecvWR) []uint64 {
-	out := make([]uint64, 0, len(pend))
-	for _, wr := range pend {
-		out = append(out, wr.WRID)
+func recvWRIDs(pend *fifo.Queue[rnic.RecvWQE]) []uint64 {
+	out := make([]uint64, 0, pend.Len())
+	for _, e := range pend.Items() {
+		out = append(out, e.WRID)
 	}
 	return out
 }
 
 // TestRetireRecvWRFirstOccurrence pins the helper's contract directly:
 // WRIDs recycle, so a match must retire the oldest posting, and a miss
-// must return the slice unchanged.
+// must leave the list unchanged.
 func TestRetireRecvWRFirstOccurrence(t *testing.T) {
-	pend := []rnic.RecvWR{{WRID: 5}, {WRID: 7}, {WRID: 5}}
-	pend = retireRecvWR(pend, 5)
-	if got := recvWRIDs(pend); len(got) != 2 || got[0] != 7 || got[1] != 5 {
+	var pend fifo.Queue[rnic.RecvWQE]
+	for _, id := range []uint64{5, 7, 5} {
+		pend.Push(rnic.NewRecvWQE(rnic.RecvWR{WRID: id}))
+	}
+	retireRecvWR(&pend, 5)
+	if got := recvWRIDs(&pend); len(got) != 2 || got[0] != 7 || got[1] != 5 {
 		t.Fatalf("after retiring 5: %v, want [7 5]", got)
 	}
-	pend = retireRecvWR(pend, 99)
-	if got := recvWRIDs(pend); len(got) != 2 {
+	retireRecvWR(&pend, 99)
+	if got := recvWRIDs(&pend); len(got) != 2 {
 		t.Fatalf("retiring unknown WRID changed the list: %v", got)
 	}
 }

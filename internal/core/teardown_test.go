@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/codec"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
 )
@@ -118,7 +119,7 @@ func TestAbortClearsPendingResume(t *testing.T) {
 		p := task.New(cl.Sched, "p")
 		s := NewSession(p, d)
 		d.pendingResume["m9"] = []suspendedSet{{s: s}}
-		if resp := d.hAbort("peer", enc(abortReq{MigID: "m9"})); len(resp) != 0 {
+		if resp := d.hAbort("peer", codec.MustEncode(abortReq{MigID: "m9"})); len(resp) != 0 {
 			t.Fatalf("abort failed: %s", resp)
 		}
 		if _, ok := d.pendingResume["m9"]; ok {

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/rnic"
 )
 
@@ -161,8 +162,9 @@ func (s *Session) WaitBeforeStop(qps []*QP, cfg WBSConfig) WBSResult {
 	start := sched.Now()
 	var inflight int64
 	for _, qp := range qps {
-		for _, wr := range qp.unfinished {
-			for _, sge := range wr.SGEs {
+		unfinished := qp.unfinished.Items()
+		for i := range unfinished {
+			for _, sge := range unfinished[i].sges.Get() {
 				inflight += int64(sge.Len)
 			}
 		}
@@ -178,7 +180,7 @@ func (s *Session) WaitBeforeStop(qps []*QP, cfg WBSConfig) WBSResult {
 		if sched.Now()-start >= cfg.Timeout {
 			left := 0
 			for _, qp := range qps {
-				left += len(qp.unfinished)
+				left += qp.unfinished.Len()
 			}
 			return WBSResult{Elapsed: sched.Now() - start, TimedOut: true, LeftoverSends: left, InflightBytes: inflight}
 		}
@@ -195,18 +197,19 @@ func (s *Session) sweepCQs() int {
 	n := 0
 	for _, cq := range s.cqs {
 		for {
-			batch := cq.v.Poll(64)
-			if len(batch) == 0 {
+			var batch [64]rnic.CQE
+			got := cq.v.PollInto(batch[:])
+			if got == 0 {
 				break
 			}
-			for _, e := range batch {
+			for _, e := range batch[:got] {
 				if s.staleCQE(e) {
 					continue
 				}
 				s.absorb(cq, e)
 				cq.fake = append(cq.fake, e)
 			}
-			n += len(batch)
+			n += got
 		}
 		s.mFakeDepth.Set(int64(len(cq.fake)))
 	}
@@ -220,7 +223,7 @@ func (s *Session) wbsDone(qps []*QP) bool {
 		return false
 	}
 	for _, qp := range qps {
-		if len(qp.unfinished) > 0 {
+		if qp.unfinished.Len() > 0 {
 			return false
 		}
 		_, nRecv := qp.v.Counters()
@@ -264,40 +267,43 @@ func (s *Session) Resume(qps []*QP) error {
 		// Replay pending receives on the new QP.
 		if qp.srq == nil && !sameDev {
 			recvs := qp.pendingRecvs
-			qp.pendingRecvs = nil
-			for _, wr := range recvs {
-				if err := qp.postRecv(wr); err != nil {
+			qp.pendingRecvs = fifo.Queue[rnic.RecvWQE]{}
+			items := recvs.Items()
+			for i := range items {
+				if err := qp.postRecv(items[i].Request()); err != nil {
 					return err
 				}
 			}
 		}
 		// Replay unfinished sends (timeout path), then intercepted WRs.
-		var unfinished []rnic.SendWR
+		var unfinished fifo.Queue[sendShadow]
 		if !sameDev {
 			unfinished = qp.unfinished
-			qp.unfinished = nil
+			qp.unfinished = fifo.Queue[sendShadow]{}
 		}
 		intercepted := qp.intercepted
-		qp.intercepted = nil
+		qp.intercepted = fifo.Queue[sendShadow]{}
 		// Leftover sends survive only a timed-out wait-before-stop. Their
 		// original incarnation may still complete on the old QP after the
 		// switch-over; remember the WRIDs so those stale completions are
 		// dropped instead of double-counted.
-		if len(unfinished) > 0 && qp.oldV != nil {
+		if unfinished.Len() > 0 && qp.oldV != nil {
 			oldPhys := qp.oldV.QPN()
 			set := s.staleWRIDs[oldPhys]
 			if set == nil {
 				set = make(map[uint64]bool)
 				s.staleWRIDs[oldPhys] = set
 			}
-			for _, wr := range unfinished {
-				set[wr.WRID] = true
+			for _, e := range unfinished.Items() {
+				set[e.wr.WRID] = true
 			}
 		}
-		s.mReplayedWRs.Add(int64(len(unfinished)))
-		for _, wr := range append(unfinished, intercepted...) {
-			if err := qp.postSend(wr); err != nil {
-				return err
+		s.mReplayedWRs.Add(int64(unfinished.Len()))
+		for _, replay := range [2][]sendShadow{unfinished.Items(), intercepted.Items()} {
+			for i := range replay {
+				if err := qp.postSend(replay[i].request()); err != nil {
+					return err
+				}
 			}
 		}
 	}
@@ -307,9 +313,10 @@ func (s *Session) Resume(qps []*QP) error {
 	if anySwitched {
 		for _, srq := range s.srqs {
 			pend := srq.pending
-			srq.pending = nil
-			for _, wr := range pend {
-				if err := srq.postRecv(wr); err != nil {
+			srq.pending = fifo.Queue[rnic.RecvWQE]{}
+			items := pend.Items()
+			for i := range items {
+				if err := srq.postRecv(items[i].Request()); err != nil {
 					return err
 				}
 			}

@@ -82,7 +82,7 @@ func TestSuspensionInterceptsPosts(t *testing.T) {
 		if r.qpA.Outstanding() != 0 {
 			t.Errorf("intercepted posts reached the NIC: outstanding=%d", r.qpA.Outstanding())
 		}
-		if n := len(r.qpA.intercepted); n != 5 {
+		if n := r.qpA.intercepted.Len(); n != 5 {
 			t.Errorf("intercepted=%d, want 5", n)
 		}
 		r.cl.Sched.Sleep(5 * time.Millisecond)

@@ -14,11 +14,10 @@
 package hdfs
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"time"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/oob"
@@ -167,14 +166,14 @@ type assignMsg struct {
 
 func (m *Master) hRegister(msg oob.Msg) []byte {
 	var r registerMsg
-	mustDec(msg.Body, &r)
+	codec.MustDecode(msg.Body, &r)
 	m.workers[r.Name] = &workerState{name: r.Name, node: r.Node, lastBeat: m.sched.Now()}
 	return []byte("ok")
 }
 
 func (m *Master) hHeartbeat(msg oob.Msg) []byte {
 	var h heartbeatMsg
-	mustDec(msg.Body, &h)
+	codec.MustDecode(msg.Body, &h)
 	if w, ok := m.workers[h.Name]; ok {
 		w.lastBeat = m.sched.Now()
 	}
@@ -183,7 +182,7 @@ func (m *Master) hHeartbeat(msg oob.Msg) []byte {
 
 func (m *Master) hUnitDone(msg oob.Msg) []byte {
 	var u unitDoneMsg
-	mustDec(msg.Body, &u)
+	codec.MustDecode(msg.Body, &u)
 	j := m.job
 	if j == nil || u.Unit >= len(j.done) || j.done[u.Unit] {
 		return nil
@@ -212,7 +211,7 @@ func (m *Master) Submit(spec JobSpec, worker string) {
 		done:    make([]bool, spec.Units()),
 		fin:     sim.NewCond(m.sched, "job-finished"),
 	}
-	m.ep.Send(w.node, "hdfs-w:"+worker, "assign", mustEnc(assignMsg{Spec: spec, Done: m.job.done}))
+	m.ep.Send(w.node, "hdfs-w:"+worker, "assign", codec.MustEncode(assignMsg{Spec: spec, Done: m.job.done}))
 }
 
 // Wait blocks until the job finishes and returns its result.
@@ -263,7 +262,7 @@ func (m *Master) MonitorFailover(backup string) {
 		j.failedOv = true
 		done := make([]bool, len(j.done))
 		copy(done, j.done)
-		m.ep.Send(b.node, "hdfs-w:"+backup, "assign", mustEnc(assignMsg{Spec: j.spec, Done: done}))
+		m.ep.Send(b.node, "hdfs-w:"+backup, "assign", codec.MustEncode(assignMsg{Spec: j.spec, Done: done}))
 		return
 	}
 }
@@ -358,11 +357,11 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 	if err := w.qp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 		panic(err)
 	}
-	resp := ep.Call(w.DataNode, "dn:"+w.DataNodeName, "open", mustEnc(dnOpenReq{
+	resp := ep.Call(w.DataNode, "dn:"+w.DataNodeName, "open", codec.MustEncode(dnOpenReq{
 		Node: d.Node(), VQPN: w.qp.VQPN(),
 	}))
 	var or dnOpenResp
-	mustDec(resp, &or)
+	codec.MustDecode(resp, &or)
 	if or.Err != "" {
 		panic("hdfs: datanode open: " + or.Err)
 	}
@@ -381,11 +380,11 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 		if err := rqp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 			panic(err)
 		}
-		resp := ep.Call(rep.Node, "dn:"+rep.Name, "open", mustEnc(dnOpenReq{
+		resp := ep.Call(rep.Node, "dn:"+rep.Name, "open", codec.MustEncode(dnOpenReq{
 			Node: d.Node(), VQPN: rqp.VQPN(),
 		}))
 		var ror dnOpenResp
-		mustDec(resp, &ror)
+		codec.MustDecode(resp, &ror)
 		if ror.Err != "" {
 			panic("hdfs: replica open: " + ror.Err)
 		}
@@ -398,7 +397,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 		w.reps = append(w.reps, replicaConn{qp: rqp, rkey: ror.RKey, raddr: mem.Addr(ror.BufAddr)})
 	}
 
-	ep.Call(w.MasterNode, "hdfs-master", "register", mustEnc(registerMsg{Name: w.Name, Node: d.Node()}))
+	ep.Call(w.MasterNode, "hdfs-master", "register", codec.MustEncode(registerMsg{Name: w.Name, Node: d.Node()}))
 
 	// Heartbeat proc: stops while frozen (Gate) and dies with the worker.
 	sched.GoDaemon("hdfs-hb:"+w.Name, func() {
@@ -407,7 +406,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 			if w.killed {
 				return
 			}
-			ep.Send(w.MasterNode, "hdfs-master", "heartbeat", mustEnc(heartbeatMsg{Name: w.Name}))
+			ep.Send(w.MasterNode, "hdfs-master", "heartbeat", codec.MustEncode(heartbeatMsg{Name: w.Name}))
 			sched.Sleep(w.cfg.HeartbeatEvery)
 		}
 	})
@@ -428,7 +427,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 		}
 		debugf("worker %s got assign", w.Name)
 		var a assignMsg
-		mustDec(msg.Body, &a)
+		codec.MustDecode(msg.Body, &a)
 		w.execute(p, ep, a)
 	}
 }
@@ -450,12 +449,12 @@ func (w *Worker) execute(p *task.Process, ep *oob.Endpoint, a assignMsg) {
 			if err := w.writeBlock(a.Spec, unit); err != nil {
 				panic(fmt.Sprintf("hdfs: block %d: %v", unit, err))
 			}
-			ep.Send(w.MasterNode, "hdfs-master", "unit-done", mustEnc(unitDoneMsg{Name: w.Name, Unit: unit}))
+			ep.Send(w.MasterNode, "hdfs-master", "unit-done", codec.MustEncode(unitDoneMsg{Name: w.Name, Unit: unit}))
 		case EstimatePI:
 			inside, total := w.piRound(p, a.Spec)
 			// Ship the partial result over RDMA SEND to the datanode's
 			// collector region, then log completion with the master.
-			ep.Send(w.MasterNode, "hdfs-master", "unit-done", mustEnc(unitDoneMsg{
+			ep.Send(w.MasterNode, "hdfs-master", "unit-done", codec.MustEncode(unitDoneMsg{
 				Name: w.Name, Unit: unit, Inside: inside, Total: total,
 			}))
 		}
@@ -614,7 +613,7 @@ func (dn *DataNode) Run(p *task.Process, d *core.Daemon) {
 	ep := d.Host().Hub.Endpoint("dn:" + dn.Name)
 	ep.Handle("open", func(m oob.Msg) []byte {
 		var req dnOpenReq
-		mustDec(m.Body, &req)
+		codec.MustDecode(m.Body, &req)
 		qp := sess.CreateQP(dn.pd, core.QPConfig{Type: rnic.RC, SendCQ: dn.cq, RecvCQ: dn.cq,
 			Caps: rnic.QPCaps{MaxSend: 8, MaxRecv: 128}})
 		for _, a := range []rnic.ModifyAttr{
@@ -623,10 +622,10 @@ func (dn *DataNode) Run(p *task.Process, d *core.Daemon) {
 			{State: rnic.StateRTS},
 		} {
 			if err := qp.Modify(a); err != nil {
-				return mustEnc(dnOpenResp{Err: err.Error()})
+				return codec.MustEncode(dnOpenResp{Err: err.Error()})
 			}
 		}
-		return mustEnc(dnOpenResp{VQPN: qp.VQPN(), RKey: dn.mr.RKey(), BufAddr: uint64(dataNodeBuf)})
+		return codec.MustEncode(dnOpenResp{VQPN: qp.VQPN(), RKey: dn.mr.RKey(), BufAddr: uint64(dataNodeBuf)})
 	})
 	dn.ready = true
 	dn.readyC.Broadcast()
@@ -639,19 +638,5 @@ var debugEnabled = false
 func debugf(format string, args ...any) {
 	if debugEnabled {
 		fmt.Printf("hdfs: "+format+"\n", args...)
-	}
-}
-
-func mustEnc(v any) []byte {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		panic(err)
-	}
-	return b.Bytes()
-}
-
-func mustDec(data []byte, v any) {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		panic(err)
 	}
 }

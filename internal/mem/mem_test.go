@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -236,5 +237,140 @@ func TestPropRemapPreservesBytes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// --- Page cache --------------------------------------------------------------
+
+// TestMappedAccessAllocatesNothing pins the DMA hot path: once a page
+// exists, reading and writing it (cache hit or miss) allocates nothing.
+func TestMappedAccessAllocatesNothing(t *testing.T) {
+	as := NewAddressSpace()
+	if _, err := as.Map(0x10000, 64*PageSize, "buf"); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 3*PageSize)
+	if err := as.Write(0x10000, make([]byte, 64*PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	if n := testing.AllocsPerRun(200, func() {
+		// Unaligned, page-crossing, and walking the VMA so that cache
+		// slots are both hit and replaced.
+		a := Addr(0x10000 + (i%60)*PageSize + 100)
+		i++
+		if err := as.Write(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := as.Read(a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Read+Write on mapped pages: %v allocs per run, want 0", n)
+	}
+}
+
+func TestZeroPageReadClearsBuffer(t *testing.T) {
+	as := NewAddressSpace()
+	as.Map(0x10000, 4*PageSize, "buf")
+	as.Write(0x10000+2*PageSize, []byte{9}) // one populated page among zero pages
+	buf := bytes.Repeat([]byte{0xEE}, 3*PageSize)
+	for pass := 0; pass < 2; pass++ { // second pass hits the cache
+		if err := as.Read(0x10000+100, buf); err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range buf {
+			want := byte(0)
+			if i == 2*PageSize-100 {
+				want = 9
+			}
+			if c != want {
+				t.Fatalf("pass %d: byte %d = %#x, want %#x", pass, i, c, want)
+			}
+		}
+		for i := range buf {
+			buf[i] = 0xEE
+		}
+	}
+}
+
+func TestCacheDroppedOnUnmap(t *testing.T) {
+	as := NewAddressSpace()
+	as.Map(0x10000, 2*PageSize, "a")
+	as.Write(0x10000, []byte("cached"))
+	var b [6]byte
+	as.Read(0x10000, b[:]) // page now cached
+	if err := as.Unmap(0x10000); err != nil {
+		t.Fatal(err)
+	}
+	var fe *FaultError
+	if err := as.Read(0x10000, b[:]); !errors.As(err, &fe) {
+		t.Fatalf("read after unmap: %v, want a fault", err)
+	}
+	if err := as.Write(0x10000, b[:]); !errors.As(err, &fe) {
+		t.Fatalf("write after unmap: %v, want a fault", err)
+	}
+	// Mapping the range again starts from zero pages, not the old content.
+	as.Map(0x10000, 2*PageSize, "a2")
+	as.Read(0x10000, b[:])
+	if b != [6]byte{} {
+		t.Fatalf("remapped range shows stale content %q", b)
+	}
+}
+
+func TestCacheFollowsRemap(t *testing.T) {
+	as := NewAddressSpace()
+	as.Map(0x10000, 2*PageSize, "a")
+	as.ClearDirty()
+	as.Write(0x10000+PageSize, []byte("moved"))
+	var b [5]byte
+	as.Read(0x10000+PageSize, b[:]) // cached at the old address
+	if err := as.Remap(0x10000, 0x50000); err != nil {
+		t.Fatal(err)
+	}
+	var fe *FaultError
+	if err := as.Read(0x10000+PageSize, b[:]); !errors.As(err, &fe) {
+		t.Fatalf("read at the old address after remap: %v, want a fault", err)
+	}
+	if err := as.Read(0x50000+PageSize, b[:]); err != nil || string(b[:]) != "moved" {
+		t.Fatalf("read at the new address: %q, %v", b, err)
+	}
+	if d := as.DirtyPages(); len(d) != 1 || d[0] != 0x50000+PageSize {
+		t.Fatalf("dirty pages after remap: %#x, want [0x51000]", d)
+	}
+	// A write through the cache at the new address lands in the moved page.
+	as.Write(0x50000+PageSize, []byte("M"))
+	if pg := as.ReadPage(0x50000 + PageSize); string(pg[:5]) != "Moved" {
+		t.Fatalf("page after cached write: %q", pg[:5])
+	}
+}
+
+func TestAdjacentMappingResolves(t *testing.T) {
+	as := NewAddressSpace()
+	as.Map(0x10000, PageSize, "a")
+	as.Write(0x10000, []byte{1})
+	// The neighbour page faults while unmapped — and that must not be
+	// remembered once it is mapped.
+	var b [1]byte
+	var fe *FaultError
+	if err := as.Read(0x10000+PageSize, b[:]); !errors.As(err, &fe) {
+		t.Fatalf("read of unmapped neighbour: %v, want a fault", err)
+	}
+	as.Map(0x10000+PageSize, PageSize, "b")
+	// Same cache slot as page "a" one table-length further on.
+	far := Addr(0x10000 + pageCacheSlots*PageSize)
+	as.Map(far, PageSize, "c")
+	as.Write(far, []byte{3})
+	span := make([]byte, 2*PageSize)
+	if err := as.Read(0x10000, span); err != nil || span[0] != 1 || span[PageSize] != 0 {
+		t.Fatalf("read across the two adjacent VMAs: %v, %d %d", err, span[0], span[PageSize])
+	}
+	as.Read(far, b[:])
+	if b[0] != 3 {
+		t.Fatalf("colliding slot returned %d, want 3", b[0])
+	}
+	as.Read(0x10000, b[:])
+	if b[0] != 1 {
+		t.Fatalf("after the collision page a reads %d, want 1", b[0])
 	}
 }

@@ -12,13 +12,12 @@
 package perftest
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"time"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/oob"
@@ -170,20 +169,6 @@ type connectResp struct {
 	Err     string
 }
 
-func encGob(v any) []byte {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		panic(err)
-	}
-	return b.Bytes()
-}
-
-func decGob(data []byte, v any) {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		panic(err)
-	}
-}
-
 // --- Server -------------------------------------------------------------------
 
 // Server is the passive/receiving side: it accepts connections on an
@@ -209,7 +194,15 @@ type Server struct {
 	seq map[uint32]uint64
 	// srvIdx numbers accepted QPs for recv buffer slotting.
 	srvIdx map[uint32]int
+
+	// sge and wc are the serve loop's post and poll scratch: the library
+	// copies a posted SGE list, so one element serves every repost.
+	sge [1]rnic.SGE
+	wc  [pollBatch]rnic.CQE
 }
+
+// pollBatch is how many completions one poll takes.
+const pollBatch = 64
 
 // NewServer creates a server descriptor; Run starts it inside a process.
 func NewServer(sched *sim.Scheduler, name string, opts Options) *Server {
@@ -258,7 +251,7 @@ func (s *Server) WaitReady() {
 // and return our virtual QPN, rkey and buffer address.
 func (s *Server) onConnect(m oob.Msg) []byte {
 	var req connectReq
-	decGob(m.Body, &req)
+	codec.MustDecode(m.Body, &req)
 	o := s.Opts
 	qp := s.Sess.CreateQP(s.pd, core.QPConfig{
 		Type: rnic.RC, SendCQ: s.cq, RecvCQ: s.cq,
@@ -270,7 +263,7 @@ func (s *Server) onConnect(m oob.Msg) []byte {
 		{State: rnic.StateRTS},
 	} {
 		if err := qp.Modify(a); err != nil {
-			return encGob(connectResp{Err: err.Error()})
+			return codec.MustEncode(connectResp{Err: err.Error()})
 		}
 	}
 	idx := len(s.qps)
@@ -280,15 +273,13 @@ func (s *Server) onConnect(m oob.Msg) []byte {
 	// Pre-post receives for two-sided traffic.
 	if req.Verb == rnic.OpSend || req.Verb == rnic.OpSendImm {
 		for i := 0; i < o.RecvDepth; i++ {
-			wr := rnic.RecvWR{WRID: uint64(i), SGEs: []rnic.SGE{{
-				Addr: s.recvSlot(idx, uint64(i)), Len: uint32(req.MsgSize), LKey: s.mr.LKey(),
-			}}}
-			if err := qp.PostRecv(wr); err != nil {
-				return encGob(connectResp{Err: err.Error()})
+			s.sge[0] = rnic.SGE{Addr: s.recvSlot(idx, uint64(i)), Len: uint32(req.MsgSize), LKey: s.mr.LKey()}
+			if err := qp.PostRecv(rnic.RecvWR{WRID: uint64(i), SGEs: s.sge[:]}); err != nil {
+				return codec.MustEncode(connectResp{Err: err.Error()})
 			}
 		}
 	}
-	return encGob(connectResp{VQPN: qp.VQPN(), RKey: s.mr.RKey(), BufAddr: uint64(bufferArena)})
+	return codec.MustEncode(connectResp{VQPN: qp.VQPN(), RKey: s.mr.RKey(), BufAddr: uint64(bufferArena)})
 }
 
 // recvSlot places receive buffers; in CheckOrder mode each QP gets its
@@ -322,7 +313,7 @@ func (s *Server) serve(p *task.Process) {
 			s.cq.WaitNonEmpty()
 			continue
 		}
-		for _, e := range s.cq.Poll(64) {
+		for _, e := range s.wc[:s.cq.PollInto(s.wc[:])] {
 			s.consume(e)
 		}
 	}
@@ -360,10 +351,8 @@ func (s *Server) consume(e rnic.CQE) {
 	s.seq[e.QPN] = want + 1
 	// Repost the consumed receive.
 	qp := s.qps[idx]
-	wr := rnic.RecvWR{WRID: e.WRID, SGEs: []rnic.SGE{{
-		Addr: s.recvSlot(idx, want), Len: uint32(s.Opts.MsgSize), LKey: s.mr.LKey(),
-	}}}
-	if err := qp.PostRecv(wr); err != nil {
+	s.sge[0] = rnic.SGE{Addr: s.recvSlot(idx, want), Len: uint32(s.Opts.MsgSize), LKey: s.mr.LKey()}
+	if err := qp.PostRecv(rnic.RecvWR{WRID: e.WRID, SGEs: s.sge[:]}); err != nil {
 		s.Stats.errf("repost recv: %v", err)
 	}
 }
@@ -400,6 +389,10 @@ type Client struct {
 	cq  *core.CQ
 	mr  *core.MR
 	qps []*clientQP
+
+	// sge and wc are the pump loop's post and poll scratch.
+	sge [1]rnic.SGE
+	wc  [pollBatch]rnic.CQE
 }
 
 type clientQP struct {
@@ -449,11 +442,11 @@ func (c *Client) Run(p *task.Process, d *core.Daemon) {
 		if err := qp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 			panic(err)
 		}
-		resp := ep.Call(tgt.Node, "pt:"+tgt.Name, "connect", encGob(connectReq{
+		resp := ep.Call(tgt.Node, "pt:"+tgt.Name, "connect", codec.MustEncode(connectReq{
 			Node: d.Node(), VQPN: qp.VQPN(), Verb: o.Verb, MsgSize: o.MsgSize, Depth: o.QueueDepth,
 		}))
 		var cr connectResp
-		decGob(resp, &cr)
+		codec.MustDecode(resp, &cr)
 		if cr.Err != "" {
 			panic("perftest connect: " + cr.Err)
 		}
@@ -525,7 +518,7 @@ func (c *Client) pump(p *task.Process) {
 			return
 		}
 		c.cq.WaitNonEmpty()
-		for _, e := range c.cq.Poll(64) {
+		for _, e := range c.wc[:c.cq.PollInto(c.wc[:])] {
 			c.complete(e)
 		}
 	}
@@ -543,11 +536,12 @@ func (c *Client) post(q *clientQP) error {
 			return err
 		}
 	}
+	c.sge[0] = rnic.SGE{Addr: addr, Len: uint32(o.MsgSize), LKey: c.mr.LKey()}
 	wr := rnic.SendWR{
 		WRID:     seq % uint64(o.QueueDepth),
 		Opcode:   o.Verb,
 		Signaled: true,
-		SGEs:     []rnic.SGE{{Addr: addr, Len: uint32(o.MsgSize), LKey: c.mr.LKey()}},
+		SGEs:     c.sge[:],
 	}
 	if o.CheckOrder {
 		wr.WRID = seq

@@ -10,6 +10,12 @@
 // payload carries [8B request id][4B method length][method][body]. The
 // response echoes the request id. Both sides pre-post a fixed window of
 // receives; a requester never has more than window outstanding calls.
+// Each side's arena is a receive ring of window slots followed by
+// window send slots, so a message stays in place until it cannot be
+// transmitted again: a call holds its send slot until it returns, and a
+// response goes out from the send slot paired with the request's
+// receive slot, which the client cannot reach again before it has read
+// this response (RC delivers in order and the server answers in order).
 package rdmarpc
 
 import (
@@ -95,9 +101,8 @@ type rpcAccept struct {
 func (s *Server) Run(p *task.Process, d *core.Daemon) {
 	sess := core.NewSession(p, d)
 	s.Sess = sess
-	// Arena: per-connection receive ring plus one send slot.
 	const maxConns = 64
-	arena := uint64(maxConns * (window + 1) * MaxMessage)
+	arena := uint64(maxConns * 2 * window * MaxMessage)
 	if _, err := p.AS.Map(serverArena, arena, "rpc-arena"); err != nil {
 		panic(err)
 	}
@@ -130,7 +135,7 @@ func (s *Server) Run(p *task.Process, d *core.Daemon) {
 		}
 		conn := &serverConn{
 			qp:   qp,
-			base: serverArena + mem.Addr(len(s.conns)*(window+1)*MaxMessage),
+			base: serverArena + mem.Addr(len(s.conns)*2*window*MaxMessage),
 		}
 		for i := 0; i < window; i++ {
 			if err := s.postRecv(conn, uint64(i)); err != nil {
@@ -155,13 +160,14 @@ func (s *Server) postRecv(c *serverConn, slot uint64) error {
 
 // serve dispatches inbound requests until Stop.
 func (s *Server) serve(p *task.Process) {
+	var cqes [16]rnic.CQE
 	for !s.stopped {
 		p.Gate()
 		if s.cq.Len() == 0 {
 			s.cq.WaitNonEmpty()
 			continue
 		}
-		for _, e := range s.cq.Poll(16) {
+		for _, e := range cqes[:s.cq.PollInto(cqes[:])] {
 			if e.Opcode != rnic.OpRecv || e.Status != rnic.WCSuccess {
 				continue
 			}
@@ -195,8 +201,7 @@ func (s *Server) dispatch(p *task.Process, e rnic.CQE) {
 		resp = []byte("rdmarpc: no such method " + method)
 	}
 	frame := encodeFrame(id, "", resp)
-	// Send slot: the last slot of the connection's arena window.
-	sendSlot := conn.base + mem.Addr(window*MaxMessage)
+	sendSlot := conn.base + mem.Addr((window+e.WRID%window)*MaxMessage)
 	if err := p.AS.Write(sendSlot, frame); err != nil {
 		return
 	}
@@ -223,18 +228,23 @@ type Client struct {
 	cq   *core.CQ
 	mr   *core.MR
 
-	nextID  uint64
-	pending int
-	// responses maps request id → response body for out-of-order
-	// completion (the server may interleave).
+	nextID uint64
+	// freeSend holds the send slots no call owns; empty means the credit
+	// window is exhausted.
+	freeSend []uint64
+	// responses maps request id → response body: a call polls whatever
+	// has completed and files the responses that belong to other calls.
 	responses map[uint64][]byte
-	nextSlot  uint64
+	// One call at a time polls the CQ; the others wait on filed, which
+	// the polling call signals after every batch.
+	polling bool
+	filed   *sim.Cond
 }
 
 // Dial connects to the named server.
 func Dial(p *task.Process, d *core.Daemon, serverNode, serverName string) (*Client, error) {
 	sess := core.NewSession(p, d)
-	arena := uint64((window + 1) * MaxMessage)
+	arena := uint64(2 * window * MaxMessage)
 	if _, err := p.AS.Map(clientArena, arena, "rpc-arena"); err != nil {
 		return nil, err
 	}
@@ -249,8 +259,10 @@ func Dial(p *task.Process, d *core.Daemon, serverNode, serverName string) (*Clie
 	if err := qp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 		return nil, err
 	}
-	c := &Client{sess: sess, proc: p, qp: qp, cq: cq, mr: mr, responses: make(map[uint64][]byte)}
+	c := &Client{sess: sess, proc: p, qp: qp, cq: cq, mr: mr, responses: make(map[uint64][]byte),
+		filed: sim.NewCond(p.Scheduler(), "rpc-filed")}
 	for i := 0; i < window; i++ {
+		c.freeSend = append(c.freeSend, uint64(window+i))
 		if err := c.postRecv(uint64(i)); err != nil {
 			return nil, err
 		}
@@ -280,9 +292,10 @@ func (c *Client) postRecv(slot uint64) error {
 	})
 }
 
-// Call performs one synchronous RPC.
+// Call performs one synchronous RPC. Calls may run concurrently on one
+// client, up to the credit window.
 func (c *Client) Call(method string, body []byte) ([]byte, error) {
-	if c.pending >= window {
+	if len(c.freeSend) == 0 {
 		return nil, fmt.Errorf("rdmarpc: credit exhausted")
 	}
 	c.nextID++
@@ -291,7 +304,10 @@ func (c *Client) Call(method string, body []byte) ([]byte, error) {
 	if len(frame) > MaxMessage {
 		return nil, fmt.Errorf("rdmarpc: message exceeds %d bytes", MaxMessage)
 	}
-	sendSlot := clientArena + mem.Addr(window*MaxMessage)
+	slot := c.freeSend[len(c.freeSend)-1]
+	c.freeSend = c.freeSend[:len(c.freeSend)-1]
+	defer func() { c.freeSend = append(c.freeSend, slot) }()
+	sendSlot := clientArena + mem.Addr(slot*MaxMessage)
 	if err := c.proc.AS.Write(sendSlot, frame); err != nil {
 		return nil, err
 	}
@@ -302,34 +318,51 @@ func (c *Client) Call(method string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.pending++
-	defer func() { c.pending-- }()
 	for {
 		if resp, ok := c.responses[id]; ok {
 			delete(c.responses, id)
 			return resp, nil
 		}
-		c.cq.WaitNonEmpty()
-		for _, e := range c.cq.Poll(16) {
-			if e.Status != rnic.WCSuccess {
-				return nil, fmt.Errorf("rdmarpc: completion %v", e.Status)
-			}
-			if e.Opcode != rnic.OpRecv {
-				continue // our own send completion
-			}
-			slotAddr := clientArena + mem.Addr((e.WRID%window)*MaxMessage)
-			buf := make([]byte, e.ByteLen)
-			if err := c.proc.AS.Read(slotAddr, buf); err != nil {
-				return nil, err
-			}
-			rid, _, rbody, err := decodeFrame(buf)
-			_ = c.postRecv(e.WRID + window) // replenish
-			if err != nil {
-				return nil, err
-			}
-			c.responses[rid] = rbody
+		if c.polling {
+			c.filed.Wait()
+			continue
+		}
+		c.polling = true
+		err := c.pollResponses()
+		c.polling = false
+		c.filed.Broadcast()
+		if err != nil {
+			return nil, err
 		}
 	}
+}
+
+// pollResponses waits for completions and files every response among
+// them. It polls into a buffer of its own: replenishing a receive passes
+// the freeze gate, so the loop can park with entries still to handle.
+func (c *Client) pollResponses() error {
+	var cqes [16]rnic.CQE
+	c.cq.WaitNonEmpty()
+	for _, e := range cqes[:c.cq.PollInto(cqes[:])] {
+		if e.Status != rnic.WCSuccess {
+			return fmt.Errorf("rdmarpc: completion %v", e.Status)
+		}
+		if e.Opcode != rnic.OpRecv {
+			continue // a send completion
+		}
+		slotAddr := clientArena + mem.Addr((e.WRID%window)*MaxMessage)
+		buf := make([]byte, e.ByteLen)
+		if err := c.proc.AS.Read(slotAddr, buf); err != nil {
+			return err
+		}
+		rid, _, rbody, err := decodeFrame(buf)
+		_ = c.postRecv(e.WRID + window) // replenish
+		if err != nil {
+			return err
+		}
+		c.responses[rid] = rbody
+	}
+	return nil
 }
 
 // Session exposes the client's MigrRDMA session.

@@ -9,6 +9,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
 	"migrrdma/internal/runc"
+	"migrrdma/internal/sim"
 	"migrrdma/internal/task"
 )
 
@@ -154,4 +155,63 @@ func TestRPCServerMigration(t *testing.T) {
 	if r.srv.Sess.Node() != "spare" {
 		t.Fatalf("server on %s", r.srv.Sess.Node())
 	}
+}
+
+// TestConcurrentCallsAcrossFreeze runs two callers on one client while
+// the client process is frozen and thawed under them. Calls park at the
+// freeze gate in their posts and polls, each polls completions that
+// belong to the other, and the last response of one caller is usually
+// polled by the other; every response must still reach its own caller
+// exactly once, with its own bytes.
+func TestConcurrentCallsAcrossFreeze(t *testing.T) {
+	r := newRig(t)
+	const callers, calls = 2, 200
+	finished := 0
+	cp := task.New(r.cl.Sched, "cp")
+	var c *Client
+	dialed := sim.NewCond(r.cl.Sched, "dialed")
+	r.cl.Sched.Go("dial", func() {
+		r.srv.WaitReady()
+		var err error
+		if c, err = Dial(cp, r.daemons["client"], "server", "svc"); err != nil {
+			t.Error(err)
+		}
+		dialed.Broadcast()
+	})
+	for k := 0; k < callers; k++ {
+		k := k
+		r.cl.Sched.Go(fmt.Sprintf("caller-%d", k), func() {
+			for c == nil {
+				dialed.Wait()
+			}
+			for i := 0; i < calls; i++ {
+				msg := []byte(fmt.Sprintf("caller-%d-call-%d", k, i))
+				resp, err := c.Call("echo", msg)
+				if err != nil || !bytes.Equal(resp, msg) {
+					t.Errorf("caller %d call %d = %q, %v", k, i, resp, err)
+					return
+				}
+			}
+			finished++
+		})
+	}
+	r.cl.Sched.Go("freezer", func() {
+		for c == nil {
+			dialed.Wait()
+		}
+		for finished < callers {
+			r.cl.Sched.Sleep(7 * time.Microsecond)
+			cp.Freeze()
+			r.cl.Sched.Sleep(5 * time.Microsecond)
+			cp.Thaw()
+		}
+	})
+	r.cl.Sched.RunFor(30 * time.Second)
+	if finished != callers {
+		t.Fatalf("%d of %d callers finished", finished, callers)
+	}
+	if len(c.responses) != 0 {
+		t.Errorf("%d responses were never claimed", len(c.responses))
+	}
+	r.srv.Stop()
 }

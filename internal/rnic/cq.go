@@ -12,10 +12,11 @@ import (
 // until software polls them; an optional completion channel delivers
 // interrupt-style events when the CQ is armed (ibv_req_notify_cq).
 type CQ struct {
-	Handle uint32
-	dev    *Device
-	cap    int
-	queue  []CQE
+	Handle  uint32
+	dev     *Device
+	cap     int
+	queue   []CQE
+	pollBuf PollBuf
 	// Overrun records that a completion was dropped because the CQ was
 	// full — a fatal programming error on real hardware too.
 	Overrun bool
@@ -26,7 +27,7 @@ type CQ struct {
 	// Shadow ring: the library maps the CQ's entry ring in process
 	// memory and the device DMA-writes each CQE slot, so completion
 	// traffic dirties application pages exactly as on real hardware.
-	ringAS   cqRingMemory
+	ringAS   *mem.AddressSpace
 	ringAddr mem.Addr
 	ringSeq  int
 
@@ -35,15 +36,11 @@ type CQ struct {
 	waiters *sim.Cond
 }
 
-// cqRingMemory is the slice of the address-space API the CQ DMA path
-// needs.
-type cqRingMemory interface {
-	Write(a mem.Addr, buf []byte) error
-}
-
 // SetShadowRing points the CQ's DMA target at a library-mapped ring of
-// cap 64-byte slots. Passing nil detaches it.
-func (cq *CQ) SetShadowRing(as cqRingMemory, addr mem.Addr) {
+// cap 64-byte slots. Passing nil detaches it. The address space is the
+// concrete type, not an interface, so that the 64-byte slot push builds
+// stays on the engine's stack.
+func (cq *CQ) SetShadowRing(as *mem.AddressSpace, addr mem.Addr) {
 	cq.ringAS = as
 	cq.ringAddr = addr
 }
@@ -99,22 +96,43 @@ func (cq *CQ) push(e CQE) {
 	}
 }
 
-// Poll removes and returns up to max completions (non-blocking, like
-// ibv_poll_cq).
-func (cq *CQ) Poll(max int) []CQE {
-	if max > len(cq.queue) {
-		max = len(cq.queue)
+// PollInto removes up to len(dst) completions into the caller's buffer
+// and reports how many it wrote (non-blocking, like ibv_poll_cq with a
+// caller-owned ibv_wc array).
+func (cq *CQ) PollInto(dst []CQE) int {
+	n := copy(dst, cq.queue)
+	if n == 0 {
+		return 0
 	}
-	if max == 0 {
-		return nil
-	}
-	out := make([]CQE, max)
-	copy(out, cq.queue[:max])
 	// Shift the remainder down so the ring keeps its capacity (pollers
 	// usually drain the CQ, making the shift free).
-	n := copy(cq.queue, cq.queue[max:])
-	cq.queue = cq.queue[:n]
-	return out
+	rest := copy(cq.queue, cq.queue[n:])
+	cq.queue = cq.queue[:rest]
+	return n
+}
+
+// PollBuf is the buffer a CQ lends out from Poll(max): the slice a Poll
+// returns is valid until the next Poll on that CQ, so Poll suits a CQ
+// with one poller that handles a batch before it polls again. Anything
+// else polls into a buffer of its own with PollInto.
+type PollBuf []CQE
+
+// Sized returns the buffer cut to max entries, clamped to [0, limit].
+func (b *PollBuf) Sized(max, limit int) []CQE {
+	max = min(max, limit)
+	if max <= 0 {
+		return nil
+	}
+	if cap(*b) < max {
+		*b = make([]CQE, max)
+	}
+	return (*b)[:max]
+}
+
+// Poll removes and returns up to max completions in the CQ's PollBuf.
+func (cq *CQ) Poll(max int) []CQE {
+	buf := cq.pollBuf.Sized(max, cq.cap)
+	return buf[:cq.PollInto(buf)]
 }
 
 // Len reports the number of pending completions.

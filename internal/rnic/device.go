@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/fabric"
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
@@ -142,16 +143,16 @@ type Device struct {
 	nextKey uint32
 	nextID  uint32
 
-	rxq  fifo[rxItem]
+	rxq  fifo.Queue[rxItem]
 	work *sim.Cond
 
 	// TX pacer: frames are pulled (control first, then responder data,
 	// then requester data in QP round-robin) only when the uplink is
 	// free, so retransmission timers see true wire occupancy and deep
 	// send queues drain at line rate instead of flooding the fabric.
-	ctlq   fifo[fabric.Frame]
-	respq  fifo[fabric.Frame]
-	txRing fifo[*QP]
+	ctlq   fifo.Queue[fabric.Frame]
+	respq  fifo.Queue[fabric.Frame]
+	txRing fifo.Queue[*QP]
 	txBusy bool
 	pumpCb func() // the serialization-slot callback, bound once
 
@@ -163,6 +164,7 @@ type Device struct {
 	// recycled after its packet is fully handled (handlers copy payload
 	// bytes out before returning).
 	freePkts []*packet
+	freeWQEs []*sqEntry
 	bufCap   int
 	// gatherBuf is the DMA-gather scratch: each outbound fragment is
 	// gathered here and immediately copied into its wire buffer by
@@ -308,6 +310,24 @@ func (d *Device) getPkt() *packet {
 func (d *Device) putPkt(p *packet) {
 	*p = packet{}
 	d.freePkts = append(d.freePkts, p)
+}
+
+// getWQE takes a zeroed send-queue entry from the free list or
+// allocates one.
+func (d *Device) getWQE() *sqEntry {
+	if n := len(d.freeWQEs); n > 0 {
+		e := d.freeWQEs[n-1]
+		d.freeWQEs[n-1] = nil
+		d.freeWQEs = d.freeWQEs[:n-1]
+		return e
+	}
+	return &sqEntry{}
+}
+
+// putWQE recycles a retired send-queue entry that no queue references.
+func (d *Device) putWQE(e *sqEntry) {
+	*e = sqEntry{}
+	d.freeWQEs = append(d.freeWQEs, e)
 }
 
 // getBuf returns an n-byte wire buffer, pooled when n fits a max-size
@@ -458,7 +478,7 @@ func (d *Device) onFrame(f fabric.Frame) {
 		d.putBuf(f.Data)
 		return
 	}
-	d.rxq.push(rxItem{p: p, src: f.Src, buf: f.Data})
+	d.rxq.Push(rxItem{p: p, src: f.Src, buf: f.Data})
 	d.work.Signal()
 }
 
@@ -483,11 +503,11 @@ func (d *Device) pump() {
 // and advances requester state. It runs until the device is closed.
 func (d *Device) engineLoop() {
 	for !d.closed {
-		if d.rxq.len() == 0 {
+		if d.rxq.Len() == 0 {
 			d.work.Wait()
 			continue
 		}
-		it := d.rxq.pop()
+		it := d.rxq.Pop()
 		d.handlePacket(it)
 		// The handlers copy payload bytes out before returning, so the
 		// packet and its wire buffer can be recycled here.

@@ -3,6 +3,7 @@ package rnic
 import (
 	"fmt"
 
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
 )
@@ -17,9 +18,12 @@ const (
 	sqCompleted                // CQE generated (or silently retired)
 )
 
-// sqEntry is a send-queue element with its transport state.
+// sqEntry is a send-queue element with its transport state. Entries are
+// pooled on the device: PostSend takes one, retirement returns it (see
+// QP.retire).
 type sqEntry struct {
-	wr         SendWR
+	wr         SendWR  // wr.SGEs aliases sges
+	sges       SGEList // the WQE's gather list
 	psn        uint32
 	state      sqState
 	status     WCStatus
@@ -56,7 +60,7 @@ type QP struct {
 
 	// Requester side.
 	sq         []*sqEntry
-	txq        fifo[*sqEntry] // entries with fragments still to transmit
+	txq        fifo.Queue[*sqEntry] // entries with fragments still to transmit
 	inTxRing   bool
 	nextPSN    uint32
 	rnrBackoff bool
@@ -71,7 +75,7 @@ type QP struct {
 
 	// Responder side.
 	expPSN      uint32
-	rq          []RecvWR
+	rq          fifo.Queue[RecvWQE]
 	reasm       *reassembly
 	nakSent     bool // a NAK for nakPSN is outstanding
 	nakPSN      uint32
@@ -109,7 +113,7 @@ type QP struct {
 type SRQ struct {
 	Handle uint32
 	dev    *Device
-	rq     []RecvWR
+	rq     fifo.Queue[RecvWQE]
 }
 
 // CreateSRQ creates a shared receive queue.
@@ -121,10 +125,10 @@ func (d *Device) CreateSRQ() *SRQ {
 }
 
 // PostRecv posts a receive WQE to the SRQ.
-func (s *SRQ) PostRecv(wr RecvWR) { s.rq = append(s.rq, wr) }
+func (s *SRQ) PostRecv(wr RecvWR) { s.rq.Push(NewRecvWQE(wr)) }
 
 // Len reports outstanding receive WQEs.
-func (s *SRQ) Len() int { return len(s.rq) }
+func (s *SRQ) Len() int { return s.rq.Len() }
 
 // DestroySRQ releases the SRQ.
 func (d *Device) DestroySRQ(s *SRQ) {
@@ -155,10 +159,9 @@ func (d *Device) CreateQP(pd *PD, typ QPType, sendCQ, recvCQ *CQ, srq *SRQ, caps
 	}
 	qp.rtoCb = qp.onRTO
 	qp.rnrCb = qp.rnrResume
-	// Pre-size the WQE rings to the (bounded) queue caps so steady-state
-	// posting never grows them.
+	// Pre-size the send ring to the (bounded) queue cap so steady-state
+	// posting never grows it.
 	qp.sq = make([]*sqEntry, 0, ringCap(caps.MaxSend))
-	qp.rq = make([]RecvWR, 0, ringCap(caps.MaxRecv))
 	l := d.qpLabels(qp.QPN)
 	qp.mPosts = d.reg.Counter("rnic", "send_posts", l)
 	qp.mRecvPosts = d.reg.Counter("rnic", "recv_posts", l)
@@ -248,7 +251,7 @@ func (qp *QP) Modify(attr ModifyAttr) error {
 func (qp *QP) reset() {
 	qp.state = StateReset
 	qp.sq = nil
-	qp.rq = nil
+	qp.rq = fifo.Queue[RecvWQE]{}
 	qp.nextPSN = 0
 	qp.expPSN = 0
 	qp.remoteNode = ""
@@ -273,10 +276,10 @@ func (qp *QP) enterError() {
 		}
 	}
 	qp.completeInOrder()
-	for _, wr := range qp.rq {
-		qp.recvCQ.push(CQE{WRID: wr.WRID, Status: WCWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
+	for _, w := range qp.rq.Items() {
+		qp.recvCQ.push(CQE{WRID: w.WRID, Status: WCWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
 	}
-	qp.rq = nil
+	qp.rq = fifo.Queue[RecvWQE]{}
 }
 
 // outstanding counts send WQEs not yet retired.
@@ -297,9 +300,9 @@ func (qp *QP) SendQueueDepth() int { return qp.outstanding() }
 // RecvQueueDepth reports receive WQEs not yet consumed.
 func (qp *QP) RecvQueueDepth() int {
 	if qp.srq != nil {
-		return len(qp.srq.rq)
+		return qp.srq.rq.Len()
 	}
-	return len(qp.rq)
+	return qp.rq.Len()
 }
 
 // PostSend posts a send-queue work request (ibv_post_send).
@@ -335,12 +338,10 @@ func (qp *QP) PostSend(wr SendWR) error {
 	// The WQE owns its gather list from here on (the library may reuse
 	// its scatter/gather buffer immediately after posting, as real
 	// verbs permit once ibv_post_send returns).
-	if len(wr.SGEs) > 0 {
-		sges := make([]SGE, len(wr.SGEs))
-		copy(sges, wr.SGEs)
-		wr.SGEs = sges
-	}
-	e := &sqEntry{wr: wr, psn: qp.nextPSN}
+	e := qp.dev.getWQE()
+	e.wr, e.psn = wr, qp.nextPSN
+	e.sges.Set(wr.SGEs)
+	e.wr.SGEs = e.sges.Get()
 	qp.nextPSN = psnAdd(qp.nextPSN, 1)
 	qp.sq = append(qp.sq, e)
 	qp.mPosts.Inc()
@@ -362,7 +363,7 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 	if qp.state == StateReset {
 		return fmt.Errorf("rnic: PostRecv in RESET")
 	}
-	if len(qp.rq) >= qp.caps.MaxRecv {
+	if qp.rq.Len() >= qp.caps.MaxRecv {
 		return fmt.Errorf("rnic: receive queue full")
 	}
 	for _, sge := range wr.SGEs {
@@ -370,36 +371,23 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 			return fmt.Errorf("rnic: local protection: %w", err)
 		}
 	}
-	if len(wr.SGEs) > 0 {
-		sges := make([]SGE, len(wr.SGEs))
-		copy(sges, wr.SGEs)
-		wr.SGEs = sges
-	}
-	qp.rq = append(qp.rq, wr)
+	qp.rq.Push(NewRecvWQE(wr))
 	qp.mRecvPosts.Inc()
 	return nil
 }
 
-// popRecv takes the next receive WQE from the RQ or SRQ.
-func (qp *QP) popRecv() (RecvWR, bool) {
+// popRecv takes the next receive WQE from the RQ or SRQ. The WQE is
+// returned by value, so its scatter list stays valid however the queue
+// is reused afterwards.
+func (qp *QP) popRecv() (RecvWQE, bool) {
+	rq := &qp.rq
 	if qp.srq != nil {
-		if len(qp.srq.rq) == 0 {
-			return RecvWR{}, false
-		}
-		wr := qp.srq.rq[0]
-		qp.srq.rq = qp.srq.rq[1:]
-		return wr, true
+		rq = &qp.srq.rq
 	}
-	if len(qp.rq) == 0 {
-		return RecvWR{}, false
+	if rq.Len() == 0 {
+		return RecvWQE{}, false
 	}
-	wr := qp.rq[0]
-	// Shift down to keep the ring's capacity (queue depths are small,
-	// the copy is cheaper than the reallocation churn of re-slicing).
-	n := copy(qp.rq, qp.rq[1:])
-	qp.rq[n] = RecvWR{}
-	qp.rq = qp.rq[:n]
-	return wr, true
+	return rq.Pop(), true
 }
 
 // completeInOrder walks the send queue from the front, retiring acked
@@ -424,6 +412,9 @@ func (qp *QP) completeInOrder() {
 		done++
 	}
 	if done > 0 {
+		for _, e := range qp.sq[:done] {
+			qp.retire(e)
+		}
 		// Shift the remainder down instead of re-slicing: the ring keeps
 		// its capacity, so steady-state post/complete never reallocates.
 		n := copy(qp.sq, qp.sq[done:])
@@ -431,6 +422,16 @@ func (qp *QP) completeInOrder() {
 			qp.sq[i] = nil
 		}
 		qp.sq = qp.sq[:n]
+	}
+}
+
+// retire returns a completed entry, already off the send queue, to the
+// device pool. An entry still listed on the transmit queue (completed by
+// a late response, or flushed, while waiting there) is recycled by
+// nextTxFrame when it pops it, so no queue ever holds a recycled entry.
+func (qp *QP) retire(e *sqEntry) {
+	if !e.queued {
+		qp.dev.putWQE(e)
 	}
 }
 

@@ -23,7 +23,7 @@ type rxItem struct {
 // transmit queues a newly posted entry for wire transmission.
 func (qp *QP) transmit(e *sqEntry) {
 	e.queued = true
-	qp.txq.push(e)
+	qp.txq.Push(e)
 	qp.dev.enqueueTx(qp)
 }
 
@@ -33,7 +33,7 @@ func (d *Device) enqueueTx(qp *QP) {
 		return
 	}
 	qp.inTxRing = true
-	d.txRing.push(qp)
+	d.txRing.Push(qp)
 	d.pump()
 }
 
@@ -41,21 +41,21 @@ func (d *Device) enqueueTx(qp *QP) {
 // (ACKs/NAKs) first, then responder data (READ responses), then
 // requester data in QP round-robin order.
 func (d *Device) nextFrame() (fabric.Frame, bool) {
-	if d.ctlq.len() > 0 {
-		return d.ctlq.pop(), true
+	if d.ctlq.Len() > 0 {
+		return d.ctlq.Pop(), true
 	}
-	if d.respq.len() > 0 {
-		return d.respq.pop(), true
+	if d.respq.Len() > 0 {
+		return d.respq.Pop(), true
 	}
-	for d.txRing.len() > 0 {
-		qp := d.txRing.pop()
+	for d.txRing.Len() > 0 {
+		qp := d.txRing.Pop()
 		pkt, more, ok := qp.nextTxFrame()
 		if !ok {
 			qp.inTxRing = false
 			continue
 		}
 		if more {
-			d.txRing.push(qp)
+			d.txRing.Push(qp)
 		} else {
 			qp.inTxRing = false
 		}
@@ -79,13 +79,17 @@ func (qp *QP) nextTxFrame() (*packet, bool, bool) {
 	if qp.rnrBackoff || qp.closed || qp.state != StateRTS {
 		return nil, false, false
 	}
-	for qp.txq.len() > 0 {
-		e := qp.txq.front()
+	for qp.txq.Len() > 0 {
+		e := qp.txq.Front()
 		if e.state == sqAcked || e.state == sqCompleted {
 			// Acked while waiting in the queue (e.g. by a retransmitted
-			// duplicate); skip.
+			// duplicate); skip. Once completed it has left the send queue
+			// and this was the last reference, so recycle it (see retire).
 			e.queued = false
-			qp.txq.pop()
+			qp.txq.Pop()
+			if e.state == sqCompleted {
+				qp.dev.putWQE(e)
+			}
 			continue
 		}
 		pkt, last := qp.buildFragment(e)
@@ -98,12 +102,12 @@ func (qp *QP) nextTxFrame() (*packet, bool, bool) {
 		if last {
 			e.queued = false
 			e.fragCursor = 0
-			qp.txq.pop()
+			qp.txq.Pop()
 			qp.finishTransmit(e)
 		} else {
 			e.fragCursor++
 		}
-		return pkt, qp.txq.len() > 0, true
+		return pkt, qp.txq.Len() > 0, true
 	}
 	return nil, false, false
 }
@@ -215,19 +219,12 @@ func (qp *QP) gather(sges []SGE, off, n uint32) []byte {
 		} else {
 			// Deregistered mid-flight: DMA reads garbage, not stale
 			// scratch contents from an unrelated message.
-			zero(out[filled : filled+take])
+			clear(out[filled : filled+take])
 		}
 		filled += take
 		pos += sge.Len
 	}
 	return out
-}
-
-// zero clears b.
-func zero(b []byte) {
-	for i := range b {
-		b[i] = 0
-	}
 }
 
 // scatter DMA-writes data across the SGE list, returning false on local
@@ -273,14 +270,14 @@ func (d *Device) frameFor(dst string, p *packet) fabric.Frame {
 
 // sendCtl queues a control packet (ACK/NAK) at high priority.
 func (d *Device) sendCtl(dst string, p *packet) {
-	d.ctlq.push(d.frameFor(dst, p))
+	d.ctlq.Push(d.frameFor(dst, p))
 	d.pump()
 }
 
 // sendResp queues responder data (READ responses) behind control but
 // ahead of new requester work from this node.
 func (d *Device) sendResp(dst string, p *packet) {
-	d.respq.push(d.frameFor(dst, p))
+	d.respq.Push(d.frameFor(dst, p))
 	d.pump()
 }
 
@@ -415,7 +412,7 @@ func (qp *QP) execute(p *packet, data []byte, src string) {
 			qp.sendRNR(src, p.SrcQPN, qp.expPSN)
 			return
 		}
-		if !qp.scatter(wr.SGEs, data) {
+		if !qp.scatter(wr.sges.Get(), data) {
 			qp.recvCQ.push(CQE{WRID: wr.WRID, Status: WCLocalProtErr, Opcode: OpRecv, QPN: qp.QPN})
 			qp.respondError(src, p)
 			return
@@ -627,7 +624,7 @@ func (qp *QP) responderUD(p *packet) {
 	if !ok {
 		return // UD drops silently
 	}
-	if !qp.scatter(wr.SGEs, p.Payload) {
+	if !qp.scatter(wr.sges.Get(), p.Payload) {
 		qp.recvCQ.push(CQE{WRID: wr.WRID, Status: WCLocalProtErr, Opcode: OpRecv, QPN: qp.QPN})
 		return
 	}
@@ -775,7 +772,7 @@ func (qp *QP) requeueUnsent() {
 		if e.state == sqQueued && !e.queued {
 			e.queued = true
 			e.fragCursor = 0
-			qp.txq.push(e)
+			qp.txq.Push(e)
 		}
 	}
 	qp.dev.enqueueTx(qp)

@@ -164,6 +164,40 @@ type SGE struct {
 	LKey uint32
 }
 
+// inlineSGEs is how many scatter/gather elements an SGEList holds in its
+// own storage; longer lists spill to a heap copy.
+const inlineSGEs = 4
+
+// SGEList is an owned copy of a posted scatter/gather list. Whoever
+// queues a work request — the device its WQE, the guest library its
+// shadow of the WR — copies the list into one at post time, so the
+// poster may reuse its SGE array as soon as the post returns (as
+// ibv_post_send permits) and queuing allocates nothing.
+type SGEList struct {
+	n      int
+	inline [inlineSGEs]SGE
+	spill  []SGE
+}
+
+// Set copies sges into l.
+func (l *SGEList) Set(sges []SGE) {
+	l.n, l.spill = len(sges), nil
+	if len(sges) <= inlineSGEs {
+		copy(l.inline[:], sges)
+	} else {
+		l.spill = append(l.spill, sges...)
+	}
+}
+
+// Get returns the list. It aliases l, so l must not move while the
+// result is in use.
+func (l *SGEList) Get() []SGE {
+	if l.spill != nil {
+		return l.spill
+	}
+	return l.inline[:l.n]
+}
+
 // SendWR is a send-queue work request.
 type SendWR struct {
 	WRID     uint64
@@ -190,6 +224,25 @@ type RecvWR struct {
 	WRID uint64
 	SGEs []SGE
 }
+
+// RecvWQE is a queued receive work request that owns its scatter list:
+// the device's RQ and SRQ elements, and the guest library's shadows of
+// posted receives.
+type RecvWQE struct {
+	WRID uint64
+	sges SGEList
+}
+
+// NewRecvWQE copies wr, scatter list included.
+func NewRecvWQE(wr RecvWR) RecvWQE {
+	w := RecvWQE{WRID: wr.WRID}
+	w.sges.Set(wr.SGEs)
+	return w
+}
+
+// Request rebuilds the posted WR. Its SGEs alias w, so w must stay in
+// place while the result is in use.
+func (w *RecvWQE) Request() RecvWR { return RecvWR{WRID: w.WRID, SGEs: w.sges.Get()} }
 
 // CQE is a completion queue entry.
 type CQE struct {

@@ -32,23 +32,33 @@ func (c *Cond) Wait() {
 func (c *Cond) WaitTimeout(d time.Duration) bool {
 	p := c.s.current("Cond.WaitTimeout")
 	c.waiters = append(c.waiters, p)
-	fired := false
-	tm := c.s.AfterFunc(d, func() {
-		// Still waiting? Remove from the queue and wake with timeout.
-		for i, w := range c.waiters {
-			if w == p {
-				c.waiters = append(c.waiters[:i], c.waiters[i+1:]...)
-				fired = true
-				c.s.ready(p)
-				return
-			}
-		}
-	})
+	p.waitCond, p.timedOut = c, false
+	tm := c.s.AfterFuncArg(d, condTimeout, p)
 	p.park(c.parkReason)
-	if !fired {
-		tm.Cancel()
+	p.waitCond = nil
+	if p.timedOut {
+		return false
 	}
-	return !fired
+	tm.Cancel()
+	return true
+}
+
+// condTimeout is the shared WaitTimeout timer callback; the waiting proc
+// is its argument, so arming a wait allocates no closure.
+func condTimeout(arg any) {
+	p := arg.(*Proc)
+	c := p.waitCond
+	// Still waiting? Remove from the queue and wake with timeout.
+	for i, w := range c.waiters {
+		if w == p {
+			n := i + copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[n] = nil
+			c.waiters = c.waiters[:n]
+			p.timedOut = true
+			c.s.ready(p)
+			return
+		}
+	}
 }
 
 // Signal wakes one waiting proc, if any.

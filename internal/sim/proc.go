@@ -11,6 +11,12 @@ type Proc struct {
 	done      bool
 	daemon    bool
 	blockedOn string // human-readable reason, for deadlock reports
+	parked    bool   // inside park, for deadlock reports
+	slot      int    // index in the scheduler's proc list
+
+	// Cond.WaitTimeout state, read by the timeout callback.
+	waitCond *Cond
+	timedOut bool
 }
 
 // Name returns the name the proc was spawned with.
@@ -21,6 +27,7 @@ func (p *Proc) main(fn func()) {
 	<-p.resume // wait for first dispatch
 	defer func() {
 		p.done = true
+		p.s.forget(p)
 		if !p.daemon {
 			p.s.live--
 		}
@@ -36,15 +43,25 @@ func (p *Proc) main(fn func()) {
 // eventually mark the proc runnable.
 func (p *Proc) park(reason string) {
 	p.blockedOn = reason
-	p.s.blocked[p] = struct{}{}
+	p.parked = true
 	DebugParks.Add(1)
 	if DebugTrace.Load() {
 		DebugLastPark.Store(p.name + ":" + reason)
 	}
 	p.s.yielded <- struct{}{}
 	<-p.resume
-	delete(p.s.blocked, p)
+	p.parked = false
 	p.blockedOn = ""
+}
+
+// forget drops a finished proc from the proc list (swap-remove: the
+// deadlock report sorts what it prints, so list order carries nothing).
+func (s *Scheduler) forget(p *Proc) {
+	last := s.procs[len(s.procs)-1]
+	s.procs[p.slot] = last
+	last.slot = p.slot
+	s.procs[len(s.procs)-1] = nil
+	s.procs = s.procs[:len(s.procs)-1]
 }
 
 // current returns the currently executing proc, panicking if called from

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -50,11 +49,12 @@ type Scheduler struct {
 	recentLen   int
 	seed        int64
 
-	// blocked tracks this scheduler's parked procs for deadlock
-	// reporting. It is per-scheduler (not package-global) so that
+	// procs lists this scheduler's unfinished procs for deadlock
+	// reporting (each carries a parked flag, so parking itself touches no
+	// shared table). It is per-scheduler (not package-global) so that
 	// independent schedulers — shard-group workers, parallel chaos
 	// sweeps — can run on separate goroutines without sharing state.
-	blocked map[*Proc]struct{}
+	procs []*Proc
 }
 
 // recentNamesSize bounds the livelock diagnostic ring.
@@ -67,7 +67,6 @@ func New(seed int64) *Scheduler {
 		yielded: make(chan struct{}),
 		rng:     rand.New(rand.NewSource(seed)),
 		seed:    seed,
-		blocked: make(map[*Proc]struct{}),
 	}
 }
 
@@ -104,7 +103,9 @@ func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
 		name:   name,
 		daemon: daemon,
 		resume: make(chan struct{}),
+		slot:   len(s.procs),
 	}
+	s.procs = append(s.procs, p)
 	if !daemon {
 		s.live++
 	}
@@ -179,8 +180,8 @@ func (s *Scheduler) LiveBlocked() int {
 	}
 	n := 0
 	wakeable := s.wakeableSet()
-	for p := range s.blocked {
-		if !p.done && !p.daemon && !wakeable[p] {
+	for _, p := range s.procs {
+		if p.parked && !p.daemon && !wakeable[p] {
 			n++
 		}
 	}
@@ -308,7 +309,7 @@ func (s *Scheduler) fireNextTimers() {
 	s.now = t
 	for len(s.timers) > 0 && s.timers[0].when <= s.now {
 		DebugTimerFires.Add(1)
-		tm := heap.Pop(&s.timers).(*timer)
+		tm := s.timers.pop()
 		if tm.cancelled {
 			s.cancelledTimers--
 			s.putTimer(tm)
@@ -376,7 +377,7 @@ func (s *Scheduler) after(d time.Duration, p *Proc, fn func(), fnArg func(any), 
 	tm.fn = fn
 	tm.fnArg = fnArg
 	tm.arg = arg
-	heap.Push(&s.timers, tm)
+	s.timers.push(tm)
 	return tm
 }
 
@@ -420,8 +421,8 @@ func (s *Scheduler) wakeableSet() map[*Proc]bool {
 func (s *Scheduler) blockedReport() string {
 	wakeable := s.wakeableSet()
 	var names []string
-	for p := range s.blocked {
-		if !p.done && !p.daemon && !wakeable[p] {
+	for _, p := range s.procs {
+		if p.parked && !p.daemon && !wakeable[p] {
 			names = append(names, fmt.Sprintf("%s (blocked at: %s)", p.name, p.blockedOn))
 		}
 	}
@@ -481,7 +482,7 @@ func (s *Scheduler) compactTimers() {
 		s.timers[i] = nil
 	}
 	s.timers = live
-	heap.Init(&s.timers)
+	s.timers.init()
 }
 
 // TimerHeapLen reports the number of entries (live plus
@@ -501,24 +502,68 @@ type timer struct {
 	gen       uint64 // bumped on recycle; stale handles check it
 }
 
+// timerHeap is a binary min-heap ordered by (when, seq). seq is unique,
+// so the order is total and the pop sequence does not depend on how the
+// heap is laid out.
 type timerHeap []*timer
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
+func (h timerHeap) less(i, j int) bool {
 	if h[i].when != h[j].when {
 		return h[i].when < h[j].when
 	}
 	return h[i].seq < h[j].seq
 }
-func (h timerHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x interface{}) { *h = append(*h, x.(*timer)) }
-func (h *timerHeap) Pop() interface{} {
+
+func (h *timerHeap) push(tm *timer) {
+	*h = append(*h, tm)
+	h.up(len(*h) - 1)
+}
+
+func (h *timerHeap) pop() *timer {
 	old := *h
-	n := len(old)
-	tm := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	n := len(old) - 1
+	tm := old[0]
+	old[0] = old[n]
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
 	return tm
+}
+
+// init establishes the heap invariant over arbitrary contents.
+func (h timerHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h timerHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2 // parent
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (h timerHeap) down(i int) {
+	n := len(h)
+	for {
+		j := 2*i + 1 // left child
+		if j >= n {
+			return
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			return
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
 }
 
 // BlockedReport describes procs that are alive but not currently

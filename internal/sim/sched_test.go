@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -439,5 +440,134 @@ func TestCompactionPreservesOrder(t *testing.T) {
 		if v != i {
 			t.Fatalf("fire order[%d]=%d, want %d", i, v, i)
 		}
+	}
+}
+
+// TestCondWaitTimeoutAllocatesNothing pins the poll-loop wait: neither
+// the timeout path nor the signalled path allocates per wait (the
+// timeout callback is shared, its argument the waiting proc).
+func TestCondWaitTimeoutAllocatesNothing(t *testing.T) {
+	s := New(1)
+	c := NewCond(s, "c")
+	timeouts, signals := 0, 0
+	s.GoDaemon("waiter", func() {
+		for {
+			if c.WaitTimeout(10 * time.Microsecond) {
+				signals++
+			} else {
+				timeouts++
+			}
+		}
+	})
+	round := 0
+	cycle := func() {
+		round++
+		if round%2 == 0 {
+			s.AfterFunc(5*time.Microsecond, c.Signal) // wake before the timeout
+		}
+		s.RunFor(10 * time.Microsecond)
+	}
+	for i := 0; i < 64; i++ {
+		cycle() // warm the timer free list and the waiter slice
+	}
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Fatalf("Cond.WaitTimeout: %v allocs per wait, want 0", n)
+	}
+	if timeouts == 0 || signals == 0 {
+		t.Fatalf("timeouts=%d signals=%d: both paths must have run", timeouts, signals)
+	}
+}
+
+// TestCondWaitTimeoutSameInstantRace: a Signal and the timeout landing
+// at the same instant wake the waiter once, as signalled when the signal
+// is scheduled first and as timed out otherwise, and leave no waiter
+// entry behind.
+func TestCondWaitTimeoutSameInstantRace(t *testing.T) {
+	for _, signalFirst := range []bool{true, false} {
+		s := New(1)
+		c := NewCond(s, "c")
+		wakes, signalled := 0, false
+		arm := func() { s.AfterFunc(time.Millisecond, c.Signal) }
+		if signalFirst {
+			arm()
+		}
+		s.Go("w", func() {
+			signalled = c.WaitTimeout(time.Millisecond)
+			wakes++
+		})
+		if !signalFirst {
+			s.Go("arm", arm) // runs after w parked: the timeout is scheduled first
+		}
+		s.Run()
+		if wakes != 1 || signalled != signalFirst || len(c.waiters) != 0 {
+			t.Fatalf("signalFirst=%v: wakes=%d signalled=%v waiters=%d", signalFirst, wakes, signalled, len(c.waiters))
+		}
+	}
+}
+
+// TestTimerHeapPopsInTotalOrder checks the hand-written heap against
+// its specification: whatever the insertion order, and across an init
+// over a filtered slice (what compaction does), pops come out sorted by
+// (when, seq).
+func TestTimerHeapPopsInTotalOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var h timerHeap
+	var seq uint64
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			seq++
+			h.push(&timer{when: time.Duration(rng.Intn(50)), seq: seq})
+		}
+	}
+	drain := func(n int) {
+		var last *timer
+		for i := 0; i < n; i++ {
+			tm := h.pop()
+			if last != nil && (tm.when < last.when || (tm.when == last.when && tm.seq < last.seq)) {
+				t.Fatalf("popped (%v,%d) after (%v,%d)", tm.when, tm.seq, last.when, last.seq)
+			}
+			last = tm
+		}
+	}
+	push(500)
+	drain(200)
+	// Compaction: drop every third entry in place, then re-heapify.
+	kept := h[:0]
+	for i, tm := range h {
+		if i%3 != 0 {
+			kept = append(kept, tm)
+		}
+	}
+	h = kept
+	h.init()
+	push(100)
+	drain(len(h))
+	if len(h) != 0 {
+		t.Fatalf("%d entries left", len(h))
+	}
+}
+
+// TestProcListTracksLiveProcs: finished procs leave the deadlock
+// report's proc list, so a simulation spawning short-lived procs does
+// not grow it.
+func TestProcListTracksLiveProcs(t *testing.T) {
+	s := New(1)
+	c := NewCond(s, "parked")
+	s.GoDaemon("daemon", func() { c.Wait() })
+	for i := 0; i < 100; i++ {
+		s.Go("short", func() { s.Sleep(time.Microsecond) })
+	}
+	s.Go("stuck", func() { c.Wait() })
+	s.RunFor(time.Millisecond)
+	if len(s.procs) != 2 {
+		t.Fatalf("proc list holds %d procs, want the 2 still parked", len(s.procs))
+	}
+	for i, p := range s.procs {
+		if p.slot != i {
+			t.Fatalf("proc %q records slot %d, sits at %d", p.name, p.slot, i)
+		}
+	}
+	if n := s.LiveBlocked(); n != 1 {
+		t.Fatalf("LiveBlocked = %d, want 1 (the daemon does not count)", n)
 	}
 }

@@ -2,8 +2,10 @@ package tenant
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
@@ -50,9 +52,6 @@ func (s *TenantSession) Pending() int { return s.pendingData + len(s.pendingProb
 // Inflight returns the session's unacknowledged operation count.
 func (s *TenantSession) Inflight() int { return len(s.inflight) }
 
-// Credits returns the session's current admission credit balance.
-func (s *TenantSession) Credits() int { return s.credits }
-
 // GatewayStats aggregates the mux-side outcome counts.
 type GatewayStats struct {
 	Submitted    int64
@@ -98,11 +97,18 @@ type Gateway struct {
 	mr           *core.MR
 	ep           *oob.Endpoint
 	lanes        []*core.QP
-	laneSent     []uint64 // per-lane wire sequence (tx slot cycling)
-	laneInflight []int    // per-lane unacknowledged requests
+	laneSent     []uint64    // per-lane wire sequence (tx slot cycling)
+	laneInflight []int       // per-lane unacknowledged requests
+	sge          [1]rnic.SGE // post scratch: the library copies the list
 
 	sessions []*TenantSession
 	sessByID map[uint32]*TenantSession
+	// queued has bit i set while session i may have queued operations,
+	// so trySend visits those sessions only; pendingOps is their total.
+	queued     []uint64
+	pendingOps int
+	// refillAt is the pump iteration's refill instant (see refill).
+	refillAt time.Duration
 
 	mSubmitted, mProbes, mStalls *metrics.Counter
 }
@@ -194,7 +200,7 @@ func (g *Gateway) attach(d *core.Daemon) {
 		req.Lanes = append(req.Lanes, qp.VQPN())
 	}
 	var resp attachResp
-	decGob(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "attach", encGob(req)), &resp)
+	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "attach", codec.MustEncode(req)), &resp)
 	if resp.Err != "" {
 		panic("tenant attach: " + resp.Err)
 	}
@@ -214,7 +220,7 @@ func (g *Gateway) attach(d *core.Daemon) {
 // call from a driver proc while the pump runs.
 func (g *Gateway) OpenMore(count int) (int, error) {
 	var resp openResp
-	decGob(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "open", encGob(openReq{Count: count})), &resp)
+	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "open", codec.MustEncode(openReq{Count: count})), &resp)
 	if resp.Err != "" {
 		return 0, fmt.Errorf("%s", resp.Err)
 	}
@@ -240,8 +246,8 @@ func (g *Gateway) OpenMore(count int) (int, error) {
 func (g *Gateway) CloseSession(i int) error {
 	s := g.sessions[i]
 	var resp closeResp
-	decGob(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "close",
-		encGob(closeReq{Sess: s.ID, Token: s.Token})), &resp)
+	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "close",
+		codec.MustEncode(closeReq{Sess: s.ID, Token: s.Token})), &resp)
 	if resp.Err != "" {
 		return fmt.Errorf("%s", resp.Err)
 	}
@@ -275,6 +281,7 @@ func (g *Gateway) Stop() {
 func (g *Gateway) Submit(i, n int) {
 	s := g.sessions[i]
 	s.pendingData += n
+	g.markQueued(i, n)
 	s.DataSubmitted += int64(n)
 	g.Stats.Submitted += int64(n)
 	g.mSubmitted.Add(int64(n))
@@ -295,6 +302,7 @@ func (g *Gateway) SubmitAll(n int) {
 func (g *Gateway) Probe(i, victim int) {
 	s := g.sessions[i]
 	s.pendingProbes = append(s.pendingProbes, g.sessions[victim].Token)
+	g.markQueued(i, 1)
 	s.ProbesSubmitted++
 	g.Stats.Probes++
 	g.mProbes.Inc()
@@ -314,12 +322,32 @@ func (g *Gateway) Session(i int) *TenantSession { return g.sessions[i] }
 // NumSessions returns the session count (open and closed).
 func (g *Gateway) NumSessions() int { return len(g.sessions) }
 
-func (g *Gateway) pendingTotal() int {
-	n := 0
-	for _, s := range g.sessions {
-		n += s.Pending()
+func (g *Gateway) pendingTotal() int { return g.pendingOps }
+
+// markQueued records n newly queued operations on session i.
+func (g *Gateway) markQueued(i, n int) {
+	for len(g.queued) <= i/64 {
+		g.queued = append(g.queued, 0)
 	}
-	return n
+	g.queued[i/64] |= 1 << (i % 64)
+	g.pendingOps += n
+}
+
+// nextQueued returns the first session index at or after from whose
+// queued bit is set, or limit if there is none below it. It reads the
+// bitmap live, so a session marked while a scan is parked mid-way is
+// seen by that scan exactly when a walk over every session would see it.
+func (g *Gateway) nextQueued(from, limit int) int {
+	for w := from / 64; w < len(g.queued); w++ {
+		word := g.queued[w]
+		if w == from/64 {
+			word &^= 1<<(from%64) - 1
+		}
+		if word != 0 {
+			return min(w*64+bits.TrailingZeros64(word), limit)
+		}
+	}
+	return limit
 }
 
 func (g *Gateway) inflightTotal() int {
@@ -335,12 +363,13 @@ func (g *Gateway) inflightTotal() int {
 // flight, on the refill clock while work is queued on credits, and on
 // the work condition when idle.
 func (g *Gateway) pump(p *task.Process) {
+	var cqes [64]rnic.CQE
 	for {
 		p.Gate()
 		g.refill()
 		progress := g.trySend()
 		polled := false
-		for _, e := range g.cq.Poll(64) {
+		for _, e := range cqes[:g.cq.PollInto(cqes[:])] {
 			g.complete(e)
 			polled = true
 		}
@@ -360,37 +389,42 @@ func (g *Gateway) pump(p *task.Process) {
 	}
 }
 
-// refill tops up every session's bucket for the ticks elapsed since
-// its last refill. Lazy and per-session, but a pure function of
-// virtual time — deterministic regardless of when the pump runs it.
-func (g *Gateway) refill() {
+// refill fixes the instant the credit buckets are topped up to for this
+// pump iteration. The top-up itself is lazy: topUp applies it to a
+// session when trySend is about to read its credits. A bucket is a pure
+// function of virtual time, so skipping the sessions nobody reads
+// changes no balance that is ever observed.
+func (g *Gateway) refill() { g.refillAt = g.sched.Now() }
+
+// topUp credits s with the refill ticks elapsed up to refillAt.
+func (g *Gateway) topUp(s *TenantSession) {
 	o := g.Opts
-	now := g.sched.Now()
-	for _, s := range g.sessions {
-		ticks := int64((now - s.lastRefill) / o.RefillEvery)
-		if ticks <= 0 {
-			continue
-		}
-		s.lastRefill += time.Duration(ticks) * o.RefillEvery
-		s.credits += int(ticks) * o.RefillAmount
-		if s.credits > o.Credits {
-			s.credits = o.Credits
-		}
+	ticks := int64((g.refillAt - s.lastRefill) / o.RefillEvery)
+	if ticks <= 0 {
+		return
+	}
+	s.lastRefill += time.Duration(ticks) * o.RefillEvery
+	s.credits += int(ticks) * o.RefillAmount
+	if s.credits > o.Credits {
+		s.credits = o.Credits
 	}
 }
 
-// trySend moves queued operations onto lanes, round-robin across
-// sessions in ID order, until every session is blocked on its lane
-// window, its credit bucket or an empty queue. Probes go first (they
-// bypass admission — an attacker does not wait politely); data spends
-// one credit per operation.
+// trySend moves queued operations onto lanes, round-robin across the
+// sessions with queued work in ID order, until every session is blocked
+// on its lane window, its credit bucket or an empty queue. Probes go
+// first (they bypass admission — an attacker does not wait politely);
+// data spends one credit per operation.
 func (g *Gateway) trySend() bool {
 	o := g.Opts
 	progress := false
 	for again := true; again; {
 		again = false
-		for _, s := range g.sessions {
+		n := len(g.sessions)
+		for i := g.nextQueued(0, n); i < n; i = g.nextQueued(i+1, n) {
+			s := g.sessions[i]
 			if s.Pending() == 0 {
+				g.queued[i/64] &^= 1 << (i % 64)
 				continue
 			}
 			if g.laneInflight[s.lane] >= o.LaneDepth {
@@ -401,6 +435,7 @@ func (g *Gateway) trySend() bool {
 			if probe {
 				claimed = s.pendingProbes[0]
 			} else {
+				g.topUp(s)
 				if s.credits <= 0 {
 					if !s.stalled {
 						s.stalled = true
@@ -422,6 +457,7 @@ func (g *Gateway) trySend() bool {
 				s.credits--
 				s.stalled = false
 			}
+			g.pendingOps--
 			again, progress = true, true
 		}
 	}
@@ -440,10 +476,8 @@ func (g *Gateway) post(s *TenantSession, claimed uint32) error {
 	if err := writeHeader(g.Sess.Proc.AS, addr, h); err != nil {
 		return err
 	}
-	wr := rnic.SendWR{
-		WRID: g.laneSent[lane], Opcode: rnic.OpSend, Signaled: true,
-		SGEs: []rnic.SGE{{Addr: addr, Len: uint32(o.MsgSize), LKey: g.mr.LKey()}},
-	}
+	g.sge[0] = rnic.SGE{Addr: addr, Len: uint32(o.MsgSize), LKey: g.mr.LKey()}
+	wr := rnic.SendWR{WRID: g.laneSent[lane], Opcode: rnic.OpSend, Signaled: true, SGEs: g.sge[:]}
 	if err := g.lanes[lane].PostSend(wr); err != nil {
 		return err
 	}
@@ -484,10 +518,8 @@ func (g *Gateway) complete(e rnic.CQE) {
 	g.laneInflight[lane]--
 	// Repost before accounting so the service can never overrun the
 	// response ring.
-	wr := rnic.RecvWR{WRID: e.WRID, SGEs: []rnic.SGE{{
-		Addr: addr, Len: uint32(g.Opts.MsgSize), LKey: g.mr.LKey(),
-	}}}
-	if err := g.lanes[lane].PostRecv(wr); err != nil {
+	g.sge[0] = rnic.SGE{Addr: addr, Len: uint32(g.Opts.MsgSize), LKey: g.mr.LKey()}
+	if err := g.lanes[lane].PostRecv(rnic.RecvWR{WRID: e.WRID, SGEs: g.sge[:]}); err != nil {
 		g.Stats.errf("repost recv: %v", err)
 	}
 	g.account(lane, h)

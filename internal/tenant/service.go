@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
@@ -187,13 +188,13 @@ func (s *Service) SessionsOpen() int {
 // receives pre-posted deep enough to absorb a migration thaw.
 func (s *Service) onAttach(m oob.Msg) []byte {
 	var req attachReq
-	decGob(m.Body, &req)
+	codec.MustDecode(m.Body, &req)
 	o := s.Opts
 	if len(req.Lanes) != o.Lanes {
-		return encGob(attachResp{Err: fmt.Sprintf("attach: %d lanes, want %d", len(req.Lanes), o.Lanes)})
+		return codec.MustEncode(attachResp{Err: fmt.Sprintf("attach: %d lanes, want %d", len(req.Lanes), o.Lanes)})
 	}
 	if len(s.lanes) != 0 {
-		return encGob(attachResp{Err: "attach: already attached"})
+		return codec.MustEncode(attachResp{Err: "attach: already attached"})
 	}
 	var resp attachResp
 	for lane, peer := range req.Lanes {
@@ -207,7 +208,7 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 			{State: rnic.StateRTS},
 		} {
 			if err := qp.Modify(a); err != nil {
-				return encGob(attachResp{Err: err.Error()})
+				return codec.MustEncode(attachResp{Err: err.Error()})
 			}
 		}
 		for i := 0; i < o.recvDepth(); i++ {
@@ -215,26 +216,26 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 				Addr: s.rxSlot(lane, i), Len: uint32(o.MsgSize), LKey: s.mr.LKey(),
 			}}}
 			if err := qp.PostRecv(wr); err != nil {
-				return encGob(attachResp{Err: err.Error()})
+				return codec.MustEncode(attachResp{Err: err.Error()})
 			}
 		}
 		s.lanes = append(s.lanes, qp)
 		s.txSeq = append(s.txSeq, 0)
 		resp.Lanes = append(resp.Lanes, qp.VQPN())
 	}
-	return encGob(resp)
+	return codec.MustEncode(resp)
 }
 
 // onOpen admits Count new tenant sessions and returns their ID range
 // and the token schedule.
 func (s *Service) onOpen(m oob.Msg) []byte {
 	var req openReq
-	decGob(m.Body, &req)
+	codec.MustDecode(m.Body, &req)
 	if req.Count <= 0 {
 		req.Count = 1
 	}
 	if int(s.nextSess)+req.Count > s.capSess {
-		return encGob(openResp{Err: fmt.Sprintf("open: %d sessions exceed arena capacity %d", int(s.nextSess)+req.Count, s.capSess)})
+		return codec.MustEncode(openResp{Err: fmt.Sprintf("open: %d sessions exceed arena capacity %d", int(s.nextSess)+req.Count, s.capSess)})
 	}
 	base := s.nextSess
 	for i := 0; i < req.Count; i++ {
@@ -244,39 +245,40 @@ func (s *Service) onOpen(m oob.Msg) []byte {
 	s.nextSess += uint32(req.Count)
 	s.Stats.Opened += int64(req.Count)
 	s.mOpened.Add(int64(req.Count))
-	return encGob(openResp{Base: base, TokenBase: tokenBase, TokenMul: tokenMul})
+	return codec.MustEncode(openResp{Base: base, TokenBase: tokenBase, TokenMul: tokenMul})
 }
 
 // onClose retires a session. The claimed token must match: closing is
 // a namespace operation like any other.
 func (s *Service) onClose(m oob.Msg) []byte {
 	var req closeReq
-	decGob(m.Body, &req)
+	codec.MustDecode(m.Body, &req)
 	t, ok := s.sessions[req.Sess]
 	if !ok || t.closed {
-		return encGob(closeResp{Err: fmt.Sprintf("close: unknown session %d", req.Sess)})
+		return codec.MustEncode(closeResp{Err: fmt.Sprintf("close: unknown session %d", req.Sess)})
 	}
 	if t.token != req.Token {
 		s.Stats.CrossTenant++
 		s.mCross.Inc()
-		return encGob(closeResp{Err: fmt.Sprintf("close: token mismatch for session %d", req.Sess)})
+		return codec.MustEncode(closeResp{Err: fmt.Sprintf("close: token mismatch for session %d", req.Sess)})
 	}
 	t.closed = true
 	s.Stats.Closed++
 	s.mClosed.Inc()
-	return encGob(closeResp{})
+	return codec.MustEncode(closeResp{})
 }
 
 // serve is the completion loop: consume lane receives, validate,
 // respond, repost.
 func (s *Service) serve(p *task.Process) {
+	var cqes [64]rnic.CQE
 	for !s.stopped {
 		p.Gate()
 		if s.cq.Len() == 0 {
 			s.cq.WaitNonEmpty()
 			continue
 		}
-		for _, e := range s.cq.Poll(64) {
+		for _, e := range cqes[:s.cq.PollInto(cqes[:])] {
 			s.consume(e)
 		}
 	}

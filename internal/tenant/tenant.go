@@ -32,9 +32,7 @@
 package tenant
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"time"
 
 	"migrrdma/internal/mem"
@@ -221,18 +219,4 @@ type closeReq struct {
 
 type closeResp struct {
 	Err string
-}
-
-func encGob(v any) []byte {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		panic(err)
-	}
-	return b.Bytes()
-}
-
-func decGob(data []byte, v any) {
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(v); err != nil {
-		panic(err)
-	}
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/runc"
 	"migrrdma/internal/task"
@@ -127,8 +128,8 @@ func TestCloseRequiresOwnToken(t *testing.T) {
 		r.gw.WaitReady()
 		victim := r.gw.Session(1)
 		var resp closeResp
-		decGob(r.gw.ep.Call("src", "tenant:svc", "close",
-			encGob(closeReq{Sess: victim.ID, Token: victim.Token ^ 0xDEAD})), &resp)
+		codec.MustDecode(r.gw.ep.Call("src", "tenant:svc", "close",
+			codec.MustEncode(closeReq{Sess: victim.ID, Token: victim.Token ^ 0xDEAD})), &resp)
 		if resp.Err == "" {
 			t.Error("forged close succeeded")
 		}

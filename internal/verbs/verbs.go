@@ -269,7 +269,12 @@ func (c *Context) CreateCQ(capacity int, ch *CompChannel) *CQ {
 	return cq
 }
 
-// Poll polls up to max completions (ibv_poll_cq). Non-blocking.
+// PollInto polls up to len(dst) completions into the caller's buffer
+// (ibv_poll_cq). Non-blocking.
+func (cq *CQ) PollInto(dst []rnic.CQE) int { return cq.cq.PollInto(dst) }
+
+// Poll polls up to max completions into the CQ's own buffer; the slice
+// is valid until the next Poll on this CQ.
 func (cq *CQ) Poll(max int) []rnic.CQE { return cq.cq.Poll(max) }
 
 // Len reports pending completions.
