@@ -37,7 +37,7 @@ BENCH9_PATTERN = ^(BenchmarkPageChanMono2K|BenchmarkPageChanPipe2K|BenchmarkPage
 # `make bench-drain` records the contrast in BENCH_10.json.
 BENCH10_PATTERN = ^(BenchmarkDrainSameRackPar1|BenchmarkDrainSameRackPar8|BenchmarkDrainCrossRackPar1|BenchmarkDrainCrossRackPar8)$$
 
-.PHONY: all build vet test test-race chaos chaos-abort chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz check bench bench-smoke bench-fixed bench-fixed-smoke bench-compare bench-cutover bench-parallel bench-tenancy bench-pagechan bench-drain trajectory
+.PHONY: all build vet test test-time test-race chaos chaos-abort chaos-plug chaos-tenant chaos-pagechan chaos-drain fuzz check bench bench-smoke bench-fixed bench-fixed-smoke bench-compare bench-cutover bench-parallel bench-tenancy bench-pagechan bench-drain trajectory
 
 all: build
 
@@ -49,6 +49,18 @@ vet:
 
 test: build
 	$(GO) test ./...
+
+# Tier-1 cost by package and in total: what `make test` takes and where
+# it goes (EXPERIMENTS.md records it per PR). -count=1 keeps the test
+# cache from reporting a package as free; packages run in parallel, so
+# the wall clock is below the sum.
+test-time: build
+	@start=$$(date +%s); \
+	$(GO) test -count=1 ./... | awk ' \
+		$$1 == "ok" { sub(/s$$/, "", $$3); sum += $$3; printf "%8.1f s  %s\n", $$3, $$2 } \
+		$$1 == "FAIL" || $$1 == "---" { print; bad = 1 } \
+		END { printf "%8.1f s  sum of packages\n", sum; exit bad }'; status=$$?; \
+	printf '%8d s  wall clock\n' $$(( $$(date +%s) - start )); exit $$status
 
 test-race:
 	$(GO) test -race ./...

@@ -111,7 +111,7 @@ func TestPipelinedAbortDeterminism(t *testing.T) {
 func TestChunkCheckerFlagsSyntheticViolations(t *testing.T) {
 	emptySnap := metrics.New(func() time.Duration { return 0 }).Snapshot()
 	okReg := metrics.New(func() time.Duration { return 0 })
-	okReg.Counter("pagechan", "pages_elided", metrics.Labels{"mig": "m0"}).Add(4)
+	okReg.Counter("pagechan", "pages_elided", metrics.L("mig", "m0")).Add(4)
 	okSnap := okReg.Snapshot()
 	find := func(vs []string, sub string) bool {
 		for _, v := range vs {
@@ -170,7 +170,7 @@ func TestChunkCheckerFlagsSyntheticViolations(t *testing.T) {
 
 	// Residual staged chunks via the gauge.
 	reg := metrics.New(func() time.Duration { return 0 })
-	reg.Gauge("pagechan", "staged_chunks", metrics.Labels{"mig": "m0"}).Set(3)
+	reg.Gauge("pagechan", "staged_chunks", metrics.L("mig", "m0")).Set(3)
 	rec = ledger(pchan("send", 1), pchan("recv", 1), pchan("apply", 1))
 	if vs := checkChunks(rec, reg.Snapshot(), nil, false); !find(vs, "still staged") {
 		t.Fatalf("staged residue not flagged: %v", vs)

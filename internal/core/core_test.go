@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -31,6 +32,15 @@ func TestQPNTableBasics(t *testing.T) {
 	if _, ok := tbl.lookup(0x1234); ok {
 		t.Fatal("cleared entry still resolves")
 	}
+	// The directory reaches as far as the highest leaf in use, no
+	// further; a QPN beyond it is unmapped and clearing it is a no-op.
+	if len(tbl.leaves) != 0x1234/qpnLeafSz+1 {
+		t.Fatalf("directory has %d entries for one leaf at index %d", len(tbl.leaves), 0x1234/qpnLeafSz)
+	}
+	if _, ok := tbl.lookup(0xFFFFFF); ok {
+		t.Fatal("lookup beyond the directory succeeded")
+	}
+	tbl.clear(0xFFFFFF)
 }
 
 func TestQPNTableFullRange(t *testing.T) {
@@ -127,6 +137,39 @@ func TestIndirectionRoadmap(t *testing.T) {
 		if r.Ev.ID == 3 {
 			t.Fatal("destroyed record still in roadmap")
 		}
+	}
+}
+
+// TestIndirectionDestroyKeepsCreationOrder: destroying records in any
+// order — each finds its own slot, and the list is squeezed whenever the
+// holes outnumber the records — leaves the survivors in creation order,
+// and records created afterwards behind them.
+func TestIndirectionDestroyKeepsCreationOrder(t *testing.T) {
+	ind := NewIndirection()
+	const n = 64
+	for id := verbs.ObjID(1); id <= n; id++ {
+		ind.Record(verbs.Event{Kind: verbs.EvCreateQP, ID: id})
+	}
+	ind.Record(verbs.Event{Kind: verbs.EvDestroyQP, ID: 999}) // never created: ignored
+	// Reclaim most of the process: every ID but the multiples of 8,
+	// from the back, the way a source's teardown does.
+	for id := verbs.ObjID(n); id >= 1; id-- {
+		if id%8 != 0 {
+			ind.Record(verbs.Event{Kind: verbs.EvDestroyQP, ID: id})
+		}
+	}
+	ind.Record(verbs.Event{Kind: verbs.EvCreateCQ, ID: 100})
+	ind.Record(verbs.Event{Kind: verbs.EvDestroyQP, ID: 8})
+	var got []verbs.ObjID
+	for _, r := range ind.live() {
+		got = append(got, r.Ev.ID)
+	}
+	want := []verbs.ObjID{16, 24, 32, 40, 48, 56, 64, 100}
+	if !slices.Equal(got, want) {
+		t.Fatalf("live records %v, want %v", got, want)
+	}
+	if len(ind.order) > 2*len(want) {
+		t.Fatalf("order list holds %d slots for %d records", len(ind.order), len(want))
 	}
 }
 

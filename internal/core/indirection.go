@@ -17,7 +17,12 @@ import (
 // Destroyed resources have their creation records deleted, so replay
 // never allocates resources only to free them again.
 type Indirection struct {
-	order []verbs.ObjID
+	// order lists the live records in creation order. A destroyed
+	// record leaves a nil behind (it knows its own slot, so reclaiming
+	// a process's resources never searches the list) and the holes are
+	// squeezed out once they outnumber the records.
+	order []*record
+	holes int
 	recs  map[verbs.ObjID]*record
 
 	// predumped is the set of records included in the last pre-dump, so
@@ -31,6 +36,7 @@ type Indirection struct {
 type record struct {
 	Ev       verbs.Event
 	Modifies []rnic.ModifyAttr
+	slot     int // index in Indirection.order
 }
 
 // NewIndirection creates an empty indirection layer.
@@ -43,8 +49,9 @@ func (ind *Indirection) Record(ev verbs.Event) {
 	switch ev.Kind {
 	case verbs.EvAllocPD, verbs.EvRegMR, verbs.EvCreateCQ, verbs.EvCreateQP,
 		verbs.EvCreateSRQ, verbs.EvCreateCompChannel, verbs.EvBindMW, verbs.EvAllocDM:
-		ind.order = append(ind.order, ev.ID)
-		ind.recs[ev.ID] = &record{Ev: ev}
+		r := &record{Ev: ev, slot: len(ind.order)}
+		ind.order = append(ind.order, r)
+		ind.recs[ev.ID] = r
 	case verbs.EvModifyQP:
 		if r, ok := ind.recs[ev.ID]; ok {
 			r.Modifies = append(r.Modifies, ev.Attr)
@@ -53,11 +60,17 @@ func (ind *Indirection) Record(ev verbs.Event) {
 		verbs.EvDestroySRQ, verbs.EvDeallocMW, verbs.EvFreeDM:
 		// §3.2: deleting the creation log on destroy avoids allocating
 		// and releasing the resource during restore.
+		r, ok := ind.recs[ev.ID]
+		if !ok {
+			return
+		}
 		delete(ind.recs, ev.ID)
-		for i, id := range ind.order {
-			if id == ev.ID {
-				ind.order = append(ind.order[:i], ind.order[i+1:]...)
-				break
+		ind.order[r.slot] = nil
+		if ind.holes++; ind.holes > len(ind.order)/2 {
+			ind.order = ind.live()
+			ind.holes = 0
+			for i, r := range ind.order {
+				r.slot = i
 			}
 		}
 	}
@@ -65,9 +78,11 @@ func (ind *Indirection) Record(ev verbs.Event) {
 
 // live returns the creation records in creation order.
 func (ind *Indirection) live() []*record {
-	out := make([]*record, 0, len(ind.order))
-	for _, id := range ind.order {
-		out = append(out, ind.recs[id])
+	out := make([]*record, 0, len(ind.order)-ind.holes)
+	for _, r := range ind.order {
+		if r != nil {
+			out = append(out, r)
+		}
 	}
 	return out
 }

@@ -41,7 +41,7 @@ type plugFwdState struct {
 	// could acknowledge data the new stream never carried) and request
 	// frames arriving after the flush (stale retransmits whose old PSN
 	// could alias back into the re-paired connection's fresh window).
-	mStraggler *metrics.Counter
+	mStraggler metrics.Counter
 	// flushed is set once the fabric-level plug has been released. The
 	// state outlives the flush so that late stragglers — still tunneled
 	// by the source rule, which stays up until source reclaim — are
@@ -80,7 +80,7 @@ func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32, limit int) e
 		// metric only exists in plug-mode runs (snapshot hashes of the
 		// go-back-N goldens stay intact).
 		mStraggler: d.registry().Counter("core", "forward_stragglers_dropped",
-			metrics.Labels{"node": d.Node()}),
+			metrics.L("node", d.Node())),
 	}
 	for old, nu := range pairs {
 		st.translate[old] = nu

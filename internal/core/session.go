@@ -80,12 +80,12 @@ type Session struct {
 
 	// Metric handles, labeled by process name; the registry is the
 	// cluster-wide one, so the series survive migration unchanged.
-	mWBSRounds    *metrics.Counter
-	mSweepCQEs    *metrics.Counter
-	mIntercepts   *metrics.Counter
-	mReplayedWRs  *metrics.Counter
-	mStaleDropped *metrics.Counter
-	mFakeDepth    *metrics.Gauge
+	mWBSRounds    metrics.Counter
+	mSweepCQEs    metrics.Counter
+	mIntercepts   metrics.Counter
+	mReplayedWRs  metrics.Counter
+	mStaleDropped metrics.Counter
+	mFakeDepth    metrics.Gauge
 
 	// stats for the virtualization-overhead evaluation.
 	RKeyFetches int64
@@ -132,14 +132,13 @@ func NewSession(p *task.Process, d *Daemon) *Session {
 		qpnCache:   make(map[qpnKey]qpnVal),
 		staleWRIDs: make(map[uint32]map[uint64]bool),
 	}
-	reg := d.registry()
-	labels := metrics.Labels{"proc": p.Name}
-	s.mWBSRounds = reg.Counter("core", "wbs_sweep_rounds", labels)
-	s.mSweepCQEs = reg.Counter("core", "wbs_sweep_cqes", labels)
-	s.mIntercepts = reg.Counter("core", "suspended_post_intercepts", labels)
-	s.mReplayedWRs = reg.Counter("core", "restore_replayed_wrs", labels)
-	s.mStaleDropped = reg.Counter("core", "stale_cqes_dropped", labels)
-	s.mFakeDepth = reg.Gauge("core", "fake_cq_depth", labels)
+	b := d.registry().Block("core", metrics.L("proc", p.Name), 6)
+	s.mWBSRounds = b.Counter("wbs_sweep_rounds")
+	s.mSweepCQEs = b.Counter("wbs_sweep_cqes")
+	s.mIntercepts = b.Counter("suspended_post_intercepts")
+	s.mReplayedWRs = b.Counter("restore_replayed_wrs")
+	s.mStaleDropped = b.Counter("stale_cqes_dropped")
+	s.mFakeDepth = b.Gauge("fake_cq_depth")
 	s.ctx.SetRecorder(s.ind)
 	p.Attachment = s
 	d.register(s)

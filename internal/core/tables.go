@@ -26,15 +26,17 @@ import "fmt"
 // array per device is wasteful in a simulation that hosts many devices
 // in one test binary, so the table is two-level with 4096-entry leaves —
 // lookups remain O(1) with one extra indirection and the dense-array
-// semantics are unchanged.
+// semantics are unchanged. The directory is a slice that reaches only
+// as far as the highest leaf in use: a device hands out QPNs from the
+// bottom of the space, so a host with a few dozen QPs pays for one
+// pointer and one leaf, not for 4096 directory entries.
 type qpnTable struct {
-	leaves [qpnLeaves][]uint32
+	leaves []*[qpnLeafSz]uint32
 }
 
 const (
 	qpnSpace   = 1 << 24
 	qpnLeafSz  = 1 << 12
-	qpnLeaves  = qpnSpace / qpnLeafSz
 	qpnInvalid = ^uint32(0)
 )
 
@@ -43,23 +45,32 @@ func (t *qpnTable) set(p, v uint32) {
 	if p >= qpnSpace {
 		panic(fmt.Sprintf("core: physical QPN %#x out of 24-bit range", p))
 	}
-	leaf := t.leaves[p/qpnLeafSz]
+	i := int(p / qpnLeafSz)
+	if i >= len(t.leaves) {
+		t.leaves = append(t.leaves, make([]*[qpnLeafSz]uint32, i+1-len(t.leaves))...)
+	}
+	leaf := t.leaves[i]
 	if leaf == nil {
-		leaf = make([]uint32, qpnLeafSz)
-		for i := range leaf {
-			leaf[i] = qpnInvalid
+		leaf = new([qpnLeafSz]uint32)
+		for j := range leaf {
+			leaf[j] = qpnInvalid
 		}
-		t.leaves[p/qpnLeafSz] = leaf
+		t.leaves[i] = leaf
 	}
 	leaf[p%qpnLeafSz] = v
 }
 
+// leaf returns the leaf holding p, or nil when none does.
+func (t *qpnTable) leaf(p uint32) *[qpnLeafSz]uint32 {
+	if i := p / qpnLeafSz; i < uint32(len(t.leaves)) {
+		return t.leaves[i]
+	}
+	return nil
+}
+
 // lookup translates physical QPN p; ok is false for unmapped entries.
 func (t *qpnTable) lookup(p uint32) (uint32, bool) {
-	if p >= qpnSpace {
-		return 0, false
-	}
-	leaf := t.leaves[p/qpnLeafSz]
+	leaf := t.leaf(p)
 	if leaf == nil {
 		return 0, false
 	}
@@ -69,7 +80,7 @@ func (t *qpnTable) lookup(p uint32) (uint32, bool) {
 
 // clear removes the mapping for physical QPN p.
 func (t *qpnTable) clear(p uint32) {
-	if leaf := t.leaves[p/qpnLeafSz]; leaf != nil {
+	if leaf := t.leaf(p); leaf != nil {
 		leaf[p%qpnLeafSz] = qpnInvalid
 	}
 }

@@ -157,14 +157,14 @@ type port struct {
 
 	// Registry handles, resolved once at Attach (hot-path increments
 	// are single atomic adds).
-	mTxBytes, mRxBytes   *metrics.Counter
-	mTxFrames, mRxFrames *metrics.Counter
-	mDelivered, mDropped *metrics.Counter
-	mDup, mReord         *metrics.Counter
+	mTxBytes, mRxBytes   metrics.Counter
+	mTxFrames, mRxFrames metrics.Counter
+	mDelivered, mDropped metrics.Counter
+	mDup, mReord         metrics.Counter
 	// mBacklog tracks the downlink serialization backlog (how far ahead
 	// of now the link is booked, in nanoseconds); its high-water mark is
 	// the queue-depth figure of merit.
-	mBacklog *metrics.Gauge
+	mBacklog metrics.Gauge
 }
 
 // New creates an empty network.
@@ -201,18 +201,18 @@ func (n *Network) Attach(name string, h Handler) {
 	if n.ic != nil {
 		n.ic.registerNode(name, n.shard)
 	}
-	l := metrics.Labels{"node": name}
+	b := n.reg.Block("fabric", metrics.L("node", name), 9)
 	n.ports[name] = &port{
 		name: name, handler: h,
-		mTxBytes:   n.reg.Counter("fabric", "tx_bytes", l),
-		mRxBytes:   n.reg.Counter("fabric", "rx_bytes", l),
-		mTxFrames:  n.reg.Counter("fabric", "tx_frames", l),
-		mRxFrames:  n.reg.Counter("fabric", "rx_frames", l),
-		mDelivered: n.reg.Counter("fabric", "delivered_frames", l),
-		mDropped:   n.reg.Counter("fabric", "dropped_frames", l),
-		mDup:       n.reg.Counter("fabric", "duplicated_frames", l),
-		mReord:     n.reg.Counter("fabric", "reordered_frames", l),
-		mBacklog:   n.reg.Gauge("fabric", "downlink_backlog_ns", l),
+		mTxBytes:   b.Counter("tx_bytes"),
+		mRxBytes:   b.Counter("rx_bytes"),
+		mTxFrames:  b.Counter("tx_frames"),
+		mRxFrames:  b.Counter("rx_frames"),
+		mDelivered: b.Counter("delivered_frames"),
+		mDropped:   b.Counter("dropped_frames"),
+		mDup:       b.Counter("duplicated_frames"),
+		mReord:     b.Counter("reordered_frames"),
+		mBacklog:   b.Gauge("downlink_backlog_ns"),
 	}
 }
 

@@ -26,9 +26,9 @@ type plug struct {
 	// "drop-overflow", "discard".
 	tap func(event string, seq uint64)
 
-	mBuffered   *metrics.Counter
-	mFlushDepth *metrics.Gauge
-	mOverflow   *metrics.Counter
+	mBuffered   metrics.Counter
+	mFlushDepth metrics.Gauge
+	mOverflow   metrics.Counter
 }
 
 // DefaultPlugLimit bounds a plug buffer when the caller passes no
@@ -62,12 +62,12 @@ func (n *Network) InstallPlug(node string, limit int, match func(Frame) bool, ta
 	if match == nil {
 		return fmt.Errorf("fabric: plug on %s needs a match predicate", node)
 	}
-	l := metrics.Labels{"node": node}
+	b := n.reg.Block("fabric", metrics.L("node", node), 3)
 	pt.plug = &plug{
 		match: match, limit: limit, tap: tap,
-		mBuffered:   n.reg.Counter("fabric", "plug_buffered_packets", l),
-		mFlushDepth: n.reg.Gauge("fabric", "plug_flush_depth", l),
-		mOverflow:   n.reg.Counter("fabric", "plug_overflow_packets", l),
+		mBuffered:   b.Counter("plug_buffered_packets"),
+		mFlushDepth: b.Gauge("plug_flush_depth"),
+		mOverflow:   b.Counter("plug_overflow_packets"),
 	}
 	return nil
 }

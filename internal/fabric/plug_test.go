@@ -49,7 +49,7 @@ func (r *plugRig) send(tag string) {
 func matchAll(Frame) bool { return true }
 
 func (r *plugRig) counter(name string) int64 {
-	return r.reg.Counter("fabric", name, metrics.Labels{"node": "dst"}).Value()
+	return r.reg.Counter("fabric", name, metrics.L("node", "dst")).Value()
 }
 
 func TestPlugBuffersAndFlushesInArrivalOrder(t *testing.T) {
@@ -93,7 +93,7 @@ func TestPlugBuffersAndFlushesInArrivalOrder(t *testing.T) {
 	if got := r.counter("plug_buffered_packets"); got != 5 {
 		t.Fatalf("plug_buffered_packets = %d, want 5", got)
 	}
-	if got := r.reg.Gauge("fabric", "plug_flush_depth", metrics.Labels{"node": "dst"}).Value(); got != 5 {
+	if got := r.reg.Gauge("fabric", "plug_flush_depth", metrics.L("node", "dst")).Value(); got != 5 {
 		t.Fatalf("plug_flush_depth = %d, want 5", got)
 	}
 	// The plug is gone: new frames flow straight through.

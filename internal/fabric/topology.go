@@ -88,10 +88,10 @@ type rackLink struct {
 	blackhole bool
 	bhPort    string
 
-	mUpBytes, mDownBytes *metrics.Counter
-	mDropped             *metrics.Counter
-	mUpBacklog           *metrics.Gauge
-	mDownBacklog         *metrics.Gauge
+	mUpBytes, mDownBytes metrics.Counter
+	mDropped             metrics.Counter
+	mUpBacklog           metrics.Gauge
+	mDownBacklog         metrics.Gauge
 }
 
 // initTopology builds the rack links and registers their metrics.
@@ -100,13 +100,13 @@ type rackLink struct {
 func (n *Network) initTopology() {
 	n.racks = make([]*rackLink, n.cfg.Topology.Racks)
 	for r := range n.racks {
-		l := metrics.Labels{"rack": strconv.Itoa(r)}
+		b := n.reg.Block("fabric", metrics.L("rack", strconv.Itoa(r)), 5)
 		n.racks[r] = &rackLink{
-			mUpBytes:     n.reg.Counter("fabric", "uplink_tx_bytes", l),
-			mDownBytes:   n.reg.Counter("fabric", "uplink_rx_bytes", l),
-			mDropped:     n.reg.Counter("fabric", "uplink_dropped_frames", l),
-			mUpBacklog:   n.reg.Gauge("fabric", "uplink_backlog_ns", l),
-			mDownBacklog: n.reg.Gauge("fabric", "uplink_downlink_backlog_ns", l),
+			mUpBytes:     b.Counter("uplink_tx_bytes"),
+			mDownBytes:   b.Counter("uplink_rx_bytes"),
+			mDropped:     b.Counter("uplink_dropped_frames"),
+			mUpBacklog:   b.Gauge("uplink_backlog_ns"),
+			mDownBacklog: b.Gauge("uplink_downlink_backlog_ns"),
 		}
 	}
 }

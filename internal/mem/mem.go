@@ -9,9 +9,10 @@
 package mem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // PageSize is the page granularity of every address space.
@@ -54,15 +55,17 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x (unmapped)", e.Op, uint64(e.Addr))
 }
 
-type page struct {
-	data  []byte // nil until first write (zero page)
-	dirty bool
-}
+// page is the content of one touched page: a single allocation of
+// exactly PageSize bytes. Its dirty bit lives in the address space's
+// dirty set, because a flag beside the bytes would push every page into
+// the next allocation size class.
+type page [PageSize]byte
 
 // AddressSpace is one process's virtual memory.
 type AddressSpace struct {
-	vmas  []*VMA // sorted by Start
-	pages map[Addr]*page
+	vmas  []*VMA            // sorted by Start
+	pages map[Addr]*page    // written pages; a mapped page not here reads as zeros
+	dirty map[Addr]struct{} // pages written (and marked) since ClearDirty
 
 	// cache short-circuits the per-page VMA search and map probe of
 	// access for recently touched pages: DMA traffic cycles over a small
@@ -89,13 +92,20 @@ type AddressSpace struct {
 const pageCacheSlots = 256
 
 // pageSlot caches the resolution of one page address. tag is the page
-// address with its low bit set, so the zero slot matches no page; the
+// address with slotValid set, so the zero slot matches no page; the
 // page is inside a VMA, and pg is its backing page or nil while it is
-// still an untouched zero page.
+// still an untouched zero page. slotDirty in the tag records that the
+// page is known to be in the dirty set, so rewriting a dirty page does
+// not probe the set again.
 type pageSlot struct {
 	tag Addr
 	pg  *page
 }
+
+const (
+	slotValid Addr = 1
+	slotDirty Addr = 2
+)
 
 func cacheSlot(pa Addr) Addr { return (pa / PageSize) % pageCacheSlots }
 
@@ -105,7 +115,7 @@ func (as *AddressSpace) invalidate() { as.cache = [pageCacheSlots]pageSlot{} }
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[Addr]*page)}
+	return &AddressSpace{pages: make(map[Addr]*page), dirty: make(map[Addr]struct{})}
 }
 
 // Map establishes a VMA at an explicit address. start must be
@@ -172,6 +182,7 @@ func (as *AddressSpace) Unmap(start Addr) error {
 		if v.Start == start {
 			for a := v.Start; a < v.End(); a += PageSize {
 				delete(as.pages, a)
+				delete(as.dirty, a)
 			}
 			as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 			as.invalidate()
@@ -210,19 +221,32 @@ func (as *AddressSpace) Remap(old, new Addr) error {
 			return fmt.Errorf("mem: remap destination [%#x,+%#x) overlaps %s", uint64(new), v.Len, c.Name)
 		}
 	}
-	moved := make(map[Addr]*page, v.Len/PageSize)
+	// Lift the pages out before putting any back: the ranges may overlap.
+	type movedPage struct {
+		pg    *page
+		dirty bool
+	}
+	moved := make(map[Addr]movedPage, v.Len/PageSize)
 	for off := Addr(0); off < Addr(v.Len); off += PageSize {
-		if pg, ok := as.pages[v.Start+off]; ok {
-			moved[new+off] = pg
-			delete(as.pages, v.Start+off)
+		if pg, ok := as.pages[old+off]; ok {
+			_, dirty := as.dirty[old+off]
+			moved[new+off] = movedPage{pg, dirty}
+			delete(as.pages, old+off)
+			delete(as.dirty, old+off)
 		}
 	}
-	for a, pg := range moved {
-		as.pages[a] = pg
+	for a, m := range moved {
+		as.pages[a] = m.pg
+		if m.dirty {
+			as.dirty[a] = struct{}{}
+		}
 	}
+	// Only v moves: take it out and put it back where new sorts.
+	i := as.search(old)
+	as.vmas = append(as.vmas[:i], as.vmas[i+1:]...)
 	v.Start = new
+	as.insert(v)
 	as.invalidate()
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
 	return nil
 }
 
@@ -292,11 +316,11 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 	for off := 0; off < len(buf); {
 		pa := PageFloor(a + Addr(off))
 		slot := &as.cache[cacheSlot(pa)]
-		if slot.tag != pa|1 {
+		if slot.tag&^slotDirty != pa|slotValid {
 			if as.FindVMA(pa) == nil {
 				return &FaultError{Addr: a + Addr(off), Op: op}
 			}
-			*slot = pageSlot{tag: pa | 1, pg: as.pages[pa]}
+			*slot = pageSlot{tag: pa | slotValid, pg: as.pages[pa]}
 		}
 		pg := slot.pg
 		inPage := int(a + Addr(off) - pa)
@@ -306,21 +330,20 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 		}
 		if write {
 			if pg == nil {
-				pg = &page{data: make([]byte, PageSize)}
+				pg = new(page)
 				as.pages[pa] = pg
 				slot.pg = pg
-			} else if pg.data == nil {
-				pg.data = make([]byte, PageSize)
 			}
-			copy(pg.data[inPage:inPage+n], buf[off:off+n])
-			if markDirty {
-				pg.dirty = true
+			copy(pg[inPage:inPage+n], buf[off:off+n])
+			if markDirty && slot.tag&slotDirty == 0 {
+				as.dirty[pa] = struct{}{}
+				slot.tag |= slotDirty
 			}
 		} else {
-			if pg == nil || pg.data == nil {
+			if pg == nil {
 				clear(buf[off : off+n])
 			} else {
-				copy(buf[off:off+n], pg.data[inPage:inPage+n])
+				copy(buf[off:off+n], pg[inPage:inPage+n])
 			}
 		}
 		off += n
@@ -346,20 +369,22 @@ func (as *AddressSpace) WriteU64(a Addr, v uint64) error {
 
 // DirtyPages returns the addresses of dirty pages in address order.
 func (as *AddressSpace) DirtyPages() []Addr {
-	var out []Addr
-	for a, pg := range as.pages {
-		if pg.dirty {
-			out = append(out, a)
-		}
+	if len(as.dirty) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Addr, 0, len(as.dirty))
+	for a := range as.dirty {
+		out = append(out, a)
+	}
+	slices.Sort(out)
 	return out
 }
 
 // ClearDirty resets dirty tracking (start of a pre-copy round).
 func (as *AddressSpace) ClearDirty() {
-	for _, pg := range as.pages {
-		pg.dirty = false
+	clear(as.dirty)
+	for i := range as.cache {
+		as.cache[i].tag &^= slotDirty
 	}
 }
 
@@ -367,13 +392,14 @@ func (as *AddressSpace) ClearDirty() {
 // address order. Untouched (all-zero) pages are omitted, as CRIU omits
 // them from images.
 func (as *AddressSpace) PopulatedPages() []Addr {
-	var out []Addr
-	for a, pg := range as.pages {
-		if pg.data != nil {
-			out = append(out, a)
-		}
+	if len(as.pages) == 0 {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	out := make([]Addr, 0, len(as.pages))
+	for a := range as.pages {
+		out = append(out, a)
+	}
+	slices.Sort(out)
 	return out
 }
 
@@ -398,9 +424,8 @@ func AllZero(buf []byte) bool {
 // ReadPage returns a copy of the page at a (which must be page-aligned).
 func (as *AddressSpace) ReadPage(a Addr) []byte {
 	buf := make([]byte, PageSize)
-	pg := as.pages[a]
-	if pg != nil && pg.data != nil {
-		copy(buf, pg.data)
+	if pg := as.pages[a]; pg != nil {
+		copy(buf, pg[:])
 	}
 	return buf
 }
@@ -414,7 +439,16 @@ func (as *AddressSpace) overlaps(start Addr, length uint64) bool {
 	return false
 }
 
+// search returns the index of the first VMA starting at or after a.
+func (as *AddressSpace) search(a Addr) int {
+	i, _ := slices.BinarySearchFunc(as.vmas, a, func(v *VMA, a Addr) int { return cmp.Compare(v.Start, a) })
+	return i
+}
+
+// insert places v, which overlaps nothing, at its sorted position.
 func (as *AddressSpace) insert(v *VMA) {
-	as.vmas = append(as.vmas, v)
-	sort.Slice(as.vmas, func(i, j int) bool { return as.vmas[i].Start < as.vmas[j].Start })
+	i := as.search(v.Start)
+	as.vmas = append(as.vmas, nil)
+	copy(as.vmas[i+1:], as.vmas[i:])
+	as.vmas[i] = v
 }

@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -372,5 +373,106 @@ func TestAdjacentMappingResolves(t *testing.T) {
 	as.Read(0x10000, b[:])
 	if b[0] != 1 {
 		t.Fatalf("after the collision page a reads %d, want 1", b[0])
+	}
+}
+
+// TestMapAllocations: the n-th Map places its VMA by binary search — a
+// VMA and the list's amortised growth, no sort of the whole list.
+func TestMapAllocations(t *testing.T) {
+	as := NewAddressSpace()
+	next := Addr(0x100000)
+	mapOne := func() {
+		if _, err := as.Map(next, PageSize, "ring"); err != nil {
+			t.Fatal(err)
+		}
+		next += 2 * PageSize
+	}
+	for i := 0; i < 100; i++ {
+		mapOne()
+	}
+	if n := testing.AllocsPerRun(1000, mapOne); n > 3 {
+		t.Fatalf("the n-th Map allocates %.0f times, want at most 3", n)
+	}
+}
+
+// TestInsertKeepsVMAsSorted: mappings made in any order, and a Remap
+// across others, leave the list in address order (FindVMA's binary
+// search depends on it).
+func TestInsertKeepsVMAsSorted(t *testing.T) {
+	as := NewAddressSpace()
+	for _, start := range []Addr{0x50000, 0x10000, 0x90000, 0x30000, 0x70000} {
+		if _, err := as.Map(start, 2*PageSize, "v"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := as.Remap(0x10000, 0x80000); err != nil { // from the front to between 0x70000 and 0x90000
+		t.Fatal(err)
+	}
+	if err := as.Remap(0x90000, 0x20000); err != nil { // from the back to the front
+		t.Fatal(err)
+	}
+	var got []Addr
+	for _, v := range as.VMAs() {
+		got = append(got, v.Start)
+	}
+	want := []Addr{0x20000, 0x30000, 0x50000, 0x70000, 0x80000}
+	if !slices.Equal(got, want) {
+		t.Fatalf("VMA starts %#x, want %#x", got, want)
+	}
+	for _, a := range want {
+		if v := as.FindVMA(a + PageSize); v == nil || v.Start != a {
+			t.Fatalf("FindVMA(%#x) = %+v", a+PageSize, v)
+		}
+	}
+}
+
+// TestPageIsOneAllocation: touching a fresh page allocates its 4 KB and
+// nothing beside it, and dirty tracking survives the split of the dirty
+// bit from the page: rewrites, ClearDirty, WriteClean, Remap and Unmap.
+func TestPageIsOneAllocation(t *testing.T) {
+	as := NewAddressSpace()
+	if _, err := as.Map(0x100000, 4096*PageSize, "arena"); err != nil {
+		t.Fatal(err)
+	}
+	next := Addr(0x100000)
+	touch := func() {
+		if err := as.Write(next, []byte{1}); err != nil {
+			t.Fatal(err)
+		}
+		next += PageSize
+	}
+	for i := 0; i < 1024; i++ {
+		touch() // grow the page and dirty maps past their next few doublings
+	}
+	if n := testing.AllocsPerRun(500, touch); n > 1 {
+		t.Fatalf("first write to a page allocates %.0f times, want 1", n)
+	}
+
+	as = NewAddressSpace()
+	as.Map(0x10000, 4*PageSize, "v")
+	as.Write(0x10000, []byte{1})
+	as.Write(0x10000, []byte{2}) // dirty already: the cached hint, no second entry
+	as.WriteClean(0x11000, []byte{3})
+	as.Write(0x12000, []byte{4})
+	if got := as.DirtyPages(); !slices.Equal(got, []Addr{0x10000, 0x12000}) {
+		t.Fatalf("dirty pages %#x", got)
+	}
+	as.ClearDirty()
+	if got := as.DirtyPages(); got != nil {
+		t.Fatalf("dirty pages after ClearDirty: %#x", got)
+	}
+	as.Write(0x10000, []byte{5}) // the cached hint was dropped with the set
+	if err := as.Remap(0x10000, 0x40000); err != nil {
+		t.Fatal(err)
+	}
+	if got := as.DirtyPages(); !slices.Equal(got, []Addr{0x40000}) {
+		t.Fatalf("dirty pages after Remap: %#x", got)
+	}
+	if got := as.PopulatedPages(); !slices.Equal(got, []Addr{0x40000, 0x41000, 0x42000}) {
+		t.Fatalf("populated pages after Remap: %#x", got)
+	}
+	as.Unmap(0x40000)
+	if as.DirtyPages() != nil || as.PopulatedPages() != nil {
+		t.Fatalf("pages survive Unmap: dirty %#x populated %#x", as.DirtyPages(), as.PopulatedPages())
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,36 +54,54 @@ func (k Kind) String() string {
 	return "unknown"
 }
 
-// Labels annotate one metric instance (e.g. node, qpn). They are read
-// once at handle creation; rendering sorts keys, so any map is fine.
-type Labels map[string]string
+// Labels is a label set rendered once, as it appears in a key:
+// "{k=v,...}" with the label keys sorted, or "" for no labels. An owner
+// (device, QP, session, port) renders its labels when it is built and
+// registers all its metrics under them.
+type Labels struct{ s string }
 
-// Key builds the canonical metric key: component/name{k=v,...} with
-// label keys sorted, or component/name when there are no labels.
-func Key(component, name string, labels Labels) string {
-	if len(labels) == 0 {
-		return component + "/" + name
+// maxLabels bounds a label set; the widest in the tree has three.
+const maxLabels = 4
+
+// L renders the label set given as key, value pairs, in any order.
+func L(kv ...string) Labels {
+	if len(kv)%2 != 0 {
+		panic("metrics: L takes key, value pairs")
 	}
-	keys := make([]string, 0, len(labels))
-	for k := range labels {
-		keys = append(keys, k)
+	if len(kv) == 0 {
+		return Labels{}
 	}
-	sort.Strings(keys)
+	// Insertion-sort a copy of the pairs by key: the caller's slice is not
+	// ours to reorder. The copy is an array indexed as an array — escape
+	// analysis takes a store through a slice for a leak — so it stays on
+	// the stack and a caller may pass a value formatted on its own.
+	var pairs [2 * maxLabels]string
+	n := len(kv)
+	if n > len(pairs) {
+		panic("metrics: too many labels")
+	}
+	size := 1 + n // braces, '=' and ',' between pairs
+	for i := 0; i < n; i += 2 {
+		pairs[i], pairs[i+1] = kv[i], kv[i+1]
+		size += len(kv[i]) + len(kv[i+1])
+		for j := i; j > 0 && pairs[j] < pairs[j-2]; j -= 2 {
+			pairs[j], pairs[j-2] = pairs[j-2], pairs[j]
+			pairs[j+1], pairs[j-1] = pairs[j-1], pairs[j+1]
+		}
+	}
 	var b strings.Builder
-	b.WriteString(component)
-	b.WriteByte('/')
-	b.WriteString(name)
+	b.Grow(size)
 	b.WriteByte('{')
-	for i, k := range keys {
+	for i := 0; i < n; i += 2 {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		b.WriteString(k)
+		b.WriteString(pairs[i])
 		b.WriteByte('=')
-		b.WriteString(labels[k])
+		b.WriteString(pairs[i+1])
 	}
 	b.WriteByte('}')
-	return b.String()
+	return Labels{b.String()}
 }
 
 // metric is the shared storage behind every handle type.
@@ -95,9 +114,13 @@ type metric struct {
 	// high is the gauge high-water mark.
 	high atomic.Int64
 
-	// Histogram state: bounds are the inclusive upper bucket bounds;
-	// buckets[i] counts observations ≤ bounds[i], buckets[len(bounds)]
-	// is the overflow (+Inf) bucket.
+	hist *histogram // KindHistogram only
+}
+
+// histogram is the state of a fixed-bucket distribution: bounds are the
+// inclusive upper bucket bounds; buckets[i] counts observations ≤
+// bounds[i], buckets[len(bounds)] is the overflow (+Inf) bucket.
+type histogram struct {
 	bounds  []int64
 	buckets []atomic.Int64
 	count   atomic.Int64
@@ -108,9 +131,10 @@ type metric struct {
 type Registry struct {
 	nowFn func() time.Duration
 
-	mu      sync.Mutex
-	byKey   map[string]*metric
-	ordered []*metric // creation order; snapshots re-sort by key
+	mu       sync.Mutex
+	byKey    map[string]*metric
+	ordered  []*metric // every metric; Snapshot sorts it by key in place
+	unsorted bool      // a metric was registered since the last sort
 }
 
 // New creates a registry stamping snapshots with now (typically the
@@ -123,68 +147,147 @@ func New(now func() time.Duration) *Registry {
 	return &Registry{nowFn: now, byKey: make(map[string]*metric)}
 }
 
-// lookup returns the metric for key, creating it with the given kind.
-// A kind clash (same key registered as two different types) panics: it
-// is a programming error, not a runtime condition.
-func (r *Registry) lookup(key string, kind Kind, bounds []int64) *metric {
+// Block registers the metrics of one owner: component/name{labels} for
+// each name asked of it. Every key of the block is a slice of one key
+// buffer and every new metric an element of one storage array, so an
+// owner costs the same few allocations whether it has one counter or
+// ten. n is the number of metrics the owner registers; it only sizes
+// the buffer and the array, and a block asked for more takes another of
+// each. A Block is used where it is declared and not copied.
+type Block struct {
+	r         *Registry
+	component string
+	labels    Labels
+	left      int             // metrics still expected
+	keys      strings.Builder // the key buffer; keys are slices of its String
+	store     []metric        // unused tail of the storage array
+}
+
+// Block starts registering the n metrics of one owner.
+func (r *Registry) Block(component string, labels Labels, n int) Block {
+	return Block{r: r, component: component, labels: labels, left: n}
+}
+
+// keyRoom is the room the key buffer leaves for a metric name; a longer
+// name only makes the buffer grow.
+const keyRoom = 16
+
+// lookup returns the metric for component/name{labels}, creating it with
+// the given kind. A kind clash (same key registered as two different
+// types) panics: it is a programming error, not a runtime condition.
+func (b *Block) lookup(name string, kind Kind, bounds []int64) *metric {
+	if b.left < 1 {
+		b.left = 1
+	}
+	perKey := len(b.component) + 1 + len(b.labels.s)
+	if room := perKey + len(name); b.keys.Cap()-b.keys.Len() < room {
+		// Keys handed out already keep the buffer they were cut from.
+		b.keys = strings.Builder{}
+		b.keys.Grow(b.left*(perKey+keyRoom) + len(name))
+	}
+	start := b.keys.Len()
+	b.keys.WriteString(b.component)
+	b.keys.WriteByte('/')
+	b.keys.WriteString(name)
+	b.keys.WriteString(b.labels.s)
+	key := b.keys.String()[start:]
+
+	r := b.r
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if m, ok := r.byKey[key]; ok {
+	m, ok := r.byKey[key]
+	if ok {
 		if m.kind != kind {
 			panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", key, m.kind, kind))
 		}
-		return m
+	} else {
+		if len(b.store) == 0 {
+			b.store = make([]metric, b.left)
+		}
+		m, b.store = &b.store[0], b.store[1:]
+		m.key, m.kind = key, kind
+		if kind == KindHistogram {
+			m.hist = &histogram{
+				bounds:  append([]int64(nil), bounds...),
+				buckets: make([]atomic.Int64, len(bounds)+1),
+			}
+		}
+		r.byKey[key] = m
+		r.ordered = append(r.ordered, m)
+		r.unsorted = true
 	}
-	m := &metric{key: key, kind: kind}
-	if kind == KindHistogram {
-		m.bounds = append([]int64(nil), bounds...)
-		m.buckets = make([]atomic.Int64, len(bounds)+1)
-	}
-	r.byKey[key] = m
-	r.ordered = append(r.ordered, m)
+	b.left--
 	return m
 }
 
-// Counter returns (creating if needed) the counter for the key.
+// Counter is a handle to a monotonic count. Handles are values, meant to
+// be resolved once and kept on hot-path structs; the zero handle
+// discards what it is given and reads zero, so an owner that runs
+// without a registry needs no guard at its increments.
 type Counter struct{ m *metric }
 
-// Counter resolves a counter handle. Handles are cheap to hold and are
-// meant to be cached on hot-path structs at construction time.
-func (r *Registry) Counter(component, name string, labels Labels) *Counter {
-	return &Counter{m: r.lookup(Key(component, name, labels), KindCounter, nil)}
+// Counter resolves (creating if needed) the block's counter name.
+func (b *Block) Counter(name string) Counter {
+	return Counter{b.lookup(name, KindCounter, nil)}
+}
+
+// Counter resolves the single counter component/name{labels}.
+func (r *Registry) Counter(component, name string, labels Labels) Counter {
+	b := r.Block(component, labels, 1)
+	return b.Counter(name)
 }
 
 // Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.m.val.Add(n) }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.m.val.Add(1) }
-
-// Value reads the current count.
-func (c *Counter) Value() int64 { return c.m.val.Load() }
-
-// Gauge is a point-in-time value that also tracks its high-water mark.
-type Gauge struct{ m *metric }
-
-// Gauge resolves a gauge handle.
-func (r *Registry) Gauge(component, name string, labels Labels) *Gauge {
-	return &Gauge{m: r.lookup(Key(component, name, labels), KindGauge, nil)}
-}
-
-// Set records the current value, updating the high-water mark.
-func (g *Gauge) Set(v int64) {
-	g.m.val.Store(v)
-	for {
-		h := g.m.high.Load()
-		if v <= h || g.m.high.CompareAndSwap(h, v) {
-			return
-		}
+func (c Counter) Add(n int64) {
+	if c.m != nil {
+		c.m.val.Add(n)
 	}
 }
 
+// Inc increments the counter by one.
+func (c Counter) Inc() { c.Add(1) }
+
+// Value reads the current count.
+func (c Counter) Value() int64 {
+	if c.m == nil {
+		return 0
+	}
+	return c.m.val.Load()
+}
+
+// Gauge is a handle to a point-in-time value that also tracks its
+// high-water mark. The zero handle discards, as a Counter's does.
+type Gauge struct{ m *metric }
+
+// Gauge resolves (creating if needed) the block's gauge name.
+func (b *Block) Gauge(name string) Gauge {
+	return Gauge{b.lookup(name, KindGauge, nil)}
+}
+
+// Gauge resolves the single gauge component/name{labels}.
+func (r *Registry) Gauge(component, name string, labels Labels) Gauge {
+	b := r.Block(component, labels, 1)
+	return b.Gauge(name)
+}
+
+// Set records the current value, updating the high-water mark.
+func (g Gauge) Set(v int64) {
+	if g.m == nil {
+		return
+	}
+	g.m.val.Store(v)
+	g.raise(v)
+}
+
 // Add shifts the gauge by delta, updating the high-water mark.
-func (g *Gauge) Add(delta int64) {
-	v := g.m.val.Add(delta)
+func (g Gauge) Add(delta int64) {
+	if g.m == nil {
+		return
+	}
+	g.raise(g.m.val.Add(delta))
+}
+
+func (g Gauge) raise(v int64) {
 	for {
 		h := g.m.high.Load()
 		if v <= h || g.m.high.CompareAndSwap(h, v) {
@@ -194,34 +297,71 @@ func (g *Gauge) Add(delta int64) {
 }
 
 // Value reads the current gauge value.
-func (g *Gauge) Value() int64 { return g.m.val.Load() }
+func (g Gauge) Value() int64 {
+	if g.m == nil {
+		return 0
+	}
+	return g.m.val.Load()
+}
 
 // High reads the high-water mark.
-func (g *Gauge) High() int64 { return g.m.high.Load() }
+func (g Gauge) High() int64 {
+	if g.m == nil {
+		return 0
+	}
+	return g.m.high.Load()
+}
 
-// Histogram is a fixed-bucket distribution.
+// Histogram is a handle to a fixed-bucket distribution. The zero handle
+// discards, as a Counter's does.
 type Histogram struct{ m *metric }
 
-// Histogram resolves a histogram handle with the given inclusive upper
-// bucket bounds (must be sorted ascending). The bounds of the first
-// registration win; later lookups reuse them.
-func (r *Registry) Histogram(component, name string, labels Labels, bounds []int64) *Histogram {
-	return &Histogram{m: r.lookup(Key(component, name, labels), KindHistogram, bounds)}
+// Histogram resolves (creating if needed) the block's histogram name
+// with the given inclusive upper bucket bounds (must be sorted
+// ascending). The bounds of the first registration win; later lookups
+// reuse them.
+func (b *Block) Histogram(name string, bounds []int64) Histogram {
+	return Histogram{b.lookup(name, KindHistogram, bounds)}
+}
+
+// Histogram resolves the single histogram component/name{labels}.
+func (r *Registry) Histogram(component, name string, labels Labels, bounds []int64) Histogram {
+	b := r.Block(component, labels, 1)
+	return b.Histogram(name, bounds)
 }
 
 // Observe records one sample.
-func (h *Histogram) Observe(v int64) {
-	i := sort.Search(len(h.m.bounds), func(i int) bool { return v <= h.m.bounds[i] })
-	h.m.buckets[i].Add(1)
-	h.m.count.Add(1)
-	h.m.sum.Add(v)
+func (h Histogram) Observe(v int64) {
+	if h.m == nil {
+		return
+	}
+	hs := h.m.hist
+	// Bounds are a handful of values: a scan beats a binary search and
+	// needs no closure.
+	i := 0
+	for i < len(hs.bounds) && v > hs.bounds[i] {
+		i++
+	}
+	hs.buckets[i].Add(1)
+	hs.count.Add(1)
+	hs.sum.Add(v)
 }
 
 // Count reads the number of observations.
-func (h *Histogram) Count() int64 { return h.m.count.Load() }
+func (h Histogram) Count() int64 {
+	if h.m == nil {
+		return 0
+	}
+	return h.m.hist.count.Load()
+}
 
 // Sum reads the sum of observations.
-func (h *Histogram) Sum() int64 { return h.m.sum.Load() }
+func (h Histogram) Sum() int64 {
+	if h.m == nil {
+		return 0
+	}
+	return h.m.hist.sum.Load()
+}
 
 // --- Snapshots ---------------------------------------------------------------
 
@@ -251,6 +391,12 @@ type Snapshot struct {
 // Snapshot freezes the registry.
 func (r *Registry) Snapshot() *Snapshot {
 	r.mu.Lock()
+	if r.unsorted {
+		// Keys are unique, so the order is total; sorting the registry's
+		// own list leaves the next snapshot an already sorted input.
+		slices.SortFunc(r.ordered, func(a, b *metric) int { return strings.Compare(a.key, b.key) })
+		r.unsorted = false
+	}
 	ms := append([]*metric(nil), r.ordered...)
 	r.mu.Unlock()
 	s := &Snapshot{Time: r.nowFn(), Values: make([]Value, 0, len(ms))}
@@ -263,17 +409,16 @@ func (r *Registry) Snapshot() *Snapshot {
 			v.Value = m.val.Load()
 			v.High = m.high.Load()
 		case KindHistogram:
-			v.Bounds = m.bounds
-			v.Buckets = make([]int64, len(m.buckets))
-			for i := range m.buckets {
-				v.Buckets[i] = m.buckets[i].Load()
+			v.Bounds = m.hist.bounds
+			v.Buckets = make([]int64, len(m.hist.buckets))
+			for i := range m.hist.buckets {
+				v.Buckets[i] = m.hist.buckets[i].Load()
 			}
-			v.Count = m.count.Load()
-			v.Sum = m.sum.Load()
+			v.Count = m.hist.count.Load()
+			v.Sum = m.hist.sum.Load()
 		}
 		s.Values = append(s.Values, v)
 	}
-	sort.Slice(s.Values, func(i, j int) bool { return s.Values[i].Key < s.Values[j].Key })
 	return s
 }
 

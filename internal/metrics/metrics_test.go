@@ -1,6 +1,9 @@
 package metrics
 
 import (
+	"fmt"
+	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -9,31 +12,124 @@ import (
 	"migrrdma/internal/sim"
 )
 
-func TestKeyFormat(t *testing.T) {
-	if k := Key("rnic", "tx_bytes", nil); k != "rnic/tx_bytes" {
-		t.Fatalf("key = %q", k)
+// referenceKey is the key rendering every golden hash was recorded
+// with — a label map, sorted keys, a growing builder — kept here as the
+// reference the registration API is compared against.
+func referenceKey(component, name string, labels map[string]string) string {
+	if len(labels) == 0 {
+		return component + "/" + name
 	}
-	// Label keys render sorted regardless of map order.
-	k := Key("fabric", "dropped_frames", Labels{"port": "rdma", "node": "src"})
-	if k != "fabric/dropped_frames{node=src,port=rdma}" {
-		t.Fatalf("key = %q", k)
+	keys := make([]string, 0, len(labels))
+	for k := range labels {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b strings.Builder
+	b.WriteString(component)
+	b.WriteByte('/')
+	b.WriteString(name)
+	b.WriteByte('{')
+	for i, k := range keys {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(k)
+		b.WriteByte('=')
+		b.WriteString(labels[k])
+	}
+	b.WriteByte('}')
+	return b.String()
+}
+
+// TestKeysMatchReference: for zero, one, two and unsorted three-label
+// sets, a registry filled through Block renders the snapshot the
+// reference keys give, byte for byte.
+func TestKeysMatchReference(t *testing.T) {
+	sets := [][]string{
+		nil,
+		{"node", "src"},
+		{"node", "hostA", "qpn", "0x0100"},
+		{"proc", "srv", "phase", "final-dump", "mig", "m7"},
+	}
+	names := []string{"tx_bytes", "send_posts", "a_name_longer_than_the_key_room_of_a_block"}
+	got := New(nil)
+	var want strings.Builder
+	var lines []string
+	for _, kv := range sets {
+		m := map[string]string{}
+		for i := 0; i < len(kv); i += 2 {
+			m[kv[i]] = kv[i+1]
+		}
+		b := got.Block("rnic", L(kv...), len(names))
+		for i, name := range names {
+			b.Counter(name).Add(int64(i + 1))
+			lines = append(lines, fmt.Sprintf("%-52s %d\n", referenceKey("rnic", name, m), i+1))
+		}
+	}
+	sort.Strings(lines)
+	fmt.Fprintf(&want, "# snapshot at 0s (%d metrics)\n", len(lines))
+	for _, l := range lines {
+		want.WriteString(l)
+	}
+	if s := got.Snapshot().String(); s != want.String() {
+		t.Fatalf("snapshot through Block:\n%s\nreference keys:\n%s", s, want.String())
+	}
+}
+
+// TestBlockAllocations: a seven-counter owner costs its rendered labels,
+// one key buffer and one storage array — plus the registry's own
+// amortised growth — not six allocations a counter.
+func TestBlockAllocations(t *testing.T) {
+	r := New(nil)
+	names := [7]string{"send_posts", "recv_posts", "cqes", "naks", "rnr_naks", "go_back_n", "retx_packets"}
+	var hs [7]Counter
+	qpn := 0
+	allocs := testing.AllocsPerRun(2000, func() {
+		qpn++
+		var buf [8]byte
+		b := r.Block("rnic", L("node", "hostA", "qpn", string(strconv.AppendInt(buf[:0], int64(qpn), 16))), len(names))
+		for i, name := range names {
+			hs[i] = b.Counter(name)
+		}
+	})
+	if allocs > 4 {
+		t.Fatalf("registering a seven-counter block allocates %.0f times, want at most 4", allocs)
+	}
+	hs[6].Inc()
+	if v, ok := r.Snapshot().Get("rnic/retx_packets{node=hostA,qpn=" + strconv.FormatInt(int64(qpn), 16) + "}"); !ok || v.Value != 1 {
+		t.Fatalf("last block's counter reads %v, %v", v, ok)
+	}
+}
+
+// TestZeroHandlesDiscard: an owner without a registry keeps zero handles
+// and increments them unguarded.
+func TestZeroHandlesDiscard(t *testing.T) {
+	var c Counter
+	var g Gauge
+	var h Histogram
+	c.Inc()
+	g.Set(3)
+	g.Add(1)
+	h.Observe(9)
+	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("zero handles hold values")
 	}
 }
 
 func TestCounterGaugeHistogram(t *testing.T) {
 	r := New(nil)
-	c := r.Counter("a", "c", nil)
+	c := r.Counter("a", "c", Labels{})
 	c.Inc()
 	c.Add(4)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d", c.Value())
 	}
 	// Same key resolves to the same storage.
-	if r.Counter("a", "c", nil).Value() != 5 {
+	if r.Counter("a", "c", Labels{}).Value() != 5 {
 		t.Fatal("second handle sees a different counter")
 	}
 
-	g := r.Gauge("a", "g", nil)
+	g := r.Gauge("a", "g", Labels{})
 	g.Set(7)
 	g.Set(3)
 	if g.Value() != 3 || g.High() != 7 {
@@ -44,7 +140,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Fatalf("gauge after Add = %d high = %d", g.Value(), g.High())
 	}
 
-	h := r.Histogram("a", "h", nil, []int64{10, 100})
+	h := r.Histogram("a", "h", Labels{}, []int64{10, 100})
 	for _, v := range []int64{5, 10, 11, 1000} {
 		h.Observe(v)
 	}
@@ -68,15 +164,15 @@ func TestKindClashPanics(t *testing.T) {
 		}
 	}()
 	r := New(nil)
-	r.Counter("a", "x", nil)
-	r.Gauge("a", "x", nil)
+	r.Counter("a", "x", Labels{})
+	r.Gauge("a", "x", Labels{})
 }
 
 func TestSnapshotSortedAndStamped(t *testing.T) {
 	s := sim.New(1)
 	r := New(s.Now)
-	r.Counter("z", "last", nil).Inc()
-	r.Counter("a", "first", nil).Inc()
+	r.Counter("z", "last", Labels{}).Inc()
+	r.Counter("a", "first", Labels{}).Inc()
 	s.Go("t", func() { s.Sleep(3 * time.Millisecond) })
 	s.Run()
 	snap := r.Snapshot()
@@ -93,13 +189,13 @@ func TestSnapshotSortedAndStamped(t *testing.T) {
 
 func TestSnapshotSumAndDiff(t *testing.T) {
 	r := New(nil)
-	r.Counter("fabric", "dropped_frames", Labels{"node": "a"}).Add(3)
-	r.Counter("fabric", "dropped_frames", Labels{"node": "b"}).Add(4)
+	r.Counter("fabric", "dropped_frames", L("node", "a")).Add(3)
+	r.Counter("fabric", "dropped_frames", L("node", "b")).Add(4)
 	first := r.Snapshot()
 	if first.Sum("fabric", "dropped_frames") != 7 {
 		t.Fatalf("sum = %d", first.Sum("fabric", "dropped_frames"))
 	}
-	r.Counter("fabric", "dropped_frames", Labels{"node": "a"}).Add(10)
+	r.Counter("fabric", "dropped_frames", L("node", "a")).Add(10)
 	diff := r.Snapshot().Diff(first)
 	if diff.Sum("fabric", "dropped_frames") != 10 {
 		t.Fatalf("diff sum = %d", diff.Sum("fabric", "dropped_frames"))
@@ -109,9 +205,9 @@ func TestSnapshotSumAndDiff(t *testing.T) {
 func TestSnapshotHashStable(t *testing.T) {
 	build := func() *Snapshot {
 		r := New(nil)
-		r.Counter("a", "c", Labels{"node": "x"}).Add(42)
-		r.Gauge("b", "g", nil).Set(7)
-		r.Histogram("c", "h", nil, []int64{1, 2}).Observe(2)
+		r.Counter("a", "c", L("node", "x")).Add(42)
+		r.Gauge("b", "g", Labels{}).Set(7)
+		r.Histogram("c", "h", Labels{}, []int64{1, 2}).Observe(2)
 		return r.Snapshot()
 	}
 	if build().Hash() != build().Hash() {
@@ -124,9 +220,9 @@ func TestSnapshotHashStable(t *testing.T) {
 // procs are serialized by the scheduler and would never race).
 func TestRawGoroutineRace(t *testing.T) {
 	r := New(nil)
-	c := r.Counter("race", "c", nil)
-	g := r.Gauge("race", "g", nil)
-	h := r.Histogram("race", "h", nil, []int64{8, 64})
+	c := r.Counter("race", "c", Labels{})
+	g := r.Gauge("race", "g", Labels{})
+	h := r.Histogram("race", "h", Labels{}, []int64{8, 64})
 	var wg sync.WaitGroup
 	const procs, iters = 8, 1000
 	for p := 0; p < procs; p++ {
@@ -163,7 +259,7 @@ func TestRawGoroutineRace(t *testing.T) {
 func TestSimProcIncrements(t *testing.T) {
 	s := sim.New(9)
 	r := New(s.Now)
-	c := r.Counter("race", "sim", nil)
+	c := r.Counter("race", "sim", Labels{})
 	for p := 0; p < 4; p++ {
 		s.Go("inc", func() {
 			for i := 0; i < 100; i++ {

@@ -126,11 +126,11 @@ type Manager struct {
 	busy    map[*runc.Container]bool
 	changed *sim.Cond
 
-	mActive    *metrics.Gauge
-	mQueued    *metrics.Gauge
-	mSubmitted *metrics.Counter
-	mCompleted *metrics.Counter
-	mFailed    *metrics.Counter
+	mActive    metrics.Gauge
+	mQueued    metrics.Gauge
+	mSubmitted metrics.Counter
+	mCompleted metrics.Counter
+	mFailed    metrics.Counter
 
 	// OnStage, when set, observes every stage transition of every
 	// managed migration; it runs on the migration's driver proc.
@@ -158,11 +158,12 @@ func New(cl *cluster.Cluster, daemons map[string]*core.Daemon, max int) *Manager
 		changed: sim.NewCond(cl.Sched, "migmgr"),
 	}
 	if reg := cl.Metrics; reg != nil {
-		m.mActive = reg.Gauge("migmgr", "active", nil)
-		m.mQueued = reg.Gauge("migmgr", "queued", nil)
-		m.mSubmitted = reg.Counter("migmgr", "submitted", nil)
-		m.mCompleted = reg.Counter("migmgr", "completed", nil)
-		m.mFailed = reg.Counter("migmgr", "failed", nil)
+		b := reg.Block("migmgr", metrics.Labels{}, 5)
+		m.mActive = b.Gauge("active")
+		m.mQueued = b.Gauge("queued")
+		m.mSubmitted = b.Counter("submitted")
+		m.mCompleted = b.Counter("completed")
+		m.mFailed = b.Counter("failed")
 	}
 	return m
 }
@@ -191,10 +192,8 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 	}
 	m.jobs = append(m.jobs, j)
 	m.queue = append(m.queue, j)
-	if m.mSubmitted != nil {
-		m.mSubmitted.Inc()
-		m.mQueued.Set(int64(len(m.queue)))
-	}
+	m.mSubmitted.Inc()
+	m.mQueued.Set(int64(len(m.queue)))
 	m.pump()
 	return j, nil
 }
@@ -237,9 +236,7 @@ func (m *Manager) pump() {
 		m.queue = append(m.queue[:i], m.queue[i+1:]...)
 		m.start(j)
 	}
-	if m.mQueued != nil {
-		m.mQueued.Set(int64(len(m.queue)))
-	}
+	m.mQueued.Set(int64(len(m.queue)))
 }
 
 // start launches a job's migration on its own proc.
@@ -249,9 +246,9 @@ func (m *Manager) start(j *Job) {
 	j.state = Running
 	j.Started = m.sched.Now()
 	j.Src = j.Spec.C.Host.Name
-	if m.mActive != nil {
-		m.mActive.Set(int64(m.running))
-		m.cl.Metrics.Histogram("migmgr", "queue_wait_us", metrics.Labels{"mig": j.ID}, queueWaitBucketsUS).
+	m.mActive.Set(int64(m.running))
+	if reg := m.cl.Metrics; reg != nil {
+		reg.Histogram("migmgr", "queue_wait_us", metrics.L("mig", j.ID), queueWaitBucketsUS).
 			Observe(j.QueueWait().Microseconds())
 	}
 	m.sched.Go("migmgr/"+j.ID, func() {
@@ -266,9 +263,7 @@ func (m *Manager) start(j *Job) {
 		switch {
 		case j.Err == nil:
 			j.state = Done
-			if m.mCompleted != nil {
-				m.mCompleted.Inc()
-			}
+			m.mCompleted.Inc()
 		case j.Attempts <= j.Spec.Retries:
 			// The migration aborted and rolled back; spend one unit of
 			// the retry budget and requeue behind the current backlog.
@@ -279,18 +274,14 @@ func (m *Manager) start(j *Job) {
 			// Created lazily so migrations that never retry leave the
 			// registry — and the chaos golden hashes — untouched.
 			if reg := m.cl.Metrics; reg != nil {
-				reg.Counter("migmgr", "retried", nil).Inc()
+				reg.Counter("migmgr", "retried", metrics.Labels{}).Inc()
 			}
 		default:
 			j.LastErr = j.Err
 			j.state = Failed
-			if m.mFailed != nil {
-				m.mFailed.Inc()
-			}
+			m.mFailed.Inc()
 		}
-		if m.mActive != nil {
-			m.mActive.Set(int64(m.running))
-		}
+		m.mActive.Set(int64(m.running))
 		m.pump()
 		m.changed.Broadcast()
 	})

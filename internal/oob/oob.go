@@ -42,11 +42,20 @@ type Hub struct {
 	net   *fabric.Network
 	node  string
 	eps   map[string]*Endpoint
+
+	// names interns the endpoint and kind names arriving frames carry —
+	// a small fixed vocabulary — so decoding allocates each name once.
+	names map[string]string
+	// idle holds the servings whose handler has returned, for reuse.
+	idle []*serving
 }
 
 // NewHub attaches a hub to the node's mux.
 func NewHub(net *fabric.Network, mux *fabric.Mux, node string) *Hub {
-	h := &Hub{sched: net.Scheduler(), net: net, node: node, eps: make(map[string]*Endpoint)}
+	h := &Hub{
+		sched: net.Scheduler(), net: net, node: node,
+		eps: make(map[string]*Endpoint), names: make(map[string]string),
+	}
 	mux.Register(Port, h.onFrame)
 	return h
 }
@@ -63,7 +72,7 @@ func (h *Hub) Endpoint(name string) *Endpoint {
 		hub:      h,
 		name:     name,
 		inbox:    sim.NewChan[Msg](h.sched, "oob-inbox:"+name, 4096),
-		handlers: make(map[string]Handler),
+		handlers: make(map[string]handler),
 		pending:  make(map[uint64]*call),
 	}
 	h.eps[name] = ep
@@ -76,18 +85,24 @@ func (h *Hub) Close(name string) { delete(h.eps, name) }
 // Handler serves a request and returns the reply body.
 type Handler func(Msg) []byte
 
+// handler is a registered Handler with the name its procs run under.
+type handler struct {
+	fn       Handler
+	procName string
+}
+
 // Endpoint is a named mailbox on a node.
 type Endpoint struct {
 	hub      *Hub
 	name     string
 	inbox    *sim.Chan[Msg]
-	handlers map[string]Handler
+	handlers map[string]handler
 	pending  map[uint64]*call
 	nextReq  uint64
 }
 
 type call struct {
-	done *sim.Cond
+	done sim.Cond
 	resp []byte
 	ok   bool
 }
@@ -116,7 +131,9 @@ func (ep *Endpoint) TryRecv() (Msg, bool) { return ep.inbox.TryRecv() }
 
 // Handle registers a request handler for kind. Handlers run in a fresh
 // managed proc and may block.
-func (ep *Endpoint) Handle(kind string, h Handler) { ep.handlers[kind] = h }
+func (ep *Endpoint) Handle(kind string, h Handler) {
+	ep.handlers[kind] = handler{fn: h, procName: "oob-handler:" + kind}
+}
 
 // Call sends a request and blocks until the reply arrives.
 func (ep *Endpoint) Call(toNode, toEP, kind string, body []byte) []byte {
@@ -133,7 +150,8 @@ func (ep *Endpoint) CallTimeout(toNode, toEP, kind string, body []byte, timeout 
 func (ep *Endpoint) call(toNode, toEP, kind string, body []byte, timeout time.Duration) ([]byte, bool) {
 	ep.nextReq++
 	id := ep.nextReq
-	c := &call{done: sim.NewCond(ep.hub.sched, "oob-call")}
+	c := &call{}
+	c.done.Init(ep.hub.sched, "oob-call")
 	ep.pending[id] = c
 	ep.hub.send(wire{
 		fromEP: ep.name, toEP: toEP, kind: kind, body: body, reqID: id,
@@ -160,65 +178,76 @@ type wire struct {
 	isReply            bool
 }
 
+// wireFixed is the frame's fixed part: four length prefixes and the
+// request ID with its reply flag.
+const wireFixed = 4*4 + 9
+
 func (w wire) encode() []byte {
-	out := make([]byte, 0, 32+len(w.fromEP)+len(w.toEP)+len(w.kind)+len(w.body))
-	put := func(s []byte) []byte {
-		var l [4]byte
-		binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-		out = append(out, l[:]...)
-		return append(out, s...)
-	}
-	out = put([]byte(w.fromEP))
-	out = put([]byte(w.toEP))
-	out = put([]byte(w.kind))
-	out = put(w.body)
-	var id [9]byte
-	binary.BigEndian.PutUint64(id[:], w.reqID)
+	out := make([]byte, 0, wireFixed+len(w.fromEP)+len(w.toEP)+len(w.kind)+len(w.body))
+	out = appendField(out, w.fromEP)
+	out = appendField(out, w.toEP)
+	out = appendField(out, w.kind)
+	out = appendField(out, w.body)
+	out = binary.BigEndian.AppendUint64(out, w.reqID)
 	if w.isReply {
-		id[8] = 1
+		return append(out, 1)
 	}
-	return append(out, id[:]...)
+	return append(out, 0)
 }
 
-func decodeWire(b []byte) (wire, error) {
-	var w wire
-	take := func() ([]byte, error) {
-		if len(b) < 4 {
-			return nil, fmt.Errorf("oob: truncated frame")
-		}
-		n := binary.BigEndian.Uint32(b)
-		b = b[4:]
-		if uint32(len(b)) < n {
-			return nil, fmt.Errorf("oob: truncated field")
-		}
-		f := b[:n]
-		b = b[n:]
-		return f, nil
+// appendField appends one length-prefixed field.
+func appendField[T string | []byte](out []byte, f T) []byte {
+	out = binary.BigEndian.AppendUint32(out, uint32(len(f)))
+	return append(out, f...)
+}
+
+// takeField cuts the next length-prefixed field off b.
+func takeField(b []byte) (field, rest []byte, err error) {
+	if len(b) < 4 {
+		return nil, nil, fmt.Errorf("oob: truncated frame")
 	}
-	var err error
-	var f []byte
-	if f, err = take(); err != nil {
+	n := binary.BigEndian.Uint32(b)
+	b = b[4:]
+	if uint32(len(b)) < n {
+		return nil, nil, fmt.Errorf("oob: truncated field")
+	}
+	return b[:n], b[n:], nil
+}
+
+// decodeWire decodes a frame. The names come out of the hub's intern
+// table and the body aliases b, so a frame of known names decodes
+// without allocating.
+func (h *Hub) decodeWire(b []byte) (w wire, err error) {
+	var from, to, kind []byte
+	if from, b, err = takeField(b); err != nil {
 		return w, err
 	}
-	w.fromEP = string(f)
-	if f, err = take(); err != nil {
+	if to, b, err = takeField(b); err != nil {
 		return w, err
 	}
-	w.toEP = string(f)
-	if f, err = take(); err != nil {
+	if kind, b, err = takeField(b); err != nil {
 		return w, err
 	}
-	w.kind = string(f)
-	if f, err = take(); err != nil {
+	if w.body, b, err = takeField(b); err != nil {
 		return w, err
 	}
-	w.body = f
 	if len(b) != 9 {
 		return w, fmt.Errorf("oob: bad trailer")
 	}
+	w.fromEP, w.toEP, w.kind = h.name(from), h.name(to), h.name(kind)
 	w.reqID = binary.BigEndian.Uint64(b)
 	w.isReply = b[8] == 1
 	return w, nil
+}
+
+// name returns the interned string for b.
+func (h *Hub) name(b []byte) string {
+	if s, ok := h.names[string(b)]; ok { // no conversion is made for a map probe
+		return s
+	}
+	s := string(b)
+	h.names[s] = s
+	return s
 }
 
 // controlOverhead approximates TCP/IP framing for a control message.
@@ -235,7 +264,7 @@ func (h *Hub) send(w wire, toNode string) {
 
 // onFrame dispatches an arriving control frame (inline, non-blocking).
 func (h *Hub) onFrame(f fabric.Frame) {
-	w, err := decodeWire(f.Data)
+	w, err := h.decodeWire(f.Data)
 	if err != nil {
 		return
 	}
@@ -251,23 +280,52 @@ func (h *Hub) onFrame(f fabric.Frame) {
 		return
 	}
 	msg := Msg{FromNode: f.Src, FromEP: w.fromEP, Kind: w.kind, Body: w.body, reqID: w.reqID}
-	if handler, ok := ep.handlers[w.kind]; ok {
+	if hd, ok := ep.handlers[w.kind]; ok {
 		// Handlers serve both RPCs and one-way messages; they run in
-		// their own proc so they may block. Only RPCs get a reply.
-		reqID := w.reqID
-		h.sched.Go("oob-handler:"+w.kind, func() {
-			resp := handler(msg)
-			if reqID != 0 {
-				h.send(wire{
-					fromEP: ep.name, toEP: w.fromEP, kind: w.kind,
-					body: resp, reqID: reqID, isReply: true,
-				}, f.Src)
-			}
-		})
+		// their own proc so they may block.
+		sv := h.takeServing()
+		sv.ep, sv.fn, sv.msg = ep, hd.fn, msg
+		h.sched.Go(hd.procName, sv.run)
 		return
 	}
 	if w.reqID != 0 {
 		return // RPC for an unhandled kind: drop; the caller times out
 	}
 	ep.inbox.TrySend(msg)
+}
+
+// serving is one run of a handler: what its proc needs, kept in a
+// struct the hub reuses so that a request costs no closure.
+type serving struct {
+	hub *Hub
+	ep  *Endpoint
+	fn  Handler
+	msg Msg
+	run func() // sv.serve, bound once
+}
+
+func (h *Hub) takeServing() *serving {
+	if n := len(h.idle); n > 0 {
+		sv := h.idle[n-1]
+		h.idle[n-1] = nil
+		h.idle = h.idle[:n-1]
+		return sv
+	}
+	sv := &serving{hub: h}
+	sv.run = sv.serve
+	return sv
+}
+
+// serve is the handler proc's body. Only RPCs get a reply.
+func (sv *serving) serve() {
+	msg := sv.msg
+	resp := sv.fn(msg)
+	if msg.reqID != 0 {
+		sv.hub.send(wire{
+			fromEP: sv.ep.name, toEP: msg.FromEP, kind: msg.Kind,
+			body: resp, reqID: msg.reqID, isReply: true,
+		}, msg.FromNode)
+	}
+	sv.ep, sv.fn, sv.msg = nil, nil, Msg{}
+	sv.hub.idle = append(sv.hub.idle, sv)
 }

@@ -83,7 +83,7 @@ func TestHandlerMayBlock(t *testing.T) {
 
 func TestWireRoundTrip(t *testing.T) {
 	w := wire{fromEP: "from", toEP: "to", kind: "k", body: []byte("payload"), reqID: 42, isReply: true}
-	got, err := decodeWire(w.encode())
+	got, err := (&Hub{names: map[string]string{}}).decodeWire(w.encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,5 +148,32 @@ func TestHandlerServesOneWayMessages(t *testing.T) {
 	s.Run()
 	if len(got) != 2 || got[0] != "x" || got[1] != "y" {
 		t.Fatalf("handler received %v", got)
+	}
+}
+
+// TestCallAllocations pins the cost of one Call round trip against a
+// registered handler: the call, the two frames and the handler's proc —
+// no name strings, closure, Cond or goroutine per message.
+func TestCallAllocations(t *testing.T) {
+	s, ha, hb := twoHubs(t)
+	hb.Endpoint("svc").Handle("echo", func(m Msg) []byte { return m.Body })
+	body := []byte("payload")
+	var allocs float64
+	s.Go("caller", func() {
+		cli := ha.Endpoint("cli")
+		call := func() {
+			if resp := cli.Call("b", "svc", "echo", body); string(resp) != "payload" {
+				t.Errorf("echo returned %q", resp)
+			}
+		}
+		call() // interns the names, starts the handler's worker
+		allocs = testing.AllocsPerRun(2000, call)
+	})
+	s.Run()
+	if allocs > 5 {
+		t.Fatalf("one Call round trip allocates %.1f times, want at most 5", allocs)
+	}
+	if n := len(hb.idle); n != 1 {
+		t.Fatalf("%d servings on the hub's idle list after sequential calls, want 1 reused", n)
 	}
 }

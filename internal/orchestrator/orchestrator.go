@@ -205,9 +205,9 @@ type Orchestrator struct {
 	nextDrain int
 	drains    []*Drain
 
-	mAccepted, mConflicted *metrics.Counter
-	mDone, mFailed         *metrics.Counter
-	mRetried, mSLOMissed   *metrics.Counter
+	mAccepted, mConflicted metrics.Counter
+	mDone, mFailed         metrics.Counter
+	mRetried, mSLOMissed   metrics.Counter
 
 	// OnStage observes every stage transition of every drain migration;
 	// it runs on the migration's driver proc. Chaos schedules arm
@@ -245,12 +245,13 @@ func New(cfg Config) *Orchestrator {
 		draining: make(map[string]int),
 	}
 	if reg := cfg.CL.Metrics; reg != nil {
-		o.mAccepted = reg.Counter("orchestrator", "migrations_accepted", nil)
-		o.mConflicted = reg.Counter("orchestrator", "migrations_conflicted", nil)
-		o.mDone = reg.Counter("orchestrator", "migrations_done", nil)
-		o.mFailed = reg.Counter("orchestrator", "migrations_failed", nil)
-		o.mRetried = reg.Counter("orchestrator", "migrations_retried", nil)
-		o.mSLOMissed = reg.Counter("orchestrator", "slo_violations", nil)
+		b := reg.Block("orchestrator", metrics.Labels{}, 6)
+		o.mAccepted = b.Counter("migrations_accepted")
+		o.mConflicted = b.Counter("migrations_conflicted")
+		o.mDone = b.Counter("migrations_done")
+		o.mFailed = b.Counter("migrations_failed")
+		o.mRetried = b.Counter("migrations_retried")
+		o.mSLOMissed = b.Counter("slo_violations")
 	}
 	return o
 }
@@ -307,15 +308,11 @@ func (o *Orchestrator) Submit(d *Drain) *Drain {
 			if o.active[w.C] != nil {
 				m.state = Conflict
 				m.Err = migmgr.ErrConflict
-				if o.mConflicted != nil {
-					o.mConflicted.Inc()
-				}
+				o.mConflicted.Inc()
 			} else {
 				m.state = Pending
 				o.active[w.C] = m
-				if o.mAccepted != nil {
-					o.mAccepted.Inc()
-				}
+				o.mAccepted.Inc()
 			}
 			d.Migrations = append(d.Migrations, m)
 		}
@@ -384,9 +381,7 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			if dst == "" {
 				m.state = Failed
 				m.Err = fmt.Errorf("orchestrator: %s: no feasible destination", m.ID)
-				if o.mFailed != nil {
-					o.mFailed.Inc()
-				}
+				o.mFailed.Inc()
 				return
 			}
 			m.Src, m.Dst = src, dst
@@ -409,10 +404,8 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 				m.state = Done
 				m.Blackout = j.Report.ServiceBlackout
 				m.SLOMet = d.BlackoutSLO == 0 || m.Blackout <= d.BlackoutSLO
-				if o.mDone != nil {
-					o.mDone.Inc()
-				}
-				if !m.SLOMet && o.mSLOMissed != nil {
+				o.mDone.Inc()
+				if !m.SLOMet {
 					o.mSLOMissed.Inc()
 				}
 				return
@@ -421,16 +414,12 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			if attempt >= d.Retries {
 				m.state = Failed
 				m.Err = j.Err
-				if o.mFailed != nil {
-					o.mFailed.Inc()
-				}
+				o.mFailed.Inc()
 				return
 			}
 			// Aborted and rolled back: retry after exponential backoff so a
 			// persistently faulty path stops hammering the fabric.
-			if o.mRetried != nil {
-				o.mRetried.Inc()
-			}
+			o.mRetried.Inc()
 			delay := o.cfg.BackoffBase << attempt
 			if delay > o.cfg.BackoffMax || delay <= 0 {
 				delay = o.cfg.BackoffMax

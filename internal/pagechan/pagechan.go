@@ -125,7 +125,7 @@ type Session struct {
 	staged   int // chunks received but not yet applied
 	seq      uint64
 
-	stagedG *metrics.Gauge
+	stagedG metrics.Gauge
 }
 
 // NewSession opens a page channel from host to peer. host is the
@@ -147,7 +147,7 @@ func NewSession(sched *sim.Scheduler, host criu.HostServices, peer string, cfg C
 		cond:  sim.NewCond(sched, "pagechan"),
 	}
 	if cfg.Metrics != nil {
-		s.stagedG = cfg.Metrics.Gauge("pagechan", "staged_chunks", metrics.Labels{"mig": cfg.MigID})
+		s.stagedG = cfg.Metrics.Gauge("pagechan", "staged_chunks", metrics.L("mig", cfg.MigID))
 	}
 	return s
 }
@@ -178,9 +178,7 @@ func (s *Session) Abort() {
 	dropped := uint64(len(s.sendQ) + len(s.applyQ))
 	s.sendQ, s.applyQ = nil, nil
 	s.staged = 0
-	if s.stagedG != nil {
-		s.stagedG.Set(0)
-	}
+	s.stagedG.Set(0)
 	s.tap("abort", dropped)
 	s.cond.Broadcast()
 }
@@ -326,9 +324,7 @@ func (s *Session) sender() {
 			continue
 		}
 		s.staged++
-		if s.stagedG != nil {
-			s.stagedG.Set(int64(s.staged))
-		}
+		s.stagedG.Set(int64(s.staged))
 		s.applyQ = append(s.applyQ, ch)
 		s.cond.Broadcast()
 	}
@@ -346,9 +342,7 @@ func (s *Session) applier() {
 		s.applyQ = s.applyQ[1:]
 		s.apply(ch)
 		s.staged--
-		if s.stagedG != nil {
-			s.stagedG.Set(int64(s.staged))
-		}
+		s.stagedG.Set(int64(s.staged))
 		s.finished++
 		s.tap("apply", ch.Seq)
 		s.cond.Broadcast()
@@ -361,11 +355,11 @@ func (s *Session) record(st RoundStats) {
 	if s.cfg.Metrics == nil {
 		return
 	}
-	l := metrics.Labels{"mig": s.cfg.MigID, "round": st.Round}
-	s.cfg.Metrics.Counter("pagechan", "bytes_on_wire", l).Add(st.WireBytes)
-	s.cfg.Metrics.Counter("pagechan", "pages_sent", l).Add(int64(st.PagesSent))
-	s.cfg.Metrics.Counter("pagechan", "pages_elided", l).Add(int64(st.Elided()))
-	s.cfg.Metrics.Counter("pagechan", "chunks_sent", l).Add(int64(st.Chunks))
+	b := s.cfg.Metrics.Block("pagechan", metrics.L("mig", s.cfg.MigID, "round", st.Round), 4)
+	b.Counter("bytes_on_wire").Add(st.WireBytes)
+	b.Counter("pages_sent").Add(int64(st.PagesSent))
+	b.Counter("pages_elided").Add(int64(st.Elided()))
+	b.Counter("chunks_sent").Add(int64(st.Chunks))
 }
 
 // hashPage is FNV-1a 64 over the page bytes — the dedup table's

@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"migrrdma/internal/fabric"
@@ -143,8 +144,10 @@ type Device struct {
 	nextKey uint32
 	nextID  uint32
 
-	rxq  fifo.Queue[rxItem]
-	work *sim.Cond
+	// rxq holds received packets for the engine: a run-to-completion task
+	// that onFrame wakes and that drains the queue on the scheduler loop.
+	rxq    fifo.Queue[rxItem]
+	engine *sim.Task
 
 	// TX pacer: frames are pulled (control first, then responder data,
 	// then requester data in QP round-robin) only when the uplink is
@@ -195,17 +198,18 @@ type Device struct {
 	// produces no NAKs or go-back-N from the half-dead source QPs.
 	fwdQPNs map[uint32]bool
 	fwdFn   func(fabric.Frame)
-	mFwd    *metrics.Counter
+	mFwd    metrics.Counter
 
 	// reg is the metrics registry; mTx/mRx count data-path wire bytes
 	// (the mlx5 ethtool counters used for Fig. 5's throughput sampling).
 	// Consumers read them through the registry, never device fields.
 	reg                  *metrics.Registry
-	mTx, mRx             *metrics.Counter
-	mTxFrames, mRxFrames *metrics.Counter
+	mTx, mRx             metrics.Counter
+	mTxFrames, mRxFrames metrics.Counter
 	// mRetxDev / mDupDev are the node-level split retransmission
-	// accounting (Config.SplitRetxAccounting); nil when the split is off.
-	mRetxDev, mDupDev *metrics.Counter
+	// accounting (Config.SplitRetxAccounting); zero handles, which
+	// discard, when the split is off.
+	mRetxDev, mDupDev metrics.Counter
 }
 
 // Tap observes device data-path events for external checkers. All
@@ -273,23 +277,22 @@ func NewDevice(net *fabric.Network, mux *fabric.Mux, node string, cfg Config) *D
 	if d.reg == nil {
 		d.reg = metrics.New(d.sched.Now)
 	}
-	l := metrics.Labels{"node": node}
-	d.mTx = d.reg.Counter("rnic", "tx_bytes", l)
-	d.mRx = d.reg.Counter("rnic", "rx_bytes", l)
-	d.mTxFrames = d.reg.Counter("rnic", "tx_frames", l)
-	d.mRxFrames = d.reg.Counter("rnic", "rx_frames", l)
+	b := d.reg.Block("rnic", metrics.L("node", node), 6)
+	d.mTx = b.Counter("tx_bytes")
+	d.mRx = b.Counter("rx_bytes")
+	d.mTxFrames = b.Counter("tx_frames")
+	d.mRxFrames = b.Counter("rx_frames")
 	if d.cfg.SplitRetxAccounting {
-		d.mRetxDev = d.reg.Counter("rnic", "retransmitted_packets", l)
-		d.mDupDev = d.reg.Counter("rnic", "duplicated_packets", l)
+		d.mRetxDev = b.Counter("retransmitted_packets")
+		d.mDupDev = b.Counter("duplicated_packets")
 	}
-	d.work = sim.NewCond(d.sched, "rnic-work@"+node)
 	d.bufCap = packetHeaderLen + d.cfg.MTU
 	d.pumpCb = func() {
 		d.txBusy = false
 		d.pump()
 	}
 	mux.Register(PortRDMA, d.onFrame)
-	d.sched.GoDaemon("rnic-engine@"+node, d.engineLoop)
+	d.engine = d.sched.NewTask("rnic-engine@"+node, d.runEngine)
 	return d
 }
 
@@ -406,9 +409,18 @@ func (d *Device) Scheduler() *sim.Scheduler { return d.sched }
 // instead of reading device fields.
 func (d *Device) Metrics() *metrics.Registry { return d.reg }
 
-// qpLabels builds the per-QP metric labels.
+// qpLabels renders the per-QP metric labels; the QPN reads as fmt's
+// %#06x prints it: "0x" and at least six hex digits.
 func (d *Device) qpLabels(qpn uint32) metrics.Labels {
-	return metrics.Labels{"node": d.node, "qpn": fmt.Sprintf("%#06x", qpn)}
+	var digits [8]byte
+	hex := strconv.AppendUint(digits[:0], uint64(qpn), 16)
+	var buf [10]byte
+	b := append(buf[:0], "0x"...)
+	for n := len(hex); n < 6; n++ {
+		b = append(b, '0')
+	}
+	b = append(b, hex...)
+	return metrics.L("node", d.node, "qpn", string(b))
 }
 
 // allocQPN returns a fresh sparse 24-bit QP number.
@@ -451,10 +463,10 @@ func (d *Device) SetForward(qpns map[uint32]bool, fn func(fabric.Frame)) {
 		d.fwdQPNs, d.fwdFn = nil, nil
 		return
 	}
-	if d.mFwd == nil {
+	if d.mFwd == (metrics.Counter{}) {
 		// Registered on first use: the metric only exists in
 		// plug-and-forward runs, keeping go-back-N snapshot hashes intact.
-		d.mFwd = d.reg.Counter("rnic", "forwarded_packets", metrics.Labels{"node": d.node})
+		d.mFwd = d.reg.Counter("rnic", "forwarded_packets", metrics.L("node", d.node))
 	}
 	d.fwdQPNs, d.fwdFn = qpns, fn
 }
@@ -479,7 +491,7 @@ func (d *Device) onFrame(f fabric.Frame) {
 		return
 	}
 	d.rxq.Push(rxItem{p: p, src: f.Src, buf: f.Data})
-	d.work.Signal()
+	d.engine.Wake()
 }
 
 // pump starts the TX pacer if idle: one frame goes on the wire per link
@@ -499,14 +511,11 @@ func (d *Device) pump() {
 	d.sched.AfterFunc(d.net.SerializationTime(f.Size), d.pumpCb)
 }
 
-// engineLoop is the device processing engine: it drains received packets
-// and advances requester state. It runs until the device is closed.
-func (d *Device) engineLoop() {
-	for !d.closed {
-		if d.rxq.Len() == 0 {
-			d.work.Wait()
-			continue
-		}
+// runEngine is the device processing engine: it drains received packets
+// and advances requester state, including packets that arrive while it
+// runs. Once the device is closed it leaves the queue as it is.
+func (d *Device) runEngine() {
+	for !d.closed && d.rxq.Len() > 0 {
 		it := d.rxq.Pop()
 		d.handlePacket(it)
 		// The handlers copy payload bytes out before returning, so the
@@ -518,10 +527,7 @@ func (d *Device) engineLoop() {
 
 // Close shuts the device down; in-flight work is dropped on the floor
 // (the migration source reclaiming resources after migration).
-func (d *Device) Close() {
-	d.closed = true
-	d.work.Broadcast()
-}
+func (d *Device) Close() { d.closed = true }
 
 // errQPGone is returned by control verbs naming unknown resources.
 func errUnknown(kind string, id uint32) error {

@@ -2,8 +2,12 @@ package rnic
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
+
+	"migrrdma/internal/fabric"
+	"migrrdma/internal/metrics"
 )
 
 func TestMultiSGEGatherScatter(t *testing.T) {
@@ -149,4 +153,98 @@ func TestRNRRetryLimitErrorsOut(t *testing.T) {
 		}
 	})
 	r.s.Run()
+}
+
+// TestFrameDeliveredInsideHandlePacket: a frame that arrives while the
+// engine task is handling another (the CQE tap injects a duplicate of
+// the SEND being completed) is queued — its wake is dropped, the task is
+// running — and the same engine run handles it.
+func TestFrameDeliveredInsideHandlePacket(t *testing.T) {
+	queuedAtInjection := -1
+	r := newRig(t, Config{SplitRetxAccounting: true}, func(r *rig) {
+		mrA := r.a.regMR(t, 0x100000, 4096)
+		mrB := r.b.regMR(t, 0x100000, 4096)
+		r.b.dev.SetTap(&Tap{CQE: func(node string, cq uint32, e CQE) {
+			if node != "hostB" || e.Opcode != OpRecv || queuedAtInjection >= 0 {
+				return
+			}
+			dup := packet{Type: ptData, DstQPN: r.qpB.QPN, SrcQPN: r.qpA.QPN, PSN: 0, Last: true,
+				Opcode: OpSend, DLen: 4, Payload: []byte("ping")}
+			data := dup.encode()
+			r.b.dev.onFrame(fabric.Frame{Src: "hostA", Dst: "hostB", Port: PortRDMA,
+				Size: wireOverhead + len(data), Data: data})
+			queuedAtInjection = r.b.dev.rxq.Len()
+		}})
+		r.a.as.Write(0x100000, []byte("ping"))
+		r.qpB.PostRecv(RecvWR{WRID: 1, SGEs: []SGE{{Addr: 0x100000, Len: 64, LKey: mrB.LKey}}})
+		if err := r.qpA.PostSend(SendWR{WRID: 2, Opcode: OpSend, Signaled: true,
+			SGEs: []SGE{{Addr: 0x100000, Len: 4, LKey: mrA.LKey}}}); err != nil {
+			t.Error(err)
+		}
+		pollN(r.a.cq, 1)
+	})
+	r.s.Run()
+	if queuedAtInjection != 1 {
+		t.Fatalf("rx queue held %d packets right after the injection, want 1 (queued, not handled re-entrantly)", queuedAtInjection)
+	}
+	if n := r.b.dev.rxq.Len(); n != 0 {
+		t.Fatalf("%d packets left in the rx queue", n)
+	}
+	dups := r.b.dev.Metrics().Counter("rnic", "duplicated_packets", metrics.L("node", "hostB")).Value()
+	if dups != 1 || r.b.cq.Len() != 1 {
+		t.Fatalf("duplicated_packets = %d, recv CQEs = %d: the injected duplicate was not handled once", dups, r.b.cq.Len())
+	}
+}
+
+// TestCloseWithQueuedPackets: Close between a frame's arrival and the
+// engine's dispatch leaves the packets where they are — the engine runs,
+// sees the device closed and returns — and later frames are dropped at
+// the door.
+func TestCloseWithQueuedPackets(t *testing.T) {
+	r := newRig(t, Config{}, func(r *rig) {
+		ack := packet{Type: ptAck, DstQPN: r.qpB.QPN, SrcQPN: r.qpA.QPN, AckPSN: 0}
+		frame := func() fabric.Frame {
+			data := ack.encode()
+			return fabric.Frame{Src: "hostA", Dst: "hostB", Port: PortRDMA, Size: wireOverhead + len(data), Data: data}
+		}
+		r.b.dev.onFrame(frame())
+		r.b.dev.onFrame(frame())
+		r.b.dev.Close()
+		r.b.dev.onFrame(frame())
+	})
+	r.s.Run()
+	if n := r.b.dev.rxq.Len(); n != 2 {
+		t.Fatalf("rx queue holds %d packets after Close, want the 2 that were queued before it", n)
+	}
+	if got := r.b.dev.mRxFrames.Value(); got != 2 {
+		t.Fatalf("rx_frames = %d, want 2: a closed device counts no arrivals", got)
+	}
+}
+
+// TestQPLabelMatchesFmt: the hand-rendered QPN label is the %#06x every
+// golden snapshot was recorded with.
+func TestQPLabelMatchesFmt(t *testing.T) {
+	d := &Device{node: "n"}
+	for _, qpn := range []uint32{0, 0x1, 0x100, 0x11b, 0xabcde, 0xffffff, 0x1234567} {
+		want := metrics.L("node", "n", "qpn", fmt.Sprintf("%#06x", qpn))
+		if got := d.qpLabels(qpn); got != want {
+			t.Errorf("qpLabels(%#x) = %v, want %v", qpn, got, want)
+		}
+	}
+}
+
+// TestCreateQPAllocations pins the per-QP control-path cost: the QP, its
+// rendered labels, one key buffer and one storage array for its seven
+// counters — no maps, send ring or timer callbacks until they are used.
+func TestCreateQPAllocations(t *testing.T) {
+	var allocs float64
+	r := newRig(t, Config{}, func(r *rig) {
+		allocs = testing.AllocsPerRun(1000, func() {
+			r.a.dev.CreateQP(r.a.pd, RC, r.a.cq, r.a.cq, nil, QPCaps{})
+		})
+	})
+	r.s.Run()
+	if allocs > 6 {
+		t.Fatalf("CreateQP allocates %.0f times, want at most 6", allocs)
+	}
 }

@@ -67,22 +67,18 @@ type QP struct {
 	retries    int
 	rnrRetries int
 	rtoTimer   sim.Timer
-	// rtoCb/rnrCb are the retransmission callbacks bound once at
-	// creation, so re-arming a timer does not allocate a method value
-	// or closure per packet.
-	rtoCb func()
-	rnrCb func()
 
 	// Responder side.
-	expPSN      uint32
-	rq          fifo.Queue[RecvWQE]
-	reasm       *reassembly
-	nakSent     bool // a NAK for nakPSN is outstanding
-	nakPSN      uint32
-	atomicCache map[uint32]uint64 // PSN → original value, replay protection
-
-	// readResp tracks inbound READ responses under reassembly.
-	readBuf map[uint32][]byte
+	expPSN  uint32
+	rq      fifo.Queue[RecvWQE]
+	reasm   *reassembly
+	nakSent bool // a NAK for nakPSN is outstanding
+	nakPSN  uint32
+	// atomicCache maps PSN → original value (replay protection); readBuf
+	// holds inbound READ responses under reassembly. Both are made by the
+	// first ATOMIC or READ the QP sees: most QPs see neither.
+	atomicCache map[uint32]uint64
+	readBuf     map[uint32][]byte
 
 	// Counters visible to the library layer. NSent counts two-sided
 	// verbs posted; NRecvDone counts completed receive WQEs. They are
@@ -99,11 +95,11 @@ type QP struct {
 
 	// Registry handles (per-QP posts, completion and fault telemetry),
 	// resolved once at creation.
-	mPosts, mRecvPosts, mCQEs *metrics.Counter
+	mPosts, mRecvPosts, mCQEs metrics.Counter
 
-	mNaks, mRNRs *metrics.Counter
-	mGoBackN     *metrics.Counter
-	mRetx        *metrics.Counter
+	mNaks, mRNRs metrics.Counter
+	mGoBackN     metrics.Counter
+	mRetx        metrics.Counter
 
 	// closed marks a destroyed QP.
 	closed bool
@@ -146,30 +142,23 @@ func (d *Device) CreateQP(pd *PD, typ QPType, sendCQ, recvCQ *CQ, srq *SRQ, caps
 		caps.MaxRecv = 128
 	}
 	qp := &QP{
-		QPN:         d.allocQPN(),
-		Type:        typ,
-		dev:         d,
-		pd:          pd,
-		caps:        caps,
-		sendCQ:      sendCQ,
-		recvCQ:      recvCQ,
-		srq:         srq,
-		atomicCache: make(map[uint32]uint64),
-		readBuf:     make(map[uint32][]byte),
+		QPN:    d.allocQPN(),
+		Type:   typ,
+		dev:    d,
+		pd:     pd,
+		caps:   caps,
+		sendCQ: sendCQ,
+		recvCQ: recvCQ,
+		srq:    srq,
 	}
-	qp.rtoCb = qp.onRTO
-	qp.rnrCb = qp.rnrResume
-	// Pre-size the send ring to the (bounded) queue cap so steady-state
-	// posting never grows it.
-	qp.sq = make([]*sqEntry, 0, ringCap(caps.MaxSend))
-	l := d.qpLabels(qp.QPN)
-	qp.mPosts = d.reg.Counter("rnic", "send_posts", l)
-	qp.mRecvPosts = d.reg.Counter("rnic", "recv_posts", l)
-	qp.mCQEs = d.reg.Counter("rnic", "cqes", l)
-	qp.mNaks = d.reg.Counter("rnic", "naks", l)
-	qp.mRNRs = d.reg.Counter("rnic", "rnr_naks", l)
-	qp.mGoBackN = d.reg.Counter("rnic", "go_back_n", l)
-	qp.mRetx = d.reg.Counter("rnic", "retx_packets", l)
+	b := d.reg.Block("rnic", d.qpLabels(qp.QPN), 7)
+	qp.mPosts = b.Counter("send_posts")
+	qp.mRecvPosts = b.Counter("recv_posts")
+	qp.mCQEs = b.Counter("cqes")
+	qp.mNaks = b.Counter("naks")
+	qp.mRNRs = b.Counter("rnr_naks")
+	qp.mGoBackN = b.Counter("go_back_n")
+	qp.mRetx = b.Counter("retx_packets")
 	d.qps[qp.QPN] = qp
 	return qp
 }
@@ -343,6 +332,12 @@ func (qp *QP) PostSend(wr SendWR) error {
 	e.sges.Set(wr.SGEs)
 	e.wr.SGEs = e.sges.Get()
 	qp.nextPSN = psnAdd(qp.nextPSN, 1)
+	if qp.sq == nil {
+		// The first post sizes the send ring to the (bounded) queue cap,
+		// so steady-state posting never grows it and a QP that never
+		// sends has none.
+		qp.sq = make([]*sqEntry, 0, ringCap(qp.caps.MaxSend))
+	}
 	qp.sq = append(qp.sq, e)
 	qp.mPosts.Inc()
 	if wr.Opcode == OpSend || wr.Opcode == OpSendImm || wr.Opcode == OpWriteImm {
@@ -460,8 +455,14 @@ func (qp *QP) armRTO() {
 	if !pending {
 		return
 	}
-	qp.rtoTimer = qp.dev.sched.AfterFunc(qp.dev.cfg.RTO, qp.rtoCb)
+	qp.rtoTimer = qp.dev.sched.AfterFuncArg(qp.dev.cfg.RTO, fireRTO, qp)
 }
+
+// fireRTO and fireRNRResume are the retransmission timer callbacks,
+// shared by every QP with the QP as argument, so creating a QP binds no
+// method value and re-arming a timer allocates nothing.
+func fireRTO(qp any)       { qp.(*QP).onRTO() }
+func fireRNRResume(qp any) { qp.(*QP).rnrResume() }
 
 // onRTO fires when the oldest unacked message timed out: go-back-N.
 func (qp *QP) onRTO() {
@@ -498,7 +499,7 @@ func (qp *QP) rnrRetry() {
 		return
 	}
 	qp.rnrBackoff = true
-	qp.dev.sched.AfterFunc(qp.dev.cfg.RNRDelay, qp.rnrCb)
+	qp.dev.sched.AfterFuncArg(qp.dev.cfg.RNRDelay, fireRNRResume, qp)
 }
 
 // rnrResume ends the RNR back-off window and restarts transmission.

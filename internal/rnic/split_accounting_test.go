@@ -55,12 +55,12 @@ func TestSwitchDuplicatesDoNotCountAsRetransmits(t *testing.T) {
 	r.s.Run()
 
 	retx := r.a.dev.Metrics().Counter("rnic", "retransmitted_packets",
-		metrics.Labels{"node": "hostA"}).Value()
+		metrics.L("node", "hostA")).Value()
 	if retx != 0 {
 		t.Errorf("retransmitted_packets = %d, want 0 (duplicates must not trigger go-back-N)", retx)
 	}
 	dup := r.b.dev.Metrics().Counter("rnic", "duplicated_packets",
-		metrics.Labels{"node": "hostB"}).Value()
+		metrics.L("node", "hostB")).Value()
 	if dup == 0 {
 		t.Error("duplicated_packets = 0, want > 0 (redundant copies unaccounted)")
 	}
@@ -97,7 +97,7 @@ func TestSplitAccountingCountsGenuineRetransmits(t *testing.T) {
 	r.s.Run()
 
 	retx := r.a.dev.Metrics().Counter("rnic", "retransmitted_packets",
-		metrics.Labels{"node": "hostA"}).Value()
+		metrics.L("node", "hostA")).Value()
 	if retx == 0 {
 		t.Error("retransmitted_packets = 0 after forced loss, want > 0")
 	}

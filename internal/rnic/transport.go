@@ -95,9 +95,7 @@ func (qp *QP) nextTxFrame() (*packet, bool, bool) {
 		pkt, last := qp.buildFragment(e)
 		if e.retransmit {
 			qp.mRetx.Inc()
-			if qp.dev.mRetxDev != nil {
-				qp.dev.mRetxDev.Inc()
-			}
+			qp.dev.mRetxDev.Inc()
 		}
 		if last {
 			e.queued = false
@@ -323,9 +321,7 @@ func (qp *QP) responder(p *packet, src string) {
 	// retransmission racing the ack), not go-back-N transmissions, so
 	// they land in duplicated_packets when the split accounting is on.
 	if psnLess(p.PSN, qp.expPSN) {
-		if qp.dev.mDupDev != nil {
-			qp.dev.mDupDev.Inc()
-		}
+		qp.dev.mDupDev.Inc()
 		if p.Last {
 			qp.replyDuplicate(p, src)
 		}
@@ -369,9 +365,7 @@ func (qp *QP) responder(p *packet, src string) {
 		// Redundant copy of a fragment already held: r.buf holds exactly
 		// fragments [0, nextFrag), so ignoring the copy still assembles
 		// the message correctly.
-		if qp.dev.mDupDev != nil {
-			qp.dev.mDupDev.Inc()
-		}
+		qp.dev.mDupDev.Inc()
 		// Exception: the last fragment of a fully held message that was
 		// never delivered (expPSN still equals the message PSN — the
 		// earlier delivery attempt hit RNR with no receive posted). The
@@ -486,6 +480,9 @@ func (qp *QP) execute(p *packet, data []byte, src string) {
 			next = orig + p.CompareAdd
 		}
 		_ = as.WriteU64(p.RemoteAddr, next)
+		if qp.atomicCache == nil {
+			qp.atomicCache = make(map[uint32]uint64)
+		}
 		qp.atomicCache[p.PSN] = orig
 		qp.expPSN = psnAdd(qp.expPSN, 1)
 		qp.sendAtomicResp(src, p.SrcQPN, p.PSN, orig)
@@ -677,6 +674,9 @@ func (qp *QP) requester(p *packet) {
 		buf := qp.readBuf[p.PSN]
 		buf = append(buf, p.Payload...)
 		if !p.Last {
+			if qp.readBuf == nil {
+				qp.readBuf = make(map[uint32][]byte)
+			}
 			qp.readBuf[p.PSN] = buf
 			return
 		}

@@ -60,7 +60,7 @@ func (m *Migrator) runPhases(p *task.Process, tl *trace.Timeline, phases []phase
 		tl.Mark("abort", "phase "+ph.name)
 		if reg := m.C.Host.Metrics; reg != nil {
 			reg.Counter("migr", "migrations_aborted",
-				metrics.Labels{"proc": p.Name, "mig": m.ID, "phase": ph.name}).Inc()
+				metrics.L("proc", p.Name, "mig", m.ID, "phase", ph.name)).Inc()
 		}
 		for j := i; j >= 0; j-- {
 			if phases[j].compensate != nil {

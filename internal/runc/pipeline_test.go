@@ -65,6 +65,15 @@ func startMemhog(t *testing.T, tb *testbed, p *task.Process) {
 	})
 }
 
+// settleAndStop ends the run from the driving proc once everything the
+// assertions read exists: it lets the stops above take effect, then
+// stops the scheduler. The memhog writer would otherwise rewrite its 128
+// pages every 200 µs all the way to the RunFor horizon.
+func settleAndStop(tb *testbed) {
+	tb.cl.Sched.Sleep(time.Millisecond)
+	tb.cl.Sched.Stop()
+}
+
 // runTransferMode migrates a client container under the given transfer
 // mode with the memhog writer attached, returning the report.
 func runTransferMode(t *testing.T, mode TransferMode) *Report {
@@ -92,6 +101,7 @@ func runTransferMode(t *testing.T, mode TransferMode) *Report {
 		cli.Wait()
 		tb.cl.Sched.Sleep(2 * time.Millisecond)
 		srv.Stop()
+		settleAndStop(tb)
 	})
 	tb.cl.Sched.RunFor(30 * time.Second)
 	if mErr != nil {
@@ -212,6 +222,7 @@ func TestPipelinedAbortMidChunk(t *testing.T) {
 				cli.Wait()
 				tb.cl.Sched.Sleep(2 * time.Millisecond)
 				srv.Stop()
+				settleAndStop(tb)
 			})
 			tb.cl.Sched.RunFor(30 * time.Second)
 			if mErr == nil {

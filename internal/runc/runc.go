@@ -865,12 +865,12 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 	rep.ServiceBlackout = sched.Now() - svcStart
 	rep.CommBlackout = sched.Now() - commStart
 	if reg := src.Metrics; reg != nil {
-		labels := metrics.Labels{"proc": p.Name, "mig": m.ID}
-		reg.Histogram("migr", "service_blackout_us", labels, blackoutBucketsUS).
+		b := reg.Block("migr", metrics.L("proc", p.Name, "mig", m.ID), 3)
+		b.Histogram("service_blackout_us", blackoutBucketsUS).
 			Observe(rep.ServiceBlackout.Microseconds())
-		reg.Histogram("migr", "comm_blackout_us", labels, blackoutBucketsUS).
+		b.Histogram("comm_blackout_us", blackoutBucketsUS).
 			Observe(rep.CommBlackout.Microseconds())
-		reg.Counter("migr", "migrations", labels).Inc()
+		b.Counter("migrations").Inc()
 	}
 
 	// The source reclaims the migrated service's resources (off the

@@ -53,7 +53,7 @@ func (c *Chan[T]) Send(v T) {
 	p := c.s.current("Chan.Send")
 	w := &chanWaiter[T]{p: p, val: v}
 	c.sendq = append(c.sendq, w)
-	p.park("send " + c.name)
+	p.park("send", c.name)
 	if c.closed && !w.ok {
 		panic("sim: channel " + c.name + " closed while sending")
 	}
@@ -87,7 +87,7 @@ func (c *Chan[T]) Recv() (T, bool) {
 	p := c.s.current("Chan.Recv")
 	w := &chanWaiter[T]{p: p}
 	c.recvq = append(c.recvq, w)
-	p.park("recv " + c.name)
+	p.park("recv", c.name)
 	return w.val, w.ok
 }
 

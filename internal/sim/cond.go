@@ -7,15 +7,24 @@ import "time"
 // lock: the running proc has exclusive access to shared state by
 // construction, and Wait atomically parks and releases the CPU.
 type Cond struct {
-	s          *Scheduler
-	name       string
-	parkReason string // precomputed "wait <name>" so Wait never allocates
-	waiters    []*Proc
+	s       *Scheduler
+	name    string
+	waiters []*Proc
+	one     [1]*Proc // backs waiters until a second proc waits
 }
 
 // NewCond creates a condition variable.
 func NewCond(s *Scheduler, name string) *Cond {
-	return &Cond{s: s, name: name, parkReason: "wait " + name}
+	c := &Cond{}
+	c.Init(s, name)
+	return c
+}
+
+// Init readies a Cond embedded in another struct (a per-call completion,
+// say) without allocating; the Cond must not be copied afterwards.
+func (c *Cond) Init(s *Scheduler, name string) {
+	c.s, c.name = s, name
+	c.waiters = c.one[:0]
 }
 
 // Wait parks the current proc until Signal or Broadcast wakes it. As with
@@ -23,7 +32,7 @@ func NewCond(s *Scheduler, name string) *Cond {
 func (c *Cond) Wait() {
 	p := c.s.current("Cond.Wait")
 	c.waiters = append(c.waiters, p)
-	p.park(c.parkReason)
+	p.park("wait", c.name)
 }
 
 // WaitTimeout parks the current proc until woken or until d elapses. It
@@ -34,7 +43,7 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 	c.waiters = append(c.waiters, p)
 	p.waitCond, p.timedOut = c, false
 	tm := c.s.AfterFuncArg(d, condTimeout, p)
-	p.park(c.parkReason)
+	p.park("wait", c.name)
 	p.waitCond = nil
 	if p.timedOut {
 		return false

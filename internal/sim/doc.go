@@ -19,7 +19,9 @@
 //  1. Managed procs must block only through sim primitives. Blocking on a
 //     native channel or mutex from inside a managed proc would stall the
 //     scheduler (it waits for the running proc to park).
-//  2. Inline timer callbacks registered with AfterFunc run on the
-//     scheduler loop and must not block; they exist so that high-rate
-//     events (per-packet deliveries) do not pay a goroutine spawn each.
+//  2. Inline timer callbacks registered with AfterFunc, and tasks made
+//     with NewTask, run on the scheduler loop and must not block; they
+//     exist so that high-rate events (per-packet deliveries, a NIC
+//     engine draining its receive queue) do not pay a goroutine spawn
+//     or handoff each.
 package sim

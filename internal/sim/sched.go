@@ -49,6 +49,11 @@ type Scheduler struct {
 	recentLen   int
 	seed        int64
 
+	// idle holds the workers of procs whose function has returned, for Go
+	// to reuse. runWhile releases them when it returns, so a simulation
+	// that is over leaves no goroutine behind for them.
+	idle []*worker
+
 	// procs lists this scheduler's unfinished procs for deadlock
 	// reporting (each carries a parked flag, so parking itself touches no
 	// shared table). It is per-scheduler (not package-global) so that
@@ -96,22 +101,76 @@ func (s *Scheduler) GoDaemon(name string, fn func()) *Proc {
 }
 
 func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
+	var w *worker
+	if n := len(s.idle); n > 0 {
+		w = s.idle[n-1]
+		s.idle[n-1] = nil
+		s.idle = s.idle[:n-1]
+	} else {
+		w = &worker{resume: make(chan struct{})}
+		go w.loop()
+	}
 	s.nextProcID++
 	p := &Proc{
 		s:      s,
 		id:     s.nextProcID,
 		name:   name,
 		daemon: daemon,
-		resume: make(chan struct{}),
+		resume: w.resume,
 		slot:   len(s.procs),
 	}
+	w.p, w.fn = p, fn
 	s.procs = append(s.procs, p)
 	if !daemon {
 		s.live++
 	}
 	s.pushRunq(p)
-	go p.main(fn)
 	return p
+}
+
+// releaseIdle lets the goroutines of the idle workers exit.
+func (s *Scheduler) releaseIdle() {
+	for i, w := range s.idle {
+		close(w.resume)
+		s.idle[i] = nil
+	}
+	s.idle = s.idle[:0]
+}
+
+// Task is a run-to-completion activity: a named function the scheduler
+// loop calls inline when the task's run-queue entry is dispatched. It
+// takes the run-queue slot a proc parked on a Cond would take when
+// signalled, without the goroutine handoff — the model of a device that
+// is a self-driven state machine (a NIC engine), not a thread.
+//
+// The function runs with no current proc, so it must not block: Sleep,
+// Yield, Cond.Wait and a blocking Chan operation panic inside it, as
+// they do in an AfterFunc callback. It may do everything else —
+// signal, spawn, arm timers, send frames, wake tasks (itself included,
+// which is a no-op) — and must loop over its own input until it is
+// empty, because a Wake that arrives while it runs is dropped.
+type Task struct {
+	entry  Proc // the run-queue entry; it never parks and has no worker
+	fn     func()
+	queued bool // on the run queue or running
+}
+
+// NewTask creates a task. It does not run until Wake is called.
+func (s *Scheduler) NewTask(name string, fn func()) *Task {
+	t := &Task{fn: fn}
+	t.entry = Proc{s: s, name: name, task: t}
+	return t
+}
+
+// Wake queues the task behind the procs that are already runnable —
+// where Cond.Signal queues a waiter. It is a no-op while the task is
+// queued or running, as Signal is when nobody waits.
+func (t *Task) Wake() {
+	if t.queued {
+		return
+	}
+	t.queued = true
+	t.entry.s.pushRunq(&t.entry)
 }
 
 // Run executes managed procs until no proc is runnable and no timer is
@@ -193,6 +252,7 @@ func (s *Scheduler) LiveBlocked() int {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 func (s *Scheduler) runWhile(cond func() bool) {
+	defer s.releaseIdle()
 	s.stopped = false
 	for !s.stopped {
 		if s.runqLen() == 0 {
@@ -268,13 +328,19 @@ func (s *Scheduler) popRunq() *Proc {
 // indicates two procs readying each other in a cycle.
 const sameInstantLimit = 2_000_000
 
-// dispatch resumes p and blocks until it parks or exits.
+// dispatch resumes p and blocks until it parks or exits; a task's entry
+// runs to completion on the loop itself.
 func (s *Scheduler) dispatch(p *Proc) {
-	s.cur = p
 	DebugDispatches.Add(1)
 	if DebugTrace.Load() {
 		DebugLastProc.Store(p.name)
 	}
+	if t := p.task; t != nil {
+		t.fn()
+		t.queued = false
+		return
+	}
+	s.cur = p
 	p.resume <- struct{}{}
 	<-s.yielded
 	s.cur = nil
@@ -423,7 +489,7 @@ func (s *Scheduler) blockedReport() string {
 	var names []string
 	for _, p := range s.procs {
 		if p.parked && !p.daemon && !wakeable[p] {
-			names = append(names, fmt.Sprintf("%s (blocked at: %s)", p.name, p.blockedOn))
+			names = append(names, fmt.Sprintf("%s (blocked at: %s)", p.name, p.blockedAt()))
 		}
 	}
 	sort.Strings(names)

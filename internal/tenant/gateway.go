@@ -110,7 +110,7 @@ type Gateway struct {
 	// refillAt is the pump iteration's refill instant (see refill).
 	refillAt time.Duration
 
-	mSubmitted, mProbes, mStalls *metrics.Counter
+	mSubmitted, mProbes, mStalls metrics.Counter
 }
 
 // NewGateway creates a gateway descriptor; Run starts it in a process.
@@ -156,11 +156,10 @@ func (g *Gateway) Run(p *task.Process, d *core.Daemon) {
 		panic(err)
 	}
 	g.mr = mr
-	reg := d.Host().Metrics
-	l := metrics.Labels{"gw": g.Name}
-	g.mSubmitted = reg.Counter("tenant", "gw_ops_submitted", l)
-	g.mProbes = reg.Counter("tenant", "gw_probes_submitted", l)
-	g.mStalls = reg.Counter("tenant", "gw_credit_stalls", l)
+	b := d.Host().Metrics.Block("tenant", metrics.L("gw", g.Name), 3)
+	g.mSubmitted = b.Counter("gw_ops_submitted")
+	g.mProbes = b.Counter("gw_probes_submitted")
+	g.mStalls = b.Counter("gw_credit_stalls")
 
 	g.ep = d.Host().Hub.Endpoint("tenant-gw:" + g.Name)
 	g.attach(d)

@@ -70,16 +70,20 @@ type Service struct {
 	mr    *core.MR
 	lanes []*core.QP
 	txSeq []uint64 // per-lane response sequence
+	// sge is the serve loop's post scratch: the library copies the list.
+	// An attach handler runs in its own proc and may wait at the freeze
+	// gate with a list of its own, so it does not use this one.
+	sge [1]rnic.SGE
 
 	sessions map[uint32]*svcSession
 	nextSess uint32
 	capSess  int
 
 	reg              *metrics.Registry
-	mOpened, mClosed *metrics.Counter
-	mAcked           *metrics.Counter
-	mCross, mUnknown *metrics.Counter
-	mBounds          *metrics.Counter
+	mOpened, mClosed metrics.Counter
+	mAcked           metrics.Counter
+	mCross, mUnknown metrics.Counter
+	mBounds          metrics.Counter
 }
 
 // NewService creates a service descriptor; Run starts it inside a
@@ -143,24 +147,23 @@ func (s *Service) Run(p *task.Process, d *core.Daemon) {
 
 func (s *Service) initMetrics(d *core.Daemon) {
 	s.reg = d.Host().Metrics
-	l := metrics.Labels{"svc": s.Name}
-	s.mOpened = s.reg.Counter("tenant", "sessions_opened", l)
-	s.mClosed = s.reg.Counter("tenant", "sessions_closed", l)
-	s.mAcked = s.reg.Counter("tenant", "ops_acked", l)
-	s.mCross = s.reg.Counter("tenant", "rejects_cross_tenant", l)
-	s.mUnknown = s.reg.Counter("tenant", "rejects_unknown_session", l)
-	s.mBounds = s.reg.Counter("tenant", "rejects_bounds", l)
+	b := s.reg.Block("tenant", metrics.L("svc", s.Name), 6)
+	s.mOpened = b.Counter("sessions_opened")
+	s.mClosed = b.Counter("sessions_closed")
+	s.mAcked = b.Counter("ops_acked")
+	s.mCross = b.Counter("rejects_cross_tenant")
+	s.mUnknown = b.Counter("rejects_unknown_session")
+	s.mBounds = b.Counter("rejects_bounds")
 }
 
 // perTenant returns the per-session acked/cross-tenant counters when
-// PerTenantMetrics is on; nil handles otherwise.
-func (s *Service) perTenant(sess uint32) (acked, cross *metrics.Counter) {
+// PerTenantMetrics is on; zero handles, which discard, otherwise.
+func (s *Service) perTenant(sess uint32) (acked, cross metrics.Counter) {
 	if !s.Opts.PerTenantMetrics {
-		return nil, nil
+		return
 	}
-	l := metrics.Labels{"svc": s.Name, "sess": fmt.Sprintf("s%04d", sess)}
-	return s.reg.Counter("tenant", "ops_acked", l),
-		s.reg.Counter("tenant", "rejects_cross_tenant", l)
+	b := s.reg.Block("tenant", metrics.L("svc", s.Name, "sess", fmt.Sprintf("s%04d", sess)), 2)
+	return b.Counter("ops_acked"), b.Counter("rejects_cross_tenant")
 }
 
 // WaitReady blocks until the control endpoint accepts calls.
@@ -308,9 +311,8 @@ func (s *Service) consume(e rnic.CQE) {
 	status := s.admit(h)
 	s.respond(lane, h, status)
 	// Repost the consumed receive.
-	wr := rnic.RecvWR{WRID: e.WRID, SGEs: []rnic.SGE{{
-		Addr: addr, Len: uint32(s.Opts.MsgSize), LKey: s.mr.LKey(),
-	}}}
+	s.sge[0] = rnic.SGE{Addr: addr, Len: uint32(s.Opts.MsgSize), LKey: s.mr.LKey()}
+	wr := rnic.RecvWR{WRID: e.WRID, SGEs: s.sge[:]}
 	if err := s.lanes[lane].PostRecv(wr); err != nil {
 		s.Stats.errf("repost recv: %v", err)
 	}
@@ -332,9 +334,7 @@ func (s *Service) admit(h header) byte {
 	if h.Token != t.token {
 		s.Stats.CrossTenant++
 		s.mCross.Inc()
-		if mCross != nil {
-			mCross.Inc()
-		}
+		mCross.Inc()
 		return StatusCrossTenant
 	}
 	if int(h.Off)+8 > sliceSize {
@@ -351,9 +351,7 @@ func (s *Service) admit(h header) byte {
 	t.acked++
 	s.Stats.Acked++
 	s.mAcked.Inc()
-	if mAcked != nil {
-		mAcked.Inc()
-	}
+	mAcked.Inc()
 	return StatusOK
 }
 
@@ -368,10 +366,8 @@ func (s *Service) respond(lane int, req header, status byte) {
 		s.Stats.errf("write response header: %v", err)
 		return
 	}
-	wr := rnic.SendWR{
-		WRID: s.txSeq[lane], Opcode: rnic.OpSend, Signaled: true,
-		SGEs: []rnic.SGE{{Addr: addr, Len: headerSize, LKey: s.mr.LKey()}},
-	}
+	s.sge[0] = rnic.SGE{Addr: addr, Len: headerSize, LKey: s.mr.LKey()}
+	wr := rnic.SendWR{WRID: s.txSeq[lane], Opcode: rnic.OpSend, Signaled: true, SGEs: s.sge[:]}
 	if err := s.lanes[lane].PostSend(wr); err != nil {
 		s.Stats.errf("post response: %v", err)
 		return

@@ -151,7 +151,7 @@ type Sample struct {
 // counter file) rather than reaching into device internals.
 type Sampler struct {
 	sched    *sim.Scheduler
-	counter  *metrics.Counter
+	counter  metrics.Counter
 	interval time.Duration
 
 	samples []Sample
@@ -166,12 +166,12 @@ func NewSampler(dev *rnic.Device, interval time.Duration, rx bool) *Sampler {
 	if rx {
 		name = "rx_bytes"
 	}
-	c := dev.Metrics().Counter("rnic", name, metrics.Labels{"node": dev.Node()})
+	c := dev.Metrics().Counter("rnic", name, metrics.L("node", dev.Node()))
 	return NewCounterSampler(dev.Scheduler(), c, interval)
 }
 
 // NewCounterSampler samples an arbitrary registry byte counter.
-func NewCounterSampler(sched *sim.Scheduler, c *metrics.Counter, interval time.Duration) *Sampler {
+func NewCounterSampler(sched *sim.Scheduler, c metrics.Counter, interval time.Duration) *Sampler {
 	return &Sampler{sched: sched, counter: c, interval: interval}
 }
 
