@@ -1,298 +1,198 @@
 // Command migrchaos runs deterministic fault-injection sweeps over live
 // migrations and reports invariant violations. Every run is fully
-// determined by (seed, schedule); a failing seed replays exactly:
+// determined by (seed, scenario); a failing seed replays exactly:
 //
-//	migrchaos                          # default sweep: all schedules, 32 seeds
-//	migrchaos -seeds 1000              # long sweep
-//	migrchaos -schedule loss-burst -seed 17 -v   # replay one run
-//	migrchaos -concurrent              # sweep three overlapping migrations
-//	migrchaos -concurrent -cap 1       # same jobs, serialized admission
-//	migrchaos -abort-at all            # fail-and-recover: abort at every phase
-//	migrchaos -abort-at finalize -seed 3 -v      # replay one abort run
-//	migrchaos -cutover plug            # plug-forward tier: server migrations, plug schedules
-//	migrchaos -cutover plug -abort-at all        # plug-forward fail-and-recover sweep
-//	migrchaos -transfer pipelined      # page-channel tier: pipelined-transfer schedules
-//	migrchaos -transfer pipelined -abort-at all  # mid-chunk abort sweep
-//	migrchaos -transfer pipelined -abort-at final#2 -seed 3 -v   # replay one mid-chunk abort
-//	migrchaos -drain                   # drain tier: rack evacuation over the two-tier topology
-//	migrchaos -drain -schedule drain-uplink-partition -seed 5 -v # replay one drain run
+//	migrchaos                                  # the whole catalogue, 32 seeds
+//	migrchaos -list                            # scenarios, their faults and checkers
+//	migrchaos -scenario 'plug/*' -seeds 1000   # one tier, long sweep
+//	migrchaos -scenario 'abort/*,plug-abort/*,pipelined-abort/*'   # every fail-and-recover tier
+//	migrchaos -scenario single/loss-burst -seed 17 -v              # replay one run
+//	migrchaos -scenario 'concurrent/*' -cap 1  # same jobs, serialized admission
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
+	"path"
 	"strings"
+	"sync/atomic"
 
 	"migrrdma/internal/chaos"
-	"migrrdma/internal/runc"
 	"migrrdma/internal/sim"
 )
 
-// sweepResult is one chaos run's outcome, collected so parallel sweeps
-// print in deterministic job order regardless of completion order.
-type sweepResult struct {
-	ok         bool
-	line       string
-	violations []string
-	replay     string
-}
-
-// runSweep executes the jobs on a worker pool (sequential when
-// parallel<=1 or under -race) and prints results in job order. It
-// returns (runs, failures).
-func runSweep(jobs []func() sweepResult, parallel int, verbose bool) (int, int) {
-	results := make([]sweepResult, len(jobs))
-	sim.RunIndexed(len(jobs), parallel, func(i int) { results[i] = jobs[i]() })
-	failures := 0
-	for _, r := range results {
-		if !r.ok {
-			failures++
-			fmt.Println(r.line)
-			for _, v := range r.violations {
-				fmt.Printf("    violation: %s\n", v)
-			}
-			fmt.Printf("    replay: %s\n", r.replay)
-		} else if verbose {
-			fmt.Println(r.line)
-		}
-	}
-	return len(results), failures
-}
-
 func main() {
-	scheduleName := flag.String("schedule", "", "run only the named schedule (default: all)")
-	seed := flag.Int64("seed", 0, "run only this seed (default: sweep 1..seeds)")
-	seeds := flag.Int64("seeds", 32, "number of seeds to sweep")
-	verbose := flag.Bool("v", false, "print every run, not just failures")
-	list := flag.Bool("list", false, "list the available schedules and exit")
-	concurrent := flag.Bool("concurrent", false, "run the concurrent-migration schedules (three overlapping migrations)")
-	cap := flag.Int("cap", 3, "admission cap for -concurrent runs")
-	abortAt := flag.String("abort-at", "", "fail-and-recover sweep: inject a hard fault at the named workflow phase (or \"all\")")
-	cutover := flag.String("cutover", "", "cutover mode: go-back-n (default tier) or plug-forward (server-migration plug tier)")
-	transfer := flag.String("transfer", "", "transfer mode: monolithic (default tier) or pipelined (page-channel tier)")
-	drain := flag.Bool("drain", false, "run the drain-orchestrator schedules (rack evacuation over the two-tier topology)")
-	parallel := flag.Int("parallel", 1, "worker pool size; every (schedule, seed) run is an independent simulation, output order is unchanged")
-	flag.Parse()
+	os.Exit(run(chaos.Scenarios(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	mode, err := runc.ParseCutoverMode(*cutover)
+// run is main over an explicit catalogue and explicit streams, so the
+// smoke test can drive it. It returns the exit code: 0 all runs passed,
+// 1 some run violated an invariant, 2 the command line was wrong.
+func run(catalogue []chaos.Scenario, args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("migrchaos", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	pattern := fs.String("scenario", "*/*", "comma-separated scenario names or globs (tier/*, */clean*); see -list")
+	seed := fs.Int64("seed", 0, "run only this seed (default: sweep 1..seeds)")
+	seeds := fs.Int64("seeds", 32, "number of seeds to sweep")
+	verbose := fs.Bool("v", false, "print every run, not just failures, and a failing run's stage/fault/plug/chunk timeline")
+	list := fs.Bool("list", false, "list the selected scenarios with their faults and checkers, and exit")
+	capFlag := fs.Int("cap", 0, "override the admission cap of scenarios run through the migration manager (0: as declared)")
+	parallel := fs.Int("parallel", 1, "worker pool size; every (scenario, seed) run is an independent simulation, output order is unchanged")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	selected, err := selectScenarios(catalogue, *pattern)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(errOut, err)
+		return 2
 	}
-	tmode, err := runc.ParseTransferMode(*transfer)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	plugTier := mode == runc.CutoverPlugForward
-	pipeTier := tmode == runc.TransferPipelined
-	if plugTier && *concurrent {
-		fmt.Fprintln(os.Stderr, "-cutover plug-forward and -concurrent are separate tiers; pick one")
-		os.Exit(2)
-	}
-	if pipeTier && (plugTier || *concurrent) {
-		fmt.Fprintln(os.Stderr, "-transfer pipelined is its own tier; drop -cutover/-concurrent")
-		os.Exit(2)
-	}
-	if *drain && (plugTier || pipeTier || *concurrent) {
-		fmt.Fprintln(os.Stderr, "-drain is its own tier; drop -cutover/-transfer/-concurrent")
-		os.Exit(2)
-	}
-	if *drain && *abortAt != "" {
-		fmt.Fprintln(os.Stderr, "-drain has no -abort-at sweep; the drain-abort-retry schedule covers aborts")
-		os.Exit(2)
-	}
-
 	if *list {
-		all := chaos.Schedules()
-		if *concurrent {
-			all = chaos.ConcurrentSchedules()
+		for _, sc := range selected {
+			describe(out, sc)
 		}
-		if plugTier {
-			all = chaos.PlugSchedules()
-		}
-		if pipeTier {
-			all = chaos.PipelinedSchedules()
-		}
-		if *drain {
-			all = chaos.DrainSchedules()
-		}
-		for _, s := range all {
-			fmt.Printf("%-22s %d faults\n", s.Name, len(s.Faults))
-			for _, f := range s.Faults {
-				when := fmt.Sprintf("at %v", f.At)
-				if f.Phase != "" {
-					when = "on stage " + f.Phase
-				}
-				fmt.Printf("    %-10s node=%-8s %s for %v\n", f.Kind, f.Node, when, f.Duration)
-			}
-		}
-		return
-	}
-
-	if *abortAt != "" && pipeTier {
-		// Pipelined aborts are mid-chunk points, "round#chunk", not
-		// workflow phases.
-		points := chaos.PipelinedAbortPoints()
-		if *abortAt != "all" {
-			parts := strings.SplitN(*abortAt, "#", 2)
-			found := false
-			if len(parts) == 2 {
-				if n, perr := strconv.Atoi(parts[1]); perr == nil {
-					for _, pt := range points {
-						if pt.Round == parts[0] && pt.Chunk == n {
-							points = points[:0]
-							points = append(points, pt)
-							found = true
-							break
-						}
-					}
-				}
-			}
-			if !found {
-				var have []string
-				for _, pt := range chaos.PipelinedAbortPoints() {
-					have = append(have, fmt.Sprintf("%s#%d", pt.Round, pt.Chunk))
-				}
-				fmt.Fprintf(os.Stderr, "unknown abort point %q (have %v, or \"all\")\n", *abortAt, have)
-				os.Exit(2)
-			}
-		}
-		lo, hi := int64(1), *seeds
-		if *seed != 0 {
-			lo, hi = *seed, *seed
-		}
-		var jobs []func() sweepResult
-		for _, pt := range points {
-			for s := lo; s <= hi; s++ {
-				pt, s := pt, s
-				jobs = append(jobs, func() sweepResult {
-					rep := chaos.RunPipelinedAbort(s, pt.Round, pt.Chunk)
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos -transfer pipelined -abort-at %s#%d -seed %d -v", pt.Round, pt.Chunk, s)}
-				})
-			}
-		}
-		runs, failures := runSweep(jobs, *parallel, *verbose)
-		fmt.Printf("%d runs, %d failures\n", runs, failures)
-		if failures > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *abortAt != "" {
-		phases := chaos.AbortPhases()
-		if plugTier {
-			phases = chaos.PlugAbortPhases()
-		}
-		if *abortAt != "all" {
-			found := false
-			for _, ph := range phases {
-				if ph == *abortAt {
-					found = true
-				}
-			}
-			if !found {
-				fmt.Fprintf(os.Stderr, "unknown abort phase %q (have %v, or \"all\")\n", *abortAt, phases)
-				os.Exit(2)
-			}
-			phases = []string{*abortAt}
-		}
-		lo, hi := int64(1), *seeds
-		if *seed != 0 {
-			lo, hi = *seed, *seed
-		}
-		var jobs []func() sweepResult
-		for _, ph := range phases {
-			for s := lo; s <= hi; s++ {
-				ph, s := ph, s
-				jobs = append(jobs, func() sweepResult {
-					rep := chaos.RunAbort(s, ph)
-					replayFlags := ""
-					if plugTier {
-						rep = chaos.RunPlugAbort(s, ph)
-						replayFlags = "-cutover plug "
-					}
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos %s-abort-at %s -seed %d -v", replayFlags, ph, s)}
-				})
-			}
-		}
-		runs, failures := runSweep(jobs, *parallel, *verbose)
-		fmt.Printf("%d runs, %d failures\n", runs, failures)
-		if failures > 0 {
-			os.Exit(1)
-		}
-		return
-	}
-
-	schedules := chaos.Schedules()
-	byName := chaos.ScheduleByName
-	if *concurrent {
-		schedules = chaos.ConcurrentSchedules()
-		byName = chaos.ConcurrentScheduleByName
-	}
-	if plugTier {
-		schedules = chaos.PlugSchedules()
-		byName = chaos.PlugScheduleByName
-	}
-	if pipeTier {
-		schedules = chaos.PipelinedSchedules()
-		byName = chaos.PipelinedScheduleByName
-	}
-	if *drain {
-		schedules = chaos.DrainSchedules()
-		byName = chaos.DrainScheduleByName
-	}
-	if *scheduleName != "" {
-		s, ok := byName(*scheduleName)
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown schedule %q (try -list)\n", *scheduleName)
-			os.Exit(2)
-		}
-		schedules = []chaos.Schedule{s}
+		return 0
 	}
 	lo, hi := int64(1), *seeds
 	if *seed != 0 {
 		lo, hi = *seed, *seed
 	}
+	replayFlags := ""
+	if *capFlag > 0 {
+		replayFlags = fmt.Sprintf(" -cap %d", *capFlag)
+	}
 
-	var jobs []func() sweepResult
-	for _, sched := range schedules {
-		for s := lo; s <= hi; s++ {
-			sched, s := sched, s
-			jobs = append(jobs, func() sweepResult {
-				switch {
-				case *concurrent:
-					rep := chaos.RunConcurrent(s, sched, *cap)
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos -concurrent -cap %d -schedule %s -seed %d -v", *cap, sched.Name, s)}
-				case plugTier:
-					rep := chaos.RunPlug(s, sched)
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos -cutover plug -schedule %s -seed %d -v", sched.Name, s)}
-				case pipeTier:
-					rep := chaos.RunPipelined(s, sched)
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos -transfer pipelined -schedule %s -seed %d -v", sched.Name, s)}
-				case *drain:
-					rep := chaos.RunDrain(s, sched)
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos -drain -schedule %s -seed %d -v", sched.Name, s)}
-				default:
-					rep := chaos.Run(s, sched)
-					return sweepResult{ok: rep.OK(), line: rep.String(), violations: rep.Violations,
-						replay: fmt.Sprintf("migrchaos -schedule %s -seed %d -v", sched.Name, s)}
-				}
-			})
+	// Every (scenario, seed) is one job; the pool runs them in any order
+	// and the results print in job order. Each worker renders its report
+	// and drops it: a report pins its whole rig, and a long sweep would
+	// otherwise hold thousands.
+	var seedList []int64
+	for s := lo; s <= hi; s++ {
+		seedList = append(seedList, s)
+	}
+	texts := make([]string, len(selected)*len(seedList))
+	var failures atomic.Int64
+	sim.RunIndexed(len(texts), *parallel, func(i int) {
+		sc := selected[i/len(seedList)]
+		if *capFlag > 0 && sc.Migrate.Via == chaos.Managed {
+			sc.Migrate.Cap = *capFlag
+		}
+		rep := chaos.Run(seedList[i%len(seedList)], sc)
+		texts[i] = render(rep, *verbose, replayFlags)
+		if !rep.OK() {
+			failures.Add(1)
+		}
+	})
+	for _, text := range texts {
+		fmt.Fprint(out, text)
+	}
+	fmt.Fprintf(out, "%d runs, %d failures\n", len(texts), failures.Load())
+	if failures.Load() > 0 {
+		return 1
+	}
+	return 0
+}
+
+// render is what the sweep prints for one run: nothing for a pass
+// unless verbose; for a failure the summary line, every violation, the
+// ledger timeline if verbose, and the command that replays it.
+func render(rep *chaos.Report, verbose bool, replayFlags string) string {
+	var b strings.Builder
+	if verbose || !rep.OK() {
+		fmt.Fprintln(&b, rep)
+	}
+	if rep.OK() {
+		return b.String()
+	}
+	for _, v := range rep.Violations {
+		fmt.Fprintf(&b, "    violation: %s\n", v)
+	}
+	if verbose {
+		for _, line := range rep.Timeline {
+			fmt.Fprintf(&b, "    %s\n", line)
 		}
 	}
-	runs, failures := runSweep(jobs, *parallel, *verbose)
-	fmt.Printf("%d runs, %d failures\n", runs, failures)
-	if failures > 0 {
-		os.Exit(1)
+	fmt.Fprintf(&b, "    replay: migrchaos -scenario %s -seed %d%s -v\n", rep.Scenario, rep.Seed, replayFlags)
+	return b.String()
+}
+
+// selectScenarios returns the catalogue entries matching any of the
+// comma-separated patterns, in catalogue order. A pattern that matches
+// nothing is an error naming the tiers closest to it.
+func selectScenarios(catalogue []chaos.Scenario, patterns string) ([]chaos.Scenario, error) {
+	picked := make([]bool, len(catalogue))
+	for _, pat := range strings.Split(patterns, ",") {
+		matched := false
+		for i, sc := range catalogue {
+			ok, err := path.Match(pat, sc.Name)
+			if err != nil {
+				return nil, fmt.Errorf("bad -scenario pattern %q: %v", pat, err)
+			}
+			if ok {
+				picked[i], matched = true, true
+			}
+		}
+		if !matched {
+			return nil, fmt.Errorf("unknown scenario %q; nearest tiers: %s (try -list)",
+				pat, strings.Join(nearestTiers(catalogue, pat), ", "))
+		}
+	}
+	var out []chaos.Scenario
+	for i, sc := range catalogue {
+		if picked[i] {
+			out = append(out, sc)
+		}
+	}
+	return out, nil
+}
+
+// nearestTiers lists the tiers sharing the longest prefix with the
+// pattern, or every tier when none shares any.
+func nearestTiers(catalogue []chaos.Scenario, pat string) []string {
+	var tiers, best []string
+	longest := 0
+	for _, sc := range catalogue {
+		tier, _, _ := strings.Cut(sc.Name, "/")
+		if len(tiers) > 0 && tiers[len(tiers)-1] == tier {
+			continue
+		}
+		tiers = append(tiers, tier)
+		n := 0
+		for n < len(tier) && n < len(pat) && tier[n] == pat[n] {
+			n++
+		}
+		if n > longest {
+			longest, best = n, nil
+		}
+		if n == longest && n > 0 {
+			best = append(best, tier+"/*")
+		}
+	}
+	if len(best) == 0 {
+		return tiers
+	}
+	return best
+}
+
+// describe prints one catalogue entry: what migrates, the faults and
+// the scenario-specific checkers.
+func describe(out io.Writer, sc chaos.Scenario) {
+	var checks []string
+	for _, c := range sc.Checkers {
+		checks = append(checks, c.Name)
+	}
+	abort := sc.Abort.Phase
+	if sc.Abort.Round != "" {
+		abort = fmt.Sprintf("%s#%d", sc.Abort.Round, sc.Abort.Chunk)
+	}
+	fmt.Fprintf(out, "%-40s hosts=%-2d faults=%d checkers=%s abort=%s\n",
+		sc.Name, len(sc.Rig.Hosts), len(sc.Faults), strings.Join(checks, ","), abort)
+	for _, f := range sc.Faults {
+		when := fmt.Sprintf("at %v", f.At)
+		if f.Phase != "" {
+			when = "on stage " + f.Phase
+		}
+		fmt.Fprintf(out, "    %-16s node=%-8s %s for %v\n", f.Kind, f.Node, when, f.Duration)
 	}
 }

@@ -1,22 +1,23 @@
 // Package chaos is a deterministic fault-injection and invariant-
 // checking harness for live migration (the §5.3 transparency claim).
 //
-// Each run builds a fresh three-host testbed (src, dst, partner),
-// drives endless order-checked SEND traffic from a client container on
-// src to a server on partner, live-migrates the client src → dst while
-// a fault schedule perturbs the fabric — loss bursts, duplicated and
-// reordered frames, link-rate drops, data-path blackholes timed to
-// land inside the checkpoint/restore window — and then validates
-// end-to-end invariants: completions are exactly-once and in order
-// across the migration boundary, PSN/ACK state stays monotone through
-// go-back-N recovery, rkey protection never admits a post-Dereg
-// access, every CQ poller drains, and traffic resumes on the
-// destination node.
+// One runner, Run, executes every entry of one catalogue, Scenarios. A
+// Scenario declares its rig, its workload, how the workload is migrated,
+// the faults that perturb the fabric — loss bursts, duplicated and
+// reordered frames, link-rate drops, data-path blackholes timed to land
+// inside the checkpoint/restore window — an optional injected abort
+// point, and the checkers that judge the run: completions exactly-once
+// and in order across the migration boundary, PSN/ACK state monotone
+// through go-back-N recovery, rkey protection never admitting a
+// post-Dereg access, every CQ poller drained, traffic resumed on the
+// right node, and no migration residue left on any host.
 //
 // Everything (fault draws, frame timing, migration interleaving) runs
 // on the seeded discrete-event scheduler, so a run is fully determined
-// by (seed, schedule): the Report's TraceHash is byte-identical across
-// re-runs and a failing seed replays exactly.
+// by (seed, scenario). The Report carries two hashes: Behaviour over
+// the event ledger (what happened, and when) and Telemetry over the
+// metrics snapshots (what was counted). DESIGN.md "Chaos harness" says
+// when each may be re-baselined.
 package chaos
 
 import (
@@ -26,14 +27,9 @@ import (
 	"strconv"
 	"time"
 
-	"migrrdma/internal/cluster"
-	"migrrdma/internal/core"
-	"migrrdma/internal/metrics"
-	"migrrdma/internal/perftest"
+	"migrrdma/internal/fabric"
 	"migrrdma/internal/rnic"
-	"migrrdma/internal/runc"
 	"migrrdma/internal/sim"
-	"migrrdma/internal/task"
 )
 
 // FaultKind selects a fabric-level fault.
@@ -78,7 +74,7 @@ type Fault struct {
 	Rack int
 
 	// Port selects the mux port the fault applies to; empty means the
-	// RDMA data port. Plug-forward schedules use it to perturb the
+	// RDMA data port. Plug-forward scenarios use it to perturb the
 	// migration tunnel (core.PortMigrFwd) without touching live traffic.
 	Port string
 
@@ -88,87 +84,19 @@ type Fault struct {
 	// Phase arms the fault when the migration workflow enters the named
 	// runc stage ("predump", "suspend-wbs", "transfer", "resume", ...).
 	Phase string
-	// Mig restricts a Phase fault to the named migration in concurrent
-	// runs ("m1", "m2", …); empty matches every migration. Ignored for
-	// absolute-time faults.
+	// Mig restricts a Phase fault to the named migration in runs with
+	// several ("m1", "m2", …); empty matches every migration. Ignored
+	// for absolute-time faults.
 	Mig string
 	// Duration disarms the fault this long after arming; zero keeps it
 	// armed until the driver's final cleanup.
 	Duration time.Duration
 }
 
-// Schedule is a named fault list applied to one run.
-type Schedule struct {
-	Name   string
-	Faults []Fault
-
-	// WBSTimeout overrides wait-before-stop's drain timeout on every
-	// daemon; zero keeps the default. Schedules that deliberately strand
-	// in-flight WRs use it to reach the §3.4 timeout path without
-	// stalling the run. Honoured by the plug-forward runs.
-	WBSTimeout time.Duration
-	// UnlimitedRetries lifts the transport retry bound so QPs survive a
-	// loss window longer than MaxRetries×RTO instead of erroring out
-	// (the rnr_retry=7 "retry forever" semantics). Honoured by the
-	// plug-forward runs.
-	UnlimitedRetries bool
-}
-
-// Run timing constants. Warmup is exported so schedules can place
-// absolute-time faults relative to the start of steady-state traffic.
-const (
-	Warmup  = 2 * time.Millisecond
-	settle  = 5 * time.Millisecond
-	horizon = 1 * time.Second
-)
-
-// Report summarises one chaos run.
-type Report struct {
-	Seed     int64
-	Schedule string
-	// TraceHash is a SHA-256 over the run's event ledger. Same (seed,
-	// schedule) ⇒ identical hash; it is the replay key for a failure.
-	TraceHash string
-	Events    int
-
-	Completed  int64 // client operations completed
-	ServerRecv int64 // server messages received
-	Dropped    int64 // frames dropped by injected faults and loss
-	Duplicated int64 // frames duplicated by injection
-	Reordered  int64 // frames delayed by reorder injection
-
-	FinalStage string
-	Migration  *runc.Report
-	// Metrics is the cluster-wide registry snapshot at the end of the
-	// run. Its hash is folded into TraceHash (via "metrics" ledger
-	// events), so any nondeterminism in a counter breaks replay equality.
-	Metrics *metrics.Snapshot
-	// FaultsArmed counts fault activations, so tests can reject a
-	// schedule that silently never fired.
-	FaultsArmed int
-
-	// Violations lists every invariant breach; empty means the run
-	// passed.
-	Violations []string
-}
-
-// OK reports whether every invariant held.
-func (r *Report) OK() bool { return len(r.Violations) == 0 }
-
-// String renders a one-line summary.
-func (r *Report) String() string {
-	verdict := "PASS"
-	if !r.OK() {
-		verdict = fmt.Sprintf("FAIL(%d)", len(r.Violations))
-	}
-	return fmt.Sprintf("seed=%-4d schedule=%-18s %s completed=%d dropped=%d dup=%d reord=%d hash=%s",
-		r.Seed, r.Schedule, verdict, r.Completed, r.Dropped, r.Duplicated, r.Reordered, r.TraceHash[:16])
-}
-
-// event is one ledger entry. All fields enter the trace hash.
+// event is one ledger entry. All fields enter the behaviour hash.
 type event struct {
 	t      time.Duration
-	kind   string // cqe, ack, exp, dereg, rkey, stage, fault
+	kind   string // cqe, ack, exp, dereg, rkey, stage, fault, plug, pchan, tenant-*
 	node   string
 	qpn    uint32
 	wrid   uint64
@@ -214,7 +142,7 @@ func (rc *recorder) tap() *rnic.Tap {
 	}
 }
 
-// hash folds the ledger into the deterministic trace hash.
+// hash folds the ledger into the deterministic behaviour hash.
 func (rc *recorder) hash() string {
 	h := sha256.New()
 	for _, e := range rc.events {
@@ -222,6 +150,26 @@ func (rc *recorder) hash() string {
 			e.t, e.kind, e.node, e.qpn, e.wrid, e.psn, e.opcode, e.status, e.rkey, e.ok, e.note)
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// timeline renders the migration-level events (everything but the
+// per-packet transport ledger) for a failing run's diagnostics.
+func (rc *recorder) timeline() []string {
+	var out []string
+	for _, e := range rc.events {
+		detail := e.note
+		switch e.kind {
+		case "stage":
+		case "fault":
+			detail = fmt.Sprintf("%s %s armed=%v", e.note, e.node, e.ok)
+		case "plug", "pchan":
+			detail = fmt.Sprintf("%s #%d", e.note, e.wrid)
+		default:
+			continue
+		}
+		out = append(out, fmt.Sprintf("%12v %-5s %s", e.t, e.kind, detail))
+	}
+	return out
 }
 
 // injector applies and clears faults on the fabric. Loss, duplication
@@ -232,21 +180,17 @@ func (rc *recorder) hash() string {
 // no retransmit to recover with). Rate drops affect the whole link.
 type injector struct {
 	sched *sim.Scheduler
-	net   interface {
-		SetPortLoss(name, port string, p float64)
-		SetPortDuplicate(name, port string, p float64)
-		SetPortReorder(name, port string, p float64, delay time.Duration)
-		SetRate(name string, bps int64)
-		SetUplinkLoss(rack int, port string, p float64)
-		SetUplinkBlackhole(rack int, port string, on bool)
-	}
+	net   *fabric.Network
 	rec   *recorder
 	armed []Fault
+	// activations counts arm calls over the whole run.
+	activations int
 }
 
 func (in *injector) arm(f Fault) {
 	in.apply(f, true)
 	in.armed = append(in.armed, f)
+	in.activations++
 	if f.Duration > 0 {
 		in.sched.AfterFunc(f.Duration, func() { in.apply(f, false) })
 	}
@@ -278,158 +222,27 @@ func (in *injector) apply(f Fault, on bool) {
 		note += "#rack" + strconv.Itoa(f.Rack)
 	}
 	in.rec.add(event{kind: "fault", node: f.Node, ok: on, note: note})
+	p, rate := f.Prob, f.Rate
+	if f.Kind == FaultBlackhole && p == 0 {
+		p = 1
+	}
+	if !on {
+		p, rate = 0, 0
+	}
 	switch f.Kind {
-	case FaultLoss:
-		p := f.Prob
-		if !on {
-			p = 0
-		}
+	case FaultLoss, FaultBlackhole:
 		in.net.SetPortLoss(f.Node, port, p)
 	case FaultDuplicate:
-		p := f.Prob
-		if !on {
-			p = 0
-		}
 		in.net.SetPortDuplicate(f.Node, port, p)
 	case FaultReorder:
-		p := f.Prob
-		if !on {
-			p = 0
-		}
 		in.net.SetPortReorder(f.Node, port, p, f.Delay)
 	case FaultRateDrop:
-		r := f.Rate
-		if !on {
-			r = 0
-		}
-		in.net.SetRate(f.Node, r)
-	case FaultBlackhole:
-		p := 1.0
-		if f.Prob > 0 {
-			p = f.Prob
-		}
-		if !on {
-			p = 0
-		}
-		in.net.SetPortLoss(f.Node, port, p)
+		in.net.SetRate(f.Node, rate)
 	case FaultUplinkLoss:
-		p := f.Prob
-		if !on {
-			p = 0
-		}
 		in.net.SetUplinkLoss(f.Rack, port, p)
 	case FaultUplinkPartition:
 		in.net.SetUplinkBlackhole(f.Rack, port, on)
 	default:
 		panic("chaos: unknown fault kind " + string(f.Kind))
 	}
-}
-
-// Run executes one chaos run and returns its report. It is
-// deterministic: the same (seed, schedule) always yields a
-// byte-identical TraceHash.
-func Run(seed int64, schedule Schedule) *Report {
-	cfg := cluster.FastCheckpointTestbed(seed)
-	cl := cluster.New(cfg, "src", "dst", "partner")
-	sched := cl.Sched
-	daemons := make(map[string]*core.Daemon)
-	for _, n := range cl.Names() {
-		daemons[n] = core.NewDaemon(cl.Host(n))
-	}
-	rec := &recorder{sched: sched}
-	for _, n := range cl.Names() {
-		cl.Host(n).Dev.SetTap(rec.tap())
-	}
-
-	// Endless order-checked SEND traffic, paced so a run stays light.
-	opts := perftest.Options{
-		Verb: rnic.OpSend, MsgSize: 2048, QueueDepth: 8, NumQPs: 2,
-		Messages: 0, CheckOrder: true, PostGap: 50 * time.Microsecond,
-	}
-	srv := perftest.NewServer(sched, "srv", opts)
-	cli := perftest.NewClient(sched, "cli", opts, perftest.Target{Node: "partner", Name: "srv"})
-	srvCont := runc.NewContainer(cl.Host("partner"), "server")
-	srvCont.Start(func(tp *task.Process) { srv.Run(tp, daemons["partner"]) })
-	cliCont := runc.NewContainer(cl.Host("src"), "client")
-	sched.Go("chaos-start-client", func() {
-		srv.WaitReady()
-		cliCont.Start(func(tp *task.Process) { cli.Run(tp, daemons["src"]) })
-	})
-
-	inj := &injector{sched: sched, net: cl.Net, rec: rec}
-	rep := &Report{Seed: seed, Schedule: schedule.Name}
-	var (
-		mrep   *runc.Report
-		migErr error
-		atMig  int64
-		done   bool
-	)
-	sched.Go("chaos-driver", func() {
-		cli.WaitReady()
-		sched.Sleep(Warmup)
-		for _, f := range schedule.Faults {
-			if f.Phase != "" {
-				continue
-			}
-			f := f
-			d := f.At - sched.Now()
-			if d < 0 {
-				d = 0
-			}
-			sched.AfterFunc(d, func() { inj.arm(f) })
-		}
-		m := &runc.Migrator{
-			C:    cliCont,
-			Dst:  cl.Host("dst"),
-			Plug: core.NewPlugin(daemons["src"], daemons["dst"]),
-			Opts: runc.DefaultMigrateOptions(),
-		}
-		m.OnStage = func(stage string) {
-			rec.add(event{kind: "stage", note: stage})
-			for _, f := range schedule.Faults {
-				if f.Phase == stage {
-					inj.arm(f)
-				}
-			}
-		}
-		mrep, migErr = m.Migrate()
-		rep.FinalStage = m.Stage
-		atMig = cli.Stats.Completed
-		// Mid-run metrics checkpoint: the registry state right after the
-		// migration enters the trace hash.
-		rec.add(event{kind: "metrics", note: cl.Metrics.Snapshot().Hash()})
-		sched.Sleep(settle)
-		inj.clearAll()
-		// Post-fault settle: retransmission timers recover anything the
-		// tail of a fault window clipped.
-		sched.Sleep(settle)
-		cli.Stop()
-		cli.Wait()
-		sched.Sleep(settle) // last deliveries reach the server
-		srv.Stop()
-		done = true
-	})
-	sched.RunFor(horizon)
-
-	rep.Migration = mrep
-	rep.Completed = cli.Stats.Completed
-	rep.ServerRecv = srv.Stats.Completed
-	// Fabric fault totals come from the metrics registry, not the
-	// network's internal counters; the final snapshot also closes the
-	// ledger so counter nondeterminism shows up as a TraceHash mismatch.
-	snap := cl.Metrics.Snapshot()
-	rep.Metrics = snap
-	rep.Dropped = snap.Sum("fabric", "dropped_frames")
-	rep.Duplicated = snap.Sum("fabric", "duplicated_frames")
-	rep.Reordered = snap.Sum("fabric", "reordered_frames")
-	rec.add(event{kind: "metrics", note: snap.Hash()})
-	for _, e := range rec.events {
-		if e.kind == "fault" && e.ok {
-			rep.FaultsArmed++
-		}
-	}
-	rep.Events = len(rec.events)
-	rep.TraceHash = rec.hash()
-	rep.Violations = check(rec, cli, srv, done, migErr, atMig)
-	return rep
 }

@@ -4,83 +4,202 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
+	"strings"
 	"testing"
-)
 
-// goldenEntry pins the trace hash and final metrics snapshot hash of
-// one (mode, schedule, seed) run. It is the on-disk shape of a
-// GoldenResult.
-type goldenEntry = GoldenResult
+	"migrrdma/internal/sim"
+)
 
 const goldenPath = "testdata/golden_hashes.json"
 
-// collectGoldens runs every golden scenario sequentially and returns
-// the resulting hash entries in the stable recording order. The
-// scenario list itself lives in GoldenJobs (parallel.go) so the
-// sequential gate and the workers-matrix equivalence test cover exactly
-// the same set.
-func collectGoldens() []goldenEntry {
-	return RunGoldenJobs(GoldenJobs(), 1)
+// goldenDrift says how a run departs from its golden entry, or "" when
+// it does not. The two failures mean different things and are fixed
+// differently (DESIGN.md "Chaos harness"), so they read differently.
+func goldenDrift(got, want GoldenResult) string {
+	switch {
+	case got.Behaviour != want.Behaviour:
+		return fmt.Sprintf("event order or timing changed: behaviour hash\n  want %s\n  got  %s\n"+
+			"  (a data-path or control-message change moved an event; re-baseline with\n"+
+			"  UPDATE_CHAOS_GOLDENS=behaviour only if every checker passes and CHANGES.md explains the diff)",
+			want.Behaviour, got.Behaviour)
+	case got.Telemetry != want.Telemetry:
+		return fmt.Sprintf("only counters moved; UPDATE_CHAOS_GOLDENS=telemetry: telemetry hash\n  want %s\n  got  %s\n"+
+			"  (the ledger is byte-identical; `go run ./cmd/migrctl stats` at parent and change shows which metric)",
+			want.Telemetry, got.Telemetry)
+	}
+	return ""
 }
 
-// TestGoldenHashes is the cross-seed determinism regression gate: the
-// trace hash and metrics snapshot hash of every chaos scenario at the
-// golden seeds must match the checked-in goldens byte for byte. Perf
-// work on the sim/fabric/rnic hot paths must not reorder events — a
-// mismatch here means the event engine changed observable behavior.
-//
-// Regenerate (only when an intentional semantic change is made, with
-// review of what moved) with:
-//
-//	UPDATE_CHAOS_GOLDENS=1 go test ./internal/chaos -run TestGoldenHashes
-func TestGoldenHashes(t *testing.T) {
-	got := collectGoldens()
-	if os.Getenv("UPDATE_CHAOS_GOLDENS") != "" {
-		buf, err := json.MarshalIndent(got, "", "  ")
-		if err != nil {
-			t.Fatal(err)
+// rebaseline applies the re-baseline protocol: mode "behaviour" accepts
+// the new results whole; mode "telemetry" accepts them only if every
+// behaviour hash — and the set of runs — is what the golden file already
+// holds, so a counter change can never smuggle a behaviour change in.
+func rebaseline(mode string, got, want []GoldenResult) ([]GoldenResult, error) {
+	switch mode {
+	case "behaviour":
+		return got, nil
+	case "telemetry":
+		wantBy := make(map[string]GoldenResult, len(want))
+		for _, w := range want {
+			wantBy[w.Key()] = w
 		}
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
-			t.Fatal(err)
+		if len(got) != len(want) {
+			return nil, fmt.Errorf("telemetry re-baseline refused: %d runs, golden file has %d (a new or removed scenario is a behaviour change)", len(got), len(want))
 		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
-			t.Fatal(err)
+		for _, g := range got {
+			w, ok := wantBy[g.Key()]
+			if !ok {
+				return nil, fmt.Errorf("telemetry re-baseline refused: %s has no golden (a new scenario is a behaviour change)", g.Key())
+			}
+			if g.Behaviour != w.Behaviour {
+				return nil, fmt.Errorf("telemetry re-baseline refused: %s: %s", g.Key(), goldenDrift(g, w))
+			}
 		}
-		t.Logf("wrote %d goldens to %s", len(got), goldenPath)
-		return
+		return got, nil
 	}
+	return nil, fmt.Errorf("UPDATE_CHAOS_GOLDENS=%q: want behaviour or telemetry", mode)
+}
+
+func readGoldens(t *testing.T) []GoldenResult {
+	t.Helper()
 	buf, err := os.ReadFile(goldenPath)
 	if err != nil {
-		t.Fatalf("missing goldens (run with UPDATE_CHAOS_GOLDENS=1 to capture): %v", err)
+		t.Fatalf("missing goldens (capture with UPDATE_CHAOS_GOLDENS=behaviour): %v", err)
 	}
-	var want []goldenEntry
+	var want []GoldenResult
 	if err := json.Unmarshal(buf, &want); err != nil {
 		t.Fatal(err)
 	}
-	wantBy := make(map[string]goldenEntry, len(want))
-	for _, e := range want {
-		wantBy[fmt.Sprintf("%s/%s/%d", e.Mode, e.Schedule, e.Seed)] = e
+	return want
+}
+
+// goldenGate runs the whole catalogue at the golden seeds on a pool of
+// the given size and requires every hash to match the checked-in file.
+func goldenGate(t *testing.T, workers int) {
+	got := Goldens(Scenarios(), workers)
+	want := readGoldens(t)
+	wantBy := make(map[string]GoldenResult, len(want))
+	for _, w := range want {
+		wantBy[w.Key()] = w
 	}
-	seen := make(map[string]bool, len(got))
 	for _, g := range got {
-		key := fmt.Sprintf("%s/%s/%d", g.Mode, g.Schedule, g.Seed)
-		seen[key] = true
-		w, ok := wantBy[key]
+		w, ok := wantBy[g.Key()]
 		if !ok {
-			t.Errorf("%s: no golden recorded (new scenario? regenerate goldens deliberately)", key)
+			t.Errorf("%s: no golden recorded (a new scenario: capture it with UPDATE_CHAOS_GOLDENS=behaviour)", g.Key())
 			continue
 		}
-		if g.Trace != w.Trace {
-			t.Errorf("%s: trace hash drifted\n  want %s\n  got  %s", key, w.Trace, g.Trace)
-		}
-		if g.Metrics != w.Metrics {
-			t.Errorf("%s: metrics snapshot hash drifted\n  want %s\n  got  %s", key, w.Metrics, g.Metrics)
+		delete(wantBy, g.Key())
+		if drift := goldenDrift(g, w); drift != "" {
+			t.Errorf("workers=%d %s: %s", workers, g.Key(), drift)
 		}
 	}
 	for key := range wantBy {
-		if !seen[key] {
-			t.Errorf("%s: golden exists but scenario no longer runs", key)
+		t.Errorf("%s: golden exists but the catalogue no longer has the scenario", key)
+	}
+}
+
+// TestGoldenHashes is the cross-seed determinism regression gate: the
+// behaviour and telemetry hashes of every catalogue entry at the golden
+// seeds must match the checked-in goldens byte for byte.
+//
+// Re-baseline (DESIGN.md "Chaos harness" says when each is allowed):
+//
+//	UPDATE_CHAOS_GOLDENS=telemetry go test ./internal/chaos -run TestGoldenHashes
+//	UPDATE_CHAOS_GOLDENS=behaviour go test ./internal/chaos -run TestGoldenHashes
+func TestGoldenHashes(t *testing.T) {
+	mode := os.Getenv("UPDATE_CHAOS_GOLDENS")
+	if mode == "" {
+		goldenGate(t, 1)
+		return
+	}
+	var want []GoldenResult
+	if mode == "telemetry" {
+		want = readGoldens(t)
+	}
+	next, err := rebaseline(mode, Goldens(Scenarios(), 1), want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := json.MarshalIndent(next, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d goldens to %s (%s)", len(next), goldenPath, mode)
+}
+
+// TestParallelGoldenEquivalence is the second golden pass, on a pool of
+// four workers: a divergence from the sequential pass means shared
+// mutable state leaked between simulations (a package-level variable, a
+// shared RNG, a shared registry). Under -race the pool degrades to one
+// worker (sim.RaceEnabled) and the pass still covers the full set.
+func TestParallelGoldenEquivalence(t *testing.T) {
+	if sim.RaceEnabled {
+		t.Log("race detector: workers=4 degrades to sequential")
+	}
+	goldenGate(t, 4)
+}
+
+// TestRunGoldenJobsOrderStable: results come back in input order no matter
+// the completion order of the pool.
+func TestRunGoldenJobsOrderStable(t *testing.T) {
+	scs := Scenarios()[:2]
+	seq, par := Goldens(scs, 1), Goldens(scs, 4)
+	for i := range seq {
+		if seq[i] != par[i] {
+			t.Fatalf("slot %d: sequential %+v != parallel %+v", i, seq[i], par[i])
 		}
+	}
+}
+
+// TestGoldenGateTellsBehaviourFromTelemetry drives the gate's two
+// failure messages and the telemetry re-baseline's refusal with a
+// one-event-perturbed ledger.
+func TestGoldenGateTellsBehaviourFromTelemetry(t *testing.T) {
+	ledger := &recorder{events: []event{
+		{t: 10, kind: "stage", note: "predump"},
+		{t: 20, kind: "cqe", node: "src", qpn: 7, wrid: 1},
+		{t: 30, kind: "stage", note: "done"},
+	}}
+	golden := GoldenResult{Scenario: "single/clean", Seed: 1, Behaviour: ledger.hash(), Telemetry: "t0"}
+
+	// Same ledger, different counters: a telemetry drift, re-baselined freely.
+	counted := golden
+	counted.Telemetry = "t1"
+	if msg := goldenDrift(counted, golden); !strings.Contains(msg, "only counters moved; UPDATE_CHAOS_GOLDENS=telemetry") {
+		t.Errorf("telemetry drift reads %q", msg)
+	}
+	next, err := rebaseline("telemetry", []GoldenResult{counted}, []GoldenResult{golden})
+	if err != nil || next[0].Telemetry != "t1" || next[0].Behaviour != golden.Behaviour {
+		t.Errorf("telemetry re-baseline of a pure counter change: %v, %+v", err, next)
+	}
+
+	// One event 1 ns later: a behaviour drift, whatever the counters say.
+	ledger.events[1].t++
+	moved := counted
+	moved.Behaviour = ledger.hash()
+	if msg := goldenDrift(moved, golden); !strings.Contains(msg, "event order or timing changed") {
+		t.Errorf("behaviour drift reads %q", msg)
+	}
+	if _, err := rebaseline("telemetry", []GoldenResult{moved}, []GoldenResult{golden}); err == nil ||
+		!strings.Contains(err.Error(), "refused") {
+		t.Errorf("telemetry re-baseline accepted a behaviour change: %v", err)
+	}
+	if next, err := rebaseline("behaviour", []GoldenResult{moved}, nil); err != nil || next[0] != moved {
+		t.Errorf("behaviour re-baseline: %v, %+v", err, next)
+	}
+
+	// A new scenario is a behaviour change too; any other mode is a typo.
+	added := GoldenResult{Scenario: "single/new", Seed: 1, Behaviour: "b", Telemetry: "t"}
+	if _, err := rebaseline("telemetry", []GoldenResult{golden, added}, []GoldenResult{golden}); err == nil {
+		t.Error("telemetry re-baseline accepted a new scenario")
+	}
+	if _, err := rebaseline("1", nil, nil); err == nil {
+		t.Error("unknown re-baseline mode accepted")
+	}
+	if goldenDrift(golden, golden) != "" {
+		t.Error("identical results reported as drift")
 	}
 }

@@ -1,0 +1,321 @@
+package chaos
+
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"errors"
+	"fmt"
+	"time"
+
+	"migrrdma/internal/cluster"
+	"migrrdma/internal/core"
+	"migrrdma/internal/experiments"
+	"migrrdma/internal/migmgr"
+	"migrrdma/internal/orchestrator"
+	"migrrdma/internal/runc"
+)
+
+// Run timing constants. Warmup is exported so scenarios can place
+// absolute-time faults relative to the start of steady-state traffic.
+const (
+	Warmup = 2 * time.Millisecond
+	settle = 5 * time.Millisecond
+	// horizon bounds a run that hangs; a healthy run stops itself as
+	// soon as the driver has everything the checkers read.
+	horizon = 1 * time.Second
+	// drainSLO is the drain scenarios' blackout SLO: generous against
+	// the fast-checkpoint calibration so only a genuine stall breaches it.
+	drainSLO = 200 * time.Millisecond
+)
+
+// errInjected is the fault an Abort plants inside the workflow.
+var errInjected = errors.New("chaos: injected fault")
+
+// run is the state of one execution, shared by the runner's stages and
+// the workload.
+type run struct {
+	sc  Scenario
+	rig *experiments.Rig
+	rec *recorder
+	inj *injector
+	w   workload
+	// setupErrs collects workload set-up and churn failures.
+	setupErrs []string
+}
+
+// Evidence is what a Checker may read: the scenario as declared, the
+// report so far (totals, outcomes, final metrics snapshot), the event
+// ledger, the workload's end state and the per-host residue census.
+// Checkers never reach into the live rig.
+type Evidence struct {
+	Scenario Scenario
+	Report   *Report
+
+	ledger []event
+	// movers[i] is the container Report.Migrations[i] moved.
+	movers []*mover
+	tenant *tenantWorkload
+	census []hostResidue
+	racks  map[string]int // host → rack
+}
+
+// Run executes one scenario at one seed and returns its report. It is
+// deterministic: the same (seed, scenario) always yields byte-identical
+// Behaviour and Telemetry hashes.
+func Run(seed int64, sc Scenario) *Report {
+	cfg := cluster.FastCheckpointTestbed(seed)
+	cfg.Fabric.Topology = sc.Rig.Topology
+	if sc.Rig.UnlimitedRetries {
+		cfg.NIC.MaxRetries = 1 << 30
+	}
+	rig := experiments.NewRigCfg(cfg, sc.Rig.Hosts...)
+	cl, sched := rig.CL, rig.CL.Sched
+	r := &run{sc: sc, rig: rig, rec: &recorder{sched: sched}}
+	r.inj = &injector{sched: sched, net: cl.Net, rec: r.rec}
+	tap := r.rec.tap()
+	// Plug events (buffer/flush/drop-overflow/discard + arrival seq)
+	// enter the ledger: flush order is part of the behaviour hash.
+	plugTap := func(ev string, seq uint64) {
+		r.rec.add(event{kind: "plug", note: ev, wrid: seq})
+	}
+	wbs := core.DefaultWBSConfig()
+	if sc.Rig.WBSTimeout > 0 {
+		wbs.Timeout = sc.Rig.WBSTimeout
+	}
+	for _, n := range cl.Names() {
+		cl.Host(n).Dev.SetTap(tap)
+		rig.Daemons[n].SetPlugTap(plugTap)
+		rig.Daemons[n].SetWBSConfig(wbs)
+	}
+	if sc.Workload.Tenant {
+		r.w = &tenantWorkload{r: r}
+	} else {
+		r.w = &pairWorkload{r: r}
+	}
+	movers := r.w.start()
+	migrate, fill := r.plan(movers)
+
+	var mid string
+	done := false
+	sched.Go("chaos-driver", func() {
+		r.w.ready()
+		if sc.Workload.PageHog {
+			if err := startPageHog(cl, movers[0].cont.Procs[0]); err != nil {
+				r.setupErrs = append(r.setupErrs, fmt.Sprintf("memhog setup failed: %v", err))
+			}
+		}
+		sched.Sleep(Warmup)
+		for _, f := range sc.Faults {
+			if f.Phase != "" {
+				continue
+			}
+			d := f.At - sched.Now()
+			if d < 0 {
+				d = 0
+			}
+			sched.AfterFunc(d, func() { r.inj.arm(f) })
+		}
+		migrate()
+		// Mid-run telemetry checkpoint: the registry right after the
+		// last migration finished.
+		mid = cl.Metrics.Snapshot().Hash()
+		sched.Sleep(settle)
+		r.inj.clearAll()
+		// Post-fault settle: retransmission timers recover anything the
+		// tail of a fault window clipped; a rolled-back service resumes
+		// traffic between the original endpoints.
+		sched.Sleep(settle)
+		r.w.quiesce()
+		done = true
+		// Everything the checkers read is now fixed; do not idle to the
+		// horizon.
+		sched.Stop()
+	})
+	sched.RunFor(horizon)
+
+	rep := &Report{Seed: seed, Scenario: sc.Name}
+	moved := fill(rep)
+	rep.Completed, rep.ServerRecv = r.w.totals()
+	// Fabric fault totals come from the metrics registry, not the
+	// network's internal counters.
+	snap := cl.Metrics.Snapshot()
+	rep.Metrics = snap
+	rep.Dropped = snap.Sum("fabric", "dropped_frames")
+	rep.Duplicated = snap.Sum("fabric", "duplicated_frames")
+	rep.Reordered = snap.Sum("fabric", "reordered_frames")
+	rep.FaultsArmed = r.inj.activations
+	rep.Events = len(r.rec.events)
+	rep.Behaviour = r.rec.hash()
+	tele := sha256.Sum256([]byte(mid + "\n" + snap.Hash()))
+	rep.Telemetry = hex.EncodeToString(tele[:])
+
+	if !done {
+		// Liveness: the driver (migrations + settle + quiesce) must finish
+		// inside the horizon. Nothing else means anything if it did not.
+		rep.Violations = []string{"run did not complete within the horizon"}
+		for _, o := range rep.Migrations {
+			rep.Violations = append(rep.Violations,
+				fmt.Sprintf("%s: last stage %q after %d attempts", o.ID, o.FinalStage, o.Attempts))
+		}
+	} else {
+		ev := &Evidence{Scenario: sc, Report: rep, ledger: r.rec.events, movers: moved,
+			census: takeCensus(rig), racks: make(map[string]int)}
+		ev.tenant, _ = r.w.(*tenantWorkload)
+		for _, n := range cl.Names() {
+			ev.racks[n] = cl.Host(n).Rack
+		}
+		rep.Violations = append(rep.Violations, r.setupErrs...)
+		for _, c := range append(commonCheckers, sc.Checkers...) {
+			rep.Violations = append(rep.Violations, c.Check(ev)...)
+		}
+	}
+	if !rep.OK() {
+		rep.Timeline = r.rec.timeline()
+	}
+	return rep
+}
+
+// onStage is the single stage observer of every migration in a run: it
+// records the stage, pins the mover's atSwitch, arms the phase-anchored faults and
+// lets the workload churn. It runs on the migration's driver proc.
+func (r *run) onStage(id string, mv *mover, stage string) {
+	note := stage
+	if r.sc.Migrate.Via != Direct {
+		note = id + ":" + stage
+	}
+	r.rec.add(event{kind: "stage", note: note})
+	if (stage == "done" || stage == "aborted") && mv.pair != nil {
+		mv.atSwitch = mv.pair.Client.Stats.Completed
+	}
+	for _, f := range r.sc.Faults {
+		if f.Phase == stage && (f.Mig == "" || f.Mig == id) {
+			r.inj.arm(f)
+		}
+	}
+	r.w.onStage(stage)
+}
+
+// options renders the scenario's migration options for mover i.
+func (r *run) options(i int) runc.MigrateOptions {
+	m, o := r.sc.Migrate, runc.DefaultMigrateOptions()
+	o.Cutover, o.Transfer, o.ChunkPages = m.Cutover, m.Transfer, m.ChunkPages
+	if i == 0 {
+		o.FailAtRound, o.FailAtChunk = r.sc.Abort.Round, r.sc.Abort.Chunk
+	}
+	return o
+}
+
+// inject returns mover i's per-phase fault hook, or nil. Only the first
+// mover aborts; with Retry, only on its first attempt ("predump" opens
+// every attempt).
+func (r *run) inject(i int) func(phase string) error {
+	a := r.sc.Abort
+	if a.Phase == "" || i != 0 {
+		return nil
+	}
+	attempt := 0
+	return func(phase string) error {
+		if phase == "predump" {
+			attempt++
+		}
+		if phase == a.Phase && (!a.Retry || attempt == 1) {
+			return errInjected
+		}
+		return nil
+	}
+}
+
+// plan builds the scenario's migration driver before the scheduler
+// runs. migrate blocks the driver proc until every migration finished
+// or failed; fill writes the outcomes into the report, returns the
+// mover behind each, and is valid at any time afterwards (a hung run
+// reports the stage each migration is stuck in).
+func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover) {
+	cl, daemons := r.rig.CL, r.rig.Daemons
+	retries := 0
+	if r.sc.Abort.Retry {
+		retries = 1
+	}
+	switch r.sc.Migrate.Via {
+	case Direct:
+		mv := movers[0]
+		src := mv.cont.Host.Name
+		m := &runc.Migrator{
+			C: mv.cont, Dst: cl.Host(mv.dst),
+			Plug: core.NewPlugin(daemons[src], daemons[mv.dst]),
+			Opts: r.options(0), Inject: r.inject(0),
+			OnStage: func(stage string) { r.onStage("m0", mv, stage) },
+			PageTap: func(ev string, seq uint64) {
+				r.rec.add(event{kind: "pchan", wrid: seq, note: ev})
+			},
+		}
+		o := Outcome{ID: "m0", Src: src, Dst: mv.dst}
+		migrate = func() {
+			o.Started = cl.Sched.Now()
+			o.Report, o.Err = m.Migrate()
+			o.Finished, o.Attempts = cl.Sched.Now(), 1
+		}
+		fill = func(rep *Report) []*mover {
+			o.Host, o.FinalStage = mv.cont.Host.Name, m.Stage
+			rep.Migrations = []Outcome{o}
+			return movers[:1]
+		}
+	case Managed:
+		mgr := migmgr.New(cl, daemons, r.sc.Migrate.Cap)
+		byJob := make(map[string]*mover)
+		mgr.OnStage = func(j *migmgr.Job, stage string) { r.onStage(j.ID, byJob[j.ID], stage) }
+		migrate = func() {
+			for i, mv := range movers {
+				j, err := mgr.Submit(migmgr.Spec{C: mv.cont, Dst: mv.dst, Opts: r.options(i),
+					Retries: retries, Inject: r.inject(i)})
+				if err != nil {
+					panic("chaos: submit " + mv.cont.Name + ": " + err.Error())
+				}
+				byJob[j.ID] = mv
+			}
+			mgr.WaitAll()
+		}
+		fill = func(rep *Report) (moved []*mover) {
+			for _, j := range mgr.Jobs() {
+				mv := byJob[j.ID]
+				moved = append(moved, mv)
+				rep.Migrations = append(rep.Migrations, Outcome{ID: j.ID, Src: j.Src, Dst: j.Spec.Dst,
+					Host: mv.cont.Host.Name, FinalStage: j.Stage, Attempts: j.Attempts,
+					Started: j.Started, Finished: j.Finished, Report: j.Report, Err: j.Err})
+			}
+			return moved
+		}
+	case Drain:
+		orch := orchestrator.New(orchestrator.Config{
+			CL: cl, Daemons: daemons, Opts: r.options(-1), BackoffBase: time.Millisecond,
+		})
+		byCont := make(map[*runc.Container]*mover)
+		for i, mv := range movers {
+			orch.Register(orchestrator.Workload{C: mv.cont, Inject: r.inject(i)})
+			byCont[mv.cont] = mv
+		}
+		orch.OnStage = func(m *orchestrator.Migration, stage string) { r.onStage(m.ID, byCont[m.C], stage) }
+		var d *orchestrator.Drain
+		migrate = func() {
+			d = orch.Submit(&orchestrator.Drain{
+				Selector:    func(h *cluster.Host) bool { return h.Rack == 0 },
+				BlackoutSLO: drainSLO, MaxParallel: r.sc.Migrate.Cap, Retries: retries,
+			})
+			d.Wait()
+		}
+		fill = func(rep *Report) (moved []*mover) {
+			if d == nil {
+				return nil
+			}
+			for _, m := range d.Migrations {
+				moved = append(moved, byCont[m.C])
+				rep.Migrations = append(rep.Migrations, Outcome{ID: m.ID, Src: m.Src, Dst: m.Dst,
+					Host: m.C.Host.Name, FinalStage: m.State().String(), Attempts: m.Attempts,
+					Started: m.Started, Finished: m.Finished, Report: m.Report, Err: m.Err,
+					Blackout: m.Blackout, SLOMet: m.SLOMet})
+			}
+			return moved
+		}
+	}
+	return migrate, fill
+}

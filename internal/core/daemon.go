@@ -49,19 +49,10 @@ type Daemon struct {
 	wbs        WBSConfig
 	helloCache map[string]bool
 
-	// partnerWBS records partner-side wait-before-stop results on this
-	// host keyed by migration ID, so overlapping migrations sharing this
-	// partner don't clobber each other's result.
-	partnerWBS map[string]WBSResult
-
 	// suspendedFor records, per migration ID, the QP sets this host
 	// suspended on that migration's behalf (hSuspendFor), so an abort can
 	// resume exactly those and a switch-over can drop the record.
 	suspendedFor map[string][]suspendedSet
-
-	// LastPartnerWBS records the most recent partner-side
-	// wait-before-stop result on this host (for the Fig. 4 harness).
-	LastPartnerWBS WBSResult
 
 	// plugFwd is the destination-side plug state of an in-progress
 	// plug-and-forward migration (one at a time per host); fwdMig names
@@ -98,7 +89,6 @@ func NewDaemon(h *cluster.Host) *Daemon {
 		movedVQPN:     make(map[uint32]string),
 		pendingNSent:  make(map[uint32]uint64),
 		wbs:           DefaultWBSConfig(),
-		partnerWBS:    make(map[string]WBSResult),
 		suspendedFor:  make(map[string][]suspendedSet),
 		pendingResume: make(map[string][]suspendedSet),
 	}
@@ -386,16 +376,7 @@ func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
 			worst = res
 		}
 	}
-	d.partnerWBS[req.MigID] = worst
-	d.LastPartnerWBS = worst
 	return codec.MustEncode(suspendForResp{ElapsedNS: int64(worst.Elapsed), TimedOut: worst.TimedOut})
-}
-
-// PartnerWBSResult reports the partner-side wait-before-stop result
-// this host recorded for the given migration ID.
-func (d *Daemon) PartnerWBSResult(migID string) (WBSResult, bool) {
-	r, ok := d.partnerWBS[migID]
-	return r, ok
 }
 
 // hNotify implements the partner pre-setup of §3.2: for each listed
@@ -584,8 +565,7 @@ func (d *Daemon) hResumePartners(_ string, body []byte) []byte {
 // hAbort rolls back this node's participation in a failed migration:
 // spare QPs pre-established for it are destroyed, QPs suspended on its
 // behalf resume (replaying intercepted work), and the per-migration
-// stashes — staged restore slot, partner-WBS result, pending-switch
-// markers — are cleared. Every step is keyed by the migration ID, so
+// stashes — staged restore slot, pending-switch markers — are cleared. Every step is keyed by the migration ID, so
 // other in-flight migrations sharing this node are untouched.
 func (d *Daemon) hAbort(_ string, body []byte) []byte {
 	var req abortReq
@@ -624,7 +604,6 @@ func (d *Daemon) hAbort(_ string, body []byte) []byte {
 		}
 	}
 	delete(d.suspendedFor, req.MigID)
-	delete(d.partnerWBS, req.MigID)
 	// A deferred switch-over that never reached resume-partners leaves
 	// its re-pointed-but-suspended sets stashed; the abort owns them now.
 	delete(d.pendingResume, req.MigID)
@@ -638,7 +617,8 @@ func (d *Daemon) hAbort(_ string, body []byte) []byte {
 }
 
 // StagedRestores reports how many restores are currently staged on this
-// host. The chaos harness asserts it returns to zero after an abort.
+// host. The chaos residue census asserts it is zero once any migration,
+// committed or aborted, is over.
 func (d *Daemon) StagedRestores() int { return len(d.staging) }
 
 // PendingSpares counts partner-side spare QPs stashed on this host for

@@ -50,11 +50,11 @@ type plugFwdState struct {
 }
 
 // PlugActive reports whether this daemon currently holds a destination
-// plug (chaos residue check: must be false after any abort).
+// plug (chaos residue census: must be false once a migration is over).
 func (d *Daemon) PlugActive() bool { return d.plugFwd != nil }
 
 // ForwardActive reports whether the source-side forwarding rule is
-// installed (chaos residue check: must be false after any abort).
+// installed (chaos residue census: must be false once a migration is over).
 func (d *Daemon) ForwardActive() bool { return d.fwdMig != "" }
 
 // SetPlugTap installs (or clears) the observer for plug-buffer events

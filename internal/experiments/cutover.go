@@ -67,9 +67,6 @@ func RunCutover(mode runc.CutoverMode, msgSize, qps, messages int) (CutoverRow, 
 // runs (CutoverComparisonCount, the -count benchmarks).
 func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed int64) (CutoverRow, error) {
 	cfg := cluster.FastCheckpointTestbed(seed)
-	// Split accounting keeps the retransmission column free of
-	// PSN-window duplicate rejects, so "retx=0" means what it says.
-	cfg.NIC.SplitRetxAccounting = true
 	// rnr_retry=7 semantics: retry through the blackout instead of
 	// erroring out — go-back-N's whole recovery story depends on it,
 	// and the retries are exactly the cost the comparison measures.
@@ -118,7 +115,7 @@ func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed in
 		P99:           pair.Client.Stats.LatPercentile(99),
 		Max:           pair.Client.Stats.LatPercentile(100),
 		Blackout:      rep.ServiceBlackout,
-		Retransmitted: snap.Sum("rnic", "retransmitted_packets"),
+		Retransmitted: snap.Sum("rnic", "retx_packets"),
 		Duplicated:    snap.Sum("rnic", "duplicated_packets"),
 		WireBytes:     snap.Sum("rnic", "tx_bytes"),
 		PlugFlushed:   int64(rep.PlugFlushed),

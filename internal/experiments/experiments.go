@@ -7,7 +7,7 @@
 //
 // Each experiment builds a fresh deterministic cluster, drives the
 // workload and migration, and returns typed rows that cmd/migrbench
-// renders and bench_test.go asserts on.
+// renders and the fixed benchmark (bench/) measures.
 package experiments
 
 import (

@@ -206,8 +206,8 @@ func PageChanComparison(sizes []int, qps, messages int) ([]PageChanRow, error) {
 
 // RunTenancyTransferSeeded is RunTenancySeeded with an explicit
 // transfer mode: the 2000-session consolidation point under the
-// pipelined channel is the PR's scale datapoint (BENCH_9). Unlike the
-// BENCH_8 run, the service carries the page-hog writer so session
+// pipelined channel is the scale datapoint (the fixed benchmark's
+// tenancy-2000 workload). Unlike RunTenancySeeded, the service carries the page-hog writer so session
 // state churns while the migration streams — the tenant bursts alone
 // leave the memory image static by the time pre-copy starts, which
 // would make the transfer mode unobservable.

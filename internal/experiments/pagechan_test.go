@@ -7,8 +7,8 @@ import (
 )
 
 // TestPageChanComparison runs the transfer-pipeline contrast at one
-// Fig. 4a point (the full size sweep lives in cmd/migrbench and
-// BENCH_9) and checks the shape the experiment exists to show: the
+// Fig. 4a point (the full size sweep lives in cmd/migrbench) and
+// checks the shape the experiment exists to show: the
 // pipelined channel ships the stop-and-copy round in a fraction of the
 // monolithic final image, elides pages the dirty-bit tracker
 // over-reports, and takes no more blackout for it.

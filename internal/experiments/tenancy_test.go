@@ -7,8 +7,8 @@ import (
 )
 
 // TestTenancyScaling runs the sweep at small session counts (the
-// thousand-session points live in cmd/migrbench and BENCH_8) and
-// checks the shape the experiment exists to show: every session's
+// thousand-session points live in cmd/migrbench and the fixed
+// benchmark's tenancy-2000) and checks the shape the experiment exists to show: every session's
 // burst survives the migration exactly-once in both cutover modes,
 // and the RDMA replay cost does not grow with the tenant count —
 // sessions are process state, not verbs resources.

@@ -43,15 +43,6 @@ type Config struct {
 	// ethtool-style telemetry the evaluation samples). A nil registry is
 	// replaced by a detached one so increments are always valid.
 	Metrics *metrics.Registry
-
-	// SplitRetxAccounting registers the device-level
-	// retransmitted_packets / duplicated_packets counters that separate
-	// genuine go-back-N retransmissions (TX side) from redundant inbound
-	// frames such as switch duplicates (RX side). Off by default because
-	// registering metrics changes snapshot hashes pinned by the chaos
-	// goldens; the plug-and-forward tier and the cutover experiment turn
-	// it on.
-	SplitRetxAccounting bool
 }
 
 // DefaultConfig returns the testbed-calibrated configuration.
@@ -206,10 +197,11 @@ type Device struct {
 	reg                  *metrics.Registry
 	mTx, mRx             metrics.Counter
 	mTxFrames, mRxFrames metrics.Counter
-	// mRetxDev / mDupDev are the node-level split retransmission
-	// accounting (Config.SplitRetxAccounting); zero handles, which
-	// discard, when the split is off.
-	mRetxDev, mDupDev metrics.Counter
+	// mDup counts redundant inbound frames (switch duplicates, a
+	// retransmission racing its ack) — the RX-side half of the split
+	// from genuine go-back-N retransmissions, which the per-QP
+	// retx_packets counts on the TX side.
+	mDup metrics.Counter
 }
 
 // Tap observes device data-path events for external checkers. All
@@ -277,15 +269,12 @@ func NewDevice(net *fabric.Network, mux *fabric.Mux, node string, cfg Config) *D
 	if d.reg == nil {
 		d.reg = metrics.New(d.sched.Now)
 	}
-	b := d.reg.Block("rnic", metrics.L("node", node), 6)
+	b := d.reg.Block("rnic", metrics.L("node", node), 5)
 	d.mTx = b.Counter("tx_bytes")
 	d.mRx = b.Counter("rx_bytes")
 	d.mTxFrames = b.Counter("tx_frames")
 	d.mRxFrames = b.Counter("rx_frames")
-	if d.cfg.SplitRetxAccounting {
-		d.mRetxDev = b.Counter("retransmitted_packets")
-		d.mDupDev = b.Counter("duplicated_packets")
-	}
+	d.mDup = b.Counter("duplicated_packets")
 	d.bufCap = packetHeaderLen + d.cfg.MTU
 	d.pumpCb = func() {
 		d.txBusy = false

@@ -161,7 +161,7 @@ func TestRNRRetryLimitErrorsOut(t *testing.T) {
 // running — and the same engine run handles it.
 func TestFrameDeliveredInsideHandlePacket(t *testing.T) {
 	queuedAtInjection := -1
-	r := newRig(t, Config{SplitRetxAccounting: true}, func(r *rig) {
+	r := newRig(t, Config{}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 4096)
 		mrB := r.b.regMR(t, 0x100000, 4096)
 		r.b.dev.SetTap(&Tap{CQE: func(node string, cq uint32, e CQE) {

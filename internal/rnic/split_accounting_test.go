@@ -11,7 +11,7 @@ import (
 // for the metric conflation fix: before the split, a switch-duplicated
 // mid-message fragment restarted the responder's reassembly, turned the
 // discarded tail into an apparent sequence gap, and the resulting
-// go-back-N round inflated retransmitted_packets — polluting any
+// go-back-N round inflated the retransmission count — polluting any
 // comparison between cutover modes. With every inbound frame duplicated
 // and nothing lost, the transport must deliver exactly once with zero
 // genuine retransmissions, and the redundant copies must land in
@@ -19,7 +19,7 @@ import (
 func TestSwitchDuplicatesDoNotCountAsRetransmits(t *testing.T) {
 	const msgLen = 10000 // 3 fragments at the default 4096 MTU
 	var got []byte
-	r := newRig(t, Config{SplitRetxAccounting: true}, func(r *rig) {
+	r := newRig(t, Config{}, func(r *rig) {
 		r.net.SetDuplicate("hostB", 1.0)
 		mrA := r.a.regMR(t, 0x100000, 32768)
 		mrB := r.b.regMR(t, 0x100000, 32768)
@@ -54,30 +54,25 @@ func TestSwitchDuplicatesDoNotCountAsRetransmits(t *testing.T) {
 	})
 	r.s.Run()
 
-	retx := r.a.dev.Metrics().Counter("rnic", "retransmitted_packets",
-		metrics.L("node", "hostA")).Value()
-	if retx != 0 {
-		t.Errorf("retransmitted_packets = %d, want 0 (duplicates must not trigger go-back-N)", retx)
+	if retx := r.a.dev.Metrics().Snapshot().Sum("rnic", "retx_packets"); retx != 0 {
+		t.Errorf("retx_packets = %d, want 0 (duplicates must not trigger go-back-N)", retx)
 	}
 	dup := r.b.dev.Metrics().Counter("rnic", "duplicated_packets",
 		metrics.L("node", "hostB")).Value()
 	if dup == 0 {
 		t.Error("duplicated_packets = 0, want > 0 (redundant copies unaccounted)")
 	}
-	if perQP := r.qpA.mRetx.Value(); perQP != 0 {
-		t.Errorf("per-QP retransmitted_packets = %d, want 0", perQP)
-	}
 }
 
 // TestSplitAccountingCountsGenuineRetransmits is the other half of the
 // split: with loss (and no duplication) the go-back-N recovery must
-// show up in retransmitted_packets while duplicated_packets stays
+// show up in retx_packets while duplicated_packets stays
 // almost untouched (a retransmission racing an in-flight ack may be
 // re-acked as a duplicate, but the full dup-storm of the conflation bug
 // cannot reappear).
 func TestSplitAccountingCountsGenuineRetransmits(t *testing.T) {
 	const msgLen = 10000
-	r := newRig(t, Config{SplitRetxAccounting: true}, func(r *rig) {
+	r := newRig(t, Config{}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 32768)
 		mrB := r.b.regMR(t, 0x100000, 32768)
 		r.a.as.Write(0x100000, make([]byte, msgLen))
@@ -96,9 +91,7 @@ func TestSplitAccountingCountsGenuineRetransmits(t *testing.T) {
 	})
 	r.s.Run()
 
-	retx := r.a.dev.Metrics().Counter("rnic", "retransmitted_packets",
-		metrics.L("node", "hostA")).Value()
-	if retx == 0 {
-		t.Error("retransmitted_packets = 0 after forced loss, want > 0")
+	if retx := r.a.dev.Metrics().Snapshot().Sum("rnic", "retx_packets"); retx == 0 {
+		t.Error("retx_packets = 0 after forced loss, want > 0")
 	}
 }

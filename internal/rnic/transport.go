@@ -95,7 +95,6 @@ func (qp *QP) nextTxFrame() (*packet, bool, bool) {
 		pkt, last := qp.buildFragment(e)
 		if e.retransmit {
 			qp.mRetx.Inc()
-			qp.dev.mRetxDev.Inc()
 		}
 		if last {
 			e.queued = false
@@ -319,9 +318,9 @@ func (qp *QP) responder(p *packet, src string) {
 	// and ATOMIC responses so a lost response doesn't wedge the peer.
 	// These are redundant inbound frames (switch duplication or a
 	// retransmission racing the ack), not go-back-N transmissions, so
-	// they land in duplicated_packets when the split accounting is on.
+	// they land in duplicated_packets, not retx_packets.
 	if psnLess(p.PSN, qp.expPSN) {
-		qp.dev.mDupDev.Inc()
+		qp.dev.mDup.Inc()
 		if p.Last {
 			qp.replyDuplicate(p, src)
 		}
@@ -350,8 +349,8 @@ func (qp *QP) responder(p *packet, src string) {
 	// when recovering from a loss (r.bad): a redundant frag-0 copy of a
 	// healthy in-progress message must not discard fragments already
 	// held, or the discarded tail would look like a gap and trigger a
-	// spurious go-back-N round (polluting retransmitted_packets with
-	// what was really a switch duplicate).
+	// spurious go-back-N round (polluting retx_packets with what was
+	// really a switch duplicate).
 	r := qp.reasm
 	if r == nil {
 		r = &reassembly{}
@@ -365,7 +364,7 @@ func (qp *QP) responder(p *packet, src string) {
 		// Redundant copy of a fragment already held: r.buf holds exactly
 		// fragments [0, nextFrag), so ignoring the copy still assembles
 		// the message correctly.
-		qp.dev.mDupDev.Inc()
+		qp.dev.mDup.Inc()
 		// Exception: the last fragment of a fully held message that was
 		// never delivered (expPSN still equals the message PSN — the
 		// earlier delivery attempt hit RNR with no receive posted). The

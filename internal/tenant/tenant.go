@@ -27,7 +27,7 @@
 // tenant session with it: the lanes suspend and resume under
 // wait-before-stop exactly like any other guest-library QP, and the
 // gateway observes only a blackout, never a lost or duplicated
-// operation. The chaos tier (internal/chaos.RunTenant) pins that
+// operation. The chaos tier (internal/chaos, scenarios tenant/*) pins that
 // per-tenant exactly-once guarantee under fault schedules.
 package tenant
 
