@@ -91,6 +91,7 @@ func main() {
 		pair.Server.Stop()
 	})
 	r.CL.Sched.RunFor(10 * time.Minute)
+	r.Close() // the reports below read state the procs no longer touch
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "migration failed: %v\n", err)
 		os.Exit(1)

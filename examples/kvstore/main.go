@@ -21,6 +21,7 @@ import (
 
 func main() {
 	tb := migrrdma.NewTestbed(42, "server", "client", "spare")
+	defer tb.Close()
 	sched := tb.CL.Sched
 
 	srv := kvstore.NewServer(sched, "store", 64)

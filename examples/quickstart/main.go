@@ -26,6 +26,7 @@ func main() {
 	// A three-server testbed: the app starts on "src", its peer runs on
 	// "peer", and we migrate to "dst".
 	rig := experiments.NewRig(1, "src", "dst", "peer")
+	defer rig.Close()
 	sched := rig.CL.Sched
 
 	// --- Peer: a passive process exposing one registered buffer -------

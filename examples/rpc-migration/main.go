@@ -19,6 +19,7 @@ import (
 
 func main() {
 	tb := migrrdma.NewTestbed(99, "server", "client", "spare")
+	defer tb.Close()
 	sched := tb.CL.Sched
 
 	srv := rdmarpc.NewServer(sched, "calc")

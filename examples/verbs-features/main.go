@@ -16,6 +16,7 @@ import (
 
 func main() {
 	tb := migrrdma.NewTestbed(77, "src", "dst", "peer")
+	defer tb.Close()
 	sched := tb.CL.Sched
 
 	appDone := false

@@ -10,6 +10,7 @@ import (
 
 func TestFacadeQuickstartFlow(t *testing.T) {
 	tb := NewTestbed(1, "a", "b", "spare")
+	defer tb.Close()
 	sched := tb.CL.Sched
 
 	var peerReady bool

@@ -458,7 +458,8 @@ func takeCensus(rig *experiments.Rig) []hostResidue {
 // committed or aborted, over every host and every migration: at quiesce
 // exactly one side owns each connection's state (MigrOS's rule), so no
 // staged restore, spare or suspended QP, plug, forwarding rule or
-// staged chunk may remain anywhere.
+// staged chunk may remain anywhere — and once the rig is closed, no
+// live proc and no goroutine above the count from before it was built.
 func checkNoResidue(ev *Evidence) []string {
 	var v violations
 	for _, h := range ev.census {
@@ -483,6 +484,12 @@ func checkNoResidue(ev *Evidence) []string {
 	}
 	if staged := ev.Report.Metrics.Sum("pagechan", "staged_chunks"); staged != 0 {
 		v.addf("%d chunks still staged after the run", staged)
+	}
+	if ev.liveProcs != 0 {
+		v.addf("%d procs still live after Close", ev.liveProcs)
+	}
+	if ev.goroutines != 0 {
+		v.addf("%d goroutines left behind after Close", ev.goroutines)
 	}
 	return v
 }

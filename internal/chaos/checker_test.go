@@ -206,6 +206,12 @@ func TestResidueCheckerFlagsEveryKind(t *testing.T) {
 	if vs := checkNoResidue(ev); !find(vs, "3 chunks still staged") {
 		t.Errorf("staged chunks not flagged: %v", vs)
 	}
+	// What Close left behind is counted by the runner.
+	ev = healthy()
+	ev.liveProcs, ev.goroutines = 2, 5
+	if vs := checkNoResidue(ev); !find(vs, "2 procs still live after Close") || !find(vs, "5 goroutines left behind after Close") {
+		t.Errorf("live procs and goroutines not flagged: %v", vs)
+	}
 }
 
 // TestChunkCheckerFlagsSyntheticViolations feeds checkChunks hand-built

@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"migrrdma/internal/cluster"
@@ -57,7 +59,18 @@ type Evidence struct {
 	tenant *tenantWorkload
 	census []hostResidue
 	racks  map[string]int // host → rack
+	// What closing the rig left behind: procs the scheduler still counts
+	// as blocked, and goroutines above the count taken before the rig was
+	// built (0 when another run shared the process, see runsStarted).
+	liveProcs, goroutines int
 }
+
+// runsStarted and runsInFlight count the Runs of this process.
+// Goroutines are counted process-wide, so a run can only answer for
+// them when none was in flight as it began and none began before it
+// counted; a sweep on several workers still checks the runs that happen
+// to have the process to themselves.
+var runsStarted, runsInFlight atomic.Int64
 
 // Run executes one scenario at one seed and returns its report. It is
 // deterministic: the same (seed, scenario) always yields byte-identical
@@ -68,7 +81,12 @@ func Run(seed int64, sc Scenario) *Report {
 	if sc.Rig.UnlimitedRetries {
 		cfg.NIC.MaxRetries = 1 << 30
 	}
+	started := runsStarted.Add(1)
+	alone := runsInFlight.Add(1) == 1
+	defer runsInFlight.Add(-1)
+	baseline := runtime.NumGoroutine()
 	rig := experiments.NewRigCfg(cfg, sc.Rig.Hosts...)
+	defer rig.Close()
 	cl, sched := rig.CL, rig.CL.Sched
 	r := &run{sc: sc, rig: rig, rec: &recorder{sched: sched}}
 	r.inj = &injector{sched: sched, net: cl.Net, rec: r.rec}
@@ -100,7 +118,7 @@ func Run(seed int64, sc Scenario) *Report {
 	sched.Go("chaos-driver", func() {
 		r.w.ready()
 		if sc.Workload.PageHog {
-			if err := startPageHog(cl, movers[0].cont.Procs[0]); err != nil {
+			if _, err := pageHog.Start(sched, movers[0].cont.Procs[0]); err != nil {
 				r.setupErrs = append(r.setupErrs, fmt.Sprintf("memhog setup failed: %v", err))
 			}
 		}
@@ -160,6 +178,13 @@ func Run(seed int64, sc Scenario) *Report {
 	} else {
 		ev := &Evidence{Scenario: sc, Report: rep, ledger: r.rec.events, movers: moved,
 			census: takeCensus(rig), racks: make(map[string]int)}
+		// The census reads the hosts as the run left them; only then are
+		// the parked procs unwound, and whatever survives that counted.
+		rig.Close()
+		ev.liveProcs = sched.LiveBlocked()
+		if n := runtime.NumGoroutine(); alone && runsStarted.Load() == started && n > baseline {
+			ev.goroutines = n - baseline
+		}
 		ev.tenant, _ = r.w.(*tenantWorkload)
 		for _, n := range cl.Names() {
 			ev.racks[n] = cl.Host(n).Rack

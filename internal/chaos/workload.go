@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"migrrdma/internal/cluster"
 	"migrrdma/internal/experiments"
-	"migrrdma/internal/mem"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
@@ -104,53 +102,15 @@ func (w *pairWorkload) totals() (completed, received int64) {
 	return completed, received
 }
 
-// Chaos memhog: a deterministic writer attached to the migrated process
-// so pipelined runs always exercise every elision path — hot pages that
-// genuinely change, zero scratch pages, and constant-content rewrites
-// (dirty-bit false positives). Sized small to keep ledger volume down.
-const (
-	pageHogPages    = 32
-	pageHogHot      = 4
-	pageHogZero     = 4
-	pageHogBase     = mem.Addr(0x5300_0000_0000)
-	pageHogInterval = 100 * time.Microsecond
-)
-
-// startPageHog maps the writer's region on p and rewrites it every
-// epoch until the process exits, pausing while frozen.
-func startPageHog(cl *cluster.Cluster, p *task.Process) error {
-	if _, err := p.AS.Map(pageHogBase, pageHogPages*mem.PageSize, "appstate"); err != nil {
-		return err
-	}
-	cl.Sched.Go("page-hog", func() {
-		buf := make([]byte, mem.PageSize)
-		for epoch := 1; !p.Exited(); epoch++ {
-			if !p.Frozen() {
-				for i := 0; i < pageHogPages; i++ {
-					switch {
-					case i < pageHogHot:
-						for j := range buf {
-							buf[j] = byte(epoch + i + j)
-						}
-					case i < pageHogHot+pageHogZero:
-						for j := range buf {
-							buf[j] = 0
-						}
-					default:
-						for j := range buf {
-							buf[j] = byte(i)
-						}
-					}
-					a := pageHogBase + mem.Addr(i*mem.PageSize)
-					if err := p.AS.Write(a, buf); err != nil {
-						return // unmapped mid-teardown
-					}
-				}
-			}
-			cl.Sched.Sleep(pageHogInterval)
-		}
-	})
-	return nil
+// pageHog is the chaos memhog: the experiments' deterministic writer
+// attached to the migrated process so pipelined runs always exercise
+// every elision path — hot pages that genuinely change, zero scratch
+// pages, and constant-content rewrites (dirty-bit false positives).
+// Sized small to keep ledger volume down; it runs until the process
+// exits.
+var pageHog = experiments.PageHog{
+	Base: 0x5300_0000_0000, Pages: 32, Hot: 4, Zero: 4,
+	Interval: 100 * time.Microsecond,
 }
 
 // tenantOpts is the fixed deployment shape of a tenant chaos run.

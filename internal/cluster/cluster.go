@@ -119,6 +119,21 @@ func rackOf(t fabric.Topology, i int) int {
 	return r
 }
 
+// Close ends the testbed's simulation (sim.Scheduler.Close, on every
+// shard under NewSharded): every proc still parked is unwound, so the
+// cluster and all that ran on it become garbage once the caller drops
+// them. Nothing can be run on the cluster afterwards; its state and
+// metrics stay readable.
+func (c *Cluster) Close() {
+	if c.Group == nil {
+		c.Sched.Close()
+		return
+	}
+	for i := 0; i < c.Group.Shards(); i++ {
+		c.Group.Shard(i).Close()
+	}
+}
+
 // Host returns the named host, panicking if absent.
 func (c *Cluster) Host(name string) *Host {
 	h, ok := c.Hosts[name]

@@ -20,12 +20,12 @@ type oobAdapter struct {
 // carry no timeout.
 const probeTimeout = 50 * time.Millisecond
 
-func newOOBAdapter(h *cluster.Host) *oobAdapter {
-	return &oobAdapter{ep: h.Hub.Endpoint(EndpointName)}
-}
-
-func (a *oobAdapter) Handle(kind string, h func(fromNode string, body []byte) []byte) {
-	a.ep.Handle(kind, func(m oob.Msg) []byte { return h(m.FromNode, m.Body) })
+// newOOBAdapter opens the daemon's endpoint with serve behind every
+// kind of the control protocol.
+func newOOBAdapter(h *cluster.Host, serve oob.Handler) *oobAdapter {
+	a := &oobAdapter{ep: h.Hub.Endpoint(EndpointName)}
+	a.ep.HandleAll(daemonKinds, serve)
+	return a
 }
 
 func (a *oobAdapter) Call(toNode, kind string, body []byte) ([]byte, bool) {

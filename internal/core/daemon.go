@@ -7,6 +7,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/codec"
 	"migrrdma/internal/metrics"
+	"migrrdma/internal/oob"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/verbs"
 )
@@ -20,7 +21,7 @@ import (
 type Daemon struct {
 	host *cluster.Host
 	dev  *rnic.Device
-	ep   endpointAPI
+	ep   *oobAdapter
 
 	qpn      qpnTable
 	sessions []*Session
@@ -69,13 +70,6 @@ type Daemon struct {
 	pendingResume map[string][]suspendedSet
 }
 
-// endpointAPI abstracts the oob endpoint (narrowed for tests).
-type endpointAPI interface {
-	Handle(kind string, h func(fromNode string, body []byte) []byte)
-	Call(toNode, kind string, body []byte) ([]byte, bool)
-	Send(toNode, kind string, body []byte)
-}
-
 // EndpointName is the oob endpoint every MigrRDMA daemon listens on.
 const EndpointName = "migrrdma"
 
@@ -92,8 +86,7 @@ func NewDaemon(h *cluster.Host) *Daemon {
 		suspendedFor:  make(map[string][]suspendedSet),
 		pendingResume: make(map[string][]suspendedSet),
 	}
-	d.ep = newOOBAdapter(h)
-	d.installHandlers()
+	d.ep = newOOBAdapter(h, d.serve)
 	if h.Mux != nil {
 		// The tunnel endpoint is permanent (a registration, not a
 		// metric, so snapshot hashes are unaffected); it only acts while
@@ -281,18 +274,35 @@ type suspendedSet struct {
 
 // --- Handlers ----------------------------------------------------------------
 
-func (d *Daemon) installHandlers() {
-	d.ep.Handle("hello", func(_ string, _ []byte) []byte { return []byte("ok") })
-	d.ep.Handle("fetch-rkey", d.hFetchRKey)
-	d.ep.Handle("fetch-qpn", d.hFetchQPN)
-	d.ep.Handle("suspend-for", d.hSuspendFor)
-	d.ep.Handle("notify-migr", d.hNotify)
-	d.ep.Handle("connect-new", d.hConnectNew)
-	d.ep.Handle("switch-to", d.hSwitch)
-	d.ep.Handle("switch-defer", d.hSwitchDefer)
-	d.ep.Handle("resume-partners", d.hResumePartners)
-	d.ep.Handle("nsent", d.hNSent)
-	d.ep.Handle("abort", d.hAbort)
+// daemonHandlers is the control protocol: request kind → the method
+// that serves it. The table and the oob kind set made from it are
+// static, so a daemon registers one handler (serve) with its endpoint,
+// not a method value, an adapter closure and a proc name per kind.
+var daemonHandlers = map[string]func(d *Daemon, fromNode string, body []byte) []byte{
+	"hello":           func(*Daemon, string, []byte) []byte { return []byte("ok") },
+	"fetch-rkey":      (*Daemon).hFetchRKey,
+	"fetch-qpn":       (*Daemon).hFetchQPN,
+	"suspend-for":     (*Daemon).hSuspendFor,
+	"notify-migr":     (*Daemon).hNotify,
+	"connect-new":     (*Daemon).hConnectNew,
+	"switch-to":       (*Daemon).hSwitch,
+	"switch-defer":    (*Daemon).hSwitchDefer,
+	"resume-partners": (*Daemon).hResumePartners,
+	"nsent":           (*Daemon).hNSent,
+	"abort":           (*Daemon).hAbort,
+}
+
+var daemonKinds = func() oob.Kinds {
+	kinds := make([]string, 0, len(daemonHandlers))
+	for kind := range daemonHandlers {
+		kinds = append(kinds, kind)
+	}
+	return oob.NewKinds(kinds...)
+}()
+
+// serve is the daemon's handler for every kind of daemonKinds.
+func (d *Daemon) serve(m oob.Msg) []byte {
+	return daemonHandlers[m.Kind](d, m.FromNode, m.Body)
 }
 
 func (d *Daemon) hFetchRKey(_ string, body []byte) []byte {

@@ -34,6 +34,7 @@ type TranslationProbe struct {
 // the rkey cache is warm).
 func NewTranslationProbe() *TranslationProbe {
 	cl := cluster.New(cluster.Config{Seed: 5}, "a", "b")
+	defer cl.Close() // the captured state is used off the simulation
 	da, db := NewDaemon(cl.Host("a")), NewDaemon(cl.Host("b"))
 	pr := &TranslationProbe{}
 	cl.Sched.Go("probe-setup", func() {

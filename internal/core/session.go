@@ -568,6 +568,7 @@ func (qp *QP) postRecv(wr rnic.RecvWR) error {
 	if err := qp.v.PostRecv(pwr); err != nil {
 		return err
 	}
+	qp.pendingRecvs.Reserve(qp.caps.MaxRecv)
 	qp.pendingRecvs.Push(rnic.NewRecvWQE(wr))
 	return nil
 }

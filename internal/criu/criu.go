@@ -179,8 +179,20 @@ func (t *Tool) Thaw(p *task.Process) {
 // mappings (on-chip memory) are listed but their content is not dumped —
 // that is the RDMA plugin's job.
 func (t *Tool) Dump(p *task.Process, full bool) *Image {
-	img := &Image{Proc: p.Name}
+	img, sel, walk := t.beginImage(p, full)
+	img.Pages = readPages(p.AS, sel)
+	t.host.Sleep(t.cfg.DumpBase + walk + time.Duration(len(img.Pages))*t.cfg.DumpPerPage)
+	return img
+}
+
+// beginImage captures the memory table, selects the pages to dump —
+// every populated page when full, otherwise the dirty diff, device
+// mappings always excluded — and resets dirty tracking. walk is the
+// cost of the superlinear mapping walk.
+func (t *Tool) beginImage(p *task.Process, full bool) (img *Image, sel []mem.Addr, walk time.Duration) {
+	img = &Image{Proc: p.Name}
 	vmas := p.AS.VMAs()
+	img.VMAs = make([]VMARec, 0, len(vmas))
 	for _, v := range vmas {
 		img.VMAs = append(img.VMAs, VMARec{Start: v.Start, Len: v.Len, Name: v.Name, Device: v.Device})
 	}
@@ -190,16 +202,30 @@ func (t *Tool) Dump(p *task.Process, full bool) *Image {
 	} else {
 		pages = p.AS.DirtyPages()
 	}
+	sel = pages[:0] // both lists are fresh copies: filter in place
 	for _, a := range pages {
 		if v := p.AS.FindVMA(a); v != nil && v.Device {
 			continue
 		}
-		img.Pages = append(img.Pages, PageRec{Addr: a, Data: p.AS.ReadPage(a)})
+		sel = append(sel, a)
 	}
 	p.AS.ClearDirty()
-	walk := time.Duration(float64(t.cfg.DumpPerVMA) * math.Pow(float64(len(vmas)), t.cfg.VMAExponent))
-	t.host.Sleep(t.cfg.DumpBase + walk + time.Duration(len(img.Pages))*t.cfg.DumpPerPage)
-	return img
+	walk = time.Duration(float64(t.cfg.DumpPerVMA) * math.Pow(float64(len(vmas)), t.cfg.VMAExponent))
+	return img, sel, walk
+}
+
+// readPages copies the pages at addrs into one slab, an allocation a
+// batch instead of one a page. Every record's Data is cut with its
+// capacity, so an append to one page cannot reach the next.
+func readPages(as *mem.AddressSpace, addrs []mem.Addr) []PageRec {
+	recs := make([]PageRec, len(addrs))
+	slab := make([]byte, len(addrs)*mem.PageSize)
+	for i, a := range addrs {
+		data := slab[i*mem.PageSize : (i+1)*mem.PageSize : (i+1)*mem.PageSize]
+		as.ReadPageInto(a, data)
+		recs[i] = PageRec{Addr: a, Data: data}
+	}
+	return recs
 }
 
 // BeginDump opens a chunked dump for the page channel (pipelined
@@ -217,26 +243,7 @@ func (t *Tool) Dump(p *task.Process, full bool) *Image {
 // re-dumps it; the channel's content-hash table then elides the resend
 // if the bytes did not change again (the dirty-bit false positive).
 func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
-	img := &Image{Proc: p.Name}
-	vmas := p.AS.VMAs()
-	for _, v := range vmas {
-		img.VMAs = append(img.VMAs, VMARec{Start: v.Start, Len: v.Len, Name: v.Name, Device: v.Device})
-	}
-	var sel []mem.Addr
-	var pages []mem.Addr
-	if full {
-		pages = p.AS.PopulatedPages()
-	} else {
-		pages = p.AS.DirtyPages()
-	}
-	for _, a := range pages {
-		if v := p.AS.FindVMA(a); v != nil && v.Device {
-			continue
-		}
-		sel = append(sel, a)
-	}
-	p.AS.ClearDirty()
-	walk := time.Duration(float64(t.cfg.DumpPerVMA) * math.Pow(float64(len(vmas)), t.cfg.VMAExponent))
+	img, sel, walk := t.beginImage(p, full)
 	t.host.Sleep(t.cfg.DumpBase + walk)
 	return img, sel
 }
@@ -244,10 +251,7 @@ func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
 // DumpPages reads one batch of page contents at the dump cost model's
 // per-page rate (the chunked counterpart of Dump's page loop).
 func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
-	recs := make([]PageRec, 0, len(addrs))
-	for _, a := range addrs {
-		recs = append(recs, PageRec{Addr: a, Data: p.AS.ReadPage(a)})
-	}
+	recs := readPages(p.AS, addrs)
 	t.host.Sleep(time.Duration(len(addrs)) * t.cfg.DumpPerPage)
 	return recs
 }

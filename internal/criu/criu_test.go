@@ -235,3 +235,53 @@ func TestFullRestorePanicsBeforeFinalize(t *testing.T) {
 	})
 	s.Run()
 }
+
+// TestDumpedPagesShareASlabSafely: Dump and DumpPages read a batch into
+// one allocation, and a record is still a page of its own — the right
+// bytes, a copy of the process's, and capped so that an append cannot
+// write into the next record.
+func TestDumpedPagesShareASlabSafely(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	tool, _ := newTool(s)
+	p := task.New(s, "p")
+	s.Go("test", func() {
+		p.AS.Map(0x1000, 8*mem.PageSize, "heap")
+		var addrs []mem.Addr
+		for i := 0; i < 4; i++ {
+			a := mem.Addr(0x1000 + i*mem.PageSize)
+			p.AS.Write(a, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize))
+			addrs = append(addrs, a)
+		}
+		for name, recs := range map[string][]PageRec{
+			"Dump":      tool.Dump(p, true).Pages,
+			"DumpPages": tool.DumpPages(p, append(addrs, 0x1000+6*mem.PageSize)), // and one page without content
+		} {
+			for i, a := range addrs {
+				r := recs[i]
+				if r.Addr != a || len(r.Data) != mem.PageSize || cap(r.Data) != mem.PageSize ||
+					!bytes.Equal(r.Data, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize)) {
+					t.Fatalf("%s: record %d: addr %#x, len %d, cap %d, first byte %q", name, i, r.Addr, len(r.Data), cap(r.Data), r.Data[0])
+				}
+			}
+			if name == "DumpPages" && !mem.AllZero(recs[4].Data) {
+				t.Errorf("%s: a page without content is not zero", name)
+			}
+			_ = append(recs[0].Data, 'X')
+			if recs[1].Data[0] != 'b' {
+				t.Errorf("%s: an append to record 0 wrote into record 1", name)
+			}
+		}
+		// The records are copies: a later write does not reach them.
+		recs := tool.DumpPages(p, addrs[:1])
+		p.AS.Write(addrs[0], []byte("z"))
+		if recs[0].Data[0] != 'a' {
+			t.Error("a write to the process changed a dumped page")
+		}
+		allocs := testing.AllocsPerRun(20, func() { readPages(p.AS, addrs) })
+		if allocs > 2 {
+			t.Errorf("reading a batch of %d pages allocates %.0f times, want 2 (records, slab)", len(addrs), allocs)
+		}
+	})
+	s.Run()
+}

@@ -197,6 +197,7 @@ func (r RKeyCacheRow) String() string {
 func AblationRKeyCache(messages int) (RKeyCacheRow, error) {
 	run := func(disable bool) (float64, int64, error) {
 		r := NewRig(29, "a", "b")
+		defer r.Close()
 		opts := perftest.Options{Verb: rnic.OpWrite, MsgSize: 64, QueueDepth: 1, NumQPs: 1, Messages: messages}
 		pair := r.StartPair("a", "b", opts)
 		var elapsed time.Duration
@@ -319,6 +320,7 @@ func (r LossRow) String() string {
 // MigrationUnderLoss migrates a sender while the fabric drops packets.
 func MigrationUnderLoss(loss float64, wbsTimeout time.Duration) (LossRow, error) {
 	r := NewRig(31, "src", "dst", "partner")
+	defer r.Close()
 	for _, d := range r.Daemons {
 		cfg := core.DefaultWBSConfig()
 		cfg.Timeout = wbsTimeout

@@ -71,6 +71,7 @@ func ConcurrentMigrations(k, cap int) (*ConcurrentResult, error) {
 	}
 	names = append(names, "p")
 	r := NewRig(17, names...)
+	defer r.Close()
 	opts := perftest.Options{
 		Verb: rnic.OpSend, MsgSize: 2048, QueueDepth: 8, NumQPs: 2, Messages: 0,
 		CheckOrder: true, PostGap: 60 * time.Microsecond,

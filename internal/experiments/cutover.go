@@ -72,6 +72,7 @@ func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed in
 	// and the retries are exactly the cost the comparison measures.
 	cfg.NIC.MaxRetries = 1 << 20
 	r := NewRigCfg(cfg, "src", "dst", "partner")
+	defer r.Close()
 	opts := perftest.Options{
 		Verb: rnic.OpSend, MsgSize: msgSize, NumQPs: qps, Messages: messages,
 		LatencyMode: true, PostGap: 250 * time.Microsecond,

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"migrrdma/internal/runc"
@@ -55,5 +56,36 @@ func TestCutoverComparison(t *testing.T) {
 		if plug.P50 != gbn.P50 {
 			t.Errorf("msg=%d: p50 differs across modes: %v vs %v", plug.MsgSize, plug.P50, gbn.P50)
 		}
+	}
+}
+
+// TestRepsLeaveNothingBehind: an experiment closes its rig, so running
+// many in one process costs the heap of one. 300 cutover reps (the
+// benchmark's cutover-gbn configuration) end with the live heap within
+// 4 MB of what it was after rep 10 and with no goroutine more. Without
+// the Close every rep strands its parked procs and the rig they pin:
+// about 0.9 MB and one goroutine a rep.
+func TestRepsLeaveNothingBehind(t *testing.T) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	var heap10 uint64
+	var goroutines10 int
+	for rep := 1; rep <= 300; rep++ {
+		if _, err := RunCutoverSeeded(runc.CutoverGoBackN, 8192, 2, 50, int64(rep)); err != nil {
+			t.Fatal(err)
+		}
+		if rep == 10 {
+			heap10, goroutines10 = liveHeap(), runtime.NumGoroutine()
+		}
+	}
+	if heap := liveHeap(); heap > heap10+4<<20 {
+		t.Errorf("live heap %.1f MB after 300 reps, %.1f MB after 10", float64(heap)/(1<<20), float64(heap10)/(1<<20))
+	}
+	if n := runtime.NumGoroutine(); n > goroutines10 {
+		t.Errorf("%d goroutines after 300 reps, %d after 10", n, goroutines10)
 	}
 }

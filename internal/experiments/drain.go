@@ -149,6 +149,7 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint,
 		}
 	}
 	r := NewRigCfg(cfg, names...)
+	defer r.Close()
 	cl := r.CL
 
 	drained := make([]string, 0, len(targets))

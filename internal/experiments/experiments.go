@@ -41,6 +41,11 @@ func NewRigCfg(cfg cluster.Config, names ...string) *Rig {
 	return r
 }
 
+// Close ends the rig's simulation (cluster.Cluster.Close). Every
+// experiment defers it next to its RunFor, so a rig is collectable as
+// soon as its row is computed.
+func (r *Rig) Close() { r.CL.Close() }
+
 // Pair is a running perftest client/server pair, with the client inside
 // a migratable container.
 type Pair struct {

@@ -45,6 +45,7 @@ func (r Fig3Row) String() string {
 // (§5.2).
 func Fig3(n int, sender, preSetup bool) (Fig3Row, error) {
 	r := NewRig(11, "src", "dst", "partner")
+	defer r.Close()
 	opts := perftest.Options{
 		Verb: rnic.OpSend, MsgSize: 4096, QueueDepth: 64, NumQPs: n, Messages: 0,
 	}

@@ -66,6 +66,7 @@ func Fig4Seeded(n, msgSize, partners int, seed int64) (Fig4Row, error) {
 	// the simulated message count) small.
 	cfg := cluster.FastCheckpointTestbed(seed)
 	r := NewRigCfg(cfg, nodes...)
+	defer r.Close()
 	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: msgSize, QueueDepth: 64, NumQPs: n, Messages: 0}
 	// One perftest server per partner (the paper's one-to-many mode).
 	for i := 0; i < partners; i++ {

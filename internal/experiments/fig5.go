@@ -46,6 +46,7 @@ func (r Fig5Result) String() string {
 // transmitting container migrates) versus 5(b) (the receiving one).
 func Fig5(migrateSender bool) (Fig5Result, error) {
 	r := NewRig(17, "src", "dst", "partner")
+	defer r.Close()
 	opts := perftest.Options{Verb: rnic.OpWrite, MsgSize: 2 << 20, QueueDepth: 4, NumQPs: 16, Messages: 0}
 	var pair *Pair
 	if migrateSender {

@@ -81,6 +81,7 @@ func fig6Spec(kind hdfs.JobKind) hdfs.JobSpec {
 func Fig6(kind hdfs.JobKind, scenario string) (Fig6Row, error) {
 	f := newFig6Rig(scenario == "failover")
 	r := f.rig
+	defer r.Close()
 	var res hdfs.JobResult
 	var mErr error
 	r.CL.Sched.Go("driver", func() {

@@ -34,6 +34,7 @@ func (l LatencyProfile) String() string {
 // LatencyAcrossMigration measures the profile.
 func LatencyAcrossMigration() (LatencyProfile, error) {
 	r := NewRig(41, "src", "dst", "partner")
+	defer r.Close()
 	opts := perftest.Options{Verb: rnic.OpWrite, MsgSize: 64, NumQPs: 1, Messages: 0,
 		LatencyMode: true, PostGap: 200 * time.Microsecond}
 	pair := r.StartPair("src", "partner", opts)

@@ -23,52 +23,77 @@ import (
 // with it the blackout's transfer share), and the adaptive convergence
 // controller stops iterating as soon as extra rounds stop paying.
 
-// pageHog sizing: the deterministic writer that gives the migrated
-// service a realistic page mix — hot pages that change every epoch,
-// zero scratch pages, and constant-content rewrites the dirty-bit
-// tracker flags but the content-hash table elides.
-const (
-	pageHogPages    = 192
-	pageHogHot      = 24
-	pageHogZero     = 24
-	pageHogBase     = mem.Addr(0x5400_0000_0000)
-	pageHogInterval = 200 * time.Microsecond
+// PageHog is the deterministic writer that gives a migrated service a
+// realistic page mix: of Pages pages at Base, the first Hot change
+// every epoch, the next Zero are zero scratch pages, and the rest are
+// constant-content rewrites the dirty-bit tracker flags but the
+// content-hash table elides. Every Interval it rewrites them all.
+type PageHog struct {
+	Base             mem.Addr
+	Pages, Hot, Zero int
+	Interval         time.Duration
+}
+
+// pageHog is the writer of the transfer and tenancy experiments.
+var pageHog = PageHog{
+	Base: 0x5400_0000_0000, Pages: 192, Hot: 24, Zero: 24,
+	Interval: 200 * time.Microsecond,
+}
+
+// The hog's pages are read off tables built once, so that a workload
+// made to show mem, criu and pagechan does not spend its time computing
+// the bytes it writes: byte j of hot page i at epoch e is byte(e+i+j),
+// which is hogRamp from (e+i) mod 256 on; cold page i is all byte(i).
+var (
+	hogRamp [mem.PageSize + 256]byte
+	hogZero [mem.PageSize]byte
+	hogCold [256][mem.PageSize]byte
 )
 
-// startPageHog attaches the writer to p until the process exits or the
-// returned stop function is called (so the writer never pins the event
-// queue past the end of the measured run), pausing while frozen.
-func startPageHog(r *Rig, p *task.Process) (stop func(), err error) {
-	if _, err := p.AS.Map(pageHogBase, pageHogPages*mem.PageSize, "appstate"); err != nil {
+func init() {
+	for k := range hogRamp {
+		hogRamp[k] = byte(k)
+	}
+	for v := range hogCold {
+		for j := range hogCold[v] {
+			hogCold[v][j] = byte(v)
+		}
+	}
+}
+
+// page returns the content of page i at the given epoch. The slice is
+// shared and read-only.
+func (h PageHog) page(epoch, i int) []byte {
+	switch {
+	case i < h.Hot:
+		return hogRamp[(epoch+i)&255:][:mem.PageSize]
+	case i < h.Hot+h.Zero:
+		return hogZero[:]
+	default:
+		return hogCold[i&255][:]
+	}
+}
+
+// Start maps the hog's region on p and attaches the writer until the
+// process exits or the returned stop function is called (so the writer
+// never pins the event queue past the end of the measured run), pausing
+// while frozen.
+func (h PageHog) Start(sched *sim.Scheduler, p *task.Process) (stop func(), err error) {
+	if _, err := p.AS.Map(h.Base, uint64(h.Pages)*mem.PageSize, "appstate"); err != nil {
 		return nil, err
 	}
 	stopped := false
-	r.CL.Sched.Go("page-hog", func() {
-		buf := make([]byte, mem.PageSize)
+	sched.Go("page-hog", func() {
 		for epoch := 1; !p.Exited() && !stopped; epoch++ {
 			if !p.Frozen() {
-				for i := 0; i < pageHogPages; i++ {
-					switch {
-					case i < pageHogHot:
-						for j := range buf {
-							buf[j] = byte(epoch + i + j)
-						}
-					case i < pageHogHot+pageHogZero:
-						for j := range buf {
-							buf[j] = 0
-						}
-					default:
-						for j := range buf {
-							buf[j] = byte(i)
-						}
-					}
-					a := pageHogBase + mem.Addr(i*mem.PageSize)
-					if err := p.AS.Write(a, buf); err != nil {
+				for i := 0; i < h.Pages; i++ {
+					a := h.Base + mem.Addr(i*mem.PageSize)
+					if err := p.AS.Write(a, h.page(epoch, i)); err != nil {
 						return // unmapped mid-teardown
 					}
 				}
 			}
-			r.CL.Sched.Sleep(pageHogInterval)
+			sched.Sleep(h.Interval)
 		}
 	})
 	return func() { stopped = true }, nil
@@ -135,13 +160,14 @@ func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed 
 	cfg := cluster.FastCheckpointTestbed(seed)
 	cfg.NIC.MaxRetries = 1 << 20
 	r := NewRigCfg(cfg, "src", "dst", "partner")
+	defer r.Close()
 	opts := perftest.Options{
 		Verb: rnic.OpSend, MsgSize: msgSize, NumQPs: qps, Messages: messages,
 		LatencyMode: true, PostGap: 250 * time.Microsecond, RecvDepth: 64,
 	}
 	// The SERVER migrates src → dst mid-stream, carrying the page hog.
 	pair := r.StartPair("partner", "src", opts)
-	stopHog, err := startPageHog(r, pair.ServerCont.Procs[0])
+	stopHog, err := pageHog.Start(r.CL.Sched, pair.ServerCont.Procs[0])
 	if err != nil {
 		return PageChanRow{}, err
 	}
@@ -215,6 +241,7 @@ func RunTenancyTransferSeeded(mode runc.CutoverMode, transfer runc.TransferMode,
 	cfg := cluster.FastCheckpointTestbed(seed)
 	cfg.NIC.MaxRetries = 1 << 20
 	r := NewRigCfg(cfg, "src", "dst", "gw")
+	defer r.Close()
 	opts := tenant.Options{
 		Sessions: sessions, Lanes: 8, LaneDepth: 64,
 		Credits: 16, RefillAmount: 16, RefillEvery: 20 * time.Microsecond,
@@ -228,7 +255,7 @@ func RunTenancyTransferSeeded(mode runc.CutoverMode, transfer runc.TransferMode,
 		svc.WaitReady()
 		gwCont.Start(func(tp *task.Process) { gw.Run(tp, r.Daemons["gw"]) })
 	})
-	stopHog, err := startPageHog(r, svcCont.Procs[0])
+	stopHog, err := pageHog.Start(r.CL.Sched, svcCont.Procs[0])
 	if err != nil {
 		return TenancyRow{}, err
 	}

@@ -87,6 +87,7 @@ func RunTenancySeeded(mode runc.CutoverMode, sessions int, seed int64) (TenancyR
 	// flight at freeze must retry through the blackout, not error out.
 	cfg.NIC.MaxRetries = 1 << 20
 	r := NewRigCfg(cfg, "src", "dst", "gw")
+	defer r.Close()
 	opts := tenant.Options{
 		Sessions: sessions, Lanes: 8, LaneDepth: 64,
 		Credits: 16, RefillAmount: 16, RefillEvery: 20 * time.Microsecond,

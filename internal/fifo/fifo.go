@@ -17,6 +17,18 @@ type Queue[T any] struct {
 // Len reports the number of queued elements.
 func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
 
+// Reserve makes room for n elements, so that a queue whose depth is
+// known when it is first used (a receive ring) is allocated once and
+// not by doubling. It does nothing once the queue has that capacity.
+func (q *Queue[T]) Reserve(n int) {
+	if cap(q.buf) >= n {
+		return
+	}
+	buf := make([]T, q.Len(), n)
+	copy(buf, q.buf[q.head:])
+	q.buf, q.head = buf, 0
+}
+
 // Push appends v.
 func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
 

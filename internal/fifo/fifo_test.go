@@ -61,3 +61,30 @@ func TestPopClearsSlot(t *testing.T) {
 		}
 	}
 }
+
+// TestReserveAllocatesOnce: a reserved queue takes its depth in pushes
+// without growing, keeps what it held, and Reserve is free afterwards.
+func TestReserveAllocatesOnce(t *testing.T) {
+	var q Queue[int]
+	q.Push(1)
+	q.Push(2)
+	q.Pop()
+	q.Reserve(64)
+	if q.Len() != 1 || q.Front() != 2 || cap(q.buf) != 64 {
+		t.Fatalf("after Reserve: len %d, front %d, cap %d", q.Len(), q.Front(), cap(q.buf))
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		for q.Len() < 64 {
+			q.Reserve(64)
+			q.Push(0)
+		}
+		q.Drop(63)
+	})
+	if allocs != 0 {
+		t.Fatalf("filling a reserved queue allocates %.0f times", allocs)
+	}
+	q.Reserve(8) // smaller than what it has: nothing to do
+	if cap(q.buf) != 64 {
+		t.Fatalf("Reserve shrank the queue to %d", cap(q.buf))
+	}
+}

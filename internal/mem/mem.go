@@ -421,13 +421,14 @@ func AllZero(buf []byte) bool {
 	return true
 }
 
-// ReadPage returns a copy of the page at a (which must be page-aligned).
-func (as *AddressSpace) ReadPage(a Addr) []byte {
-	buf := make([]byte, PageSize)
+// ReadPageInto copies the page at a (which must be page-aligned) into
+// dst[:PageSize]; a page without content reads as zeros.
+func (as *AddressSpace) ReadPageInto(a Addr, dst []byte) {
 	if pg := as.pages[a]; pg != nil {
-		copy(buf, pg[:])
+		copy(dst[:PageSize], pg[:])
+	} else {
+		clear(dst[:PageSize])
 	}
-	return buf
 }
 
 func (as *AddressSpace) overlaps(start Addr, length uint64) bool {

@@ -341,8 +341,14 @@ func TestCacheFollowsRemap(t *testing.T) {
 	}
 	// A write through the cache at the new address lands in the moved page.
 	as.Write(0x50000+PageSize, []byte("M"))
-	if pg := as.ReadPage(0x50000 + PageSize); string(pg[:5]) != "Moved" {
+	pg := make([]byte, PageSize)
+	as.ReadPageInto(0x50000+PageSize, pg)
+	if string(pg[:5]) != "Moved" {
 		t.Fatalf("page after cached write: %q", pg[:5])
+	}
+	as.ReadPageInto(0x50000, pg) // the page the mapping moved away from
+	if !AllZero(pg) {
+		t.Fatalf("a page without content read as %q", pg[:5])
 	}
 }
 

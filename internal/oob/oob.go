@@ -91,12 +91,31 @@ type handler struct {
 	procName string
 }
 
+// Kinds is a fixed set of request kinds with the names their handler
+// procs run under. An owner that serves one protocol on many endpoints
+// (a daemon per host) builds it once, at package level, and registers
+// it with HandleAll; it is never written afterwards.
+type Kinds map[string]string
+
+// NewKinds builds the set.
+func NewKinds(kinds ...string) Kinds {
+	k := make(Kinds, len(kinds))
+	for _, kind := range kinds {
+		k[kind] = procName(kind)
+	}
+	return k
+}
+
+func procName(kind string) string { return "oob-handler:" + kind }
+
 // Endpoint is a named mailbox on a node.
 type Endpoint struct {
 	hub      *Hub
 	name     string
 	inbox    *sim.Chan[Msg]
 	handlers map[string]handler
+	kinds    Kinds   // served by all, unless handlers has the kind
+	all      Handler // see HandleAll
 	pending  map[uint64]*call
 	nextReq  uint64
 }
@@ -132,8 +151,14 @@ func (ep *Endpoint) TryRecv() (Msg, bool) { return ep.inbox.TryRecv() }
 // Handle registers a request handler for kind. Handlers run in a fresh
 // managed proc and may block.
 func (ep *Endpoint) Handle(kind string, h Handler) {
-	ep.handlers[kind] = handler{fn: h, procName: "oob-handler:" + kind}
+	ep.handlers[kind] = handler{fn: h, procName: procName(kind)}
 }
+
+// HandleAll registers h for every kind of k, as Handle would one by
+// one; h tells them apart by Msg.Kind. It costs the endpoint nothing per
+// kind — no map entry, no proc name — which is what an endpoint made by
+// the hundred needs.
+func (ep *Endpoint) HandleAll(k Kinds, h Handler) { ep.kinds, ep.all = k, h }
 
 // Call sends a request and blocks until the reply arrives.
 func (ep *Endpoint) Call(toNode, toEP, kind string, body []byte) []byte {
@@ -280,7 +305,12 @@ func (h *Hub) onFrame(f fabric.Frame) {
 		return
 	}
 	msg := Msg{FromNode: f.Src, FromEP: w.fromEP, Kind: w.kind, Body: w.body, reqID: w.reqID}
-	if hd, ok := ep.handlers[w.kind]; ok {
+	hd, ok := ep.handlers[w.kind]
+	if !ok {
+		hd.procName, ok = ep.kinds[w.kind]
+		hd.fn = ep.all
+	}
+	if ok {
 		// Handlers serve both RPCs and one-way messages; they run in
 		// their own proc so they may block.
 		sv := h.takeServing()

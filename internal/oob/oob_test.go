@@ -1,6 +1,7 @@
 package oob
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -176,4 +177,46 @@ func TestCallAllocations(t *testing.T) {
 	if n := len(hb.idle); n != 1 {
 		t.Fatalf("%d servings on the hub's idle list after sequential calls, want 1 reused", n)
 	}
+}
+
+// TestHandleAllServesItsKinds: one registration serves every kind of
+// the set under the proc name Handle would have given it, a Handle for
+// the same kind wins, and a kind outside the set is still unhandled — an
+// RPC for it times out, a one-way message lands in the inbox.
+func TestHandleAllServesItsKinds(t *testing.T) {
+	s, ha, hb := twoHubs(t)
+	defer s.Close()
+	svc := hb.Endpoint("svc")
+	stuck := sim.NewCond(s, "stuck")
+	svc.HandleAll(NewKinds("ping", "park", "own"), func(m Msg) []byte {
+		if m.Kind == "park" {
+			stuck.Wait()
+		}
+		return []byte("all:" + m.Kind)
+	})
+	svc.Handle("own", func(Msg) []byte { return []byte("own") })
+	s.Go("call", func() {
+		cli := ha.Endpoint("cli")
+		if got := string(cli.Call("b", "svc", "ping", nil)); got != "all:ping" {
+			t.Errorf("ping answered %q", got)
+		}
+		if got := string(cli.Call("b", "svc", "own", nil)); got != "own" {
+			t.Errorf("own answered %q", got)
+		}
+		if _, ok := cli.CallTimeout("b", "svc", "other", nil, time.Millisecond); ok {
+			t.Error("a kind outside the set was answered")
+		}
+		cli.Send("b", "svc", "other", []byte("x"))
+		cli.Call("b", "svc", "park", nil)
+	})
+	defer func() {
+		// The parked handler proc shows under the kind's proc name.
+		if msg, _ := recover().(string); !strings.Contains(msg, "oob-handler:park (blocked at: wait stuck)") {
+			t.Errorf("deadlock report: %s", msg)
+		}
+		if m, ok := svc.TryRecv(); !ok || m.Kind != "other" {
+			t.Errorf("one-way message of an unhandled kind: %+v, %v", m, ok)
+		}
+	}()
+	s.Run()
 }

@@ -366,6 +366,7 @@ func (qp *QP) PostRecv(wr RecvWR) error {
 			return fmt.Errorf("rnic: local protection: %w", err)
 		}
 	}
+	qp.rq.Reserve(qp.caps.MaxRecv)
 	qp.rq.Push(NewRecvWQE(wr))
 	qp.mRecvPosts.Inc()
 	return nil

@@ -16,12 +16,37 @@
 //
 // Two rules keep the model sound:
 //
-//  1. Managed procs must block only through sim primitives. Blocking on a
-//     native channel or mutex from inside a managed proc would stall the
-//     scheduler (it waits for the running proc to park).
+//  1. Managed procs must block only through sim primitives. A proc is a
+//     coroutine of the goroutine that called Run: parking switches
+//     straight back to the scheduler loop, and nothing else runs
+//     meanwhile, so blocking on a native channel or mutex from inside a
+//     managed proc blocks the loop itself, for good if what would
+//     release it is another proc.
 //  2. Inline timer callbacks registered with AfterFunc, and tasks made
 //     with NewTask, run on the scheduler loop and must not block; they
 //     exist so that high-rate events (per-packet deliveries, a NIC
-//     engine draining its receive queue) do not pay a goroutine spawn
-//     or handoff each.
+//     engine draining its receive queue) do not pay a proc spawn or a
+//     switch each.
+//
+// A scheduler that is done with is closed: Close unwinds every proc
+// still parked — its deferred calls run — and drops the run queue and
+// the timers, so that a finished simulation holds no goroutine and pins
+// nothing it ran on. Whoever builds a scheduler defers its Close.
+//
+// How a proc may end, besides returning:
+//
+//   - A panic in a proc does not stay in the proc. It comes out of the
+//     Run call that dispatched it, on the caller's goroutine, as
+//     `sim: proc "<name>" panicked: <value>` followed by the stack of
+//     the proc (not of the scheduler loop). The scheduler does not carry
+//     on; it can still be closed.
+//   - runtime.Goexit in a proc — t.Fatal or t.FailNow in a proc of a
+//     test — ends the goroutine that called Run, RunFor or RunUntil,
+//     after that goroutine's own deferred calls have run, so a deferred
+//     Close still happens and a test fails with its message instead of
+//     hanging.
+//   - Close unwinds a parked proc by a panic with a private value that
+//     only the proc's worker recovers. A proc that recovers everything
+//     itself swallows it and just finishes; one that recovers in a loop
+//     and blocks again is unwound again, every time it blocks.
 package sim

@@ -1,14 +1,18 @@
 package sim
 
-import "time"
+import (
+	"fmt"
+	"runtime/debug"
+	"time"
+)
 
-// Proc is a managed goroutine scheduled cooperatively by a Scheduler.
+// Proc is a managed coroutine scheduled cooperatively by a Scheduler.
 type Proc struct {
 	s         *Scheduler
 	id        int64
 	name      string
-	resume    chan struct{} // the carrying worker's channel
-	task      *Task         // set on a task's run-queue entry, which has no goroutine
+	w         *worker // the coroutine that carries it
+	task      *Task   // set on a task's run-queue entry, which has no worker
 	done      bool
 	daemon    bool
 	blockedOp string // what the proc parked in ("wait", "recv", "sleep", …) and
@@ -24,54 +28,71 @@ type Proc struct {
 // Name returns the name the proc was spawned with.
 func (p *Proc) Name() string { return p.name }
 
-// worker is a goroutine that carries managed procs, one after another:
-// a proc whose function has returned hands its worker back to the
-// scheduler's idle list, and the next Go takes it from there instead of
-// starting a goroutine and making a resume channel. The Proc itself is
-// never reused, so a recycled worker runs under a fresh ID and name and
-// a stale *Proc stays done.
+// worker is a coroutine that carries managed procs, one after another:
+// the scheduler loop switches into it with next, the proc it carries
+// switches back with yield when it parks, and stop makes the pending (or
+// next) yield return false. A proc whose function has returned hands its
+// worker back to the scheduler's idle list, and the next Go takes it
+// from there instead of making a coroutine. The Proc itself is never
+// reused, so a recycled worker runs under a fresh ID and name and a
+// stale *Proc stays done.
+//
+// The three functions come from newWorker (coro.go), the one place that
+// makes a coroutine.
 type worker struct {
-	resume chan struct{}
-	p      *Proc // the proc to run at the next resume
-	fn     func()
+	next  func() (struct{}, bool)
+	stop  func()
+	yield func(struct{}) bool
+	p     *Proc // the proc to run at the next switch in
+	fn    func()
 }
 
-// loop runs one proc per first dispatch until the scheduler releases
-// the idle worker by closing its channel.
-func (w *worker) loop() {
-	for range w.resume {
-		w.run()
+// unwind is the value park panics with once the worker has been stopped:
+// the panic runs the proc's deferred calls on its way up to run's
+// deferred function, the only place that recovers it.
+type unwind struct{}
+
+// loop is the coroutine's body: one proc per switch in, until the proc
+// does not return (it panicked, exited or was unwound) or the scheduler
+// stops the idle worker.
+func (w *worker) loop(yield func(struct{}) bool) {
+	w.yield = yield
+	for w.run() && yield(struct{}{}) {
 	}
 }
 
-// run executes the assigned proc's function. A function that panics or
-// calls runtime.Goexit still yields to the scheduler loop, but takes
-// its goroutine with it: only a worker whose function returned is idle.
-func (w *worker) run() {
+// run executes the assigned proc's function and reports whether it
+// returned; only then is the worker idle and reusable. The other ways
+// out of a proc all end its coroutine. Close's unwind stops here. A
+// panic leaves the coroutine as a new panic value that names the proc
+// and carries its stack, because the coroutine machinery re-raises it
+// from next, on the goroutine that called Run, where the proc's frames
+// are gone. A runtime.Goexit (t.Fatal inside a proc) cannot be stopped
+// and becomes a Goexit of that goroutine the same way.
+func (w *worker) run() (returned bool) {
 	p, fn := w.p, w.fn
 	w.p, w.fn = nil, nil
-	returned := false
 	defer func() {
 		s := p.s
-		p.done = true
-		s.forget(p)
-		if !p.daemon {
-			s.live--
-		}
+		s.finish(p)
 		if returned {
 			s.idle = append(s.idle, w)
+			return
 		}
-		// Hand control back to the scheduler loop without expecting a
-		// further resume of this proc.
-		s.yielded <- struct{}{}
+		s.cur = nil // dispatch does not get to
+		if r := recover(); r != nil && r != (unwind{}) {
+			panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+		}
 	}()
 	fn()
-	returned = true
+	return true
 }
 
-// park blocks the proc until the scheduler resumes it. The caller must
-// have arranged for something (a timer, a cond signal, a channel op) to
-// eventually mark the proc runnable.
+// park switches back to the scheduler loop until it resumes the proc.
+// The caller must have arranged for something (a timer, a cond signal, a
+// channel op) to eventually mark the proc runnable. On a scheduler that
+// is being closed it does not return: it unwinds the proc instead, and
+// does so again if a deferred call of the proc blocks again.
 // op and on name the park site for diagnostics; they are joined only
 // when a report is rendered, so parking builds no string.
 func (p *Proc) park(op, on string) {
@@ -81,8 +102,9 @@ func (p *Proc) park(op, on string) {
 	if DebugTrace.Load() {
 		DebugLastPark.Store(p.name + ":" + p.blockedAt())
 	}
-	p.s.yielded <- struct{}{}
-	<-p.resume
+	if !p.w.yield(struct{}{}) {
+		panic(unwind{})
+	}
 	p.parked = false
 	p.blockedOp, p.blockedOn = "", ""
 }
@@ -95,9 +117,13 @@ func (p *Proc) blockedAt() string {
 	return p.blockedOp + " " + p.blockedOn
 }
 
-// forget drops a finished proc from the proc list (swap-remove: the
+// finish marks p done and drops it from the proc list (swap-remove: the
 // deadlock report sorts what it prints, so list order carries nothing).
-func (s *Scheduler) forget(p *Proc) {
+func (s *Scheduler) finish(p *Proc) {
+	p.done = true
+	if !p.daemon {
+		s.live--
+	}
 	last := s.procs[len(s.procs)-1]
 	s.procs[p.slot] = last
 	last.slot = p.slot

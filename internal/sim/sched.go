@@ -19,8 +19,9 @@ type Scheduler struct {
 	live     int    // procs spawned and not yet finished
 	cur      *Proc  // proc currently executing, nil when the loop runs
 
-	yielded chan struct{} // running proc -> scheduler: "I parked or exited"
 	stopped bool
+	running bool // inside Run, RunFor or RunUntil
+	closed  bool // Close has begun: nothing may be spawned or run
 	// deadlockFatal makes Run panic when live procs are blocked with no
 	// pending timers; RunFor tolerates that state (a later phase of the
 	// driving test may wake them).
@@ -51,7 +52,7 @@ type Scheduler struct {
 
 	// idle holds the workers of procs whose function has returned, for Go
 	// to reuse. runWhile releases them when it returns, so a simulation
-	// that is over leaves no goroutine behind for them.
+	// that is over leaves no coroutine behind for them.
 	idle []*worker
 
 	// procs lists this scheduler's unfinished procs for deadlock
@@ -69,9 +70,8 @@ const recentNamesSize = 8
 // random source is seeded with seed.
 func New(seed int64) *Scheduler {
 	return &Scheduler{
-		yielded: make(chan struct{}),
-		rng:     rand.New(rand.NewSource(seed)),
-		seed:    seed,
+		rng:  rand.New(rand.NewSource(seed)),
+		seed: seed,
 	}
 }
 
@@ -101,14 +101,16 @@ func (s *Scheduler) GoDaemon(name string, fn func()) *Proc {
 }
 
 func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
+	if s.closed {
+		panic("sim: Go on a closed scheduler: " + name)
+	}
 	var w *worker
 	if n := len(s.idle); n > 0 {
 		w = s.idle[n-1]
 		s.idle[n-1] = nil
 		s.idle = s.idle[:n-1]
 	} else {
-		w = &worker{resume: make(chan struct{})}
-		go w.loop()
+		w = newWorker()
 	}
 	s.nextProcID++
 	p := &Proc{
@@ -116,7 +118,7 @@ func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
 		id:     s.nextProcID,
 		name:   name,
 		daemon: daemon,
-		resume: w.resume,
+		w:      w,
 		slot:   len(s.procs),
 	}
 	w.p, w.fn = p, fn
@@ -128,19 +130,53 @@ func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
 	return p
 }
 
-// releaseIdle lets the goroutines of the idle workers exit.
+// releaseIdle ends the coroutines of the idle workers.
 func (s *Scheduler) releaseIdle() {
 	for i, w := range s.idle {
-		close(w.resume)
+		w.stop()
 		s.idle[i] = nil
 	}
 	s.idle = s.idle[:0]
 }
 
+// Close ends the simulation for good: it unwinds every unfinished proc
+// and releases everything the scheduler holds, so that nothing it ran
+// pins the rig it ran on. Procs are taken newest entry of the proc list
+// first. A proc that has run is parked somewhere; its park panics with a
+// private value (unwind) that only the worker's top frame recovers, so
+// its deferred calls run, on its own stack, with the proc current — a
+// deferred call that blocks gets the same panic again, and one that
+// wakes a proc already unwound is ignored. A proc that was spawned and never
+// dispatched never runs. Then the idle workers, the run queue and the
+// timers go. Close is idempotent; Go and Run on a closed scheduler
+// panic. It must not be called from a proc or a callback of a running
+// scheduler.
+func (s *Scheduler) Close() {
+	if s.closed {
+		return
+	}
+	if s.running {
+		panic("sim: Close called from inside Run")
+	}
+	s.closed = true
+	for n := len(s.procs); n > 0; n = len(s.procs) {
+		p := s.procs[n-1]
+		s.cur = p
+		p.w.stop()
+		s.cur = nil
+		if !p.done { // never dispatched
+			s.finish(p)
+		}
+	}
+	s.releaseIdle()
+	s.procs, s.idle, s.runq, s.runqHead = nil, nil, nil, 0
+	s.timers, s.freeTimers, s.cancelledTimers = nil, nil, 0
+}
+
 // Task is a run-to-completion activity: a named function the scheduler
 // loop calls inline when the task's run-queue entry is dispatched. It
 // takes the run-queue slot a proc parked on a Cond would take when
-// signalled, without the goroutine handoff — the model of a device that
+// signalled, without the coroutine switch — the model of a device that
 // is a self-driven state machine (a NIC engine), not a thread.
 //
 // The function runs with no current proc, so it must not block: Sleep,
@@ -252,7 +288,14 @@ func (s *Scheduler) LiveBlocked() int {
 func (s *Scheduler) Stop() { s.stopped = true }
 
 func (s *Scheduler) runWhile(cond func() bool) {
-	defer s.releaseIdle()
+	if s.closed {
+		panic("sim: Run on a closed scheduler")
+	}
+	s.running = true
+	defer func() {
+		s.running = false
+		s.releaseIdle()
+	}()
 	s.stopped = false
 	for !s.stopped {
 		if s.runqLen() == 0 {
@@ -328,8 +371,8 @@ func (s *Scheduler) popRunq() *Proc {
 // indicates two procs readying each other in a cycle.
 const sameInstantLimit = 2_000_000
 
-// dispatch resumes p and blocks until it parks or exits; a task's entry
-// runs to completion on the loop itself.
+// dispatch switches into p's coroutine and returns when it parks or
+// exits; a task's entry runs to completion on the loop itself.
 func (s *Scheduler) dispatch(p *Proc) {
 	DebugDispatches.Add(1)
 	if DebugTrace.Load() {
@@ -341,8 +384,7 @@ func (s *Scheduler) dispatch(p *Proc) {
 		return
 	}
 	s.cur = p
-	p.resume <- struct{}{}
-	<-s.yielded
+	p.w.next()
 	s.cur = nil
 }
 
@@ -399,6 +441,9 @@ func (s *Scheduler) fireNextTimers() {
 // ready marks p runnable.
 func (s *Scheduler) ready(p *Proc) {
 	if p.done {
+		if s.closed {
+			return // a deferred call of a proc Close is unwinding
+		}
 		panic("sim: waking finished proc " + p.name)
 	}
 	s.pushRunq(p)

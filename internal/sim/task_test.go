@@ -184,7 +184,7 @@ func TestTaskMayNotBlock(t *testing.T) {
 }
 
 // TestRecycledWorkerRunsAFreshProc: a proc spawned after another has
-// returned takes over its goroutine and resume channel, under its own
+// returned takes over its worker, under its own
 // ID and name — the deadlock report names it, not its predecessor.
 func TestRecycledWorkerRunsAFreshProc(t *testing.T) {
 	s := New(1)
@@ -201,7 +201,7 @@ func TestRecycledWorkerRunsAFreshProc(t *testing.T) {
 			!strings.Contains(msg, "second (blocked at: wait never)") || strings.Contains(msg, "first (") {
 			t.Errorf("deadlock report: %s", msg)
 		}
-		if second.resume != first.resume {
+		if second.w != first.w {
 			t.Error("second did not take over first's worker")
 		}
 		if second == first || second.id == first.id || second.name != "second" || !first.done || second.done {
@@ -225,14 +225,7 @@ func TestRunReleasesIdleWorkers(t *testing.T) {
 			t.Fatalf("%d idle workers held after Run", len(s.idle))
 		}
 	}
-	// The released goroutines exit on their own schedule.
-	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
-		if n := runtime.NumGoroutine(); n <= before+2 {
-			return
-		} else if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines before, %d after 1000 finished procs", before, n)
-		}
-	}
+	settleGoroutines(t, before)
 }
 
 // TestSpawnReusesWorkers: within one Run, short-lived procs spawned one
