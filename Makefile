@@ -43,10 +43,11 @@ chaos:
 # under the race detector: compensation paths interleave with in-flight
 # traffic, the multi-stream sender/applier procs with the compensation
 # drain, and the drain controller's retry/backoff procs with the
-# per-host executors. 8 seeds each; the plug-vs-go-back-N contrast runs
-# under -race too.
+# per-host executors. 8 seeds each on four workers, so the RunIndexed
+# pool is under the detector as well; the plug-vs-go-back-N contrast
+# runs under -race too.
 chaos-race:
-	$(GO) run -race ./cmd/migrchaos -scenario 'abort/*,plug-abort/*,pipelined*/*,drain/*' -seeds 8
+	$(GO) run -race ./cmd/migrchaos -scenario 'abort/*,plug-abort/*,pipelined*/*,drain/*' -seeds 8 -parallel 4
 	$(GO) test -race ./internal/chaos -run TestPlugVsGoBackN
 
 # Fuzz smoke over the wire-format decoder and the transport fault-script

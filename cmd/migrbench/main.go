@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -33,227 +34,152 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig3, fig4a, fig4b, fig4c, fig5, fig6, table4, migros, latency, concurrent, ablation-keytable, ablation-wbs, ablation-rkey, ablation-partner, loss, cutover, tenancy, pagechan, drain")
-	drainpar := flag.String("drainpar", "1,2,4,8", "comma-separated Drain.MaxParallel values for the drain sweep")
-	sessions := flag.String("sessions", "250,500,1000,2000", "comma-separated tenant session counts for the tenancy sweep")
-	qps := flag.String("qps", "16,64,256,1024", "comma-separated QP counts for fig3/fig4a/migros")
-	sizes := flag.String("sizes", "512,4096,65536,524288", "message sizes for fig4b")
-	partners := flag.String("partners", "1,2,4", "partner counts for fig4c")
-	k := flag.Int("k", 4, "container count for the concurrent experiment")
-	conc := flag.Int("conc", 2, "admission cap for the concurrent experiment")
-	parallel := flag.Int("parallel", 1, "worker pool size for the fig4a/cutover sweeps (each sweep point is an independent simulation)")
-	count := flag.Int("count", 1, "replica seeds per fig4a/cutover point; the median row is reported")
-	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
-	memprofile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "cpuprofile: %v\n", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // materialize the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "memprofile: %v\n", err)
-			}
-		}()
-	}
+// experiment is one -exp name: the banner it prints and the function
+// that writes its rows.
+type experiment struct {
+	name, title string
+	fn          func(out io.Writer) error
+}
 
-	run := func(name string, fn func() error) {
-		fmt.Printf("\n════ %s ════\n", name)
-		start := time.Now()
-		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", name, err)
-			os.Exit(1)
-		}
-		fmt.Printf("(completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
-	}
+// run is main over explicit arguments and streams, so the smoke tests
+// can drive it. It returns the exit code: 0 every selected experiment
+// ran, 1 one failed, 2 the command line was wrong.
+func run(args []string, out, errOut io.Writer) int {
+	fs := flag.NewFlagSet("migrbench", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	drainpar := intList{1, 2, 4, 8}
+	fs.Var(&drainpar, "drainpar", "comma-separated Drain.MaxParallel values for the drain sweep")
+	sessions := intList{250, 500, 1000, 2000}
+	fs.Var(&sessions, "sessions", "comma-separated tenant session counts for the tenancy sweep")
+	qps := intList{16, 64, 256, 1024}
+	fs.Var(&qps, "qps", "comma-separated QP counts for fig3/fig4a/migros")
+	sizes := intList{512, 4096, 65536, 524288}
+	fs.Var(&sizes, "sizes", "message sizes for fig4b")
+	partners := intList{1, 2, 4}
+	fs.Var(&partners, "partners", "partner counts for fig4c")
+	k := fs.Int("k", 4, "container count for the concurrent experiment")
+	conc := fs.Int("conc", 2, "admission cap for the concurrent experiment")
+	parallel := fs.Int("parallel", 1, "worker pool size for the fig4a/cutover sweeps (each sweep point is an independent simulation)")
+	count := fs.Int("count", 1, "replica seeds per fig4a/cutover point; the median row is reported")
+	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
+	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 
-	want := func(name string) bool { return *exp == "all" || *exp == name }
-
-	if want("fig3") {
-		run("Figure 3 — blackout breakdown (±pre-setup, sender/receiver)", func() error {
-			rows, err := experiments.Fig3Sweep(ints(*qps))
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+	table := []experiment{
+		{"fig3", "Figure 3 — blackout breakdown (±pre-setup, sender/receiver)", func(out io.Writer) error {
+			rows, err := experiments.Fig3Sweep(qps)
+			printRows(out, rows)
 			return err
-		})
-	}
-	if want("fig4a") {
-		run("Figure 4(a) — wait-before-stop vs #QPs", func() error {
-			rows, err := experiments.Fig4aParallel(ints(*qps), *count, *parallel)
-			printRows(rows)
+		}},
+		{"fig4a", "Figure 4(a) — wait-before-stop vs #QPs", func(out io.Writer) error {
+			rows, err := experiments.Fig4aParallel(qps, *count, *parallel)
+			printRows(out, rows)
 			return err
-		})
-	}
-	if want("fig4b") {
-		run("Figure 4(b) — wait-before-stop vs message size", func() error {
-			rows, err := experiments.Fig4b(ints(*sizes))
-			printRows(rows)
+		}},
+		{"fig4b", "Figure 4(b) — wait-before-stop vs message size", func(out io.Writer) error {
+			rows, err := experiments.Fig4b(sizes)
+			printRows(out, rows)
 			return err
-		})
-	}
-	if want("fig4c") {
-		run("Figure 4(c) — wait-before-stop vs #partners (one-to-many)", func() error {
-			rows, err := experiments.Fig4c(ints(*partners))
-			printRows(rows)
+		}},
+		{"fig4c", "Figure 4(c) — wait-before-stop vs #partners (one-to-many)", func(out io.Writer) error {
+			rows, err := experiments.Fig4c(partners)
+			printRows(out, rows)
 			return err
-		})
-	}
-	if want("table4") {
-		run("Table 4 — data-path virtualization overhead", func() error {
-			for _, r := range experiments.Table4() {
-				fmt.Println(r)
-			}
+		}},
+		{"table4", "Table 4 — data-path virtualization overhead", func(out io.Writer) error {
+			printRows(out, experiments.Table4())
 			return nil
-		})
-	}
-	if want("fig5") {
-		run("Figure 5 — partner throughput during live migration", func() error {
+		}},
+		{"fig5", "Figure 5 — partner throughput during live migration", func(out io.Writer) error {
 			for _, sender := range []bool{true, false} {
 				res, err := experiments.Fig5(sender)
 				if err != nil {
 					return err
 				}
-				fmt.Println(res)
-				printSeries(res)
+				fmt.Fprintln(out, res)
+				printSeries(out, res)
 			}
 			return nil
-		})
-	}
-	if want("fig6") {
-		run("Figure 6 — RDMA-Hadoop: baseline vs MigrRDMA vs failover", func() error {
+		}},
+		{"fig6", "Figure 6 — RDMA-Hadoop: baseline vs MigrRDMA vs failover", func(out io.Writer) error {
 			rows, err := experiments.Fig6Sweep()
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+			printRows(out, rows)
 			return err
-		})
-	}
-	if want("migros") {
-		run("§6 — MigrOS vs MigrRDMA blackout analysis", func() error {
-			for _, r := range experiments.MigrOSCompare(ints(*qps)) {
-				fmt.Println(r)
-			}
+		}},
+		{"migros", "§6 — MigrOS vs MigrRDMA blackout analysis", func(out io.Writer) error {
+			printRows(out, experiments.MigrOSCompare(qps))
 			return nil
-		})
-	}
-	if want("ablation-keytable") {
-		run("Ablation — dense key array vs LubeRDMA linked list", func() error {
-			for _, r := range experiments.AblationKeyTable([]int{4, 32, 128, 1024}) {
-				fmt.Println(r)
-			}
+		}},
+		{"ablation-keytable", "Ablation — dense key array vs LubeRDMA linked list", func(out io.Writer) error {
+			printRows(out, experiments.AblationKeyTable([]int{4, 32, 128, 1024}))
 			return nil
-		})
-	}
-	if want("ablation-wbs") {
-		run("Ablation — wait-before-stop vs drop-and-replay", func() error {
-			for _, r := range experiments.AblationWBS(ints(*qps)) {
-				fmt.Println(r)
-			}
+		}},
+		{"ablation-wbs", "Ablation — wait-before-stop vs drop-and-replay", func(out io.Writer) error {
+			printRows(out, experiments.AblationWBS(qps))
 			return nil
-		})
-	}
-	if want("ablation-partner") {
-		run("Ablation — partner spare QPs vs QP reset reuse", func() error {
-			for _, r := range experiments.AblationPartnerPreSetup(ints(*qps)) {
-				fmt.Println(r)
-			}
+		}},
+		{"ablation-partner", "Ablation — partner spare QPs vs QP reset reuse", func(out io.Writer) error {
+			printRows(out, experiments.AblationPartnerPreSetup(qps))
 			return nil
-		})
-	}
-	if want("ablation-rkey") {
-		run("Ablation — remote key cache on/off", func() error {
+		}},
+		{"ablation-rkey", "Ablation — remote key cache on/off", func(out io.Writer) error {
 			r, err := experiments.AblationRKeyCache(500)
 			if err != nil {
 				return err
 			}
-			fmt.Println(r)
+			fmt.Fprintln(out, r)
 			return nil
-		})
-	}
-	if want("concurrent") {
-		run("Concurrent drain — K container migrations under an admission cap", func() error {
+		}},
+		{"concurrent", "Concurrent drain — K container migrations under an admission cap", func(out io.Writer) error {
 			res, err := experiments.ConcurrentMigrations(*k, *conc)
 			if err != nil {
 				return err
 			}
-			fmt.Print(res)
+			fmt.Fprint(out, res)
 			return nil
-		})
-	}
-	if want("latency") {
-		run("Per-op latency across a live migration (Fig. 5's per-op view)", func() error {
+		}},
+		{"latency", "Per-op latency across a live migration (Fig. 5's per-op view)", func(out io.Writer) error {
 			prof, err := experiments.LatencyAcrossMigration()
 			if err != nil {
 				return err
 			}
-			fmt.Println(prof)
+			fmt.Fprintln(out, prof)
 			return nil
-		})
-	}
-	if want("loss") {
-		run("Robustness — migration under packet loss (§3.4 timeout path)", func() error {
+		}},
+		{"loss", "Robustness — migration under packet loss (§3.4 timeout path)", func(out io.Writer) error {
 			for _, p := range []float64{0.01, 0.05} {
 				r, err := experiments.MigrationUnderLoss(p, 300*time.Millisecond)
 				if err != nil {
 					return err
 				}
-				fmt.Println(r)
+				fmt.Fprintln(out, r)
 			}
 			return nil
-		})
-	}
-
-	if want("cutover") {
-		run("Cutover modes — go-back-N vs plug-and-forward", func() error {
+		}},
+		{"cutover", "Cutover modes — go-back-N vs plug-and-forward", func(out io.Writer) error {
 			rows, err := experiments.CutoverComparisonCount([]int{2048, 8192, 32768}, []int{1, 2}, 50, *count, *parallel)
 			if err != nil {
 				return err
 			}
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+			printRows(out, rows)
 			return nil
-		})
-	}
-	if want("tenancy") {
-		run("Tenancy — migrating thousands of tenant sessions (both cutover modes)", func() error {
-			rows, err := experiments.TenancySweep(ints(*sessions))
+		}},
+		{"tenancy", "Tenancy — migrating thousands of tenant sessions (both cutover modes)", func(out io.Writer) error {
+			rows, err := experiments.TenancySweep(sessions)
 			if err != nil {
 				return err
 			}
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+			printRows(out, rows)
 			return nil
-		})
-	}
-	if want("pagechan") {
-		run("Transfer pipeline — monolithic vs pipelined page channel", func() error {
+		}},
+		{"pagechan", "Transfer pipeline — monolithic vs pipelined page channel", func(out io.Writer) error {
 			rows, err := experiments.PageChanComparison([]int{2048, 8192, 32768}, 2, 400)
 			if err != nil {
 				return err
 			}
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+			printRows(out, rows)
 			// The consolidation scale point: 2000 tenant sessions with a
 			// churning session table, both transfer modes.
 			for _, mode := range []runc.TransferMode{runc.TransferMonolithic, runc.TransferPipelined} {
@@ -261,47 +187,108 @@ func main() {
 				if err != nil {
 					return err
 				}
-				fmt.Printf("%s  transfer=%-12s finalwire=%d\n", row, mode, row.FinalWire)
+				fmt.Fprintf(out, "%s  transfer=%-12s finalwire=%d\n", row, mode, row.FinalWire)
 			}
 			return nil
-		})
-	}
-	if want("drain") {
-		run("Rack drain — 32-host evacuation on the two-tier fabric", func() error {
-			rows, err := experiments.DrainSweep(ints(*drainpar))
+		}},
+		{"drain", "Rack drain — 32-host evacuation on the two-tier fabric", func(out io.Writer) error {
+			rows, err := experiments.DrainSweep(drainpar)
 			if err != nil {
 				return err
 			}
-			for _, r := range rows {
-				fmt.Println(r)
-			}
+			printRows(out, rows)
 			return nil
-		})
+		}},
 	}
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	exp := fs.String("exp", "all", "experiment: all, "+strings.Join(names, ", "))
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	selected := table
+	if *exp != "all" {
+		selected = nil
+		for _, e := range table {
+			if e.name == *exp {
+				selected = []experiment{e}
+			}
+		}
+		if selected == nil {
+			fmt.Fprintf(errOut, "unknown experiment %q; valid: all, %s\n", *exp, strings.Join(names, ", "))
+			return 2
+		}
+	}
+
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			fmt.Fprintf(errOut, "cpuprofile: %v\n", err)
+			return 1
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintf(errOut, "cpuprofile: %v\n", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memprofile != "" {
+		defer func() {
+			f, err := os.Create(*memprofile)
+			if err != nil {
+				fmt.Fprintf(errOut, "memprofile: %v\n", err)
+				return
+			}
+			defer f.Close()
+			runtime.GC() // materialize the final live set
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintf(errOut, "memprofile: %v\n", err)
+			}
+		}()
+	}
+
+	for _, e := range selected {
+		fmt.Fprintf(out, "\n════ %s ════\n", e.title)
+		start := time.Now()
+		if err := e.fn(out); err != nil {
+			fmt.Fprintf(errOut, "%s: %v\n", e.title, err)
+			return 1
+		}
+		fmt.Fprintf(out, "(completed in %v wall time)\n", time.Since(start).Round(time.Millisecond))
+	}
+	return 0
 }
 
-func ints(csv string) []int {
-	var out []int
+// intList is a flag holding comma-separated integers.
+type intList []int
+
+func (l *intList) String() string {
+	return strings.ReplaceAll(strings.Trim(fmt.Sprint([]int(*l)), "[]"), " ", ",")
+}
+
+func (l *intList) Set(csv string) error {
+	*l = nil
 	for _, f := range strings.Split(csv, ",") {
 		n, err := strconv.Atoi(strings.TrimSpace(f))
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad integer %q\n", f)
-			os.Exit(2)
+			return fmt.Errorf("bad integer %q", f)
 		}
-		out = append(out, n)
+		*l = append(*l, n)
 	}
-	return out
+	return nil
 }
 
-func printRows(rows []experiments.Fig4Row) {
+func printRows[R any](out io.Writer, rows []R) {
 	for _, r := range rows {
-		fmt.Println(r)
+		fmt.Fprintln(out, r)
 	}
 }
 
 // printSeries renders the 5 ms throughput timeline as a sparkline-ish
 // text series around the migration window.
-func printSeries(res experiments.Fig5Result) {
+func printSeries(out io.Writer, res experiments.Fig5Result) {
 	from := res.MigStart - 50*time.Millisecond
 	to := res.MigEnd + 50*time.Millisecond
 	for _, s := range res.Samples {
@@ -316,6 +303,6 @@ func printSeries(res experiments.Fig5Result) {
 		if s.T >= res.MigStart && s.T <= res.MigEnd {
 			marks = " *migration*"
 		}
-		fmt.Printf("  t=%8v %6.1f Gbps |%s%s\n", s.T.Round(time.Millisecond), s.Gbps, strings.Repeat("#", bar), marks)
+		fmt.Fprintf(out, "  t=%8v %6.1f Gbps |%s%s\n", s.T.Round(time.Millisecond), s.Gbps, strings.Repeat("#", bar), marks)
 	}
 }

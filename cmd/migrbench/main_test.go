@@ -1,0 +1,82 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// drive runs the command and returns its exit code and both streams.
+func drive(args ...string) (code int, out, errOut string) {
+	var o, e bytes.Buffer
+	code = run(args, &o, &e)
+	return code, o.String(), e.String()
+}
+
+// rows is an experiment's output without the wall-time line.
+func rows(out string) string {
+	var keep []string
+	for _, l := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(l, "(completed in ") {
+			keep = append(keep, l)
+		}
+	}
+	return strings.Join(keep, "\n")
+}
+
+func TestUnknownExperimentNamesTheValidOnes(t *testing.T) {
+	code, out, errOut := drive("-exp", "fig4")
+	if code != 2 || out != "" {
+		t.Fatalf("exit %d, stdout %q", code, out)
+	}
+	for _, want := range []string{`unknown experiment "fig4"`, "all", "fig4a", "ablation-keytable", "drain"} {
+		if !strings.Contains(errOut, want) {
+			t.Errorf("stderr %q does not mention %s", errOut, want)
+		}
+	}
+	if code, _, _ := drive("-no-such-flag"); code != 2 {
+		t.Errorf("bad flag exited %d, want 2", code)
+	}
+	if code, _, errOut := drive("-exp", "migros", "-qps", "16,x"); code != 2 || !strings.Contains(errOut, `bad integer "x"`) {
+		t.Errorf("bad -qps exited %d, stderr %q", code, errOut)
+	}
+}
+
+// TestCheapestExperiments: one experiment that builds no rig and one
+// that runs a single migration each print their banner and rows.
+func TestCheapestExperiments(t *testing.T) {
+	for _, c := range []struct {
+		args        []string
+		banner, row string
+	}{
+		{[]string{"-exp", "migros", "-qps", "16"}, "════ §6 — MigrOS vs MigrRDMA blackout analysis ════", "QPs=16 "},
+		{[]string{"-exp", "latency"}, "════ Per-op latency across a live migration", "ops="},
+	} {
+		code, out, errOut := drive(c.args...)
+		if code != 0 || errOut != "" {
+			t.Fatalf("%v: exit %d, stderr %q", c.args, code, errOut)
+		}
+		if !strings.Contains(out, c.banner) || !strings.Contains(out, "\n"+c.row) || !strings.Contains(out, "(completed in ") {
+			t.Errorf("%v printed:\n%s", c.args, out)
+		}
+		if n := strings.Count(out, "════") / 2; n != 1 {
+			t.Errorf("%v ran %d experiments, want 1", c.args, n)
+		}
+	}
+}
+
+// TestParallelPrintsTheSameRows: the pool changes the wall clock only.
+func TestParallelPrintsTheSameRows(t *testing.T) {
+	args := strings.Fields("-exp fig4a -qps 16 -count 2 -parallel")
+	code1, seq, _ := drive(append(args, "1")...)
+	code2, par, _ := drive(append(args, "2")...)
+	if code1 != 0 || code2 != 0 {
+		t.Fatalf("exit %d and %d", code1, code2)
+	}
+	if !strings.Contains(seq, "\nQPs=16 ") {
+		t.Fatalf("no fig4a row:\n%s", seq)
+	}
+	if rows(seq) != rows(par) {
+		t.Errorf("-parallel 2 differs from -parallel 1:\n%s\nvs\n%s", rows(par), rows(seq))
+	}
+}

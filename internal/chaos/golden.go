@@ -34,9 +34,7 @@ func (r GoldenResult) Key() string {
 
 // Goldens runs every scenario at every golden seed on a pool of
 // workers and returns the results scenario-major, in input order
-// regardless of completion order. Under the race detector the pool
-// degrades to one worker (sim.RaceEnabled), matching the shard engine's
-// sequential fallback.
+// regardless of completion order.
 func Goldens(scenarios []Scenario, workers int) []GoldenResult {
 	out := make([]GoldenResult, len(scenarios)*len(GoldenSeeds))
 	sim.RunIndexed(len(out), workers, func(i int) {

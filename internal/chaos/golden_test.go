@@ -6,8 +6,6 @@ import (
 	"os"
 	"strings"
 	"testing"
-
-	"migrrdma/internal/sim"
 )
 
 const goldenPath = "testdata/golden_hashes.json"
@@ -133,12 +131,9 @@ func TestGoldenHashes(t *testing.T) {
 // TestParallelGoldenEquivalence is the second golden pass, on a pool of
 // four workers: a divergence from the sequential pass means shared
 // mutable state leaked between simulations (a package-level variable, a
-// shared RNG, a shared registry). Under -race the pool degrades to one
-// worker (sim.RaceEnabled) and the pass still covers the full set.
+// shared RNG, a shared registry). Under -race the four workers are
+// real, so the detector sees that sharing as well as the hashes do.
 func TestParallelGoldenEquivalence(t *testing.T) {
-	if sim.RaceEnabled {
-		t.Log("race detector: workers=4 degrades to sequential")
-	}
 	goldenGate(t, 4)
 }
 

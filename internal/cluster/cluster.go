@@ -20,9 +20,6 @@ import (
 // Host is one server.
 type Host struct {
 	Name string
-	// Shard is the host's shard index under NewSharded (0 otherwise).
-	// With a two-tier topology shards align with racks, so Shard == Rack.
-	Shard int
 	// Rack is the host's rack under a two-tier fabric topology (0 on a
 	// flat fabric).
 	Rack    int
@@ -48,13 +45,6 @@ type Cluster struct {
 	// (fabric ports, RNICs, migration daemons) registers into it so one
 	// snapshot captures the whole testbed.
 	Metrics *metrics.Registry
-
-	// Group and IC are set by NewSharded only: the shard group driving
-	// per-host schedulers and the mailbox interconnect between their
-	// Networks. Sched/Net/Metrics are nil in that mode — state is
-	// per-host (see Host.Sched/Net/Metrics).
-	Group *sim.ShardGroup
-	IC    *fabric.Interconnect
 }
 
 // Config selects component parameters for every host.
@@ -119,20 +109,11 @@ func rackOf(t fabric.Topology, i int) int {
 	return r
 }
 
-// Close ends the testbed's simulation (sim.Scheduler.Close, on every
-// shard under NewSharded): every proc still parked is unwound, so the
-// cluster and all that ran on it become garbage once the caller drops
-// them. Nothing can be run on the cluster afterwards; its state and
-// metrics stay readable.
-func (c *Cluster) Close() {
-	if c.Group == nil {
-		c.Sched.Close()
-		return
-	}
-	for i := 0; i < c.Group.Shards(); i++ {
-		c.Group.Shard(i).Close()
-	}
-}
+// Close ends the testbed's simulation (sim.Scheduler.Close): every
+// proc still parked is unwound, so the cluster and all that ran on it
+// become garbage once the caller drops them. Nothing can be run on the
+// cluster afterwards; its state and metrics stay readable.
+func (c *Cluster) Close() { c.Sched.Close() }
 
 // Host returns the named host, panicking if absent.
 func (c *Cluster) Host(name string) *Host {

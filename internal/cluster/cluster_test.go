@@ -71,39 +71,28 @@ func TestHostLookupPanicsUnknown(t *testing.T) {
 	New(Config{Seed: 1}, "a").Host("zzz")
 }
 
-// TestCloseUnwindsParkedTransfers: Close reaches the scheduler of a flat
-// cluster and every shard of a sharded one; a transfer parked mid-stream
-// on each is unwound and no goroutine is left.
+// TestCloseUnwindsParkedTransfers: Close reaches the cluster's scheduler;
+// a transfer parked mid-stream on each host is unwound and no goroutine
+// is left.
 func TestCloseUnwindsParkedTransfers(t *testing.T) {
-	for name, build := range map[string]func() (*Cluster, func()){
-		"flat": func() (*Cluster, func()) {
-			c := New(Config{Seed: 1}, "a", "b")
-			return c, func() { c.Sched.RunFor(time.Millisecond) }
-		},
-		"sharded": func() (*Cluster, func()) {
-			c := NewSharded(Config{Seed: 1}, "a", "b")
-			return c, func() { c.Group.RunUntilTime(time.Millisecond) }
-		},
-	} {
-		before := runtime.NumGoroutine()
-		c, run := build()
-		unwound := 0
-		for _, h := range []string{"a", "b"} {
-			h, peer := c.Host(h), map[string]string{"a": "b", "b": "a"}[h]
-			h.Sched.Go("xfer", func() {
-				defer func() { unwound++ }()
-				h.TransferTo(peer, 1<<30) // 86 ms on the wire: parked at the horizon
-				t.Errorf("%s: transfer from %s finished", name, h.Name)
-			})
-		}
-		run()
-		c.Close()
-		c.Close()
-		if unwound != 2 {
-			t.Errorf("%s: %d transfers unwound, want 2", name, unwound)
-		}
-		if n := runtime.NumGoroutine(); n > before {
-			t.Errorf("%s: %d goroutines before, %d after Close", name, before, n)
-		}
+	before := runtime.NumGoroutine()
+	c := New(Config{Seed: 1}, "a", "b")
+	unwound := 0
+	for _, h := range []string{"a", "b"} {
+		h, peer := c.Host(h), map[string]string{"a": "b", "b": "a"}[h]
+		h.Sched.Go("xfer", func() {
+			defer func() { unwound++ }()
+			h.TransferTo(peer, 1<<30) // 86 ms on the wire: parked at the horizon
+			t.Errorf("transfer from %s finished", h.Name)
+		})
+	}
+	c.Sched.RunFor(time.Millisecond)
+	c.Close()
+	c.Close()
+	if unwound != 2 {
+		t.Errorf("%d transfers unwound, want 2", unwound)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines before, %d after Close", before, n)
 	}
 }

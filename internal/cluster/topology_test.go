@@ -35,28 +35,6 @@ func TestClusterRackAssignment(t *testing.T) {
 	}
 }
 
-// TestShardedClusterRackAlignment: with a topology the shard group gets
-// one shard per rack, hosts of a rack share that shard's scheduler and
-// Network, and cross-rack hosts do not.
-func TestShardedClusterRackAlignment(t *testing.T) {
-	topo := fabric.Topology{Racks: 2, HostsPerRack: 2, UplinkRate: 25e9}
-	names := rackNames(2, 2)
-	c := NewSharded(Config{Fabric: fabric.Config{Topology: topo}, Seed: 1}, names...)
-	if got := c.Group.Shards(); got != 2 {
-		t.Fatalf("shards = %d, want one per rack = 2", got)
-	}
-	a0, a1, b0 := c.Host("r0h0"), c.Host("r0h1"), c.Host("r1h0")
-	if a0.Shard != a0.Rack || b0.Shard != b0.Rack {
-		t.Fatal("shard-by-rack alignment broken: Shard != Rack")
-	}
-	if a0.Sched != a1.Sched || a0.Net != a1.Net || a0.Metrics != a1.Metrics {
-		t.Fatal("same-rack hosts must share their shard's scheduler/network/registry")
-	}
-	if a0.Sched == b0.Sched || a0.Net == b0.Net {
-		t.Fatal("cross-rack hosts must not share a shard")
-	}
-}
-
 // sixteenHostDigest builds the 4-rack × 4-host cluster and drives every
 // host through a cross-rack bulk transfer with RNG-jittered starts,
 // folding completion times, per-host fabric counters and the full

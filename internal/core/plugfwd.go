@@ -65,7 +65,7 @@ func (d *Daemon) SetPlugTap(tap func(event string, seq uint64)) { d.plugTap = ta
 
 // installPlug installs the destination-side plug buffer for a
 // migration adopting the QPs in pairs (old physical QPN → new QPN).
-func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32, limit int) error {
+func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32) error {
 	if d.plugFwd != nil {
 		return fmt.Errorf("core: %s already has a plug installed (migration %s); concurrent plug-mode migrations sharing a destination are not supported", d.Node(), d.plugFwd.migID)
 	}
@@ -93,7 +93,7 @@ func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32, limit int) e
 		qpn, ok := rnic.PeekDstQPN(f.Data)
 		return ok && st.newQPNs[qpn]
 	}
-	if err := d.host.Net.InstallPlug(d.Node(), limit, match, d.plugTap); err != nil {
+	if err := d.host.Net.InstallPlug(d.Node(), fabric.DefaultPlugLimit, match, d.plugTap); err != nil {
 		return err
 	}
 	d.plugFwd = st
@@ -258,11 +258,11 @@ func tunnelOrigSrc(b []byte) string {
 // InstallPlug installs the destination-side plug buffer for every QP
 // being adopted by this migration. Must run after PostRestore (the
 // old→new QPN pairing exists once the staged restore is bound).
-func (pl *Plugin) InstallPlug(limit int) error {
+func (pl *Plugin) InstallPlug() error {
 	if pl.staged == nil || len(pl.staged.qpnPairs) == 0 {
 		return fmt.Errorf("core: InstallPlug before restore produced QPN pairs")
 	}
-	return pl.Dst.installPlug(pl.ID, pl.staged.qpnPairs, limit)
+	return pl.Dst.installPlug(pl.ID, pl.staged.qpnPairs)
 }
 
 // DiscardPlug is InstallPlug's compensation: tear the plug down,

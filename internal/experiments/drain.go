@@ -11,7 +11,6 @@ import (
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
-	"migrrdma/internal/sim"
 )
 
 // This file is the datacenter drain experiment: a 16-rack × 8-host
@@ -47,12 +46,7 @@ const drainExpSeed = 83
 
 // DrainSeedFor returns replica rep's seed, anchored at the canonical
 // drainExpSeed like the other replicated experiments.
-func DrainSeedFor(rep int) int64 {
-	if rep == 0 {
-		return drainExpSeed
-	}
-	return sim.DeriveSeed(drainExpSeed, rep)
-}
+func DrainSeedFor(rep int) int64 { return replicaSeed(drainExpSeed, rep) }
 
 // drainExpSLO is the per-migration blackout objective the drain is
 // submitted under; misses are recorded, not enforced.

@@ -11,7 +11,6 @@ import (
 	"migrrdma/internal/runc"
 	"migrrdma/internal/sim"
 	"migrrdma/internal/task"
-	"migrrdma/internal/tenant"
 )
 
 // This file is the transfer-pipeline comparison: the same server-side
@@ -142,12 +141,7 @@ const pagechanSeed = 83
 // PageChanSeedFor returns replica rep's seed, anchored at the
 // canonical pagechanSeed the same way as the other replicated
 // experiments.
-func PageChanSeedFor(rep int) int64 {
-	if rep == 0 {
-		return pagechanSeed
-	}
-	return sim.DeriveSeed(pagechanSeed, rep)
-}
+func PageChanSeedFor(rep int) int64 { return replicaSeed(pagechanSeed, rep) }
 
 // RunPageChan measures one transfer configuration at the canonical seed.
 func RunPageChan(mode runc.TransferMode, msgSize, qps, messages int) (PageChanRow, error) {
@@ -228,84 +222,4 @@ func PageChanComparison(sizes []int, qps, messages int) ([]PageChanRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// RunTenancyTransferSeeded is RunTenancySeeded with an explicit
-// transfer mode: the 2000-session consolidation point under the
-// pipelined channel is the scale datapoint (the fixed benchmark's
-// tenancy-2000 workload). Unlike RunTenancySeeded, the service carries the page-hog writer so session
-// state churns while the migration streams — the tenant bursts alone
-// leave the memory image static by the time pre-copy starts, which
-// would make the transfer mode unobservable.
-func RunTenancyTransferSeeded(mode runc.CutoverMode, transfer runc.TransferMode, sessions int, seed int64) (TenancyRow, error) {
-	cfg := cluster.FastCheckpointTestbed(seed)
-	cfg.NIC.MaxRetries = 1 << 20
-	r := NewRigCfg(cfg, "src", "dst", "gw")
-	defer r.Close()
-	opts := tenant.Options{
-		Sessions: sessions, Lanes: 8, LaneDepth: 64,
-		Credits: 16, RefillAmount: 16, RefillEvery: 20 * time.Microsecond,
-	}
-	svc := tenant.NewService(r.CL.Sched, "svc", opts)
-	gw := tenant.NewGateway(r.CL.Sched, "gw", opts, tenant.Target{Node: "src", Name: "svc"})
-	svcCont := runc.NewContainer(r.CL.Host("src"), "svc-cont")
-	svcCont.Start(func(tp *task.Process) { svc.Run(tp, r.Daemons["src"]) })
-	gwCont := runc.NewContainer(r.CL.Host("gw"), "gw-cont")
-	r.CL.Sched.Go("tenancy-start-gw", func() {
-		svc.WaitReady()
-		gwCont.Start(func(tp *task.Process) { gw.Run(tp, r.Daemons["gw"]) })
-	})
-	stopHog, err := pageHog.Start(r.CL.Sched, svcCont.Procs[0])
-	if err != nil {
-		return TenancyRow{}, err
-	}
-
-	mopts := runc.DefaultMigrateOptions()
-	mopts.Cutover = mode
-	mopts.Transfer = transfer
-	sched := r.CL.Sched
-	var (
-		rep        *runc.Report
-		drainAfter time.Duration
-	)
-	sched.Go("tenancy-driver", func() {
-		gw.WaitReady()
-		gw.SubmitAll(tenancyBurst)
-		sched.Sleep(settle)
-		rep, err = r.Migrate(svcCont, "src", "dst", mopts)
-		start := sched.Now()
-		gw.SubmitAll(tenancyBurst)
-		gw.Drain()
-		drainAfter = sched.Now() - start
-		stopHog()
-		gw.Stop()
-		gw.Wait()
-		svc.Stop()
-		sched.Stop() // all measured; skip the idle tail to the horizon
-	})
-	sched.RunFor(10 * time.Minute)
-	if err != nil {
-		return TenancyRow{}, err
-	}
-	if rep == nil {
-		return TenancyRow{}, fmt.Errorf("tenancy: migration did not complete")
-	}
-	if v := gw.CheckInvariants(); len(v) != 0 {
-		return TenancyRow{}, fmt.Errorf("tenancy: %d invariant violations: %s", len(v), v[0])
-	}
-	if want := int64(sessions * 2 * tenancyBurst); gw.Stats.AckedOK != want {
-		return TenancyRow{}, fmt.Errorf("tenancy: %d ops acked, want %d", gw.Stats.AckedOK, want)
-	}
-	snap := r.CL.Metrics.Snapshot()
-	return TenancyRow{
-		Sessions: sessions, Mode: mode, Transfer: transfer,
-		Blackout:   rep.ServiceBlackout,
-		ReplayRDMA: rep.RestoreRDMA,
-		Total:      rep.Total,
-		Pages:      rep.PagesTransferred,
-		WireBytes:  snap.Sum("rnic", "tx_bytes"),
-		FinalWire:  rep.FinalWireBytes,
-		Acked:      gw.Stats.AckedOK,
-		DrainAfter: drainAfter,
-	}, nil
 }

@@ -17,23 +17,48 @@ import (
 // discrete event pattern; the median across derived seeds is the
 // stable statistic the benchmarks report.
 
-// Fig4SeedFor returns replica rep's seed for the Fig. 4 sweeps: replica
-// 0 is the canonical seed (so reps=1 reproduces the recorded rows) and
-// later replicas are splitmix64 derivations of it.
-func Fig4SeedFor(rep int) int64 {
+// replicaSeed returns replica rep's seed for an experiment anchored at
+// base: replica 0 is the canonical seed (so one replica reproduces the
+// recorded rows) and later replicas are splitmix64 derivations of it.
+func replicaSeed(base int64, rep int) int64 {
 	if rep == 0 {
-		return fig4BaseSeed
+		return base
 	}
-	return sim.DeriveSeed(fig4BaseSeed, rep)
+	return sim.DeriveSeed(base, rep)
 }
 
-// CutoverSeedFor returns replica rep's seed for the cutover comparison,
-// anchored at the canonical cutoverSeed the same way.
-func CutoverSeedFor(rep int) int64 {
-	if rep == 0 {
-		return cutoverSeed
+// Fig4SeedFor returns replica rep's seed for the Fig. 4 sweeps.
+func Fig4SeedFor(rep int) int64 { return replicaSeed(fig4BaseSeed, rep) }
+
+// CutoverSeedFor returns replica rep's seed for the cutover comparison.
+func CutoverSeedFor(rep int) int64 { return replicaSeed(cutoverSeed, rep) }
+
+// medianRows runs run(cell, rep) for every cell × replica as an
+// independent job on a pool of workers and returns, per cell, the
+// replica row that is the median in less order. One replica on one
+// worker is the sequential sweep. run wraps its own errors; the first
+// in job order is returned.
+func medianRows[R any](cells, reps, workers int, run func(cell, rep int) (R, error), less func(a, b R) bool) ([]R, error) {
+	if reps < 1 {
+		reps = 1
 	}
-	return sim.DeriveSeed(cutoverSeed, rep)
+	rows := make([]R, cells*reps)
+	errs := make([]error, len(rows))
+	sim.RunIndexed(len(rows), workers, func(i int) {
+		rows[i], errs[i] = run(i/reps, i%reps)
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	out := make([]R, 0, cells)
+	for c := 0; c < cells; c++ {
+		cell := rows[c*reps : (c+1)*reps]
+		sort.Slice(cell, func(a, b int) bool { return less(cell[a], cell[b]) })
+		out = append(out, cell[(reps-1)/2])
+	}
+	return out, nil
 }
 
 // Fig4aParallel is the Fig. 4(a) sweep fanned out over a worker pool:
@@ -41,39 +66,13 @@ func CutoverSeedFor(rep int) int64 {
 // QP point reports its median-by-WBS replica row. reps=1, workers=1
 // reproduces Fig4a exactly.
 func Fig4aParallel(qps []int, reps, workers int) ([]Fig4Row, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	type job struct{ point, rep int }
-	var jobs []job
-	for p := range qps {
-		for r := 0; r < reps; r++ {
-			jobs = append(jobs, job{point: p, rep: r})
-		}
-	}
-	rows := make([]Fig4Row, len(jobs))
-	errs := make([]error, len(jobs))
-	sim.RunIndexed(len(jobs), workers, func(i int) {
-		j := jobs[i]
-		rows[i], errs[i] = Fig4Seeded(qps[j.point], 4096, 1, Fig4SeedFor(j.rep))
-	})
-	for i, err := range errs {
+	return medianRows(len(qps), reps, workers, func(p, rep int) (Fig4Row, error) {
+		row, err := Fig4Seeded(qps[p], 4096, 1, Fig4SeedFor(rep))
 		if err != nil {
-			return nil, fmt.Errorf("fig4a n=%d rep=%d: %w", qps[jobs[i].point], jobs[i].rep, err)
+			err = fmt.Errorf("fig4a n=%d rep=%d: %w", qps[p], rep, err)
 		}
-	}
-	out := make([]Fig4Row, 0, len(qps))
-	for p := range qps {
-		reprows := make([]Fig4Row, 0, reps)
-		for i, j := range jobs {
-			if j.point == p {
-				reprows = append(reprows, rows[i])
-			}
-		}
-		sort.Slice(reprows, func(a, b int) bool { return reprows[a].WBS < reprows[b].WBS })
-		out = append(out, reprows[(len(reprows)-1)/2])
-	}
-	return out, nil
+		return row, err
+	}, func(a, b Fig4Row) bool { return a.WBS < b.WBS })
 }
 
 // CutoverComparisonCount is CutoverComparison with count replicas per
@@ -81,51 +80,24 @@ func Fig4aParallel(qps []int, reps, workers int) ([]Fig4Row, error) {
 // its median-by-p99 replica row. count=1 reproduces the sequential
 // comparison's rows.
 func CutoverComparisonCount(sizes, qpCounts []int, messages, count, workers int) ([]CutoverRow, error) {
-	if count < 1 {
-		count = 1
+	type cell struct {
+		mode    runc.CutoverMode
+		sz, qps int
 	}
-	modes := []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward}
-	type job struct {
-		cell int // index into the grouped output order
-		mode runc.CutoverMode
-		sz   int
-		qps  int
-		rep  int
-	}
-	var jobs []job
-	cells := 0
+	var cells []cell
 	for _, sz := range sizes {
 		for _, qps := range qpCounts {
-			for _, mode := range modes {
-				for r := 0; r < count; r++ {
-					jobs = append(jobs, job{cell: cells, mode: mode, sz: sz, qps: qps, rep: r})
-				}
-				cells++
+			for _, mode := range []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward} {
+				cells = append(cells, cell{mode, sz, qps})
 			}
 		}
 	}
-	rows := make([]CutoverRow, len(jobs))
-	errs := make([]error, len(jobs))
-	sim.RunIndexed(len(jobs), workers, func(i int) {
-		j := jobs[i]
-		rows[i], errs[i] = RunCutoverSeeded(j.mode, j.sz, j.qps, messages, CutoverSeedFor(j.rep))
-	})
-	for i, err := range errs {
+	return medianRows(len(cells), count, workers, func(i, rep int) (CutoverRow, error) {
+		c := cells[i]
+		row, err := RunCutoverSeeded(c.mode, c.sz, c.qps, messages, CutoverSeedFor(rep))
 		if err != nil {
-			j := jobs[i]
-			return nil, fmt.Errorf("%v msg=%d qps=%d rep=%d: %w", j.mode, j.sz, j.qps, j.rep, err)
+			err = fmt.Errorf("%v msg=%d qps=%d rep=%d: %w", c.mode, c.sz, c.qps, rep, err)
 		}
-	}
-	out := make([]CutoverRow, 0, cells)
-	for c := 0; c < cells; c++ {
-		cellRows := make([]CutoverRow, 0, count)
-		for i, j := range jobs {
-			if j.cell == c {
-				cellRows = append(cellRows, rows[i])
-			}
-		}
-		sort.Slice(cellRows, func(a, b int) bool { return cellRows[a].P99 < cellRows[b].P99 })
-		out = append(out, cellRows[(len(cellRows)-1)/2])
-	}
-	return out, nil
+		return row, err
+	}, func(a, b CutoverRow) bool { return a.P99 < b.P99 })
 }

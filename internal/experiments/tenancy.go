@@ -6,7 +6,6 @@ import (
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/runc"
-	"migrrdma/internal/sim"
 	"migrrdma/internal/task"
 	"migrrdma/internal/tenant"
 )
@@ -62,12 +61,7 @@ const tenancySeed = 71
 
 // TenancySeedFor returns replica rep's seed, anchored at the canonical
 // tenancySeed the same way as the other replicated experiments.
-func TenancySeedFor(rep int) int64 {
-	if rep == 0 {
-		return tenancySeed
-	}
-	return sim.DeriveSeed(tenancySeed, rep)
-}
+func TenancySeedFor(rep int) int64 { return replicaSeed(tenancySeed, rep) }
 
 // tenancyBurst is the data operations per session per burst; one burst
 // is in flight when the migration starts, a second drains after it.
@@ -82,6 +76,24 @@ func RunTenancy(mode runc.CutoverMode, sessions int) (TenancyRow, error) {
 // given number of live tenant sessions, with a burst in flight at
 // cutover, and audits the per-tenant exactly-once ledger afterwards.
 func RunTenancySeeded(mode runc.CutoverMode, sessions int, seed int64) (TenancyRow, error) {
+	return runTenancy(mode, runc.TransferMonolithic, sessions, seed, false)
+}
+
+// RunTenancyTransferSeeded is RunTenancySeeded with an explicit
+// transfer mode: the 2000-session consolidation point under the
+// pipelined channel is the scale datapoint (the fixed benchmark's
+// tenancy-2000 workload). Unlike RunTenancySeeded, the service carries
+// the page-hog writer so session state churns while the migration
+// streams — the tenant bursts alone leave the memory image static by
+// the time pre-copy starts, which would make the transfer mode
+// unobservable.
+func RunTenancyTransferSeeded(mode runc.CutoverMode, transfer runc.TransferMode, sessions int, seed int64) (TenancyRow, error) {
+	return runTenancy(mode, transfer, sessions, seed, true)
+}
+
+// runTenancy is the body of both: hog attaches the page-hog writer to
+// the service.
+func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int, seed int64, hog bool) (TenancyRow, error) {
 	cfg := cluster.FastCheckpointTestbed(seed)
 	// rnr_retry=7 semantics, as in the cutover comparison: requests in
 	// flight at freeze must retry through the blackout, not error out.
@@ -101,13 +113,20 @@ func RunTenancySeeded(mode runc.CutoverMode, sessions int, seed int64) (TenancyR
 		svc.WaitReady()
 		gwCont.Start(func(tp *task.Process) { gw.Run(tp, r.Daemons["gw"]) })
 	})
+	var err error
+	stopHog := func() {}
+	if hog {
+		if stopHog, err = pageHog.Start(r.CL.Sched, svcCont.Procs[0]); err != nil {
+			return TenancyRow{}, err
+		}
+	}
 
 	mopts := runc.DefaultMigrateOptions()
 	mopts.Cutover = mode
+	mopts.Transfer = transfer
 	sched := r.CL.Sched
 	var (
 		rep        *runc.Report
-		err        error
 		drainAfter time.Duration
 	)
 	sched.Go("tenancy-driver", func() {
@@ -121,6 +140,7 @@ func RunTenancySeeded(mode runc.CutoverMode, sessions int, seed int64) (TenancyR
 		gw.SubmitAll(tenancyBurst)
 		gw.Drain()
 		drainAfter = sched.Now() - start
+		stopHog()
 		gw.Stop()
 		gw.Wait()
 		svc.Stop()
@@ -141,7 +161,7 @@ func RunTenancySeeded(mode runc.CutoverMode, sessions int, seed int64) (TenancyR
 	}
 	snap := r.CL.Metrics.Snapshot()
 	return TenancyRow{
-		Sessions: sessions, Mode: mode,
+		Sessions: sessions, Mode: mode, Transfer: transfer,
 		Blackout:   rep.ServiceBlackout,
 		ReplayRDMA: rep.RestoreRDMA,
 		Total:      rep.Total,

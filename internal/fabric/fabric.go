@@ -52,21 +52,13 @@ func DefaultConfig() Config {
 	return Config{Rate: 100e9, PropDelay: 1 * time.Microsecond}
 }
 
-// Network is a single-switch fabric connecting named nodes. In the
-// sharded configuration (see Interconnect) each shard owns one Network
-// carrying that shard's nodes; frames addressed to nodes on other
-// shards leave through the interconnect's mailboxes instead of being
-// scheduled locally.
+// Network is the fabric connecting named nodes: one switch, or the
+// two-tier rack/spine topology of topology.go.
 type Network struct {
 	sched *sim.Scheduler
 	cfg   Config
 	reg   *metrics.Registry
 	ports map[string]*port
-
-	// ic/shard bind this Network into a sharded group; nil/0 for the
-	// classic single-scheduler fabric.
-	ic    *Interconnect
-	shard int
 
 	// racks holds the per-rack spine links of a two-tier topology; nil
 	// on a flat network, so the classic Send path never consults it.
@@ -198,9 +190,6 @@ func (n *Network) Attach(name string, h Handler) {
 	if _, dup := n.ports[name]; dup {
 		panic("fabric: duplicate node " + name)
 	}
-	if n.ic != nil {
-		n.ic.registerNode(name, n.shard)
-	}
 	b := n.reg.Block("fabric", metrics.L("node", name), 9)
 	n.ports[name] = &port{
 		name: name, handler: h,
@@ -330,17 +319,7 @@ func (n *Network) serializationAt(p *port, size int) time.Duration {
 // or not it is subsequently dropped.
 func (n *Network) Send(f Frame) {
 	src := n.mustPort(f.Src)
-	dst, local := n.ports[f.Dst]
-	if !local {
-		// A node this Network has never heard of: either it lives on
-		// another shard of an interconnected group, or it is a typo.
-		if n.ic != nil {
-			n.ic.sendRemote(n, src, f)
-			return
-		}
-		panic("fabric: unknown node " + f.Dst)
-	}
-	now := n.sched.Now()
+	dst := n.mustPort(f.Dst)
 	if src.partitioned || dst.partitioned {
 		dst.drop()
 		return
@@ -366,7 +345,7 @@ func (n *Network) Send(f Frame) {
 		}
 		arriveSwitch = atDstToR
 	}
-	n.deliverDownlink(dst, f, arriveSwitch, now)
+	n.deliverDownlink(dst, f, arriveSwitch)
 }
 
 // serializeUplink books the frame onto the source uplink (source NIC →
@@ -386,10 +365,9 @@ func (n *Network) serializeUplink(src *port, size int) time.Duration {
 // deliverDownlink carries a frame that reaches the switch at
 // arriveSwitch onto the destination downlink: the switch-side
 // duplication draw, per-copy store-and-forward serialization, and the
-// per-copy loss/reorder draws. It is the destination half of Send,
-// shared with the shard interconnect (where it runs on the destination
-// shard, against the destination scheduler's clock and RNG).
-func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch, now time.Duration) {
+// per-copy loss/reorder draws. It is the destination half of Send.
+func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration) {
+	now := n.sched.Now()
 	// Switch-side duplication: the copy re-serializes on the downlink
 	// behind the original, so it always trails it.
 	copies := 1

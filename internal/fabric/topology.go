@@ -29,11 +29,7 @@ import (
 // times — the brownout a rack-wide drain inflicts on itself.
 //
 // Same-rack frames never touch the spine and take exactly the flat
-// path, which is also what keeps the sharded fabric sound: under the
-// shard-by-rack alignment (cluster.NewSharded with a topology) the
-// uplink half of rack r is only ever booked by shard r (its sources)
-// and the downlink half only by shard r's barrier drain (its
-// destinations), so every rackLink stays single-owner.
+// path.
 
 // Topology declares the two-tier fabric. The zero value is the flat
 // single-switch network.
@@ -112,9 +108,7 @@ func (n *Network) initTopology() {
 }
 
 // SetRack assigns an attached node to a rack. Nodes default to rack 0;
-// topology consumers assign racks at attach time, before traffic. On a
-// sharded network the rack must equal the owning shard — the
-// shard-by-rack alignment that keeps rackLink state single-owner.
+// topology consumers assign racks at attach time, before traffic.
 func (n *Network) SetRack(name string, rack int) {
 	if n.racks == nil {
 		if rack == 0 {
@@ -125,9 +119,6 @@ func (n *Network) SetRack(name string, rack int) {
 	if rack < 0 || rack >= len(n.racks) {
 		panic(fmt.Sprintf("fabric: rack %d out of range [0,%d)", rack, len(n.racks)))
 	}
-	if n.ic != nil && rack != n.shard {
-		panic(fmt.Sprintf("fabric: node %s rack %d on shard %d breaks shard-by-rack alignment", name, rack, n.shard))
-	}
 	n.mustPort(name).rack = rack
 }
 
@@ -136,9 +127,9 @@ func (n *Network) Rack(name string) int { return n.mustPort(name).rack }
 
 // SetUplinkLoss drops frames crossing the rack's spine link with
 // probability p, restricted to the given mux port ("" = every port).
-// Draws use the booking scheduler's deterministic RNG: the ToR→spine
-// half draws on the source side, the spine→ToR half on the destination
-// side, matching the existing source-loss/destination-fault split.
+// Draws use the scheduler's deterministic RNG, one for the ToR→spine
+// half and one for the spine→ToR half, matching the per-port
+// source-loss/destination-fault split.
 func (n *Network) SetUplinkLoss(rack int, port string, p float64) {
 	l := n.mustRack(rack)
 	l.lossProb, l.lossPort = p, port
@@ -202,7 +193,7 @@ func (l *rackLink) lossDraw(n *Network, f Frame) bool {
 // serialization on the shared uplink starting when the frame reached
 // the ToR, then the spine propagation delay. It returns the time the
 // frame arrives at the spine and whether it survived the uplink fault
-// state. Runs on the source side (source shard when sharded).
+// state.
 func (n *Network) bookSpineUp(rack int, f Frame, atToR time.Duration) (time.Duration, bool) {
 	l := n.racks[rack]
 	start := atToR
@@ -222,8 +213,7 @@ func (n *Network) bookSpineUp(rack int, f Frame, atToR time.Duration) (time.Dura
 // bookSpineDown books the spine→ToR hop of the frame's destination
 // rack: store-and-forward serialization on the shared downlink, then
 // the spine propagation delay down to the ToR. It returns the time the
-// frame arrives at the destination ToR and whether it survived. Runs
-// on the destination side (destination shard when sharded).
+// frame arrives at the destination ToR and whether it survived.
 func (n *Network) bookSpineDown(rack int, f Frame, atSpine time.Duration) (time.Duration, bool) {
 	l := n.racks[rack]
 	start := atSpine

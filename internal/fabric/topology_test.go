@@ -176,73 +176,3 @@ func TestUplinkLossAndBlackhole(t *testing.T) {
 		t.Fatalf("a0 got %d frames through a lossy downlink, want 0", got)
 	}
 }
-
-// TestShardedTopologyMatchesFused: the same cross-rack traffic pattern
-// on a fused single-scheduler topology network and on a rack-sharded
-// interconnect must deliver identical frame counts and uplink byte
-// totals (arrival-time equality is pinned separately by the cluster
-// golden tests; here the booking split is the subject).
-func TestShardedTopologyMatchesFused(t *testing.T) {
-	topo := Topology{Racks: 2, HostsPerRack: 1, UplinkRate: 5e8}
-	cfg := Config{Rate: 1e9, PropDelay: 10 * time.Microsecond, Topology: topo}
-
-	type result struct {
-		delivered int64
-		up        int64
-		arrivals  []time.Duration
-	}
-	runFused := func() result {
-		s := sim.New(5)
-		n := New(s, cfg)
-		var at []time.Duration
-		n.Attach("a", func(f Frame) {})
-		n.Attach("b", func(f Frame) { at = append(at, s.Now()) })
-		n.SetRack("a", 0)
-		n.SetRack("b", 1)
-		s.Go("send", func() {
-			for i := 0; i < 50; i++ {
-				n.Send(Frame{Src: "a", Dst: "b", Size: 1250})
-				s.Sleep(5 * time.Microsecond)
-			}
-		})
-		s.Run()
-		d, _ := n.Stats("b")
-		up, _ := n.UplinkBytes(0)
-		return result{delivered: d, up: up, arrivals: at}
-	}
-	runSharded := func(workers int) result {
-		g := sim.NewShardGroup(5, 2, cfg.PropDelay)
-		ic := NewInterconnect(g, cfg)
-		var at []time.Duration
-		ic.Net(0).Attach("a", func(f Frame) {})
-		ic.Net(0).SetRack("a", 0)
-		ic.Net(1).Attach("b", func(f Frame) { at = append(at, g.Shard(1).Now()) })
-		ic.Net(1).SetRack("b", 1)
-		g.Shard(0).Go("send", func() {
-			for i := 0; i < 50; i++ {
-				ic.Net(0).Send(Frame{Src: "a", Dst: "b", Size: 1250})
-				g.Shard(0).Sleep(5 * time.Microsecond)
-			}
-		})
-		g.SetWorkers(workers)
-		g.Run()
-		d, _ := ic.Net(1).Stats("b")
-		up, _ := ic.Net(0).UplinkBytes(0)
-		return result{delivered: d, up: up, arrivals: at}
-	}
-
-	want := runFused()
-	for _, workers := range []int{1, 2} {
-		got := runSharded(workers)
-		if got.delivered != want.delivered || got.up != want.up {
-			t.Fatalf("workers=%d: delivered=%d up=%d, fused delivered=%d up=%d",
-				workers, got.delivered, got.up, want.delivered, want.up)
-		}
-		for i := range want.arrivals {
-			if got.arrivals[i] != want.arrivals[i] {
-				t.Fatalf("workers=%d frame %d: sharded arrival %v != fused %v",
-					workers, i, got.arrivals[i], want.arrivals[i])
-			}
-		}
-	}
-}

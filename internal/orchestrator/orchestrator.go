@@ -215,13 +215,9 @@ type Orchestrator struct {
 	OnStage func(m *Migration, stage string)
 }
 
-// New builds an orchestrator over a fused cluster. (Drain orchestration
-// is control-plane work on the cluster scheduler; the sharded cluster's
-// per-host schedulers have no place for it.)
+// New builds an orchestrator over the cluster; drain orchestration is
+// control-plane work on the cluster scheduler.
 func New(cfg Config) *Orchestrator {
-	if cfg.CL.Sched == nil {
-		panic("orchestrator: needs a fused cluster (sharded clusters have no cluster-wide scheduler)")
-	}
 	if cfg.Policy == nil {
 		cfg.Policy = LeastLoaded{PreferSameRack: true}
 	}

@@ -150,18 +150,12 @@ type MigrateOptions struct {
 	// Cutover selects the blackout-traffic strategy; the zero value is
 	// the paper's go-back-N cutover.
 	Cutover CutoverMode
-	// PlugLimit bounds the destination plug buffer in frames
-	// (plug-forward only); 0 takes the fabric default.
-	PlugLimit int
 	// Transfer selects the image transfer path; the zero value is the
 	// paper's monolithic dump-then-send workflow. Pipelined mode
 	// replaces the MaxPreCopyIters bound with the page channel's
 	// adaptive convergence controller (DirtyPageThreshold remains the
 	// convergence floor).
 	Transfer TransferMode
-	// Streams is the number of concurrent page-channel link streams
-	// (pipelined only); 0 takes pagechan.DefaultStreams.
-	Streams int
 	// ChunkPages is the page-channel chunk size in pages (pipelined
 	// only); 0 takes pagechan.DefaultChunkPages.
 	ChunkPages int
@@ -424,7 +418,6 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 	var pchan *pagechan.Session
 	if pipelined {
 		pchan = pagechan.NewSession(sched, src, dst.Name, pagechan.Config{
-			Streams:     m.Opts.Streams,
 			ChunkPages:  m.Opts.ChunkPages,
 			FailAtRound: m.Opts.FailAtRound,
 			FailAtChunk: m.Opts.FailAtChunk,
@@ -786,7 +779,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				// receive queues (RNR → retransmission).
 				phase{
 					name: "install-plug", stage: "install-plug",
-					run:        func() error { return plug.InstallPlug(m.Opts.PlugLimit) },
+					run:        plug.InstallPlug,
 					compensate: func() { plug.DiscardPlug() },
 				},
 				// The source tunnels stragglers for the suspended QPs into

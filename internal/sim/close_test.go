@@ -10,8 +10,8 @@ import (
 
 // settleGoroutines waits for the goroutine count to come back to
 // baseline. A coroutine that is stopped is gone when stop returns; the
-// wait is for native goroutines (a shard window's workers, an earlier
-// test's pool) that exit on their own schedule.
+// wait is for native goroutines (an earlier test's pool) that exit on
+// their own schedule.
 func settleGoroutines(t *testing.T, baseline int) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); ; runtime.Gosched() {
@@ -290,46 +290,4 @@ func TestCloseInsideRunPanics(t *testing.T) {
 		}
 	}()
 	s.Run()
-}
-
-// TestShardGroupCloseLeavesNoGoroutine: a shard group stopped mid-run,
-// on one window worker and on four, with a proc parked on every shard;
-// closing every shard leaves nothing behind.
-func TestShardGroupCloseLeavesNoGoroutine(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		baseline := runtime.NumGoroutine()
-		const shards = 4
-		g := NewShardGroup(7, shards, time.Microsecond)
-		g.SetWorkers(workers)
-		unwound := 0
-		for i := 0; i < shards; i++ {
-			s := g.Shard(i)
-			m := g.NewMailbox(i, (i+1)%shards, 0)
-			m.SetDeliver(func(MailboxEntry) {})
-			s.Go("ring", func() {
-				defer func() { unwound++ }()
-				for {
-					s.Sleep(2 * time.Microsecond)
-					m.Put(s.Now()+time.Microsecond, i)
-				}
-			})
-			s.Go("short", func() { s.Sleep(time.Microsecond) }) // leaves an idle worker per window
-			never := NewCond(s, "never")
-			s.Go("stuck", func() {
-				defer func() { unwound++ }()
-				never.Wait()
-			})
-		}
-		g.RunUntilTime(200 * time.Microsecond)
-		if g.Windows < 50 {
-			t.Fatalf("workers=%d: only %d windows ran", workers, g.Windows)
-		}
-		for i := 0; i < shards; i++ {
-			g.Shard(i).Close()
-		}
-		if unwound != 2*shards {
-			t.Errorf("workers=%d: %d procs unwound, want %d", workers, unwound, 2*shards)
-		}
-		settleGoroutines(t, baseline)
-	}
 }

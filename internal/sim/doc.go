@@ -41,10 +41,9 @@
 //     the proc (not of the scheduler loop). The scheduler does not carry
 //     on; it can still be closed.
 //   - runtime.Goexit in a proc — t.Fatal or t.FailNow in a proc of a
-//     test — ends the goroutine that called Run, RunFor or RunUntil,
-//     after that goroutine's own deferred calls have run, so a deferred
-//     Close still happens and a test fails with its message instead of
-//     hanging.
+//     test — ends the goroutine that called Run or RunFor, after that
+//     goroutine's own deferred calls have run, so a deferred Close still
+//     happens and a test fails with its message instead of hanging.
 //   - Close unwinds a parked proc by a panic with a private value that
 //     only the proc's worker recovers. A proc that recovers everything
 //     itself swallows it and just finishes; one that recovers in a loop

@@ -20,7 +20,7 @@ type Scheduler struct {
 	cur      *Proc  // proc currently executing, nil when the loop runs
 
 	stopped bool
-	running bool // inside Run, RunFor or RunUntil
+	running bool // inside Run or RunFor
 	closed  bool // Close has begun: nothing may be spawned or run
 	// deadlockFatal makes Run panic when live procs are blocked with no
 	// pending timers; RunFor tolerates that state (a later phase of the
@@ -58,8 +58,8 @@ type Scheduler struct {
 	// procs lists this scheduler's unfinished procs for deadlock
 	// reporting (each carries a parked flag, so parking itself touches no
 	// shared table). It is per-scheduler (not package-global) so that
-	// independent schedulers — shard-group workers, parallel chaos
-	// sweeps — can run on separate goroutines without sharing state.
+	// independent schedulers — RunIndexed's parallel chaos sweeps and
+	// replicas — can run on separate goroutines without sharing state.
 	procs []*Proc
 }
 
@@ -232,38 +232,6 @@ func (s *Scheduler) RunFor(d time.Duration) {
 	if s.now < deadline && s.runqLen() == 0 {
 		s.now = deadline
 	}
-}
-
-// RunUntil executes managed procs strictly below the given horizon:
-// every runnable proc and every timer with deadline < horizon is
-// processed, and the clock is left at the last processed instant (it
-// is NOT advanced to the horizon — pending work beyond it stays
-// pending). Blocked procs are tolerated: a shard whose procs wait on
-// cross-shard traffic is not a deadlock, the next window's mailbox
-// drain may wake them. This is the per-window primitive of the
-// conservative parallel engine (see ShardGroup).
-func (s *Scheduler) RunUntil(horizon time.Duration) {
-	s.runWhile(func() bool {
-		if s.runqLen() > 0 {
-			return true
-		}
-		return len(s.timers) > 0 && s.timers[0].when < horizon
-	})
-}
-
-// NextEventTime reports the virtual time of the earliest pending work:
-// now when a proc is runnable, else the earliest timer deadline. ok is
-// false when nothing is pending. A cancelled timer at the top of the
-// heap is reported as-is — an earlier-than-real bound only shrinks the
-// caller's window, which is always safe.
-func (s *Scheduler) NextEventTime() (time.Duration, bool) {
-	if s.runqLen() > 0 {
-		return s.now, true
-	}
-	if len(s.timers) > 0 {
-		return s.timers[0].when, true
-	}
-	return 0, false
 }
 
 // LiveBlocked reports the number of non-daemon procs that are alive but
