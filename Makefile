@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-time test-race chaos chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare
+.PHONY: all build vet test test-time test-race chaos chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
 
 all: build
 
@@ -78,6 +78,15 @@ bench-fixed:
 
 bench-compare:
 	bash bench/run.sh --compare $(A) $(B)
+
+# Where one workload's host time goes: ten seconds of it under the CPU
+# profiler, then the 25 hottest functions. Do this before choosing what
+# to optimise — `make profile WORKLOAD=tenancy-2000` is how PR 21 found
+# three quarters of that workload inside one gateway loop.
+WORKLOAD ?= bw-send16
+profile:
+	bash bench/run.sh --workload $(WORKLOAD) --seed 1 --trace 0 --cpuprofile $(WORKLOAD).prof
+	$(GO) tool pprof -top -nodecount=25 .bench_build/bench $(WORKLOAD).prof
 
 # The benchmark's own smoke test (a module of its own, so `go test
 # ./...` at the root does not reach it): every workload for one rep,

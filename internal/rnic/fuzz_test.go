@@ -288,3 +288,72 @@ func TestPropPSNOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRTOFiresAtLastArmPlusRTO: the QP's one retransmission timer is
+// pushed back in place by every ACK (sim.Scheduler.Rearm), so its heap
+// entry is queued under a deadline long past by the time traffic stops —
+// and it must still fire one RTO after the last arm, not when that entry
+// surfaces. onRTO checks the instant against the last arm itself, under
+// every test that reaches it (the fault-script corpus above, the fuzzer's
+// seeds, the chaos goldens); here the instants are read off the retry
+// counter: the first fire one RTO after the blackholed send went out,
+// the following ones one RTO after the fire before, until the budget is
+// spent.
+func TestRTOFiresAtLastArmPlusRTO(t *testing.T) {
+	const acked = 40
+	var fires []time.Duration
+	var posted time.Duration
+	var cfg Config
+	r := newRig(t, Config{}, func(r *rig) {
+		cfg = r.a.dev.cfg
+		mrA := r.a.regMR(t, 0x100000, 1<<20)
+		mrB := r.b.regMR(t, 0x100000, 1<<20)
+		for i := 0; i <= acked; i++ {
+			r.qpB.PostRecv(RecvWR{WRID: uint64(i), SGEs: []SGE{{Addr: 0x100000, Len: 4096, LKey: mrB.LKey}}})
+		}
+		send := func(id uint64) {
+			if err := r.qpA.PostSend(SendWR{WRID: id, Opcode: OpSend, Signaled: true,
+				SGEs: []SGE{{Addr: 0x100000, Len: 1024, LKey: mrA.LKey}}}); err != nil {
+				t.Error(err)
+			}
+		}
+		// ACKed traffic spread over several RTOs: every ACK re-arms.
+		for i := 0; i < acked; i++ {
+			send(uint64(i))
+			r.s.Sleep(cfg.RTO / 8)
+		}
+		if got := len(pollN(r.a.cq, acked)); got != acked {
+			t.Fatalf("%d of %d sends completed before the blackhole", got, acked)
+		}
+		r.net.SetLoss("hostB", 1)
+		posted = r.s.Now()
+		send(acked)
+		for last := 0; len(fires) < cfg.MaxRetries+1; {
+			r.s.Sleep(time.Microsecond)
+			if r.qpA.retries != last {
+				last = r.qpA.retries
+				fires = append(fires, r.s.Now())
+			}
+			if r.s.Now() > posted+time.Duration(cfg.MaxRetries+3)*cfg.RTO {
+				break
+			}
+		}
+		if e := pollN(r.a.cq, 1); len(e) != 1 || e[0].Status != WCRetryExceeded {
+			t.Errorf("blackholed send completed as %+v, want retry-exceeded", e)
+		}
+	})
+	r.s.Run()
+	if len(fires) != cfg.MaxRetries+1 {
+		t.Fatalf("saw %d RTO fires, want %d", len(fires), cfg.MaxRetries+1)
+	}
+	// The send is on the wire a doorbell and a serialisation after the
+	// post; the sampler rounds up to the next microsecond.
+	if d := fires[0] - posted - cfg.RTO; d < 0 || d > 20*time.Microsecond {
+		t.Errorf("first RTO %v after the post, want one RTO (%v) plus the time to transmit", fires[0]-posted, cfg.RTO)
+	}
+	for i := 1; i < len(fires); i++ {
+		if d := fires[i] - fires[i-1]; d != cfg.RTO {
+			t.Errorf("RTO fire %d came %v after fire %d, want %v", i, d, i-1, cfg.RTO)
+		}
+	}
+}

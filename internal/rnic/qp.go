@@ -2,6 +2,7 @@ package rnic
 
 import (
 	"fmt"
+	"time"
 
 	"migrrdma/internal/fifo"
 	"migrrdma/internal/metrics"
@@ -67,6 +68,7 @@ type QP struct {
 	retries    int
 	rnrRetries int
 	rtoTimer   sim.Timer
+	rtoDue     time.Duration // when rtoTimer was last armed for; onRTO checks it
 
 	// Responder side.
 	expPSN  uint32
@@ -168,7 +170,6 @@ func (d *Device) DestroyQP(qp *QP) {
 	d.sched.Sleep(d.cfg.DestroyLat)
 	qp.closed = true
 	qp.rtoTimer.Cancel()
-	qp.rtoTimer = sim.Timer{}
 	delete(d.qps, qp.QPN)
 	if slot := &d.qpCache[cacheSlot(qp.QPN)]; *slot == qp {
 		*slot = nil
@@ -247,7 +248,6 @@ func (qp *QP) reset() {
 	qp.remoteQPN = 0
 	qp.reasm = nil
 	qp.rtoTimer.Cancel()
-	qp.rtoTimer = sim.Timer{}
 }
 
 // enterError moves to ERR and flushes outstanding WQEs with flush status.
@@ -439,24 +439,20 @@ func ringCap(n int) int {
 	return n
 }
 
-// armRTO (re)arms the retransmission timer if unacked work remains.
+// armRTO (re)arms the retransmission timer if unacked work remains. The
+// QP keeps its one handle whether the timer is pending or cancelled, so
+// that the next arm can reuse the heap entry (sim.Scheduler.Rearm).
 func (qp *QP) armRTO() {
-	qp.rtoTimer.Cancel()
-	qp.rtoTimer = sim.Timer{}
-	if qp.Type != RC || qp.state != StateRTS {
-		return
-	}
-	pending := false
-	for _, e := range qp.sq {
-		if e.state == sqSent {
-			pending = true
-			break
+	if qp.Type == RC && qp.state == StateRTS {
+		for _, e := range qp.sq {
+			if e.state == sqSent {
+				qp.rtoDue = qp.dev.sched.Now() + qp.dev.cfg.RTO
+				qp.dev.sched.Rearm(&qp.rtoTimer, qp.dev.cfg.RTO, fireRTO, qp)
+				return
+			}
 		}
 	}
-	if !pending {
-		return
-	}
-	qp.rtoTimer = qp.dev.sched.AfterFuncArg(qp.dev.cfg.RTO, fireRTO, qp)
+	qp.rtoTimer.Cancel()
 }
 
 // fireRTO and fireRNRResume are the retransmission timer callbacks,
@@ -467,6 +463,11 @@ func fireRNRResume(qp any) { qp.(*QP).rnrResume() }
 
 // onRTO fires when the oldest unacked message timed out: go-back-N.
 func (qp *QP) onRTO() {
+	if now := qp.dev.sched.Now(); now != qp.rtoDue {
+		// The handle is re-armed in place on every ACK: a fire at the
+		// deadline of an earlier arm would be a spurious go-back-N.
+		panic(fmt.Sprintf("rnic: QP %d retransmission timer fired at %v, last armed for %v", qp.QPN, now, qp.rtoDue))
+	}
 	if qp.closed || qp.dev.closed || qp.state != StateRTS {
 		return
 	}

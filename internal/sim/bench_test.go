@@ -45,9 +45,9 @@ func BenchmarkTimerFire(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerCancel measures the arm/cancel cycle that retransmission
-// timers exercise on every acknowledged message: the cancelled timer
-// must not burden later heap operations.
+// BenchmarkTimerCancel measures the arm/cancel cycle of one-shot timers
+// that rarely fire (call timeouts): the cancelled timer must not burden
+// later heap operations.
 func BenchmarkTimerCancel(b *testing.B) {
 	s := New(1)
 	s.Go("arm-cancel", func() {
@@ -58,6 +58,24 @@ func BenchmarkTimerCancel(b *testing.B) {
 				s.Sleep(time.Microsecond)
 			}
 		}
+	})
+	b.ResetTimer()
+	s.Run()
+}
+
+// BenchmarkTimerRearm measures what a retransmission timer costs on
+// every acknowledged message: one handle pushed back in place.
+func BenchmarkTimerRearm(b *testing.B) {
+	s := New(1)
+	var h Timer
+	s.Go("rearm", func() {
+		for i := 0; i < b.N; i++ {
+			s.Rearm(&h, time.Millisecond, func(any) {}, nil)
+			if i%1024 == 1023 {
+				s.Sleep(time.Microsecond)
+			}
+		}
+		h.Cancel()
 	})
 	b.ResetTimer()
 	s.Run()

@@ -42,13 +42,15 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 	p := c.s.current("Cond.WaitTimeout")
 	c.waiters = append(c.waiters, p)
 	p.waitCond, p.timedOut = c, false
-	tm := c.s.AfterFuncArg(d, condTimeout, p)
+	// One handle per proc, re-armed: a poll loop that is woken before its
+	// timeout every time keeps one heap entry, not one per wait.
+	c.s.Rearm(&p.waitTimer, d, condTimeout, p)
 	p.park("wait", c.name)
 	p.waitCond = nil
 	if p.timedOut {
 		return false
 	}
-	tm.Cancel()
+	p.waitTimer.Cancel()
 	return true
 }
 

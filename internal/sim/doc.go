@@ -28,6 +28,15 @@
 //     engine draining its receive queue) do not pay a proc spawn or a
 //     switch each.
 //
+// Timers fire in the order of their deadlines and, at one deadline, in
+// the order they were armed (AfterFunc, AfterFuncArg, Sleep and Rearm all
+// take the next place in that order). A Timer handle cancels its timer
+// until it has fired; a cancelled timer neither fires nor holds the
+// clock. Rearm re-arms through a handle the owner keeps: it is Cancel
+// followed by AfterFuncArg in everything a simulation can observe, and
+// costs no heap operation when it pushes a deadline back — the way to
+// arm a timer that is re-armed far more often than it fires.
+//
 // A scheduler that is done with is closed: Close unwinds every proc
 // still parked — its deferred calls run — and drops the run queue and
 // the timers, so that a finished simulation holds no goroutine and pins

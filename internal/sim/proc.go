@@ -21,8 +21,9 @@ type Proc struct {
 	slot      int    // index in the scheduler's proc list
 
 	// Cond.WaitTimeout state, read by the timeout callback.
-	waitCond *Cond
-	timedOut bool
+	waitCond  *Cond
+	timedOut  bool
+	waitTimer Timer
 }
 
 // Name returns the name the proc was spawned with.
@@ -98,10 +99,6 @@ func (w *worker) run() (returned bool) {
 func (p *Proc) park(op, on string) {
 	p.blockedOp, p.blockedOn = op, on
 	p.parked = true
-	DebugParks.Add(1)
-	if DebugTrace.Load() {
-		DebugLastPark.Store(p.name + ":" + p.blockedAt())
-	}
 	if !p.w.yield(struct{}{}) {
 		panic(unwind{})
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
-	"sync/atomic"
 	"time"
 )
 
@@ -227,7 +226,8 @@ func (s *Scheduler) RunFor(d time.Duration) {
 		if s.runqLen() > 0 {
 			return true
 		}
-		return len(s.timers) > 0 && s.timers[0].when <= deadline
+		// The loop has settled the heap: the top's deadline is real.
+		return s.timers[0].when <= deadline
 	})
 	if s.now < deadline && s.runqLen() == 0 {
 		s.now = deadline
@@ -267,7 +267,7 @@ func (s *Scheduler) runWhile(cond func() bool) {
 	s.stopped = false
 	for !s.stopped {
 		if s.runqLen() == 0 {
-			if len(s.timers) == 0 {
+			if !s.settleTimers() {
 				if s.live > 0 && s.deadlockFatal {
 					panic("sim: deadlock: " + s.blockedReport())
 				}
@@ -342,10 +342,6 @@ const sameInstantLimit = 2_000_000
 // dispatch switches into p's coroutine and returns when it parks or
 // exits; a task's entry runs to completion on the loop itself.
 func (s *Scheduler) dispatch(p *Proc) {
-	DebugDispatches.Add(1)
-	if DebugTrace.Load() {
-		DebugLastProc.Store(p.name)
-	}
 	if t := p.task; t != nil {
 		t.fn()
 		t.queued = false
@@ -356,22 +352,40 @@ func (s *Scheduler) dispatch(p *Proc) {
 	s.cur = nil
 }
 
-// Debug counters for diagnosing stalls (read racily by probes). The
-// counters are always maintained; the last-proc/last-park strings
-// allocate on every dispatch, so they are only recorded while DebugTrace
-// is set.
-var (
-	DebugTrace      atomic.Bool
-	DebugDispatches atomic.Int64
-	DebugTimerFires atomic.Int64
-	DebugParks      atomic.Int64
-	DebugLastProc   atomic.Value
-	DebugLastPark   atomic.Value
-)
+// settleTimers drops cancelled entries from the top of the heap and
+// re-keys re-armed ones (Rearm) until the top is a live timer queued
+// under its own deadline, and reports whether there is one. An entry's
+// queued key never exceeds its timer's key, so once the top is settled
+// nothing below it fires earlier. The loop settles before it advances
+// the clock to the top's deadline or decides by it: the clock must not
+// move to a deadline nothing fires at.
+func (s *Scheduler) settleTimers() bool {
+	for len(s.timers) > 0 {
+		if s.timers[0].settled() {
+			return true
+		}
+		s.fixTop()
+	}
+	return false
+}
+
+// fixTop drops the top entry if its timer is cancelled and moves it to
+// the timer's own key otherwise; another entry may be on top afterwards.
+func (s *Scheduler) fixTop() {
+	e := &s.timers[0]
+	if tm := e.tm; tm.cancelled {
+		s.timers.pop()
+		s.cancelledTimers--
+		s.putTimer(tm)
+	} else {
+		e.when, e.seq = tm.when, tm.seq
+		s.timers.down(0)
+	}
+}
 
 // fireNextTimers advances the clock to the earliest timer deadline and
-// fires every timer due at that instant, in scheduling order. Cancelled
-// timers are dropped (and recycled) as they surface.
+// fires every timer due at that instant, in scheduling order. The caller
+// has settled the heap.
 func (s *Scheduler) fireNextTimers() {
 	t := s.timers[0].when
 	if t < s.now {
@@ -383,14 +397,14 @@ func (s *Scheduler) fireNextTimers() {
 		s.recentLen = 0
 	}
 	s.now = t
+	// A queued key is a lower bound, so a top queued after now ends the
+	// instant whether or not it is settled.
 	for len(s.timers) > 0 && s.timers[0].when <= s.now {
-		DebugTimerFires.Add(1)
-		tm := s.timers.pop()
-		if tm.cancelled {
-			s.cancelledTimers--
-			s.putTimer(tm)
+		if !s.timers[0].settled() {
+			s.fixTop()
 			continue
 		}
+		tm := s.timers.pop().tm
 		// Copy what the fire needs, then recycle: the callback itself may
 		// schedule new timers (and will happily reuse this struct).
 		fn, fnArg, arg, p := tm.fn, tm.fnArg, tm.arg, tm.p
@@ -456,7 +470,7 @@ func (s *Scheduler) after(d time.Duration, p *Proc, fn func(), fnArg func(any), 
 	tm.fn = fn
 	tm.fnArg = fnArg
 	tm.arg = arg
-	s.timers.push(tm)
+	s.timers.push(tm.entry())
 	return tm
 }
 
@@ -477,6 +491,35 @@ func (s *Scheduler) AfterFuncArg(d time.Duration, fn func(any), arg any) Timer {
 	return Timer{tm: tm, gen: tm.gen}
 }
 
+// Rearm is t.Cancel() followed by *t = s.AfterFuncArg(d, fn, arg): it
+// takes the next place in the scheduling order, so callbacks fire in the
+// order the two calls would give. What differs is the cost. While the
+// timer *t names is still queued — pending or cancelled, but not fired
+// or compacted away — and the new deadline is not before its old one,
+// its heap entry stays where it is and is moved to the new deadline only
+// when it reaches the top, so an owner that re-arms one handle for ever
+// (a retransmission timer pushed back by every ACK, a poll loop's wait
+// timeout) keeps one entry in the heap instead of leaving a cancelled
+// one behind each time. Otherwise it is the two calls.
+func (s *Scheduler) Rearm(t *Timer, d time.Duration, fn func(any), arg any) {
+	if d < 0 {
+		d = 0
+	}
+	tm := t.tm
+	if tm == nil || tm.gen != t.gen || s.now+d < tm.when {
+		t.Cancel()
+		*t = s.AfterFuncArg(d, fn, arg)
+		return
+	}
+	if tm.cancelled {
+		tm.cancelled = false
+		s.cancelledTimers--
+	}
+	s.seq++
+	tm.when, tm.seq = s.now+d, s.seq
+	tm.fn, tm.fnArg, tm.arg = nil, fn, arg
+}
+
 // wakeableSet collects the procs that have a pending wake-up: they are
 // runnable, or a live timer will ready them.
 func (s *Scheduler) wakeableSet() map[*Proc]bool {
@@ -484,9 +527,9 @@ func (s *Scheduler) wakeableSet() map[*Proc]bool {
 	for _, p := range s.runq[s.runqHead:] {
 		wakeable[p] = true
 	}
-	for _, tm := range s.timers {
-		if tm.p != nil && !tm.cancelled {
-			wakeable[tm.p] = true
+	for _, e := range s.timers {
+		if e.tm.p != nil && !e.tm.cancelled {
+			wakeable[e.tm.p] = true
 		}
 	}
 	return wakeable
@@ -523,9 +566,9 @@ type Timer struct {
 // Cancel stops the timer if it has not fired. It reports whether the
 // cancellation prevented the callback. The timer stays in the heap and
 // is dropped lazily when it surfaces at pop — or in one compaction pass
-// if cancelled entries come to outnumber live ones (a cancel-heavy
-// workload like per-message retransmission timers re-armed on every
-// ACK).
+// if cancelled entries come to outnumber live ones (one-shot timers
+// that are mostly cancelled, like call timeouts; an owner that re-arms
+// one timer over and over uses Rearm and leaves none).
 func (t Timer) Cancel() bool {
 	tm := t.tm
 	if tm == nil || tm.gen != t.gen || tm.cancelled {
@@ -549,17 +592,15 @@ const compactMinTimers = 64
 // fully determined by (when, seq), so compaction cannot reorder fires.
 func (s *Scheduler) compactTimers() {
 	live := s.timers[:0]
-	for _, tm := range s.timers {
-		if tm.cancelled {
+	for _, e := range s.timers {
+		if tm := e.tm; tm.cancelled {
 			s.cancelledTimers--
 			s.putTimer(tm)
 		} else {
-			live = append(live, tm)
+			live = append(live, tm.entry())
 		}
 	}
-	for i := len(live); i < len(s.timers); i++ {
-		s.timers[i] = nil
-	}
+	clear(s.timers[len(live):])
 	s.timers = live
 	s.timers.init()
 }
@@ -569,6 +610,10 @@ func (s *Scheduler) compactTimers() {
 // cancellation bookkeeping.
 func (s *Scheduler) TimerHeapLen() int { return len(s.timers) }
 
+// timer is one scheduled wake-up or callback. when and seq are its
+// deadline and its place in the scheduling order; after a Rearm they run
+// ahead of the key its heap entry is queued under until settleTimers
+// catches the entry up.
 type timer struct {
 	s         *Scheduler
 	when      time.Duration
@@ -581,68 +626,93 @@ type timer struct {
 	gen       uint64 // bumped on recycle; stale handles check it
 }
 
-// timerHeap is a binary min-heap ordered by (when, seq). seq is unique,
-// so the order is total and the pop sequence does not depend on how the
-// heap is laid out.
-type timerHeap []*timer
-
-func (h timerHeap) less(i, j int) bool {
-	if h[i].when != h[j].when {
-		return h[i].when < h[j].when
-	}
-	return h[i].seq < h[j].seq
+// timerEntry is a heap slot: the key by value, so that sifting compares
+// without following the pointer.
+type timerEntry struct {
+	when time.Duration
+	seq  uint64
+	tm   *timer
 }
 
-func (h *timerHeap) push(tm *timer) {
-	*h = append(*h, tm)
+// settled reports whether the entry's timer is live and still has the
+// key the entry is queued under.
+func (e timerEntry) settled() bool { return !e.tm.cancelled && e.seq == e.tm.seq }
+
+// entry is the slot tm is queued in under its current key.
+func (tm *timer) entry() timerEntry { return timerEntry{when: tm.when, seq: tm.seq, tm: tm} }
+
+func (a timerEntry) less(b timerEntry) bool {
+	if a.when != b.when {
+		return a.when < b.when
+	}
+	return a.seq < b.seq
+}
+
+// timerHeap is a 4-ary min-heap ordered by (when, seq): the children of
+// slot i are slots 4i+1 … 4i+4. seq is unique, so the order is total and
+// the pop sequence does not depend on how the heap is laid out.
+type timerHeap []timerEntry
+
+func (h *timerHeap) push(e timerEntry) {
+	*h = append(*h, e)
 	h.up(len(*h) - 1)
 }
 
-func (h *timerHeap) pop() *timer {
+func (h *timerHeap) pop() timerEntry {
 	old := *h
 	n := len(old) - 1
-	tm := old[0]
+	e := old[0]
 	old[0] = old[n]
-	old[n] = nil
+	old[n] = timerEntry{}
 	*h = old[:n]
 	h.down(0)
-	return tm
+	return e
 }
 
 // init establishes the heap invariant over arbitrary contents.
 func (h timerHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
+	for i := (len(h) - 2) / 4; i >= 0; i-- {
 		h.down(i)
 	}
 }
 
 func (h timerHeap) up(j int) {
+	e := h[j]
 	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !h.less(j, i) {
+		i := (j - 1) / 4 // parent
+		if !e.less(h[i]) {
 			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[j] = h[i]
 		j = i
 	}
+	h[j] = e
 }
 
 func (h timerHeap) down(i int) {
 	n := len(h)
+	if i >= n {
+		return
+	}
+	e := h[i]
 	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			return
+		first := 4*i + 1
+		if first >= n {
+			break
 		}
-		if r := j + 1; r < n && h.less(r, j) {
-			j = r
+		j := first // least child
+		for c := first + 1; c < min(first+4, n); c++ {
+			if h[c].less(h[j]) {
+				j = c
+			}
 		}
-		if !h.less(j, i) {
-			return
+		if !h[j].less(e) {
+			break
 		}
-		h[i], h[j] = h[j], h[i]
+		h[i] = h[j]
 		i = j
 	}
+	h[i] = e
 }
 
 // BlockedReport describes procs that are alive but not currently

@@ -505,10 +505,11 @@ func TestCondWaitTimeoutSameInstantRace(t *testing.T) {
 	}
 }
 
-// TestTimerHeapPopsInTotalOrder checks the hand-written heap against
-// its specification: whatever the insertion order, and across an init
-// over a filtered slice (what compaction does), pops come out sorted by
-// (when, seq).
+// TestTimerHeapPopsInTotalOrder checks the hand-written 4-ary heap
+// against its specification: whatever the insertion order, and across an
+// init over a filtered slice (what compaction does) or a re-key of the
+// top (what a re-armed entry gets when it surfaces), pops come out
+// sorted by (when, seq) — at sizes around a node's four children too.
 func TestTimerHeapPopsInTotalOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var h timerHeap
@@ -516,34 +517,47 @@ func TestTimerHeapPopsInTotalOrder(t *testing.T) {
 	push := func(n int) {
 		for i := 0; i < n; i++ {
 			seq++
-			h.push(&timer{when: time.Duration(rng.Intn(50)), seq: seq})
+			h.push(timerEntry{when: time.Duration(rng.Intn(50)), seq: seq})
 		}
 	}
 	drain := func(n int) {
-		var last *timer
+		var last timerEntry // seq 0: before every pushed entry at when 0
 		for i := 0; i < n; i++ {
-			tm := h.pop()
-			if last != nil && (tm.when < last.when || (tm.when == last.when && tm.seq < last.seq)) {
-				t.Fatalf("popped (%v,%d) after (%v,%d)", tm.when, tm.seq, last.when, last.seq)
+			e := h.pop()
+			if e.less(last) {
+				t.Fatalf("popped (%v,%d) after (%v,%d)", e.when, e.seq, last.when, last.seq)
 			}
-			last = tm
+			last = e
 		}
 	}
 	push(500)
 	drain(200)
 	// Compaction: drop every third entry in place, then re-heapify.
 	kept := h[:0]
-	for i, tm := range h {
+	for i, e := range h {
 		if i%3 != 0 {
-			kept = append(kept, tm)
+			kept = append(kept, e)
 		}
 	}
 	h = kept
 	h.init()
 	push(100)
+	// Re-key: move the top to a later deadline, as often as not past
+	// everything queued.
+	for i := 0; i < 50; i++ {
+		seq++
+		h[0].when, h[0].seq = h[0].when+time.Duration(rng.Intn(80)), seq
+		h.down(0)
+	}
 	drain(len(h))
-	if len(h) != 0 {
-		t.Fatalf("%d entries left", len(h))
+	for n := 0; n <= 11; n++ {
+		push(n)
+		rng.Shuffle(len(h), func(i, j int) { h[i], h[j] = h[j], h[i] })
+		h.init()
+		drain(n)
+		if len(h) != 0 {
+			t.Fatalf("%d entries left of %d", len(h), n)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"fmt"
-	"math/bits"
 	"time"
 
 	"migrrdma/internal/codec"
@@ -103,10 +102,14 @@ type Gateway struct {
 
 	sessions []*TenantSession
 	sessByID map[uint32]*TenantSession
-	// queued has bit i set while session i may have queued operations,
-	// so trySend visits those sessions only; pendingOps is their total.
-	queued     []uint64
+	// laneReady[l] holds the indexes of lane l's sessions that have
+	// operations queued, so trySend visits those sessions only, and only
+	// on lanes with window; pendingOps is the queued total.
+	laneReady  []readySet
 	pendingOps int
+	// sendSteps counts the ready-set lookups trySend has made: the unit
+	// its cost is pinned in (TestSendStepsIndependentOfPopulation).
+	sendSteps int
 	// refillAt is the pump iteration's refill instant (see refill).
 	refillAt time.Duration
 
@@ -115,14 +118,16 @@ type Gateway struct {
 
 // NewGateway creates a gateway descriptor; Run starts it in a process.
 func NewGateway(sched *sim.Scheduler, name string, opts Options, target Target) *Gateway {
+	opts = opts.withDefaults()
 	return &Gateway{
-		Name: name, Opts: opts.withDefaults(), Target: target,
-		sched:    sched,
-		ready:    sim.NewCond(sched, "tenant-gw-ready:"+name),
-		doneC:    sim.NewCond(sched, "tenant-gw-done:"+name),
-		workC:    sim.NewCond(sched, "tenant-gw-work:"+name),
-		idleC:    sim.NewCond(sched, "tenant-gw-idle:"+name),
-		sessByID: make(map[uint32]*TenantSession),
+		Name: name, Opts: opts, Target: target,
+		sched:     sched,
+		laneReady: make([]readySet, opts.Lanes),
+		ready:     sim.NewCond(sched, "tenant-gw-ready:"+name),
+		doneC:     sim.NewCond(sched, "tenant-gw-done:"+name),
+		workC:     sim.NewCond(sched, "tenant-gw-work:"+name),
+		idleC:     sim.NewCond(sched, "tenant-gw-idle:"+name),
+		sessByID:  make(map[uint32]*TenantSession),
 	}
 }
 
@@ -323,30 +328,37 @@ func (g *Gateway) NumSessions() int { return len(g.sessions) }
 
 func (g *Gateway) pendingTotal() int { return g.pendingOps }
 
-// markQueued records n newly queued operations on session i.
+// markQueued records n newly queued operations on session i. A session
+// is in its lane's ready set exactly while it has operations queued:
+// trySend takes it out when it posts the last one.
 func (g *Gateway) markQueued(i, n int) {
-	for len(g.queued) <= i/64 {
-		g.queued = append(g.queued, 0)
+	if n <= 0 {
+		return
 	}
-	g.queued[i/64] |= 1 << (i % 64)
+	g.laneReady[g.sessions[i].lane].add(i)
 	g.pendingOps += n
 }
 
-// nextQueued returns the first session index at or after from whose
-// queued bit is set, or limit if there is none below it. It reads the
-// bitmap live, so a session marked while a scan is parked mid-way is
-// seen by that scan exactly when a walk over every session would see it.
-func (g *Gateway) nextQueued(from, limit int) int {
-	for w := from / 64; w < len(g.queued); w++ {
-		word := g.queued[w]
-		if w == from/64 {
-			word &^= 1<<(from%64) - 1
+// nextSendable returns the lowest session index in [from, limit) that is
+// ready on a lane with window left, or limit if there is none. It reads
+// the sets and the windows live, so a walk that calls it with from one
+// past its last answer visits what a walk over every session that skips
+// the idle ones and those on a full lane would visit, when it would: a
+// session marked while the walk is parked is seen if it lies ahead, and
+// a lane that fills mid-walk drops out. consulted is the number of sets
+// it looked in — one per lane with window — which is all it costs.
+func nextSendable(ready []readySet, laneInflight []int, depth, from, limit int) (i, consulted int) {
+	i = limit
+	for lane := range ready {
+		if laneInflight[lane] >= depth {
+			continue
 		}
-		if word != 0 {
-			return min(w*64+bits.TrailingZeros64(word), limit)
+		consulted++
+		if j := ready[lane].next(from); j >= 0 && j < i {
+			i = j
 		}
 	}
-	return limit
+	return i, consulted
 }
 
 func (g *Gateway) inflightTotal() int {
@@ -413,22 +425,21 @@ func (g *Gateway) topUp(s *TenantSession) {
 // sessions with queued work in ID order, until every session is blocked
 // on its lane window, its credit bucket or an empty queue. Probes go
 // first (they bypass admission — an attacker does not wait politely);
-// data spends one credit per operation.
+// data spends one credit per operation. Sessions on a full lane are not
+// visited at all: a visit would read the window and move on.
 func (g *Gateway) trySend() bool {
-	o := g.Opts
 	progress := false
 	for again := true; again; {
 		again = false
 		n := len(g.sessions)
-		for i := g.nextQueued(0, n); i < n; i = g.nextQueued(i+1, n) {
+		for from := 0; ; {
+			i, consulted := nextSendable(g.laneReady, g.laneInflight, g.Opts.LaneDepth, from, n)
+			g.sendSteps += consulted
+			if i >= n {
+				break
+			}
+			from = i + 1
 			s := g.sessions[i]
-			if s.Pending() == 0 {
-				g.queued[i/64] &^= 1 << (i % 64)
-				continue
-			}
-			if g.laneInflight[s.lane] >= o.LaneDepth {
-				continue
-			}
 			var claimed uint32
 			probe := len(s.pendingProbes) > 0
 			if probe {
@@ -457,6 +468,9 @@ func (g *Gateway) trySend() bool {
 				s.stalled = false
 			}
 			g.pendingOps--
+			if s.Pending() == 0 {
+				g.laneReady[s.lane].remove(i)
+			}
 			again, progress = true, true
 		}
 	}
