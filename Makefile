@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-time test-race chaos chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
+.PHONY: all build vet test test-time test-race chaos goldens chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
 
 all: build
 
@@ -38,6 +38,23 @@ test-race:
 chaos:
 	$(GO) run ./cmd/migrchaos -seeds 32 -parallel 4
 	$(GO) test ./internal/chaos -run 'TestGoldenHashes|TestParallelGoldenEquivalence'
+
+# Re-baseline the chaos goldens by the DESIGN.md §14 protocol.
+#   make goldens MODE=telemetry   counters moved, no event did: rewrites
+#                                 that column, refuses if any behaviour
+#                                 hash differs
+#   make goldens MODE=behaviour   an event moved: first the whole sweep
+#                                 (make chaos's 42 scenarios × 32 seeds,
+#                                 every checker), refusing on any
+#                                 failure; only then both columns
+# Either way it prints the keys that moved, by tier and column: that
+# table, and why each row moved, goes into CHANGES.md.
+goldens:
+	@case '$(MODE)' in telemetry|behaviour) ;; *) echo 'usage: make goldens MODE=telemetry|behaviour' >&2; exit 2;; esac
+	@if [ '$(MODE)' = behaviour ]; then $(GO) run ./cmd/migrchaos -seeds 32 -parallel 4 || { \
+		echo 'goldens: a checker failed; fix the run before moving the goldens' >&2; exit 1; }; fi
+	UPDATE_CHAOS_GOLDENS=$(MODE) $(GO) test ./internal/chaos -count=1 -run 'TestGoldenHashes$$' -v
+	$(GO) test ./internal/chaos -count=1 -run 'TestGoldenHashes|TestParallelGoldenEquivalence'
 
 # The fail-and-recover tiers, the streamed page channel and the drain
 # under the race detector: compensation paths interleave with in-flight

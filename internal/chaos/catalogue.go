@@ -223,11 +223,11 @@ func plugAbortTier() []Scenario {
 	return out
 }
 
-// pipelined turns a client-migration scenario into a page-channel
-// (internal/pagechan) transfer: dump, wire, and apply overlap across
-// bounded chunks on K streams, zero pages ship header-only, and a
-// content-hash table elides dirty-bit false positives. Chunk sequencing
-// enters the behaviour hash via the page tap.
+// pipelined switches a client-migration scenario to the page channel's
+// pipelined preset: dump, wire, and apply overlap across bounded chunks
+// on K streams, zero pages ship header-only, and a content-hash table
+// elides dirty-bit false positives. Chunk sequencing enters the
+// behaviour hash via the page tap, as it does in every tier.
 func pipelined(sc Scenario, chunkPages int) Scenario {
 	sc.Migrate.Transfer = runc.TransferPipelined
 	sc.Migrate.ChunkPages = chunkPages
@@ -251,9 +251,8 @@ func pipelinedTier() []Scenario {
 			Fault{Kind: FaultReorder, Node: "src", Prob: 0.2, Delay: 20 * time.Microsecond, Phase: "partial-restore", Duration: 3 * time.Millisecond},
 		),
 		threeHost("pipelined/pipe-rate-drop", Client,
-			// The destination link degrades 10× through the streamed
-			// pre-copy rounds (armed at partial-restore, the stage event
-			// immediately before streaming starts): chunks stack in the
+			// The destination link degrades 10× from partial-restore on,
+			// through the streamed pre-copy rounds: chunks stack in the
 			// bounded window and the dump throttles to wire speed.
 			Fault{Kind: FaultRateDrop, Node: "dst", Rate: 10e9, Phase: "partial-restore", Duration: 10 * time.Millisecond},
 		),

@@ -82,7 +82,8 @@ type Fault struct {
 	// t=0, traffic is warm by Warmup). Ignored when Phase is set.
 	At time.Duration
 	// Phase arms the fault when the migration workflow enters the named
-	// runc stage ("predump", "suspend-wbs", "transfer", "resume", ...).
+	// runc stage — every workflow phase is one ("predump", "precopy",
+	// "suspend-wbs", "final-dump", "transfer", "resume", ...).
 	Phase string
 	// Mig restricts a Phase fault to the named migration in runs with
 	// several ("m1", "m2", …); empty matches every migration. Ignored
@@ -207,15 +208,12 @@ func (in *injector) clearAll() {
 // a Duration disarm followed by the final clearAll is harmless.
 func (in *injector) apply(f Fault, on bool) {
 	port := f.Port
-	note := string(f.Kind)
 	if port == "" {
 		port = rnic.PortRDMA
-	} else {
-		// Non-default ports enter the ledger note so a tunnel fault and a
-		// data-port fault can never alias in the trace hash; the default
-		// keeps its historical rendering (goldens predate Fault.Port).
-		note += "@" + port
 	}
+	// The port enters the ledger note so a tunnel fault and a data-port
+	// fault can never alias in the behaviour hash.
+	note := string(f.Kind) + "@" + port
 	if f.Kind == FaultUplinkLoss || f.Kind == FaultUplinkPartition {
 		// Rack faults have no node; the rack enters the note instead so
 		// two racks' faults never alias in the trace hash.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,11 +111,11 @@ func TestGoldenHashes(t *testing.T) {
 		goldenGate(t, 1)
 		return
 	}
-	var want []GoldenResult
-	if mode == "telemetry" {
-		want = readGoldens(t)
+	var prev []GoldenResult
+	if _, err := os.Stat(goldenPath); err == nil || mode == "telemetry" {
+		prev = readGoldens(t)
 	}
-	next, err := rebaseline(mode, Goldens(Scenarios(), 1), want)
+	next, err := rebaseline(mode, Goldens(Scenarios(), 1), prev)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,50 @@ func TestGoldenHashes(t *testing.T) {
 	if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %d goldens to %s (%s)", len(next), goldenPath, mode)
+	t.Logf("wrote %d goldens to %s (%s)\n%s", len(next), goldenPath, mode, movedKeys(prev, next))
+}
+
+// movedKeys renders what a re-baseline changed, grouped by tier and by
+// column — the table the CHANGES.md entry has to explain.
+func movedKeys(prev, next []GoldenResult) string {
+	prevBy := make(map[string]GoldenResult, len(prev))
+	for _, w := range prev {
+		prevBy[w.Key()] = w
+	}
+	var tiers []string
+	moved := make(map[string][]string) // "tier column" → keys
+	for _, g := range next {
+		tier, _, _ := strings.Cut(g.Scenario, "/")
+		note := func(col string) {
+			if !slices.Contains(tiers, tier) {
+				tiers = append(tiers, tier)
+			}
+			moved[tier+" "+col] = append(moved[tier+" "+col], g.Key())
+		}
+		w, ok := prevBy[g.Key()]
+		if !ok {
+			note("new")
+			continue
+		}
+		if g.Behaviour != w.Behaviour {
+			note("behaviour")
+		}
+		if g.Telemetry != w.Telemetry {
+			note("telemetry")
+		}
+	}
+	var b strings.Builder
+	for _, tier := range tiers {
+		for _, col := range []string{"new", "behaviour", "telemetry"} {
+			if keys := moved[tier+" "+col]; len(keys) > 0 {
+				fmt.Fprintf(&b, "moved: %-16s %-9s %3d  %s\n", tier, col, len(keys), strings.Join(keys, " "))
+			}
+		}
+	}
+	if b.Len() == 0 {
+		return "moved: nothing"
+	}
+	return b.String()
 }
 
 // TestParallelGoldenEquivalence is the second golden pass, on a pool of

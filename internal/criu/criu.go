@@ -73,17 +73,16 @@ type PageRec struct {
 // RDMA plugin's blob.
 type Image struct {
 	Proc       string
-	Final      bool
 	VMAs       []VMARec
 	Pages      []PageRec
 	PluginBlob []byte
 }
 
-// ByteSize approximates the on-wire image size.
-func (img *Image) ByteSize() int {
-	n := 256 + len(img.PluginBlob) + 64*len(img.VMAs)
-	n += len(img.Pages) * (mem.PageSize + 16)
-	return n
+// HeaderBytes approximates the image's on-wire size without its page
+// content — the memory table and the plugin blob, what still has to
+// ship once the pages have gone through the page channel.
+func (img *Image) HeaderBytes() int {
+	return 256 + len(img.PluginBlob) + 64*len(img.VMAs)
 }
 
 // Plugin is the checkpoint/restore extension point the MigrRDMA plugin
@@ -173,24 +172,30 @@ func (t *Tool) Thaw(p *task.Process) {
 	p.Thaw()
 }
 
-// Dump checkpoints the process memory. With full=true it captures every
-// populated page (the first pre-copy iteration); otherwise only pages
-// dirtied since the previous dump. Dirty tracking is reset. Device
-// mappings (on-chip memory) are listed but their content is not dumped —
-// that is the RDMA plugin's job.
+// Dump checkpoints the process memory in one piece: BeginDump, then
+// every selected page read into the image.
 func (t *Tool) Dump(p *task.Process, full bool) *Image {
-	img, sel, walk := t.beginImage(p, full)
-	img.Pages = readPages(p.AS, sel)
-	t.host.Sleep(t.cfg.DumpBase + walk + time.Duration(len(img.Pages))*t.cfg.DumpPerPage)
+	img, sel := t.BeginDump(p, full)
+	img.Pages = t.DumpPages(p, sel)
 	return img
 }
 
-// beginImage captures the memory table, selects the pages to dump —
-// every populated page when full, otherwise the dirty diff, device
-// mappings always excluded — and resets dirty tracking. walk is the
-// cost of the superlinear mapping walk.
-func (t *Tool) beginImage(p *task.Process, full bool) (img *Image, sel []mem.Addr, walk time.Duration) {
-	img = &Image{Proc: p.Name}
+// BeginDump opens a dump. It captures the memory table, selects the
+// pages to ship — every populated page when full (the first pre-copy
+// iteration), otherwise the pages dirtied since the previous dump;
+// device mappings (on-chip memory) are listed but their content is the
+// RDMA plugin's job — resets dirty tracking, and pays the fixed dump
+// overhead plus the superlinear mapping walk up front. Page contents
+// are read (and their per-page cost paid) by subsequent DumpPages
+// calls, so the page channel can overlap dumping with wire time and
+// apply.
+//
+// A write landing between BeginDump and the batch that reads its page
+// ships the newer bytes AND re-marks the page dirty, so the next round
+// re-dumps it; the channel's content-hash table then elides the resend
+// if the bytes did not change again (the dirty-bit false positive).
+func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
+	img := &Image{Proc: p.Name}
 	vmas := p.AS.VMAs()
 	img.VMAs = make([]VMARec, 0, len(vmas))
 	for _, v := range vmas {
@@ -202,7 +207,7 @@ func (t *Tool) beginImage(p *task.Process, full bool) (img *Image, sel []mem.Add
 	} else {
 		pages = p.AS.DirtyPages()
 	}
-	sel = pages[:0] // both lists are fresh copies: filter in place
+	sel := pages[:0] // both lists are fresh copies: filter in place
 	for _, a := range pages {
 		if v := p.AS.FindVMA(a); v != nil && v.Device {
 			continue
@@ -210,59 +215,29 @@ func (t *Tool) beginImage(p *task.Process, full bool) (img *Image, sel []mem.Add
 		sel = append(sel, a)
 	}
 	p.AS.ClearDirty()
-	walk = time.Duration(float64(t.cfg.DumpPerVMA) * math.Pow(float64(len(vmas)), t.cfg.VMAExponent))
-	return img, sel, walk
-}
-
-// readPages copies the pages at addrs into one slab, an allocation a
-// batch instead of one a page. Every record's Data is cut with its
-// capacity, so an append to one page cannot reach the next.
-func readPages(as *mem.AddressSpace, addrs []mem.Addr) []PageRec {
-	recs := make([]PageRec, len(addrs))
-	slab := make([]byte, len(addrs)*mem.PageSize)
-	for i, a := range addrs {
-		data := slab[i*mem.PageSize : (i+1)*mem.PageSize : (i+1)*mem.PageSize]
-		as.ReadPageInto(a, data)
-		recs[i] = PageRec{Addr: a, Data: data}
-	}
-	return recs
-}
-
-// BeginDump opens a chunked dump for the page channel (pipelined
-// transfer mode). It captures the memory table, selects the pages to
-// ship — every populated page when full, otherwise the dirty diff,
-// device mappings always excluded — resets dirty tracking, and pays
-// the fixed dump overhead plus the superlinear mapping walk up front.
-// Page contents are read (and their per-page cost paid) by subsequent
-// DumpPages calls, so the page channel can overlap dumping with wire
-// time and apply. The total dump cost equals a monolithic Dump of the
-// same pages.
-//
-// A write landing between BeginDump and the batch that reads its page
-// ships the newer bytes AND re-marks the page dirty, so the next round
-// re-dumps it; the channel's content-hash table then elides the resend
-// if the bytes did not change again (the dirty-bit false positive).
-func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
-	img, sel, walk := t.beginImage(p, full)
+	walk := time.Duration(float64(t.cfg.DumpPerVMA) * math.Pow(float64(len(vmas)), t.cfg.VMAExponent))
 	t.host.Sleep(t.cfg.DumpBase + walk)
 	return img, sel
 }
 
 // DumpPages reads one batch of page contents at the dump cost model's
-// per-page rate (the chunked counterpart of Dump's page loop).
+// per-page rate. The batch is copied into one slab, an allocation a
+// batch instead of one a page; every record's Data is cut with its
+// capacity, so an append to one page cannot reach the next.
 func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
-	recs := readPages(p.AS, addrs)
+	recs := make([]PageRec, len(addrs))
+	slab := make([]byte, len(addrs)*mem.PageSize)
+	for i, a := range addrs {
+		data := slab[i*mem.PageSize : (i+1)*mem.PageSize : (i+1)*mem.PageSize]
+		p.AS.ReadPageInto(a, data)
+		recs[i] = PageRec{Addr: a, Data: data}
+	}
 	t.host.Sleep(time.Duration(len(addrs)) * t.cfg.DumpPerPage)
 	return recs
 }
 
 // DirtyPageCount reports how many pages would be in the next diff dump.
 func (t *Tool) DirtyPageCount(p *task.Process) int { return len(p.AS.DirtyPages()) }
-
-// Send transfers an image to the peer host at link pace.
-func (t *Tool) Send(img *Image, peer string) {
-	t.host.TransferTo(peer, img.ByteSize())
-}
 
 // --- Restore ---------------------------------------------------------------
 
@@ -316,7 +291,14 @@ func (r *Restore) MapAtOriginal(img *Image, rec VMARec) error {
 		return fmt.Errorf("criu: claim %s: %w", rec.Name, err)
 	}
 	r.claimed[rec.Start] = true
-	r.restorePagesInto(img, rec, rec.Start)
+	n := 0
+	for _, pg := range img.Pages {
+		if pg.Addr >= rec.Start && pg.Addr < rec.Start+mem.Addr(rec.Len) {
+			_ = r.AS.WriteClean(pg.Addr, pg.Data)
+			n++
+		}
+	}
+	r.tool.host.Sleep(time.Duration(n) * r.tool.cfg.RestPerPage)
 	return nil
 }
 
@@ -338,24 +320,8 @@ func (r *Restore) PartialRestore(img *Image) error {
 		}
 		r.tempOf[rec.Start] = tmp
 	}
-	r.applyPages(img)
+	r.ApplyChunk(img, img.Pages, nil)
 	return nil
-}
-
-// ApplyDiff merges one pre-copy iteration's dirty pages (Fig. 2b merge
-// step).
-func (r *Restore) ApplyDiff(img *Image) { r.applyPages(img) }
-
-// applyPages writes image pages at their (possibly temporary) location.
-func (r *Restore) applyPages(img *Image) {
-	for _, pg := range img.Pages {
-		dst, ok := r.locate(img, pg.Addr)
-		if !ok {
-			continue // page of a VMA the image no longer lists
-		}
-		_ = r.AS.WriteClean(dst, pg.Data)
-	}
-	r.tool.host.Sleep(time.Duration(len(img.Pages)) * r.tool.cfg.RestPerPage)
 }
 
 // zeroPage backs zero-page application on the restore side: elided
@@ -364,9 +330,10 @@ func (r *Restore) applyPages(img *Image) {
 var zeroPage [mem.PageSize]byte
 
 // ApplyChunk applies one page-channel chunk at its pages' current
-// (possibly temporary) locations: full-content pages plus header-only
-// zero pages. img supplies the round's memory table for address
-// translation. The per-page restore cost matches applyPages.
+// (possibly temporary) locations (Fig. 2b merge step): full-content
+// pages plus header-only zero pages. img supplies the round's memory
+// table for address translation; a page of a VMA it does not list is
+// skipped.
 func (r *Restore) ApplyChunk(img *Image, pages []PageRec, zeros []mem.Addr) {
 	n := 0
 	for _, pg := range pages {
@@ -378,19 +345,6 @@ func (r *Restore) ApplyChunk(img *Image, pages []PageRec, zeros []mem.Addr) {
 	for _, a := range zeros {
 		if dst, ok := r.locate(img, a); ok {
 			_ = r.AS.WriteClean(dst, zeroPage[:])
-			n++
-		}
-	}
-	r.tool.host.Sleep(time.Duration(n) * r.tool.cfg.RestPerPage)
-}
-
-// restorePagesInto writes the pages of one VMA record at an explicit
-// base (used by MapAtOriginal).
-func (r *Restore) restorePagesInto(img *Image, rec VMARec, base mem.Addr) {
-	n := 0
-	for _, pg := range img.Pages {
-		if pg.Addr >= rec.Start && pg.Addr < rec.Start+mem.Addr(rec.Len) {
-			_ = r.AS.WriteClean(base+(pg.Addr-rec.Start), pg.Data)
 			n++
 		}
 	}
@@ -430,31 +384,14 @@ func (r *Restore) Abandon() {
 // Abandoned reports whether the restore was discarded.
 func (r *Restore) Abandoned() bool { return r.abandoned }
 
-// Finalize performs the final restore iteration: apply the last diff,
-// then remap every temporary area to its original virtual address
-// (Fig. 2b ⑥). The process stays frozen until FullRestore.
-func (r *Restore) Finalize(final *Image) error {
+// Finalize performs the final restore iteration (Fig. 2b ⑥): the last
+// diff has been applied chunk by chunk, so what remains is remapping
+// every temporary area to its original virtual address. The process
+// stays frozen until FullRestore.
+func (r *Restore) Finalize() error {
 	if r.abandoned {
 		return fmt.Errorf("criu: finalize of abandoned restore for %s", r.Proc.Name)
 	}
-	r.applyPages(final)
-	return r.remapTemps()
-}
-
-// FinalizeStreamed completes a restore whose final diff was already
-// applied chunk by chunk through the page channel: only the
-// temporary-area remaps (and their cost) remain. The process stays
-// frozen until FullRestore.
-func (r *Restore) FinalizeStreamed() error {
-	if r.abandoned {
-		return fmt.Errorf("criu: finalize of abandoned restore for %s", r.Proc.Name)
-	}
-	return r.remapTemps()
-}
-
-// remapTemps moves every temporary area to its original virtual
-// address and marks the restore finalized.
-func (r *Restore) remapTemps() error {
 	for orig, tmp := range r.tempOf {
 		if err := r.AS.Remap(tmp, orig); err != nil {
 			return fmt.Errorf("criu: final remap: %w", err)

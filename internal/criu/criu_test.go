@@ -98,7 +98,7 @@ func TestPartialRestoreUsesTempAddresses(t *testing.T) {
 			t.Error("partial restore mapped memory at the original address")
 		}
 		// …and moves there only at Finalize.
-		if err := r.Finalize(&Image{Proc: "src"}); err != nil {
+		if err := r.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 7)
@@ -159,8 +159,8 @@ func TestApplyDiffMergesIntoTemp(t *testing.T) {
 		// Source keeps running and dirties the page.
 		src.AS.Write(0x10000, []byte("v2"))
 		diff := tool.Dump(src, false)
-		r.ApplyDiff(diff)
-		r.Finalize(&Image{Proc: "src"})
+		r.ApplyChunk(diff, diff.Pages, nil)
+		r.Finalize()
 		got := make([]byte, 2)
 		r.AS.Read(0x10000, got)
 		if string(got) != "v2" {
@@ -184,7 +184,7 @@ func TestFullRestoreSwapsAddressSpaceAndThaws(t *testing.T) {
 		if !p.Frozen() {
 			t.Fatal("freeze did not freeze")
 		}
-		r.Finalize(&Image{Proc: "p"})
+		r.Finalize()
 		r.FullRestore()
 		if p.Frozen() {
 			t.Fatal("full restore did not thaw")
@@ -278,7 +278,7 @@ func TestDumpedPagesShareASlabSafely(t *testing.T) {
 		if recs[0].Data[0] != 'a' {
 			t.Error("a write to the process changed a dumped page")
 		}
-		allocs := testing.AllocsPerRun(20, func() { readPages(p.AS, addrs) })
+		allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, addrs) })
 		if allocs > 2 {
 			t.Errorf("reading a batch of %d pages allocates %.0f times, want 2 (records, slab)", len(addrs), allocs)
 		}

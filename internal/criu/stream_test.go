@@ -13,8 +13,8 @@ import (
 // Restore-path coverage for the image edge cases the page channel can
 // produce — diffs landing after a claimed VMA was filled early, images
 // whose pages are all zero, malformed memory tables with overlapping
-// records — plus the chunked-dump primitives (BeginDump/DumpPages/
-// ApplyChunk/FinalizeStreamed) the pipelined transfer mode is built on.
+// records — plus the dump and apply primitives (BeginDump/DumpPages/
+// ApplyChunk/Finalize) the channel is built on.
 
 // TestApplyDiffAfterPartialRestoreIntoClaimedVMA: the plugin claims a
 // VMA at its original address (restorePagesInto fills it from the full
@@ -47,7 +47,7 @@ func TestApplyDiffAfterPartialRestoreIntoClaimedVMA(t *testing.T) {
 		if len(diff.Pages) != 2 {
 			t.Fatalf("diff has %d pages, want 2", len(diff.Pages))
 		}
-		r.ApplyDiff(diff)
+		r.ApplyChunk(diff, diff.Pages, nil)
 
 		// The claimed VMA is already at its original address: the diff
 		// must be visible there before finalize.
@@ -58,7 +58,7 @@ func TestApplyDiffAfterPartialRestoreIntoClaimedVMA(t *testing.T) {
 		if string(got) != "mr-v2" {
 			t.Errorf("claimed VMA after diff: %q, want mr-v2", got)
 		}
-		if err := r.Finalize(&Image{Proc: "src"}); err != nil {
+		if err := r.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 		got = make([]byte, 7)
@@ -93,8 +93,8 @@ func TestZeroPageImageRestores(t *testing.T) {
 		if len(diff.Pages) != 1 || !mem.AllZero(diff.Pages[0].Data) {
 			t.Fatalf("diff should carry one all-zero page, got %d pages", len(diff.Pages))
 		}
-		r.ApplyDiff(diff)
-		if err := r.Finalize(&Image{Proc: "src"}); err != nil {
+		r.ApplyChunk(diff, diff.Pages, nil)
+		if err := r.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, mem.PageSize)
@@ -127,7 +127,7 @@ func TestOverlappingVMARecords(t *testing.T) {
 		if err := r.PartialRestore(img); err != nil {
 			t.Fatalf("duplicate record rejected: %v", err)
 		}
-		if err := r.Finalize(&Image{Proc: "src"}); err != nil {
+		if err := r.Finalize(); err != nil {
 			t.Fatalf("duplicate record broke finalize: %v", err)
 		}
 		got := make([]byte, 3)
@@ -147,7 +147,7 @@ func TestOverlappingVMARecords(t *testing.T) {
 		if err := r2.PartialRestore(img2); err != nil {
 			t.Fatalf("partial restore of overlapping records: %v", err)
 		}
-		if err := r2.Finalize(&Image{Proc: "src"}); err == nil {
+		if err := r2.Finalize(); err == nil {
 			t.Error("finalize of overlapping VMA records succeeded; want remap collision error")
 		}
 	})
@@ -223,7 +223,7 @@ func TestBeginDumpMatchesDump(t *testing.T) {
 
 // TestApplyChunkTranslatesAndZeroFills: chunks apply at temp addresses
 // before finalize, zero pages fill from the shared zero page, and
-// FinalizeStreamed performs only the remaining remap.
+// Finalize remaps them to the original addresses.
 func TestApplyChunkTranslatesAndZeroFills(t *testing.T) {
 	s := sim.New(1)
 	tool, _ := newTool(s)
@@ -246,7 +246,7 @@ func TestApplyChunkTranslatesAndZeroFills(t *testing.T) {
 		if r.AS.Mapped(0x10000, 1) {
 			t.Error("chunk applied at the original address before finalize")
 		}
-		if err := r.FinalizeStreamed(); err != nil {
+		if err := r.Finalize(); err != nil {
 			t.Fatal(err)
 		}
 		got := make([]byte, 7)
@@ -267,17 +267,17 @@ func TestApplyChunkTranslatesAndZeroFills(t *testing.T) {
 	s.Run()
 }
 
-// TestFinalizeStreamedRefusesAbandoned mirrors Finalize's abandoned
-// check on the streamed path.
-func TestFinalizeStreamedRefusesAbandoned(t *testing.T) {
+// TestFinalizeRefusesAbandoned: an abandoned restore can never be
+// finalized.
+func TestFinalizeRefusesAbandoned(t *testing.T) {
 	s := sim.New(1)
 	tool, _ := newTool(s)
 	p := task.New(s, "p")
 	s.Go("test", func() {
 		r := tool.BeginRestore(p)
 		r.Abandon()
-		if err := r.FinalizeStreamed(); err == nil {
-			t.Error("FinalizeStreamed of abandoned restore succeeded")
+		if err := r.Finalize(); err == nil {
+			t.Error("Finalize of abandoned restore succeeded")
 		}
 	})
 	s.Run()

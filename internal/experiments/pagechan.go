@@ -15,8 +15,8 @@ import (
 
 // This file is the transfer-pipeline comparison: the same server-side
 // live migration under an identical latency-mode SEND workload, once
-// with the monolithic dump-then-send transfer and once with the
-// pipelined multi-stream page channel. The contrast the experiment
+// with the page channel's monolithic preset (dump, then send, then
+// apply) and once with its pipelined multi-stream one. The contrast the experiment
 // exists to show: overlapping dump/wire/apply plus zero-page and
 // duplicate-content elision shrinks the stop-and-copy wire volume (and
 // with it the blackout's transfer share), and the adaptive convergence
@@ -120,8 +120,8 @@ type PageChanRow struct {
 	// transfer share).
 	WireBytes      int64
 	FinalWireBytes int64
-	// Rounds is the number of streamed rounds (pipelined) or dump
-	// iterations (monolithic, from PreCopyIterations + predump + final).
+	// Rounds is the number of rounds the page channel carried: predump,
+	// the pre-copy iterations, final.
 	Rounds int
 }
 
@@ -187,10 +187,6 @@ func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed 
 	if n := len(pair.Client.Stats.Errors); n != 0 {
 		return PageChanRow{}, fmt.Errorf("pagechan: %d client errors: %s", n, pair.Client.Stats.Errors[0])
 	}
-	rounds := len(rep.Rounds)
-	if mode == runc.TransferMonolithic {
-		rounds = rep.PreCopyIterations + 2 // predump + final
-	}
 	return PageChanRow{
 		Transfer: mode, MsgSize: msgSize,
 		Samples:          len(pair.Client.Stats.LatSamples),
@@ -203,7 +199,7 @@ func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed 
 		PagesElided:      rep.PagesElided,
 		WireBytes:        rep.WireBytes,
 		FinalWireBytes:   rep.FinalWireBytes,
-		Rounds:           rounds,
+		Rounds:           len(rep.Rounds),
 	}, nil
 }
 

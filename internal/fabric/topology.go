@@ -12,8 +12,8 @@ import (
 // spine over oversubscribed uplinks. The flat single-switch fabric of
 // fabric.go is the degenerate 1-rack case — with Topology.Racks <= 1
 // nothing here runs, no rack metrics are registered, and the Send path
-// is byte-identical to the pre-topology fabric (the 99 golden chaos
-// hashes pin that).
+// is the flat fabric's, event for event (every flat-rig chaos golden
+// pins that).
 //
 // A cross-rack frame traverses five links instead of three:
 //

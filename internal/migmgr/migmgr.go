@@ -131,6 +131,7 @@ type Manager struct {
 	mSubmitted metrics.Counter
 	mCompleted metrics.Counter
 	mFailed    metrics.Counter
+	mRetried   metrics.Counter
 
 	// OnStage, when set, observes every stage transition of every
 	// managed migration; it runs on the migration's driver proc.
@@ -158,12 +159,13 @@ func New(cl *cluster.Cluster, daemons map[string]*core.Daemon, max int) *Manager
 		changed: sim.NewCond(cl.Sched, "migmgr"),
 	}
 	if reg := cl.Metrics; reg != nil {
-		b := reg.Block("migmgr", metrics.Labels{}, 5)
+		b := reg.Block("migmgr", metrics.Labels{}, 6)
 		m.mActive = b.Gauge("active")
 		m.mQueued = b.Gauge("queued")
 		m.mSubmitted = b.Counter("submitted")
 		m.mCompleted = b.Counter("completed")
 		m.mFailed = b.Counter("failed")
+		m.mRetried = b.Counter("retried")
 	}
 	return m
 }
@@ -271,11 +273,7 @@ func (m *Manager) start(j *Job) {
 			j.Err = nil
 			j.state = Queued
 			m.queue = append(m.queue, j)
-			// Created lazily so migrations that never retry leave the
-			// registry — and the chaos golden hashes — untouched.
-			if reg := m.cl.Metrics; reg != nil {
-				reg.Counter("migmgr", "retried", metrics.Labels{}).Inc()
-			}
+			m.mRetried.Inc()
 		default:
 			j.LastErr = j.Err
 			j.state = Failed

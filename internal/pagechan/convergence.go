@@ -1,8 +1,7 @@
-// The adaptive pre-copy convergence controller. Monolithic mode uses a
-// fixed iteration budget (MaxPreCopyIters) with a dirty-page floor;
-// pipelined mode replaces that pair with a dirty-rate model: keep
-// iterating only while the predicted final-transfer time is still
-// shrinking by a worthwhile factor per round.
+// The pre-copy convergence controller: a dirty-page floor, an iteration
+// cap, and a dirty-rate model that keeps iterating only while the
+// predicted final-transfer time still shrinks by a worthwhile factor
+// per round. The monolithic preset is the floor and the cap alone.
 package pagechan
 
 import "time"
@@ -24,7 +23,7 @@ const (
 type Controller struct {
 	FloorPages int     // converged when the dirty set is at or below this
 	MaxIters   int     // hard safety cap on rounds
-	Epsilon    float64 // minimum per-round shrink of the predicted final transfer
+	Epsilon    float64 // minimum per-round shrink of the predicted final transfer; −Inf asks for none
 
 	iters     int
 	haveModel bool

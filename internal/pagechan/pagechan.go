@@ -1,9 +1,12 @@
-// Package pagechan implements the pipelined multi-stream page channel
-// (DESIGN.md §12): instead of dumping a whole image and then shipping
-// it in one blocking transfer, the source dumps pages into fixed-size
-// chunks that stream over K concurrent link streams while the
-// destination applies chunks as they land — dump, wire time, and apply
-// overlap instead of summing.
+// Package pagechan is the page channel (DESIGN.md §12), the one way a
+// round of pages leaves a migration source: the source dumps pages
+// into chunks, the chunks cross the link, and the destination applies
+// them as they land. A round of several chunks streams over K
+// concurrent link streams, so dump, wire time and apply overlap
+// instead of summing; a round that fits one chunk has nothing to
+// overlap and runs dump → transfer → apply on the calling proc. The
+// paper's monolithic workflow is the Monolithic preset: every round is
+// one chunk.
 //
 // The channel is content-aware. Zero pages ship as a 16-byte header
 // instead of full content, and a per-page content-hash table elides
@@ -26,10 +29,8 @@ import (
 	"migrrdma/internal/sim"
 )
 
-// Defaults and on-wire framing constants. The per-page header matches
-// criu.Image.ByteSize's 16-byte per-page record overhead, so monolithic
-// and pipelined wire totals are directly comparable; a zero page ships
-// only that header.
+// Defaults and on-wire framing constants. A zero page ships only its
+// per-page header.
 const (
 	DefaultStreams    = 4
 	DefaultChunkPages = 64
@@ -70,8 +71,13 @@ type RoundStats struct {
 	Chunks      int   // chunks put on the wire
 	WireBytes   int64 // total on-wire bytes this round
 
-	Elapsed  time.Duration // wall time of the round, dump through last apply
-	DumpTime time.Duration // time the producer spent reading pages
+	Elapsed time.Duration // wall time of the round, dump through last apply
+	// Fill and Drain are the ends of a completed round during which the
+	// wire was idle: from its start until the first chunk was handed
+	// over (dump only; the whole round when everything was elided), and
+	// from the last chunk's arrival until its end (apply only). A round
+	// of one chunk is Fill + wire time + Drain exactly.
+	Fill, Drain time.Duration
 }
 
 // Elided counts pages whose full content stayed off the wire.
@@ -82,16 +88,19 @@ type Config struct {
 	Streams    int // concurrent sender procs (default DefaultStreams)
 	ChunkPages int // pages per chunk (default DefaultChunkPages)
 
+	// Monolithic is the paper's dump → ship → apply workflow as a preset
+	// of the channel: a round is one chunk whatever its size, and every
+	// page ships in full (no zero-page or duplicate elision).
+	Monolithic bool
+
 	// FailAtRound/FailAtChunk inject an abort after FailAtChunk chunks
 	// of the named round have been enqueued — the chaos harness's
 	// mid-chunk fault hook. Zero values disable it.
 	FailAtRound string
 	FailAtChunk int
 
-	// Metrics, when set, receives per-round counters under the
-	// "pagechan" component with {mig, round} labels plus a staged-chunk
-	// gauge. Sessions only exist in pipelined mode, so these registrations
-	// never perturb monolithic-mode metric snapshots (golden hashes).
+	// Metrics, when set, receives the session's counters and its
+	// staged-chunk gauge under the "pagechan" component, labelled {mig}.
 	Metrics *metrics.Registry
 	MigID   string
 
@@ -111,9 +120,11 @@ type Session struct {
 	peer  string
 	cfg   Config
 
-	dedup map[mem.Addr]uint64 // content hash of the last-shipped bytes
+	// dedup is the content hash of each page's last-shipped bytes; nil
+	// when the session does not elide.
+	dedup map[mem.Addr]uint64
 
-	cond    *sim.Cond
+	cond    sim.Cond
 	sendQ   []*Chunk
 	applyQ  []*Chunk
 	apply   func(*Chunk)
@@ -124,8 +135,10 @@ type Session struct {
 	finished int // chunks fully sent (and applied, when applying)
 	staged   int // chunks received but not yet applied
 	seq      uint64
+	lastRecv time.Duration // when the round's latest chunk arrived
 
-	stagedG metrics.Gauge
+	stagedG                                       metrics.Gauge
+	wireBytes, pagesSent, pagesElided, chunksSent metrics.Counter
 }
 
 // NewSession opens a page channel from host to peer. host is the
@@ -143,11 +156,18 @@ func NewSession(sched *sim.Scheduler, host criu.HostServices, peer string, cfg C
 		host:  host,
 		peer:  peer,
 		cfg:   cfg,
-		dedup: make(map[mem.Addr]uint64),
-		cond:  sim.NewCond(sched, "pagechan"),
+	}
+	s.cond.Init(sched, "pagechan")
+	if !cfg.Monolithic {
+		s.dedup = make(map[mem.Addr]uint64)
 	}
 	if cfg.Metrics != nil {
-		s.stagedG = cfg.Metrics.Gauge("pagechan", "staged_chunks", metrics.L("mig", cfg.MigID))
+		b := cfg.Metrics.Block("pagechan", metrics.L("mig", cfg.MigID), 5)
+		s.stagedG = b.Gauge("staged_chunks")
+		s.wireBytes = b.Counter("bytes_on_wire")
+		s.pagesSent = b.Counter("pages_sent")
+		s.pagesElided = b.Counter("pages_elided")
+		s.chunksSent = b.Counter("chunks_sent")
 	}
 	return s
 }
@@ -187,17 +207,32 @@ func (s *Session) Abort() {
 // criu.Tool.BeginDump); dump reads one batch of page contents at the
 // dump cost model's rate; apply, when non-nil, applies a landed chunk
 // on the destination (nil for the predump round, where no restore
-// exists yet — the round then overlaps dump with wire time only).
+// exists yet).
 //
 // The calling proc is the producer: it dumps chunk-sized batches and
 // feeds a bounded window (2×Streams chunks) so memory stays bounded
-// and dump throttles to wire speed. Stream spawns the sender and
-// applier procs for the round and tears them down before returning.
-// Chunks may land out of order across the K streams; that is sound
-// because page addresses within a round are unique and chunks are
-// independent.
+// and dump throttles to wire speed. A round of several chunks gets
+// sender and applier procs for its duration; chunks may then land out
+// of order across the K streams, which is sound because page addresses
+// within a round are unique and chunks are independent. A round of one
+// chunk has nothing to overlap, so the calling proc sends and applies
+// it itself — same taps, same stats, same FailAt and Abort semantics,
+// no proc spawned.
 func (s *Session) Stream(round string, addrs []mem.Addr,
 	dump func([]mem.Addr) []criu.PageRec, apply func(*Chunk)) (RoundStats, error) {
+
+	chunk := s.cfg.ChunkPages
+	if s.cfg.Monolithic {
+		chunk = len(addrs)
+	}
+	return s.stream(round, addrs, dump, apply, chunk, len(addrs) > chunk)
+}
+
+// stream is Stream with the chunk size and the choice of who moves the
+// chunks made by the caller: worker procs, or the calling proc once
+// the round is produced.
+func (s *Session) stream(round string, addrs []mem.Addr, dump func([]mem.Addr) []criu.PageRec,
+	apply func(*Chunk), chunk int, workers bool) (RoundStats, error) {
 
 	st := RoundStats{Round: round}
 	if s.aborted {
@@ -212,36 +247,35 @@ func (s *Session) Stream(round string, addrs []mem.Addr,
 	s.produced, s.finished = 0, 0
 	s.apply = apply
 
-	workers := sim.NewWaitGroup(s.sched, "pagechan-workers")
-	for i := 0; i < s.cfg.Streams; i++ {
-		workers.Add(1)
-		name := fmt.Sprintf("pagechan-send-%d", i)
-		s.sched.Go(name, func() {
-			defer workers.Done()
-			s.sender()
-		})
-	}
-	if apply != nil {
-		workers.Add(1)
-		s.sched.Go("pagechan-apply", func() {
-			defer workers.Done()
-			s.applier()
-		})
+	var procs *sim.WaitGroup // the round's worker procs, when it has any
+	if workers {
+		// The closures capture wg, which is never reassigned, and not
+		// procs, so a round without workers allocates neither.
+		wg := sim.NewWaitGroup(s.sched, "pagechan-workers")
+		procs = wg
+		for i := 0; i < s.cfg.Streams; i++ {
+			wg.Add(1)
+			s.sched.Go(fmt.Sprintf("pagechan-send-%d", i), func() {
+				defer wg.Done()
+				s.sender()
+			})
+		}
+		if apply != nil {
+			wg.Add(1)
+			s.sched.Go("pagechan-apply", func() {
+				defer wg.Done()
+				s.applier()
+			})
+		}
 	}
 
 	var err error
-	for off := 0; off < len(addrs) && err == nil; off += s.cfg.ChunkPages {
-		end := off + s.cfg.ChunkPages
-		if end > len(addrs) {
-			end = len(addrs)
-		}
-		t0 := s.host.Now()
-		recs := dump(addrs[off:end])
-		st.DumpTime += s.host.Now() - t0
+	for off := 0; off < len(addrs) && err == nil; off += chunk {
+		recs := dump(addrs[off:min(off+chunk, len(addrs))])
 		st.PagesDumped += len(recs)
 		ch := s.buildChunk(recs, &st)
 		// Bounded pipeline window: throttle the dump to wire speed.
-		for !s.aborted && s.produced-s.finished >= 2*s.cfg.Streams {
+		for workers && !s.aborted && s.produced-s.finished >= 2*s.cfg.Streams {
 			s.cond.Wait()
 		}
 		if s.aborted {
@@ -254,7 +288,9 @@ func (s *Session) Stream(round string, addrs []mem.Addr,
 		s.seq++
 		ch.Seq = s.seq
 		s.produced++
-		st.Chunks++
+		if st.Chunks++; st.Chunks == 1 {
+			st.Fill = s.host.Now() - start
+		}
 		st.WireBytes += int64(ch.WireBytes())
 		s.sendQ = append(s.sendQ, ch)
 		s.tap("send", ch.Seq)
@@ -266,21 +302,44 @@ func (s *Session) Stream(round string, addrs []mem.Addr,
 	}
 	s.closed = true
 	s.cond.Broadcast()
-	for !s.aborted && s.finished < s.produced {
-		s.cond.Wait()
+	if workers {
+		for !s.aborted && s.finished < s.produced {
+			s.cond.Wait()
+		}
+		procs.Wait()
+	} else {
+		// The queues are closed, so each loop drains what is there and
+		// returns instead of waiting for more.
+		s.sender()
+		if apply != nil {
+			s.applier()
+		}
 	}
 	if s.aborted && err == nil {
 		err = ErrAborted
 	}
-	workers.Wait()
 	s.apply = nil
 	st.Elapsed = s.host.Now() - start
-	s.record(st)
+	switch {
+	case st.Chunks == 0:
+		st.Fill = st.Elapsed
+	case err == nil:
+		st.Drain = s.host.Now() - s.lastRecv
+	}
+	s.wireBytes.Add(st.WireBytes)
+	s.pagesSent.Add(int64(st.PagesSent))
+	s.pagesElided.Add(int64(st.Elided()))
+	s.chunksSent.Add(int64(st.Chunks))
 	return st, err
 }
 
-// buildChunk filters one dumped batch through the elision table.
+// buildChunk turns one dumped batch into a chunk, filtered through the
+// elision table when the session has one.
 func (s *Session) buildChunk(recs []criu.PageRec, st *RoundStats) *Chunk {
+	if s.dedup == nil {
+		st.PagesSent += len(recs)
+		return &Chunk{Pages: recs}
+	}
 	ch := &Chunk{}
 	for _, r := range recs {
 		h := hashPage(r.Data)
@@ -318,6 +377,7 @@ func (s *Session) sender() {
 			return // chunk arrived after abort: dropped, never staged
 		}
 		s.tap("recv", ch.Seq)
+		s.lastRecv = s.host.Now()
 		if s.apply == nil {
 			s.finished++
 			s.cond.Broadcast()
@@ -347,19 +407,6 @@ func (s *Session) applier() {
 		s.tap("apply", ch.Seq)
 		s.cond.Broadcast()
 	}
-}
-
-// record folds a finished round into the registry (lazy, labelled by
-// round so per-iteration bytes_on_wire / pages_elided are queryable).
-func (s *Session) record(st RoundStats) {
-	if s.cfg.Metrics == nil {
-		return
-	}
-	b := s.cfg.Metrics.Block("pagechan", metrics.L("mig", s.cfg.MigID, "round", st.Round), 4)
-	b.Counter("bytes_on_wire").Add(st.WireBytes)
-	b.Counter("pages_sent").Add(int64(st.PagesSent))
-	b.Counter("pages_elided").Add(int64(st.Elided()))
-	b.Counter("chunks_sent").Add(int64(st.Chunks))
 }
 
 // hashPage is FNV-1a 64 over the page bytes — the dedup table's

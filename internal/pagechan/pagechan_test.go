@@ -297,3 +297,132 @@ func TestStreamDeterministic(t *testing.T) {
 		t.Fatal("tap saw no events — the determinism check is vacuous")
 	}
 }
+
+// TestOneChunkRoundInlineMatchesWorkers is the differential behind
+// Stream's choice: a round of one chunk run on the calling proc and the
+// same round handed to sender and applier procs yield the same tap
+// sequence with the same timestamps, the same RoundStats and the same
+// virtual end time — clean, with the FailAt hook firing on the chunk,
+// and with an Abort landing while the chunk is on the wire.
+func TestOneChunkRoundInlineMatchesWorkers(t *testing.T) {
+	type outcome struct {
+		log  string
+		st   RoundStats
+		err  string
+		end  time.Duration
+		left int
+	}
+	const n = 24
+	for _, tc := range []struct {
+		name    string
+		failAt  int
+		abortAt time.Duration // 0: never
+		wantErr error
+	}{
+		{"clean", 0, 0, nil},
+		{"fail-at-chunk-1", 1, 0, ErrInjected},
+		// Dump ends at 24 µs; the chunk is on the wire for ~98 µs after.
+		{"abort-mid-transfer", 0, 60 * time.Microsecond, ErrAborted},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			round := func(workers bool) (o outcome) {
+				run(t, func(s *sim.Scheduler, h *fakeHost) {
+					as := addrs(n)
+					content := make(map[mem.Addr][]byte, n)
+					for i, a := range as {
+						content[a] = page(byte(i%3 + 1))
+					}
+					sess := NewSession(s, h, "dst", Config{
+						FailAtRound: "final", FailAtChunk: tc.failAt,
+						Tap: func(ev string, seq uint64) {
+							o.log += fmt.Sprintf("%d:%s:%d|", s.Now(), ev, seq)
+						},
+					})
+					if tc.abortAt > 0 {
+						s.AfterFunc(tc.abortAt, sess.Abort)
+					}
+					var err error
+					o.st, err = sess.stream("final", as, dumper(h, content, time.Microsecond),
+						func(ch *Chunk) { h.Sleep(time.Duration(len(ch.Pages)) * 2 * time.Microsecond) },
+						DefaultChunkPages, workers)
+					if !errors.Is(err, tc.wantErr) {
+						t.Errorf("workers=%v: err = %v, want %v", workers, err, tc.wantErr)
+					}
+					o.err, o.end, o.left = fmt.Sprint(err), s.Now(), sess.Staged()
+				})
+				return o
+			}
+			inline, workers := round(false), round(true)
+			if inline != workers {
+				t.Errorf("inline and worker rounds differ:\n inline  %+v\n workers %+v", inline, workers)
+			}
+			if inline.log == "" || inline.left != 0 {
+				t.Errorf("vacuous or leaky round: %+v", inline)
+			}
+		})
+	}
+}
+
+// TestOneChunkRoundSpawnsNoProc: what Stream itself picks. A round that
+// fits a chunk — every monolithic round, whatever its size — starts no
+// proc; only a round of several chunks gets its workers.
+func TestOneChunkRoundSpawnsNoProc(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		pages  int
+		spawns int64
+		chunks int
+	}{
+		{"monolithic-large", Config{Monolithic: true}, 5 * DefaultChunkPages, 0, 1},
+		{"pipelined-small", Config{}, DefaultChunkPages, 0, 1},
+		{"pipelined-large", Config{Streams: 3}, DefaultChunkPages + 1, 3 + 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, func(s *sim.Scheduler, h *fakeHost) {
+				as := addrs(tc.pages)
+				content := make(map[mem.Addr][]byte, len(as))
+				for i, a := range as {
+					content[a] = page(byte(i%7 + 1))
+				}
+				applied := 0
+				sess := NewSession(s, h, "dst", tc.cfg)
+				before := s.Spawned()
+				st, err := sess.Stream("final", as, dumper(h, content, 0),
+					func(ch *Chunk) { applied += len(ch.Pages) })
+				if err != nil {
+					t.Fatalf("stream: %v", err)
+				}
+				if got := s.Spawned() - before; got != tc.spawns {
+					t.Errorf("round spawned %d procs, want %d", got, tc.spawns)
+				}
+				if st.Chunks != tc.chunks || st.PagesSent != tc.pages || applied != tc.pages || st.Elided() != 0 {
+					t.Errorf("chunks=%d sent=%d applied=%d elided=%d, want %d/%d/%d/0",
+						st.Chunks, st.PagesSent, applied, st.Elided(), tc.chunks, tc.pages, tc.pages)
+				}
+			})
+		})
+	}
+}
+
+// TestMonolithicElidesNothing: the preset ships zero pages and
+// unchanged pages in full, round after round.
+func TestMonolithicElidesNothing(t *testing.T) {
+	run(t, func(s *sim.Scheduler, h *fakeHost) {
+		as := addrs(10)
+		content := make(map[mem.Addr][]byte)
+		for i, a := range as {
+			content[a] = page(byte(i % 2)) // half of them all-zero
+		}
+		sess := NewSession(s, h, "dst", Config{Monolithic: true})
+		for _, round := range []string{"predump", "precopy"} {
+			st, err := sess.Stream(round, as, dumper(h, content, 0), func(*Chunk) {})
+			if err != nil {
+				t.Fatalf("%s: %v", round, err)
+			}
+			if st.PagesSent != 10 || st.Elided() != 0 || st.WireBytes != int64(chunkHeader+10*(mem.PageSize+pageHeader)) {
+				t.Errorf("%s: %+v, want 10 full pages in one chunk", round, st)
+			}
+		}
+	})
+}

@@ -12,14 +12,10 @@ import (
 // action plus an optional compensation that undoes it when a later
 // phase fails.
 type phase struct {
-	// name keys per-phase error wrapping, fault injection, and the
-	// migrations_aborted metric label.
+	// name is the stage announced via Migrator.setStage right before
+	// run; it also keys per-phase error wrapping, fault injection, and
+	// the migrations_aborted metric label.
 	name string
-	// stage, when non-empty, is announced via Migrator.setStage right
-	// before run. Phases without a stage (precopy, final-dump) keep the
-	// externally observable stage sequence identical to the pre-engine
-	// workflow, which the chaos goldens pin.
-	stage string
 	// commit marks the point of no return: once a commit phase ran,
 	// partners talk to the destination and rolling back would strand
 	// them, so later failures are surfaced without unwinding.
@@ -40,10 +36,11 @@ type phase struct {
 func (m *Migrator) runPhases(p *task.Process, tl *trace.Timeline, phases []phase) error {
 	committed := false
 	for i, ph := range phases {
-		if ph.stage != "" {
-			m.setStage(ph.stage)
+		m.setStage(ph.name)
+		var err error
+		if m.Inject != nil {
+			err = m.Inject(ph.name)
 		}
-		err := m.inject(ph.name)
 		if err == nil {
 			err = ph.run()
 		}
@@ -71,13 +68,4 @@ func (m *Migrator) runPhases(p *task.Process, tl *trace.Timeline, phases []phase
 		return wrapped
 	}
 	return nil
-}
-
-// inject consults the fault hook installed by tests and the chaos
-// harness; a non-nil return aborts the migration at the named phase.
-func (m *Migrator) inject(phaseName string) error {
-	if m.Inject == nil {
-		return nil
-	}
-	return m.Inject(phaseName)
 }

@@ -247,9 +247,10 @@ func TestPipelinedAbortMidChunk(t *testing.T) {
 	}
 }
 
-// TestMonolithicEmptyPrecopyShortCircuit pins the satellite fix: a
-// diff whose dirty pages are all device memory must skip the
-// Send/ApplyDiff round-trip but still count the iteration.
+// TestMonolithicEmptyPrecopyShortCircuit pins the pre-copy rule both
+// presets share: a diff whose dirty pages are all device memory has
+// nothing the channel can ship, so it ends pre-copy — no round, no
+// transfer, no apply, and no iteration counted.
 func TestMonolithicEmptyPrecopyShortCircuit(t *testing.T) {
 	tb := newTestbed(t, "src", "dst")
 	cont := NewContainer(tb.cl.Host("src"), "plain")
@@ -290,12 +291,14 @@ func TestMonolithicEmptyPrecopyShortCircuit(t *testing.T) {
 	if mErr != nil {
 		t.Fatalf("migration failed: %v", mErr)
 	}
-	if rep.PreCopyIterations != DefaultMigrateOptions().MaxPreCopyIters {
-		t.Errorf("iterations = %d, want the full %d (device pages stay dirty)",
-			rep.PreCopyIterations, DefaultMigrateOptions().MaxPreCopyIters)
+	if rep.PreCopyIterations != 0 {
+		t.Errorf("iterations = %d, want 0 (only device pages are dirty: nothing to ship)", rep.PreCopyIterations)
 	}
-	// The short-circuit keeps empty rounds off the page ledger: only
-	// predump's heap page and at most the final dump count.
+	if len(rep.Rounds) != 2 || rep.Rounds[0].Round != "predump" || rep.Rounds[1].Round != "final" {
+		t.Errorf("rounds = %+v, want predump and final only", rep.Rounds)
+	}
+	// Only predump's heap page and at most the final dump are on the
+	// page ledger.
 	if rep.PagesTransferred > 3 {
 		t.Errorf("pages transferred = %d, want <= 3 (empty diffs must not ship)", rep.PagesTransferred)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
+	"migrrdma/internal/mem"
 	"migrrdma/internal/task"
 )
 
@@ -92,5 +93,85 @@ func TestMigrateNonRDMAContainer(t *testing.T) {
 	v, _ := cont.Procs[0].AS.ReadU64(0x100000)
 	if v != 1999 {
 		t.Fatalf("memory state after migration: %d", v)
+	}
+}
+
+// TestMonolithicBlackoutIsTheSequentialSum pins Fig. 3's attribution in
+// closed form: a monolithic migration's final round is one chunk, so
+// DumpOthers is the whole dump (fixed cost, mapping walk, every page
+// read), Transfer the chunk's and the image header's wire time, and
+// FullRestore the apply, the remaps and the thaw — each from the criu
+// cost model and the host's own TransferTo, nothing overlapped and
+// nothing unaccounted for.
+func TestMonolithicBlackoutIsTheSequentialSum(t *testing.T) {
+	const populated, dirty = 40, 12
+	const base = mem.Addr(0x100000)
+	tb := newTestbed(t, "src", "dst")
+	src, sched := tb.cl.Host("src"), tb.cl.Sched
+	cont := NewContainer(src, "plain")
+	chunkBytes := func(n int) int { return 64 + n*(mem.PageSize+16) }
+	const hdrBytes = 256 + 64 // one VMA, no plugin blob
+
+	var rep *Report
+	var mErr error
+	var wireFinal time.Duration
+	sched.Go("drive", func() {
+		p := cont.Start(nil)
+		if _, err := p.AS.Map(base, populated*mem.PageSize, "heap"); err != nil {
+			t.Errorf("map heap: %v", err)
+			return
+		}
+		touch := func(n int) {
+			for i := 0; i < n; i++ {
+				_ = p.AS.Write(base+mem.Addr(i*mem.PageSize), []byte{byte(i + 1)})
+			}
+		}
+		touch(populated)
+		// The reference wire times, on the idle link the migration uses.
+		t0 := sched.Now()
+		src.TransferTo("dst", chunkBytes(dirty))
+		src.TransferTo("dst", hdrBytes)
+		wireFinal = sched.Now() - t0
+
+		m := &Migrator{C: cont, Dst: tb.cl.Host("dst"), Opts: DefaultMigrateOptions(),
+			// Dirty pages once pre-copy is over, so the final round has
+			// exactly these to ship.
+			Inject: func(phase string) error {
+				if phase == "suspend-wbs" {
+					touch(dirty)
+				}
+				return nil
+			}}
+		rep, mErr = m.Migrate()
+	})
+	sched.RunFor(time.Minute)
+	if mErr != nil || rep == nil {
+		t.Fatalf("migration: %v (report %v)", mErr, rep)
+	}
+	c := src.CRIU.Config()
+	walk := c.DumpPerVMA // pow(1 VMA, exponent) = 1
+	for _, tc := range []struct {
+		name      string
+		got, want time.Duration
+	}{
+		{"DumpOthers", rep.DumpOthers, c.DumpBase + walk + dirty*c.DumpPerPage},
+		{"Transfer", rep.Transfer, wireFinal},
+		{"FullRestore", rep.FullRestore, dirty*c.RestPerPage + c.RemapLat + c.ThawLat},
+		{"ServiceBlackout", rep.ServiceBlackout, c.FreezeLat + rep.Blackout()},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
+	}
+	final := int64(chunkBytes(dirty) + hdrBytes)
+	if rep.FinalWireBytes != final {
+		t.Errorf("FinalWireBytes = %d, want chunk + header = %d", rep.FinalWireBytes, final)
+	}
+	if want := int64(chunkBytes(populated)+hdrBytes) + final; rep.WireBytes != want {
+		t.Errorf("WireBytes = %d, want predump + final = %d", rep.WireBytes, want)
+	}
+	if rep.PreCopyIterations != 0 || rep.PagesTransferred != populated+dirty || rep.PagesElided != 0 {
+		t.Errorf("iterations=%d pages=%d elided=%d, want 0/%d/0",
+			rep.PreCopyIterations, rep.PagesTransferred, rep.PagesElided, populated+dirty)
 	}
 }

@@ -8,6 +8,7 @@ package runc
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"migrrdma/internal/cluster"
@@ -106,14 +107,14 @@ func ParseCutoverMode(s string) (CutoverMode, error) {
 type TransferMode int
 
 const (
-	// TransferMonolithic (the paper's workflow) dumps a whole image,
-	// ships it in one blocking transfer, then applies it — dump, wire
-	// time, and apply sum.
+	// TransferMonolithic (the paper's workflow) dumps a whole round,
+	// ships it as one chunk, then applies it — dump, wire time, and
+	// apply sum — for a fixed budget of pre-copy iterations.
 	TransferMonolithic TransferMode = iota
 	// TransferPipelined streams chunk-sized page batches over K
 	// concurrent link streams while the destination applies chunks as
-	// they land (internal/pagechan), with zero-page and duplicate-page
-	// elision and adaptive pre-copy convergence.
+	// they land, with zero-page and duplicate-page elision and adaptive
+	// pre-copy convergence.
 	TransferPipelined
 )
 
@@ -150,19 +151,20 @@ type MigrateOptions struct {
 	// Cutover selects the blackout-traffic strategy; the zero value is
 	// the paper's go-back-N cutover.
 	Cutover CutoverMode
-	// Transfer selects the image transfer path; the zero value is the
-	// paper's monolithic dump-then-send workflow. Pipelined mode
-	// replaces the MaxPreCopyIters bound with the page channel's
-	// adaptive convergence controller (DirtyPageThreshold remains the
-	// convergence floor).
+	// Transfer selects the page channel's preset (internal/pagechan
+	// carries every round in both); the zero value is the paper's
+	// monolithic dump-then-send workflow. Pipelined mode replaces the
+	// MaxPreCopyIters bound with the channel's adaptive convergence
+	// controller (DirtyPageThreshold remains the convergence floor).
 	Transfer TransferMode
-	// ChunkPages is the page-channel chunk size in pages (pipelined
-	// only); 0 takes pagechan.DefaultChunkPages.
+	// ChunkPages is the page-channel chunk size in pages; 0 takes
+	// pagechan.DefaultChunkPages. A monolithic round is one chunk
+	// whatever this says.
 	ChunkPages int
 	// FailAtRound/FailAtChunk inject a mid-chunk page-channel abort
 	// after FailAtChunk chunks of the named round ("predump",
-	// "precopy", "final") have shipped — pipelined only; the chaos
-	// fail-and-recover harness uses it. Zero values disable it.
+	// "precopy", "final") have shipped; the chaos fail-and-recover
+	// harness uses it. Zero values disable it.
 	FailAtRound string
 	FailAtChunk int
 }
@@ -213,8 +215,8 @@ type Report struct {
 	// (zero pages shipped header-only plus content-hash duplicates).
 	// Always 0 in monolithic mode.
 	PagesElided int
-	// Rounds carries the page channel's per-round stats (pipelined
-	// transfer only).
+	// Rounds carries the page channel's per-round stats: predump, the
+	// pre-copy iterations, final.
 	Rounds []pagechan.RoundStats
 
 	// PlugFlushed is the number of frames released from the destination
@@ -278,8 +280,8 @@ type Migrator struct {
 	// harness use it to exercise the compensation path.
 	Inject func(phase string) error
 
-	// PageTap observes page-channel events (pipelined transfer only);
-	// the chaos harness folds them into its event ledger.
+	// PageTap observes page-channel events; the chaos harness folds
+	// them into its event ledger.
 	PageTap func(ev string, seq uint64)
 }
 
@@ -369,14 +371,6 @@ func (m *Migrator) Migrate() (*Report, error) {
 	return total, nil
 }
 
-// imageHeaderBytes is an image's on-wire size excluding page content —
-// what the pipelined path ships once the pages have streamed. The
-// constants match criu.Image.ByteSize so the two transfer modes'
-// wire-byte totals are directly comparable.
-func imageHeaderBytes(img *criu.Image) int {
-	return 256 + len(img.PluginBlob) + 64*len(img.VMAs)
-}
-
 // migrateProc runs the workflow for one process. moveContainer marks
 // the last process, after which the container bookkeeping moves.
 func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer bool) (*Report, error) {
@@ -398,121 +392,114 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 
 	// Workflow state threaded through the phase closures.
 	var (
-		fullImg, finalImg *criu.Image
-		restore           *criu.Restore
-		finalBlob         []byte
-		preSetup          = sim.NewWaitGroup(sched, "pre-setup")
-		preSetupLaunched  bool
-		preSetupErr       error
-		commStart         time.Duration
-		svcStart          time.Duration
-		frozen            bool
-		fullRestoreOpen   bool
-		finalAddrs        []mem.Addr
+		img              *criu.Image // of the latest round: predump's until pre-copy starts
+		restore          *criu.Restore
+		apply            func(*pagechan.Chunk) // lands a chunk in restore, once there is one
+		finalBlob        []byte
+		preSetup         = sim.NewWaitGroup(sched, "pre-setup")
+		preSetupLaunched bool
+		preSetupErr      error
+		commStart        time.Duration
+		svcStart         time.Duration
+		frozen           bool
+		fullRestoreOpen  bool
+		finalAddrs       []mem.Addr
+		final            pagechan.RoundStats
+		distinct         map[mem.Addr]struct{}
 	)
 
-	// Transfer-path plumbing. Monolithic mode must stay byte-identical
-	// (the chaos goldens pin it), so the page-channel session — and its
-	// lazy metric registrations — exist only in pipelined mode.
-	pipelined := m.Opts.Transfer == TransferPipelined
-	var pchan *pagechan.Session
-	if pipelined {
-		pchan = pagechan.NewSession(sched, src, dst.Name, pagechan.Config{
-			ChunkPages:  m.Opts.ChunkPages,
-			FailAtRound: m.Opts.FailAtRound,
-			FailAtChunk: m.Opts.FailAtChunk,
-			Metrics:     src.Metrics,
-			MigID:       m.ID,
-			Tap:         m.PageTap,
-		})
+	// Every round of pages leaves through the page channel; the transfer
+	// mode only picks the channel's parameters (DESIGN.md §12).
+	cfg := pagechan.Config{
+		ChunkPages:  m.Opts.ChunkPages,
+		FailAtRound: m.Opts.FailAtRound,
+		FailAtChunk: m.Opts.FailAtChunk,
+		Metrics:     src.Metrics,
+		MigID:       m.ID,
+		Tap:         m.PageTap,
 	}
-	abortChannel := func() {
-		if pchan != nil {
-			pchan.Abort()
+	ctl := pagechan.NewController(m.Opts.DirtyPageThreshold)
+	if m.Opts.Transfer == TransferMonolithic {
+		// The paper's workflow: whole rounds, and a fixed iteration
+		// budget in place of the shrink test.
+		cfg.Monolithic = true
+		ctl.MaxIters, ctl.Epsilon = m.Opts.MaxPreCopyIters, math.Inf(-1)
+	}
+	pchan := pagechan.NewSession(sched, src, dst.Name, cfg)
+
+	// stream ships the pages of the round that BeginDump opened as img
+	// through the channel and folds the round into the report. Until a
+	// restore exists (predump) nothing can be applied: the pages
+	// accumulate in the image for PartialRestore.
+	dump := func(b []mem.Addr) []criu.PageRec {
+		recs := srcTool.DumpPages(p, b)
+		if apply == nil {
+			img.Pages = append(img.Pages, recs...)
 		}
+		return recs
 	}
-	distinct := make(map[mem.Addr]struct{})
-	addDistinct := func(addrs []mem.Addr) {
+	stream := func(round string, addrs []mem.Addr) (pagechan.RoundStats, error) {
+		if distinct == nil {
+			// The first round ships every populated page: few addresses
+			// join later.
+			distinct = make(map[mem.Addr]struct{}, len(addrs))
+			rep.Rounds = make([]pagechan.RoundStats, 0, 2+ctl.MaxIters)
+		}
 		for _, a := range addrs {
 			distinct[a] = struct{}{}
 		}
-	}
-	// noteImage folds one monolithic round into the wire/distinct
-	// accounting (pure bookkeeping — no scheduler events).
-	noteImage := func(img *criu.Image) {
-		for _, pg := range img.Pages {
-			distinct[pg.Addr] = struct{}{}
-		}
-		rep.WireBytes += int64(img.ByteSize())
-	}
-	// noteRound folds one streamed round into the report.
-	noteRound := func(st pagechan.RoundStats) {
+		st, err := pchan.Stream(round, addrs, dump, apply)
 		rep.Rounds = append(rep.Rounds, st)
-		rep.WireBytes += st.WireBytes
+		rep.PagesTransferred += st.PagesDumped
 		rep.PagesElided += st.Elided()
+		rep.WireBytes += st.WireBytes
+		return st, err
 	}
-	dumpBatch := func(b []mem.Addr) []criu.PageRec { return srcTool.DumpPages(p, b) }
+	// shipHeader sends what of the image did not go through the channel:
+	// the memory table and the plugin blob.
+	shipHeader := func() int64 {
+		hdr := img.HeaderBytes()
+		src.TransferTo(dst.Name, hdr)
+		rep.WireBytes += int64(hdr)
+		return int64(hdr)
+	}
 
 	phases := []phase{
 		// ①: pre-dump memory and (with pre-setup) RDMA state. Read-only
 		// on the source — a retried migration re-dumps in full — so the
 		// only compensation is draining the page channel's in-flight
-		// chunks (pipelined mode).
-		{name: "predump", stage: "predump", run: func() error {
-			if pipelined {
-				// No restore exists yet, so the predump round overlaps
-				// dump with wire time only; the streamed pages accumulate
-				// in the image for PartialRestore to apply.
-				var addrs []mem.Addr
-				fullImg, addrs = srcTool.BeginDump(p, true)
-				addDistinct(addrs)
-				st, err := pchan.Stream("predump", addrs, func(b []mem.Addr) []criu.PageRec {
-					recs := dumpBatch(b)
-					fullImg.Pages = append(fullImg.Pages, recs...)
-					return recs
-				}, nil)
-				noteRound(st)
-				if err != nil {
-					return err
-				}
-				rep.PagesTransferred += st.PagesDumped
-			} else {
-				fullImg = srcTool.Dump(p, true)
+		// chunks.
+		{name: "predump", run: func() error {
+			var addrs []mem.Addr
+			img, addrs = srcTool.BeginDump(p, true)
+			if _, err := stream("predump", addrs); err != nil {
+				return err
 			}
 			if hasRDMA && m.Opts.PreSetup {
 				var err error
 				tl.Measure("predump-rdma", func() {
-					fullImg.PluginBlob, err = plug.PreDump(p)
+					img.PluginBlob, err = plug.PreDump(p)
 				})
 				if err != nil {
 					return err
 				}
 			}
-			if pipelined {
-				// The pages already streamed; ship the memory table and
-				// the plugin blob.
-				hdr := imageHeaderBytes(fullImg)
-				src.TransferTo(dst.Name, hdr)
-				rep.WireBytes += int64(hdr)
-			} else {
-				srcTool.Send(fullImg, dst.Name)
-				rep.PagesTransferred += len(fullImg.Pages)
-				noteImage(fullImg)
-			}
+			shipHeader()
 			return nil
-		}, compensate: abortChannel},
+		}, compensate: pchan.Abort},
 
 		// ②: partial restore on the destination, with RDMA pre-setup
 		// replaying the roadmap in parallel with memory restoration.
 		{
-			name: "partial-restore", stage: "partial-restore",
+			name: "partial-restore",
 			run: func() error {
 				restore = dstTool.BeginRestore(p)
+				apply = func(ch *pagechan.Chunk) { restore.ApplyChunk(img, ch.Pages, ch.Zeros) }
 				if hasRDMA && m.Opts.PreSetup {
 					// Claim MR-backing memory at its original addresses
 					// before the temporary mappings of partial restore
 					// (§3.2); quick.
-					if err := plug.PreRestore(restore, fullImg, fullImg.PluginBlob); err != nil {
+					if err := plug.PreRestore(restore, img, img.PluginBlob); err != nil {
 						return err
 					}
 					// The expensive part — replaying the roadmap and
@@ -526,7 +513,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 						tl.End("restore-rdma")
 					})
 				}
-				return restore.PartialRestore(fullImg)
+				return restore.PartialRestore(img)
 			},
 			compensate: func() {
 				// Let an in-flight pre-setup finish before tearing down
@@ -545,59 +532,32 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		},
 
 		// Iterative pre-copy (Fig. 2b loop on ① / ②), then the pre-setup
-		// barrier. Stage-silent: the pre-engine workflow reported it
-		// under partial-restore, and the chaos goldens pin that sequence.
+		// barrier. The controller stops at the dirty-page floor, at its
+		// iteration cap, or (pipelined) when its dirty-rate model says
+		// the final transfer has stopped shrinking.
 		{name: "precopy", run: func() error {
-			if pipelined {
-				// Adaptive convergence: keep iterating only while the
-				// dirty-rate model predicts the final transfer is still
-				// shrinking (replaces the fixed MaxPreCopyIters bound).
-				ctl := pagechan.NewController(m.Opts.DirtyPageThreshold)
-				for ctl.Continue(srcTool.DirtyPageCount(p)) {
-					img, addrs := srcTool.BeginDump(p, false)
-					if len(addrs) == 0 {
-						// Every remaining dirty page is device memory —
-						// the plugin's job, nothing the channel can ship.
-						break
-					}
-					addDistinct(addrs)
-					st, err := pchan.Stream("precopy", addrs, dumpBatch,
-						func(ch *pagechan.Chunk) { restore.ApplyChunk(img, ch.Pages, ch.Zeros) })
-					noteRound(st)
-					if err != nil {
-						return err
-					}
-					rep.PagesTransferred += st.PagesDumped
-					rep.PreCopyIterations++
-					ctl.Observe(st, srcTool.DirtyPageCount(p))
+			for ctl.Continue(srcTool.DirtyPageCount(p)) {
+				var addrs []mem.Addr
+				if img, addrs = srcTool.BeginDump(p, false); len(addrs) == 0 {
+					// Every remaining dirty page is device memory — the
+					// plugin's job, nothing the channel can ship.
+					break
 				}
-			} else {
-				for i := 0; i < m.Opts.MaxPreCopyIters; i++ {
-					if srcTool.DirtyPageCount(p) <= m.Opts.DirtyPageThreshold {
-						break
-					}
-					diff := srcTool.Dump(p, false)
-					if len(diff.Pages) == 0 {
-						// Every dirty page was device memory: skip the
-						// zero-payload Send/ApplyDiff round-trip.
-						rep.PreCopyIterations++
-						continue
-					}
-					srcTool.Send(diff, dst.Name)
-					restore.ApplyDiff(diff)
-					rep.PagesTransferred += len(diff.Pages)
-					rep.PreCopyIterations++
-					noteImage(diff)
+				st, err := stream("precopy", addrs)
+				if err != nil {
+					return err
 				}
+				rep.PreCopyIterations++
+				ctl.Observe(st, srcTool.DirtyPageCount(p))
 			}
 			preSetup.Wait()
 			return preSetupErr
-		}, compensate: abortChannel},
+		}, compensate: pchan.Abort},
 
 		// ③: suspension + wait-before-stop on the source and all
 		// partners, in parallel (§3.4).
 		{
-			name: "suspend-wbs", stage: "suspend-wbs",
+			name: "suspend-wbs",
 			run: func() error {
 				commStart = sched.Now()
 				if !hasRDMA {
@@ -630,7 +590,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 
 		// ④: freeze the service. The service blackout begins.
 		{
-			name: "freeze", stage: "freeze",
+			name: "freeze",
 			run: func() error {
 				svcStart = sched.Now()
 				srcTool.Freeze(p)
@@ -645,8 +605,9 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 			},
 		},
 
-		// ⑤ ∥ ⑤': final memory diff and final RDMA diff, dumped in
-		// parallel. Stage-silent (reported under freeze pre-engine).
+		// ⑤ ∥ ⑤': the final memory diff is opened (table walk and page
+		// selection; the pages are read as the transfer phase streams
+		// them) while the final RDMA diff is dumped, in parallel.
 		{name: "final-dump", run: func() error {
 			wg := sim.NewWaitGroup(sched, "final-dump")
 			var dumpErr error
@@ -660,73 +621,35 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				})
 			}
 			tl.Measure("dump-others", func() {
-				if pipelined {
-					// Only the table walk happens here; page reads move
-					// into the transfer phase, where they overlap the
-					// wire and the destination's apply.
-					finalImg, finalAddrs = srcTool.BeginDump(p, false)
-				} else {
-					finalImg = srcTool.Dump(p, false)
-				}
+				img, finalAddrs = srcTool.BeginDump(p, false)
 			})
 			wg.Wait()
 			if dumpErr != nil {
 				return dumpErr
 			}
-			finalImg.PluginBlob = finalBlob
-			finalImg.Final = true
-			if !pipelined {
-				rep.PagesTransferred += len(finalImg.Pages)
-			}
+			img.PluginBlob = finalBlob
 			return nil
-		}, compensate: abortChannel},
+		}, compensate: pchan.Abort},
 
-		{name: "transfer", stage: "transfer", run: func() error {
-			if !pipelined {
-				tl.Measure("transfer", func() { srcTool.Send(finalImg, dst.Name) })
-				noteImage(finalImg)
-				rep.FinalWireBytes = int64(finalImg.ByteSize())
-				return nil
-			}
-			addDistinct(finalAddrs)
-			var st pagechan.RoundStats
+		{name: "transfer", run: func() error {
 			var err error
 			tl.Measure("transfer", func() {
-				st, err = pchan.Stream("final", finalAddrs, dumpBatch,
-					func(ch *pagechan.Chunk) { restore.ApplyChunk(finalImg, ch.Pages, ch.Zeros) })
-				if err != nil {
-					return
+				if final, err = stream("final", finalAddrs); err == nil {
+					rep.FinalWireBytes = final.WireBytes + shipHeader()
 				}
-				hdr := imageHeaderBytes(finalImg)
-				src.TransferTo(dst.Name, hdr)
-				st.WireBytes += int64(hdr)
 			})
-			noteRound(st)
-			if err != nil {
-				return err
-			}
-			rep.PagesTransferred += st.PagesDumped
-			rep.FinalWireBytes = st.WireBytes
-			return nil
-		}, compensate: abortChannel},
+			return err
+		}, compensate: pchan.Abort},
 
 		// ⑥: final iteration of memory restoration; with pre-setup, ⑥'
 		// (mapping the new RDMA resources into the restored process)
 		// happens here too.
 		{
-			name: "finalize", stage: "finalize",
+			name: "finalize",
 			run: func() error {
 				tl.Begin("full-restore")
 				fullRestoreOpen = true
-				var err error
-				if pipelined {
-					// The final diff already streamed chunk by chunk;
-					// only the temporary-area remaps remain.
-					err = restore.FinalizeStreamed()
-				} else {
-					err = restore.Finalize(finalImg)
-				}
-				if err != nil {
+				if err := restore.Finalize(); err != nil {
 					return err
 				}
 				if hasRDMA && m.Opts.PreSetup {
@@ -751,7 +674,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 			// ⑥' without pre-setup: the whole RDMA restore happens here —
 			// inside the blackout.
 			phases = append(phases, phase{
-				name: "post-restore", stage: "post-restore",
+				name: "post-restore",
 				run: func() error {
 					tl.End("full-restore")
 					fullRestoreOpen = false
@@ -778,7 +701,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				// own resume wait in order instead of bouncing off empty
 				// receive queues (RNR → retransmission).
 				phase{
-					name: "install-plug", stage: "install-plug",
+					name:       "install-plug",
 					run:        plug.InstallPlug,
 					compensate: func() { plug.DiscardPlug() },
 				},
@@ -786,7 +709,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				// the same plug; as a side effect, the dumped transport
 				// state can no longer diverge under late arrivals.
 				phase{
-					name: "install-forward", stage: "install-forward",
+					name:       "install-forward",
 					run:        func() error { return plug.InstallForward() },
 					compensate: func() { plug.RemoveForward() },
 				},
@@ -798,7 +721,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 			// This is the commit point: once partners switched, their old
 			// QPs are destroyed and the migration can no longer roll
 			// back — failures past here are surfaced, not compensated.
-			phase{name: "switch-partners", stage: "switch-partners", commit: true, run: func() error {
+			phase{name: "switch-partners", commit: true, run: func() error {
 				if m.Opts.Cutover == CutoverPlugForward {
 					// Re-point the partners but keep them suspended: they
 					// resume in the resume-partners phase, after the thaw,
@@ -809,7 +732,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				return plug.SwitchPartners()
 			}},
 			// ⑦: post intercepted WRs, replay pending RECVs.
-			phase{name: "resume", stage: "resume", run: func() error {
+			phase{name: "resume", run: func() error {
 				return plug.ResumeMigrated()
 			}},
 		)
@@ -824,7 +747,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				// this before the thaw keeps the thaw latency off the
 				// cutover path. Any frames that outrun this RPC's return
 				// wait in the plug.
-				phase{name: "resume-partners", stage: "resume-partners", run: func() error {
+				phase{name: "resume-partners", run: func() error {
 					return plug.ResumePartners()
 				}},
 				// Flush in arrival order, ahead of live traffic. Ordering is
@@ -835,7 +758,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				// reach the restored responder's PSN window instead of
 				// vanishing; teardown happens in ReleasePlug, off the
 				// blackout's critical path.
-				phase{name: "flush-plug", stage: "flush-plug", run: func() error {
+				phase{name: "flush-plug", run: func() error {
 					rep.PlugFlushed = plug.FlushPlug()
 					return nil
 				}},
@@ -843,7 +766,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		}
 	}
 
-	phases = append(phases, phase{name: "thaw", stage: "thaw", run: func() error {
+	phases = append(phases, phase{name: "thaw", run: func() error {
 		restore.FullRestore()
 		tl.End("full-restore")
 		fullRestoreOpen = false
@@ -878,11 +801,15 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		})
 	}
 
+	// The final round ran inside the transfer span, but its two ends —
+	// reading pages before anything is on the wire, applying after the
+	// last chunk landed — are dump and restore time (all of both when
+	// the round was one chunk, as every monolithic round is).
 	rep.DumpRDMA = tl.Get("dump-rdma")
-	rep.DumpOthers = tl.Get("dump-others")
-	rep.Transfer = tl.Get("transfer")
+	rep.DumpOthers = tl.Get("dump-others") + final.Fill
+	rep.Transfer = tl.Get("transfer") - final.Fill - final.Drain
 	rep.RestoreRDMA = tl.Get("restore-rdma")
-	rep.FullRestore = tl.Get("full-restore")
+	rep.FullRestore = tl.Get("full-restore") + final.Drain
 	if m.Opts.PreSetup {
 		// Pre-setup moves DumpRDMA and RestoreRDMA out of the blackout
 		// (§5.2); report only the blackout components.

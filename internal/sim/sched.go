@@ -92,6 +92,9 @@ func (s *Scheduler) Go(name string, fn func()) *Proc {
 	return s.spawn(name, fn, false)
 }
 
+// Spawned reports how many procs Go and GoDaemon have started so far.
+func (s *Scheduler) Spawned() int64 { return s.nextProcID }
+
 // GoDaemon spawns a proc that services others indefinitely (a NIC
 // engine, an event loop). Blocked daemons do not count as a deadlock:
 // when only daemons remain and no timers are pending, Run returns.
