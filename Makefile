@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-time test-race chaos goldens chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
+.PHONY: all build vet test test-time loc test-race chaos goldens chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
 
 all: build
 
@@ -24,6 +24,19 @@ test-time: build
 		$$1 == "FAIL" || $$1 == "---" { print; bad = 1 } \
 		END { printf "%8.1f s  sum of packages\n", sum; exit bad }'; status=$$?; \
 	printf '%8d s  wall clock\n' $$(( $$(date +%s) - start )); exit $$status
+
+# Lines of Go per package, non-test and test, and in total: the count a
+# simplicity PR quotes before and after (CHANGES.md), so that every PR
+# counts the same way. A directory's own files only; blank lines and
+# comments count.
+loc:
+	@for d in $$($(GO) list -f '{{.Dir}}' ./...); do \
+		printf '%7d %7d  %s\n' \
+			$$(ls $$d/*.go | grep -v _test.go | xargs cat /dev/null | wc -l) \
+			$$(ls $$d/*.go | grep _test.go | xargs cat /dev/null | wc -l) .$${d#$$PWD}; \
+	done | awk 'BEGIN { printf "%7s %7s  %s\n", "code", "test", "package" } \
+		{ code += $$1; test += $$2; print } \
+		END { printf "%7d %7d  total\n", code, test }'
 
 test-race:
 	$(GO) test -race ./...

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -27,47 +28,61 @@ import (
 )
 
 func main() {
-	statsMode := false
-	if len(os.Args) > 1 && os.Args[1] == "stats" {
-		statsMode = true
-		os.Args = append(os.Args[:1], os.Args[2:]...)
-	}
-	qps := flag.Int("qps", 8, "number of RC queue pairs")
-	msg := flag.Int("msg", 4096, "message size in bytes")
-	depth := flag.Int("depth", 16, "queue depth per QP")
-	verb := flag.String("verb", "write", "traffic verb: send, write, read")
-	side := flag.String("side", "sender", "which side migrates: sender or receiver")
-	noPresetup := flag.Bool("no-presetup", false, "disable RDMA pre-setup (paper's baseline)")
-	loss := flag.Float64("loss", 0, "packet loss probability during migration")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	var op rnic.Opcode
-	switch *verb {
-	case "send":
-		op = rnic.OpSend
-	case "write":
-		op = rnic.OpWrite
-	case "read":
-		op = rnic.OpRead
-	default:
-		fmt.Fprintf(os.Stderr, "unknown verb %q\n", *verb)
-		os.Exit(2)
+// verbs are the -verb values.
+var verbs = map[string]rnic.Opcode{"send": rnic.OpSend, "write": rnic.OpWrite, "read": rnic.OpRead}
+
+// run is main over explicit arguments and streams, so the smoke tests
+// can drive it. It returns the exit code: 0 the migration completed,
+// 1 it failed or hung, 2 the command line was wrong.
+func run(args []string, out, errOut io.Writer) int {
+	statsMode := len(args) > 0 && args[0] == "stats"
+	if statsMode {
+		args = args[1:]
+	}
+	fs := flag.NewFlagSet("migrctl", flag.ContinueOnError)
+	fs.SetOutput(errOut)
+	qps := fs.Int("qps", 8, "number of RC queue pairs")
+	msg := fs.Int("msg", 4096, "message size in bytes")
+	depth := fs.Int("depth", 16, "queue depth per QP")
+	verb := fs.String("verb", "write", "traffic verb: send, write, read")
+	side := fs.String("side", "sender", "which side migrates: sender or receiver")
+	noPresetup := fs.Bool("no-presetup", false, "disable RDMA pre-setup (paper's baseline)")
+	loss := fs.Float64("loss", 0, "packet loss probability during migration")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	op, ok := verbs[*verb]
+	if !ok {
+		fmt.Fprintf(errOut, "unknown -verb %q; valid: send, write, read\n", *verb)
+		return 2
+	}
+	if *side != "sender" && *side != "receiver" {
+		fmt.Fprintf(errOut, "unknown -side %q; valid: sender, receiver\n", *side)
+		return 2
 	}
 
 	r := experiments.NewRig(1, "src", "dst", "partner")
+	defer r.Close()
 	opts := perftest.Options{Verb: op, MsgSize: *msg, QueueDepth: *depth, NumQPs: *qps, Messages: 0}
+	// The migrating container holds the sender (client) or the receiver
+	// (server).
 	var pair *experiments.Pair
+	var cont *runc.Container
 	if *side == "sender" {
 		pair = r.StartPair("src", "partner", opts)
+		cont = pair.ClientCont
 	} else {
 		pair = r.StartPair("partner", "src", opts)
+		cont = pair.ServerCont
 	}
 
 	var rep *runc.Report
-	var err error
-	r.CL.Sched.Go("driver", func() {
+	err := r.Run(experiments.Horizon, func() (err error) {
 		pair.Client.WaitReady()
-		fmt.Printf("perftest running: %d QPs, %d B %s, depth %d\n", *qps, *msg, *verb, *depth)
+		fmt.Fprintf(out, "perftest running: %d QPs, %d B %s, depth %d\n", *qps, *msg, *verb, *depth)
 		r.CL.Sched.Sleep(5 * time.Millisecond)
 		if *loss > 0 {
 			r.CL.Net.SetLoss("src", *loss)
@@ -75,57 +90,46 @@ func main() {
 		}
 		mopts := runc.DefaultMigrateOptions()
 		mopts.PreSetup = !*noPresetup
-		cont := pair.ClientCont
-		if *side != "sender" {
-			cont = pair.ServerCont
+		fmt.Fprintf(out, "migrating the %s container src → dst (pre-setup: %v)...\n", *side, mopts.PreSetup)
+		if rep, err = r.Migrate(cont, "src", "dst", mopts); err != nil {
+			return err
 		}
-		fmt.Printf("migrating the %s container src → dst (pre-setup: %v)...\n", *side, mopts.PreSetup)
-		rep, err = r.Migrate(cont, "src", "dst", mopts)
 		if *loss > 0 {
 			r.CL.Net.SetLoss("src", 0)
 			r.CL.Net.SetLoss("partner", 0)
 		}
 		r.CL.Sched.Sleep(5 * time.Millisecond)
-		pair.Client.Stop()
-		pair.Client.Wait()
-		pair.Server.Stop()
+		pair.Stop()
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
-	r.Close() // the reports below read state the procs no longer touch
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "migration failed: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(errOut, "migration failed: %v\n", err)
+		return 1
 	}
-	if rep == nil {
-		fmt.Fprintln(os.Stderr, "migration did not complete")
-		os.Exit(1)
-	}
-	fmt.Println()
-	fmt.Println("phase report:")
-	fmt.Printf("  DumpRDMA     %12v\n", rep.DumpRDMA.Round(time.Microsecond))
-	fmt.Printf("  DumpOthers   %12v\n", rep.DumpOthers.Round(time.Microsecond))
-	fmt.Printf("  Transfer     %12v\n", rep.Transfer.Round(time.Microsecond))
-	fmt.Printf("  RestoreRDMA  %12v\n", rep.RestoreRDMA.Round(time.Microsecond))
-	fmt.Printf("  FullRestore  %12v\n", rep.FullRestore.Round(time.Microsecond))
-	fmt.Printf("  ───────────\n")
-	fmt.Printf("  blackout     %12v   (service %v, communication %v)\n",
+	fmt.Fprintln(out)
+	fmt.Fprintln(out, "phase report:")
+	fmt.Fprintf(out, "  DumpRDMA     %12v\n", rep.DumpRDMA.Round(time.Microsecond))
+	fmt.Fprintf(out, "  DumpOthers   %12v\n", rep.DumpOthers.Round(time.Microsecond))
+	fmt.Fprintf(out, "  Transfer     %12v\n", rep.Transfer.Round(time.Microsecond))
+	fmt.Fprintf(out, "  RestoreRDMA  %12v\n", rep.RestoreRDMA.Round(time.Microsecond))
+	fmt.Fprintf(out, "  FullRestore  %12v\n", rep.FullRestore.Round(time.Microsecond))
+	fmt.Fprintf(out, "  ───────────\n")
+	fmt.Fprintf(out, "  blackout     %12v   (service %v, communication %v)\n",
 		rep.Blackout().Round(time.Microsecond), rep.ServiceBlackout.Round(time.Microsecond),
 		rep.CommBlackout.Round(time.Microsecond))
-	fmt.Printf("  wait-before-stop %v (timed out: %v, in-flight %d B)\n",
+	fmt.Fprintf(out, "  wait-before-stop %v (timed out: %v, in-flight %d B)\n",
 		rep.WBS.Elapsed.Round(time.Microsecond), rep.WBS.TimedOut, rep.WBS.InflightBytes)
-	fmt.Printf("  pre-copy iterations %d, pages transferred %d\n", rep.PreCopyIterations, rep.PagesTransferred)
-	fmt.Println()
-	fmt.Printf("workload: %d messages completed, %d errors\n",
-		pair.Client.Stats.Completed, len(pair.Client.Stats.Errors)+len(pair.Server.Stats.Errors))
-	for _, e := range pair.Client.Stats.Errors {
-		fmt.Printf("  client error: %s\n", e)
-	}
-	for _, e := range pair.Server.Stats.Errors {
-		fmt.Printf("  server error: %s\n", e)
+	fmt.Fprintf(out, "  pre-copy iterations %d, pages transferred %d\n", rep.PreCopyIterations, rep.PagesTransferred)
+	fmt.Fprintln(out)
+	errs := pair.Errors()
+	fmt.Fprintf(out, "workload: %d messages completed, %d errors\n", pair.Client.Stats.Completed, len(errs))
+	for _, e := range errs {
+		fmt.Fprintf(out, "  %s\n", e)
 	}
 	if statsMode {
-		fmt.Println()
-		fmt.Println("metrics registry:")
-		fmt.Print(r.CL.Metrics.Snapshot().String())
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, "metrics registry:")
+		fmt.Fprint(out, r.CL.Metrics.Snapshot().String())
 	}
+	return 0
 }

@@ -108,7 +108,7 @@ func main() {
 	})
 
 	// --- Operator: live-migrate the app once it is running -------------
-	sched.Go("operator", func() {
+	err := rig.Run(experiments.Horizon, func() error {
 		for !peerReady {
 			sched.Sleep(time.Millisecond)
 		}
@@ -116,15 +116,18 @@ func main() {
 		fmt.Println("operator: migrating app src → dst ...")
 		rep, err := rig.Migrate(appCont, "src", "dst", runc.DefaultMigrateOptions())
 		if err != nil {
-			panic(err)
+			return err
 		}
 		fmt.Printf("operator: migration done, service blackout %v\n",
 			rep.ServiceBlackout.Round(time.Microsecond))
+		// The run ends when this function returns: let the app finish.
+		for !appDone {
+			sched.Sleep(time.Millisecond)
+		}
+		return nil
 	})
-
-	rig.CL.Sched.RunFor(time.Minute)
-	if !appDone {
-		panic("app did not finish")
+	if err != nil {
+		panic(err) // a hang names the procs that are parked for good
 	}
 	_ = mem.PageSize
 }

@@ -63,20 +63,22 @@ func main() {
 		done = true
 	})
 
-	sched.Go("operator", func() {
+	err := tb.Run(migrrdma.Horizon, func() error {
 		srv.WaitReady()
 		sched.Sleep(15 * time.Millisecond)
 		fmt.Println("operator: migrating RPC server → spare ...")
 		rep, err := tb.Migrate(srvCont, "server", "spare", migrrdma.DefaultMigrateOptions())
 		if err != nil {
-			panic(err)
+			return err
 		}
 		fmt.Printf("operator: done; service blackout %v\n", rep.ServiceBlackout.Round(time.Millisecond))
 		migrated = true
+		for !done {
+			sched.Sleep(time.Millisecond)
+		}
+		return nil
 	})
-
-	sched.RunFor(2 * time.Minute)
-	if !done {
-		panic("client did not finish")
+	if err != nil {
+		panic(err)
 	}
 }

@@ -117,21 +117,23 @@ func main() {
 		appDone = true
 	})
 
-	sched.Go("operator", func() {
+	err := tb.Run(migrrdma.Horizon, func() error {
 		for !peerReady {
 			sched.Sleep(time.Millisecond)
 		}
 		sched.Sleep(10 * time.Millisecond)
 		rep, err := tb.Migrate(appCont, "src", "dst", migrrdma.DefaultMigrateOptions())
 		if err != nil {
-			panic(err)
+			return err
 		}
 		fmt.Printf("migrated with completion channel + DM + MW intact; blackout %v\n",
 			rep.ServiceBlackout.Round(time.Millisecond))
+		for !appDone {
+			sched.Sleep(time.Millisecond)
+		}
+		return nil
 	})
-
-	sched.RunFor(2 * time.Minute)
-	if !appDone {
-		panic("app did not finish")
+	if err != nil {
+		panic(err)
 	}
 }

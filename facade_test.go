@@ -81,18 +81,22 @@ func TestFacadeQuickstartFlow(t *testing.T) {
 	})
 
 	var rep *MigrationReport
-	sched.Go("operator", func() {
+	err := tb.Run(Horizon, func() (err error) {
 		for facadeAppQPN == 0 {
 			sched.Sleep(time.Millisecond)
 		}
 		sched.Sleep(5 * time.Millisecond)
-		var err error
-		rep, err = tb.Migrate(app, "a", "spare", DefaultMigrateOptions())
-		if err != nil {
-			t.Errorf("migrate: %v", err)
+		if rep, err = tb.Migrate(app, "a", "spare", DefaultMigrateOptions()); err != nil {
+			return err
 		}
+		for wrote < 2 {
+			sched.Sleep(time.Millisecond)
+		}
+		return nil
 	})
-	tb.CL.Sched.RunFor(2 * time.Minute)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if wrote != 2 {
 		t.Fatalf("completed %d writes, want one per side of the migration", wrote)
 	}

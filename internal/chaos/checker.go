@@ -109,11 +109,8 @@ func checkPair(badf func(string, ...any), p *experiments.Pair, spec Pair, atSwit
 	// Exactly-once, in-order, uncorrupted delivery across the migration
 	// boundary: perftest CheckOrder stamps every payload and verifies
 	// WR-ID sequence on both sides; any slip lands in Stats.Errors.
-	for _, e := range cli.Stats.Errors {
-		badf("client: %s", e)
-	}
-	for _, e := range srv.Stats.Errors {
-		badf("server: %s", e)
+	for _, e := range p.Errors() {
+		badf("%s", e)
 	}
 	if cli.Stats.Completed != srv.Stats.Completed {
 		badf("completion mismatch: client %d != server %d", cli.Stats.Completed, srv.Stats.Completed)

@@ -22,8 +22,10 @@ import (
 const (
 	Warmup = 2 * time.Millisecond
 	settle = 5 * time.Millisecond
-	// horizon bounds a run that hangs; a healthy run stops itself as
-	// soon as the driver has everything the checkers read.
+	// horizon bounds a run that hangs; a healthy run ends as soon as the
+	// driver has everything the checkers read. It is also the instant
+	// the scheduler leaves the clock at, so the final metrics snapshot —
+	// and with it every telemetry golden — is dated by it.
 	horizon = 1 * time.Second
 	// drainSLO is the drain scenarios' blackout SLO: generous against
 	// the fast-checkpoint calibration so only a genuine stall breaches it.
@@ -113,9 +115,10 @@ func Run(seed int64, sc Scenario) *Report {
 	movers := r.w.start()
 	migrate, fill := r.plan(movers)
 
+	// The run ends when the driver returns: everything the checkers read
+	// is fixed by then (experiments.Rig.Run).
 	var mid string
-	done := false
-	sched.Go("chaos-driver", func() {
+	hung := rig.Run(horizon, func() error {
 		r.w.ready()
 		if sc.Workload.PageHog {
 			if _, err := pageHog.Start(sched, movers[0].cont.Procs[0]); err != nil {
@@ -144,12 +147,8 @@ func Run(seed int64, sc Scenario) *Report {
 		// traffic between the original endpoints.
 		sched.Sleep(settle)
 		r.w.quiesce()
-		done = true
-		// Everything the checkers read is now fixed; do not idle to the
-		// horizon.
-		sched.Stop()
+		return nil
 	})
-	sched.RunFor(horizon)
 
 	rep := &Report{Seed: seed, Scenario: sc.Name}
 	moved := fill(rep)
@@ -167,10 +166,10 @@ func Run(seed int64, sc Scenario) *Report {
 	tele := sha256.Sum256([]byte(mid + "\n" + snap.Hash()))
 	rep.Telemetry = hex.EncodeToString(tele[:])
 
-	if !done {
+	if hung != nil {
 		// Liveness: the driver (migrations + settle + quiesce) must finish
 		// inside the horizon. Nothing else means anything if it did not.
-		rep.Violations = []string{"run did not complete within the horizon"}
+		rep.Violations = []string{hung.Error()}
 		for _, o := range rep.Migrations {
 			rep.Violations = append(rep.Violations,
 				fmt.Sprintf("%s: last stage %q after %d attempts", o.ID, o.FinalStage, o.Attempts))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"testing"
 	"time"
 
 	"migrrdma/internal/core"
@@ -79,9 +78,14 @@ func AblationKeyTable(mrCounts []int) []KeyTableRow {
 				list.assign(uint32(i+1), uint32(i)*0x107+0x2000)
 			}
 			keys := accessPattern(n, skewed)
-			arrNS := measureLookups(func(k uint32) { arr.lookup(k) }, keys)
-			listNS := measureLookups(func(k uint32) { list.lookup(k) }, keys)
-			rows = append(rows, KeyTableRow{MRs: n, Skewed: skewed, ArrayNS: arrNS, ListNS: listNS})
+			var ai, li int
+			// A uniform lookup walks the whole list, about a nanosecond
+			// a node: the batch shrinks with the list so that one stays
+			// near a millisecond, and never below one pass over the keys.
+			ns := measureNS(max(len(keys), table4Batch/n),
+				func() { arr.lookup(keys[ai%len(keys)]); ai++ },
+				func() { list.lookup(keys[li%len(keys)]); li++ })
+			rows = append(rows, KeyTableRow{MRs: n, Skewed: skewed, ArrayNS: ns[0], ListNS: ns[1]})
 		}
 	}
 	return rows
@@ -119,15 +123,6 @@ func accessPattern(n int, skewed bool) []uint32 {
 		}
 	}
 	return keys
-}
-
-func measureLookups(f func(uint32), keys []uint32) float64 {
-	r := testing.Benchmark(func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f(keys[i%len(keys)])
-		}
-	})
-	return float64(r.NsPerOp())
 }
 
 // --- Wait-before-stop vs drop-and-replay (§3.4) -------------------------------
@@ -201,7 +196,7 @@ func AblationRKeyCache(messages int) (RKeyCacheRow, error) {
 		opts := perftest.Options{Verb: rnic.OpWrite, MsgSize: 64, QueueDepth: 1, NumQPs: 1, Messages: messages}
 		pair := r.StartPair("a", "b", opts)
 		var elapsed time.Duration
-		r.CL.Sched.Go("driver", func() {
+		err := r.Run(Horizon, func() error {
 			pair.Client.WaitReady()
 			if disable {
 				pair.Client.Sess.DisableRKeyCache = true
@@ -211,13 +206,10 @@ func AblationRKeyCache(messages int) (RKeyCacheRow, error) {
 			pair.Client.Wait()
 			elapsed = r.CL.Sched.Now() - start
 			pair.Server.Stop()
-			// All measured; skip the idle tail to the horizon (parked CQ
-			// pollers re-arm wait slices until then).
-			r.CL.Sched.Stop()
+			return nil
 		})
-		r.CL.Sched.RunFor(5 * time.Minute)
-		if elapsed == 0 {
-			return 0, 0, fmt.Errorf("rkey ablation (disable=%v) did not finish", disable)
+		if err != nil {
+			return 0, 0, fmt.Errorf("rkey ablation (disable=%v): %w", disable, err)
 		}
 		return float64(messages) / elapsed.Seconds(), pair.Client.Sess.RKeyFetches, nil
 	}
@@ -329,32 +321,29 @@ func MigrationUnderLoss(loss float64, wbsTimeout time.Duration) (LossRow, error)
 	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: 4096, QueueDepth: 16, NumQPs: 2, Messages: 2000, CheckOrder: true}
 	pair := r.StartPair("src", "partner", opts)
 	var rep *runc.Report
-	var err error
-	r.CL.Sched.Go("driver", func() {
+	err := r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		r.CL.Sched.Sleep(settle)
 		// Loss hits only the RDMA data path; the control plane and image
 		// transfer are TCP-reliable on a real deployment.
 		r.CL.Net.SetPortLoss("src", rnic.PortRDMA, loss)
 		r.CL.Net.SetPortLoss("partner", rnic.PortRDMA, loss)
-		rep, err = r.Migrate(pair.ClientCont, "src", "dst", runc.DefaultMigrateOptions())
+		if rep, err = r.Migrate(pair.ClientCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
+			return err
+		}
 		r.CL.Net.SetPortLoss("src", rnic.PortRDMA, 0)
 		r.CL.Net.SetPortLoss("partner", rnic.PortRDMA, 0)
 		pair.Client.Wait()
 		r.CL.Sched.Sleep(5 * time.Millisecond)
 		pair.Server.Stop()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
-		return LossRow{}, err
-	}
-	if rep == nil {
-		return LossRow{}, fmt.Errorf("loss=%v: migration did not complete", loss)
+		return LossRow{}, fmt.Errorf("loss=%v: %w", loss, err)
 	}
 	return LossRow{
 		LossPct: loss, WBS: rep.WBS.Elapsed, TimedOut: rep.WBS.TimedOut,
 		Completed: pair.Server.Stats.Completed,
-		Errors:    len(pair.Client.Stats.Errors) + len(pair.Server.Stats.Errors),
+		Errors:    len(pair.Errors()),
 	}, nil
 }

@@ -61,9 +61,10 @@ func (cr *ConcurrentResult) String() string {
 // partners all K migrations at once. The per-migration blackout should
 // stay flat-ish in K while aggregate wire volume and total drain time
 // grow with it.
-func ConcurrentMigrations(k, cap int) (*ConcurrentResult, error) {
+func ConcurrentMigrations(k, cap int) (_ *ConcurrentResult, err error) {
+	defer wrapErr(&err, "concurrent k=%d cap=%d", k, cap)
 	if k < 2 {
-		return nil, fmt.Errorf("concurrent: need k >= 2, got %d", k)
+		return nil, fmt.Errorf("need k >= 2")
 	}
 	names := make([]string, k, k+1)
 	for i := range names {
@@ -83,9 +84,8 @@ func ConcurrentMigrations(k, cap int) (*ConcurrentResult, error) {
 	}
 
 	mgr := migmgr.New(r.CL, r.Daemons, cap)
-	var res *ConcurrentResult
-	var runErr error
-	r.CL.Sched.Go("driver", func() {
+	res := &ConcurrentResult{K: k, Cap: cap}
+	err = r.Run(Horizon, func() error {
 		for _, p := range pairs {
 			p.Client.WaitReady()
 		}
@@ -98,49 +98,36 @@ func ConcurrentMigrations(k, cap int) (*ConcurrentResult, error) {
 				Dst:  names[(i+1)%k],
 				Opts: runc.DefaultMigrateOptions(),
 			}); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 		mgr.WaitAll()
-		elapsed := r.CL.Sched.Now() - start
+		res.Elapsed = r.CL.Sched.Now() - start
 		// Drain a little, then stop the workload.
 		r.CL.Sched.Sleep(2 * time.Millisecond)
 		for _, p := range pairs {
-			p.Client.Stop()
-			p.Client.Wait()
-			p.Server.Stop()
+			p.Stop()
 		}
-		wire := r.CL.Metrics.Snapshot().Sum("rnic", "tx_bytes") - before
-		out := &ConcurrentResult{K: k, Cap: cap, Elapsed: elapsed, WireBytes: wire}
+		res.WireBytes = r.CL.Metrics.Snapshot().Sum("rnic", "tx_bytes") - before
 		for _, j := range mgr.Jobs() {
 			if j.Err != nil {
-				runErr = fmt.Errorf("concurrent: %s %s->%s: %w", j.ID, j.Src, j.Spec.Dst, j.Err)
-				return
+				return fmt.Errorf("%s %s->%s: %w", j.ID, j.Src, j.Spec.Dst, j.Err)
 			}
-			out.Rows = append(out.Rows, ConcurrentRow{
+			res.Rows = append(res.Rows, ConcurrentRow{
 				Mig: j.ID, Src: j.Src, Dst: j.Spec.Dst, QueueWait: j.QueueWait(),
 				ServiceBlackout: j.Report.ServiceBlackout,
 				CommBlackout:    j.Report.CommBlackout,
 				Total:           j.Report.Total,
 			})
 		}
-		res = out
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
-	if runErr != nil {
-		return nil, runErr
-	}
-	if res == nil {
-		return nil, fmt.Errorf("concurrent: run did not complete (k=%d cap=%d)", k, cap)
+	if err != nil {
+		return nil, err
 	}
 	for i, p := range pairs {
-		if len(p.Client.Stats.Errors) > 0 {
-			return nil, fmt.Errorf("concurrent: client %d errors: %v", i, p.Client.Stats.Errors[0])
-		}
-		if len(p.Server.Stats.Errors) > 0 {
-			return nil, fmt.Errorf("concurrent: server %d errors: %v", i, p.Server.Stats.Errors[0])
+		if errs := p.Errors(); len(errs) > 0 {
+			return nil, fmt.Errorf("pair %d: %d workload errors, first %s", i, len(errs), errs[0])
 		}
 	}
 	return res, nil

@@ -65,7 +65,8 @@ func RunCutover(mode runc.CutoverMode, msgSize, qps, messages int) (CutoverRow, 
 
 // RunCutoverSeeded is RunCutover at an explicit seed, for replicated
 // runs (CutoverComparisonCount, the -count benchmarks).
-func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed int64) (CutoverRow, error) {
+func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed int64) (_ CutoverRow, err error) {
+	defer wrapErr(&err, "cutover %v msg=%d qps=%d seed=%d", mode, msgSize, qps, seed)
 	cfg := cluster.FastCheckpointTestbed(seed)
 	// rnr_retry=7 semantics: retry through the blackout instead of
 	// erroring out — go-back-N's whole recovery story depends on it,
@@ -89,24 +90,21 @@ func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed in
 	mopts := runc.DefaultMigrateOptions()
 	mopts.Cutover = mode
 	var rep *runc.Report
-	var err error
-	r.CL.Sched.Go("cutover-driver", func() {
+	err = r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		r.CL.Sched.Sleep(2 * time.Millisecond)
-		rep, err = r.Migrate(pair.ServerCont, "src", "dst", mopts)
+		if rep, err = r.Migrate(pair.ServerCont, "src", "dst", mopts); err != nil {
+			return err
+		}
 		pair.Client.Wait() // the bounded message count drains
 		pair.Server.Stop()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
 		return CutoverRow{}, err
 	}
-	if rep == nil {
-		return CutoverRow{}, fmt.Errorf("cutover: migration did not complete")
-	}
-	if n := len(pair.Client.Stats.Errors); n != 0 {
-		return CutoverRow{}, fmt.Errorf("cutover: %d client errors: %s", n, pair.Client.Stats.Errors[0])
+	if errs := pair.Errors(); len(errs) > 0 {
+		return CutoverRow{}, fmt.Errorf("%d workload errors, first %s", len(errs), errs[0])
 	}
 	snap := r.CL.Metrics.Snapshot()
 	row := CutoverRow{

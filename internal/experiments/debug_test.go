@@ -15,6 +15,7 @@ import (
 // dumps; kept as a regression canary for the light-CRIU configuration.
 func TestDebugFig4Stall(t *testing.T) {
 	r := NewRigCfg(cluster.FastCheckpointTestbed(13), "src", "dst", "p0")
+	defer r.Close()
 	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: 4096, QueueDepth: 64, NumQPs: 8, Messages: 0}
 	srv := perftest.NewServer(r.CL.Sched, "srv", opts)
 	cont := runc.NewContainer(r.CL.Host("p0"), "server")
@@ -25,32 +26,30 @@ func TestDebugFig4Stall(t *testing.T) {
 		srv.WaitReady()
 		cliCont.Start(func(tp *task.Process) { cli.Run(tp, r.Daemons["src"]) })
 	})
-	migDone, cliDone := false, false
-	r.CL.Sched.Go("driver", func() {
+	migDone := false
+	err := r.Run(Horizon, func() error {
 		cli.WaitReady()
 		r.CL.Sched.Sleep(settle)
-		_, err := r.Migrate(cliCont, "src", "dst", runc.DefaultMigrateOptions())
-		if err != nil {
-			t.Errorf("migrate: %v", err)
-			return
+		if _, err := r.Migrate(cliCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
+			return err
 		}
 		migDone = true
 		r.CL.Sched.Sleep(time.Millisecond)
 		cli.Stop()
 		cli.Wait()
-		cliDone = true
 		srv.Stop()
+		return nil
 	})
-	r.CL.Sched.RunFor(3 * time.Second)
-	if !migDone {
-		t.Fatalf("migration hung; blocked: %s", r.CL.Sched.BlockedReport())
-	}
-	if !cliDone {
-		for i, st := range cli.QPStates() {
-			t.Logf("qp %d: %s", i, st)
+	if err != nil {
+		if migDone {
+			// The runner's error names the parked procs; this is what the
+			// client's queue pairs looked like when it failed to drain.
+			for i, st := range cli.QPStates() {
+				t.Logf("qp %d: %s", i, st)
+			}
+			t.Logf("client errors: %v", cli.Stats.Errors)
+			t.Logf("server errors: %v", srv.Stats.Errors)
 		}
-		t.Logf("client errors: %v", cli.Stats.Errors)
-		t.Logf("server errors: %v", srv.Stats.Errors)
-		t.Fatal("client did not drain after Stop")
+		t.Fatal(err)
 	}
 }

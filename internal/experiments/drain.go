@@ -108,7 +108,7 @@ func drainExpTargets(variant string) (map[string]bool, error) {
 			}
 		}
 	default:
-		return nil, fmt.Errorf("drain: unknown variant %q (have %s, %s)",
+		return nil, fmt.Errorf("unknown variant %q (have %s, %s)",
 			variant, DrainHalfRacks, DrainWholeRacks)
 	}
 	return set, nil
@@ -125,7 +125,8 @@ func RunDrainExp(variant string, maxParallel int) (DrainPoint, error) {
 // over, so the steady-state workload itself crosses the spine), drains
 // the variant's 32 hosts under MaxParallel, and reports the blackout
 // distribution and the placement split.
-func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint, error) {
+func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (_ DrainPoint, err error) {
+	defer wrapErr(&err, "drain %s par=%d seed=%d", variant, maxParallel, seed)
 	targets, err := drainExpTargets(variant)
 	if err != nil {
 		return DrainPoint{}, err
@@ -180,10 +181,9 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint,
 		elapsed time.Duration
 		spine   int64
 		wire    int64
-		done    bool
 	)
 	sched := cl.Sched
-	sched.Go("drain-exp-driver", func() {
+	err = r.Run(Horizon, func() error {
 		for _, cNode := range drained {
 			pairs[cNode].Client.WaitReady()
 		}
@@ -206,19 +206,12 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint,
 		// Drain a little post-cutover, then stop the workload.
 		sched.Sleep(2 * time.Millisecond)
 		for _, cNode := range drained {
-			pairs[cNode].Client.Stop()
-			pairs[cNode].Client.Wait()
-			pairs[cNode].Server.Stop()
+			pairs[cNode].Stop()
 		}
-		done = true
-		// Everything is measured; don't let the horizon grind the parked
-		// CQ pollers (they re-arm their wait slice at 10 kHz each, and
-		// with 64 endpoints the idle tail would dwarf the drain itself).
-		sched.Stop()
+		return nil
 	})
-	sched.RunFor(10 * time.Minute)
-	if !done {
-		return DrainPoint{}, fmt.Errorf("drain: %s par=%d did not complete", variant, maxParallel)
+	if err != nil {
+		return DrainPoint{}, err
 	}
 
 	pt := DrainPoint{
@@ -229,10 +222,10 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint,
 	var blackouts []time.Duration
 	for _, m := range d.Migrations {
 		if m.State() != orchestrator.Done {
-			return DrainPoint{}, fmt.Errorf("drain: %s: state %s: %v", m.ID, m.State(), m.Err)
+			return DrainPoint{}, fmt.Errorf("%s: state %s: %v", m.ID, m.State(), m.Err)
 		}
 		if targets[m.Dst] {
-			return DrainPoint{}, fmt.Errorf("drain: %s placed on drained host %s", m.ID, m.Dst)
+			return DrainPoint{}, fmt.Errorf("%s placed on drained host %s", m.ID, m.Dst)
 		}
 		if cl.Host(m.Src).Rack == cl.Host(m.Dst).Rack {
 			pt.SameRackDst++
@@ -244,15 +237,11 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint,
 	}
 	pt.Migrations = len(blackouts)
 	if pt.Migrations != DrainExpEvacuated {
-		return DrainPoint{}, fmt.Errorf("drain: %d migrations, want %d", pt.Migrations, DrainExpEvacuated)
+		return DrainPoint{}, fmt.Errorf("%d migrations, want %d", pt.Migrations, DrainExpEvacuated)
 	}
 	for _, cNode := range drained {
-		p := pairs[cNode]
-		if len(p.Client.Stats.Errors) > 0 {
-			return DrainPoint{}, fmt.Errorf("drain: client %s: %v", cNode, p.Client.Stats.Errors[0])
-		}
-		if len(p.Server.Stats.Errors) > 0 {
-			return DrainPoint{}, fmt.Errorf("drain: server of %s: %v", cNode, p.Server.Stats.Errors[0])
+		if errs := pairs[cNode].Errors(); len(errs) > 0 {
+			return DrainPoint{}, fmt.Errorf("pair of %s: %d workload errors, first %s", cNode, len(errs), errs[0])
 		}
 	}
 	sort.Slice(blackouts, func(i, j int) bool { return blackouts[i] < blackouts[j] })
@@ -266,17 +255,10 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (DrainPoint,
 // DrainSweep measures both variants at every MaxParallel, whole racks
 // after half racks so the table reads as a placement contrast.
 func DrainSweep(parallels []int) ([]DrainPoint, error) {
-	var pts []DrainPoint
-	for _, variant := range []string{DrainHalfRacks, DrainWholeRacks} {
-		for _, par := range parallels {
-			pt, err := RunDrainExp(variant, par)
-			if err != nil {
-				return nil, fmt.Errorf("variant=%s par=%d: %w", variant, par, err)
-			}
-			pts = append(pts, pt)
-		}
-	}
-	return pts, nil
+	variants := []string{DrainHalfRacks, DrainWholeRacks}
+	return sweep(len(variants)*len(parallels), func(i int) (DrainPoint, error) {
+		return RunDrainExp(variants[i/len(parallels)], parallels[i%len(parallels)])
+	})
 }
 
 // percentile reads the p-th percentile off a sorted sample

@@ -9,7 +9,7 @@ import "testing"
 // every placement across it — and the forced crossings bill more
 // uplink traffic for the same drain.
 func TestDrainExpPlacementContrast(t *testing.T) {
-	half, err := RunDrainExp(DrainHalfRacks, 4)
+	half, err := drainHalfRacksPar4()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,6 +11,7 @@
 package experiments
 
 import (
+	"fmt"
 	"time"
 
 	"migrrdma/internal/cluster"
@@ -41,10 +42,43 @@ func NewRigCfg(cfg cluster.Config, names ...string) *Rig {
 	return r
 }
 
-// Close ends the rig's simulation (cluster.Cluster.Close). Every
-// experiment defers it next to its RunFor, so a rig is collectable as
-// soon as its row is computed.
+// Close ends the rig's simulation (cluster.Cluster.Close). Whoever
+// builds a rig defers it, so a rig is collectable as soon as its row is
+// computed.
 func (r *Rig) Close() { r.CL.Close() }
+
+// Horizon bounds every experiment in simulated time. Only a run that
+// hangs gets there: a healthy one ends when its driver returns, so the
+// value moves no row and the experiments share one — above the longest
+// healthy run (the Fig. 6 jobs, under a minute) with room to spare.
+const Horizon = 10 * time.Minute
+
+// Run is the life of one run on the rig. It spawns drive as a proc,
+// after everything the caller has spawned, and runs the scheduler until
+// drive returns; then it stops the scheduler at once — what drive
+// measured is fixed, and the idle tail to the horizon (every parked CQ
+// poller re-arming its wait slice at 10 kHz) would dwarf the run — and
+// returns drive's error. drive may block on anything the simulation
+// will wake. If it has not returned when the clock reaches horizon the
+// run hung, and the error says which procs are parked for good and
+// where. A hung run costs the host time of simulating up to the
+// horizon with traffic still flowing, which is why chaos, a thousand
+// short runs to a sweep, passes a far nearer one than Horizon.
+func (r *Rig) Run(horizon time.Duration, drive func() error) error {
+	sched := r.CL.Sched
+	var err error
+	returned := false
+	sched.Go("driver", func() {
+		err = drive()
+		returned = true
+		sched.Stop()
+	})
+	sched.RunFor(horizon)
+	if !returned {
+		return fmt.Errorf("driver did not complete within %v: %s", horizon, sched.BlockedReport())
+	}
+	return err
+}
 
 // Pair is a running perftest client/server pair, with the client inside
 // a migratable container.
@@ -53,6 +87,36 @@ type Pair struct {
 	ServerCont *runc.Container
 	Client     *perftest.Client
 	Server     *perftest.Server
+}
+
+// wrapErr prefixes *err, when there is one, with the point the row was
+// measured at. Every row function defers it, so a sweep's error says
+// which cell failed without the sweep wrapping anything.
+func wrapErr(err *error, format string, args ...any) {
+	if *err != nil {
+		*err = fmt.Errorf(format+": %w", append(args, *err)...)
+	}
+}
+
+// Stop ends the pair's traffic from the driver proc: the client stops
+// posting and drains what it has in flight, then the server stops.
+func (p *Pair) Stop() {
+	p.Client.Stop()
+	p.Client.Wait()
+	p.Server.Stop()
+}
+
+// Errors returns what the pair's endpoints recorded as gone wrong
+// (failed completions, order or payload slips), the client's first.
+func (p *Pair) Errors() []string {
+	var errs []string
+	for _, e := range p.Client.Stats.Errors {
+		errs = append(errs, "client: "+e)
+	}
+	for _, e := range p.Server.Stats.Errors {
+		errs = append(errs, "server: "+e)
+	}
+	return errs
 }
 
 // StartPair launches a server on sNode and a client container on cNode.

@@ -59,7 +59,7 @@ func TestFig4cPartners(t *testing.T) {
 }
 
 func TestFig5SenderTimeline(t *testing.T) {
-	res, err := Fig5(true)
+	res, err := fig5Sender()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,7 @@ func TestFig5ReceiverTimeline(t *testing.T) {
 }
 
 func TestTable4OverheadBand(t *testing.T) {
-	rows := Table4()
-	for _, r := range rows {
+	for _, r := range table4Rows() {
 		t.Logf("%s", r)
 		if r.OverheadPct <= 0 {
 			t.Errorf("%s: non-positive overhead", r.Op)
@@ -166,7 +165,7 @@ func TestAblationWBSAndPartner(t *testing.T) {
 }
 
 func TestAblationRKeyCache(t *testing.T) {
-	row, err := AblationRKeyCache(300)
+	row, err := rkeyCache300()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,7 +43,8 @@ func (r Fig3Row) String() string {
 // at queue depth 64 with 4 KB messages and n QPs; either the sender or
 // the receiver container migrates, with or without RDMA pre-setup
 // (§5.2).
-func Fig3(n int, sender, preSetup bool) (Fig3Row, error) {
+func Fig3(n int, sender, preSetup bool) (_ Fig3Row, err error) {
+	defer wrapErr(&err, "fig3 n=%d sender=%v presetup=%v", n, sender, preSetup)
 	r := NewRig(11, "src", "dst", "partner")
 	defer r.Close()
 	opts := perftest.Options{
@@ -63,45 +64,33 @@ func Fig3(n int, sender, preSetup bool) (Fig3Row, error) {
 	// The migrating container holds the sender (client) or the receiver
 	// (server).
 	var pair *Pair
-	var cont = ""
+	var cont *runc.Container
 	if sender {
 		pair = r.StartPair("src", "partner", opts)
-		cont = "client"
+		cont = pair.ClientCont
 	} else {
 		pair = r.StartPair("partner", "src", opts)
-		cont = "server"
+		cont = pair.ServerCont
 	}
 	var rep *runc.Report
-	var err error
-	r.CL.Sched.Go("driver", func() {
+	err = r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		r.CL.Sched.Sleep(settle)
 		mopts := runc.DefaultMigrateOptions()
 		mopts.PreSetup = preSetup
-		c := pair.ClientCont
-		if cont == "server" {
-			c = pair.ServerCont
+		if rep, err = r.Migrate(cont, "src", "dst", mopts); err != nil {
+			return err
 		}
-		rep, err = r.Migrate(c, "src", "dst", mopts)
 		// Drain a little, then stop the workload.
 		r.CL.Sched.Sleep(2 * time.Millisecond)
-		pair.Client.Stop()
-		pair.Client.Wait()
-		pair.Server.Stop()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		pair.Stop()
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
 		return Fig3Row{}, err
 	}
-	if rep == nil {
-		return Fig3Row{}, fmt.Errorf("fig3: migration did not complete (n=%d)", n)
-	}
-	if len(pair.Client.Stats.Errors) > 0 {
-		return Fig3Row{}, fmt.Errorf("fig3: client errors: %v", pair.Client.Stats.Errors[0])
-	}
-	if len(pair.Server.Stats.Errors) > 0 {
-		return Fig3Row{}, fmt.Errorf("fig3: server errors: %v", pair.Server.Stats.Errors[0])
+	if errs := pair.Errors(); len(errs) > 0 {
+		return Fig3Row{}, fmt.Errorf("%d workload errors, first %s", len(errs), errs[0])
 	}
 	return Fig3Row{
 		QPs: n, Sender: sender, PreSetup: preSetup,
@@ -111,20 +100,9 @@ func Fig3(n int, sender, preSetup bool) (Fig3Row, error) {
 	}, nil
 }
 
-// Fig3Sweep runs the full figure: both sides, both modes, over the QP
-// counts.
+// Fig3Sweep runs the full figure: both sides (the sender first), both
+// modes (without pre-setup first), over the QP counts.
 func Fig3Sweep(qpCounts []int) ([]Fig3Row, error) {
-	var rows []Fig3Row
-	for _, sender := range []bool{true, false} {
-		for _, pre := range []bool{false, true} {
-			for _, n := range qpCounts {
-				row, err := Fig3(n, sender, pre)
-				if err != nil {
-					return rows, err
-				}
-				rows = append(rows, row)
-			}
-		}
-	}
-	return rows, nil
+	n := len(qpCounts)
+	return sweep(4*n, func(i int) (Fig3Row, error) { return Fig3(qpCounts[i%n], i/n/2 == 0, i/n%2 == 1) })
 }

@@ -10,7 +10,7 @@ func TestFig3SmokeSender(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	without, err := Fig3(16, true, false)
+	without, err := fig3Send16NoPreSetup()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestFig3SmokeSender(t *testing.T) {
 }
 
 func TestFig3RestoreRDMAGrowsWithQPs(t *testing.T) {
-	small, err := Fig3(16, true, false)
+	small, err := fig3Send16NoPreSetup()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,8 @@ func Fig4(n, msgSize, partners int) (Fig4Row, error) {
 
 // Fig4Seeded is Fig4 at an explicit seed. The migrated container is the
 // sender, so the full send window is in flight at suspension time.
-func Fig4Seeded(n, msgSize, partners int, seed int64) (Fig4Row, error) {
+func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
+	defer wrapErr(&err, "fig4 n=%d msg=%d partners=%d seed=%d", n, msgSize, partners, seed)
 	nodes := []string{"src", "dst"}
 	var targets []perftest.Target
 	var servers []*perftest.Server
@@ -87,28 +88,25 @@ func Fig4Seeded(n, msgSize, partners int, seed int64) (Fig4Row, error) {
 	})
 
 	var rep *runc.Report
-	var err error
-	r.CL.Sched.Go("driver", func() {
+	err = r.Run(Horizon, func() (err error) {
 		cli.WaitReady()
 		r.CL.Sched.Sleep(settle)
-		rep, err = r.Migrate(cliCont, "src", "dst", runc.DefaultMigrateOptions())
+		if rep, err = r.Migrate(cliCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
+			return err
+		}
 		r.CL.Sched.Sleep(time.Millisecond)
 		cli.Stop()
 		cli.Wait()
 		for _, srv := range servers {
 			srv.Stop()
 		}
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
 		return Fig4Row{}, err
 	}
-	if rep == nil {
-		return Fig4Row{}, fmt.Errorf("fig4: migration did not complete")
-	}
 	if rep.WBS.TimedOut {
-		return Fig4Row{}, fmt.Errorf("fig4: wait-before-stop timed out")
+		return Fig4Row{}, fmt.Errorf("wait-before-stop timed out")
 	}
 	theory := time.Duration(rep.WBS.InflightBytes * 8 * int64(time.Second) / r.CL.Net.Rate())
 	return Fig4Row{
@@ -119,40 +117,14 @@ func Fig4Seeded(n, msgSize, partners int, seed int64) (Fig4Row, error) {
 }
 
 // Fig4a sweeps the QP count (message size 4 KB, one partner).
-func Fig4a(qps []int) ([]Fig4Row, error) {
-	var rows []Fig4Row
-	for _, n := range qps {
-		row, err := Fig4(n, 4096, 1)
-		if err != nil {
-			return rows, fmt.Errorf("fig4a n=%d: %w", n, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
+func Fig4a(qps []int) ([]Fig4Row, error) { return Fig4aParallel(qps, 1, 1) }
 
 // Fig4b sweeps the message size (16 QPs, one partner).
 func Fig4b(sizes []int) ([]Fig4Row, error) {
-	var rows []Fig4Row
-	for _, s := range sizes {
-		row, err := Fig4(16, s, 1)
-		if err != nil {
-			return rows, fmt.Errorf("fig4b size=%d: %w", s, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep(len(sizes), func(i int) (Fig4Row, error) { return Fig4(16, sizes[i], 1) })
 }
 
 // Fig4c sweeps the number of partners, one QP per partner.
 func Fig4c(partners []int) ([]Fig4Row, error) {
-	var rows []Fig4Row
-	for _, p := range partners {
-		row, err := Fig4(p, 4096, p)
-		if err != nil {
-			return rows, fmt.Errorf("fig4c partners=%d: %w", p, err)
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
+	return sweep(len(partners), func(i int) (Fig4Row, error) { return Fig4(partners[i], 4096, partners[i]) })
 }

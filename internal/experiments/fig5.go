@@ -60,9 +60,8 @@ func Fig5(migrateSender bool) (Fig5Result, error) {
 	sampler := trace.NewSampler(r.CL.Host("partner").Dev, 5*time.Millisecond, migrateSender)
 
 	res := Fig5Result{MigrateSender: migrateSender}
-	var err error
 	r.CL.Sched.Go("sampler", sampler.Run)
-	r.CL.Sched.Go("driver", func() {
+	err := r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		// Steady state for a while before migrating.
 		r.CL.Sched.Sleep(100 * time.Millisecond)
@@ -71,22 +70,18 @@ func Fig5(migrateSender bool) (Fig5Result, error) {
 		if !migrateSender {
 			cont = pair.ServerCont
 		}
-		res.Report, err = r.Migrate(cont, "src", "dst", runc.DefaultMigrateOptions())
+		if res.Report, err = r.Migrate(cont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
+			return err
+		}
 		res.MigEnd = r.CL.Sched.Now()
 		// Post-migration steady state.
 		r.CL.Sched.Sleep(100 * time.Millisecond)
 		sampler.Stop()
-		pair.Client.Stop()
-		pair.Client.Wait()
-		pair.Server.Stop()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		pair.Stop()
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
-		return res, err
-	}
-	if res.Report == nil {
-		return res, fmt.Errorf("fig5: migration did not complete")
+		return res, fmt.Errorf("fig5 sender=%v: %w", migrateSender, err)
 	}
 	res.Samples = sampler.Samples()
 	_, res.BaselineGbps = sampler.MinMax(res.MigStart-80*time.Millisecond, res.MigStart)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"migrrdma/internal/core"
 	"migrrdma/internal/hdfs"
 	"migrrdma/internal/runc"
 	"migrrdma/internal/task"
@@ -83,8 +82,7 @@ func Fig6(kind hdfs.JobKind, scenario string) (Fig6Row, error) {
 	r := f.rig
 	defer r.Close()
 	var res hdfs.JobResult
-	var mErr error
-	r.CL.Sched.Go("driver", func() {
+	err := r.Run(Horizon, func() error {
 		f.worker.WaitReady()
 		if f.backup != nil {
 			f.backup.WaitReady()
@@ -94,39 +92,28 @@ func Fig6(kind hdfs.JobKind, scenario string) (Fig6Row, error) {
 		case "migrrdma":
 			// Operator maintenance mid-job: live-migrate the worker.
 			r.CL.Sched.Sleep(5 * time.Second)
-			m := &runc.Migrator{C: f.wCont, Dst: r.CL.Host("spare"),
-				Plug: core.NewPlugin(r.Daemons["w1"], r.Daemons["spare"]),
-				Opts: runc.DefaultMigrateOptions()}
-			_, mErr = m.Migrate()
+			if _, err := r.Migrate(f.wCont, "w1", "spare", runc.DefaultMigrateOptions()); err != nil {
+				return err
+			}
 		case "failover":
 			r.CL.Sched.Go("failover-monitor", func() { f.master.MonitorFailover("w2") })
 			r.CL.Sched.Sleep(5 * time.Second)
 			f.worker.Kill()
 		}
 		res = f.master.Wait()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	r.CL.Sched.RunFor(30 * time.Minute)
-	if mErr != nil {
-		return Fig6Row{}, mErr
-	}
-	if res.JCT == 0 {
-		return Fig6Row{}, fmt.Errorf("fig6 %v/%s: job did not finish", kind, scenario)
+	if err != nil {
+		return Fig6Row{}, fmt.Errorf("fig6 %v/%s: %w", kind, scenario, err)
 	}
 	return Fig6Row{Job: kind, Scenario: scenario, JCT: res.JCT, TputGbps: res.TputGbps, Pi: res.Pi}, nil
 }
 
 // Fig6Sweep runs every scenario for both jobs.
 func Fig6Sweep() ([]Fig6Row, error) {
-	var rows []Fig6Row
-	for _, kind := range []hdfs.JobKind{hdfs.TestDFSIO, hdfs.EstimatePI} {
-		for _, sc := range []string{"baseline", "migrrdma", "failover"} {
-			row, err := Fig6(kind, sc)
-			if err != nil {
-				return rows, err
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	kinds := []hdfs.JobKind{hdfs.TestDFSIO, hdfs.EstimatePI}
+	scenarios := []string{"baseline", "migrrdma", "failover"}
+	return sweep(len(kinds)*len(scenarios), func(i int) (Fig6Row, error) {
+		return Fig6(kinds[i/len(scenarios)], scenarios[i%len(scenarios)])
+	})
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"math"
 	"testing"
-
-	"migrrdma/internal/hdfs"
 )
 
 // Golden shape tests for the experiment generators: they pin the
@@ -68,7 +66,7 @@ func TestFig4cShapeNonEmptySeries(t *testing.T) {
 }
 
 func TestFig5ShapeTimelineSeries(t *testing.T) {
-	res, err := Fig5(true)
+	res, err := fig5Sender()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,11 +104,11 @@ func TestFig5ShapeTimelineSeries(t *testing.T) {
 }
 
 func TestFig6ShapeEstimatePI(t *testing.T) {
-	base, err := Fig6(hdfs.EstimatePI, "baseline")
+	base, err := fig6PiBaseline()
 	if err != nil {
 		t.Fatal(err)
 	}
-	mig, err := Fig6(hdfs.EstimatePI, "migrrdma")
+	mig, err := fig6PiMigrRDMA()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +130,7 @@ func TestFig6ShapeEstimatePI(t *testing.T) {
 }
 
 func TestTable4ShapeRowOrder(t *testing.T) {
-	rows := Table4()
+	rows := table4Rows()
 	want := []string{"send", "recv", "write", "read"}
 	if len(rows) != len(want) {
 		t.Fatalf("%d rows, want %d", len(rows), len(want))

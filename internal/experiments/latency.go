@@ -39,23 +39,18 @@ func LatencyAcrossMigration() (LatencyProfile, error) {
 		LatencyMode: true, PostGap: 200 * time.Microsecond}
 	pair := r.StartPair("src", "partner", opts)
 	var rep *runc.Report
-	var err error
-	r.CL.Sched.Go("driver", func() {
+	err := r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		r.CL.Sched.Sleep(10 * time.Millisecond)
-		rep, err = r.Migrate(pair.ClientCont, "src", "dst", runc.DefaultMigrateOptions())
+		if rep, err = r.Migrate(pair.ClientCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
+			return err
+		}
 		r.CL.Sched.Sleep(10 * time.Millisecond)
-		pair.Client.Stop()
-		pair.Client.Wait()
-		pair.Server.Stop()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		pair.Stop()
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
-		return LatencyProfile{}, err
-	}
-	if rep == nil {
-		return LatencyProfile{}, fmt.Errorf("latency: migration did not complete")
+		return LatencyProfile{}, fmt.Errorf("latency: %w", err)
 	}
 	st := &pair.Client.Stats
 	return LatencyProfile{

@@ -150,7 +150,8 @@ func RunPageChan(mode runc.TransferMode, msgSize, qps, messages int) (PageChanRo
 
 // RunPageChanSeeded live-migrates a latency-mode SEND server carrying
 // the page-hog working set, under the given transfer mode.
-func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed int64) (PageChanRow, error) {
+func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed int64) (_ PageChanRow, err error) {
+	defer wrapErr(&err, "pagechan %s msg=%d qps=%d seed=%d", mode, msgSize, qps, seed)
 	cfg := cluster.FastCheckpointTestbed(seed)
 	cfg.NIC.MaxRetries = 1 << 20
 	r := NewRigCfg(cfg, "src", "dst", "partner")
@@ -168,24 +169,22 @@ func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed 
 	mopts := runc.DefaultMigrateOptions()
 	mopts.Transfer = mode
 	var rep *runc.Report
-	r.CL.Sched.Go("pagechan-driver", func() {
+	err = r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		r.CL.Sched.Sleep(2 * time.Millisecond)
-		rep, err = r.Migrate(pair.ServerCont, "src", "dst", mopts)
+		if rep, err = r.Migrate(pair.ServerCont, "src", "dst", mopts); err != nil {
+			return err
+		}
 		pair.Client.Wait()
 		stopHog()
 		pair.Server.Stop()
-		r.CL.Sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	r.CL.Sched.RunFor(10 * time.Minute)
 	if err != nil {
 		return PageChanRow{}, err
 	}
-	if rep == nil {
-		return PageChanRow{}, fmt.Errorf("pagechan: migration did not complete")
-	}
-	if n := len(pair.Client.Stats.Errors); n != 0 {
-		return PageChanRow{}, fmt.Errorf("pagechan: %d client errors: %s", n, pair.Client.Stats.Errors[0])
+	if errs := pair.Errors(); len(errs) > 0 {
+		return PageChanRow{}, fmt.Errorf("%d workload errors, first %s", len(errs), errs[0])
 	}
 	return PageChanRow{
 		Transfer: mode, MsgSize: msgSize,
@@ -207,15 +206,8 @@ func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed 
 // sizes (the Fig. 4a points). Rows come out grouped by size with the
 // monolithic row directly before its pipelined counterpart.
 func PageChanComparison(sizes []int, qps, messages int) ([]PageChanRow, error) {
-	var rows []PageChanRow
-	for _, sz := range sizes {
-		for _, mode := range []runc.TransferMode{runc.TransferMonolithic, runc.TransferPipelined} {
-			row, err := RunPageChan(mode, sz, qps, messages)
-			if err != nil {
-				return nil, fmt.Errorf("msg=%d transfer=%s: %w", sz, mode, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	modes := []runc.TransferMode{runc.TransferMonolithic, runc.TransferPipelined}
+	return sweep(len(sizes)*len(modes), func(i int) (PageChanRow, error) {
+		return RunPageChan(modes[i%2], sizes[i/2], qps, messages)
+	})
 }

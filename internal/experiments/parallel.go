@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"migrrdma/internal/runc"
@@ -33,11 +32,12 @@ func Fig4SeedFor(rep int) int64 { return replicaSeed(fig4BaseSeed, rep) }
 // CutoverSeedFor returns replica rep's seed for the cutover comparison.
 func CutoverSeedFor(rep int) int64 { return replicaSeed(cutoverSeed, rep) }
 
-// medianRows runs run(cell, rep) for every cell × replica as an
-// independent job on a pool of workers and returns, per cell, the
-// replica row that is the median in less order. One replica on one
-// worker is the sequential sweep. run wraps its own errors; the first
-// in job order is returned.
+// medianRows is the package's one sweep. It runs run(cell, rep) for
+// every cell × replica as an independent job on a pool of workers and
+// returns, per cell, the replica row that is the median in less order.
+// A sweep over several axes numbers its cells row-major, the last axis
+// fastest. Every row function names its own point in its errors; the
+// first error in job order is returned, and no rows with it.
 func medianRows[R any](cells, reps, workers int, run func(cell, rep int) (R, error), less func(a, b R) bool) ([]R, error) {
 	if reps < 1 {
 		reps = 1
@@ -55,23 +55,26 @@ func medianRows[R any](cells, reps, workers int, run func(cell, rep int) (R, err
 	out := make([]R, 0, cells)
 	for c := 0; c < cells; c++ {
 		cell := rows[c*reps : (c+1)*reps]
-		sort.Slice(cell, func(a, b int) bool { return less(cell[a], cell[b]) })
+		if reps > 1 {
+			sort.Slice(cell, func(a, b int) bool { return less(cell[a], cell[b]) })
+		}
 		out = append(out, cell[(reps-1)/2])
 	}
 	return out, nil
 }
 
+// sweep is medianRows at one replica per cell on one worker: the cells
+// in order, each run once, and no order needed to take a median in.
+func sweep[R any](cells int, run func(cell int) (R, error)) ([]R, error) {
+	return medianRows(cells, 1, 1, func(cell, _ int) (R, error) { return run(cell) }, nil)
+}
+
 // Fig4aParallel is the Fig. 4(a) sweep fanned out over a worker pool:
 // every (QP count, replica) pair runs as an independent job, and each
-// QP point reports its median-by-WBS replica row. reps=1, workers=1
-// reproduces Fig4a exactly.
+// QP point reports its median-by-WBS replica row.
 func Fig4aParallel(qps []int, reps, workers int) ([]Fig4Row, error) {
 	return medianRows(len(qps), reps, workers, func(p, rep int) (Fig4Row, error) {
-		row, err := Fig4Seeded(qps[p], 4096, 1, Fig4SeedFor(rep))
-		if err != nil {
-			err = fmt.Errorf("fig4a n=%d rep=%d: %w", qps[p], rep, err)
-		}
-		return row, err
+		return Fig4Seeded(qps[p], 4096, 1, Fig4SeedFor(rep))
 	}, func(a, b Fig4Row) bool { return a.WBS < b.WBS })
 }
 
@@ -80,24 +83,8 @@ func Fig4aParallel(qps []int, reps, workers int) ([]Fig4Row, error) {
 // its median-by-p99 replica row. count=1 reproduces the sequential
 // comparison's rows.
 func CutoverComparisonCount(sizes, qpCounts []int, messages, count, workers int) ([]CutoverRow, error) {
-	type cell struct {
-		mode    runc.CutoverMode
-		sz, qps int
-	}
-	var cells []cell
-	for _, sz := range sizes {
-		for _, qps := range qpCounts {
-			for _, mode := range []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward} {
-				cells = append(cells, cell{mode, sz, qps})
-			}
-		}
-	}
-	return medianRows(len(cells), count, workers, func(i, rep int) (CutoverRow, error) {
-		c := cells[i]
-		row, err := RunCutoverSeeded(c.mode, c.sz, c.qps, messages, CutoverSeedFor(rep))
-		if err != nil {
-			err = fmt.Errorf("%v msg=%d qps=%d rep=%d: %w", c.mode, c.sz, c.qps, rep, err)
-		}
-		return row, err
+	modes := []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward}
+	return medianRows(len(sizes)*len(qpCounts)*len(modes), count, workers, func(i, rep int) (CutoverRow, error) {
+		return RunCutoverSeeded(modes[i%2], sizes[i/2/len(qpCounts)], qpCounts[i/2%len(qpCounts)], messages, CutoverSeedFor(rep))
 	}, func(a, b CutoverRow) bool { return a.P99 < b.P99 })
 }

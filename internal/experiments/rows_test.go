@@ -1,0 +1,79 @@
+package experiments
+
+import (
+	"fmt"
+	"sync"
+	"testing"
+	"time"
+
+	"migrrdma/internal/hdfs"
+	"migrrdma/internal/runc"
+)
+
+// Rows that more than one test reads are simulated once per test binary.
+var (
+	fig3Send16NoPreSetup = sync.OnceValues(func() (Fig3Row, error) { return Fig3(16, true, false) })
+	fig5Sender           = sync.OnceValues(func() (Fig5Result, error) { return Fig5(true) })
+	table4Rows           = sync.OnceValue(Table4)
+	fig6PiBaseline       = sync.OnceValues(func() (Fig6Row, error) { return Fig6(hdfs.EstimatePI, "baseline") })
+	fig6PiMigrRDMA       = sync.OnceValues(func() (Fig6Row, error) { return Fig6(hdfs.EstimatePI, "migrrdma") })
+	rkeyCache300         = sync.OnceValues(func() (RKeyCacheRow, error) { return AblationRKeyCache(300) })
+	drainHalfRacksPar4   = sync.OnceValues(func() (DrainPoint, error) { return RunDrainExp(DrainHalfRacks, 4) })
+	tenancyGoBackN64     = sync.OnceValues(func() (TenancyRow, error) {
+		return RunTenancySeeded(runc.CutoverGoBackN, 64, TenancySeedFor(1))
+	})
+)
+
+// TestRowsUnchangedByTheRunner is the experiments' own golden: the
+// rendered row of one cheap point per experiment the fixed benchmark
+// does not pin, captured at commit 1655918, the last one where every
+// experiment hand-rolled its driver. A refactor of how rigs are driven
+// reproduces every line; a change that means to move a simulated number
+// re-captures the lines it moves and says why.
+func TestRowsUnchangedByTheRunner(t *testing.T) {
+	row := func(r any, err error) (string, error) { return fmt.Sprint(r), err }
+	for _, c := range []struct {
+		name string
+		run  func() (string, error)
+		want string
+	}{
+		{"fig4 partners=1", func() (string, error) { return row(Fig4Seeded(1, 4096, 1, Fig4SeedFor(0))) },
+			"QPs=1    msg=4096    partners=1  WBS=29µs         theory=21µs         (x1.39)  blackout=2.183ms    comm=3.212ms"},
+		{"fig4 partners=2", func() (string, error) { return row(Fig4Seeded(2, 4096, 2, Fig4SeedFor(0))) },
+			"QPs=2    msg=4096    partners=2  WBS=52µs         theory=42µs         (x1.25)  blackout=2.311ms    comm=3.363ms"},
+		{"fig4 partners=4", func() (string, error) { return row(Fig4Seeded(4, 4096, 4, Fig4SeedFor(0))) },
+			"QPs=4    msg=4096    partners=4  WBS=99µs         theory=84µs         (x1.18)  blackout=2.589ms    comm=3.689ms"},
+		{"fig6 pi baseline", func() (string, error) { return row(fig6PiBaseline()) },
+			"EstimatePI baseline  JCT=30.001s  pi=3.1425"},
+		{"fig6 pi migrrdma", func() (string, error) { return row(fig6PiMigrRDMA()) },
+			"EstimatePI migrrdma  JCT=30.001s  pi=3.1425"},
+		{"fig6 pi failover", func() (string, error) { return row(Fig6(hdfs.EstimatePI, "failover")) },
+			"EstimatePI failover  JCT=43.001s  pi=3.1425"},
+		{"latency", func() (string, error) { return row(LatencyAcrossMigration()) },
+			"ops=452 p50=4µs p99=4µs max=125ms (service blackout 125ms)"},
+		{"loss 1%", func() (string, error) { return row(MigrationUnderLoss(0.01, 300*time.Millisecond)) },
+			"loss=1.0% wbs=0s timedout=false completed=4000 errors=0"},
+		{"rkey cache", func() (string, error) { return row(rkeyCache300()) },
+			"msgs=300    cached=246335 ops/s (fetches=1)  uncached=123487 ops/s  speedup=x2.0"},
+		{"concurrent k=3 cap=2", func() (string, error) { return row(ConcurrentMigrations(3, 2)) },
+			"K=3 cap=2  elapsed=398.803ms wire=31379680 B\n" +
+				"  m1   n0->n1  queue=0s         blackout=125.31ms   comm=125.314ms  total=199.401ms\n" +
+				"  m2   n1->n2  queue=0s         blackout=125.31ms   comm=125.314ms  total=199.401ms\n" +
+				"  m3   n2->n0  queue=199.401ms  blackout=125.31ms   comm=125.314ms  total=199.402ms\n"},
+		{"tenancy go-back-N 64", func() (string, error) { return row(tenancyGoBackN64()) },
+			"go-back-n    sessions=64    blackout=4.144ms   replay=0s        total=20.69ms   pages=53     acked=256    drain=7µs      "},
+		{"tenancy plug-forward 64", func() (string, error) {
+			return row(RunTenancySeeded(runc.CutoverPlugForward, 64, TenancySeedFor(1)))
+		},
+			"plug-forward sessions=64    blackout=4.148ms   replay=0s        total=20.694ms  pages=53     acked=256    drain=7µs      "},
+		{"drain half-racks par=4", func() (string, error) { return row(drainHalfRacksPar4()) },
+			"half-racks  par=4  migs=32  qps=2048  p50=8.69ms    p95=8.69ms    p99=8.69ms    max=8.69ms    elapsed=577.546ms  samerack=32/32 spine=159MB slo-miss=0"},
+	} {
+		got, err := c.run()
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+		} else if got != c.want {
+			t.Errorf("%s moved:\n got %q\nwant %q", c.name, got, c.want)
+		}
+	}
+}

@@ -63,30 +63,32 @@ var paperBaselines = map[string]float64{
 	"read":  143.3,
 }
 
-// table4Batch calls make one timed batch (2–20 ms), and every probe is
-// timed table4Rounds times.
+// table4Batch calls of a probe that costs nanoseconds make one timed
+// batch (2–20 ms), and every probe is timed table4Rounds times.
 const (
 	table4Batch  = 1 << 20
 	table4Rounds = 24
 )
 
-// measureNS returns the cost of one call of each probe, in nanoseconds.
-// Table 4 subtracts these from each other to get differences of a few
-// nanoseconds, and on a shared machine a neighbour's time slice lands in
-// whichever probe happens to be running: one long mean per probe, taken
-// seconds apart, turns load into "added cost". So the probes take turns
-// in short batches and each reports its fastest batch. Interference only
-// ever adds time, so the minimum estimates the undisturbed cost, while a
-// real per-call cost — an allocation, a list walk — is in every batch.
-func measureNS(probes ...func()) []float64 {
+// measureNS returns the cost of one call of each probe, in nanoseconds,
+// timing batch calls at a time; it is the package's one host-time
+// measurer. Table 4 subtracts these from each other to get differences
+// of a few nanoseconds, and on a shared machine a neighbour's time slice
+// lands in whichever probe happens to be running: one long mean per
+// probe, taken seconds apart, turns load into "added cost". So the
+// probes take turns in short batches and each reports its fastest batch.
+// Interference only ever adds time, so the minimum estimates the
+// undisturbed cost, while a real per-call cost — an allocation, a list
+// walk — is in every batch.
+func measureNS(batch int, probes ...func()) []float64 {
 	best := make([]float64, len(probes))
 	for r := 0; r < table4Rounds; r++ {
 		for i, f := range probes {
 			start := time.Now()
-			for n := 0; n < table4Batch; n++ {
+			for n := 0; n < batch; n++ {
 				f()
 			}
-			if ns := float64(time.Since(start)) / table4Batch; r == 0 || ns < best[i] {
+			if ns := float64(time.Since(start)) / float64(batch); r == 0 || ns < best[i] {
 				best[i] = ns
 			}
 		}
@@ -98,7 +100,7 @@ func measureNS(probes ...func()) []float64 {
 // reports per-verb overhead.
 func Table4() []Table4Row {
 	probe := core.NewTranslationProbe()
-	ns := measureNS(
+	ns := measureNS(table4Batch,
 		// Go-native baseline work shared by both libraries: building the
 		// WQE (the WR copy), writing it into the queue ring, and reading
 		// the CQE back.

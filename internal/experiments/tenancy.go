@@ -93,7 +93,8 @@ func RunTenancyTransferSeeded(mode runc.CutoverMode, transfer runc.TransferMode,
 
 // runTenancy is the body of both: hog attaches the page-hog writer to
 // the service.
-func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int, seed int64, hog bool) (TenancyRow, error) {
+func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int, seed int64, hog bool) (_ TenancyRow, err error) {
+	defer wrapErr(&err, "tenancy %s/%s sessions=%d seed=%d", mode, transfer, sessions, seed)
 	cfg := cluster.FastCheckpointTestbed(seed)
 	// rnr_retry=7 semantics, as in the cutover comparison: requests in
 	// flight at freeze must retry through the blackout, not error out.
@@ -113,7 +114,6 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 		svc.WaitReady()
 		gwCont.Start(func(tp *task.Process) { gw.Run(tp, r.Daemons["gw"]) })
 	})
-	var err error
 	stopHog := func() {}
 	if hog {
 		if stopHog, err = pageHog.Start(r.CL.Sched, svcCont.Procs[0]); err != nil {
@@ -129,12 +129,14 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 		rep        *runc.Report
 		drainAfter time.Duration
 	)
-	sched.Go("tenancy-driver", func() {
+	err = r.Run(Horizon, func() (err error) {
 		gw.WaitReady()
 		// One burst in flight when the checkpoint hits.
 		gw.SubmitAll(tenancyBurst)
 		sched.Sleep(settle)
-		rep, err = r.Migrate(svcCont, "src", "dst", mopts)
+		if rep, err = r.Migrate(svcCont, "src", "dst", mopts); err != nil {
+			return err
+		}
 		// A second burst proves every session resumed on the destination.
 		start := sched.Now()
 		gw.SubmitAll(tenancyBurst)
@@ -144,20 +146,16 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 		gw.Stop()
 		gw.Wait()
 		svc.Stop()
-		sched.Stop() // all measured; skip the idle tail to the horizon
+		return nil
 	})
-	sched.RunFor(10 * time.Minute)
 	if err != nil {
 		return TenancyRow{}, err
 	}
-	if rep == nil {
-		return TenancyRow{}, fmt.Errorf("tenancy: migration did not complete")
-	}
 	if v := gw.CheckInvariants(); len(v) != 0 {
-		return TenancyRow{}, fmt.Errorf("tenancy: %d invariant violations: %s", len(v), v[0])
+		return TenancyRow{}, fmt.Errorf("%d invariant violations: %s", len(v), v[0])
 	}
 	if want := int64(sessions * 2 * tenancyBurst); gw.Stats.AckedOK != want {
-		return TenancyRow{}, fmt.Errorf("tenancy: %d ops acked, want %d", gw.Stats.AckedOK, want)
+		return TenancyRow{}, fmt.Errorf("%d ops acked, want %d", gw.Stats.AckedOK, want)
 	}
 	snap := r.CL.Metrics.Snapshot()
 	return TenancyRow{
@@ -176,15 +174,8 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 // TenancySweep runs the scaling sweep: every session count × both
 // cutover modes, grouped by count with go-back-N first.
 func TenancySweep(sessionCounts []int) ([]TenancyRow, error) {
-	var rows []TenancyRow
-	for _, n := range sessionCounts {
-		for _, mode := range []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward} {
-			row, err := RunTenancy(mode, n)
-			if err != nil {
-				return nil, fmt.Errorf("sessions=%d mode=%s: %w", n, mode, err)
-			}
-			rows = append(rows, row)
-		}
-	}
-	return rows, nil
+	modes := []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward}
+	return sweep(len(sessionCounts)*len(modes), func(i int) (TenancyRow, error) {
+		return RunTenancy(modes[i%2], sessionCounts[i/2])
+	})
 }

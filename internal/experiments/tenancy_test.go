@@ -46,7 +46,7 @@ func TestTenancyScaling(t *testing.T) {
 // TestTenancyDeterminism pins that a tenancy run is a pure function of
 // its seed.
 func TestTenancyDeterminism(t *testing.T) {
-	a, err := RunTenancySeeded(runc.CutoverGoBackN, 64, TenancySeedFor(1))
+	a, err := tenancyGoBackN64()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,6 +103,10 @@ const (
 	StateRTS  = rnic.StateRTS
 )
 
+// Horizon is the simulated-time bound the experiments pass to
+// Testbed.Run: only a run that hangs reaches it.
+const Horizon = experiments.Horizon
+
 // NewTestbed builds a simulated cluster of the named hosts, each with a
 // 100 Gbps port, an RNIC, a CRIU instance and a MigrRDMA daemon.
 func NewTestbed(seed int64, hosts ...string) *Testbed {
