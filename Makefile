@@ -80,11 +80,15 @@ chaos-race:
 	$(GO) run -race ./cmd/migrchaos -scenario 'abort/*,plug-abort/*,pipelined*/*,drain/*' -seeds 8 -parallel 4
 	$(GO) test -race ./internal/chaos -run TestPlugVsGoBackN
 
-# Fuzz smoke over the wire-format decoder and the transport fault-script
-# harness (go test fuzzes one target per invocation).
+# Fuzz smoke over the wire-format decoder, the transport fault-script
+# harness and the control-message codec (go test fuzzes one target per
+# invocation). FuzzDecode walks reflect, whose first-use paths make
+# coverage flicker; the engine's default 60 s budget for minimising each
+# "interesting" input would eat the ten seconds, hence the 1 s cap.
 fuzz:
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzDecodePacket -fuzztime=10s
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzRCFaultScript -fuzztime=10s
+	$(GO) test ./internal/codec -run=Fuzz -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=1s
 
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.

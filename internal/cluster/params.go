@@ -8,41 +8,10 @@ import (
 	"migrrdma/internal/rnic"
 )
 
-// This file centralizes the testbed calibration. The constants mirror
-// the paper's environment (§5.1): six servers with ConnectX-5 100 Gbps
-// RNICs behind one Arista switch, container migration via CRIU + runc.
-// Component defaults live with their packages (rnic.DefaultConfig,
-// criu.DefaultConfig, fabric.DefaultConfig); the presets here bundle
-// them for experiments.
-
-// PaperTestbed returns the calibration used by the evaluation harness:
-// every component at its paper-calibrated default.
-//
-// The load-bearing constants and the observations they are calibrated
-// against:
-//
-//   - fabric: 100 Gbps per port, ~1 µs propagation — §5.1.
-//   - rnic: QP create→RTS ≈ 0.9 ms ("setting up an RDMA connection
-//     takes several milliseconds", §2.2 via [53]); sparse physical
-//     QPNs/keys (why §3.3 introduces dense virtual values).
-//   - criu: dump cost superlinear in the number of mappings
-//     ("inefficient CRIU implementation for large and complicated
-//     memory structures", §5.2); fixed dump+thaw costs sized so a
-//     16-QP container's blackout lands in the paper's ≈150 ms band
-//     (Fig. 5).
-func PaperTestbed(seed int64) Config {
-	return Config{
-		Seed:   seed,
-		Fabric: fabric.DefaultConfig(),
-		NIC:    rnic.DefaultConfig(),
-		CRIU:   criu.DefaultConfig(),
-	}
-}
-
-// FastCheckpointTestbed keeps the RNIC and fabric calibration but
-// shrinks CRIU's fixed costs. Experiments that measure properties
-// orthogonal to checkpoint cost (the Fig. 4 wait-before-stop study)
-// use it so the simulated traffic volume stays tractable.
+// FastCheckpointTestbed keeps the RNIC and fabric calibration (see
+// Config) but shrinks CRIU's fixed costs. Experiments that measure
+// properties orthogonal to checkpoint cost (the Fig. 4 wait-before-stop
+// study) use it so the simulated traffic volume stays tractable.
 func FastCheckpointTestbed(seed int64) Config {
 	return Config{
 		Seed:   seed,

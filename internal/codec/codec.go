@@ -1,207 +1,164 @@
 // Package codec is the one encoding of control-plane messages and
-// checkpoint blobs: encoding/gob, byte for byte, without gob's per-message
-// set-up cost.
+// checkpoint blobs: a message is its exported fields in declaration order.
 //
-// A fresh gob.Encoder opens every stream with the type definitions of
-// what it sends, and a fresh gob.Decoder compiles a decode engine from
-// them; a control message is a stream of its own, so both happen once per
-// message. This package keeps one encoder and one decoder per Go type
-// alive instead. It learns the definition prefix a fresh encoder emits for
-// the type, emits prefix + value message, and strips the prefix again
-// before handing a message to the persistent decoder. The bytes — and so
-// every frame size and every simulated transfer time — are exactly those
-// of gob.NewEncoder(&b).Encode(v).
+//	signed integer    zigzag varint (encoding/binary's Varint)
+//	unsigned integer  varint
+//	bool              one byte, 0 or 1
+//	string, []byte    varint length, then the bytes
+//	other slice       varint count, then the elements
+//	struct            its exported fields, inline
+//
+// Anything else — interface, map, pointer field, float, array — is an
+// error when a value reaches it. There is no type information on the
+// wire: both ends name the same Go type, and Decode rejects input that is
+// too short, overflows a field or has bytes left over. There is no state:
+// nothing outlives a call, so concurrent simulations need no lock.
 package codec
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"reflect"
-	"sync"
 )
 
-// Encode returns the gob encoding of v as a self-contained stream.
+var (
+	ErrShort    = errors.New("codec: input ends inside a value")
+	ErrOverflow = errors.New("codec: integer overflows its field")
+	ErrTrailing = errors.New("codec: bytes left over after the value")
+)
+
+// Encode returns the encoding of v, a supported value or a pointer to one.
 func Encode(v any) ([]byte, error) {
-	if tc := codecFor(reflect.TypeOf(v)); tc != nil {
-		if out, ok := tc.encode(v); ok {
-			return out, nil
-		}
-	}
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
+	return appendValue(make([]byte, 0, 64), reflect.Indirect(reflect.ValueOf(v)))
 }
 
-// Decode decodes a stream produced by Encode (or by any gob encoder)
-// into v, which must be a pointer.
+// Decode decodes all of data into v, which must be a non-nil pointer.
 func Decode(data []byte, v any) error {
-	if tc := codecFor(reflect.TypeOf(v)); tc != nil && tc.decode(data, v) {
-		return nil
+	rv := reflect.ValueOf(v)
+	if rv.Kind() != reflect.Pointer || rv.IsNil() {
+		return fmt.Errorf("codec: cannot decode into %T, not a pointer", v)
 	}
-	// Not this type's stream, or the persistent decoder failed on it: a
-	// fresh decoder gives the answer, and the error, gob itself gives.
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+	r := reader{data: data}
+	r.value(rv.Elem())
+	if r.err == nil && len(r.data) != 0 {
+		r.err = ErrTrailing
+	}
+	return r.err
 }
 
-// MustEncode is Encode for messages whose types are known to encode; it
-// panics on error.
+// MustEncode is Encode for messages whose types are known to encode.
 func MustEncode(v any) []byte {
 	out, err := Encode(v)
 	if err != nil {
-		panic("codec: encode " + reflect.TypeOf(v).String() + ": " + err.Error())
+		panic(fmt.Sprintf("encode %T: %v", v, err))
 	}
 	return out
 }
 
-// MustDecode is Decode for replies from this program's own handlers; it
-// panics on error.
+// MustDecode is Decode for replies from this program's own handlers.
 func MustDecode(data []byte, v any) {
 	if err := Decode(data, v); err != nil {
-		panic("codec: decode " + reflect.TypeOf(v).String() + ": " + err.Error())
+		panic(fmt.Sprintf("decode %T: %v", v, err))
 	}
 }
 
-// typeCodec is the persistent state for one Go type. Independent
-// simulations share it across goroutines (sim.RunIndexed), hence the
-// lock; nothing of a message outlives the call that handles it.
-type typeCodec struct {
-	mu sync.Mutex
-	t  reflect.Type
-	// prefix is what a fresh encoder writes before the first value
-	// message of this type: the type-definition messages.
-	prefix []byte
-	// primer is a complete stream (prefix plus a zero value) that brings a
-	// new decoder to the state a decoder is in once it has read prefix.
-	primer []byte
-
-	enc *gob.Encoder // writes to buf; has already sent the definitions
-	buf bytes.Buffer
-	dec *gob.Decoder // reads from rd; has already read the definitions
-	rd  bytes.Reader
-}
-
-// codecs maps a base type to its *typeCodec, or to nil when the type
-// must take the fresh path.
-var codecs sync.Map
-
-// codecFor returns the codec of v's type with pointers stripped (gob
-// encodes *T as T), or nil if there is none.
-func codecFor(t reflect.Type) *typeCodec {
-	for t != nil && t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	if t == nil {
-		return nil
-	}
-	if c, ok := codecs.Load(t); ok {
-		return c.(*typeCodec)
-	}
-	c, _ := codecs.LoadOrStore(t, newTypeCodec(t))
-	return c.(*typeCodec)
-}
-
-// newTypeCodec learns t's definition prefix. It returns a nil codec for a
-// type whose stream is not "fixed prefix, then one value message": one
-// that reaches an interface (gob sends the dynamic type's definition
-// when a value first carries it, so the prefix would depend on history),
-// or one gob cannot encode at all.
-func newTypeCodec(t reflect.Type) *typeCodec {
-	if reachesInterface(t, map[reflect.Type]bool{}) {
-		return nil
-	}
-	tc := &typeCodec{t: t}
-	// A new encoder's first Encode writes definitions and value, its
-	// second the value alone: the difference is the prefix.
-	if !tc.newEncoder() {
-		return nil
-	}
-	tc.primer = bytes.Clone(tc.buf.Bytes())
-	tc.buf.Reset()
-	if tc.enc.EncodeValue(reflect.New(t).Elem()) != nil || !bytes.HasSuffix(tc.primer, tc.buf.Bytes()) {
-		return nil
-	}
-	tc.prefix = tc.primer[:len(tc.primer)-tc.buf.Len()]
-	return tc
-}
-
-// newEncoder gives tc an encoder that has sent the type's definitions:
-// it encodes one zero value, which it leaves in buf.
-func (tc *typeCodec) newEncoder() bool {
-	tc.buf.Reset()
-	tc.enc = gob.NewEncoder(&tc.buf)
-	if tc.enc.EncodeValue(reflect.New(tc.t).Elem()) != nil {
-		tc.enc = nil
-	}
-	return tc.enc != nil
-}
-
-// reachesInterface reports whether a value of type t can hold an
-// interface value.
-func reachesInterface(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	switch t.Kind() {
-	case reflect.Interface:
-		return true
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return reachesInterface(t.Elem(), seen)
-	case reflect.Map:
-		return reachesInterface(t.Key(), seen) || reachesInterface(t.Elem(), seen)
+func appendValue(b []byte, v reflect.Value) (_ []byte, err error) {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1), nil
+		}
+		return append(b, 0), nil
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int()), nil
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return binary.AppendUvarint(b, v.Uint()), nil
+	case reflect.String:
+		return append(binary.AppendUvarint(b, uint64(v.Len())), v.String()...), nil
+	case reflect.Slice:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		if v.Type().Elem().Kind() == reflect.Uint8 {
+			return append(b, v.Bytes()...), nil
+		}
+		for i := 0; i < v.Len() && err == nil; i++ {
+			b, err = appendValue(b, v.Index(i))
+		}
+		return b, err
 	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			if f := t.Field(i); f.IsExported() && reachesInterface(f.Type, seen) {
-				return true
+		for i := 0; i < v.NumField() && err == nil; i++ {
+			// CanInterface is "exported", without Type.Field's allocation.
+			if f := v.Field(i); f.CanInterface() {
+				b, err = appendValue(b, f)
 			}
 		}
+		return b, err
 	}
-	return false
+	return nil, fmt.Errorf("codec: unsupported kind %s", v.Kind())
 }
 
-// encode writes prefix + value message. It reports false, having dropped
-// the encoder, if gob rejects v; the caller's fresh encoder then reports
-// the error.
-func (tc *typeCodec) encode(v any) ([]byte, bool) {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	// The previous encoder may have failed mid-message and been dropped.
-	if tc.enc == nil && !tc.newEncoder() {
-		return nil, false
-	}
-	tc.buf.Reset()
-	tc.buf.Write(tc.prefix)
-	if tc.enc.Encode(v) != nil {
-		tc.enc = nil
-		return nil, false
-	}
-	return bytes.Clone(tc.buf.Bytes()), true
+// reader consumes data from the front; after a failure every read is zero.
+type reader struct {
+	data []byte
+	err  error
 }
 
-// decode strips the prefix and feeds the rest to the persistent decoder.
-// It reports false if data does not open with this type's prefix or the
-// decoder fails; a decoder that failed may hold half a message, so it is
-// dropped and rebuilt on the next call.
-func (tc *typeCodec) decode(data []byte, v any) bool {
-	if !bytes.HasPrefix(data, tc.prefix) {
-		return false
+// uvarint reads one varint that must not exceed max.
+func (r *reader) uvarint(max uint64) uint64 {
+	u, n := binary.Uvarint(r.data)
+	switch {
+	case r.err != nil:
+	case n == 0:
+		r.err = ErrShort
+	case n < 0 || u > max:
+		r.err = ErrOverflow
+	default:
+		r.data = r.data[n:]
+		return u
 	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.dec == nil {
-		tc.rd.Reset(tc.primer)
-		dec := gob.NewDecoder(&tc.rd)
-		if dec.DecodeValue(reflect.New(tc.t)) != nil {
-			return false
+	return 0
+}
+
+func (r *reader) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		v.SetBool(r.uvarint(1) == 1)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		// Zigzag keeps an N-bit integer in N bits, so one bound serves both.
+		u := r.uvarint(1<<v.Type().Bits() - 1)
+		v.SetInt(int64(u>>1) ^ -int64(u&1))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		v.SetUint(r.uvarint(1<<v.Type().Bits() - 1))
+	case reflect.String, reflect.Slice:
+		// An element takes at least a byte (a struct with nothing exported
+		// is no element type), so a count beyond the input cannot be
+		// honest: refuse it before allocating for it.
+		n := r.uvarint(^uint64(0))
+		if n > uint64(len(r.data)) {
+			n, r.err = 0, ErrShort
 		}
-		tc.dec = dec
+		switch {
+		case n == 0:
+			v.SetZero()
+		case v.Kind() == reflect.String:
+			v.SetString(string(r.data[:n]))
+			r.data = r.data[n:]
+		case v.Type().Elem().Kind() == reflect.Uint8:
+			v.SetBytes(append([]byte(nil), r.data[:n]...))
+			r.data = r.data[n:]
+		default:
+			v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
+			for i := 0; i < int(n); i++ {
+				r.value(v.Index(i))
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.CanSet() {
+				r.value(f)
+			}
+		}
+	default:
+		r.err = fmt.Errorf("codec: unsupported kind %s", v.Kind())
 	}
-	tc.rd.Reset(data[len(tc.prefix):])
-	if tc.dec.Decode(v) != nil {
-		tc.dec = nil
-		return false
-	}
-	return true
 }

@@ -409,30 +409,41 @@ func (d *Daemon) hNotify(_ string, body []byte) []byte {
 		// The old and new QP share the same CQ so completion routing
 		// stays transparent; PD and SRQ are likewise reused (§3.2).
 		nv := s.ctx.CreateQP(qp.pd.v, qp.typ, qp.sendCQ.v, qp.recvCQ.v, srqV(qp.srq), qp.caps)
-		if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
-			return []byte(err.Error())
-		}
-		resp, ok := d.call(req.DestNode, "connect-new", codec.MustEncode(connectNewReq{
-			MigID: req.MigID, Proc: req.Proc, VQPN: pair.VQPN,
-			PartnerNode: d.Node(), PartnerQPN: nv.QPN(),
-		}))
-		if !ok {
-			return []byte("connect-new: no response from " + req.DestNode)
-		}
-		var cr connectNewResp
-		if err := codec.Decode(resp, &cr); err != nil || cr.Err != "" {
-			return []byte("connect-new: " + cr.Err)
-		}
-		if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTR, RemoteNode: req.DestNode, RemoteQPN: cr.DestQPN}); err != nil {
-			return []byte(err.Error())
-		}
-		if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTS}); err != nil {
+		if err := d.connectSpare(nv, req, pair.VQPN); err != nil {
+			// Not in pendingNew yet, so no abort would find it.
+			nv.Destroy()
 			return []byte(err.Error())
 		}
 		qp.pendingNew = nv
 		qp.pendingNewMig = req.MigID
 	}
 	return nil
+}
+
+// connectSpare brings the spare QP nv to RTS, connected to the QP the
+// destination staged for vqpn.
+func (d *Daemon) connectSpare(nv *verbs.QP, req notifyReq, vqpn uint32) error {
+	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
+		return err
+	}
+	resp, ok := d.call(req.DestNode, "connect-new", codec.MustEncode(connectNewReq{
+		MigID: req.MigID, Proc: req.Proc, VQPN: vqpn,
+		PartnerNode: d.Node(), PartnerQPN: nv.QPN(),
+	}))
+	if !ok {
+		return fmt.Errorf("connect-new: no response from %s", req.DestNode)
+	}
+	var cr connectNewResp
+	if err := codec.Decode(resp, &cr); err != nil {
+		return fmt.Errorf("connect-new: %w", err)
+	}
+	if cr.Err != "" {
+		return fmt.Errorf("connect-new: %s", cr.Err)
+	}
+	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTR, RemoteNode: req.DestNode, RemoteQPN: cr.DestQPN}); err != nil {
+		return err
+	}
+	return nv.Modify(rnic.ModifyAttr{State: rnic.StateRTS})
 }
 
 // hConnectNew runs on the migration destination: the partner asks the

@@ -108,6 +108,30 @@ func TestNSentDelivery(t *testing.T) {
 	cl.Sched.RunFor(time.Second)
 }
 
+// TestNotifyDestroysSpareOnFailure: a notification toward a destination
+// that staged no restore is refused by connect-new. The spare created for
+// it is in no pendingNew slot, so no abort would find it: hNotify itself
+// must leave the partner's device as it found it.
+func TestNotifyDestroysSpareOnFailure(t *testing.T) {
+	cl, d, _, _, qp := newSessionHost(t)
+	dev := cl.Host("h").Dev
+	cl.Sched.Go("test", func() {
+		before := dev.QPCount()
+		resp := d.hNotify("src", codec.MustEncode(notifyReq{MigID: "m1", Proc: "ghost", DestNode: "peer",
+			Pairs: []notifyPair{{PartnerQPN: qp.v.QPN(), VQPN: 0x100}}}))
+		if want := "connect-new: no staged restore for ghost"; string(resp) != want {
+			t.Errorf("notify answered %q, want %q", resp, want)
+		}
+		if got := dev.QPCount(); got != before {
+			t.Errorf("refused notify left %d device QPs, want %d", got, before)
+		}
+		if n := d.PendingSpares(""); n != 0 {
+			t.Errorf("%d spares stashed by a refused notify", n)
+		}
+	})
+	cl.Sched.RunFor(time.Second)
+}
+
 func TestHelloAndPeerSupportsCache(t *testing.T) {
 	cl := cluster.New(cluster.Config{Seed: 5}, "a", "b", "bare")
 	da := NewDaemon(cl.Host("a"))

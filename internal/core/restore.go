@@ -65,18 +65,13 @@ type Staged struct {
 	aborted bool
 }
 
-// RestoreContext is ibv_restore_context (Table 3): it opens the
+// RestoreContextFor is ibv_restore_context (Table 3): it opens the
 // destination device for the restoring process and replays the roadmap.
 // img may be nil when there is no partial restore (the no-presetup
 // baseline); MR memory must then already be at its original addresses.
-func (d *Daemon) RestoreContext(r *criu.Restore, img *criu.Image, b *Blob) (*Staged, error) {
-	return d.RestoreContextFor(r, img, b, "")
-}
-
-// RestoreContextFor is RestoreContext for an identified migration: the
-// staged restore is keyed by (migID, process), so concurrent inbound
+// The staged restore is keyed by (migID, process), so concurrent inbound
 // migrations on one host stay separable for partner connect-new
-// requests.
+// requests; an empty migID keys it by process name alone.
 func (d *Daemon) RestoreContextFor(r *criu.Restore, img *criu.Image, b *Blob, migID string) (*Staged, error) {
 	st := &Staged{
 		daemon:   d,

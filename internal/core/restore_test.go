@@ -13,7 +13,7 @@ import (
 )
 
 // ghostRestore builds a Restore target backed by a fresh (empty)
-// address space, the state RestoreContext sees before CRIU maps
+// address space, the state RestoreContextFor sees before CRIU maps
 // anything.
 func ghostRestore(cl *cluster.Cluster, name string) *criu.Restore {
 	p := task.New(cl.Sched, name)
@@ -41,9 +41,9 @@ func TestRestoreReplayMissingDependencies(t *testing.T) {
 			}, "missing CQs"},
 		}
 		for _, tc := range cases {
-			st, err := d.RestoreContext(ghostRestore(cl, "ghost-"+tc.name), nil, &Blob{Proc: tc.name, Records: tc.recs})
+			st, err := d.RestoreContextFor(ghostRestore(cl, "ghost-"+tc.name), nil, &Blob{Proc: tc.name, Records: tc.recs}, "")
 			if err != nil {
-				t.Errorf("%s: RestoreContext: %v", tc.name, err)
+				t.Errorf("%s: RestoreContextFor: %v", tc.name, err)
 				continue
 			}
 			err = st.Replay()
@@ -70,7 +70,7 @@ func TestRestoreDeferredMRResolvesOrFails(t *testing.T) {
 		// The MR's backing memory never shows up: the stale roadmap entry
 		// must surface as an applyFinal error, not restore silently with
 		// no backing pages.
-		st, err := d.RestoreContext(ghostRestore(cl, "g1"), nil, &Blob{Proc: "p1", Records: recs})
+		st, err := d.RestoreContextFor(ghostRestore(cl, "g1"), nil, &Blob{Proc: "p1", Records: recs}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func TestRestoreDeferredMRResolvesOrFails(t *testing.T) {
 		// Same roadmap, but the memory arrives (CRIU finalizes) before the
 		// stop-and-copy merge: the deferred chain restores completely.
 		r2 := ghostRestore(cl, "g2")
-		st2, err := d.RestoreContext(r2, nil, &Blob{Proc: "p2", Records: recs})
+		st2, err := d.RestoreContextFor(r2, nil, &Blob{Proc: "p2", Records: recs}, "")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +133,7 @@ func TestBindRejectsUnstagedObjects(t *testing.T) {
 			}
 		}
 		blob.Records = kept
-		st, err := dd.RestoreContext(ghostRestore(cl, "ghost"), nil, blob)
+		st, err := dd.RestoreContextFor(ghostRestore(cl, "ghost"), nil, blob, "")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,10 +11,10 @@
 package kvstore
 
 import (
-	"encoding/binary"
 	"fmt"
 	"time"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/oob"
@@ -86,8 +86,8 @@ func (s *Server) Run(p *task.Process, d *core.Daemon) {
 	ep := d.Host().Hub.Endpoint("kv:" + s.Name)
 	ep.Handle("open", func(m oob.Msg) []byte {
 		var req openReq
-		if err := dec(m.Body, &req); err != nil {
-			return enc(openResp{Err: err.Error()})
+		if err := codec.Decode(m.Body, &req); err != nil {
+			return codec.MustEncode(openResp{Err: err.Error()})
 		}
 		qp := sess.CreateQP(pd, core.QPConfig{Type: rnic.RC, SendCQ: cq, RecvCQ: cq})
 		for _, a := range []rnic.ModifyAttr{
@@ -96,10 +96,10 @@ func (s *Server) Run(p *task.Process, d *core.Daemon) {
 			{State: rnic.StateRTS},
 		} {
 			if err := qp.Modify(a); err != nil {
-				return enc(openResp{Err: err.Error()})
+				return codec.MustEncode(openResp{Err: err.Error()})
 			}
 		}
-		return enc(openResp{VQPN: qp.VQPN(), RKey: mr.RKey(), Base: uint64(serverVA), Slots: s.Slots})
+		return codec.MustEncode(openResp{VQPN: qp.VQPN(), RKey: mr.RKey(), Base: uint64(serverVA), Slots: s.Slots})
 	})
 	s.ready = true
 	s.rdyC.Broadcast()
@@ -137,9 +137,9 @@ func Dial(p *task.Process, d *core.Daemon, serverNode, serverName string) (*Clie
 		return nil, err
 	}
 	ep := d.Host().Hub.Endpoint("kv-cli:" + p.Name)
-	resp := ep.Call(serverNode, "kv:"+serverName, "open", enc(openReq{Node: d.Node(), VQPN: qp.VQPN()}))
+	resp := ep.Call(serverNode, "kv:"+serverName, "open", codec.MustEncode(openReq{Node: d.Node(), VQPN: qp.VQPN()}))
 	var or openResp
-	if err := dec(resp, &or); err != nil {
+	if err := codec.Decode(resp, &or); err != nil {
 		return nil, err
 	}
 	if or.Err != "" {
@@ -275,57 +275,3 @@ func (c *Client) Unlock(i int, id uint64) (bool, error) {
 // Session exposes the client's MigrRDMA session (e.g. to observe the
 // node it runs on).
 func (c *Client) Session() *core.Session { return c.sess }
-
-func enc(v any) []byte {
-	// The open exchange is tiny and fixed-shape; hand-rolled encoding
-	// keeps the dependency surface minimal.
-	switch m := v.(type) {
-	case openReq:
-		out := make([]byte, 8+len(m.Node))
-		binary.BigEndian.PutUint32(out, m.VQPN)
-		binary.BigEndian.PutUint32(out[4:], uint32(len(m.Node)))
-		copy(out[8:], m.Node)
-		return out
-	case openResp:
-		out := make([]byte, 24+len(m.Err))
-		binary.BigEndian.PutUint32(out, m.VQPN)
-		binary.BigEndian.PutUint32(out[4:], m.RKey)
-		binary.BigEndian.PutUint64(out[8:], m.Base)
-		binary.BigEndian.PutUint32(out[16:], uint32(m.Slots))
-		binary.BigEndian.PutUint32(out[20:], uint32(len(m.Err)))
-		copy(out[24:], m.Err)
-		return out
-	}
-	panic("kvstore: unknown message type")
-}
-
-func dec(data []byte, v any) error {
-	switch m := v.(type) {
-	case *openReq:
-		if len(data) < 8 {
-			return fmt.Errorf("kvstore: short open request")
-		}
-		m.VQPN = binary.BigEndian.Uint32(data)
-		n := binary.BigEndian.Uint32(data[4:])
-		if uint32(len(data)-8) < n {
-			return fmt.Errorf("kvstore: truncated node name")
-		}
-		m.Node = string(data[8 : 8+n])
-		return nil
-	case *openResp:
-		if len(data) < 24 {
-			return fmt.Errorf("kvstore: short open response")
-		}
-		m.VQPN = binary.BigEndian.Uint32(data)
-		m.RKey = binary.BigEndian.Uint32(data[4:])
-		m.Base = binary.BigEndian.Uint64(data[8:])
-		m.Slots = int(binary.BigEndian.Uint32(data[16:]))
-		n := binary.BigEndian.Uint32(data[20:])
-		if uint32(len(data)-24) < n {
-			return fmt.Errorf("kvstore: truncated error")
-		}
-		m.Err = string(data[24 : 24+n])
-		return nil
-	}
-	panic("kvstore: unknown message type")
-}

@@ -3,9 +3,9 @@
 // per-host migration executors. A Drain request — "move every
 // container off the hosts this selector matches, at most MaxParallel
 // at a time, each under this blackout SLO" — expands into per-host
-// Migration objects with accepted/conflict semantics; a pluggable
-// PlacementPolicy picks destinations (least-loaded, preferring
-// same-rack moves that spare the oversubscribed spine uplinks); and
+// Migration objects with accepted/conflict semantics; LeastLoaded
+// placement picks destinations (least-loaded, preferring same-rack
+// moves that spare the oversubscribed spine uplinks); and
 // aborted migrations — surfaced by the phase engine's rollback — are
 // retried with exponential backoff. migmgr is demoted to the per-host
 // admission executor beneath this layer: one Manager per source host,
@@ -155,20 +155,22 @@ func (d *Drain) SLOViolations() []*Migration {
 type Config struct {
 	CL      *cluster.Cluster
 	Daemons map[string]*core.Daemon
-	// Policy picks destinations; nil means LeastLoaded preferring
-	// same-rack moves.
-	Policy PlacementPolicy
 	// Opts is the migration option template every attempt uses.
 	Opts runc.MigrateOptions
-	// HostCap is each per-host executor's admission cap (<= 0 means 2):
-	// a source host checkpoints at most this many containers at once
-	// regardless of drain-level parallelism.
-	HostCap int
-	// BackoffBase is the delay before the first retry, doubling per
-	// attempt (0 means 1ms); BackoffMax caps it (0 means 32×base).
+	// BackoffBase is the delay before the first retry (0 means 1ms); it
+	// doubles per attempt up to maxBackoffFactor times the base.
 	BackoffBase time.Duration
-	BackoffMax  time.Duration
 }
+
+const (
+	// hostCap is each per-host executor's admission cap: a source host
+	// checkpoints at most this many containers at once regardless of
+	// drain-level parallelism.
+	hostCap = 2
+	// maxBackoffFactor caps the retry delay at this multiple of
+	// Config.BackoffBase.
+	maxBackoffFactor = 32
+)
 
 // Workload is a registered migratable container.
 type Workload struct {
@@ -218,17 +220,8 @@ type Orchestrator struct {
 // New builds an orchestrator over the cluster; drain orchestration is
 // control-plane work on the cluster scheduler.
 func New(cfg Config) *Orchestrator {
-	if cfg.Policy == nil {
-		cfg.Policy = LeastLoaded{PreferSameRack: true}
-	}
-	if cfg.HostCap <= 0 {
-		cfg.HostCap = 2
-	}
 	if cfg.BackoffBase <= 0 {
 		cfg.BackoffBase = time.Millisecond
-	}
-	if cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 32 * cfg.BackoffBase
 	}
 	o := &Orchestrator{
 		cfg:      cfg,
@@ -268,7 +261,7 @@ func (o *Orchestrator) exec(host string) *migmgr.Manager {
 	if m, ok := o.execs[host]; ok {
 		return m
 	}
-	m := migmgr.New(o.cfg.CL, o.cfg.Daemons, o.cfg.HostCap)
+	m := migmgr.New(o.cfg.CL, o.cfg.Daemons, hostCap)
 	m.IDPrefix = host + "/"
 	o.execs[host] = m
 	return m
@@ -417,8 +410,8 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			// persistently faulty path stops hammering the fabric.
 			o.mRetried.Inc()
 			delay := o.cfg.BackoffBase << attempt
-			if delay > o.cfg.BackoffMax || delay <= 0 {
-				delay = o.cfg.BackoffMax
+			if limit := maxBackoffFactor * o.cfg.BackoffBase; delay > limit || delay <= 0 {
+				delay = limit
 			}
 			o.sched.Sleep(delay)
 		}
@@ -471,5 +464,5 @@ func (o *Orchestrator) place(d *Drain, src string) string {
 			Load: o.load(host),
 		})
 	}
-	return o.cfg.Policy.Place(Candidate{Host: src, Rack: srcHost.Rack, Load: o.load(src)}, cands)
+	return LeastLoaded{PreferSameRack: true}.Place(Candidate{Host: src, Rack: srcHost.Rack, Load: o.load(src)}, cands)
 }

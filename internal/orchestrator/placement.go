@@ -1,6 +1,6 @@
 package orchestrator
 
-// Candidate is one destination host offered to a placement policy.
+// Candidate is one destination host offered to placement.
 type Candidate struct {
 	Host string
 	// Rack is the host's rack under the two-tier fabric topology (0 on
@@ -9,15 +9,6 @@ type Candidate struct {
 	// Load is the orchestrator's score for the host: resident
 	// registered containers plus in-flight migrations targeting it.
 	Load int
-}
-
-// PlacementPolicy picks a destination for a migration off src.
-// Candidates arrive in sorted host-name order and never include src or
-// a draining host; implementations must be deterministic functions of
-// their input (the chaos golden hashes replay drains byte-for-byte).
-// Returning "" means no feasible destination — the migration fails.
-type PlacementPolicy interface {
-	Place(src Candidate, cands []Candidate) string
 }
 
 // LeastLoaded picks the least-loaded candidate. With PreferSameRack it
@@ -29,7 +20,11 @@ type LeastLoaded struct {
 	PreferSameRack bool
 }
 
-// Place implements PlacementPolicy.
+// Place picks a destination for a migration off src. Candidates arrive
+// in sorted host-name order and never include src or a draining host;
+// the result is a deterministic function of the input (the chaos golden
+// hashes replay drains byte-for-byte). "" means no feasible destination
+// — the migration fails.
 func (p LeastLoaded) Place(src Candidate, cands []Candidate) string {
 	best := -1
 	for i, c := range cands {

@@ -9,7 +9,7 @@ func c(host string, rack, load int) Candidate {
 // TestPlaceEmptyCandidates: no candidates — every host draining or
 // gone — must yield "" (the migration fails cleanly), not a panic.
 func TestPlaceEmptyCandidates(t *testing.T) {
-	for _, p := range []PlacementPolicy{LeastLoaded{}, LeastLoaded{PreferSameRack: true}} {
+	for _, p := range []LeastLoaded{{}, {PreferSameRack: true}} {
 		if got := p.Place(c("src", 0, 1), nil); got != "" {
 			t.Errorf("%T over empty set placed on %q, want \"\"", p, got)
 		}
@@ -50,7 +50,7 @@ func TestPlaceSameRackPreference(t *testing.T) {
 // least-loaded with name tie-breaking.
 func TestPlaceSingleRack(t *testing.T) {
 	cands := []Candidate{c("a", 0, 2), c("b", 0, 1), c("d", 0, 1)}
-	for _, p := range []PlacementPolicy{LeastLoaded{}, LeastLoaded{PreferSameRack: true}} {
+	for _, p := range []LeastLoaded{{}, {PreferSameRack: true}} {
 		if got := p.Place(c("src", 0, 3), cands); got != "b" {
 			t.Errorf("%+v on single rack placed on %q, want b", p, got)
 		}
@@ -66,7 +66,7 @@ func TestPlaceTieBreakDeterminism(t *testing.T) {
 		{c("d", 1, 1), c("b", 0, 1), c("a", 0, 1)},
 		{c("b", 0, 1), c("d", 1, 1), c("a", 0, 1)},
 	}
-	for _, p := range []PlacementPolicy{LeastLoaded{}, LeastLoaded{PreferSameRack: true}} {
+	for _, p := range []LeastLoaded{{}, {PreferSameRack: true}} {
 		for i, cands := range orders {
 			if got := p.Place(c("src", 0, 2), cands); got != "a" {
 				t.Errorf("%+v order %d placed on %q, want a", p, i, got)

@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/oob"
@@ -116,11 +117,11 @@ func (s *Server) Run(p *task.Process, d *core.Daemon) {
 	ep := d.Host().Hub.Endpoint("rpc:" + s.Name)
 	ep.Handle("open", func(m oob.Msg) []byte {
 		var req rpcOpen
-		if err := decOpen(m.Body, &req); err != nil {
-			return encAccept(rpcAccept{Err: err.Error()})
+		if err := codec.Decode(m.Body, &req); err != nil {
+			return codec.MustEncode(rpcAccept{Err: err.Error()})
 		}
 		if len(s.conns) == maxConns {
-			return encAccept(rpcAccept{Err: "connection limit"})
+			return codec.MustEncode(rpcAccept{Err: "connection limit"})
 		}
 		qp := sess.CreateQP(s.pd, core.QPConfig{Type: rnic.RC, SendCQ: s.cq, RecvCQ: s.cq,
 			Caps: rnic.QPCaps{MaxSend: window * 2, MaxRecv: window * 2}})
@@ -130,7 +131,7 @@ func (s *Server) Run(p *task.Process, d *core.Daemon) {
 			{State: rnic.StateRTS},
 		} {
 			if err := qp.Modify(a); err != nil {
-				return encAccept(rpcAccept{Err: err.Error()})
+				return codec.MustEncode(rpcAccept{Err: err.Error()})
 			}
 		}
 		conn := &serverConn{
@@ -139,11 +140,11 @@ func (s *Server) Run(p *task.Process, d *core.Daemon) {
 		}
 		for i := 0; i < window; i++ {
 			if err := s.postRecv(conn, uint64(i)); err != nil {
-				return encAccept(rpcAccept{Err: err.Error()})
+				return codec.MustEncode(rpcAccept{Err: err.Error()})
 			}
 		}
 		s.conns = append(s.conns, conn)
-		return encAccept(rpcAccept{VQPN: qp.VQPN()})
+		return codec.MustEncode(rpcAccept{VQPN: qp.VQPN()})
 	})
 	s.ready = true
 	s.rdyC.Broadcast()
@@ -268,9 +269,9 @@ func Dial(p *task.Process, d *core.Daemon, serverNode, serverName string) (*Clie
 		}
 	}
 	ep := d.Host().Hub.Endpoint("rpc-cli:" + p.Name)
-	resp := ep.Call(serverNode, "rpc:"+serverName, "open", encOpen(rpcOpen{Node: d.Node(), VQPN: qp.VQPN()}))
+	resp := ep.Call(serverNode, "rpc:"+serverName, "open", codec.MustEncode(rpcOpen{Node: d.Node(), VQPN: qp.VQPN()}))
 	var acc rpcAccept
-	if err := decAccept(resp, &acc); err != nil {
+	if err := codec.Decode(resp, &acc); err != nil {
 		return nil, err
 	}
 	if acc.Err != "" {
@@ -389,36 +390,4 @@ func decodeFrame(b []byte) (id uint64, method string, body []byte, err error) {
 		return 0, "", nil, fmt.Errorf("rdmarpc: truncated method")
 	}
 	return id, string(b[12 : 12+n]), b[12+n:], nil
-}
-
-func encOpen(o rpcOpen) []byte {
-	out := make([]byte, 4+len(o.Node))
-	binary.BigEndian.PutUint32(out, o.VQPN)
-	copy(out[4:], o.Node)
-	return out
-}
-
-func decOpen(b []byte, o *rpcOpen) error {
-	if len(b) < 4 {
-		return fmt.Errorf("rdmarpc: short open")
-	}
-	o.VQPN = binary.BigEndian.Uint32(b)
-	o.Node = string(b[4:])
-	return nil
-}
-
-func encAccept(a rpcAccept) []byte {
-	out := make([]byte, 4+len(a.Err))
-	binary.BigEndian.PutUint32(out, a.VQPN)
-	copy(out[4:], a.Err)
-	return out
-}
-
-func decAccept(b []byte, a *rpcAccept) error {
-	if len(b) < 4 {
-		return fmt.Errorf("rdmarpc: short accept")
-	}
-	a.VQPN = binary.BigEndian.Uint32(b)
-	a.Err = string(b[4:])
-	return nil
 }

@@ -92,17 +92,6 @@ func (c CutoverMode) String() string {
 	return "go-back-n"
 }
 
-// ParseCutoverMode parses the CLI spelling of a cutover mode.
-func ParseCutoverMode(s string) (CutoverMode, error) {
-	switch s {
-	case "", "go-back-n", "gbn":
-		return CutoverGoBackN, nil
-	case "plug-forward", "plug":
-		return CutoverPlugForward, nil
-	}
-	return 0, fmt.Errorf("runc: unknown cutover mode %q (want go-back-n or plug-forward)", s)
-}
-
 // TransferMode selects how checkpoint images move to the destination.
 type TransferMode int
 
@@ -124,17 +113,6 @@ func (t TransferMode) String() string {
 		return "pipelined"
 	}
 	return "monolithic"
-}
-
-// ParseTransferMode parses the CLI spelling of a transfer mode.
-func ParseTransferMode(s string) (TransferMode, error) {
-	switch s {
-	case "", "monolithic", "mono":
-		return TransferMonolithic, nil
-	case "pipelined", "pipe":
-		return TransferPipelined, nil
-	}
-	return 0, fmt.Errorf("runc: unknown transfer mode %q (want monolithic or pipelined)", s)
 }
 
 // MigrateOptions tunes a live migration.
