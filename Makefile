@@ -81,14 +81,16 @@ chaos-race:
 	$(GO) test -race ./internal/chaos -run TestPlugVsGoBackN
 
 # Fuzz smoke over the wire-format decoder, the transport fault-script
-# harness and the control-message codec (go test fuzzes one target per
-# invocation). FuzzDecode walks reflect, whose first-use paths make
-# coverage flicker; the engine's default 60 s budget for minimising each
-# "interesting" input would eat the ten seconds, hence the 1 s cap.
+# harness, the control-message codec and the OOB control-frame decoder
+# (go test fuzzes one target per invocation). FuzzDecode walks reflect,
+# whose first-use paths make coverage flicker; the engine's default 60 s
+# budget for minimising each "interesting" input would eat the ten
+# seconds, hence the 1 s cap.
 fuzz:
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzDecodePacket -fuzztime=10s
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzRCFaultScript -fuzztime=10s
 	$(GO) test ./internal/codec -run=Fuzz -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/oob -run=Fuzz -fuzz=FuzzDecodeWire -fuzztime=10s -fuzzminimizetime=1s
 
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.

@@ -227,7 +227,7 @@ func plugAbortTier() []Scenario {
 // pipelined preset: dump, wire, and apply overlap across bounded chunks
 // on K streams, zero pages ship header-only, and a content-hash table
 // elides dirty-bit false positives. Chunk sequencing enters the
-// behaviour hash via the page tap, as it does in every tier.
+// behaviour hash via the pchan events, as it does in every Direct run.
 func pipelined(sc Scenario, chunkPages int) Scenario {
 	sc.Migrate.Transfer = runc.TransferPipelined
 	sc.Migrate.ChunkPages = chunkPages

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"migrrdma/internal/fabric"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/sim"
 )
@@ -94,61 +95,28 @@ type Fault struct {
 	Duration time.Duration
 }
 
-// event is one ledger entry. All fields enter the behaviour hash.
-type event struct {
-	t      time.Duration
-	kind   string // cqe, ack, exp, dereg, rkey, stage, fault, plug, pchan, tenant-*
-	node   string
-	qpn    uint32
-	wrid   uint64
-	psn    uint32
-	opcode rnic.Opcode
-	status rnic.WCStatus
-	rkey   uint32
-	ok     bool
-	note   string
-}
-
-// recorder accumulates the ledger. Taps run inline on the scheduler
+// recorder accumulates the ledger: the run's stream events (cqe, ack,
+// exp, dereg, rkey, stage, plug, pchan; see run.listen) and the
+// harness's own (fault, tenant-*). Both arrive inline on the scheduler
 // loop, so appends are single-threaded and ordered deterministically.
 type recorder struct {
 	sched  *sim.Scheduler
-	events []event
+	events []metrics.Event
 }
 
-func (rc *recorder) add(e event) {
-	e.t = rc.sched.Now()
+// add records one of the harness's own entries, stamped now.
+func (rc *recorder) add(e metrics.Event) {
+	e.T = rc.sched.Now()
 	rc.events = append(rc.events, e)
 }
 
-// tap builds the device tap feeding the ledger.
-func (rc *recorder) tap() *rnic.Tap {
-	return &rnic.Tap{
-		CQE: func(node string, cq uint32, e rnic.CQE) {
-			rc.add(event{kind: "cqe", node: node, qpn: e.QPN, wrid: e.WRID,
-				opcode: e.Opcode, status: e.Status})
-		},
-		AckedPSN: func(node string, qpn, psn uint32) {
-			rc.add(event{kind: "ack", node: node, qpn: qpn, psn: psn})
-		},
-		ExpPSN: func(node string, qpn, psn uint32) {
-			rc.add(event{kind: "exp", node: node, qpn: qpn, psn: psn})
-		},
-		Dereg: func(node string, rkey uint32) {
-			rc.add(event{kind: "dereg", node: node, rkey: rkey})
-		},
-		RemoteKey: func(node string, rkey uint32, granted bool) {
-			rc.add(event{kind: "rkey", node: node, rkey: rkey, ok: granted})
-		},
-	}
-}
-
-// hash folds the ledger into the deterministic behaviour hash.
+// hash folds the ledger into the deterministic behaviour hash. Every
+// field but Mig enters it, in the layout the goldens were recorded with.
 func (rc *recorder) hash() string {
 	h := sha256.New()
 	for _, e := range rc.events {
 		fmt.Fprintf(h, "%d|%s|%s|%d|%d|%d|%d|%d|%d|%v|%s\n",
-			e.t, e.kind, e.node, e.qpn, e.wrid, e.psn, e.opcode, e.status, e.rkey, e.ok, e.note)
+			e.T, e.Kind, e.Node, e.QPN, e.Seq, e.PSN, e.Op, e.Status, e.RKey, e.OK, e.Note)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -158,17 +126,17 @@ func (rc *recorder) hash() string {
 func (rc *recorder) timeline() []string {
 	var out []string
 	for _, e := range rc.events {
-		detail := e.note
-		switch e.kind {
+		detail := e.Note
+		switch e.Kind {
 		case "stage":
 		case "fault":
-			detail = fmt.Sprintf("%s %s armed=%v", e.note, e.node, e.ok)
+			detail = fmt.Sprintf("%s %s armed=%v", e.Note, e.Node, e.OK)
 		case "plug", "pchan":
-			detail = fmt.Sprintf("%s #%d", e.note, e.wrid)
+			detail = fmt.Sprintf("%s #%d", e.Note, e.Seq)
 		default:
 			continue
 		}
-		out = append(out, fmt.Sprintf("%12v %-5s %s", e.t, e.kind, detail))
+		out = append(out, fmt.Sprintf("%12v %-5s %s", e.T, e.Kind, detail))
 	}
 	return out
 }
@@ -219,7 +187,7 @@ func (in *injector) apply(f Fault, on bool) {
 		// two racks' faults never alias in the trace hash.
 		note += "#rack" + strconv.Itoa(f.Rack)
 	}
-	in.rec.add(event{kind: "fault", node: f.Node, ok: on, note: note})
+	in.rec.add(metrics.Event{Kind: "fault", Node: f.Node, OK: on, Note: note})
 	p, rate := f.Prob, f.Rate
 	if f.Kind == FaultBlackhole && p == 0 {
 		p = 1

@@ -183,20 +183,20 @@ func checkLedger(ev *Evidence) []string {
 	dereg := make(map[string]map[uint32]bool) // node → rkeys deregistered so far
 	ackViol, expViol, wridViol := 0, 0, 0
 	for _, e := range ev.ledger {
-		k := qpKey{e.node, e.qpn}
-		switch e.kind {
+		k := qpKey{e.Node, e.QPN}
+		switch e.Kind {
 		case "ack":
-			if prev, bad := advance(acked, k, uint64(e.psn)); bad {
+			if prev, bad := advance(acked, k, uint64(e.PSN)); bad {
 				ackViol++
 				if ackViol <= 3 {
-					v.addf("acked PSN regressed on %s qpn=%#x: %d after %d", e.node, e.qpn, e.psn, prev)
+					v.addf("acked PSN regressed on %s qpn=%#x: %d after %d", e.Node, e.QPN, e.PSN, prev)
 				}
 			}
 		case "exp":
-			if prev, bad := advance(exp, k, uint64(e.psn)); bad {
+			if prev, bad := advance(exp, k, uint64(e.PSN)); bad {
 				expViol++
 				if expViol <= 3 {
-					v.addf("responder expPSN regressed on %s qpn=%#x: %d after %d", e.node, e.qpn, e.psn, prev)
+					v.addf("responder expPSN regressed on %s qpn=%#x: %d after %d", e.Node, e.QPN, e.PSN, prev)
 				}
 			}
 		case "cqe":
@@ -205,28 +205,28 @@ func checkLedger(ev *Evidence) []string {
 			// duplicate or reordered completion shows up here even if
 			// the application never polls it. Receive WR-IDs recycle, so
 			// only send-side opcodes are checked.
-			if e.status != rnic.WCSuccess || e.opcode == rnic.OpRecv {
+			if rnic.WCStatus(e.Status) != rnic.WCSuccess || rnic.Opcode(e.Op) == rnic.OpRecv {
 				continue
 			}
-			if prev, bad := advance(lastSendWRID, k, e.wrid); bad {
+			if prev, bad := advance(lastSendWRID, k, e.Seq); bad {
 				wridViol++
 				if wridViol <= 3 {
-					v.addf("send completion out of order on %s qpn=%#x: wrid %d after %d", e.node, e.qpn, e.wrid, prev)
+					v.addf("send completion out of order on %s qpn=%#x: wrid %d after %d", e.Node, e.QPN, e.Seq, prev)
 				}
 			}
 		case "dereg":
-			m := dereg[e.node]
+			m := dereg[e.Node]
 			if m == nil {
 				m = make(map[uint32]bool)
-				dereg[e.node] = m
+				dereg[e.Node] = m
 			}
-			m[e.rkey] = true
+			m[e.RKey] = true
 		case "rkey":
 			// rkey protection: once deregistered, a key must never be
 			// admitted again — even by a delayed duplicate replaying an
 			// old one-sided access against the reclaimed source NIC.
-			if e.ok && dereg[e.node][e.rkey] {
-				v.addf("post-Dereg rkey %#x admitted on %s", e.rkey, e.node)
+			if e.OK && dereg[e.Node][e.RKey] {
+				v.addf("post-Dereg rkey %#x admitted on %s", e.RKey, e.Node)
 			}
 		}
 	}
@@ -254,14 +254,14 @@ func checkPlug(ev *Evidence) []string {
 	var buffered, flushed []uint64
 	discards := 0
 	for _, e := range ev.ledger {
-		if e.kind != "plug" {
+		if e.Kind != "plug" {
 			continue
 		}
-		switch e.note {
+		switch e.Note {
 		case "buffer":
-			buffered = append(buffered, e.wrid)
+			buffered = append(buffered, e.Seq)
 		case "flush":
-			flushed = append(flushed, e.wrid)
+			flushed = append(flushed, e.Seq)
 		case "discard":
 			discards++
 		}
@@ -315,30 +315,30 @@ func checkChunks(ev *Evidence) []string {
 	applied := make(map[uint64]int)
 	abortEvents := 0
 	for _, e := range ev.ledger {
-		if e.kind != "pchan" {
+		if e.Kind != "pchan" {
 			continue
 		}
-		switch e.note {
+		switch e.Note {
 		case "send":
-			sent[e.wrid]++
-			if sent[e.wrid] > 1 {
-				v.addf("chunk %d enqueued %d times", e.wrid, sent[e.wrid])
+			sent[e.Seq]++
+			if sent[e.Seq] > 1 {
+				v.addf("chunk %d enqueued %d times", e.Seq, sent[e.Seq])
 			}
 		case "recv":
-			recv[e.wrid]++
-			if recv[e.wrid] > 1 {
-				v.addf("chunk %d received %d times", e.wrid, recv[e.wrid])
+			recv[e.Seq]++
+			if recv[e.Seq] > 1 {
+				v.addf("chunk %d received %d times", e.Seq, recv[e.Seq])
 			}
-			if sent[e.wrid] == 0 {
-				v.addf("chunk %d received before being sent", e.wrid)
+			if sent[e.Seq] == 0 {
+				v.addf("chunk %d received before being sent", e.Seq)
 			}
 		case "apply":
-			applied[e.wrid]++
-			if applied[e.wrid] > 1 {
-				v.addf("chunk %d applied %d times", e.wrid, applied[e.wrid])
+			applied[e.Seq]++
+			if applied[e.Seq] > 1 {
+				v.addf("chunk %d applied %d times", e.Seq, applied[e.Seq])
 			}
-			if recv[e.wrid] == 0 {
-				v.addf("chunk %d applied before being received", e.wrid)
+			if recv[e.Seq] == 0 {
+				v.addf("chunk %d applied before being received", e.Seq)
 			}
 		case "abort":
 			abortEvents++

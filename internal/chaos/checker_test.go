@@ -63,45 +63,45 @@ func TestCheckerFlagsSyntheticViolations(t *testing.T) {
 	}
 
 	ev := healthy()
-	ev.ledger = []event{
-		{kind: "ack", node: "src", qpn: 7, psn: 5},
-		{kind: "ack", node: "src", qpn: 7, psn: 4}, // regression
+	ev.ledger = []metrics.Event{
+		{Kind: "ack", Node: "src", QPN: 7, PSN: 5},
+		{Kind: "ack", Node: "src", QPN: 7, PSN: 4}, // regression
 	}
 	if vs := all(ev); !find(vs, "acked PSN regressed") {
 		t.Fatalf("PSN regression not flagged: %v", vs)
 	}
 
 	ev = healthy()
-	ev.ledger = []event{
-		{kind: "exp", node: "partner", qpn: 9, psn: 12},
-		{kind: "exp", node: "partner", qpn: 9, psn: 12}, // stall = regression
+	ev.ledger = []metrics.Event{
+		{Kind: "exp", Node: "partner", QPN: 9, PSN: 12},
+		{Kind: "exp", Node: "partner", QPN: 9, PSN: 12}, // stall = regression
 	}
 	if vs := all(ev); !find(vs, "expPSN regressed") {
 		t.Fatalf("expPSN regression not flagged: %v", vs)
 	}
 
 	ev = healthy()
-	ev.ledger = []event{
-		{kind: "cqe", node: "src", qpn: 3, wrid: 8},
-		{kind: "cqe", node: "src", qpn: 3, wrid: 8}, // duplicate completion
+	ev.ledger = []metrics.Event{
+		{Kind: "cqe", Node: "src", QPN: 3, Seq: 8},
+		{Kind: "cqe", Node: "src", QPN: 3, Seq: 8}, // duplicate completion
 	}
 	if vs := all(ev); !find(vs, "send completion out of order") {
 		t.Fatalf("duplicate completion not flagged: %v", vs)
 	}
 
 	ev = healthy()
-	ev.ledger = []event{
-		{kind: "dereg", node: "src", rkey: 0x2000},
-		{kind: "rkey", node: "src", rkey: 0x2000, ok: true}, // post-Dereg admit
+	ev.ledger = []metrics.Event{
+		{Kind: "dereg", Node: "src", RKey: 0x2000},
+		{Kind: "rkey", Node: "src", RKey: 0x2000, OK: true}, // post-Dereg admit
 	}
 	if vs := all(ev); !find(vs, "post-Dereg rkey") {
 		t.Fatalf("post-Dereg admission not flagged: %v", vs)
 	}
 	// The reverse order — admitted while still registered — is legal.
 	ev = healthy()
-	ev.ledger = []event{
-		{kind: "rkey", node: "src", rkey: 0x2000, ok: true},
-		{kind: "dereg", node: "src", rkey: 0x2000},
+	ev.ledger = []metrics.Event{
+		{Kind: "rkey", Node: "src", RKey: 0x2000, OK: true},
+		{Kind: "dereg", Node: "src", RKey: 0x2000},
 	}
 	if vs := all(ev); find(vs, "post-Dereg rkey") {
 		t.Fatalf("pre-Dereg access wrongly flagged: %v", vs)
@@ -218,12 +218,12 @@ func TestResidueCheckerFlagsEveryKind(t *testing.T) {
 // ledgers so every chunk-protocol invariant's failure path is known to
 // fire.
 func TestChunkCheckerFlagsSyntheticViolations(t *testing.T) {
-	pchan := func(note string, seq uint64) event {
-		return event{kind: "pchan", note: note, wrid: seq}
+	pchan := func(note string, seq uint64) metrics.Event {
+		return metrics.Event{Kind: "pchan", Note: note, Seq: seq}
 	}
 	// with builds evidence over the ledger; elided says whether the
 	// pages_elided counter moved.
-	with := func(elided bool, evs ...event) *Evidence {
+	with := func(elided bool, evs ...metrics.Event) *Evidence {
 		ev := healthy()
 		ev.ledger = evs
 		ev.Report.Migrations[0].Report.Rounds = make([]pagechan.RoundStats, 2)
@@ -286,8 +286,8 @@ func TestChunkCheckerFlagsSyntheticViolations(t *testing.T) {
 // TestPlugCheckerFlagsSyntheticViolations: the plug ledger's flush must
 // mirror its arrivals, and a fault-free cutover must not retransmit.
 func TestPlugCheckerFlagsSyntheticViolations(t *testing.T) {
-	plug := func(note string, seq uint64) event { return event{kind: "plug", note: note, wrid: seq} }
-	with := func(evs ...event) *Evidence {
+	plug := func(note string, seq uint64) metrics.Event { return metrics.Event{Kind: "plug", Note: note, Seq: seq} }
+	with := func(evs ...metrics.Event) *Evidence {
 		ev := healthy()
 		ev.ledger = evs
 		ev.Report.Migrations[0].Report.PlugFlushed = 2

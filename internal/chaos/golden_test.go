@@ -7,6 +7,8 @@ import (
 	"slices"
 	"strings"
 	"testing"
+
+	"migrrdma/internal/metrics"
 )
 
 const goldenPath = "testdata/golden_hashes.json"
@@ -197,10 +199,10 @@ func TestRunGoldenJobsOrderStable(t *testing.T) {
 // failure messages and the telemetry re-baseline's refusal with a
 // one-event-perturbed ledger.
 func TestGoldenGateTellsBehaviourFromTelemetry(t *testing.T) {
-	ledger := &recorder{events: []event{
-		{t: 10, kind: "stage", note: "predump"},
-		{t: 20, kind: "cqe", node: "src", qpn: 7, wrid: 1},
-		{t: 30, kind: "stage", note: "done"},
+	ledger := &recorder{events: []metrics.Event{
+		{T: 10, Kind: "stage", Note: "predump"},
+		{T: 20, Kind: "cqe", Node: "src", QPN: 7, Seq: 1},
+		{T: 30, Kind: "stage", Note: "done"},
 	}}
 	golden := GoldenResult{Scenario: "single/clean", Seed: 1, Behaviour: ledger.hash(), Telemetry: "t0"}
 
@@ -216,7 +218,7 @@ func TestGoldenGateTellsBehaviourFromTelemetry(t *testing.T) {
 	}
 
 	// One event 1 ns later: a behaviour drift, whatever the counters say.
-	ledger.events[1].t++
+	ledger.events[1].T++
 	moved := counted
 	moved.Behaviour = ledger.hash()
 	if msg := goldenDrift(moved, golden); !strings.Contains(msg, "event order or timing changed") {

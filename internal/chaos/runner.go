@@ -12,6 +12,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
 	"migrrdma/internal/experiments"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/migmgr"
 	"migrrdma/internal/orchestrator"
 	"migrrdma/internal/runc"
@@ -43,6 +44,14 @@ type run struct {
 	rec *recorder
 	inj *injector
 	w   workload
+	// movers maps a migration's ID to its container; jobs maps a drain
+	// attempt's executor job ID to its migration's ID.
+	movers map[string]*mover
+	jobs   map[string]string
+	// aborter is the mover the scenario's Abort targets; predumps counts
+	// its attempts ("predump" opens every one).
+	aborter  *mover
+	predumps int
 	// setupErrs collects workload set-up and churn failures.
 	setupErrs []string
 }
@@ -55,7 +64,7 @@ type Evidence struct {
 	Scenario Scenario
 	Report   *Report
 
-	ledger []event
+	ledger []metrics.Event
 	// movers[i] is the container Report.Migrations[i] moved.
 	movers []*mover
 	tenant *tenantWorkload
@@ -90,21 +99,15 @@ func Run(seed int64, sc Scenario) *Report {
 	rig := experiments.NewRigCfg(cfg, sc.Rig.Hosts...)
 	defer rig.Close()
 	cl, sched := rig.CL, rig.CL.Sched
-	r := &run{sc: sc, rig: rig, rec: &recorder{sched: sched}}
+	r := &run{sc: sc, rig: rig, rec: &recorder{sched: sched},
+		movers: make(map[string]*mover), jobs: make(map[string]string)}
 	r.inj = &injector{sched: sched, net: cl.Net, rec: r.rec}
-	tap := r.rec.tap()
-	// Plug events (buffer/flush/drop-overflow/discard + arrival seq)
-	// enter the ledger: flush order is part of the behaviour hash.
-	plugTap := func(ev string, seq uint64) {
-		r.rec.add(event{kind: "plug", note: ev, wrid: seq})
-	}
+	cl.Metrics.Listen(r.listen)
 	wbs := core.DefaultWBSConfig()
 	if sc.Rig.WBSTimeout > 0 {
 		wbs.Timeout = sc.Rig.WBSTimeout
 	}
 	for _, n := range cl.Names() {
-		cl.Host(n).Dev.SetTap(tap)
-		rig.Daemons[n].SetPlugTap(plugTap)
 		rig.Daemons[n].SetWBSConfig(wbs)
 	}
 	if sc.Workload.Tenant {
@@ -113,6 +116,7 @@ func Run(seed int64, sc Scenario) *Report {
 		r.w = &pairWorkload{r: r}
 	}
 	movers := r.w.start()
+	r.aborter = movers[0]
 	migrate, fill := r.plan(movers)
 
 	// The run ends when the driver returns: everything the checkers read
@@ -199,15 +203,47 @@ func Run(seed int64, sc Scenario) *Report {
 	return rep
 }
 
-// onStage is the single stage observer of every migration in a run: it
-// records the stage, pins the mover's atSwitch, arms the phase-anchored faults and
-// lets the workload churn. It runs on the migration's driver proc.
-func (r *run) onStage(id string, mv *mover, stage string) {
+// listen is the run's one listener on the cluster's event stream. It
+// maps each event onto the ledger entry the behaviour hash has always
+// folded for it, field for field.
+func (r *run) listen(e metrics.Event) error {
+	switch e.Kind {
+	case "stage":
+		return r.onStage(e.Mig, e.Note)
+	case "attempt":
+		r.jobs[e.Note] = e.Mig
+		return nil
+	case "plug":
+		e.Node = "" // plug entries never carried their node
+	case "pchan":
+		// Only Direct runs have ever had their page channel on the
+		// ledger: the hook it came through was never wired on the
+		// managed or drain paths. The next `make goldens
+		// MODE=behaviour` re-baseline lifts this rule.
+		if r.sc.Migrate.Via != Direct {
+			return nil
+		}
+	}
+	r.rec.events = append(r.rec.events, e)
+	return nil
+}
+
+// onStage handles the stage events of every migration in a run: it
+// records the stage, pins the mover's atSwitch, arms the phase-anchored
+// faults, lets the workload churn and, last, decides the scenario's
+// abort: only the first mover aborts, and with Retry only on its first
+// attempt. It runs on the migration's driver proc. id is the runc
+// migration ID, which a drain resolves to its own migration's.
+func (r *run) onStage(id, stage string) error {
+	if mig, ok := r.jobs[id]; ok {
+		id = mig
+	}
+	mv := r.movers[id]
 	note := stage
 	if r.sc.Migrate.Via != Direct {
 		note = id + ":" + stage
 	}
-	r.rec.add(event{kind: "stage", note: note})
+	r.rec.add(metrics.Event{Kind: "stage", Note: note})
 	if (stage == "done" || stage == "aborted") && mv.pair != nil {
 		mv.atSwitch = mv.pair.Client.Stats.Completed
 	}
@@ -217,6 +253,17 @@ func (r *run) onStage(id string, mv *mover, stage string) {
 		}
 	}
 	r.w.onStage(stage)
+	a := r.sc.Abort
+	if a.Phase == "" || mv != r.aborter {
+		return nil
+	}
+	if stage == "predump" {
+		r.predumps++
+	}
+	if stage == a.Phase && (!a.Retry || r.predumps == 1) {
+		return errInjected
+	}
+	return nil
 }
 
 // options renders the scenario's migration options for mover i.
@@ -227,26 +274,6 @@ func (r *run) options(i int) runc.MigrateOptions {
 		o.FailAtRound, o.FailAtChunk = r.sc.Abort.Round, r.sc.Abort.Chunk
 	}
 	return o
-}
-
-// inject returns mover i's per-phase fault hook, or nil. Only the first
-// mover aborts; with Retry, only on its first attempt ("predump" opens
-// every attempt).
-func (r *run) inject(i int) func(phase string) error {
-	a := r.sc.Abort
-	if a.Phase == "" || i != 0 {
-		return nil
-	}
-	attempt := 0
-	return func(phase string) error {
-		if phase == "predump" {
-			attempt++
-		}
-		if phase == a.Phase && (!a.Retry || attempt == 1) {
-			return errInjected
-		}
-		return nil
-	}
 }
 
 // plan builds the scenario's migration driver before the scheduler
@@ -265,15 +292,12 @@ func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover
 		mv := movers[0]
 		src := mv.cont.Host.Name
 		m := &runc.Migrator{
-			C: mv.cont, Dst: cl.Host(mv.dst),
+			ID: "m0", C: mv.cont, Dst: cl.Host(mv.dst),
 			Plug: core.NewPlugin(daemons[src], daemons[mv.dst]),
-			Opts: r.options(0), Inject: r.inject(0),
-			OnStage: func(stage string) { r.onStage("m0", mv, stage) },
-			PageTap: func(ev string, seq uint64) {
-				r.rec.add(event{kind: "pchan", wrid: seq, note: ev})
-			},
+			Opts: r.options(0),
 		}
-		o := Outcome{ID: "m0", Src: src, Dst: mv.dst}
+		r.movers[m.ID] = mv
+		o := Outcome{ID: m.ID, Src: src, Dst: mv.dst}
 		migrate = func() {
 			o.Started = cl.Sched.Now()
 			o.Report, o.Err = m.Migrate()
@@ -286,25 +310,22 @@ func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover
 		}
 	case Managed:
 		mgr := migmgr.New(cl, daemons, r.sc.Migrate.Cap)
-		byJob := make(map[string]*mover)
-		mgr.OnStage = func(j *migmgr.Job, stage string) { r.onStage(j.ID, byJob[j.ID], stage) }
 		migrate = func() {
 			for i, mv := range movers {
-				j, err := mgr.Submit(migmgr.Spec{C: mv.cont, Dst: mv.dst, Opts: r.options(i),
-					Retries: retries, Inject: r.inject(i)})
+				j, err := mgr.Submit(migmgr.Spec{C: mv.cont, Dst: mv.dst, Opts: r.options(i), Retries: retries})
 				if err != nil {
 					panic("chaos: submit " + mv.cont.Name + ": " + err.Error())
 				}
-				byJob[j.ID] = mv
+				r.movers[j.ID] = mv
 			}
 			mgr.WaitAll()
 		}
 		fill = func(rep *Report) (moved []*mover) {
 			for _, j := range mgr.Jobs() {
-				mv := byJob[j.ID]
+				mv := r.movers[j.ID]
 				moved = append(moved, mv)
 				rep.Migrations = append(rep.Migrations, Outcome{ID: j.ID, Src: j.Src, Dst: j.Spec.Dst,
-					Host: mv.cont.Host.Name, FinalStage: j.Stage, Attempts: j.Attempts,
+					Host: mv.cont.Host.Name, FinalStage: j.Stage(), Attempts: j.Attempts,
 					Started: j.Started, Finished: j.Finished, Report: j.Report, Err: j.Err})
 			}
 			return moved
@@ -314,17 +335,20 @@ func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover
 			CL: cl, Daemons: daemons, Opts: r.options(-1), BackoffBase: time.Millisecond,
 		})
 		byCont := make(map[*runc.Container]*mover)
-		for i, mv := range movers {
-			orch.Register(orchestrator.Workload{C: mv.cont, Inject: r.inject(i)})
+		for _, mv := range movers {
+			orch.Register(orchestrator.Workload{C: mv.cont})
 			byCont[mv.cont] = mv
 		}
-		orch.OnStage = func(m *orchestrator.Migration, stage string) { r.onStage(m.ID, byCont[m.C], stage) }
 		var d *orchestrator.Drain
 		migrate = func() {
 			d = orch.Submit(&orchestrator.Drain{
 				Selector:    func(h *cluster.Host) bool { return h.Rack == 0 },
 				BlackoutSLO: drainSLO, MaxParallel: r.sc.Migrate.Cap, Retries: retries,
 			})
+			// The drain's procs run once this one waits.
+			for _, m := range d.Migrations {
+				r.movers[m.ID] = byCont[m.C]
+			}
 			d.Wait()
 		}
 		fill = func(rep *Report) (moved []*mover) {

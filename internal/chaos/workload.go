@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/experiments"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
@@ -177,14 +178,14 @@ func (w *tenantWorkload) onStage(stage string) {
 				w.r.setupErrs = append(w.r.setupErrs, "mid-migration open: "+err.Error())
 				return
 			}
-			rec.add(event{kind: "tenant-open", wrid: uint64(first), note: stage})
+			rec.add(metrics.Event{Kind: "tenant-open", Seq: uint64(first), Note: stage})
 			for i := 0; i < tenantChurnOpens; i++ {
 				gw.Submit(first+i, tenantBurst/2)
 			}
 		})
 	case "resume":
 		sched.Go("tenant-churn-probe", func() {
-			rec.add(event{kind: "tenant-probe", note: stage})
+			rec.add(metrics.Event{Kind: "tenant-probe", Note: stage})
 			for i := 0; i < tenantChurnProbes; i++ {
 				gw.Probe(i, (i+1)%tenantOpts().Sessions)
 			}
@@ -201,7 +202,7 @@ func (w *tenantWorkload) quiesce() {
 			w.r.setupErrs = append(w.r.setupErrs, fmt.Sprintf("post-cutover close %d: %v", i, err))
 		}
 	}
-	w.r.rec.add(event{kind: "tenant-close", wrid: tenantChurnCloses})
+	w.r.rec.add(metrics.Event{Kind: "tenant-close", Seq: tenantChurnCloses})
 	w.gw.Stop()
 	w.gw.Wait()
 	w.svc.Stop()

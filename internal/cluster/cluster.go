@@ -141,7 +141,7 @@ func (c *Cluster) Host(name string) *Host {
 }
 
 // Names returns the host names in sorted order. Deterministic consumers
-// (trace hashing, tap installation) must iterate hosts through it
+// (trace hashing, drain expansion) must iterate hosts through it
 // rather than ranging over the Hosts map.
 func (c *Cluster) Names() []string {
 	names := make([]string, 0, len(c.Hosts))

@@ -58,10 +58,8 @@ type Daemon struct {
 	// plugFwd is the destination-side plug state of an in-progress
 	// plug-and-forward migration (one at a time per host); fwdMig names
 	// the migration this host currently forwards for as the source side.
-	// plugTap observes plug-buffer events for the chaos ledger.
 	plugFwd *plugFwdState
 	fwdMig  string
-	plugTap func(event string, seq uint64)
 
 	// pendingResume stashes, per migration ID, the partner QP sets a
 	// deferred switch-over re-pointed but left suspended (plug-forward

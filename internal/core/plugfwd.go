@@ -57,12 +57,6 @@ func (d *Daemon) PlugActive() bool { return d.plugFwd != nil }
 // installed (chaos residue census: must be false once a migration is over).
 func (d *Daemon) ForwardActive() bool { return d.fwdMig != "" }
 
-// SetPlugTap installs (or clears) the observer for plug-buffer events
-// on this daemon's node: "buffer", "flush", "drop-overflow", "discard",
-// each with the frame's arrival sequence number. The chaos harness uses
-// it to prove flush order equals arrival order.
-func (d *Daemon) SetPlugTap(tap func(event string, seq uint64)) { d.plugTap = tap }
-
 // installPlug installs the destination-side plug buffer for a
 // migration adopting the QPs in pairs (old physical QPN → new QPN).
 func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32) error {
@@ -93,7 +87,7 @@ func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32) error {
 		qpn, ok := rnic.PeekDstQPN(f.Data)
 		return ok && st.newQPNs[qpn]
 	}
-	if err := d.host.Net.InstallPlug(d.Node(), fabric.DefaultPlugLimit, match, d.plugTap); err != nil {
+	if err := d.host.Net.InstallPlug(d.Node(), fabric.DefaultPlugLimit, match); err != nil {
 		return err
 	}
 	d.plugFwd = st
@@ -183,9 +177,7 @@ func (d *Daemon) onTunnelFrame(f fabric.Frame) {
 		// the live window and would be accepted as new data. Drop it
 		// with accounting instead.
 		st.mStraggler.Inc()
-		if d.plugTap != nil {
-			d.plugTap("drop-straggler", uint64(oldQPN))
-		}
+		d.registry().Emit(metrics.Event{Kind: "plug", Node: d.Node(), Seq: uint64(oldQPN), Note: "drop-straggler"})
 		return
 	}
 	data := append([]byte(nil), wire...)

@@ -8,6 +8,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
 	"migrrdma/internal/experiments"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
@@ -45,14 +46,12 @@ func TestMigrationLeavesNoPerMigrationState(t *testing.T) {
 			m := &runc.Migrator{C: pair.ServerCont, Dst: r.CL.Host("dst"),
 				Plug: core.NewPlugin(r.Daemons["src"], r.Daemons["dst"]), Opts: opts}
 			injected := errors.New("injected")
-			if tc.abortAt != "" {
-				m.Inject = func(phase string) error {
-					if phase == tc.abortAt {
-						return injected
-					}
-					return nil
+			r.CL.Metrics.Listen(func(e metrics.Event) error {
+				if e.Kind == "stage" && e.Note == tc.abortAt {
+					return injected
 				}
-			}
+				return nil
+			})
 			var err error
 			finished := false
 			sched.Go("driver", func() {

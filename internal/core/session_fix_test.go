@@ -7,6 +7,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
 )
@@ -76,11 +77,14 @@ func TestCloseDeterministicTeardown(t *testing.T) {
 			created = append(created, mr.v.RKey())
 		}
 		var deregged []uint32
-		cl.Host("h").Dev.SetTap(&rnic.Tap{
-			Dereg: func(node string, rkey uint32) { deregged = append(deregged, rkey) },
+		cl.Metrics.Listen(func(e metrics.Event) error {
+			if e.Kind == "dereg" {
+				deregged = append(deregged, e.RKey)
+			}
+			return nil
 		})
 		s.Close()
-		cl.Host("h").Dev.SetTap(nil)
+		cl.Metrics.Listen(nil)
 		if len(deregged) != len(created) {
 			t.Fatalf("%d deregs for %d MRs", len(deregged), len(created))
 		}

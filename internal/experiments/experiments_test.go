@@ -4,7 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"migrrdma/internal/fabric"
 	"migrrdma/internal/hdfs"
+	"migrrdma/internal/rnic"
+	"migrrdma/internal/sim"
 )
 
 func TestFig4aTheoryShape(t *testing.T) {
@@ -89,6 +92,38 @@ func TestFig5ReceiverTimeline(t *testing.T) {
 	}
 	if res.RecoveredGbps < res.BaselineGbps/2 {
 		t.Errorf("throughput did not recover: %.1f vs %.1f", res.RecoveredGbps, res.BaselineGbps)
+	}
+}
+
+// TestSamplerSeries: the Fig. 5 sampler reads the device's byte counter
+// from the registry, so raw fabric frames (no device pacer) leave the
+// series well-formed and zero.
+func TestSamplerSeries(t *testing.T) {
+	s := sim.New(1)
+	net := fabric.New(s, fabric.Config{})
+	dev := rnic.NewDevice(net, fabric.NewMux(net, "a"), "a", rnic.Config{})
+	fabric.NewMux(net, "b")
+	smp := newSampler(dev, 5*time.Millisecond, false)
+	s.Go("sampler", smp.Run)
+	s.Go("traffic", func() {
+		// Idle 20 ms, then raw frames out of "a" for 30 ms, then idle.
+		s.Sleep(20 * time.Millisecond)
+		for i := 0; i < 30; i++ {
+			net.Send(fabric.Frame{Src: "a", Dst: "b", Port: "x", Size: 1 << 20})
+			s.Sleep(time.Millisecond)
+		}
+		s.Sleep(30 * time.Millisecond)
+		smp.Stop()
+	})
+	s.RunFor(time.Second)
+	if len(smp.samples) < 10 {
+		t.Fatalf("only %d samples", len(smp.samples))
+	}
+	if _, max := smp.MinMax(0, time.Second); max != 0 {
+		t.Fatalf("unexpected device throughput %v", max)
+	}
+	if z := smp.ZeroSpan(0, 80*time.Millisecond); z < 50*time.Millisecond {
+		t.Fatalf("zero span %v, want most of the window", z)
 	}
 }
 

@@ -4,10 +4,11 @@ import (
 	"fmt"
 	"time"
 
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
-	"migrrdma/internal/trace"
+	"migrrdma/internal/sim"
 )
 
 // Fig5Result is the partner-side real-time throughput study of §5.5.2:
@@ -15,7 +16,7 @@ import (
 // partner's NIC counters are sampled every 5 ms.
 type Fig5Result struct {
 	MigrateSender bool
-	Samples       []trace.Sample
+	Samples       []Sample
 
 	// BaselineGbps is the steady-state throughput before migration.
 	BaselineGbps float64
@@ -57,7 +58,7 @@ func Fig5(migrateSender bool) (Fig5Result, error) {
 	// Sample the partner's NIC byte counters from the metrics registry
 	// (the simulated ethtool read): bytes received when the sender
 	// migrates, bytes transmitted when the receiver migrates.
-	sampler := trace.NewSampler(r.CL.Host("partner").Dev, 5*time.Millisecond, migrateSender)
+	sampler := newSampler(r.CL.Host("partner").Dev, 5*time.Millisecond, migrateSender)
 
 	res := Fig5Result{MigrateSender: migrateSender}
 	r.CL.Sched.Go("sampler", sampler.Run)
@@ -83,11 +84,113 @@ func Fig5(migrateSender bool) (Fig5Result, error) {
 	if err != nil {
 		return res, fmt.Errorf("fig5 sender=%v: %w", migrateSender, err)
 	}
-	res.Samples = sampler.Samples()
+	res.Samples = sampler.samples
 	_, res.BaselineGbps = sampler.MinMax(res.MigStart-80*time.Millisecond, res.MigStart)
 	res.ObservedBlackout = sampler.ZeroSpan(res.MigStart, res.MigEnd+20*time.Millisecond)
 	min, _ := sampler.MinMaxNonZero(res.MigStart, res.MigEnd)
 	res.BrownoutMinGbps = min
 	_, res.RecoveredGbps = sampler.MinMax(res.MigEnd+20*time.Millisecond, res.MigEnd+100*time.Millisecond)
 	return res, nil
+}
+
+// Sample is one throughput measurement.
+type Sample struct {
+	T    time.Duration
+	Gbps float64
+}
+
+// sampler periodically reads a byte counter and converts the delta to
+// throughput — the paper samples Mellanox ethtool counters at 5 ms
+// granularity for Fig. 5 (§5.5.2). It consumes the metrics registry
+// (the simulated ethtool counter file) rather than reaching into device
+// internals.
+type sampler struct {
+	sched    *sim.Scheduler
+	counter  metrics.Counter
+	interval time.Duration
+
+	samples []Sample
+	stop    bool
+}
+
+// newSampler samples dev's wire byte counter every interval. rx selects
+// the receive counter (otherwise transmit).
+func newSampler(dev *rnic.Device, interval time.Duration, rx bool) *sampler {
+	name := "tx_bytes"
+	if rx {
+		name = "rx_bytes"
+	}
+	c := dev.Metrics().Counter("rnic", name, metrics.L("node", dev.Node()))
+	return &sampler{sched: dev.Scheduler(), counter: c, interval: interval}
+}
+
+// Run samples until Stop is called; spawn it as a proc.
+func (s *sampler) Run() {
+	last := s.counter.Value()
+	for !s.stop {
+		s.sched.Sleep(s.interval)
+		cur := s.counter.Value()
+		gbps := float64(cur-last) * 8 / s.interval.Seconds() / 1e9
+		s.samples = append(s.samples, Sample{T: s.sched.Now(), Gbps: gbps})
+		last = cur
+	}
+}
+
+// Stop ends sampling after the current interval.
+func (s *sampler) Stop() { s.stop = true }
+
+// MinMax returns the lowest and highest sampled throughput within
+// [from, to].
+func (s *sampler) MinMax(from, to time.Duration) (min, max float64) {
+	return s.minMax(from, to, false)
+}
+
+// MinMaxNonZero is MinMax restricted to non-zero samples — the brownout
+// floor, excluding the blackout itself.
+func (s *sampler) MinMaxNonZero(from, to time.Duration) (min, max float64) {
+	return s.minMax(from, to, true)
+}
+
+func (s *sampler) minMax(from, to time.Duration, skipZero bool) (min, max float64) {
+	first := true
+	for _, sm := range s.samples {
+		if sm.T < from || sm.T > to {
+			continue
+		}
+		if skipZero && sm.Gbps < 0.5 {
+			continue
+		}
+		if first {
+			min, max = sm.Gbps, sm.Gbps
+			first = false
+			continue
+		}
+		if sm.Gbps < min {
+			min = sm.Gbps
+		}
+		if sm.Gbps > max {
+			max = sm.Gbps
+		}
+	}
+	return min, max
+}
+
+// ZeroSpan returns the longest contiguous run of (near-)zero samples in
+// [from, to] — the observed communication blackout of Fig. 5.
+func (s *sampler) ZeroSpan(from, to time.Duration) time.Duration {
+	var longest, run time.Duration
+	for _, sm := range s.samples {
+		if sm.T < from || sm.T > to {
+			continue
+		}
+		if sm.Gbps < 0.5 {
+			run += s.interval
+			if run > longest {
+				longest = run
+			}
+		} else {
+			run = 0
+		}
+	}
+	return longest
 }

@@ -20,11 +20,8 @@ type plug struct {
 	frames []Frame
 	seqs   []uint64
 	// nextSeq numbers every frame the plug sees (buffered or rejected),
-	// so taps can prove flush order equals arrival order.
+	// so a listener can prove flush order equals arrival order.
 	nextSeq uint64
-	// tap observes plug events for the chaos ledger: "buffer", "flush",
-	// "drop-overflow", "discard".
-	tap func(event string, seq uint64)
 
 	mBuffered   metrics.Counter
 	mFlushDepth metrics.Gauge
@@ -48,10 +45,11 @@ const DefaultPlugLimit = 512
 // is recovered by the sender's normal RTO path, so exactly-once
 // delivery is preserved.
 //
-// tap, when non-nil, observes every plug event with the frame's arrival
-// sequence number; the chaos harness uses it to assert flush order ==
-// arrival order and that nothing is delivered twice.
-func (n *Network) InstallPlug(node string, limit int, match func(Frame) bool, tap func(event string, seq uint64)) error {
+// Every plug event — "buffer", "flush", "drop-overflow", "discard" —
+// enters the registry's stream as a plug event carrying the frame's
+// arrival sequence number; the chaos harness asserts from it that flush
+// order equals arrival order and that nothing is delivered twice.
+func (n *Network) InstallPlug(node string, limit int, match func(Frame) bool) error {
 	pt := n.mustPort(node)
 	if pt.plug != nil {
 		return fmt.Errorf("fabric: plug already installed on %s", node)
@@ -64,7 +62,7 @@ func (n *Network) InstallPlug(node string, limit int, match func(Frame) bool, ta
 	}
 	b := n.reg.Block("fabric", metrics.L("node", node), 3)
 	pt.plug = &plug{
-		match: match, limit: limit, tap: tap,
+		match: match, limit: limit,
 		mBuffered:   b.Counter("plug_buffered_packets"),
 		mFlushDepth: b.Gauge("plug_flush_depth"),
 		mOverflow:   b.Counter("plug_overflow_packets"),
@@ -117,9 +115,7 @@ func (n *Network) FlushPlug(node string) int {
 	depth := len(pl.frames)
 	pl.mFlushDepth.Set(int64(depth))
 	for i, f := range pl.frames {
-		if pl.tap != nil {
-			pl.tap("flush", pl.seqs[i])
-		}
+		n.plugEvent(pt, "flush", pl.seqs[i])
 		pt.deliver(f)
 	}
 	return depth
@@ -139,9 +135,7 @@ func (n *Network) DiscardPlug(node string) int {
 	pt.plug = nil
 	depth := len(pl.frames)
 	for i, f := range pl.frames {
-		if pl.tap != nil {
-			pl.tap("discard", pl.seqs[i])
-		}
+		n.plugEvent(pt, "discard", pl.seqs[i])
 		if f.Data != nil {
 			n.PutBuf(f.Data)
 		}
@@ -157,9 +151,7 @@ func (pl *plug) enqueue(n *Network, pt *port, f Frame) {
 		// Reject-newest: see InstallPlug.
 		pl.mOverflow.Inc()
 		pt.drop()
-		if pl.tap != nil {
-			pl.tap("drop-overflow", seq)
-		}
+		n.plugEvent(pt, "drop-overflow", seq)
 		if f.Data != nil {
 			n.PutBuf(f.Data)
 		}
@@ -168,7 +160,10 @@ func (pl *plug) enqueue(n *Network, pt *port, f Frame) {
 	pl.frames = append(pl.frames, f)
 	pl.seqs = append(pl.seqs, seq)
 	pl.mBuffered.Inc()
-	if pl.tap != nil {
-		pl.tap("buffer", seq)
-	}
+	n.plugEvent(pt, "buffer", seq)
+}
+
+// plugEvent emits one plug event of the port's node.
+func (n *Network) plugEvent(pt *port, note string, seq uint64) {
+	n.reg.Emit(metrics.Event{Kind: "plug", Node: pt.name, Seq: seq, Note: note})
 }

@@ -9,13 +9,14 @@ import (
 )
 
 // plugRig is a two-node network whose "dst" handler records delivered
-// frames by their payload tag.
+// frames by their payload tag, and whose registry listener records the
+// plug events.
 type plugRig struct {
 	s      *sim.Scheduler
 	n      *Network
 	reg    *metrics.Registry
 	seen   []string
-	taps   []string
+	notes  []string
 	seqs   []uint64
 	onRecv func(Frame)
 }
@@ -26,6 +27,13 @@ func newPlugRig(t *testing.T) *plugRig {
 	reg := metrics.New(s.Now)
 	n := New(s, Config{Metrics: reg})
 	r := &plugRig{s: s, n: n, reg: reg}
+	reg.Listen(func(e metrics.Event) error {
+		if e.Kind == "plug" {
+			r.notes = append(r.notes, e.Note)
+			r.seqs = append(r.seqs, e.Seq)
+		}
+		return nil
+	})
 	n.Attach("src", func(Frame) {})
 	n.Attach("dst", func(f Frame) {
 		r.seen = append(r.seen, string(f.Data))
@@ -34,11 +42,6 @@ func newPlugRig(t *testing.T) *plugRig {
 		}
 	})
 	return r
-}
-
-func (r *plugRig) tap(event string, seq uint64) {
-	r.taps = append(r.taps, event)
-	r.seqs = append(r.seqs, seq)
 }
 
 func (r *plugRig) send(tag string) {
@@ -55,7 +58,7 @@ func (r *plugRig) counter(name string) int64 {
 func TestPlugBuffersAndFlushesInArrivalOrder(t *testing.T) {
 	r := newPlugRig(t)
 	r.s.Go("drive", func() {
-		if err := r.n.InstallPlug("dst", 8, matchAll, r.tap); err != nil {
+		if err := r.n.InstallPlug("dst", 8, matchAll); err != nil {
 			t.Errorf("install: %v", err)
 		}
 		for i := 0; i < 5; i++ {
@@ -77,17 +80,17 @@ func TestPlugBuffersAndFlushesInArrivalOrder(t *testing.T) {
 	if fmt.Sprint(r.seen) != fmt.Sprint(want) {
 		t.Fatalf("flush order %v, want %v", r.seen, want)
 	}
-	// Tap: 5 buffer events then 5 flush events, with flush seqs matching
+	// Events: 5 buffer events then 5 flush events, with flush seqs matching
 	// buffer seqs in order.
-	if len(r.taps) != 10 {
-		t.Fatalf("tap events %v", r.taps)
+	if len(r.notes) != 10 {
+		t.Fatalf("plug events %v", r.notes)
 	}
 	for i := 0; i < 5; i++ {
-		if r.taps[i] != "buffer" || r.seqs[i] != uint64(i) {
-			t.Fatalf("buffer tap %d = %s/%d", i, r.taps[i], r.seqs[i])
+		if r.notes[i] != "buffer" || r.seqs[i] != uint64(i) {
+			t.Fatalf("buffer event %d = %s/%d", i, r.notes[i], r.seqs[i])
 		}
-		if r.taps[5+i] != "flush" || r.seqs[5+i] != uint64(i) {
-			t.Fatalf("flush tap %d = %s/%d", i, r.taps[5+i], r.seqs[5+i])
+		if r.notes[5+i] != "flush" || r.seqs[5+i] != uint64(i) {
+			t.Fatalf("flush event %d = %s/%d", i, r.notes[5+i], r.seqs[5+i])
 		}
 	}
 	if got := r.counter("plug_buffered_packets"); got != 5 {
@@ -110,7 +113,7 @@ func TestPlugBuffersAndFlushesInArrivalOrder(t *testing.T) {
 func TestPlugOverflowRejectsNewest(t *testing.T) {
 	r := newPlugRig(t)
 	r.s.Go("drive", func() {
-		if err := r.n.InstallPlug("dst", 3, matchAll, r.tap); err != nil {
+		if err := r.n.InstallPlug("dst", 3, matchAll); err != nil {
 			t.Errorf("install: %v", err)
 		}
 		for i := 0; i < 5; i++ {
@@ -132,9 +135,9 @@ func TestPlugOverflowRejectsNewest(t *testing.T) {
 	if got := r.counter("dropped_frames"); got != 2 {
 		t.Fatalf("dropped_frames = %d, want 2", got)
 	}
-	// Overflow taps carry the rejected frames' arrival seqs.
+	// Overflow events carry the rejected frames' arrival seqs.
 	var drops []uint64
-	for i, e := range r.taps {
+	for i, e := range r.notes {
 		if e == "drop-overflow" {
 			drops = append(drops, r.seqs[i])
 		}
@@ -163,7 +166,7 @@ func TestPlugFlushBeforeLiveTraffic(t *testing.T) {
 		// Only frames tagged p* are plugged; "live" passes through.
 		err := r.n.InstallPlug("dst", 8, func(f Frame) bool {
 			return len(f.Data) > 0 && f.Data[0] == 'p'
-		}, r.tap)
+		})
 		if err != nil {
 			t.Errorf("install: %v", err)
 		}
@@ -198,7 +201,7 @@ func TestPlugFlushBeforeLiveTraffic(t *testing.T) {
 func TestPlugDiscardOnAbort(t *testing.T) {
 	r := newPlugRig(t)
 	r.s.Go("drive", func() {
-		if err := r.n.InstallPlug("dst", 8, matchAll, r.tap); err != nil {
+		if err := r.n.InstallPlug("dst", 8, matchAll); err != nil {
 			t.Errorf("install: %v", err)
 		}
 		r.send("doomed0")
@@ -225,13 +228,13 @@ func TestPlugDiscardOnAbort(t *testing.T) {
 		t.Fatalf("post-discard deliveries %v, want [live]", r.seen)
 	}
 	var discards int
-	for _, e := range r.taps {
+	for _, e := range r.notes {
 		if e == "discard" {
 			discards++
 		}
 	}
 	if discards != 2 {
-		t.Fatalf("discard taps = %d, want 2", discards)
+		t.Fatalf("discard events = %d, want 2", discards)
 	}
 }
 
@@ -240,7 +243,7 @@ func TestPlugDiscardOnAbort(t *testing.T) {
 func TestPlugEnqueueMergesTunnelFrames(t *testing.T) {
 	r := newPlugRig(t)
 	r.s.Go("drive", func() {
-		if err := r.n.InstallPlug("dst", 8, matchAll, r.tap); err != nil {
+		if err := r.n.InstallPlug("dst", 8, matchAll); err != nil {
 			t.Errorf("install: %v", err)
 		}
 		r.send("wire0")
@@ -267,10 +270,10 @@ func TestPlugEnqueueMergesTunnelFrames(t *testing.T) {
 func TestPlugDoubleInstallRejected(t *testing.T) {
 	r := newPlugRig(t)
 	r.s.Go("drive", func() {
-		if err := r.n.InstallPlug("dst", 0, matchAll, nil); err != nil {
+		if err := r.n.InstallPlug("dst", 0, matchAll); err != nil {
 			t.Errorf("install: %v", err)
 		}
-		if err := r.n.InstallPlug("dst", 0, matchAll, nil); err == nil {
+		if err := r.n.InstallPlug("dst", 0, matchAll); err == nil {
 			t.Error("second InstallPlug succeeded, want error")
 		}
 		r.n.DiscardPlug("dst")

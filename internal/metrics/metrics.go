@@ -1,7 +1,8 @@
 // Package metrics is the deterministic telemetry substrate of the
 // simulated MigrRDMA stack: a registry of counters, gauges and
 // fixed-bucket histograms keyed by component/name{labels}, stamped with
-// the simulation clock.
+// the simulation clock, and the one event stream every layer emits
+// into (Emit, Listen).
 //
 // Two properties drive the design:
 //
@@ -127,9 +128,11 @@ type histogram struct {
 	sum     atomic.Int64
 }
 
-// Registry holds the metrics of one simulated cluster.
+// Registry holds the metrics of one simulated cluster, and its event
+// stream.
 type Registry struct {
-	nowFn func() time.Duration
+	nowFn  func() time.Duration
+	listen func(Event) error
 
 	mu       sync.Mutex
 	byKey    map[string]*metric
@@ -361,6 +364,57 @@ func (h Histogram) Sum() int64 {
 		return 0
 	}
 	return h.m.hist.sum.Load()
+}
+
+// --- Event stream ------------------------------------------------------------
+
+// Event is one entry of the registry's event stream: something a layer
+// did, at the virtual instant it did it. A kind fills these fields:
+//
+//	cqe      Node QPN Seq Op Status  a completion (Seq its WR-ID) enters a CQ (rnic)
+//	ack      Node QPN PSN            a send-queue entry is acknowledged (rnic)
+//	exp      Node QPN PSN            a responder advances its expected PSN (rnic)
+//	dereg    Node RKey               an MR is deregistered (rnic)
+//	rkey     Node RKey OK            an inbound rkey check and its verdict (rnic)
+//	plug     Node Seq Note           a plug-buffer event on a frame's arrival seq (fabric, core)
+//	pchan    Mig Seq Note            a page-channel chunk event (pagechan)
+//	stage    Mig Note                a migration enters a workflow stage (runc)
+//	attempt  Mig Note                drain migration Mig runs as executor job Note (orchestrator)
+type Event struct {
+	T          time.Duration // stamped by Emit
+	Kind       string
+	Node, Mig  string
+	QPN        uint32
+	Seq        uint64
+	PSN        uint32
+	Op, Status uint8
+	RKey       uint32
+	OK         bool
+	Note       string
+}
+
+// Listen makes fn the registry's listener; nil removes it. fn runs
+// synchronously on the emitting proc, so it sees events in emission
+// order and must not block. Unlike the metric handles, the listener is
+// not synchronised: set it before the simulation runs or from a proc.
+func (r *Registry) Listen(fn func(Event) error) { r.listen = fn }
+
+// Emit stamps e with the registry's clock and hands it to the listener.
+// On a nil registry, or with no listener, it is a branch: no event is
+// stamped and nothing allocates. The listener's error is returned; only
+// the phase engine reads it (a stage event's error fails that phase).
+func (r *Registry) Emit(e Event) error {
+	if r == nil || r.listen == nil {
+		return nil
+	}
+	return r.emit(e)
+}
+
+// emit is Emit's listening half, kept out of line so that Emit inlines
+// at every call site.
+func (r *Registry) emit(e Event) error {
+	e.T = r.nowFn()
+	return r.listen(e)
 }
 
 // --- Snapshots ---------------------------------------------------------------

@@ -3,7 +3,7 @@
 // admits container migrations under a configurable concurrency cap,
 // queues the rest, assigns each migration a stable ID ("m1", "m2", …)
 // and threads it through the Migrator so overlapping runs stay
-// distinguishable in daemon state, trace timelines, and metrics labels.
+// distinguishable in daemon state, stream events, and metrics labels.
 package migmgr
 
 import (
@@ -63,9 +63,6 @@ type Spec struct {
 	// Retries is the number of times a failed (aborted and rolled back)
 	// migration is requeued before the job is marked Failed.
 	Retries int
-	// Inject is threaded through to runc.Migrator.Inject — the per-phase
-	// fault hook used by tests and the chaos harness.
-	Inject func(phase string) error
 }
 
 // Job tracks one submitted migration through the manager.
@@ -75,12 +72,14 @@ type Job struct {
 
 	mgr   *Manager
 	state State
-	// Stage mirrors the underlying Migrator.Stage while running.
-	Stage string
+	mig   runc.Migrator // of the latest attempt
 	// Src is the source host name, resolved when the job starts.
 	Src string
 
 	Submitted, Started, Finished time.Duration
+	// queued is when the latest attempt joined the queue; wait sums every
+	// attempt's time there.
+	queued, wait time.Duration
 
 	// Attempts counts migration attempts, including the one in flight.
 	Attempts int
@@ -95,8 +94,12 @@ type Job struct {
 // State returns the job's lifecycle position.
 func (j *Job) State() State { return j.state }
 
-// QueueWait is the admission delay: start time minus submission time.
-func (j *Job) QueueWait() time.Duration { return j.Started - j.Submitted }
+// Stage is the workflow stage of the latest attempt ("" before one).
+func (j *Job) Stage() string { return j.mig.Stage }
+
+// QueueWait is the admission delay: the time the job spent queued, summed
+// over its attempts (a requeued attempt waits from its requeue).
+func (j *Job) QueueWait() time.Duration { return j.wait }
 
 // Wait parks the calling proc until the job finished (Done or Failed).
 func (j *Job) Wait() {
@@ -133,14 +136,10 @@ type Manager struct {
 	mFailed    metrics.Counter
 	mRetried   metrics.Counter
 
-	// OnStage, when set, observes every stage transition of every
-	// managed migration; it runs on the migration's driver proc.
-	OnStage func(j *Job, stage string)
-
 	// IDPrefix, when set before the first Submit, prefixes every job ID
 	// ("r0h1/" ⇒ "r0h1/m1"). The orchestrator runs one executor per
 	// source host and needs their IDs — which flow into daemon state,
-	// timeline labels and metric labels — to stay distinguishable.
+	// stream events and metric labels — to stay distinguishable.
 	IDPrefix string
 }
 
@@ -191,6 +190,7 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		mgr:       m,
 		state:     Queued,
 		Submitted: m.sched.Now(),
+		queued:    m.sched.Now(),
 	}
 	m.jobs = append(m.jobs, j)
 	m.queue = append(m.queue, j)
@@ -247,11 +247,13 @@ func (m *Manager) start(j *Job) {
 	m.busy[j.Spec.C] = true
 	j.state = Running
 	j.Started = m.sched.Now()
+	wait := j.Started - j.queued
+	j.wait += wait
 	j.Src = j.Spec.C.Host.Name
 	m.mActive.Set(int64(m.running))
 	if reg := m.cl.Metrics; reg != nil {
 		reg.Histogram("migmgr", "queue_wait_us", metrics.L("mig", j.ID), queueWaitBucketsUS).
-			Observe(j.QueueWait().Microseconds())
+			Observe(wait.Microseconds())
 	}
 	m.sched.Go("migmgr/"+j.ID, func() {
 		j.Attempts++
@@ -272,6 +274,7 @@ func (m *Manager) start(j *Job) {
 			j.LastErr = j.Err
 			j.Err = nil
 			j.state = Queued
+			j.queued = m.sched.Now()
 			m.queue = append(m.queue, j)
 			m.mRetried.Inc()
 		default:
@@ -295,22 +298,15 @@ func (m *Manager) migrate(j *Job) (*runc.Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("migmgr: no daemon on destination host %s", j.Spec.Dst)
 	}
-	mig := &runc.Migrator{
-		ID:     j.ID,
-		C:      j.Spec.C,
-		Dst:    m.cl.Host(j.Spec.Dst),
-		Plug:   core.NewPlugin(srcD, dstD),
-		Opts:   j.Spec.Opts,
-		Inject: j.Spec.Inject,
+	j.mig = runc.Migrator{
+		ID:   j.ID,
+		C:    j.Spec.C,
+		Dst:  m.cl.Host(j.Spec.Dst),
+		Plug: core.NewPlugin(srcD, dstD),
+		Opts: j.Spec.Opts,
 	}
 	for i := 0; i < j.Spec.ExtraPlugs; i++ {
-		mig.ExtraPlugs = append(mig.ExtraPlugs, core.NewPlugin(srcD, dstD))
+		j.mig.ExtraPlugs = append(j.mig.ExtraPlugs, core.NewPlugin(srcD, dstD))
 	}
-	mig.OnStage = func(stage string) {
-		j.Stage = stage
-		if m.OnStage != nil {
-			m.OnStage(j, stage)
-		}
-	}
-	return mig.Migrate()
+	return j.mig.Migrate()
 }

@@ -8,6 +8,7 @@ import (
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
@@ -57,6 +58,17 @@ func (r *rig) startPair(name, cNode, sNode string) *workload {
 		w.cont.Start(func(tp *task.Process) { w.cli.Run(tp, r.daemons[cNode]) })
 	})
 	return w
+}
+
+// failAt makes the cluster's listener refuse the stage events fail
+// picks, by job ID and stage.
+func (r *rig) failAt(fail func(id, stage string) error) {
+	r.cl.Metrics.Listen(func(e metrics.Event) error {
+		if e.Kind != "stage" {
+			return nil
+		}
+		return fail(e.Mig, e.Note)
+	})
 }
 
 // submit is the test-side Submit wrapper: none of these tests expect a
@@ -163,6 +175,11 @@ func TestOppositeDirections(t *testing.T) {
 	w1 := r.startPair("fwd", "x", "s")
 	w2 := r.startPair("rev", "y", "s")
 	mgr := New(r.cl, r.daemons, 2)
+	stages := make(map[string][]string) // by the event's migration ID
+	r.failAt(func(id, stage string) error {
+		stages[id] = append(stages[id], stage)
+		return nil
+	})
 	var j1, j2 *Job
 	ran := false
 	r.cl.Sched.Go("driver", func() {
@@ -197,13 +214,18 @@ func TestOppositeDirections(t *testing.T) {
 	if n := w2.cli.Sess.Node(); n != "x" {
 		t.Errorf("rev client ended on %s, want x", n)
 	}
-	// Each report's timeline carries its own migration ID.
+	// Every stage event of a job carries its own ID: the two overlapping
+	// migrations' streams stay apart, each from predump to done.
+	if len(stages) != 2 {
+		t.Fatalf("stage events carry IDs %v, want exactly %s and %s", stages, j1.ID, j2.ID)
+	}
 	for _, j := range []*Job{j1, j2} {
-		if j.Report == nil || j.Report.Timeline == nil {
-			t.Fatalf("%s missing report timeline", j.ID)
+		s := stages[j.ID]
+		if len(s) == 0 || s[0] != "predump" || s[len(s)-1] != "done" {
+			t.Errorf("%s stage events = %v, want predump … done", j.ID, s)
 		}
-		if got := j.Report.Timeline.Label(); !strings.HasPrefix(got, j.ID+"/") {
-			t.Errorf("%s timeline label = %q, want %s/<proc>", j.ID, got, j.ID)
+		if j.Stage() != "done" {
+			t.Errorf("%s Stage() = %q, want done", j.ID, j.Stage())
 		}
 	}
 }
@@ -286,18 +308,18 @@ func TestFailedMigrationFreesSlot(t *testing.T) {
 	w2 := r.startPair("queued", "a", "s")
 	mgr := New(r.cl, r.daemons, 1)
 	var j1, j2 *Job
+	r.failAt(func(id, stage string) error {
+		if id == j1.ID && stage == "suspend-wbs" {
+			return fmt.Errorf("boom")
+		}
+		return nil
+	})
 	ran := false
 	r.cl.Sched.Go("driver", func() {
 		w1.cli.WaitReady()
 		w2.cli.WaitReady()
 		r.cl.Sched.Sleep(2 * time.Millisecond)
-		j1 = submit(mgr, Spec{C: w1.cont, Dst: "b", Opts: runc.DefaultMigrateOptions(),
-			Inject: func(ph string) error {
-				if ph == "suspend-wbs" {
-					return fmt.Errorf("boom")
-				}
-				return nil
-			}})
+		j1 = submit(mgr, Spec{C: w1.cont, Dst: "b", Opts: runc.DefaultMigrateOptions()})
 		j2 = submit(mgr, Spec{C: w2.cont, Dst: "b", Opts: runc.DefaultMigrateOptions()})
 		mgr.WaitAll()
 		r.cl.Sched.Sleep(2 * time.Millisecond)
@@ -350,17 +372,16 @@ func TestRetryBudgetRequeues(t *testing.T) {
 		w.cli.WaitReady()
 		r.cl.Sched.Sleep(2 * time.Millisecond)
 		attempt := 0
-		j = submit(mgr, Spec{C: w.cont, Dst: "b", Opts: runc.DefaultMigrateOptions(),
-			Retries: 2,
-			Inject: func(ph string) error {
-				if ph == "predump" {
-					attempt++
-				}
-				if ph == "suspend-wbs" && attempt <= 2 {
-					return fmt.Errorf("boom on attempt %d", attempt)
-				}
-				return nil
-			}})
+		r.failAt(func(_, stage string) error {
+			if stage == "predump" {
+				attempt++
+			}
+			if stage == "suspend-wbs" && attempt <= 2 {
+				return fmt.Errorf("boom on attempt %d", attempt)
+			}
+			return nil
+		})
+		j = submit(mgr, Spec{C: w.cont, Dst: "b", Opts: runc.DefaultMigrateOptions(), Retries: 2})
 		j.Wait()
 		r.cl.Sched.Sleep(2 * time.Millisecond)
 		w.stop()
@@ -378,6 +399,12 @@ func TestRetryBudgetRequeues(t *testing.T) {
 	}
 	if j.LastErr == nil || !strings.Contains(j.LastErr.Error(), "phase suspend-wbs") {
 		t.Fatalf("LastErr = %v, want the aborted attempt's error", j.LastErr)
+	}
+	// Cap 1 and nothing else queued: every attempt, requeues included,
+	// started the instant it was queued. The aborted attempts' runs are
+	// not admission delay.
+	if w := j.QueueWait(); w != 0 {
+		t.Errorf("QueueWait = %v, want 0", w)
 	}
 	if n := w.cli.Sess.Node(); n != "b" {
 		t.Errorf("client ended on %s, want b", n)
@@ -546,33 +573,30 @@ func TestSlotBalanceAcrossAbortRetry(t *testing.T) {
 	}
 	mgr := New(r.cl, r.daemons, 1)
 	minRunning, maxRunning := 0, 0
-	mgr.OnStage = func(j *Job, stage string) {
+	attempts := make(map[string]int) // by job ID
+	r.failAt(func(id, stage string) error {
 		if mgr.running < minRunning {
 			minRunning = mgr.running
 		}
 		if mgr.running > maxRunning {
 			maxRunning = mgr.running
 		}
-	}
+		if stage == "predump" {
+			attempts[id]++
+		}
+		if stage == "suspend-wbs" && attempts[id] == 1 {
+			return fmt.Errorf("first-attempt abort (job %s)", id)
+		}
+		return nil
+	})
 	ran := false
 	r.cl.Sched.Go("driver", func() {
 		for _, w := range ws {
 			w.cli.WaitReady()
 		}
 		r.cl.Sched.Sleep(2 * time.Millisecond)
-		for i, w := range ws {
-			attempt := 0
-			submit(mgr, Spec{C: w.cont, Dst: "b", Opts: runc.DefaultMigrateOptions(),
-				Retries: 1,
-				Inject: func(ph string) error {
-					if ph == "predump" {
-						attempt++
-					}
-					if ph == "suspend-wbs" && attempt == 1 {
-						return fmt.Errorf("first-attempt abort (job %d)", i)
-					}
-					return nil
-				}})
+		for _, w := range ws {
+			submit(mgr, Spec{C: w.cont, Dst: "b", Opts: runc.DefaultMigrateOptions(), Retries: 1})
 		}
 		mgr.WaitAll()
 		r.cl.Sched.Sleep(2 * time.Millisecond)

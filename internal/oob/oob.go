@@ -256,7 +256,7 @@ func (h *Hub) decodeWire(b []byte) (w wire, err error) {
 	if w.body, b, err = takeField(b); err != nil {
 		return w, err
 	}
-	if len(b) != 9 {
+	if len(b) != 9 || b[8] > 1 {
 		return w, fmt.Errorf("oob: bad trailer")
 	}
 	w.fromEP, w.toEP, w.kind = h.name(from), h.name(to), h.name(kind)

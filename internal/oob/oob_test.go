@@ -1,6 +1,7 @@
 package oob
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
@@ -92,6 +93,22 @@ func TestWireRoundTrip(t *testing.T) {
 		string(got.body) != "payload" || got.reqID != 42 || !got.isReply {
 		t.Fatalf("round trip: %+v", got)
 	}
+}
+
+// FuzzDecodeWire: arbitrary bytes never panic the control-frame decoder,
+// and whatever it accepts re-encodes to exactly the bytes it came from.
+func FuzzDecodeWire(f *testing.F) {
+	f.Add(wire{fromEP: "cli", toEP: "svc", kind: "echo", body: []byte("ping"), reqID: 7}.encode())
+	f.Add(wire{fromEP: "svc", toEP: "cli", kind: "echo", body: []byte("ping"), reqID: 7, isReply: true}.encode())
+	f.Fuzz(func(t *testing.T, b []byte) {
+		w, err := (&Hub{names: map[string]string{}}).decodeWire(b)
+		if err != nil {
+			return
+		}
+		if got := w.encode(); !bytes.Equal(got, b) {
+			t.Fatalf("decode/encode round trip:\n in  %x\n out %x", b, got)
+		}
+	})
 }
 
 func TestUnknownEndpointDropped(t *testing.T) {

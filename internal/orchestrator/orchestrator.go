@@ -10,7 +10,7 @@
 // retried with exponential backoff. migmgr is demoted to the per-host
 // admission executor beneath this layer: one Manager per source host,
 // ID-prefixed so concurrent drains stay distinguishable in daemon
-// state, timelines and metric labels.
+// state, stream events and metric labels.
 package orchestrator
 
 import (
@@ -176,8 +176,6 @@ const (
 type Workload struct {
 	C          *runc.Container
 	ExtraPlugs int
-	// Inject is threaded to the executor's per-phase fault hook.
-	Inject func(phase string) error
 }
 
 // Orchestrator owns the cluster-wide drain state.
@@ -194,9 +192,6 @@ type Orchestrator struct {
 	active map[*runc.Container]*Migration
 	// execs are the per-source-host migmgr executors, created lazily.
 	execs map[string]*migmgr.Manager
-	// execJobs maps each executor's jobs back to their Migrations for
-	// the OnStage forwarder.
-	execJobs map[*migmgr.Manager]map[*migmgr.Job]*Migration
 	// incoming counts migrations currently targeting each host — the
 	// in-flight half of the placement load score.
 	incoming map[string]int
@@ -210,11 +205,6 @@ type Orchestrator struct {
 	mAccepted, mConflicted metrics.Counter
 	mDone, mFailed         metrics.Counter
 	mRetried, mSLOMissed   metrics.Counter
-
-	// OnStage observes every stage transition of every drain migration;
-	// it runs on the migration's driver proc. Chaos schedules arm
-	// phase-anchored faults from it.
-	OnStage func(m *Migration, stage string)
 }
 
 // New builds an orchestrator over the cluster; drain orchestration is
@@ -229,7 +219,6 @@ func New(cfg Config) *Orchestrator {
 		changed:  sim.NewCond(cfg.CL.Sched, "orchestrator"),
 		active:   make(map[*runc.Container]*Migration),
 		execs:    make(map[string]*migmgr.Manager),
-		execJobs: make(map[*migmgr.Manager]map[*migmgr.Job]*Migration),
 		incoming: make(map[string]int),
 		draining: make(map[string]int),
 	}
@@ -377,15 +366,16 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			m.Attempts++
 			o.incoming[dst]++
 			j, err := o.exec(src).Submit(migmgr.Spec{
-				C: m.C, Dst: dst, Opts: o.cfg.Opts,
-				ExtraPlugs: w.ExtraPlugs, Inject: w.Inject,
+				C: m.C, Dst: dst, Opts: o.cfg.Opts, ExtraPlugs: w.ExtraPlugs,
 			})
 			if err != nil {
 				// The orchestrator serializes per container, so an executor
 				// conflict is a bookkeeping bug, not an operational state.
 				panic("orchestrator: executor rejected " + m.ID + ": " + err.Error())
 			}
-			o.hookStages(j, m)
+			// The attempt's stage events carry the job's ID; this binds it to
+			// the Migration before the job's proc runs.
+			o.cfg.CL.Metrics.Emit(metrics.Event{Kind: "attempt", Mig: m.ID, Note: j.ID})
 			j.Wait()
 			o.incoming[dst]--
 			m.Report = j.Report
@@ -416,22 +406,6 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			o.sched.Sleep(delay)
 		}
 	})
-}
-
-// hookStages forwards the executor's stage stream for one job to the
-// orchestrator's OnStage observer, tagged with the owning Migration.
-func (o *Orchestrator) hookStages(j *migmgr.Job, m *Migration) {
-	mgr := o.execs[m.Src]
-	if mgr.OnStage == nil {
-		byJob := make(map[*migmgr.Job]*Migration)
-		mgr.OnStage = func(job *migmgr.Job, stage string) {
-			if mig, ok := byJob[job]; ok && o.OnStage != nil {
-				o.OnStage(mig, stage)
-			}
-		}
-		o.execJobs[mgr] = byJob
-	}
-	o.execJobs[mgr][j] = m
 }
 
 // load scores a host for placement: resident registered containers

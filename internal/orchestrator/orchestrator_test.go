@@ -9,6 +9,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
 	"migrrdma/internal/fabric"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
@@ -202,18 +203,27 @@ func TestDrainRetriesWithBackoff(t *testing.T) {
 		CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions(),
 		BackoffBase: 2 * time.Millisecond,
 	})
+	o.Register(Workload{C: w.cont})
+	// The stream names each attempt's executor job; the listener maps the
+	// job's stage events back to their Migration through it.
 	attempt := 0
-	o.Register(Workload{C: w.cont, Inject: func(ph string) error {
-		if ph == "predump" {
-			attempt++
-		}
-		if ph == "suspend-wbs" && attempt == 1 {
-			return fmt.Errorf("chaos abort")
+	var stages []string
+	jobs := make(map[string]string) // executor job ID → Migration ID
+	r.cl.Metrics.Listen(func(e metrics.Event) error {
+		switch e.Kind {
+		case "attempt":
+			jobs[e.Note] = e.Mig
+		case "stage":
+			stages = append(stages, jobs[e.Mig]+":"+e.Note)
+			if e.Note == "predump" {
+				attempt++
+			}
+			if e.Note == "suspend-wbs" && attempt == 1 {
+				return fmt.Errorf("chaos abort")
+			}
 		}
 		return nil
-	}})
-	var stages []string
-	o.OnStage = func(m *Migration, stage string) { stages = append(stages, m.ID+":"+stage) }
+	})
 	var d *Drain
 	ran := false
 	r.cl.Sched.Go("driver", func() {
@@ -240,7 +250,12 @@ func TestDrainRetriesWithBackoff(t *testing.T) {
 		t.Errorf("LastErr = %v, want the aborted attempt's error", m.LastErr)
 	}
 	if len(stages) == 0 {
-		t.Fatal("OnStage observed nothing")
+		t.Fatal("the listener observed no stage events")
+	}
+	for _, s := range stages {
+		if !strings.HasPrefix(s, m.ID+":") {
+			t.Fatalf("stage event %q not bound to migration %s", s, m.ID)
+		}
 	}
 	snap := r.cl.Metrics.Snapshot()
 	if got := snap.Sum("orchestrator", "migrations_retried"); got != 1 {

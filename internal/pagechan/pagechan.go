@@ -100,14 +100,11 @@ type Config struct {
 	FailAtChunk int
 
 	// Metrics, when set, receives the session's counters and its
-	// staged-chunk gauge under the "pagechan" component, labelled {mig}.
+	// staged-chunk gauge under the "pagechan" component, labelled {mig},
+	// and its pchan events ("round", "send", "recv", "apply", "abort",
+	// each with a chunk sequence number or a page count).
 	Metrics *metrics.Registry
 	MigID   string
-
-	// Tap, when set, observes channel events ("round", "send", "recv",
-	// "apply", "abort") with the chunk sequence number; the chaos
-	// harness folds these into its ledger.
-	Tap func(ev string, seq uint64)
 }
 
 // Session is one migration's page channel. It lives on the source and
@@ -180,10 +177,8 @@ func (s *Session) Staged() int { return s.staged }
 // Aborted reports whether the channel has been aborted.
 func (s *Session) Aborted() bool { return s.aborted }
 
-func (s *Session) tap(ev string, seq uint64) {
-	if s.cfg.Tap != nil {
-		s.cfg.Tap(ev, seq)
-	}
+func (s *Session) emit(ev string, seq uint64) {
+	s.cfg.Metrics.Emit(metrics.Event{Kind: "pchan", Mig: s.cfg.MigID, Seq: seq, Note: ev})
 }
 
 // Abort tears the channel down: staged and queued chunks are dropped,
@@ -199,7 +194,7 @@ func (s *Session) Abort() {
 	s.sendQ, s.applyQ = nil, nil
 	s.staged = 0
 	s.stagedG.Set(0)
-	s.tap("abort", dropped)
+	s.emit("abort", dropped)
 	s.cond.Broadcast()
 }
 
@@ -216,7 +211,7 @@ func (s *Session) Abort() {
 // of order across the K streams, which is sound because page addresses
 // within a round are unique and chunks are independent. A round of one
 // chunk has nothing to overlap, so the calling proc sends and applies
-// it itself — same taps, same stats, same FailAt and Abort semantics,
+// it itself — same events, same stats, same FailAt and Abort semantics,
 // no proc spawned.
 func (s *Session) Stream(round string, addrs []mem.Addr,
 	dump func([]mem.Addr) []criu.PageRec, apply func(*Chunk)) (RoundStats, error) {
@@ -242,7 +237,7 @@ func (s *Session) stream(round string, addrs []mem.Addr, dump func([]mem.Addr) [
 		return st, nil
 	}
 	start := s.host.Now()
-	s.tap("round", uint64(len(addrs)))
+	s.emit("round", uint64(len(addrs)))
 	s.closed = false
 	s.produced, s.finished = 0, 0
 	s.apply = apply
@@ -293,7 +288,7 @@ func (s *Session) stream(round string, addrs []mem.Addr, dump func([]mem.Addr) [
 		}
 		st.WireBytes += int64(ch.WireBytes())
 		s.sendQ = append(s.sendQ, ch)
-		s.tap("send", ch.Seq)
+		s.emit("send", ch.Seq)
 		s.cond.Broadcast()
 		if s.cfg.FailAtChunk > 0 && round == s.cfg.FailAtRound && st.Chunks >= s.cfg.FailAtChunk {
 			s.Abort()
@@ -376,7 +371,7 @@ func (s *Session) sender() {
 		if s.aborted {
 			return // chunk arrived after abort: dropped, never staged
 		}
-		s.tap("recv", ch.Seq)
+		s.emit("recv", ch.Seq)
 		s.lastRecv = s.host.Now()
 		if s.apply == nil {
 			s.finished++
@@ -404,7 +399,7 @@ func (s *Session) applier() {
 		s.staged--
 		s.stagedG.Set(int64(s.staged))
 		s.finished++
-		s.tap("apply", ch.Seq)
+		s.emit("apply", ch.Seq)
 		s.cond.Broadcast()
 	}
 }

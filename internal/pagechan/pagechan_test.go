@@ -8,6 +8,7 @@ import (
 
 	"migrrdma/internal/criu"
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
 )
 
@@ -258,6 +259,17 @@ func TestMidChunkAbortLeavesNothingStaged(t *testing.T) {
 	})
 }
 
+// logEvents returns a registry whose listener appends every pchan event
+// to *log as "time:event:seq|".
+func logEvents(s *sim.Scheduler, log *string) *metrics.Registry {
+	reg := metrics.New(s.Now)
+	reg.Listen(func(e metrics.Event) error {
+		*log += fmt.Sprintf("%d:%s:%d|", e.T, e.Note, e.Seq)
+		return nil
+	})
+	return reg
+}
+
 // TestStreamDeterministic replays the same round twice in fresh
 // simulations and requires identical event sequences and timing.
 func TestStreamDeterministic(t *testing.T) {
@@ -273,10 +285,7 @@ func TestStreamDeterministic(t *testing.T) {
 				content[a] = page(byte(i%5 + 1))
 			}
 			sess := NewSession(s, h, "dst", Config{
-				Streams: 3, ChunkPages: 4,
-				Tap: func(ev string, seq uint64) {
-					log += fmt.Sprintf("%d:%s:%d|", s.Now(), ev, seq)
-				},
+				Streams: 3, ChunkPages: 4, Metrics: logEvents(s, &log),
 			})
 			st, err := sess.Stream("final", as, dumper(h, content, time.Microsecond),
 				func(*Chunk) { h.Sleep(2 * time.Microsecond) })
@@ -294,13 +303,13 @@ func TestStreamDeterministic(t *testing.T) {
 		t.Fatalf("nondeterministic stream:\n%s (%v)\nvs\n%s (%v)", l1, e1, l2, e2)
 	}
 	if l1 == "" {
-		t.Fatal("tap saw no events — the determinism check is vacuous")
+		t.Fatal("the listener saw no events — the determinism check is vacuous")
 	}
 }
 
 // TestOneChunkRoundInlineMatchesWorkers is the differential behind
 // Stream's choice: a round of one chunk run on the calling proc and the
-// same round handed to sender and applier procs yield the same tap
+// same round handed to sender and applier procs yield the same event
 // sequence with the same timestamps, the same RoundStats and the same
 // virtual end time — clean, with the FailAt hook firing on the chunk,
 // and with an Abort landing while the chunk is on the wire.
@@ -333,10 +342,7 @@ func TestOneChunkRoundInlineMatchesWorkers(t *testing.T) {
 						content[a] = page(byte(i%3 + 1))
 					}
 					sess := NewSession(s, h, "dst", Config{
-						FailAtRound: "final", FailAtChunk: tc.failAt,
-						Tap: func(ev string, seq uint64) {
-							o.log += fmt.Sprintf("%d:%s:%d|", s.Now(), ev, seq)
-						},
+						FailAtRound: "final", FailAtChunk: tc.failAt, Metrics: logEvents(s, &o.log),
 					})
 					if tc.abortAt > 0 {
 						s.AfterFunc(tc.abortAt, sess.Abort)

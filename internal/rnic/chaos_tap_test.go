@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 )
 
 // TestDuplicatedSendSingleCQE duplicates every frame on both directions
@@ -63,10 +64,10 @@ func TestDuplicatedSendSingleCQE(t *testing.T) {
 	r.s.Run()
 }
 
-// TestTapObservesLedger drives traffic with the device tap installed
-// and checks the chaos-harness contract: send completions are reported
-// once each, acked PSNs and responder expPSNs are strictly monotone,
-// and a deregistered rkey is reported exactly once.
+// TestTapObservesLedger drives traffic with a listener on each device's
+// event stream and checks the chaos-harness contract: send completions
+// are reported once each, acked PSNs and responder expPSNs are strictly
+// monotone, and a deregistered rkey is reported exactly once.
 func TestTapObservesLedger(t *testing.T) {
 	type ev struct {
 		qpn, psn uint32
@@ -80,15 +81,25 @@ func TestTapObservesLedger(t *testing.T) {
 	r := newRig(t, Config{}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 64<<10)
 		mrB := r.b.regMR(t, 0x100000, 64<<10)
-		r.a.dev.SetTap(&Tap{
-			CQE:      func(node string, cq uint32, e CQE) { cqes = append(cqes, e) },
-			AckedPSN: func(node string, qpn, psn uint32) { acks = append(acks, ev{qpn, psn}) },
+		r.a.dev.Metrics().Listen(func(e metrics.Event) error {
+			switch e.Kind {
+			case "cqe":
+				cqes = append(cqes, CQE{QPN: e.QPN, WRID: e.Seq, Opcode: Opcode(e.Op), Status: WCStatus(e.Status)})
+			case "ack":
+				acks = append(acks, ev{e.QPN, e.PSN})
+			}
+			return nil
 		})
-		r.b.dev.SetTap(&Tap{
-			ExpPSN: func(node string, qpn, psn uint32) { exps = append(exps, ev{qpn, psn}) },
-			Dereg:  func(node string, rkey uint32) { dereg = append(dereg, rkey) },
+		r.b.dev.Metrics().Listen(func(e metrics.Event) error {
+			switch e.Kind {
+			case "exp":
+				exps = append(exps, ev{e.QPN, e.PSN})
+			case "dereg":
+				dereg = append(dereg, e.RKey)
+			}
+			return nil
 		})
-		// 10% loss both ways forces go-back-N recovery under the tap.
+		// 10% loss both ways forces go-back-N recovery under the listeners.
 		r.net.SetLoss("hostA", 0.1)
 		r.net.SetLoss("hostB", 0.1)
 		const msgs = 50
@@ -114,12 +125,12 @@ func TestTapObservesLedger(t *testing.T) {
 		rkey := mrB.RKey
 		r.b.dev.DeregMR(mrB)
 		if len(dereg) != 1 || dereg[0] != rkey {
-			t.Errorf("dereg tap = %v, want [%#x]", dereg, rkey)
+			t.Errorf("dereg events = %v, want [%#x]", dereg, rkey)
 		}
 	})
 	r.s.Run()
 	if len(cqes) == 0 || len(acks) == 0 || len(exps) == 0 {
-		t.Fatalf("tap saw %d CQEs, %d acks, %d expPSN advances", len(cqes), len(acks), len(exps))
+		t.Fatalf("listeners saw %d CQEs, %d acks, %d expPSN advances", len(cqes), len(acks), len(exps))
 	}
 	for i := 1; i < len(acks); i++ {
 		if acks[i].qpn == acks[i-1].qpn && acks[i].psn <= acks[i-1].psn {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
 )
 
@@ -80,7 +81,8 @@ func (cq *CQ) push(e CQE) {
 	if qp, ok := cq.dev.lookupQP(e.QPN); ok {
 		qp.mCQEs.Inc()
 	}
-	cq.dev.tapCQE(cq.Handle, e)
+	cq.dev.reg.Emit(metrics.Event{Kind: "cqe", Node: cq.dev.node, QPN: e.QPN, Seq: e.WRID,
+		Op: uint8(e.Opcode), Status: uint8(e.Status)})
 	if cq.ringAS != nil {
 		var slot [cqeSlotSize]byte
 		binary.LittleEndian.PutUint64(slot[:], e.WRID)

@@ -178,10 +178,6 @@ type Device struct {
 	lkeyCache [lookupCacheSlots]*MR
 	rkeyCache [lookupCacheSlots]*MR
 
-	// tap, when installed, observes data-path events for external
-	// checkers (the chaos harness' completion ledger).
-	tap *Tap
-
 	// fwdQPNs/fwdFn implement the source-side forwarding rule of the
 	// plug-and-forward cutover: frames addressed to a listed (suspended)
 	// QPN are handed to fwdFn — the tunnel toward the destination's plug
@@ -191,9 +187,11 @@ type Device struct {
 	fwdFn   func(fabric.Frame)
 	mFwd    metrics.Counter
 
-	// reg is the metrics registry; mTx/mRx count data-path wire bytes
-	// (the mlx5 ethtool counters used for Fig. 5's throughput sampling).
-	// Consumers read them through the registry, never device fields.
+	// reg is the metrics registry, and the stream the device emits its
+	// cqe, ack, exp, dereg and rkey events into; mTx/mRx count data-path
+	// wire bytes (the mlx5 ethtool counters used for Fig. 5's throughput
+	// sampling). Consumers read them through the registry, never device
+	// fields.
 	reg                  *metrics.Registry
 	mTx, mRx             metrics.Counter
 	mTxFrames, mRxFrames metrics.Counter
@@ -204,46 +202,13 @@ type Device struct {
 	mDup metrics.Counter
 }
 
-// Tap observes device data-path events for external checkers. All
-// callbacks run inline on the scheduler loop and must not block; nil
-// callbacks are skipped.
-type Tap struct {
-	// CQE fires for every completion entering a CQ, before software
-	// polls it (the completion ledger).
-	CQE func(node string, cq uint32, e CQE)
-	// AckedPSN fires when the requester marks a send-queue entry
-	// acknowledged. Entries never leave the acked state, so each PSN
-	// fires at most once per QP incarnation and in PSN order — the
-	// monotonicity invariant go-back-N must preserve.
-	AckedPSN func(node string, qpn, psn uint32)
-	// ExpPSN fires when the responder advances its expected PSN.
-	ExpPSN func(node string, qpn, psn uint32)
-	// Dereg fires when an MR is deregistered, with its rkey.
-	Dereg func(node string, rkey uint32)
-	// RemoteKey fires on every inbound rkey protection check with the
-	// verdict, letting a checker prove no post-Dereg rkey is admitted.
-	RemoteKey func(node string, rkey uint32, granted bool)
-}
-
-// SetTap installs (or, with nil, removes) the device tap.
-func (d *Device) SetTap(t *Tap) { d.tap = t }
-
-func (d *Device) tapCQE(cq uint32, e CQE) {
-	if d.tap != nil && d.tap.CQE != nil {
-		d.tap.CQE(d.node, cq, e)
-	}
-}
-
-func (d *Device) tapAcked(qpn, psn uint32) {
-	if d.tap != nil && d.tap.AckedPSN != nil {
-		d.tap.AckedPSN(d.node, qpn, psn)
-	}
-}
-
-func (d *Device) tapExpPSN(qpn, psn uint32) {
-	if d.tap != nil && d.tap.ExpPSN != nil {
-		d.tap.ExpPSN(d.node, qpn, psn)
-	}
+// emitPSN emits an ack event (the requester marked a send-queue entry
+// acknowledged: entries never leave that state, so each PSN is emitted
+// at most once per QP incarnation and in PSN order — the monotonicity
+// go-back-N must preserve) or an exp event (the responder advanced its
+// expected PSN).
+func (d *Device) emitPSN(kind string, qpn, psn uint32) {
+	d.reg.Emit(metrics.Event{Kind: kind, Node: d.node, QPN: qpn, PSN: psn})
 }
 
 // NewDevice creates an RNIC on the given fabric node and registers its
@@ -589,9 +554,7 @@ func (d *Device) DeregMR(mr *MR) {
 	if slot := &d.rkeyCache[cacheSlot(mr.RKey)]; *slot == mr {
 		*slot = nil
 	}
-	if d.tap != nil && d.tap.Dereg != nil {
-		d.tap.Dereg(d.node, mr.RKey)
-	}
+	d.reg.Emit(metrics.Event{Kind: "dereg", Node: d.node, RKey: mr.RKey})
 }
 
 // lookupLocal resolves an SGE to its MR, validating range and (for recv
@@ -616,9 +579,9 @@ func (d *Device) lookupLocal(pd *PD, sge SGE, needWrite bool) (*MR, error) {
 // lookupRemote resolves an inbound rkey for a one-sided access.
 func (d *Device) lookupRemote(rkey uint32, addr mem.Addr, length uint32, need Access) (*mem.AddressSpace, bool) {
 	as, ok := d.lookupRemoteKey(rkey, addr, length, need)
-	if d.tap != nil && d.tap.RemoteKey != nil {
-		d.tap.RemoteKey(d.node, rkey, ok)
-	}
+	// Every verdict enters the stream, so a checker can prove no
+	// post-Dereg rkey is ever admitted.
+	d.reg.Emit(metrics.Event{Kind: "rkey", Node: d.node, RKey: rkey, OK: ok})
 	return as, ok
 }
 

@@ -156,17 +156,17 @@ func TestRNRRetryLimitErrorsOut(t *testing.T) {
 }
 
 // TestFrameDeliveredInsideHandlePacket: a frame that arrives while the
-// engine task is handling another (the CQE tap injects a duplicate of
-// the SEND being completed) is queued — its wake is dropped, the task is
+// engine task is handling another (the cqe listener injects a duplicate
+// of the SEND being completed) is queued — its wake is dropped, the task is
 // running — and the same engine run handles it.
 func TestFrameDeliveredInsideHandlePacket(t *testing.T) {
 	queuedAtInjection := -1
 	r := newRig(t, Config{}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 4096)
 		mrB := r.b.regMR(t, 0x100000, 4096)
-		r.b.dev.SetTap(&Tap{CQE: func(node string, cq uint32, e CQE) {
-			if node != "hostB" || e.Opcode != OpRecv || queuedAtInjection >= 0 {
-				return
+		r.b.dev.Metrics().Listen(func(e metrics.Event) error {
+			if e.Kind != "cqe" || e.Node != "hostB" || Opcode(e.Op) != OpRecv || queuedAtInjection >= 0 {
+				return nil
 			}
 			dup := packet{Type: ptData, DstQPN: r.qpB.QPN, SrcQPN: r.qpA.QPN, PSN: 0, Last: true,
 				Opcode: OpSend, DLen: 4, Payload: []byte("ping")}
@@ -174,7 +174,8 @@ func TestFrameDeliveredInsideHandlePacket(t *testing.T) {
 			r.b.dev.onFrame(fabric.Frame{Src: "hostA", Dst: "hostB", Port: PortRDMA,
 				Size: wireOverhead + len(data), Data: data})
 			queuedAtInjection = r.b.dev.rxq.Len()
-		}})
+			return nil
+		})
 		r.a.as.Write(0x100000, []byte("ping"))
 		r.qpB.PostRecv(RecvWR{WRID: 1, SGEs: []SGE{{Addr: 0x100000, Len: 64, LKey: mrB.LKey}}})
 		if err := r.qpA.PostSend(SendWR{WRID: 2, Opcode: OpSend, Signaled: true,

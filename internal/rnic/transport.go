@@ -504,7 +504,7 @@ func (qp *QP) sendAtomicResp(dst string, dstQPN, psn uint32, orig uint64) {
 func (qp *QP) advance(src string, srcQPN uint32) {
 	acked := qp.expPSN
 	qp.expPSN = psnAdd(qp.expPSN, 1)
-	qp.dev.tapExpPSN(qp.QPN, qp.expPSN)
+	qp.dev.emitPSN("exp", qp.QPN, qp.expPSN)
 	qp.nakSent = false
 	qp.sendAck(src, srcQPN, acked)
 }
@@ -686,7 +686,7 @@ func (qp *QP) requester(p *packet) {
 					e.status = WCLocalProtErr
 				}
 				e.state = sqAcked
-				qp.dev.tapAcked(qp.QPN, e.psn)
+				qp.dev.emitPSN("ack", qp.QPN, e.psn)
 				break
 			}
 		}
@@ -704,7 +704,7 @@ func (qp *QP) requester(p *packet) {
 					}
 				}
 				e.state = sqAcked
-				qp.dev.tapAcked(qp.QPN, e.psn)
+				qp.dev.emitPSN("ack", qp.QPN, e.psn)
 				break
 			}
 		}
@@ -722,7 +722,7 @@ func (qp *QP) ackUpTo(ack uint32) {
 				continue
 			}
 			e.state = sqAcked
-			qp.dev.tapAcked(qp.QPN, e.psn)
+			qp.dev.emitPSN("ack", qp.QPN, e.psn)
 		}
 	}
 	qp.afterAck()
@@ -733,7 +733,7 @@ func (qp *QP) ackBelow(psn uint32) {
 	for _, e := range qp.sq {
 		if e.state == sqSent && psnLess(e.psn, psn) && !isFenced(e.wr.Opcode) {
 			e.state = sqAcked
-			qp.dev.tapAcked(qp.QPN, e.psn)
+			qp.dev.emitPSN("ack", qp.QPN, e.psn)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 )
 
 // TestSteadyStateSendAllocatesNothing pins the device seam of the
@@ -121,7 +122,12 @@ func TestRecycledWQEsSurviveRecovery(t *testing.T) {
 	r := newRig(t, Config{RNRDelay: 20 * time.Microsecond}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 1<<20)
 		mrB := r.b.regMR(t, 0x100000, 1<<20)
-		r.a.dev.SetTap(&Tap{CQE: func(string, uint32, CQE) { wqeInvariant(t, r.a.dev) }})
+		r.a.dev.Metrics().Listen(func(e metrics.Event) error {
+			if e.Kind == "cqe" {
+				wqeInvariant(t, r.a.dev)
+			}
+			return nil
+		})
 		r.net.SetLoss("hostA", 0.05)
 		r.net.SetLoss("hostB", 0.05)
 		r.s.Go("receiver", func() {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"migrrdma/internal/core"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
@@ -51,6 +52,17 @@ func TestMigratePluginCountMismatch(t *testing.T) {
 	}
 }
 
+// failAt returns a listener refusing the stage events fail picks, with
+// the error it returns.
+func failAt(fail func(stage string) error) func(metrics.Event) error {
+	return func(e metrics.Event) error {
+		if e.Kind != "stage" {
+			return nil
+		}
+		return fail(e.Note)
+	}
+}
+
 // TestPhaseErrorWrapping injects faults at representative phases and
 // asserts the returned error names the migration, process, and phase,
 // that the workflow lands in the "aborted" stage, and that the source
@@ -72,12 +84,12 @@ func TestPhaseErrorWrapping(t *testing.T) {
 				m := &Migrator{C: cont, Dst: tb.cl.Host("dst"),
 					Plug: core.NewPlugin(tb.daemons["src"], tb.daemons["dst"]),
 					Opts: DefaultMigrateOptions()}
-				m.Inject = func(ph string) error {
+				tb.cl.Metrics.Listen(failAt(func(ph string) error {
 					if ph == phase {
 						return fmt.Errorf("boom")
 					}
 					return nil
-				}
+				}))
 				_, mErr = m.Migrate()
 				stage = m.Stage
 				atAbort = cli.Stats.Completed
@@ -133,12 +145,12 @@ func TestPostCommitFailureNotRolledBack(t *testing.T) {
 		m := &Migrator{C: cont, Dst: tb.cl.Host("dst"),
 			Plug: core.NewPlugin(tb.daemons["src"], tb.daemons["dst"]),
 			Opts: DefaultMigrateOptions()}
-		m.Inject = func(ph string) error {
+		tb.cl.Metrics.Listen(failAt(func(ph string) error {
 			if ph == "resume" {
 				return fmt.Errorf("boom")
 			}
 			return nil
-		}
+		}))
 		_, mErr = m.Migrate()
 		stage = m.Stage
 		ran = true
@@ -198,7 +210,7 @@ func TestMigrateMiddleProcessFailure(t *testing.T) {
 			Plug:       core.NewPlugin(tb.daemons["src"], tb.daemons["dst"]),
 			ExtraPlugs: []*core.Plugin{core.NewPlugin(tb.daemons["src"], tb.daemons["dst"])},
 			Opts:       DefaultMigrateOptions()}
-		m.Inject = func(ph string) error {
+		tb.cl.Metrics.Listen(failAt(func(ph string) error {
 			if ph == "predump" {
 				predumps++
 				if predumps == 2 {
@@ -206,7 +218,7 @@ func TestMigrateMiddleProcessFailure(t *testing.T) {
 				}
 			}
 			return nil
-		}
+		}))
 		_, mErr = m.Migrate()
 		tb.cl.Sched.Sleep(3 * time.Millisecond)
 		cliA.Stop()

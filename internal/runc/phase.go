@@ -5,7 +5,6 @@ import (
 
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/task"
-	"migrrdma/internal/trace"
 )
 
 // phase is one step of the migration workflow (Fig. 2b): a named run
@@ -13,8 +12,8 @@ import (
 // phase fails.
 type phase struct {
 	// name is the stage announced via Migrator.setStage right before
-	// run; it also keys per-phase error wrapping, fault injection, and
-	// the migrations_aborted metric label.
+	// run; it also keys per-phase error wrapping, the stage event a
+	// listener may refuse, and the migrations_aborted metric label.
 	name string
 	// commit marks the point of no return: once a commit phase ran,
 	// partners talk to the destination and rolling back would strand
@@ -27,20 +26,18 @@ type phase struct {
 	compensate func()
 }
 
-// runPhases drives the workflow. On a failure before the commit point
-// it unwinds: the compensations of the failing phase and of every
-// completed phase run in reverse order, the abort is recorded in the
-// timeline and the metrics registry, the stage moves to "aborted", and
-// the error comes back wrapped with the failing phase. Past the commit
-// point the error is wrapped and annotated but nothing is unwound.
-func (m *Migrator) runPhases(p *task.Process, tl *trace.Timeline, phases []phase) error {
+// runPhases drives the workflow. A phase fails when its run does, or
+// when the listener refuses its opening stage event (the one place an
+// Emit's error is read). On a failure before the commit point it
+// unwinds: the compensations of the failing phase and of every
+// completed phase run in reverse order, the abort is counted in the
+// metrics registry, the stage moves to "aborted", and the error comes
+// back wrapped with the failing phase. Past the commit point the error
+// is wrapped and annotated but nothing is unwound.
+func (m *Migrator) runPhases(p *task.Process, phases []phase) error {
 	committed := false
 	for i, ph := range phases {
-		m.setStage(ph.name)
-		var err error
-		if m.Inject != nil {
-			err = m.Inject(ph.name)
-		}
+		err := m.setStage(ph.name)
 		if err == nil {
 			err = ph.run()
 		}
@@ -54,7 +51,6 @@ func (m *Migrator) runPhases(p *task.Process, tl *trace.Timeline, phases []phase
 		if committed {
 			return fmt.Errorf("%w (past commit point, not rolled back)", wrapped)
 		}
-		tl.Mark("abort", "phase "+ph.name)
 		if reg := m.C.Host.Metrics; reg != nil {
 			reg.Counter("migr", "migrations_aborted",
 				metrics.L("proc", p.Name, "mig", m.ID, "phase", ph.name)).Inc()

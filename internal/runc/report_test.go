@@ -8,6 +8,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/task"
 )
 
@@ -133,15 +134,15 @@ func TestMonolithicBlackoutIsTheSequentialSum(t *testing.T) {
 		src.TransferTo("dst", hdrBytes)
 		wireFinal = sched.Now() - t0
 
-		m := &Migrator{C: cont, Dst: tb.cl.Host("dst"), Opts: DefaultMigrateOptions(),
-			// Dirty pages once pre-copy is over, so the final round has
-			// exactly these to ship.
-			Inject: func(phase string) error {
-				if phase == "suspend-wbs" {
-					touch(dirty)
-				}
-				return nil
-			}}
+		// Dirty pages once pre-copy is over, so the final round has
+		// exactly these to ship.
+		tb.cl.Metrics.Listen(func(e metrics.Event) error {
+			if e.Kind == "stage" && e.Note == "suspend-wbs" {
+				touch(dirty)
+			}
+			return nil
+		})
+		m := &Migrator{C: cont, Dst: tb.cl.Host("dst"), Opts: DefaultMigrateOptions()}
 		rep, mErr = m.Migrate()
 	})
 	sched.RunFor(time.Minute)

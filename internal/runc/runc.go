@@ -19,7 +19,6 @@ import (
 	"migrrdma/internal/pagechan"
 	"migrrdma/internal/sim"
 	"migrrdma/internal/task"
-	"migrrdma/internal/trace"
 )
 
 // blackoutBucketsUS are the histogram bounds (µs) for the migration
@@ -203,9 +202,6 @@ type Report struct {
 
 	// MigrationID is the Migrator.ID this report belongs to.
 	MigrationID string
-	// Timeline is the phase timeline of the (first) migrated process,
-	// labelled with the migration ID.
-	Timeline *trace.Timeline
 }
 
 // Blackout returns the sum of the blackout components.
@@ -233,7 +229,7 @@ type Migrator struct {
 	Opts MigrateOptions
 
 	// ID is the stable migration identifier threaded through daemon
-	// handlers, trace timelines, and metrics labels so overlapping
+	// handlers, stream events, and metrics labels so overlapping
 	// migrations stay distinguishable. Empty defaults to "m0" — a
 	// constant, not a global counter, to keep same-seed runs
 	// byte-identical. Cluster-level callers (internal/migmgr) assign
@@ -246,29 +242,16 @@ type Migrator struct {
 
 	// Stage names the workflow step in progress, for diagnostics.
 	Stage string
-
-	// OnStage, when set, is invoked after every stage transition with
-	// the new stage name. It runs on the migration driver proc; fault
-	// injectors use it to time faults to specific migration phases.
-	OnStage func(stage string)
-
-	// Inject, when set, is consulted with each phase name right before
-	// the phase's work runs; a non-nil return makes the migration abort
-	// at that phase and roll back. Tests and the chaos fail-and-recover
-	// harness use it to exercise the compensation path.
-	Inject func(phase string) error
-
-	// PageTap observes page-channel events; the chaos harness folds
-	// them into its event ledger.
-	PageTap func(ev string, seq uint64)
 }
 
-// setStage records a stage transition and notifies the observer.
-func (m *Migrator) setStage(stage string) {
+// setStage records a stage transition and emits it as a stage event on
+// the migration driver proc, returning the listener's verdict: the
+// phase engine fails a phase whose opening stage event is refused,
+// which is how tests and the chaos fail-and-recover harness time faults
+// to phases and exercise the compensation path.
+func (m *Migrator) setStage(stage string) error {
 	m.Stage = stage
-	if m.OnStage != nil {
-		m.OnStage(stage)
-	}
+	return m.C.Host.Metrics.Emit(metrics.Event{Kind: "stage", Mig: m.ID, Note: stage})
 }
 
 // Migrate runs the complete live migration workflow of Fig. 2(b) for
@@ -355,9 +338,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 	src, dst := m.C.Host, m.Dst
 	sched := src.Sched
 	srcTool, dstTool := src.CRIU, dst.CRIU
-	tl := trace.NewTimeline(sched)
-	tl.SetLabel(m.ID + "/" + p.Name)
-	rep := &Report{MigrationID: m.ID, Timeline: tl}
+	rep := &Report{MigrationID: m.ID}
 	start := sched.Now()
 
 	hasRDMA := false
@@ -379,8 +360,8 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		preSetupErr      error
 		commStart        time.Duration
 		svcStart         time.Duration
+		restoreStart     time.Duration // of the open FullRestore span
 		frozen           bool
-		fullRestoreOpen  bool
 		finalAddrs       []mem.Addr
 		final            pagechan.RoundStats
 		distinct         map[mem.Addr]struct{}
@@ -394,7 +375,6 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		FailAtChunk: m.Opts.FailAtChunk,
 		Metrics:     src.Metrics,
 		MigID:       m.ID,
-		Tap:         m.PageTap,
 	}
 	ctl := pagechan.NewController(m.Opts.DirtyPageThreshold)
 	if m.Opts.Transfer == TransferMonolithic {
@@ -455,10 +435,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 			}
 			if hasRDMA && m.Opts.PreSetup {
 				var err error
-				tl.Measure("predump-rdma", func() {
-					img.PluginBlob, err = plug.PreDump(p)
-				})
-				if err != nil {
+				if img.PluginBlob, err = plug.PreDump(p); err != nil {
 					return err
 				}
 			}
@@ -486,9 +463,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 					preSetupLaunched = true
 					sched.Go("rdma-presetup", func() {
 						defer preSetup.Done()
-						tl.Begin("restore-rdma")
 						preSetupErr = plug.RunPreSetup()
-						tl.End("restore-rdma")
 					})
 				}
 				return restore.PartialRestore(img)
@@ -593,14 +568,14 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				wg.Add(1)
 				sched.Go("final-dump-rdma", func() {
 					defer wg.Done()
-					tl.Measure("dump-rdma", func() {
-						finalBlob, dumpErr = plug.FinalDump(p)
-					})
+					start := sched.Now()
+					finalBlob, dumpErr = plug.FinalDump(p)
+					rep.DumpRDMA = sched.Now() - start
 				})
 			}
-			tl.Measure("dump-others", func() {
-				img, finalAddrs = srcTool.BeginDump(p, false)
-			})
+			start := sched.Now()
+			img, finalAddrs = srcTool.BeginDump(p, false)
+			rep.DumpOthers = sched.Now() - start
 			wg.Wait()
 			if dumpErr != nil {
 				return dumpErr
@@ -610,12 +585,12 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		}, compensate: pchan.Abort},
 
 		{name: "transfer", run: func() error {
+			start := sched.Now()
 			var err error
-			tl.Measure("transfer", func() {
-				if final, err = stream("final", finalAddrs); err == nil {
-					rep.FinalWireBytes = final.WireBytes + shipHeader()
-				}
-			})
+			if final, err = stream("final", finalAddrs); err == nil {
+				rep.FinalWireBytes = final.WireBytes + shipHeader()
+			}
+			rep.Transfer = sched.Now() - start
 			return err
 		}, compensate: pchan.Abort},
 
@@ -625,8 +600,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 		{
 			name: "finalize",
 			run: func() error {
-				tl.Begin("full-restore")
-				fullRestoreOpen = true
+				restoreStart = sched.Now()
 				if err := restore.Finalize(); err != nil {
 					return err
 				}
@@ -639,10 +613,6 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 				if hasRDMA {
 					plug.AbortAdoption()
 				}
-				if fullRestoreOpen {
-					tl.End("full-restore")
-					fullRestoreOpen = false
-				}
 			},
 		},
 	}
@@ -654,18 +624,13 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 			phases = append(phases, phase{
 				name: "post-restore",
 				run: func() error {
-					tl.End("full-restore")
-					fullRestoreOpen = false
-					var err error
-					tl.Measure("restore-rdma", func() {
-						err = plug.PostRestore(restore, p, finalBlob)
-					})
-					if err != nil {
-						return err
-					}
-					tl.Begin("full-restore")
-					fullRestoreOpen = true
-					return nil
+					// RestoreRDMA is cut out of the FullRestore span.
+					rep.FullRestore += sched.Now() - restoreStart
+					start := sched.Now()
+					err := plug.PostRestore(restore, p, finalBlob)
+					rep.RestoreRDMA = sched.Now() - start
+					restoreStart = sched.Now()
+					return err
 				},
 				// Adoption rollback lives in the finalize compensation,
 				// which always runs when this phase unwinds.
@@ -746,12 +711,11 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 
 	phases = append(phases, phase{name: "thaw", run: func() error {
 		restore.FullRestore()
-		tl.End("full-restore")
-		fullRestoreOpen = false
+		rep.FullRestore += sched.Now() - restoreStart
 		return nil
 	}})
 
-	if err := m.runPhases(p, tl, phases); err != nil {
+	if err := m.runPhases(p, phases); err != nil {
 		return nil, err
 	}
 	m.setStage("done")
@@ -783,16 +747,14 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 	// reading pages before anything is on the wire, applying after the
 	// last chunk landed — are dump and restore time (all of both when
 	// the round was one chunk, as every monolithic round is).
-	rep.DumpRDMA = tl.Get("dump-rdma")
-	rep.DumpOthers = tl.Get("dump-others") + final.Fill
-	rep.Transfer = tl.Get("transfer") - final.Fill - final.Drain
-	rep.RestoreRDMA = tl.Get("restore-rdma")
-	rep.FullRestore = tl.Get("full-restore") + final.Drain
+	rep.DumpOthers += final.Fill
+	rep.Transfer -= final.Fill + final.Drain
+	rep.FullRestore += final.Drain
 	if m.Opts.PreSetup {
-		// Pre-setup moves DumpRDMA and RestoreRDMA out of the blackout
-		// (§5.2); report only the blackout components.
+		// Pre-setup moves DumpRDMA and RestoreRDMA (never measured then:
+		// there is no post-restore phase) out of the blackout (§5.2);
+		// report only the blackout components.
 		rep.DumpRDMA = 0
-		rep.RestoreRDMA = 0
 	}
 	if moveContainer {
 		// Move the container's bookkeeping to the destination.
