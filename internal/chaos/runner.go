@@ -125,7 +125,7 @@ func Run(seed int64, sc Scenario) *Report {
 	hung := rig.Run(horizon, func() error {
 		r.w.ready()
 		if sc.Workload.PageHog {
-			if _, err := pageHog.Start(sched, movers[0].cont.Procs[0]); err != nil {
+			if _, err := pageHog.Start(movers[0].cont.Procs[0]); err != nil {
 				r.setupErrs = append(r.setupErrs, fmt.Sprintf("memhog setup failed: %v", err))
 			}
 		}

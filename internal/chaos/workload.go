@@ -103,13 +103,12 @@ func (w *pairWorkload) totals() (completed, received int64) {
 	return completed, received
 }
 
-// pageHog is the chaos memhog: the experiments' deterministic writer
-// attached to the migrated process so pipelined runs always exercise
-// every elision path — hot pages that genuinely change, zero scratch
-// pages, and constant-content rewrites (dirty-bit false positives).
-// Sized small to keep ledger volume down; it runs until the process
-// exits.
-var pageHog = experiments.PageHog{
+// pageHog is the chaos memhog: the deterministic page writer attached
+// to the migrated process so pipelined runs always exercise every
+// elision path — hot pages that genuinely change, zero scratch pages,
+// and constant-content rewrites (dirty-bit false positives). Sized
+// small to keep ledger volume down; it runs until the process exits.
+var pageHog = task.PageHog{
 	Base: 0x5300_0000_0000, Pages: 32, Hot: 4, Zero: 4,
 	Interval: 100 * time.Microsecond,
 }

@@ -65,8 +65,36 @@ func RunCutover(mode runc.CutoverMode, msgSize, qps, messages int) (CutoverRow, 
 
 // RunCutoverSeeded is RunCutover at an explicit seed, for replicated
 // runs (CutoverComparisonCount, the -count benchmarks).
-func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed int64) (_ CutoverRow, err error) {
+func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed int64) (row CutoverRow, err error) {
 	defer wrapErr(&err, "cutover %v msg=%d qps=%d seed=%d", mode, msgSize, qps, seed)
+	mopts := runc.DefaultMigrateOptions()
+	mopts.Cutover = mode
+	err = migrateLatencyServer(seed, msgSize, qps, messages, mopts, false, func(r *Rig, pair *Pair, rep *runc.Report) {
+		snap := r.CL.Metrics.Snapshot()
+		row = CutoverRow{
+			Mode: mode, MsgSize: msgSize, QPs: qps,
+			Samples:       len(pair.Client.Stats.LatSamples),
+			P50:           pair.Client.Stats.LatPercentile(50),
+			P99:           pair.Client.Stats.LatPercentile(99),
+			Max:           pair.Client.Stats.LatPercentile(100),
+			Blackout:      rep.ServiceBlackout,
+			Retransmitted: snap.Sum("rnic", "retx_packets"),
+			Duplicated:    snap.Sum("rnic", "duplicated_packets"),
+			WireBytes:     snap.Sum("rnic", "tx_bytes"),
+			PlugFlushed:   int64(rep.PlugFlushed),
+			Forwarded:     snap.Sum("rnic", "forwarded_packets"),
+		}
+	})
+	return row, err
+}
+
+// migrateLatencyServer is the run the cutover and transfer comparisons
+// both measure: a latency-mode SEND pair whose SERVER moves src → dst
+// under mopts mid-stream while the client keeps firing from the partner
+// host, carrying the page hog when hog is set. read sees the finished
+// run before the rig closes.
+func migrateLatencyServer(seed int64, msgSize, qps, messages int, mopts runc.MigrateOptions, hog bool,
+	read func(r *Rig, pair *Pair, rep *runc.Report)) error {
 	cfg := cluster.FastCheckpointTestbed(seed)
 	// rnr_retry=7 semantics: retry through the blackout instead of
 	// erroring out — go-back-N's whole recovery story depends on it,
@@ -84,43 +112,34 @@ func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed in
 		// retransmissions that have nothing to do with the cutover).
 		RecvDepth: 64,
 	}
-	// The SERVER is the migrating side: its container moves src → dst
-	// mid-stream while the client keeps firing from the partner host.
 	pair := r.StartPair("partner", "src", opts)
-	mopts := runc.DefaultMigrateOptions()
-	mopts.Cutover = mode
+	stopHog := func() {}
+	if hog {
+		var err error
+		if stopHog, err = pageHog.Start(pair.ServerCont.Procs[0]); err != nil {
+			return err
+		}
+	}
 	var rep *runc.Report
-	err = r.Run(Horizon, func() (err error) {
+	err := r.Run(Horizon, func() (err error) {
 		pair.Client.WaitReady()
 		r.CL.Sched.Sleep(2 * time.Millisecond)
 		if rep, err = r.Migrate(pair.ServerCont, "src", "dst", mopts); err != nil {
 			return err
 		}
 		pair.Client.Wait() // the bounded message count drains
+		stopHog()
 		pair.Server.Stop()
 		return nil
 	})
 	if err != nil {
-		return CutoverRow{}, err
+		return err
 	}
 	if errs := pair.Errors(); len(errs) > 0 {
-		return CutoverRow{}, fmt.Errorf("%d workload errors, first %s", len(errs), errs[0])
+		return fmt.Errorf("%d workload errors, first %s", len(errs), errs[0])
 	}
-	snap := r.CL.Metrics.Snapshot()
-	row := CutoverRow{
-		Mode: mode, MsgSize: msgSize, QPs: qps,
-		Samples:       len(pair.Client.Stats.LatSamples),
-		P50:           pair.Client.Stats.LatPercentile(50),
-		P99:           pair.Client.Stats.LatPercentile(99),
-		Max:           pair.Client.Stats.LatPercentile(100),
-		Blackout:      rep.ServiceBlackout,
-		Retransmitted: snap.Sum("rnic", "retx_packets"),
-		Duplicated:    snap.Sum("rnic", "duplicated_packets"),
-		WireBytes:     snap.Sum("rnic", "tx_bytes"),
-		PlugFlushed:   int64(rep.PlugFlushed),
-		Forwarded:     snap.Sum("rnic", "forwarded_packets"),
-	}
-	return row, nil
+	read(r, pair, rep)
+	return nil
 }
 
 // CutoverComparison sweeps both cutover modes over the given message

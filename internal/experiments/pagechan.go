@@ -4,12 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"migrrdma/internal/cluster"
-	"migrrdma/internal/mem"
-	"migrrdma/internal/perftest"
-	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
-	"migrrdma/internal/sim"
 	"migrrdma/internal/task"
 )
 
@@ -22,80 +17,10 @@ import (
 // with it the blackout's transfer share), and the adaptive convergence
 // controller stops iterating as soon as extra rounds stop paying.
 
-// PageHog is the deterministic writer that gives a migrated service a
-// realistic page mix: of Pages pages at Base, the first Hot change
-// every epoch, the next Zero are zero scratch pages, and the rest are
-// constant-content rewrites the dirty-bit tracker flags but the
-// content-hash table elides. Every Interval it rewrites them all.
-type PageHog struct {
-	Base             mem.Addr
-	Pages, Hot, Zero int
-	Interval         time.Duration
-}
-
 // pageHog is the writer of the transfer and tenancy experiments.
-var pageHog = PageHog{
+var pageHog = task.PageHog{
 	Base: 0x5400_0000_0000, Pages: 192, Hot: 24, Zero: 24,
 	Interval: 200 * time.Microsecond,
-}
-
-// The hog's pages are read off tables built once, so that a workload
-// made to show mem, criu and pagechan does not spend its time computing
-// the bytes it writes: byte j of hot page i at epoch e is byte(e+i+j),
-// which is hogRamp from (e+i) mod 256 on; cold page i is all byte(i).
-var (
-	hogRamp [mem.PageSize + 256]byte
-	hogZero [mem.PageSize]byte
-	hogCold [256][mem.PageSize]byte
-)
-
-func init() {
-	for k := range hogRamp {
-		hogRamp[k] = byte(k)
-	}
-	for v := range hogCold {
-		for j := range hogCold[v] {
-			hogCold[v][j] = byte(v)
-		}
-	}
-}
-
-// page returns the content of page i at the given epoch. The slice is
-// shared and read-only.
-func (h PageHog) page(epoch, i int) []byte {
-	switch {
-	case i < h.Hot:
-		return hogRamp[(epoch+i)&255:][:mem.PageSize]
-	case i < h.Hot+h.Zero:
-		return hogZero[:]
-	default:
-		return hogCold[i&255][:]
-	}
-}
-
-// Start maps the hog's region on p and attaches the writer until the
-// process exits or the returned stop function is called (so the writer
-// never pins the event queue past the end of the measured run), pausing
-// while frozen.
-func (h PageHog) Start(sched *sim.Scheduler, p *task.Process) (stop func(), err error) {
-	if _, err := p.AS.Map(h.Base, uint64(h.Pages)*mem.PageSize, "appstate"); err != nil {
-		return nil, err
-	}
-	stopped := false
-	sched.Go("page-hog", func() {
-		for epoch := 1; !p.Exited() && !stopped; epoch++ {
-			if !p.Frozen() {
-				for i := 0; i < h.Pages; i++ {
-					a := h.Base + mem.Addr(i*mem.PageSize)
-					if err := p.AS.Write(a, h.page(epoch, i)); err != nil {
-						return // unmapped mid-teardown
-					}
-				}
-			}
-			sched.Sleep(h.Interval)
-		}
-	})
-	return func() { stopped = true }, nil
 }
 
 // PageChanRow is one (transfer mode, message size) measurement.
@@ -109,9 +34,10 @@ type PageChanRow struct {
 	Blackout time.Duration
 	Total    time.Duration
 
-	// PagesTransferred counts per-round page shipments (re-sends
-	// included); DistinctPages the unique pages; PagesElided the pages
-	// whose content stayed off the wire entirely.
+	// PagesTransferred counts the page records dumped per round, elided
+	// ones included (a page dumped in two rounds counts twice), not the
+	// pages shipped; DistinctPages the unique pages; PagesElided the
+	// pages whose content stayed off the wire entirely.
 	PagesTransferred int
 	DistinctPages    int
 	PagesElided      int
@@ -138,11 +64,6 @@ func (r PageChanRow) String() string {
 // pagechanSeed fixes the comparison's determinism.
 const pagechanSeed = 83
 
-// PageChanSeedFor returns replica rep's seed, anchored at the
-// canonical pagechanSeed the same way as the other replicated
-// experiments.
-func PageChanSeedFor(rep int) int64 { return replicaSeed(pagechanSeed, rep) }
-
 // RunPageChan measures one transfer configuration at the canonical seed.
 func RunPageChan(mode runc.TransferMode, msgSize, qps, messages int) (PageChanRow, error) {
 	return RunPageChanSeeded(mode, msgSize, qps, messages, pagechanSeed)
@@ -150,56 +71,27 @@ func RunPageChan(mode runc.TransferMode, msgSize, qps, messages int) (PageChanRo
 
 // RunPageChanSeeded live-migrates a latency-mode SEND server carrying
 // the page-hog working set, under the given transfer mode.
-func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed int64) (_ PageChanRow, err error) {
+func RunPageChanSeeded(mode runc.TransferMode, msgSize, qps, messages int, seed int64) (row PageChanRow, err error) {
 	defer wrapErr(&err, "pagechan %s msg=%d qps=%d seed=%d", mode, msgSize, qps, seed)
-	cfg := cluster.FastCheckpointTestbed(seed)
-	cfg.NIC.MaxRetries = 1 << 20
-	r := NewRigCfg(cfg, "src", "dst", "partner")
-	defer r.Close()
-	opts := perftest.Options{
-		Verb: rnic.OpSend, MsgSize: msgSize, NumQPs: qps, Messages: messages,
-		LatencyMode: true, PostGap: 250 * time.Microsecond, RecvDepth: 64,
-	}
-	// The SERVER migrates src → dst mid-stream, carrying the page hog.
-	pair := r.StartPair("partner", "src", opts)
-	stopHog, err := pageHog.Start(r.CL.Sched, pair.ServerCont.Procs[0])
-	if err != nil {
-		return PageChanRow{}, err
-	}
 	mopts := runc.DefaultMigrateOptions()
 	mopts.Transfer = mode
-	var rep *runc.Report
-	err = r.Run(Horizon, func() (err error) {
-		pair.Client.WaitReady()
-		r.CL.Sched.Sleep(2 * time.Millisecond)
-		if rep, err = r.Migrate(pair.ServerCont, "src", "dst", mopts); err != nil {
-			return err
+	err = migrateLatencyServer(seed, msgSize, qps, messages, mopts, true, func(_ *Rig, pair *Pair, rep *runc.Report) {
+		row = PageChanRow{
+			Transfer: mode, MsgSize: msgSize,
+			Samples:          len(pair.Client.Stats.LatSamples),
+			P50:              pair.Client.Stats.LatPercentile(50),
+			P99:              pair.Client.Stats.LatPercentile(99),
+			Blackout:         rep.ServiceBlackout,
+			Total:            rep.Total,
+			PagesTransferred: rep.PagesTransferred,
+			DistinctPages:    rep.DistinctPages,
+			PagesElided:      rep.PagesElided,
+			WireBytes:        rep.WireBytes,
+			FinalWireBytes:   rep.FinalWireBytes,
+			Rounds:           len(rep.Rounds),
 		}
-		pair.Client.Wait()
-		stopHog()
-		pair.Server.Stop()
-		return nil
 	})
-	if err != nil {
-		return PageChanRow{}, err
-	}
-	if errs := pair.Errors(); len(errs) > 0 {
-		return PageChanRow{}, fmt.Errorf("%d workload errors, first %s", len(errs), errs[0])
-	}
-	return PageChanRow{
-		Transfer: mode, MsgSize: msgSize,
-		Samples:          len(pair.Client.Stats.LatSamples),
-		P50:              pair.Client.Stats.LatPercentile(50),
-		P99:              pair.Client.Stats.LatPercentile(99),
-		Blackout:         rep.ServiceBlackout,
-		Total:            rep.Total,
-		PagesTransferred: rep.PagesTransferred,
-		DistinctPages:    rep.DistinctPages,
-		PagesElided:      rep.PagesElided,
-		WireBytes:        rep.WireBytes,
-		FinalWireBytes:   rep.FinalWireBytes,
-		Rounds:           len(rep.Rounds),
-	}, nil
+	return row, err
 }
 
 // PageChanComparison sweeps both transfer modes over the given message

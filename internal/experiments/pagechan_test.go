@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"bytes"
 	"testing"
 
-	"migrrdma/internal/mem"
 	"migrrdma/internal/runc"
 )
 
@@ -87,39 +85,5 @@ func TestTenancyTransferModes(t *testing.T) {
 	}
 	if pipe.FinalWire >= mono.FinalWire {
 		t.Errorf("final-round wire: pipelined %d not below monolithic %d", pipe.FinalWire, mono.FinalWire)
-	}
-}
-
-// TestPageHogTablesMatchTheFillLoop holds the hog's shared tables to
-// the loop they replaced — fill a buffer byte by byte, every page, every
-// epoch — for every (epoch mod 256, page) and past the wrap, at the
-// experiments' shape and at the chaos harness's.
-func TestPageHogTablesMatchTheFillLoop(t *testing.T) {
-	fill := func(h PageHog, epoch, i int, buf []byte) {
-		switch {
-		case i < h.Hot:
-			for j := range buf {
-				buf[j] = byte(epoch + i + j)
-			}
-		case i < h.Hot+h.Zero:
-			for j := range buf {
-				buf[j] = 0
-			}
-		default:
-			for j := range buf {
-				buf[j] = byte(i)
-			}
-		}
-	}
-	buf := make([]byte, mem.PageSize)
-	for _, h := range []PageHog{pageHog, {Pages: 32, Hot: 4, Zero: 4}, {Pages: 300, Hot: 280, Zero: 4}} {
-		for epoch := 1; epoch <= 600; epoch++ {
-			for i := 0; i < h.Pages; i++ {
-				fill(h, epoch, i, buf)
-				if got := h.page(epoch, i); !bytes.Equal(got, buf) {
-					t.Fatalf("hog %+v, epoch %d, page %d: table differs from the fill loop", h, epoch, i)
-				}
-			}
-		}
 	}
 }

@@ -32,7 +32,9 @@ var (
 // re-captures the lines it moves and says why. PR 24 re-captured six
 // (fig4 partners=4, rkey cache, concurrent, both tenancy rows, drain):
 // control frames shrank with the codec, so each moved in its last digits
-// and none later or slower.
+// and none later or slower. The last four rows, captured at commit
+// 0bbc9e2, pin the cutover and transfer comparisons, which share one
+// latency-mode server migration, and the page hog the transfer rows run.
 func TestRowsUnchangedByTheRunner(t *testing.T) {
 	row := func(r any, err error) (string, error) { return fmt.Sprint(r), err }
 	for _, c := range []struct {
@@ -71,6 +73,14 @@ func TestRowsUnchangedByTheRunner(t *testing.T) {
 			"plug-forward sessions=64    blackout=4.147ms   replay=0s        total=20.693ms  pages=53     acked=256    drain=7µs      "},
 		{"drain half-racks par=4", func() (string, error) { return row(drainHalfRacksPar4()) },
 			"half-racks  par=4  migs=32  qps=2048  p50=8.69ms    p95=8.69ms    p99=8.69ms    max=8.69ms    elapsed=577.535ms  samerack=32/32 spine=159MB slo-miss=0"},
+		{"cutover go-back-N", func() (string, error) { return row(RunCutover(runc.CutoverGoBackN, 8192, 2, 50)) },
+			"go-back-n    msg=8192   qps=2  ops=100   p50=250µs     p99=2.233ms   max=2.233ms   retx=4    dup=4    wire=870774    flushed=0   fwd=0"},
+		{"cutover plug-forward", func() (string, error) { return row(RunCutover(runc.CutoverPlugForward, 8192, 2, 50)) },
+			"plug-forward msg=8192   qps=2  ops=100   p50=250µs     p99=2.171ms   max=2.171ms   retx=0    dup=0    wire=853700    flushed=4   fwd=0"},
+		{"pagechan monolithic", func() (string, error) { return row(RunPageChan(runc.TransferMonolithic, 8192, 2, 400)) },
+			"monolithic   msg=8192   ops=800   p50=250µs     p99=250µs     blackout=3.503ms   pages=1013  distinct=227   elided=0     wire=4167431   finalwire=827334   rounds=5"},
+		{"pagechan pipelined", func() (string, error) { return row(RunPageChan(runc.TransferPipelined, 8192, 2, 400)) },
+			"pipelined    msg=8192   ops=800   p50=250µs     p99=250µs     blackout=3.384ms   pages=617   distinct=225   elided=392   wire=928231    finalwire=112134   rounds=3"},
 	} {
 		got, err := c.run()
 		if err != nil {

@@ -116,7 +116,7 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 	})
 	stopHog := func() {}
 	if hog {
-		if stopHog, err = pageHog.Start(r.CL.Sched, svcCont.Procs[0]); err != nil {
+		if stopHog, err = pageHog.Start(svcCont.Procs[0]); err != nil {
 			return TenancyRow{}, err
 		}
 	}

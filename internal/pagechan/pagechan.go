@@ -19,8 +19,10 @@
 package pagechan
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 	"time"
 
 	"migrrdma/internal/criu"
@@ -404,15 +406,17 @@ func (s *Session) applier() {
 	}
 }
 
-// hashPage is FNV-1a 64 over the page bytes — the dedup table's
-// content fingerprint. A collision would elide a genuinely changed
-// page; at 2^-64 per pair over per-address histories this is
-// negligible against the simulated error budget (DESIGN.md §12).
+// hashPage is the dedup table's content fingerprint, eight bytes a
+// step, each word folded in by xxHash64's round. Unseeded, so a run is
+// a function of its inputs; DESIGN.md §12 has the collision argument.
 func hashPage(b []byte) uint64 {
-	h := uint64(14695981039346656037)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 1099511628211
+	const p1, p2 = 0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F
+	h := uint64(0x27D4EB2F165667C5)
+	for ; len(b) >= 8; b = b[8:] {
+		h = bits.RotateLeft64(h+binary.LittleEndian.Uint64(b)*p2, 31) * p1
+	}
+	for _, c := range b { // a tail shorter than a word
+		h = bits.RotateLeft64(h+uint64(c)*p2, 31) * p1
 	}
 	return h
 }

@@ -160,10 +160,6 @@ type Device struct {
 	freePkts []*packet
 	freeWQEs []*sqEntry
 	bufCap   int
-	// gatherBuf is the DMA-gather scratch: each outbound fragment is
-	// gathered here and immediately copied into its wire buffer by
-	// encodeInto, so the scratch is reusable for the next fragment.
-	gatherBuf []byte
 
 	// Bounded direct-mapped lookup caches for the per-packet map lookups
 	// (QPN→QP, lkey→MR, rkey→MR). A slot index plus a key compare

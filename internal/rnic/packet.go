@@ -51,6 +51,9 @@ type packet struct {
 	Syndrome uint8
 
 	Payload []byte
+	// wire is the pooled wire buffer Payload was gathered into behind
+	// the header's room, or nil. Not encoded.
+	wire []byte
 
 	// udNode is the destination fabric node for UD sends. It is not
 	// encoded on the wire (routing metadata from the address handle).
@@ -70,7 +73,8 @@ func (p *packet) encode() []byte {
 // encodeInto serializes the packet into b, which must be exactly
 // packetHeaderLen+len(p.Payload) bytes. Every header byte is written
 // unconditionally (no stale flag bytes) so b may come from a buffer
-// pool without zeroing.
+// pool without zeroing. A payload already in place behind the header
+// is not copied.
 func (p *packet) encodeInto(b []byte) {
 	b[0] = byte(p.Type)
 	put24(b[1:], p.DstQPN)
@@ -95,7 +99,9 @@ func (p *packet) encodeInto(b []byte) {
 	put24(b[51:], p.AckPSN)
 	b[54] = p.Syndrome
 	binary.BigEndian.PutUint16(b[55:], uint16(len(p.Payload)))
-	copy(b[packetHeaderLen:], p.Payload)
+	if len(p.Payload) > 0 && &p.Payload[0] != &b[packetHeaderLen] {
+		copy(b[packetHeaderLen:], p.Payload)
+	}
 }
 
 // decodePacket parses wire bytes into a fresh packet.

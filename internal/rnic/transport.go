@@ -177,21 +177,20 @@ func (qp *QP) buildFragment(e *sqEntry) (*packet, bool) {
 		base.HasImm = true
 	}
 	if n > 0 {
-		base.Payload = qp.gather(wr.SGEs, off, n)
+		// Gather straight into the wire buffer, behind the header
+		// frameFor encodes in front of it.
+		base.wire = qp.dev.getBuf(packetHeaderLen + int(n))
+		base.Payload = base.wire[packetHeaderLen:]
+		qp.gather(wr.SGEs, off, base.Payload)
 	}
 	return base, last
 }
 
-// gather DMA-reads n bytes starting at offset off of the SGE list into
-// the device's gather scratch. The result is valid until the next
-// gather: encodeInto copies it into the wire buffer before the pacer
-// pulls another fragment.
-func (qp *QP) gather(sges []SGE, off, n uint32) []byte {
+// gather DMA-reads len(out) bytes starting at offset off of the SGE
+// list into out.
+func (qp *QP) gather(sges []SGE, off uint32, out []byte) {
 	d := qp.dev
-	if uint32(cap(d.gatherBuf)) < n {
-		d.gatherBuf = make([]byte, n)
-	}
-	out := d.gatherBuf[:n]
+	n := uint32(len(out))
 	var filled uint32
 	var pos uint32
 	for _, sge := range sges {
@@ -221,7 +220,6 @@ func (qp *QP) gather(sges []SGE, off, n uint32) []byte {
 		filled += take
 		pos += sge.Len
 	}
-	return out
 }
 
 // scatter DMA-writes data across the SGE list, returning false on local
@@ -248,11 +246,15 @@ func (qp *QP) scatter(sges []SGE, data []byte) bool {
 }
 
 // frameFor wraps a packet in a fabric frame addressed to dst, encoding
-// it into a pooled wire buffer. The packet struct (which every caller
-// obtained from the device pool) is recycled here: the frame owns the
-// encoded bytes and nothing else references p.
+// it into a pooled wire buffer — the one its payload was gathered into,
+// if any. The packet struct (which every caller obtained from the
+// device pool) is recycled here: the frame owns the encoded bytes and
+// nothing else references p.
 func (d *Device) frameFor(dst string, p *packet) fabric.Frame {
-	buf := d.getBuf(packetHeaderLen + len(p.Payload))
+	buf := p.wire
+	if buf == nil {
+		buf = d.getBuf(packetHeaderLen + len(p.Payload))
+	}
 	p.encodeInto(buf)
 	f := fabric.Frame{
 		Src:  d.node,

@@ -12,57 +12,15 @@ import (
 	"migrrdma/internal/task"
 )
 
-// memhogPages is the extra application-state region the pipeline tests
-// attach to the migrated process: a deterministic writer rewrites it
-// every epoch with a mix of genuinely-changing pages, zeroed scratch
-// pages, and constant-content rewrites (dirty-bit false positives) —
-// the page mix MigrOS observes on real pre-copy workloads.
-const (
-	memhogPages    = 128
-	memhogHot      = 16 // pages whose content actually changes each epoch
-	memhogZero     = 16 // scratch pages rewritten with zeros
-	memhogBase     = mem.Addr(0x5200_0000_0000)
-	memhogInterval = 200 * time.Microsecond
-)
-
-// startMemhog maps the region on p and rewrites it every epoch until
-// the process exits, pausing while it is frozen (the writer models
-// application threads, which the cgroup freezer stops).
-func startMemhog(t *testing.T, tb *testbed, p *task.Process) {
-	t.Helper()
-	if _, err := p.AS.Map(memhogBase, memhogPages*mem.PageSize, "appstate"); err != nil {
-		t.Fatalf("map appstate: %v", err)
-	}
-	tb.cl.Sched.Go("memhog", func() {
-		buf := make([]byte, mem.PageSize)
-		for epoch := 1; !p.Exited(); epoch++ {
-			if !p.Frozen() {
-				for i := 0; i < memhogPages; i++ {
-					switch {
-					case i < memhogHot:
-						for j := range buf {
-							buf[j] = byte(epoch + i + j)
-						}
-					case i < memhogHot+memhogZero:
-						for j := range buf {
-							buf[j] = 0
-						}
-					default:
-						// Same bytes every epoch: dirty bit set, content
-						// unchanged.
-						for j := range buf {
-							buf[j] = byte(i)
-						}
-					}
-					a := memhogBase + mem.Addr(i*mem.PageSize)
-					if err := p.AS.Write(a, buf); err != nil {
-						return // unmapped mid-teardown
-					}
-				}
-			}
-			tb.cl.Sched.Sleep(memhogInterval)
-		}
-	})
+// memhog is the extra application-state region the pipeline tests
+// attach to the migrated process: the page hog rewrites it every epoch
+// with a mix of genuinely-changing pages, zeroed scratch pages, and
+// constant-content rewrites (dirty-bit false positives) — the page mix
+// MigrOS observes on real pre-copy workloads. It runs until the process
+// exits, pausing while it is frozen.
+var memhog = task.PageHog{
+	Base: 0x5200_0000_0000, Pages: 128, Hot: 16, Zero: 16,
+	Interval: 200 * time.Microsecond,
 }
 
 // settleAndStop ends the run from the driving proc once everything the
@@ -88,7 +46,10 @@ func runTransferMode(t *testing.T, mode TransferMode) *Report {
 	var atSwitch int64
 	tb.cl.Sched.Go("migrate", func() {
 		cli.WaitReady()
-		startMemhog(t, tb, cont.Procs[0])
+		if _, err := memhog.Start(cont.Procs[0]); err != nil {
+			t.Errorf("map appstate: %v", err)
+			return
+		}
 		tb.cl.Sched.Sleep(3 * time.Millisecond)
 		o := DefaultMigrateOptions()
 		o.Transfer = mode
@@ -205,7 +166,10 @@ func TestPipelinedAbortMidChunk(t *testing.T) {
 			var after int64
 			tb.cl.Sched.Go("migrate", func() {
 				cli.WaitReady()
-				startMemhog(t, tb, cont.Procs[0])
+				if _, err := memhog.Start(cont.Procs[0]); err != nil {
+					t.Errorf("map appstate: %v", err)
+					return
+				}
 				tb.cl.Sched.Sleep(3 * time.Millisecond)
 				o := DefaultMigrateOptions()
 				o.Transfer = TransferPipelined
