@@ -8,6 +8,7 @@ import (
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/rnic"
+	"migrrdma/internal/verbs"
 )
 
 // TestSteadyStateSendAllocatesNothing pins the guest-library seam of the
@@ -244,6 +245,87 @@ func TestTimeoutReplayOntoSwitchedQP(t *testing.T) {
 		}
 	})
 	r.cl.Sched.RunFor(5 * time.Second)
+	if !done {
+		t.Fatal("test proc never finished (parked at a blocking call)")
+	}
+}
+
+// TestMultiSGEReplay keeps the spill path of rnic.SGEList covered above
+// the device: every work request the tree posts has one SGE, which the
+// list holds inline, so a two-SGE send intercepted during suspension and
+// a two-SGE receive pending across it are replayed from the library's
+// spilled shadows onto re-pointed QPs, and land every byte where the
+// application asked.
+func TestMultiSGEReplay(t *testing.T) {
+	r := newWBSRig(t)
+	done := false
+	r.cl.Sched.Go("test", func() {
+		defer func() { done = true }()
+		asA, asB := r.sa.Proc.AS, r.sb.Proc.AS
+		asA.Write(0x110000, []byte("hello "))
+		asA.Write(0x120000, []byte("world!"))
+		sges := []rnic.SGE{{Addr: 0x140000, Len: 6, LKey: r.mrB.LKey()}, {Addr: 0x150000, Len: 6, LKey: r.mrB.LKey()}}
+		if err := r.qpB.PostRecv(rnic.RecvWR{WRID: 7, SGEs: sges}); err != nil {
+			t.Fatal(err)
+		}
+		qpsA, qpsB := r.sa.SuspendAll(), r.sb.SuspendAll()
+		sges = []rnic.SGE{{Addr: 0x110000, Len: 6, LKey: r.mrA.LKey()}, {Addr: 0x120000, Len: 6, LKey: r.mrA.LKey()}}
+		if err := r.qpA.PostSend(rnic.SendWR{WRID: 9, Opcode: rnic.OpSend, Signaled: true, SGEs: sges}); err != nil {
+			t.Fatal(err)
+		}
+		sges[0], sges[1] = rnic.SGE{}, rnic.SGE{} // the shadows hold their own copies
+		// Re-point both QPs at a fresh connected pair, as a restore does,
+		// so Resume replays the pending receive as well as the send.
+		caps := rnic.QPCaps{MaxSend: 128, MaxRecv: 128}
+		spareA := r.sa.ctx.CreateQP(r.qpA.pd.v, rnic.RC, r.cqA.v, r.cqA.v, nil, caps)
+		spareB := r.sb.ctx.CreateQP(r.qpB.pd.v, rnic.RC, r.cqB.v, r.cqB.v, nil, caps)
+		for _, c := range []struct {
+			qp   interface{ Modify(rnic.ModifyAttr) error }
+			node string
+			rqpn uint32
+		}{{spareA, "b", spareB.QPN()}, {spareB, "a", spareA.QPN()}} {
+			for _, a := range []rnic.ModifyAttr{{State: rnic.StateInit},
+				{State: rnic.StateRTR, RemoteNode: c.node, RemoteQPN: c.rqpn}, {State: rnic.StateRTS}} {
+				if err := c.qp.Modify(a); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		for _, q := range []struct {
+			s  *Session
+			qp *QP
+			v  *verbs.QP
+		}{{r.sa, r.qpA, spareA}, {r.sb, r.qpB, spareB}} {
+			delete(q.s.qps, q.qp.id)
+			q.qp.v, q.qp.id = q.v, q.v.ID
+			q.s.qps[q.qp.id] = q.qp
+			q.s.daemon.mapQPN(q.v.QPN(), q.qp.vqpn, q.s)
+		}
+		if err := r.sb.Resume(qpsB); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.sa.Resume(qpsA); err != nil {
+			t.Fatal(err)
+		}
+		r.cqB.WaitNonEmpty()
+		if got := r.cqB.Poll(4); len(got) != 1 || got[0].WRID != 7 || got[0].ByteLen != 12 || got[0].Status != rnic.WCSuccess {
+			t.Fatalf("receive completions %+v, want WR 7 with 12 bytes", got)
+		}
+		r.cqA.WaitNonEmpty()
+		if got := r.cqA.Poll(4); len(got) != 1 || got[0].WRID != 9 || got[0].Status != rnic.WCSuccess {
+			t.Fatalf("send completions %+v, want WR 9", got)
+		}
+		var first, second [6]byte
+		asB.Read(0x140000, first[:])
+		asB.Read(0x150000, second[:])
+		if string(first[:]) != "hello " || string(second[:]) != "world!" {
+			t.Fatalf("landed %q and %q, want \"hello \" and \"world!\"", first, second)
+		}
+		if r.qpA.Outstanding() != 0 || r.qpB.pendingRecvs.Len() != 0 {
+			t.Fatalf("shadows not retired: %d sends, %d receives", r.qpA.Outstanding(), r.qpB.pendingRecvs.Len())
+		}
+	})
+	r.cl.Sched.RunFor(time.Second)
 	if !done {
 		t.Fatal("test proc never finished (parked at a blocking call)")
 	}

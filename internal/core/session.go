@@ -902,9 +902,8 @@ func (s *Session) absorb(cq *CQ, e rnic.CQE) {
 		retireRecvWR(&qp.pendingRecvs, e.WRID)
 		return
 	}
-	unfinished := qp.unfinished.Items()
-	for i := range unfinished {
-		if unfinished[i].wr.WRID == e.WRID {
+	for i := 0; i < qp.unfinished.Len(); i++ {
+		if qp.unfinished.At(i).wr.WRID == e.WRID {
 			qp.unfinished.Drop(i + 1)
 			return
 		}
@@ -922,12 +921,9 @@ func (s *Session) absorb(cq *CQ, e rnic.CQE) {
 // oldest posting; an error/flush completion whose WR was already
 // retired leaves the list untouched.
 func retireRecvWR(pend *fifo.Queue[rnic.RecvWQE], wrid uint64) {
-	items := pend.Items()
-	for i := range items {
-		if items[i].WRID == wrid {
-			// Close the gap toward the head (usually i is 0), then pop.
-			copy(items[1:i+1], items[:i])
-			pend.Drop(1)
+	for i := 0; i < pend.Len(); i++ {
+		if pend.At(i).WRID == wrid {
+			pend.Remove(i) // usually i is 0
 			return
 		}
 	}

@@ -139,8 +139,8 @@ func TestAbsorbRetiresMatchingRecvWR(t *testing.T) {
 
 func recvWRIDs(pend *fifo.Queue[rnic.RecvWQE]) []uint64 {
 	out := make([]uint64, 0, pend.Len())
-	for _, e := range pend.Items() {
-		out = append(out, e.WRID)
+	for i := 0; i < pend.Len(); i++ {
+		out = append(out, pend.At(i).WRID)
 	}
 	return out
 }

@@ -24,19 +24,21 @@ import "fmt"
 // The paper sizes it as a flat array of 2^24 entries indexed by the
 // physical QPN, shared read-only with every process's library. A 64 MiB
 // array per device is wasteful in a simulation that hosts many devices
-// in one test binary, so the table is two-level with 4096-entry leaves —
-// lookups remain O(1) with one extra indirection and the dense-array
-// semantics are unchanged. The directory is a slice that reaches only
-// as far as the highest leaf in use: a device hands out QPNs from the
-// bottom of the space, so a host with a few dozen QPs pays for one
-// pointer and one leaf, not for 4096 directory entries.
+// in one test binary, so the table is two-level with 256-entry (1 KB)
+// leaves — lookups remain O(1) with one extra indirection and the
+// dense-array semantics are unchanged. The directory is a slice that
+// reaches only as far as the highest leaf in use: a device hands out
+// QPNs from the bottom of the space (from 0x100, 27 apart), so a leaf
+// covers about ten of a device's QPs, and a daemon with a handful of
+// QPs pays for a few pointers and one or two leaves — not for a 16 KB
+// leaf, most of whose entries no QP of the run ever takes.
 type qpnTable struct {
 	leaves []*[qpnLeafSz]uint32
 }
 
 const (
 	qpnSpace   = 1 << 24
-	qpnLeafSz  = 1 << 12
+	qpnLeafSz  = 1 << 8
 	qpnInvalid = ^uint32(0)
 )
 

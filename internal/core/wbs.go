@@ -162,9 +162,8 @@ func (s *Session) WaitBeforeStop(qps []*QP, cfg WBSConfig) WBSResult {
 	start := sched.Now()
 	var inflight int64
 	for _, qp := range qps {
-		unfinished := qp.unfinished.Items()
-		for i := range unfinished {
-			for _, sge := range unfinished[i].sges.Get() {
+		for i := 0; i < qp.unfinished.Len(); i++ {
+			for _, sge := range qp.unfinished.At(i).sges.Get() {
 				inflight += int64(sge.Len)
 			}
 		}
@@ -268,9 +267,8 @@ func (s *Session) Resume(qps []*QP) error {
 		if qp.srq == nil && !sameDev {
 			recvs := qp.pendingRecvs
 			qp.pendingRecvs = fifo.Queue[rnic.RecvWQE]{}
-			items := recvs.Items()
-			for i := range items {
-				if err := qp.postRecv(items[i].Request()); err != nil {
+			for i := 0; i < recvs.Len(); i++ {
+				if err := qp.postRecv(recvs.At(i).Request()); err != nil {
 					return err
 				}
 			}
@@ -294,14 +292,14 @@ func (s *Session) Resume(qps []*QP) error {
 				set = make(map[uint64]bool)
 				s.staleWRIDs[oldPhys] = set
 			}
-			for _, e := range unfinished.Items() {
-				set[e.wr.WRID] = true
+			for i := 0; i < unfinished.Len(); i++ {
+				set[unfinished.At(i).wr.WRID] = true
 			}
 		}
 		s.mReplayedWRs.Add(int64(unfinished.Len()))
-		for _, replay := range [2][]sendShadow{unfinished.Items(), intercepted.Items()} {
-			for i := range replay {
-				if err := qp.postSend(replay[i].request()); err != nil {
+		for _, replay := range [2]*fifo.Queue[sendShadow]{&unfinished, &intercepted} {
+			for i := 0; i < replay.Len(); i++ {
+				if err := qp.postSend(replay.At(i).request()); err != nil {
 					return err
 				}
 			}
@@ -314,9 +312,8 @@ func (s *Session) Resume(qps []*QP) error {
 		for _, srq := range s.srqs {
 			pend := srq.pending
 			srq.pending = fifo.Queue[rnic.RecvWQE]{}
-			items := pend.Items()
-			for i := range items {
-				if err := srq.postRecv(items[i].Request()); err != nil {
+			for i := 0; i < pend.Len(); i++ {
+				if err := srq.postRecv(pend.At(i).Request()); err != nil {
 					return err
 				}
 			}

@@ -221,15 +221,26 @@ func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
 }
 
 // DumpPages reads one batch of page contents at the dump cost model's
-// per-page rate. The batch is copied into one slab, an allocation a
-// batch instead of one a page; every record's Data is cut with its
-// capacity, so an append to one page cannot reach the next.
+// per-page rate. A zero page (mem.ZeroPage) gets a record aliasing the
+// read-only zeroPage; the others are copied into one slab, an
+// allocation a batch instead of one a page. Every record's Data is cut
+// with its capacity, so an append to one page cannot reach another.
+// Records are read-only.
 func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
 	recs := make([]PageRec, len(addrs))
-	slab := make([]byte, len(addrs)*mem.PageSize)
+	n := 0
+	for _, a := range addrs {
+		if !p.AS.ZeroPage(a) {
+			n++
+		}
+	}
+	slab := make([]byte, n*mem.PageSize)
 	for i, a := range addrs {
-		data := slab[i*mem.PageSize : (i+1)*mem.PageSize : (i+1)*mem.PageSize]
-		p.AS.ReadPageInto(a, data)
+		data := zeroPage[:]
+		if !p.AS.ZeroPage(a) {
+			data, slab = slab[:mem.PageSize:mem.PageSize], slab[mem.PageSize:]
+			p.AS.ReadPageInto(a, data)
+		}
 		recs[i] = PageRec{Addr: a, Data: data}
 	}
 	t.host.Sleep(time.Duration(len(addrs)) * t.cfg.DumpPerPage)
@@ -324,9 +335,10 @@ func (r *Restore) PartialRestore(img *Image) error {
 	return nil
 }
 
-// zeroPage backs zero-page application on the restore side: elided
-// zero pages ship a header only, but writing the zeros still pays the
-// normal per-page restore cost.
+// zeroPage is the content of every zero-page record a dump makes, and
+// what the restore side writes for a page the channel shipped as a
+// header only (writing it still pays the per-page restore cost). Nothing
+// writes it.
 var zeroPage [mem.PageSize]byte
 
 // ApplyChunk applies one page-channel chunk at its pages' current

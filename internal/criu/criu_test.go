@@ -285,3 +285,61 @@ func TestDumpedPagesShareASlabSafely(t *testing.T) {
 	})
 	s.Run()
 }
+
+// TestZeroPageRecordsAliasOneZeroPage: a dump gives every zero page
+// (written only with zeros, or never) a record aliasing one read-only
+// zero page and copies the rest, and the records are bytes-equal to a
+// dump that copies every page. A zero record is capped like a slab
+// record, so an append to it cannot write into the next record or into
+// the zero page.
+func TestZeroPageRecordsAliasOneZeroPage(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	tool, _ := newTool(s)
+	p := task.New(s, "p")
+	s.Go("test", func() {
+		p.AS.Map(0x1000, 8*mem.PageSize, "heap")
+		page := func(i int) mem.Addr { return mem.Addr(0x1000 + i*mem.PageSize) }
+		p.AS.Write(page(0), bytes.Repeat([]byte{'a'}, mem.PageSize))
+		p.AS.Write(page(1), make([]byte, mem.PageSize)) // zeros: the shared zero page
+		p.AS.Write(page(2), make([]byte, 100))          // partial zeros: the same
+		p.AS.Write(page(3), []byte{0, 0, 'd'})
+		p.AS.Write(page(4), []byte{'e'}) // private, then zeroed: still its own copy
+		p.AS.Write(page(4), []byte{0})
+		addrs := []mem.Addr{page(0), page(1), page(2), page(3), page(4), page(5)} // 5: never written
+		zero := map[mem.Addr]bool{page(1): true, page(2): true, page(5): true}
+
+		recs := tool.DumpPages(p, addrs)
+		var zeroData *byte
+		for i, a := range addrs {
+			want := make([]byte, mem.PageSize)
+			p.AS.ReadPageInto(a, want)
+			r := recs[i]
+			if r.Addr != a || !bytes.Equal(r.Data, want) || len(r.Data) != mem.PageSize || cap(r.Data) != mem.PageSize {
+				t.Fatalf("record %d: addr %#x, len %d, cap %d, or bytes differ from the page", i, r.Addr, len(r.Data), cap(r.Data))
+			}
+			if !zero[a] {
+				continue
+			}
+			if zeroData == nil {
+				zeroData = &r.Data[0]
+			} else if &r.Data[0] != zeroData {
+				t.Errorf("record %d (%#x): a zero page with a copy of its own", i, a)
+			}
+		}
+		if &recs[0].Data[0] == zeroData || &recs[4].Data[0] == zeroData {
+			t.Error("a page with a byte of its own aliases the zero page")
+		}
+		_ = append(recs[1].Data, 'X')
+		if !mem.AllZero(recs[2].Data) || !mem.AllZero(zeroPage[:]) {
+			t.Error("an append to a zero record wrote into the zero page")
+		}
+
+		// A batch of zero pages costs its records and nothing else.
+		zeros := []mem.Addr{page(1), page(2), page(5)}
+		if allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, zeros) }); allocs > 1 {
+			t.Errorf("dumping %d zero pages allocates %.0f times, want 1 (records)", len(zeros), allocs)
+		}
+	})
+	s.Run()
+}

@@ -90,7 +90,7 @@ func ConcurrentMigrations(k, cap int) (_ *ConcurrentResult, err error) {
 			p.Client.WaitReady()
 		}
 		r.CL.Sched.Sleep(settle)
-		before := r.CL.Metrics.Snapshot().Sum("rnic", "tx_bytes")
+		before := r.CL.Metrics.Sum("rnic", "tx_bytes")
 		start := r.CL.Sched.Now()
 		for i := 0; i < k; i++ {
 			if _, err := mgr.Submit(migmgr.Spec{
@@ -108,7 +108,7 @@ func ConcurrentMigrations(k, cap int) (_ *ConcurrentResult, err error) {
 		for _, p := range pairs {
 			p.Stop()
 		}
-		res.WireBytes = r.CL.Metrics.Snapshot().Sum("rnic", "tx_bytes") - before
+		res.WireBytes = r.CL.Metrics.Sum("rnic", "tx_bytes") - before
 		for _, j := range mgr.Jobs() {
 			if j.Err != nil {
 				return fmt.Errorf("%s %s->%s: %w", j.ID, j.Src, j.Spec.Dst, j.Err)

@@ -70,7 +70,7 @@ func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed in
 	mopts := runc.DefaultMigrateOptions()
 	mopts.Cutover = mode
 	err = migrateLatencyServer(seed, msgSize, qps, messages, mopts, false, func(r *Rig, pair *Pair, rep *runc.Report) {
-		snap := r.CL.Metrics.Snapshot()
+		m := r.CL.Metrics
 		row = CutoverRow{
 			Mode: mode, MsgSize: msgSize, QPs: qps,
 			Samples:       len(pair.Client.Stats.LatSamples),
@@ -78,11 +78,11 @@ func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed in
 			P99:           pair.Client.Stats.LatPercentile(99),
 			Max:           pair.Client.Stats.LatPercentile(100),
 			Blackout:      rep.ServiceBlackout,
-			Retransmitted: snap.Sum("rnic", "retx_packets"),
-			Duplicated:    snap.Sum("rnic", "duplicated_packets"),
-			WireBytes:     snap.Sum("rnic", "tx_bytes"),
+			Retransmitted: m.Sum("rnic", "retx_packets"),
+			Duplicated:    m.Sum("rnic", "duplicated_packets"),
+			WireBytes:     m.Sum("rnic", "tx_bytes"),
 			PlugFlushed:   int64(rep.PlugFlushed),
-			Forwarded:     snap.Sum("rnic", "forwarded_packets"),
+			Forwarded:     m.Sum("rnic", "forwarded_packets"),
 		}
 	})
 	return row, err

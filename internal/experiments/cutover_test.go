@@ -89,3 +89,26 @@ func TestRepsLeaveNothingBehind(t *testing.T) {
 		t.Errorf("%d goroutines after 300 reps, %d after 10", n, goroutines10)
 	}
 }
+
+// TestCutoverRepAllocationBudget guards what a rep of the benchmark's
+// cutover-gbn configuration allocates: at most 0.6 MB after a warm rep
+// (0.36 MB with the shared zero page, zero-page dump records, reserved
+// rings and one inline SGE; 1.24 MB without them). It is not parallel,
+// so nothing else allocates while it reads the allocator's total.
+func TestCutoverRepAllocationBudget(t *testing.T) {
+	rep := func() {
+		if _, err := RunCutoverSeeded(runc.CutoverGoBackN, 8192, 2, 50, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep() // warm
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rep()
+	runtime.ReadMemStats(&after)
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
+	t.Logf("a cutover-gbn rep allocates %.3f MB", mb)
+	if mb > 0.6 {
+		t.Fatalf("a cutover-gbn rep allocates %.3f MB, budget 0.6 MB", mb)
+	}
+}

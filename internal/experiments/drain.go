@@ -188,9 +188,9 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (_ DrainPoin
 			pairs[cNode].Client.WaitReady()
 		}
 		sched.Sleep(settle)
-		before := cl.Metrics.Snapshot()
-		spineBefore := before.Sum("fabric", "uplink_tx_bytes") + before.Sum("fabric", "uplink_rx_bytes")
-		wireBefore := before.Sum("rnic", "tx_bytes")
+		m := cl.Metrics
+		spineBefore := m.Sum("fabric", "uplink_tx_bytes") + m.Sum("fabric", "uplink_rx_bytes")
+		wireBefore := m.Sum("rnic", "tx_bytes")
 		start := sched.Now()
 		d = orch.Submit(&orchestrator.Drain{
 			Selector:    func(h *cluster.Host) bool { return targets[h.Name] },
@@ -200,9 +200,8 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (_ DrainPoin
 		})
 		d.Wait()
 		elapsed = sched.Now() - start
-		after := cl.Metrics.Snapshot()
-		spine = after.Sum("fabric", "uplink_tx_bytes") + after.Sum("fabric", "uplink_rx_bytes") - spineBefore
-		wire = after.Sum("rnic", "tx_bytes") - wireBefore
+		spine = m.Sum("fabric", "uplink_tx_bytes") + m.Sum("fabric", "uplink_rx_bytes") - spineBefore
+		wire = m.Sum("rnic", "tx_bytes") - wireBefore
 		// Drain a little post-cutover, then stop the workload.
 		sched.Sleep(2 * time.Millisecond)
 		for _, cNode := range drained {

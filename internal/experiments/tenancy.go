@@ -157,14 +157,13 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 	if want := int64(sessions * 2 * tenancyBurst); gw.Stats.AckedOK != want {
 		return TenancyRow{}, fmt.Errorf("%d ops acked, want %d", gw.Stats.AckedOK, want)
 	}
-	snap := r.CL.Metrics.Snapshot()
 	return TenancyRow{
 		Sessions: sessions, Mode: mode, Transfer: transfer,
 		Blackout:   rep.ServiceBlackout,
 		ReplayRDMA: rep.RestoreRDMA,
 		Total:      rep.Total,
 		Pages:      rep.PagesTransferred,
-		WireBytes:  snap.Sum("rnic", "tx_bytes"),
+		WireBytes:  r.CL.Metrics.Sum("rnic", "tx_bytes"),
 		FinalWire:  rep.FinalWireBytes,
 		Acked:      gw.Stats.AckedOK,
 		DrainAfter: drainAfter,

@@ -1,36 +1,53 @@
-// Package fifo provides the head-indexed queue the per-message paths
-// share (device packet queues, WQE rings, the guest library's shadow
+// Package fifo provides the ring queue the per-message paths share
+// (device packet queues, WQE rings, the guest library's shadow
 // work-request lists).
 package fifo
 
-// Queue is a head-indexed FIFO queue. Popping advances a head index
-// instead of re-slicing, so the backing array's capacity survives
-// arbitrary push/pop interleavings: per-packet queues (the device rx
-// queue, the control/response transmit queues, the QP transmit ring)
-// reach a steady state with no allocation per element. The zero value
-// is an empty queue.
+// Queue is a FIFO ring. Elements stay where they were pushed until they
+// are removed, and the ring allocates only when a push finds it full:
+// a queue reserved for its depth (a receive ring), or one that has
+// reached its steady-state depth (the device rx queue, the transmit
+// queues), allocates nothing per element. The zero value is empty.
 type Queue[T any] struct {
-	buf  []T
-	head int
+	buf  []T // len(buf) is the capacity
+	head int // buf index of the first element
+	n    int
 }
 
 // Len reports the number of queued elements.
-func (q *Queue[T]) Len() int { return len(q.buf) - q.head }
+func (q *Queue[T]) Len() int { return q.n }
+
+// At returns a pointer to the i-th element (0 is the head). It stays
+// valid until the element is removed or the ring grows.
+func (q *Queue[T]) At(i int) *T {
+	if i += q.head; i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	return &q.buf[i]
+}
 
 // Reserve makes room for n elements, so that a queue whose depth is
-// known when it is first used (a receive ring) is allocated once and
-// not by doubling. It does nothing once the queue has that capacity.
+// known when it is first used (a receive ring) is allocated once, at
+// exactly that size. It does nothing once the queue has that capacity.
 func (q *Queue[T]) Reserve(n int) {
-	if cap(q.buf) >= n {
+	if len(q.buf) >= n {
 		return
 	}
-	buf := make([]T, q.Len(), n)
-	copy(buf, q.buf[q.head:])
+	buf := make([]T, n)
+	for i := range q.n {
+		buf[i] = *q.At(i)
+	}
 	q.buf, q.head = buf, 0
 }
 
-// Push appends v.
-func (q *Queue[T]) Push(v T) { q.buf = append(q.buf, v) }
+// Push appends v, doubling the ring when it is full.
+func (q *Queue[T]) Push(v T) {
+	if q.n == len(q.buf) {
+		q.Reserve(max(2*q.n, 4))
+	}
+	q.n++
+	*q.At(q.n - 1) = v
+}
 
 // Pop removes and returns the head element.
 func (q *Queue[T]) Pop() T {
@@ -41,26 +58,25 @@ func (q *Queue[T]) Pop() T {
 
 // Drop removes the first n elements.
 func (q *Queue[T]) Drop(n int) {
-	clear(q.buf[q.head : q.head+n])
-	q.head += n
-	if q.head == len(q.buf) {
-		q.buf = q.buf[:0]
-		q.head = 0
-	} else if q.head >= len(q.buf)-q.head {
-		// Slide the live tail down once the dead prefix is as long: a
-		// queue that never fully drains stays within twice its live size
-		// (its working set stays cache-sized even with large elements),
-		// at one element move per removal amortised.
-		live := copy(q.buf, q.buf[q.head:])
-		clear(q.buf[live:])
-		q.buf = q.buf[:live]
-		q.head = 0
+	for ; n > 0; n-- {
+		var zero T
+		q.buf[q.head] = zero
+		if q.head++; q.head == len(q.buf) {
+			q.head = 0
+		}
+		q.n--
 	}
 }
 
 // Front returns the head element without removing it.
 func (q *Queue[T]) Front() T { return q.buf[q.head] }
 
-// Items returns the live elements in order. The slice aliases the
-// queue's storage and is invalidated by Push, Pop and Drop.
-func (q *Queue[T]) Items() []T { return q.buf[q.head:] }
+// Remove deletes the i-th element and keeps the others in order: the
+// ones before it move one place toward the tail, so a removal near the
+// head (the common case) moves few.
+func (q *Queue[T]) Remove(i int) {
+	for ; i > 0; i-- {
+		*q.At(i) = *q.At(i - 1)
+	}
+	q.Drop(1)
+}

@@ -1,10 +1,23 @@
 package fifo
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
+
+// items returns the queue's elements in order through At.
+func items[T any](q *Queue[T]) []T {
+	out := make([]T, q.Len())
+	for i := range out {
+		out[i] = *q.At(i)
+	}
+	return out
+}
 
 // TestOrderAndBoundedStorage drives a queue that never drains (the
-// shape of a send window) and checks FIFO order, Items, Drop, and that
-// the backing array stays within a small multiple of the live size.
+// shape of a send window) through thousands of wrap-arounds and checks
+// FIFO order, At, Drop, and that the ring never grew past the first
+// power of two above its peak depth.
 func TestOrderAndBoundedStorage(t *testing.T) {
 	var q Queue[int]
 	next, want := 0, 0
@@ -18,8 +31,8 @@ func TestOrderAndBoundedStorage(t *testing.T) {
 		if round%3 == 0 {
 			q.Push(next)
 			next++
-			if q.Front() != want || q.Items()[1] != want+1 {
-				t.Fatalf("round %d: head %d,%d, want %d,%d", round, q.Front(), q.Items()[1], want, want+1)
+			if q.Front() != want || *q.At(1) != want+1 {
+				t.Fatalf("round %d: head %d,%d, want %d,%d", round, q.Front(), *q.At(1), want, want+1)
 			}
 			q.Drop(2)
 			want += 2
@@ -33,8 +46,8 @@ func TestOrderAndBoundedStorage(t *testing.T) {
 			t.Fatalf("round %d: Len %d, want %d", round, q.Len(), next-want)
 		}
 	}
-	if c := cap(q.buf); c > 4*q.Len()+8 {
-		t.Fatalf("backing array grew to %d for %d live elements", c, q.Len())
+	if len(q.buf) != 64 {
+		t.Fatalf("ring of peak depth 50 grew to %d slots, want 64", len(q.buf))
 	}
 	for q.Len() > 0 {
 		if got := q.Pop(); got != want {
@@ -42,8 +55,68 @@ func TestOrderAndBoundedStorage(t *testing.T) {
 		}
 		want++
 	}
-	if q.head != 0 || len(q.buf) != 0 {
-		t.Fatalf("drained queue not reset: head %d len %d", q.head, len(q.buf))
+	if q.Len() != 0 || len(q.buf) != 64 {
+		t.Fatalf("drained queue: len %d, %d slots", q.Len(), len(q.buf))
+	}
+}
+
+// TestGrowKeepsOrder: a full ring whose head is mid-buffer doubles with
+// its elements in order.
+func TestGrowKeepsOrder(t *testing.T) {
+	var q Queue[int]
+	q.Reserve(4)
+	for i := 0; i < 4; i++ {
+		q.Push(i)
+	}
+	q.Drop(3)
+	for i := 4; i < 7; i++ {
+		q.Push(i) // wraps: slots 0..2
+	}
+	q.Push(7) // full: grows
+	if got, want := items(&q), []int{3, 4, 5, 6, 7}; !slices.Equal(got, want) {
+		t.Fatalf("after growth %v, want %v", got, want)
+	}
+	if len(q.buf) != 8 || q.head != 0 {
+		t.Fatalf("grown ring has %d slots, head %d; want 8, 0", len(q.buf), q.head)
+	}
+}
+
+// TestRemoveKeepsOrder removes at the head, in the middle and at the
+// tail of a ring whose elements wrap around its end.
+func TestRemoveKeepsOrder(t *testing.T) {
+	for _, tc := range []struct {
+		at   int
+		want []int
+	}{
+		{0, []int{11, 12, 13, 14}},
+		{2, []int{10, 11, 13, 14}},
+		{4, []int{10, 11, 12, 13}},
+	} {
+		var q Queue[*int]
+		q.Reserve(5)
+		for i := 0; i < 3; i++ {
+			q.Push(nil)
+		}
+		q.Drop(3) // the head is at slot 3: the five elements wrap
+		vals := make([]*int, 5)
+		for i := range vals {
+			vals[i] = new(int)
+			*vals[i] = 10 + i
+			q.Push(vals[i])
+		}
+		q.Remove(tc.at)
+		var got []int
+		for i := 0; i < q.Len(); i++ {
+			got = append(got, **q.At(i))
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Fatalf("Remove(%d) left %v, want %v", tc.at, got, tc.want)
+		}
+		for i, p := range q.buf {
+			if p == vals[tc.at] {
+				t.Fatalf("Remove(%d): slot %d still references the removed element", tc.at, i)
+			}
+		}
 	}
 }
 
@@ -55,36 +128,42 @@ func TestPopClearsSlot(t *testing.T) {
 		q.Push(new(int))
 	}
 	q.Pop()
-	for i, p := range q.buf[:cap(q.buf)] {
+	for i, p := range q.buf {
 		if p == first {
 			t.Fatalf("slot %d still references the popped element", i)
 		}
 	}
 }
 
-// TestReserveAllocatesOnce: a reserved queue takes its depth in pushes
-// without growing, keeps what it held, and Reserve is free afterwards.
+// TestReserveAllocatesOnce: a reserved queue is allocated at exactly
+// the reserved size, keeps what it held, takes its depth in pushes and
+// any number of push/pop cycles without allocating, and Reserve is free
+// afterwards.
 func TestReserveAllocatesOnce(t *testing.T) {
 	var q Queue[int]
 	q.Push(1)
 	q.Push(2)
 	q.Pop()
-	q.Reserve(64)
-	if q.Len() != 1 || q.Front() != 2 || cap(q.buf) != 64 {
-		t.Fatalf("after Reserve: len %d, front %d, cap %d", q.Len(), q.Front(), cap(q.buf))
+	q.Reserve(63)
+	if q.Len() != 1 || q.Front() != 2 || len(q.buf) != 63 {
+		t.Fatalf("after Reserve: len %d, front %d, slots %d", q.Len(), q.Front(), len(q.buf))
 	}
 	allocs := testing.AllocsPerRun(10, func() {
-		for q.Len() < 64 {
-			q.Reserve(64)
+		for q.Len() < 63 {
+			q.Reserve(63)
 			q.Push(0)
 		}
-		q.Drop(63)
+		q.Drop(62)
+		for i := 0; i < 200; i++ {
+			q.Push(i)
+			q.Pop()
+		}
 	})
 	if allocs != 0 {
-		t.Fatalf("filling a reserved queue allocates %.0f times", allocs)
+		t.Fatalf("push/pop on a reserved queue allocates %.0f times", allocs)
 	}
 	q.Reserve(8) // smaller than what it has: nothing to do
-	if cap(q.buf) != 64 {
-		t.Fatalf("Reserve shrank the queue to %d", cap(q.buf))
+	if len(q.buf) != 63 {
+		t.Fatalf("Reserve shrank the queue to %d", len(q.buf))
 	}
 }

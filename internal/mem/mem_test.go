@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -480,5 +481,196 @@ func TestPageIsOneAllocation(t *testing.T) {
 	as.Unmap(0x40000)
 	if as.DirtyPages() != nil || as.PopulatedPages() != nil {
 		t.Fatalf("pages survive Unmap: dirty %#x populated %#x", as.DirtyPages(), as.PopulatedPages())
+	}
+}
+
+// --- Shared zero page --------------------------------------------------------
+
+// refAS is the reference address space of the zero-page differential:
+// every written page is a private copy, as before the shared zero page.
+type refAS struct {
+	pages map[Addr]*page
+	dirty map[Addr]bool
+}
+
+func (r *refAS) write(a Addr, buf []byte, markDirty bool) {
+	for off := 0; off < len(buf); {
+		pa := PageFloor(a + Addr(off))
+		in := int(a + Addr(off) - pa)
+		n := min(PageSize-in, len(buf)-off)
+		if r.pages[pa] == nil {
+			r.pages[pa] = new(page)
+		}
+		copy(r.pages[pa][in:in+n], buf[off:off+n])
+		if markDirty {
+			r.dirty[pa] = true
+		}
+		off += n
+	}
+}
+
+// move carries the pages of [old, old+len) to new, dirty bits with them.
+func (r *refAS) move(old, new Addr, length uint64) {
+	pages, dirty := map[Addr]*page{}, map[Addr]bool{}
+	for off := Addr(0); off < Addr(length); off += PageSize {
+		if pg := r.pages[old+off]; pg != nil {
+			pages[new+off], dirty[new+off] = pg, r.dirty[old+off]
+			delete(r.pages, old+off)
+			delete(r.dirty, old+off)
+		}
+	}
+	for a, pg := range pages {
+		r.pages[a] = pg
+		if dirty[a] {
+			r.dirty[a] = true
+		}
+	}
+}
+
+func sortedKeys[V any](m map[Addr]V) []Addr {
+	var out []Addr
+	for a := range m {
+		out = append(out, a)
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestZeroPageDifferential drives the real address space and a
+// private-pages-only reference through the same seeded mix of zero and
+// non-zero, partial and whole-page Write/WriteClean, reads, ClearDirty,
+// Remap and Unmap. After every step every page's bytes, DirtyPages and
+// PopulatedPages agree, and the shared zero page stays all zeros.
+func TestZeroPageDifferential(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		as := NewAddressSpace()
+		ref := &refAS{pages: map[Addr]*page{}, dirty: map[Addr]bool{}}
+		const aLen, bLen = 8 * PageSize, 4 * PageSize
+		aStart, bStart, bAlt := Addr(0x100000), Addr(0x200000), Addr(0x300000)
+		as.Map(aStart, aLen, "a")
+		as.Map(bStart, bLen, "b")
+		got, want := make([]byte, PageSize), make([]byte, PageSize)
+		for step := 0; step < 2000; step++ {
+			vmas := as.VMAs()
+			v := vmas[rng.Intn(len(vmas))]
+			switch op := rng.Intn(20); {
+			case op < 12: // a write
+				var n int
+				var a Addr
+				if rng.Intn(2) == 0 { // a whole page
+					n, a = PageSize, v.Start+Addr(rng.Intn(int(v.Len/PageSize)))*PageSize
+				} else { // partial, possibly across a page boundary
+					n = 1 + rng.Intn(2*PageSize)
+					a = v.Start + Addr(rng.Intn(int(v.Len)-n+1))
+				}
+				buf := make([]byte, n)
+				switch rng.Intn(3) {
+				case 1: // one non-zero byte among zeros
+					buf[rng.Intn(n)] = byte(1 + rng.Intn(255))
+				case 2:
+					rng.Read(buf)
+				}
+				clean := rng.Intn(4) == 0
+				if clean {
+					as.WriteClean(a, buf)
+				} else {
+					as.Write(a, buf)
+				}
+				ref.write(a, buf, !clean)
+			case op < 15: // a read, compared with the reference
+				n := 1 + rng.Intn(2*PageSize)
+				a := v.Start + Addr(rng.Intn(int(v.Len)-n+1))
+				buf := make([]byte, n)
+				if err := as.Read(a, buf); err != nil {
+					t.Fatal(err)
+				}
+				for i := range buf {
+					pa := PageFloor(a + Addr(i))
+					var w byte
+					if pg := ref.pages[pa]; pg != nil {
+						w = pg[a+Addr(i)-pa]
+					}
+					if buf[i] != w {
+						t.Fatalf("seed %d step %d: read byte %#x = %#x, want %#x", seed, step, a+Addr(i), buf[i], w)
+					}
+				}
+			case op < 17:
+				as.ClearDirty()
+				clear(ref.dirty)
+			case op < 19: // move b between its two homes
+				if err := as.Remap(bStart, bAlt); err != nil {
+					t.Fatal(err)
+				}
+				ref.move(bStart, bAlt, bLen)
+				bStart, bAlt = bAlt, bStart
+			default: // unmap a and map it again empty
+				if err := as.Unmap(aStart); err != nil {
+					t.Fatal(err)
+				}
+				for a := aStart; a < aStart+aLen; a += PageSize {
+					delete(ref.pages, a)
+					delete(ref.dirty, a)
+				}
+				as.Map(aStart, aLen, "a")
+			}
+			for _, v := range as.VMAs() {
+				for a := v.Start; a < v.End(); a += PageSize {
+					as.ReadPageInto(a, got)
+					clear(want)
+					if pg := ref.pages[a]; pg != nil {
+						copy(want, pg[:])
+					}
+					if !bytes.Equal(got, want) {
+						t.Fatalf("seed %d step %d: page %#x differs from the reference", seed, step, a)
+					}
+				}
+			}
+			if g, w := as.DirtyPages(), sortedKeys(ref.dirty); !slices.Equal(g, w) {
+				t.Fatalf("seed %d step %d: dirty pages %#x, want %#x", seed, step, g, w)
+			}
+			if g, w := as.PopulatedPages(), sortedKeys(ref.pages); !slices.Equal(g, w) {
+				t.Fatalf("seed %d step %d: populated pages %#x, want %#x", seed, step, g, w)
+			}
+		}
+		if zeroPage != (page{}) {
+			t.Fatalf("seed %d: the shared zero page was written", seed)
+		}
+	}
+}
+
+// TestZeroWriteSharesTheZeroPage: writing zeros to a page without
+// content allocates nothing and leaves it on the shared zero page, yet
+// populated and dirty; the first non-zero byte gives it its own copy.
+func TestZeroWriteSharesTheZeroPage(t *testing.T) {
+	as := NewAddressSpace()
+	if _, err := as.Map(0x100000, 4096*PageSize, "arena"); err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]byte, PageSize)
+	next := Addr(0x100000)
+	touch := func() {
+		if err := as.Write(next, zeros); err != nil {
+			t.Fatal(err)
+		}
+		next += PageSize
+	}
+	for i := 0; i < 1024; i++ {
+		touch() // grow the page and dirty maps past their next few doublings
+	}
+	if n := testing.AllocsPerRun(500, touch); n != 0 {
+		t.Fatalf("a zero write to a fresh page allocates %.0f times, want 0", n)
+	}
+	touched := int((next - 0x100000) / PageSize)
+	if !as.ZeroPage(0x100000) || len(as.PopulatedPages()) != touched || len(as.DirtyPages()) != touched {
+		t.Fatalf("zero-written pages: zero %v, populated %d, dirty %d",
+			as.ZeroPage(0x100000), len(as.PopulatedPages()), len(as.DirtyPages()))
+	}
+	as.Write(0x100000+7, []byte{0, 5})
+	if as.ZeroPage(0x100000) || !as.ZeroPage(0x100000+PageSize) {
+		t.Fatal("a non-zero write did not give the page its own copy, or gave its neighbour one")
+	}
+	if v, _ := as.ReadU64(0x100000 + 7); v != 5<<8 {
+		t.Fatalf("read back %#x, want 0x500", v)
 	}
 }

@@ -489,14 +489,34 @@ func (s *Snapshot) Get(key string) (Value, bool) {
 // with any label set — the cross-node roll-up the chaos report uses.
 func (s *Snapshot) Sum(component, name string) int64 {
 	exact := component + "/" + name
-	prefix := exact + "{"
 	var total int64
 	for _, v := range s.Values {
-		if v.Key == exact || strings.HasPrefix(v.Key, prefix) {
+		if sumKey(v.Key, exact) {
 			total += v.Value
 		}
 	}
 	return total
+}
+
+// Sum is Snapshot().Sum(component, name) read off the live metrics, with
+// no copy and no sort (a histogram's Value is zero in a snapshot too).
+func (r *Registry) Sum(component, name string) int64 {
+	exact := component + "/" + name
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var total int64
+	for _, m := range r.ordered {
+		if m.kind != KindHistogram && sumKey(m.key, exact) {
+			total += m.val.Load()
+		}
+	}
+	return total
+}
+
+// sumKey reports whether key is exact, bare or with labels.
+func sumKey(key, exact string) bool {
+	rest, ok := strings.CutPrefix(key, exact)
+	return ok && (rest == "" || rest[0] == '{')
 }
 
 // Diff returns a snapshot holding the change since prev: counters and

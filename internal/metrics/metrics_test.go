@@ -202,6 +202,38 @@ func TestSnapshotSumAndDiff(t *testing.T) {
 	}
 }
 
+// TestRegistrySumMatchesSnapshot: the live roll-up equals the
+// snapshot's for every component/name pair of a populated registry —
+// labelled and bare keys, gauges and histograms, and names that share a
+// prefix with another name or component.
+func TestRegistrySumMatchesSnapshot(t *testing.T) {
+	r := New(nil)
+	r.Counter("rnic", "tx_bytes", L("node", "a")).Add(3)
+	r.Counter("rnic", "tx_bytes", L("node", "b")).Add(4)
+	r.Counter("rnic", "tx_bytes", Labels{}).Add(5)
+	r.Counter("rnic", "tx_bytes_total", Labels{}).Add(100)
+	r.Counter("rnic", "tx", L("node", "a")).Add(1000)
+	r.Counter("rnicx", "tx_bytes", Labels{}).Add(10000)
+	r.Counter("rn", "ic/tx_bytes", Labels{}).Add(20000)
+	r.Gauge("pagechan", "staged_chunks", L("mig", "m1")).Set(6)
+	r.Histogram("rnic", "lat", L("node", "a"), []int64{1, 2}).Observe(2)
+	snap := r.Snapshot()
+	pairs := map[[2]string]bool{{"rnic", "absent"}: true, {"absent", "tx"}: true}
+	for _, v := range snap.Values {
+		comp, rest, _ := strings.Cut(v.Key, "/")
+		name, _, _ := strings.Cut(rest, "{")
+		pairs[[2]string{comp, name}] = true
+	}
+	for p := range pairs {
+		if got, want := r.Sum(p[0], p[1]), snap.Sum(p[0], p[1]); got != want {
+			t.Errorf("Sum(%q, %q) = %d, snapshot says %d", p[0], p[1], got, want)
+		}
+	}
+	if got := r.Sum("rnic", "tx_bytes"); got != 12 {
+		t.Fatalf("Sum(rnic, tx_bytes) = %d, want 12", got)
+	}
+}
+
 func TestSnapshotHashStable(t *testing.T) {
 	build := func() *Snapshot {
 		r := New(nil)

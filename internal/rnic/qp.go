@@ -256,35 +256,24 @@ func (qp *QP) enterError() {
 		return
 	}
 	qp.state = StateError
-	for _, e := range qp.sq {
-		if e.state != sqCompleted {
-			if e.status == WCSuccess {
-				e.status = WCWRFlushErr
-			}
-			e.state = sqAcked
+	for _, e := range qp.sq { // none is sqCompleted (see SendQueueDepth)
+		if e.status == WCSuccess {
+			e.status = WCWRFlushErr
 		}
+		e.state = sqAcked
 	}
 	qp.completeInOrder()
-	for _, w := range qp.rq.Items() {
-		qp.recvCQ.push(CQE{WRID: w.WRID, Status: WCWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
+	for i := 0; i < qp.rq.Len(); i++ {
+		qp.recvCQ.push(CQE{WRID: qp.rq.At(i).WRID, Status: WCWRFlushErr, Opcode: OpRecv, QPN: qp.QPN})
 	}
 	qp.rq = fifo.Queue[RecvWQE]{}
 }
 
-// outstanding counts send WQEs not yet retired.
-func (qp *QP) outstanding() int {
-	n := 0
-	for _, e := range qp.sq {
-		if e.state != sqCompleted {
-			n++
-		}
-	}
-	return n
-}
-
 // SendQueueDepth reports in-flight send WQEs (posted, not yet retired) —
-// the head/tail window the paper's wait-before-stop inspects (§3.4).
-func (qp *QP) SendQueueDepth() int { return qp.outstanding() }
+// the head/tail window the paper's wait-before-stop inspects (§3.4). It
+// is the whole send queue: completeInOrder takes every entry it
+// completes off the queue in the same call.
+func (qp *QP) SendQueueDepth() int { return len(qp.sq) }
 
 // RecvQueueDepth reports receive WQEs not yet consumed.
 func (qp *QP) RecvQueueDepth() int {
@@ -302,7 +291,7 @@ func (qp *QP) PostSend(wr SendWR) error {
 	if qp.state != StateRTS {
 		return fmt.Errorf("rnic: PostSend in state %v", qp.state)
 	}
-	if qp.outstanding() >= qp.caps.MaxSend {
+	if len(qp.sq) >= qp.caps.MaxSend {
 		return fmt.Errorf("rnic: send queue full (depth %d)", qp.caps.MaxSend)
 	}
 	if qp.Type == UD {
@@ -474,7 +463,7 @@ func (qp *QP) onRTO() {
 	qp.retries++
 	if qp.retries > qp.dev.cfg.MaxRetries {
 		for _, e := range qp.sq {
-			if e.state != sqCompleted && e.status == WCSuccess {
+			if e.status == WCSuccess {
 				e.status = WCRetryExceeded
 			}
 		}
@@ -493,7 +482,7 @@ func (qp *QP) rnrRetry() {
 	qp.rnrRetries++
 	if max := qp.dev.cfg.RNRRetries; max > 0 && qp.rnrRetries > max {
 		for _, e := range qp.sq {
-			if e.state != sqCompleted && e.status == WCSuccess {
+			if e.status == WCSuccess {
 				e.status = WCRNRRetryExceeded
 			}
 		}

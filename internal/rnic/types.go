@@ -165,8 +165,10 @@ type SGE struct {
 }
 
 // inlineSGEs is how many scatter/gather elements an SGEList holds in its
-// own storage; longer lists spill to a heap copy.
-const inlineSGEs = 4
+// own storage; longer lists spill to a heap copy. Every work request the
+// tree posts has one SGE, and each more inline would add 16 bytes to
+// every WQE, shadow and receive-ring slot (a RecvWQE is 56 bytes).
+const inlineSGEs = 1
 
 // SGEList is an owned copy of a posted scatter/gather list. Whoever
 // queues a work request — the device its WQE, the guest library its

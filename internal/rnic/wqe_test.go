@@ -100,8 +100,8 @@ func wqeInvariant(t *testing.T, d *Device) {
 				t.Fatalf("pooled entry %p (psn %d) is still on the send queue of QP %#x", e, e.psn, qp.QPN)
 			}
 		}
-		for _, e := range qp.txq.Items() {
-			if free[e] {
+		for i := 0; i < qp.txq.Len(); i++ {
+			if e := *qp.txq.At(i); free[e] {
 				t.Fatalf("pooled entry %p (psn %d) is still on the transmit queue of QP %#x", e, e.psn, qp.QPN)
 			}
 		}
@@ -289,6 +289,84 @@ func TestSRQOwnsPostedSGEs(t *testing.T) {
 		}
 		if srq.Len() != 0 {
 			t.Errorf("SRQ holds %d entries after draining", srq.Len())
+		}
+	})
+	r.s.Run()
+}
+
+// TestSendQueueHoldsNoCompletedEntry pins what SendQueueDepth and the
+// queue-full check of PostSend rely on:
+// completeInOrder takes every entry it completes off the send queue, so
+// no entry of qp.sq is ever sqCompleted — through ACKs, go-back-N by
+// NAK and by RTO, and the retry-exceeded flush into the error state.
+func TestSendQueueHoldsNoCompletedEntry(t *testing.T) {
+	const msgs, depth = 120, 8
+	r := newRig(t, Config{}, func(r *rig) {
+		mrA := r.a.regMR(t, 0x100000, 1<<20)
+		mrB := r.b.regMR(t, 0x100000, 1<<20)
+		checks := 0
+		check := func() {
+			checks++
+			for _, e := range r.qpA.sq {
+				if e.state == sqCompleted {
+					t.Fatalf("completed entry (psn %d) still on the send queue", e.psn)
+				}
+			}
+		}
+		// An "ack" marks an entry between two completeInOrder calls; a
+		// "cqe" is emitted from inside one, so it is checked after the poll.
+		r.a.dev.Metrics().Listen(func(e metrics.Event) error {
+			if e.Kind == "ack" && e.Node == "hostA" {
+				check()
+			}
+			return nil
+		})
+		for i := 0; i < msgs+depth; i++ {
+			sge := []SGE{{Addr: 0x100000 + mem.Addr(i%64*8192), Len: 8192, LKey: mrB.LKey}}
+			if err := r.qpB.PostRecv(RecvWR{WRID: uint64(i), SGEs: sge}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		r.net.SetLoss("hostA", 0.05)
+		r.net.SetLoss("hostB", 0.05)
+		send := func(i int) {
+			sge := []SGE{{Addr: 0x100000 + mem.Addr(i%depth*8192), Len: 5000, LKey: mrA.LKey}}
+			if err := r.qpA.PostSend(SendWR{WRID: uint64(i), Opcode: OpSend, Signaled: true, SGEs: sge}); err != nil {
+				t.Fatal(err)
+			}
+			check()
+		}
+		posted, done := 0, 0
+		for done < msgs {
+			for ; posted < msgs && posted-done < depth; posted++ {
+				send(posted)
+			}
+			if c := pollN(r.a.cq, 1)[0]; c.Status != WCSuccess {
+				t.Fatalf("send %d: %+v", done, c)
+			}
+			check()
+			done++
+		}
+		if r.qpA.NGoBackN == 0 || r.qpB.NNaks == 0 {
+			t.Fatalf("go-back-N rounds %d, NAKs %d: both recoveries must have run", r.qpA.NGoBackN, r.qpB.NNaks)
+		}
+		// Everything lost from here on: RTOs until the retry budget runs
+		// out, then the flush into the error state.
+		r.net.SetLoss("hostA", 1)
+		for ; posted < msgs+depth; posted++ {
+			send(posted)
+		}
+		for _, c := range pollN(r.a.cq, depth) {
+			if c.Status != WCRetryExceeded && c.Status != WCWRFlushErr {
+				t.Fatalf("flushed send: %+v", c)
+			}
+		}
+		check()
+		if r.qpA.State() != StateError || len(r.qpA.sq) != 0 {
+			t.Fatalf("state %v with %d entries on the send queue", r.qpA.State(), len(r.qpA.sq))
+		}
+		if checks < msgs {
+			t.Fatalf("only %d checks ran", checks)
 		}
 	})
 	r.s.Run()
