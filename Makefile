@@ -85,9 +85,11 @@ chaos-race:
 # (go test fuzzes one target per invocation). FuzzDecode walks reflect,
 # whose first-use paths make coverage flicker; the engine's default 60 s
 # budget for minimising each "interesting" input would eat the ten
-# seconds, hence the 1 s cap.
+# seconds, hence the 1 s cap. The decoder line first runs its seed
+# corpus (the header-only zero packet among them) and the zero-packet
+# codec test.
 fuzz:
-	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzDecodePacket -fuzztime=10s
+	$(GO) test ./internal/rnic -run='FuzzDecodePacket|TestZeroPacketCodec' -fuzz=FuzzDecodePacket -fuzztime=10s
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzRCFaultScript -fuzztime=10s
 	$(GO) test ./internal/codec -run=Fuzz -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/oob -run=Fuzz -fuzz=FuzzDecodeWire -fuzztime=10s -fuzzminimizetime=1s

@@ -222,7 +222,7 @@ func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
 
 // DumpPages reads one batch of page contents at the dump cost model's
 // per-page rate. A zero page (mem.ZeroPage) gets a record aliasing the
-// read-only zeroPage; the others are copied into one slab, an
+// shared zero run (mem.Zeros); the others are copied into one slab, an
 // allocation a batch instead of one a page. Every record's Data is cut
 // with its capacity, so an append to one page cannot reach another.
 // Records are read-only.
@@ -236,7 +236,7 @@ func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
 	}
 	slab := make([]byte, n*mem.PageSize)
 	for i, a := range addrs {
-		data := zeroPage[:]
+		data := mem.Zeros(mem.PageSize)
 		if !p.AS.ZeroPage(a) {
 			data, slab = slab[:mem.PageSize:mem.PageSize], slab[mem.PageSize:]
 			p.AS.ReadPageInto(a, data)
@@ -335,12 +335,6 @@ func (r *Restore) PartialRestore(img *Image) error {
 	return nil
 }
 
-// zeroPage is the content of every zero-page record a dump makes, and
-// what the restore side writes for a page the channel shipped as a
-// header only (writing it still pays the per-page restore cost). Nothing
-// writes it.
-var zeroPage [mem.PageSize]byte
-
 // ApplyChunk applies one page-channel chunk at its pages' current
 // (possibly temporary) locations (Fig. 2b merge step): full-content
 // pages plus header-only zero pages. img supplies the round's memory
@@ -356,7 +350,9 @@ func (r *Restore) ApplyChunk(img *Image, pages []PageRec, zeros []mem.Addr) {
 	}
 	for _, a := range zeros {
 		if dst, ok := r.locate(img, a); ok {
-			_ = r.AS.WriteClean(dst, zeroPage[:])
+			// A page shipped as a header only still pays the
+			// per-page restore cost.
+			_ = r.AS.WriteClean(dst, mem.Zeros(mem.PageSize))
 			n++
 		}
 	}

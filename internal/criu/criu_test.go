@@ -331,7 +331,7 @@ func TestZeroPageRecordsAliasOneZeroPage(t *testing.T) {
 			t.Error("a page with a byte of its own aliases the zero page")
 		}
 		_ = append(recs[1].Data, 'X')
-		if !mem.AllZero(recs[2].Data) || !mem.AllZero(zeroPage[:]) {
+		if !mem.AllZero(recs[2].Data) || !mem.AllZero(mem.Zeros(mem.ZeroRunLen)) {
 			t.Error("an append to a zero record wrote into the zero page")
 		}
 

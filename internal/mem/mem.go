@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
+	"unsafe"
 )
 
 // PageSize is the page granularity of every address space.
@@ -62,15 +63,42 @@ func (e *FaultError) Error() string {
 // the next allocation size class.
 type page [PageSize]byte
 
+// ZeroRunLen is the length of zeroRun, the one run of zeros every
+// address space and zero payload share and nothing writes: it covers
+// every length a uint16 field can carry.
+const ZeroRunLen = 1 << 16
+
+var zeroRun [ZeroRunLen]byte
+
 // zeroPage backs every written page that holds only zeros, in every
-// address space. Nothing writes it: a write carrying a non-zero byte
-// gives the page its own copy first (see access).
-var zeroPage page
+// address space: the first page of zeroRun. A write carrying a non-zero
+// byte gives the page its own copy first (see access).
+var zeroPage = (*page)(zeroRun[:PageSize])
+
+// Zeros returns n zero bytes: a view of the shared zero run when n fits
+// it (capacity cut to n, so an append cannot reach the run), a fresh
+// slice otherwise. A view must never be written; IsZeros recognises it.
+func Zeros(n int) []byte {
+	if n <= ZeroRunLen {
+		return zeroRun[:n:n]
+	}
+	return make([]byte, n)
+}
+
+// IsZeros reports whether b is a non-empty view of the shared zero run.
+// It tests where b points, not what it holds.
+func IsZeros(b []byte) bool {
+	if len(b) == 0 {
+		return false
+	}
+	off := uintptr(unsafe.Pointer(&b[0])) - uintptr(unsafe.Pointer(&zeroRun[0]))
+	return off < ZeroRunLen && int(off)+len(b) <= ZeroRunLen
+}
 
 // AddressSpace is one process's virtual memory.
 type AddressSpace struct {
 	vmas []*VMA // sorted by Start
-	// pages holds the written pages: a private copy, or &zeroPage for a
+	// pages holds the written pages: a private copy, or zeroPage for a
 	// page written only with zeros. A mapped page not here reads as zeros
 	// too, but has no content (PopulatedPages leaves it out).
 	pages map[Addr]*page
@@ -322,14 +350,14 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 	if write {
 		op = "write"
 	}
+	zeros := write && IsZeros(buf)
 	for off := 0; off < len(buf); {
 		pa := PageFloor(a + Addr(off))
 		slot := &as.cache[cacheSlot(pa)]
 		if slot.tag&^slotDirty != pa|slotValid {
-			if as.FindVMA(pa) == nil {
+			if slot = as.fill(slot, pa); slot == nil {
 				return &FaultError{Addr: a + Addr(off), Op: op}
 			}
-			*slot = pageSlot{tag: pa | slotValid, pg: as.pages[pa]}
 		}
 		pg := slot.pg
 		inPage := int(a + Addr(off) - pa)
@@ -338,9 +366,9 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 			n = len(buf) - off
 		}
 		if write {
-			if pg == nil || pg == &zeroPage {
-				pg = &zeroPage
-				if !AllZero(buf[off : off+n]) {
+			if pg == nil || pg == zeroPage {
+				pg = zeroPage
+				if !zeros && !AllZero(buf[off:off+n]) {
 					pg = new(page)
 				}
 				if slot.pg != pg {
@@ -348,7 +376,7 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 					slot.pg = pg
 				}
 			}
-			if pg != &zeroPage {
+			if pg != zeroPage {
 				copy(pg[inPage:inPage+n], buf[off:off+n])
 			}
 			if markDirty && slot.tag&slotDirty == 0 {
@@ -356,7 +384,7 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 				slot.tag |= slotDirty
 			}
 		} else {
-			if pg == nil || pg == &zeroPage {
+			if pg == nil || pg == zeroPage {
 				clear(buf[off : off+n])
 			} else {
 				copy(buf[off:off+n], pg[inPage:inPage+n])
@@ -365,6 +393,36 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 		off += n
 	}
 	return nil
+}
+
+// fill points the page-cache slot s at the page at pa after a miss, or
+// returns nil when pa is unmapped.
+func (as *AddressSpace) fill(s *pageSlot, pa Addr) *pageSlot {
+	if as.FindVMA(pa) == nil {
+		return nil
+	}
+	*s = pageSlot{tag: pa | slotValid, pg: as.pages[pa]}
+	return s
+}
+
+// ZeroRange reports whether [a, a+n) is mapped and every page it touches
+// holds no bytes of its own (ZeroPage), so the range reads as zeros. It
+// answers from the page cache and reads no bytes.
+func (as *AddressSpace) ZeroRange(a Addr, n uint64) bool {
+	end := a + Addr(n)
+	if end < a {
+		return false
+	}
+	for pa := PageFloor(a); pa < end; pa += PageSize {
+		s := &as.cache[cacheSlot(pa)]
+		if s.tag&^slotDirty != pa|slotValid {
+			s = as.fill(s, pa)
+		}
+		if s == nil || (s.pg != nil && s.pg != zeroPage) {
+			return false
+		}
+	}
+	return true
 }
 
 // ReadU64 reads a little-endian 64-bit value (used by ATOMIC verbs).
@@ -439,7 +497,7 @@ func AllZero(buf []byte) bool {
 // reads as zeros without a copy.
 func (as *AddressSpace) ZeroPage(a Addr) bool {
 	pg := as.pages[a]
-	return pg == nil || pg == &zeroPage
+	return pg == nil || pg == zeroPage
 }
 
 // ReadPageInto copies the page at a (which must be page-aligned) into

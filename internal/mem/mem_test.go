@@ -538,9 +538,11 @@ func sortedKeys[V any](m map[Addr]V) []Addr {
 
 // TestZeroPageDifferential drives the real address space and a
 // private-pages-only reference through the same seeded mix of zero and
-// non-zero, partial and whole-page Write/WriteClean, reads, ClearDirty,
-// Remap and Unmap. After every step every page's bytes, DirtyPages and
-// PopulatedPages agree, and the shared zero page stays all zeros.
+// non-zero, partial and whole-page Write/WriteClean (zeros from a fresh
+// slice or from the shared run), reads, ClearDirty, Remap and Unmap.
+// After every step every page's bytes, DirtyPages and PopulatedPages
+// agree, ZeroRange agrees with ZeroPage and with the bytes read, and the
+// shared zero run stays all zeros.
 func TestZeroPageDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -565,11 +567,13 @@ func TestZeroPageDifferential(t *testing.T) {
 					a = v.Start + Addr(rng.Intn(int(v.Len)-n+1))
 				}
 				buf := make([]byte, n)
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 1: // one non-zero byte among zeros
 					buf[rng.Intn(n)] = byte(1 + rng.Intn(255))
 				case 2:
 					rng.Read(buf)
+				case 3: // a view of the shared zero run
+					buf = Zeros(n)
 				}
 				clean := rng.Intn(4) == 0
 				if clean {
@@ -584,6 +588,9 @@ func TestZeroPageDifferential(t *testing.T) {
 				buf := make([]byte, n)
 				if err := as.Read(a, buf); err != nil {
 					t.Fatal(err)
+				}
+				if as.ZeroRange(a, uint64(n)) && !AllZero(buf) {
+					t.Fatalf("seed %d step %d: ZeroRange(%#x, %d) holds a non-zero byte", seed, step, a, n)
 				}
 				for i := range buf {
 					pa := PageFloor(a + Addr(i))
@@ -624,6 +631,9 @@ func TestZeroPageDifferential(t *testing.T) {
 					if !bytes.Equal(got, want) {
 						t.Fatalf("seed %d step %d: page %#x differs from the reference", seed, step, a)
 					}
+					if as.ZeroRange(a, PageSize) != as.ZeroPage(a) {
+						t.Fatalf("seed %d step %d: ZeroRange and ZeroPage disagree on %#x", seed, step, a)
+					}
 				}
 			}
 			if g, w := as.DirtyPages(), sortedKeys(ref.dirty); !slices.Equal(g, w) {
@@ -633,8 +643,8 @@ func TestZeroPageDifferential(t *testing.T) {
 				t.Fatalf("seed %d step %d: populated pages %#x, want %#x", seed, step, g, w)
 			}
 		}
-		if zeroPage != (page{}) {
-			t.Fatalf("seed %d: the shared zero page was written", seed)
+		if !AllZero(zeroRun[:]) {
+			t.Fatalf("seed %d: the shared zero run was written", seed)
 		}
 	}
 }
@@ -672,5 +682,64 @@ func TestZeroWriteSharesTheZeroPage(t *testing.T) {
 	}
 	if v, _ := as.ReadU64(0x100000 + 7); v != 5<<8 {
 		t.Fatalf("read back %#x, want 0x500", v)
+	}
+}
+
+// TestZerosViewTheSharedRun: Zeros returns capacity-cut views of the
+// shared run up to ZeroRunLen and a fresh slice past it; IsZeros
+// recognises exactly those views and their non-empty subslices.
+func TestZerosViewTheSharedRun(t *testing.T) {
+	for _, n := range []int{1, PageSize, ZeroRunLen} {
+		z := Zeros(n)
+		if len(z) != n || cap(z) != n || !IsZeros(z) || !IsZeros(z[n-1:]) {
+			t.Errorf("Zeros(%d): len %d, cap %d, IsZeros %v", n, len(z), cap(z), IsZeros(z))
+		}
+		_ = append(z, 0xFF)
+	}
+	if big := Zeros(ZeroRunLen + 1); IsZeros(big) || !AllZero(big) {
+		t.Error("Zeros past the run must be a fresh zero slice")
+	}
+	if IsZeros(Zeros(0)) || IsZeros(make([]byte, 8)) || IsZeros(nil) {
+		t.Error("IsZeros accepted an empty slice or a zero slice of another origin")
+	}
+	if !AllZero(zeroRun[:]) {
+		t.Fatal("an append to a Zeros view wrote into the shared run")
+	}
+}
+
+// TestZeroRange: a range is zero only when mapped end to end and every
+// page under it is untouched or on the shared zero page, cached or not.
+func TestZeroRange(t *testing.T) {
+	as := NewAddressSpace()
+	as.Map(0x100000, 4*PageSize, "a")
+	as.Map(0x105000, PageSize, "b") // a one-page gap at 0x104000
+	as.Write(0x101000, make([]byte, PageSize))
+	as.Write(0x102000+5, []byte{1})
+	as.Write(0x103000, []byte{1})
+	as.Write(0x103000, []byte{0}) // its own bytes, all zero
+	for _, c := range []struct {
+		a    Addr
+		n    uint64
+		want bool
+	}{
+		{0x100000, PageSize, true},      // never written
+		{0x100800, PageSize, true},      // never written, then zero-written
+		{0x101000, PageSize, true},      // written only with zeros
+		{0x102000, 5, false},            // a page with bytes of its own
+		{0x101fff, 2, false},            // into it
+		{0x103000, PageSize, false},     // its own bytes, all zero
+		{0x100000, 0, true},             // empty and mapped
+		{0x103fff, 2, false},            // across the gap
+		{0x104000, 1, false},            // unmapped
+		{0x105000, PageSize, true},      // the other mapping
+		{^Addr(0) - 10, 100, false},     // wraps
+		{0x100000, 5 * PageSize, false}, // reaches the gap
+	} {
+		for pass := 0; pass < 2; pass++ { // first a cache miss, then a hit
+			if got := as.ZeroRange(c.a, c.n); got != c.want {
+				t.Errorf("pass %d: ZeroRange(%#x, %d) = %v, want %v", pass, c.a, c.n, got, c.want)
+			}
+		}
+		as.invalidate()
 	}
 }

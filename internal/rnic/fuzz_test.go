@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"migrrdma/internal/mem"
 )
 
 // TestPropPacketRoundTrip: any packet survives encode→decode.
@@ -67,9 +69,10 @@ func TestDecodeGarbageNeverPanics(t *testing.T) {
 }
 
 // FuzzDecodePacket: arbitrary bytes either fail to decode or decode to
-// a packet that survives an encode→decode round trip unchanged. The
-// corpus seeds every wire packet type, including the NAK and RNR-NAK
-// control packets.
+// a packet that survives an encode→decode round trip unchanged, zero
+// flag and payload length included. The corpus seeds every wire packet
+// type, including the NAK and RNR-NAK control packets, and a zero data
+// packet (a header-only frame; an all-0xFF header decodes as one too).
 func FuzzDecodePacket(f *testing.F) {
 	seeds := []*packet{
 		{Type: ptData, DstQPN: 7, SrcQPN: 3, PSN: 42, Frag: 1, Opcode: OpSend, Payload: []byte("frag")},
@@ -80,6 +83,7 @@ func FuzzDecodePacket(f *testing.F) {
 		{Type: ptRnrNak, DstQPN: 3, SrcQPN: 7, AckPSN: 44, Last: true},
 		{Type: ptReadReq, DstQPN: 7, SrcQPN: 3, PSN: 50, RemoteAddr: 0x200000, RKey: 0xBEEF, DLen: 4096, Last: true},
 		{Type: ptAtomicResp, DstQPN: 3, SrcQPN: 7, PSN: 51, CompareAdd: 1 << 40, Last: true, Payload: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{Type: ptData, DstQPN: 7, SrcQPN: 3, PSN: 52, Last: true, Opcode: OpWrite, RemoteAddr: 0x300000, DLen: 4096, Payload: mem.Zeros(4096)},
 	}
 	for _, p := range seeds {
 		f.Add(p.encode())
@@ -100,7 +104,8 @@ func FuzzDecodePacket(f *testing.F) {
 			q.Opcode != p.Opcode || q.RemoteAddr != p.RemoteAddr || q.RKey != p.RKey ||
 			q.DLen != p.DLen || q.CompareAdd != p.CompareAdd || q.Swap != p.Swap ||
 			q.Imm != p.Imm || q.HasImm != p.HasImm || q.AckPSN != p.AckPSN ||
-			q.Syndrome != p.Syndrome || !bytes.Equal(q.Payload, p.Payload) {
+			q.Syndrome != p.Syndrome || !bytes.Equal(q.Payload, p.Payload) ||
+			mem.IsZeros(q.Payload) != mem.IsZeros(p.Payload) {
 			t.Fatalf("round trip changed packet:\n  in  %+v\n  out %+v", p, q)
 		}
 	})

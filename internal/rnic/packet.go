@@ -50,6 +50,9 @@ type packet struct {
 	AckPSN   uint32
 	Syndrome uint8
 
+	// Payload is the fragment's bytes. A zero payload is a view of the
+	// shared zero run (mem.Zeros) and crosses the wire as its length
+	// alone; handlers read a Payload and never write one.
 	Payload []byte
 	// wire is the pooled wire buffer Payload was gathered into behind
 	// the header's room, or nil. Not encoded.
@@ -63,15 +66,30 @@ type packet struct {
 // packetHeaderLen is the fixed encoded header size.
 const packetHeaderLen = 1 + 3 + 3 + 3 + 2 + 1 + 1 + 8 + 4 + 4 + 8 + 8 + 4 + 1 + 3 + 1 + 2
 
+// Flag bits of header byte 12.
+const (
+	hdrLast  = 1 << 0 // final fragment of the message
+	hdrZeros = 1 << 1 // the payload is all zeros and is not carried
+)
+
+// body is what the frame carries behind the header: the payload, or
+// nothing for a zero payload, whose length the header keeps.
+func (p *packet) body() []byte {
+	if mem.IsZeros(p.Payload) {
+		return nil
+	}
+	return p.Payload
+}
+
 // encode serializes the packet into a fresh buffer.
 func (p *packet) encode() []byte {
-	buf := make([]byte, packetHeaderLen+len(p.Payload))
+	buf := make([]byte, packetHeaderLen+len(p.body()))
 	p.encodeInto(buf)
 	return buf
 }
 
 // encodeInto serializes the packet into b, which must be exactly
-// packetHeaderLen+len(p.Payload) bytes. Every header byte is written
+// packetHeaderLen+len(p.body()) bytes. Every header byte is written
 // unconditionally (no stale flag bytes) so b may come from a buffer
 // pool without zeroing. A payload already in place behind the header
 // is not copied.
@@ -83,7 +101,11 @@ func (p *packet) encodeInto(b []byte) {
 	binary.BigEndian.PutUint16(b[10:], p.Frag)
 	b[12] = 0
 	if p.Last {
-		b[12] = 1
+		b[12] = hdrLast
+	}
+	body := p.body()
+	if len(body) != len(p.Payload) {
+		b[12] |= hdrZeros
 	}
 	b[13] = byte(p.Opcode)
 	binary.BigEndian.PutUint64(b[14:], uint64(p.RemoteAddr))
@@ -99,8 +121,8 @@ func (p *packet) encodeInto(b []byte) {
 	put24(b[51:], p.AckPSN)
 	b[54] = p.Syndrome
 	binary.BigEndian.PutUint16(b[55:], uint16(len(p.Payload)))
-	if len(p.Payload) > 0 && &p.Payload[0] != &b[packetHeaderLen] {
-		copy(b[packetHeaderLen:], p.Payload)
+	if len(body) > 0 && &body[0] != &b[packetHeaderLen] {
+		copy(b[packetHeaderLen:], body)
 	}
 }
 
@@ -114,7 +136,8 @@ func decodePacket(b []byte) (*packet, error) {
 }
 
 // decodePacketInto parses wire bytes into p, overwriting every field (p
-// may come from a pool). The payload aliases b.
+// may come from a pool). The payload aliases b, or the shared zero run
+// for a zero packet.
 func decodePacketInto(p *packet, b []byte) error {
 	if len(b) < packetHeaderLen {
 		return fmt.Errorf("rnic: short packet (%d bytes)", len(b))
@@ -125,7 +148,7 @@ func decodePacketInto(p *packet, b []byte) error {
 		SrcQPN:     get24(b[4:]),
 		PSN:        get24(b[7:]),
 		Frag:       binary.BigEndian.Uint16(b[10:]),
-		Last:       b[12] == 1,
+		Last:       b[12]&hdrLast != 0,
 		Opcode:     Opcode(b[13]),
 		RemoteAddr: mem.Addr(binary.BigEndian.Uint64(b[14:])),
 		RKey:       binary.BigEndian.Uint32(b[22:]),
@@ -138,6 +161,13 @@ func decodePacketInto(p *packet, b []byte) error {
 		Syndrome:   b[54],
 	}
 	plen := int(binary.BigEndian.Uint16(b[55:]))
+	if b[12]&hdrZeros != 0 {
+		if len(b) != packetHeaderLen {
+			return fmt.Errorf("rnic: zero packet carries %d payload bytes", len(b)-packetHeaderLen)
+		}
+		p.Payload = mem.Zeros(plen)
+		return nil
+	}
 	if len(b) != packetHeaderLen+plen {
 		return fmt.Errorf("rnic: packet length mismatch: have %d, header says %d", len(b)-packetHeaderLen, plen)
 	}
@@ -187,8 +217,14 @@ func IsRequestFrame(b []byte) bool {
 }
 
 // WireSizeOf is the on-wire frame size for encoded packet bytes, used
-// when a forwarded frame is reconstructed from its wire bytes.
-func WireSizeOf(b []byte) int { return wireOverhead + len(b) }
+// when a forwarded frame is reconstructed from its wire bytes. A zero
+// packet's size counts the payload its header declares.
+func WireSizeOf(b []byte) int {
+	if len(b) == packetHeaderLen && b[12]&hdrZeros != 0 {
+		return wireOverhead + packetHeaderLen + int(binary.BigEndian.Uint16(b[55:]))
+	}
+	return wireOverhead + len(b)
+}
 
 func put24(b []byte, v uint32) {
 	b[0] = byte(v >> 16)

@@ -80,7 +80,7 @@ type QP struct {
 	// holds inbound READ responses under reassembly. Both are made by the
 	// first ATOMIC or READ the QP sees: most QPs see neither.
 	atomicCache map[uint32]uint64
-	readBuf     map[uint32][]byte
+	readBuf     map[uint32]*reassembly
 
 	// Counters visible to the library layer. NSent counts two-sided
 	// verbs posted; NRecvDone counts completed receive WQEs. They are

@@ -176,7 +176,12 @@ func (qp *QP) buildFragment(e *sqEntry) (*packet, bool) {
 		base.Imm = wr.Imm
 		base.HasImm = true
 	}
-	if n > 0 {
+	switch {
+	case n == 0:
+	case qp.zeroSource(wr.SGEs, off, n):
+		// Nothing to read: the fragment travels as its length.
+		base.Payload = mem.Zeros(int(n))
+	default:
 		// Gather straight into the wire buffer, behind the header
 		// frameFor encodes in front of it.
 		base.wire = qp.dev.getBuf(packetHeaderLen + int(n))
@@ -186,40 +191,53 @@ func (qp *QP) buildFragment(e *sqEntry) (*packet, bool) {
 	return base, last
 }
 
+// zeroSource reports, without reading a byte, whether the n bytes at
+// offset off of the SGE list read as zeros: every range lies on pages
+// with no bytes of their own (mem.AddressSpace.ZeroRange) or in a
+// deregistered MR, which gather reads as zeros.
+func (qp *QP) zeroSource(sges []SGE, off, n uint32) bool {
+	return qp.sgeRanges(sges, off, n, func(mr *MR, a mem.Addr, _, take uint32) bool {
+		return mr == nil || mr.as.ZeroRange(a, uint64(take))
+	})
+}
+
 // gather DMA-reads len(out) bytes starting at offset off of the SGE
 // list into out.
 func (qp *QP) gather(sges []SGE, off uint32, out []byte) {
-	d := qp.dev
-	n := uint32(len(out))
-	var filled uint32
-	var pos uint32
+	qp.sgeRanges(sges, off, uint32(len(out)), func(mr *MR, a mem.Addr, at, take uint32) bool {
+		if mr != nil {
+			_ = mr.as.Read(a, out[at:at+take])
+		} else {
+			// Deregistered mid-flight: DMA reads garbage, not stale
+			// scratch contents from an unrelated message.
+			clear(out[at : at+take])
+		}
+		return true
+	})
+}
+
+// sgeRanges walks the n bytes at offset off of the SGE list, calling fn
+// with each range's MR (nil once deregistered), address, and offset and
+// length within the n bytes, until fn returns false; it reports whether
+// every call returned true.
+func (qp *QP) sgeRanges(sges []SGE, off, n uint32, fn func(mr *MR, a mem.Addr, at, take uint32) bool) bool {
+	var filled, pos uint32
 	for _, sge := range sges {
 		if filled == n {
 			break
 		}
-		if pos+sge.Len <= off {
-			pos += sge.Len
-			continue
+		if pos+sge.Len > off {
+			start := max(off, pos) - pos
+			take := min(sge.Len-start, n-filled)
+			mr, _ := qp.dev.mrByLKey(sge.LKey)
+			if !fn(mr, sge.Addr+mem.Addr(start), filled, take) {
+				return false
+			}
+			filled += take
 		}
-		start := uint32(0)
-		if off > pos {
-			start = off - pos
-		}
-		take := sge.Len - start
-		if take > n-filled {
-			take = n - filled
-		}
-		mr, ok := d.mrByLKey(sge.LKey)
-		if ok {
-			_ = mr.as.Read(sge.Addr+mem.Addr(start), out[filled:filled+take])
-		} else {
-			// Deregistered mid-flight: DMA reads garbage, not stale
-			// scratch contents from an unrelated message.
-			clear(out[filled : filled+take])
-		}
-		filled += take
 		pos += sge.Len
 	}
+	return true
 }
 
 // scatter DMA-writes data across the SGE list, returning false on local
@@ -253,7 +271,7 @@ func (qp *QP) scatter(sges []SGE, data []byte) bool {
 func (d *Device) frameFor(dst string, p *packet) fabric.Frame {
 	buf := p.wire
 	if buf == nil {
-		buf = d.getBuf(packetHeaderLen + len(p.Payload))
+		buf = d.getBuf(packetHeaderLen + len(p.body()))
 	}
 	p.encodeInto(buf)
 	f := fabric.Frame{
@@ -300,11 +318,35 @@ func (d *Device) handlePacket(it rxItem) {
 // --- Responder --------------------------------------------------------------
 
 // reassembly accumulates the fragments of the in-flight inbound message.
+// The message is buf followed by zeros zero bytes: zero fragments are
+// counted, and buf is built only once a fragment carrying bytes arrives.
 type reassembly struct {
 	psn      uint32
 	nextFrag uint16
 	buf      []byte
+	zeros    int
 	bad      bool
+}
+
+// add appends one fragment's payload.
+func (r *reassembly) add(payload []byte) {
+	if mem.IsZeros(payload) {
+		r.zeros += len(payload)
+		return
+	}
+	r.buf = append(append(r.buf, make([]byte, r.zeros)...), payload...)
+	r.zeros = 0
+}
+
+// data returns the message held: a view of the shared zero run when
+// every fragment so far was zeros, else the built buffer. Either is
+// valid until the next add or restart.
+func (r *reassembly) data() []byte {
+	if len(r.buf) == 0 && r.zeros <= mem.ZeroRunLen {
+		return mem.Zeros(r.zeros)
+	}
+	r.add(nil) // moves the counted zeros into buf
+	return r.buf
 }
 
 // responder handles an inbound request packet.
@@ -360,10 +402,10 @@ func (qp *QP) responder(p *packet, src string) {
 	}
 	if r.psn != p.PSN || (p.Frag == 0 && r.bad) {
 		r.psn, r.nextFrag, r.bad = p.PSN, 0, false
-		r.buf = r.buf[:0]
+		r.buf, r.zeros = r.buf[:0], 0
 	}
 	if !r.bad && p.Frag < r.nextFrag {
-		// Redundant copy of a fragment already held: r.buf holds exactly
+		// Redundant copy of a fragment already held: r holds exactly
 		// fragments [0, nextFrag), so ignoring the copy still assembles
 		// the message correctly.
 		qp.dev.mDup.Inc()
@@ -376,7 +418,7 @@ func (qp *QP) responder(p *packet, src string) {
 		// the held buffer instead; once it succeeds, expPSN advances and
 		// later copies fall into the duplicate-ack path above.
 		if p.Last && p.Frag+1 == r.nextFrag {
-			qp.execute(p, r.buf, src)
+			qp.execute(p, r.data(), src)
 		}
 		return
 	}
@@ -384,7 +426,7 @@ func (qp *QP) responder(p *packet, src string) {
 		r.bad = true // lost fragment inside the message
 	}
 	if !r.bad {
-		r.buf = append(r.buf, p.Payload...)
+		r.add(p.Payload)
 		r.nextFrag++
 	}
 	if !p.Last {
@@ -394,7 +436,7 @@ func (qp *QP) responder(p *packet, src string) {
 		qp.sendNak(src, p.SrcQPN, qp.expPSN, nakSeqErr)
 		return
 	}
-	qp.execute(p, r.buf, src)
+	qp.execute(p, r.data(), src)
 }
 
 // execute runs a fully received message at the expected PSN.
@@ -448,8 +490,8 @@ func (qp *QP) execute(p *packet, data []byte, src string) {
 			qp.respondError(src, p)
 			return
 		}
-		buf := make([]byte, p.DLen)
-		if err := as.Read(p.RemoteAddr, buf); err != nil {
+		buf, err := readSource(as, p.RemoteAddr, p.DLen)
+		if err != nil {
 			qp.respondError(src, p)
 			return
 		}
@@ -529,8 +571,7 @@ func (qp *QP) replyDuplicate(p *packet, src string) {
 	case ptReadReq:
 		as, ok := qp.dev.lookupRemote(p.RKey, p.RemoteAddr, p.DLen, AccessRemoteRead)
 		if ok {
-			buf := make([]byte, p.DLen)
-			if as.Read(p.RemoteAddr, buf) == nil {
+			if buf, err := readSource(as, p.RemoteAddr, p.DLen); err == nil {
 				qp.streamReadResponse(src, p.SrcQPN, p.PSN, buf)
 				return
 			}
@@ -543,6 +584,17 @@ func (qp *QP) replyDuplicate(p *packet, src string) {
 	}
 	last := psnAdd(qp.expPSN, 0xFFFFFF) // expPSN-1 mod 2^24
 	qp.sendAck(src, p.SrcQPN, last)
+}
+
+// readSource returns the n bytes a READ response carries from a: a view
+// of the shared zero run when the range holds no bytes of its own (its
+// fragments then travel as lengths), else a fresh copy.
+func readSource(as *mem.AddressSpace, a mem.Addr, n uint32) ([]byte, error) {
+	if as.ZeroRange(a, uint64(n)) {
+		return mem.Zeros(int(n)), nil
+	}
+	buf := make([]byte, n)
+	return buf, as.Read(a, buf)
 }
 
 // streamReadResponse fragments and queues a READ response.
@@ -672,16 +724,22 @@ func (qp *QP) requester(p *packet) {
 		qp.rnrRetry()
 
 	case ptReadResp:
-		buf := qp.readBuf[p.PSN]
-		buf = append(buf, p.Payload...)
-		if !p.Last {
-			if qp.readBuf == nil {
-				qp.readBuf = make(map[uint32][]byte)
+		buf := p.Payload
+		if r, held := qp.readBuf[p.PSN]; held || !p.Last {
+			if !held {
+				if qp.readBuf == nil {
+					qp.readBuf = make(map[uint32]*reassembly)
+				}
+				r = &reassembly{}
+				qp.readBuf[p.PSN] = r
 			}
-			qp.readBuf[p.PSN] = buf
-			return
+			r.add(p.Payload)
+			if !p.Last {
+				return
+			}
+			buf = r.data()
+			delete(qp.readBuf, p.PSN)
 		}
-		delete(qp.readBuf, p.PSN)
 		for _, e := range qp.sq {
 			if e.psn == p.PSN && (e.state == sqSent || e.state == sqQueued) {
 				if !qp.scatter(e.wr.SGEs, buf) {
