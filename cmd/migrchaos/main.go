@@ -7,7 +7,10 @@
 //	migrchaos -scenario 'plug/*' -seeds 1000   # one tier, long sweep
 //	migrchaos -scenario 'abort/*,plug-abort/*,pipelined-abort/*'   # every fail-and-recover tier
 //	migrchaos -scenario single/loss-burst -seed 17 -v              # replay one run
-//	migrchaos -scenario 'concurrent/*' -cap 1  # same jobs, serialized admission
+//	migrchaos -scenario 'concurrent/*' -cap 1  # the same three moves, one at a time
+//
+// -cap overrides MaxParallel of the scenarios run through the
+// orchestrator (concurrent/*, drain/*).
 package main
 
 import (
@@ -38,7 +41,7 @@ func run(catalogue []chaos.Scenario, args []string, out, errOut io.Writer) int {
 	seeds := fs.Int64("seeds", 32, "number of seeds to sweep")
 	verbose := fs.Bool("v", false, "print every run, not just failures, and a failing run's stage/fault/plug/chunk timeline")
 	list := fs.Bool("list", false, "list the selected scenarios with their faults and checkers, and exit")
-	capFlag := fs.Int("cap", 0, "override the admission cap of scenarios run through the migration manager (0: as declared)")
+	capFlag := fs.Int("cap", 0, "override MaxParallel of the scenarios run through the orchestrator (0: as declared)")
 	parallel := fs.Int("parallel", 1, "worker pool size; every (scenario, seed) run is an independent simulation, output order is unchanged")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -75,7 +78,7 @@ func run(catalogue []chaos.Scenario, args []string, out, errOut io.Writer) int {
 	var failures atomic.Int64
 	sim.RunIndexed(len(texts), *parallel, func(i int) {
 		sc := selected[i/len(seedList)]
-		if *capFlag > 0 && sc.Migrate.Via == chaos.Managed {
+		if *capFlag > 0 && sc.Migrate.Via == chaos.Orchestrated {
 			sc.Migrate.Cap = *capFlag
 		}
 		rep := chaos.Run(seedList[i%len(seedList)], sc)

@@ -227,7 +227,7 @@ func plugAbortTier() []Scenario {
 // pipelined preset: dump, wire, and apply overlap across bounded chunks
 // on K streams, zero pages ship header-only, and a content-hash table
 // elides dirty-bit false positives. Chunk sequencing enters the
-// behaviour hash via the pchan events, as it does in every Direct run.
+// behaviour hash via the pchan events, as it does in every run.
 func pipelined(sc Scenario, chunkPages int) Scenario {
 	sc.Migrate.Transfer = runc.TransferPipelined
 	sc.Migrate.ChunkPages = chunkPages
@@ -310,17 +310,17 @@ func tenantTier() []Scenario {
 	}
 }
 
-// concurrentTier runs three overlapping migrations under a migmgr
-// admission cap. The four-host rig exercises the manager's concurrency
-// matrix:
+// concurrentTier runs three overlapping migrations, listed in one
+// orchestrator submission under MaxParallel 2. The four-host rig
+// exercises the concurrency matrix:
 //
-//	cli1 on a → srv1 on c; m1 migrates cli1 a → b
-//	cli2 on b → srv2 on c; m2 migrates cli2 b → a
-//	cli3 on c → srv3 on a; m3 migrates cli3 c → d
+//	cli1 on a → srv1 on c; d1/a/cli1-cont migrates cli1 a → b
+//	cli2 on b → srv2 on c; d1/b/cli2-cont migrates cli2 b → a
+//	cli3 on c → srv3 on a; d1/c/cli3-cont migrates cli3 c → d
 //
-// so host a is simultaneously migration source (m1), destination (m2),
-// and partner (m3), while host c partners two migrations (m1, m2) and
-// sources a third.
+// so host a is simultaneously migration source (cli1), destination
+// (cli2), and partner (cli3), while host c partners two migrations
+// (cli1, cli2) and sources a third.
 func concurrentTier() []Scenario {
 	mk := func(name string, faults ...Fault) Scenario {
 		return Scenario{
@@ -331,7 +331,7 @@ func concurrentTier() []Scenario {
 				{Name: "2", Client: "b", Server: "c", Dst: "a"},
 				{Name: "3", Client: "c", Server: "a", Dst: "d"},
 			}},
-			Migrate:  Migrate{Via: Managed, Cap: 2},
+			Migrate:  Migrate{Via: Orchestrated, Cap: 2},
 			Faults:   faults,
 			Checkers: []Checker{ledgerChecker},
 		}
@@ -340,16 +340,16 @@ func concurrentTier() []Scenario {
 		mk("concurrent/concurrent-clean"),
 		mustMove(mk("concurrent/concurrent-loss",
 			// A loss burst on the shared partner/source node c while all
-			// three migrations are in flight, and one on a timed to m1's
+			// three migrations are in flight, and one on a timed to cli1's
 			// resume phase.
 			Fault{Kind: FaultLoss, Node: "c", Prob: 0.25, At: Warmup, Duration: 2 * time.Millisecond},
-			Fault{Kind: FaultLoss, Node: "a", Prob: 0.25, Phase: "resume", Mig: "m1", Duration: time.Millisecond},
+			Fault{Kind: FaultLoss, Node: "a", Prob: 0.25, Phase: "resume", Mig: "d1/a/cli1-cont", Duration: time.Millisecond},
 		), "fabric/dropped_frames"),
 		mk("concurrent/concurrent-partner-blackhole",
-			// c partners m1 and m2; blackhole its RDMA port while m2 runs
-			// wait-before-stop. 1 ms stays inside the 7 × 500 µs retry
-			// budget of any one WR.
-			Fault{Kind: FaultBlackhole, Node: "c", Phase: "suspend-wbs", Mig: "m2", Duration: time.Millisecond},
+			// c partners cli1 and cli2; blackhole its RDMA port while cli2's
+			// migration runs wait-before-stop. 1 ms stays inside the
+			// 7 × 500 µs retry budget of any one WR.
+			Fault{Kind: FaultBlackhole, Node: "c", Phase: "suspend-wbs", Mig: "d1/b/cli2-cont", Duration: time.Millisecond},
 		),
 	}
 }
@@ -375,7 +375,7 @@ func drainTier() []Scenario {
 				// 2:1 rack oversubscription at the paper's 100 Gbps host links.
 				UplinkRate: 200e9,
 			}},
-			Migrate:  Migrate{Via: Drain, Cap: 2},
+			Migrate:  Migrate{Via: Orchestrated, Cap: 2},
 			Faults:   faults,
 			Checkers: []Checker{ledgerChecker, drainChecker},
 		}

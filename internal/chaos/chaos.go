@@ -87,17 +87,17 @@ type Fault struct {
 	// "suspend-wbs", "final-dump", "transfer", "resume", ...).
 	Phase string
 	// Mig restricts a Phase fault to the named migration in runs with
-	// several ("m1", "m2", …); empty matches every migration. Ignored
-	// for absolute-time faults.
+	// several (the orchestrator's "d1/<src>/<container>"); empty matches
+	// every migration. Ignored for absolute-time faults.
 	Mig string
 	// Duration disarms the fault this long after arming; zero keeps it
 	// armed until the driver's final cleanup.
 	Duration time.Duration
 }
 
-// recorder accumulates the ledger: the run's stream events (cqe, ack,
-// exp, dereg, rkey, stage, plug, pchan; see run.listen) and the
-// harness's own (fault, tenant-*). Both arrive inline on the scheduler
+// recorder accumulates the ledger: the run's stream events of the
+// declared kinds (cqe, ack, exp, dereg, rkey, plug, pchan; see
+// run.listen) and the harness's own (stage, fault, tenant-*). Both arrive inline on the scheduler
 // loop, so appends are single-threaded and ordered deterministically.
 type recorder struct {
 	sched  *sim.Scheduler

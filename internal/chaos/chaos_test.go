@@ -64,7 +64,7 @@ func sweep(t *testing.T, scenarios []Scenario, seeds []int64) {
 	}
 }
 
-// withCap returns copies of the scenarios with their admission cap
+// withCap returns copies of the scenarios with their MaxParallel
 // overridden (the goldens pin cap 2; cap 3 lets all three concurrent
 // migrations overlap, cap 1 serializes them).
 func withCap(cap int, scenarios ...Scenario) []Scenario {
@@ -282,9 +282,9 @@ func TestPlugVsGoBackN(t *testing.T) {
 
 // TestConcurrentFullOverlap pins the concurrent tier's acceptance shape:
 // under cap 3 on the clean schedule, all three migrations must actually
-// overlap in time — every job starts before the first one finishes —
-// covering the node that is simultaneously source (m1), destination
-// (m2), and partner (m3).
+// overlap in time — every one starts before the first one finishes —
+// covering the node that is simultaneously source (cli1), destination
+// (cli2), and partner (cli3).
 func TestConcurrentFullOverlap(t *testing.T) {
 	rep := Run(7, withCap(3, scenario(t, "concurrent/concurrent-clean"))[0])
 	if !rep.OK() {
@@ -305,18 +305,19 @@ func TestConcurrentFullOverlap(t *testing.T) {
 	if maxStart >= minFinish {
 		t.Fatalf("migrations did not overlap: last start %v >= first finish %v", maxStart, minFinish)
 	}
-	// The per-migration IDs must be visible in the metrics labels.
+	// Each source host's executor job IDs must be visible in the metrics
+	// labels.
 	snap := rep.Metrics.String()
-	for _, id := range []string{"mig=m1", "mig=m2", "mig=m3"} {
+	for _, id := range []string{"mig=a/m1", "mig=b/m1", "mig=c/m1"} {
 		if !strings.Contains(snap, id) {
 			t.Errorf("metrics snapshot missing label %s", id)
 		}
 	}
 }
 
-// TestConcurrentCapSerializes verifies the admission cap: with cap 1
-// the three migrations must run strictly one after another, and later
-// jobs must report a non-zero queue wait.
+// TestConcurrentCapSerializes verifies MaxParallel: with cap 1 the
+// three migrations must run strictly one after another, and later ones
+// must start after the first.
 func TestConcurrentCapSerializes(t *testing.T) {
 	rep := Run(7, withCap(1, scenario(t, "concurrent/concurrent-clean"))[0])
 	if !rep.OK() {
@@ -328,8 +329,8 @@ func TestConcurrentCapSerializes(t *testing.T) {
 			t.Fatalf("%s started at %v before %s finished at %v under cap 1",
 				cur.ID, cur.Started, prev.ID, prev.Finished)
 		}
-		// Everything was submitted together, so queued jobs must have
-		// waited at least one full predecessor migration.
+		// Everything was submitted together, so later migrations must
+		// have waited at least one full predecessor migration.
 		if cur.Started <= rep.Migrations[0].Started {
 			t.Fatalf("%s reports no queue wait under cap 1", cur.ID)
 		}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"migrrdma/internal/experiments"
+	"migrrdma/internal/orchestrator"
 	"migrrdma/internal/rnic"
 )
 
@@ -81,10 +82,14 @@ func checkMigrations(ev *Evidence) []string {
 			if i == 0 && sc.Abort.Retry && o.Attempts < 2 {
 				badf("first attempt was to abort and retry, but %d attempts ran", o.Attempts)
 			}
-			// The orchestrator names migrations by drain/host/container;
-			// everywhere else the runc report carries the same ID.
-			if sc.Migrate.Via != Drain && (o.Report == nil || o.Report.MigrationID != o.ID) {
-				badf("report not tagged with its migration ID")
+			// The runc report carries the migration's own ID, or — for an
+			// orchestrated one — the executor job its last attempt bound.
+			want := o.ID
+			if job, ok := ev.bound[o.ID]; ok {
+				want = job
+			}
+			if o.Report == nil || o.Report.MigrationID != want {
+				badf("report not tagged with its migration ID %s", want)
 			}
 		}
 		if o.Host != want {
@@ -435,18 +440,26 @@ type hostResidue struct {
 	plugActive     bool // plug-forward destination state
 	forwardActive  bool // source-side forwarding rule
 	plugDepth      int  // frames in the fabric plug; -1: none installed
+	// orch is the orchestrator's and the host executor's in-flight
+	// state (orchestrated runs; zero under Direct).
+	orch orchestrator.Census
 }
 
-// takeCensus reads the residue row of every host.
-func takeCensus(rig *experiments.Rig) []hostResidue {
+// takeCensus reads the residue row of every host; orch is the run's
+// orchestrator, nil under Direct.
+func takeCensus(rig *experiments.Rig, orch *orchestrator.Orchestrator) []hostResidue {
 	var out []hostResidue
 	for _, n := range rig.CL.Names() {
 		d := rig.Daemons[n]
-		out = append(out, hostResidue{
+		h := hostResidue{
 			host: n, stagedRestores: d.StagedRestores(), pendingSpares: d.PendingSpares(""),
 			suspendedQPs: d.SuspendedQPs(), plugActive: d.PlugActive(), forwardActive: d.ForwardActive(),
 			plugDepth: rig.CL.Net.PlugDepth(n),
-		})
+		}
+		if orch != nil {
+			h.orch = orch.Census(n)
+		}
+		out = append(out, h)
 	}
 	return out
 }
@@ -455,8 +468,10 @@ func takeCensus(rig *experiments.Rig) []hostResidue {
 // committed or aborted, over every host and every migration: at quiesce
 // exactly one side owns each connection's state (MigrOS's rule), so no
 // staged restore, spare or suspended QP, plug, forwarding rule or
-// staged chunk may remain anywhere — and once the rig is closed, no
-// live proc and no goroutine above the count from before it was built.
+// staged chunk may remain anywhere, nor, on an orchestrated run, an
+// in-flight orchestrator entry or a held executor slot — and once the
+// rig is closed, no live proc and no goroutine above the count from
+// before it was built.
 func checkNoResidue(ev *Evidence) []string {
 	var v violations
 	for _, h := range ev.census {
@@ -477,6 +492,22 @@ func checkNoResidue(ev *Evidence) []string {
 		}
 		if h.plugDepth >= 0 {
 			v.addf("%s still has a fabric plug installed (depth %d)", h.host, h.plugDepth)
+		}
+		c := h.orch
+		for _, n := range []struct {
+			held int
+			what string
+		}{
+			{c.Active, "active migrations of its containers"},
+			{c.Incoming, "attempts placed onto it"},
+			{c.Draining, "drains selecting it"},
+			{c.Running, "executor admission slots taken"},
+			{c.Queued, "executor jobs queued"},
+			{c.Busy, "executor containers marked busy"},
+		} {
+			if n.held != 0 {
+				v.addf("%s still counts %d %s", h.host, n.held, n.what)
+			}
 		}
 	}
 	if staged := ev.Report.Metrics.Sum("pagechan", "staged_chunks"); staged != 0 {

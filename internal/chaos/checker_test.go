@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -145,6 +146,20 @@ func TestCheckerFlagsSyntheticViolations(t *testing.T) {
 		t.Fatalf("wrong abort phase not flagged: %v", vs)
 	}
 
+	// An orchestrated migration's report carries the executor job its
+	// last attempt bound, not the migration's own ID.
+	ev = healthy()
+	ev.Report.Migrations[0].ID = "d1/src/client"
+	ev.Report.Migrations[0].Report.MigrationID = "src/m1"
+	ev.bound = map[string]string{"d1/src/client": "src/m2"}
+	if vs := all(ev); !find(vs, "report not tagged with its migration ID src/m2") {
+		t.Fatalf("report of an earlier attempt not flagged: %v", vs)
+	}
+	ev.Report.Migrations[0].Report.MigrationID = "src/m2"
+	if vs := all(ev); len(vs) != 0 {
+		t.Fatalf("report of the last attempt flagged: %v", vs)
+	}
+
 	// Retry: the first attempt aborts, the second must have run.
 	ev = healthy()
 	ev.Scenario.Abort = Abort{Phase: "suspend-wbs", Retry: true}
@@ -191,6 +206,12 @@ func TestResidueCheckerFlagsEveryKind(t *testing.T) {
 		{func(h *hostResidue) { h.plugActive = true }, "dst still holds plug-forward destination state"},
 		{func(h *hostResidue) { h.forwardActive = true }, "dst still holds a forwarding rule"},
 		{func(h *hostResidue) { h.plugDepth = 0 }, "dst still has a fabric plug installed (depth 0)"},
+		{func(h *hostResidue) { h.orch.Active = 1 }, "dst still counts 1 active migrations of its containers"},
+		{func(h *hostResidue) { h.orch.Incoming = 2 }, "dst still counts 2 attempts placed onto it"},
+		{func(h *hostResidue) { h.orch.Draining = 1 }, "dst still counts 1 drains selecting it"},
+		{func(h *hostResidue) { h.orch.Running = 1 }, "dst still counts 1 executor admission slots taken"},
+		{func(h *hostResidue) { h.orch.Queued = 3 }, "dst still counts 3 executor jobs queued"},
+		{func(h *hostResidue) { h.orch.Busy = 1 }, "dst still counts 1 executor containers marked busy"},
 	} {
 		ev := healthy()
 		tc.plant(&ev.census[1])
@@ -310,5 +331,36 @@ func TestPlugCheckerFlagsSyntheticViolations(t *testing.T) {
 	ev.Report.Migrations[0].Report.PlugFlushed = 0
 	if vs := checkPlug(ev); !find(vs, "retransmitted 5 packets") || !find(vs, "no flushed frames") {
 		t.Fatalf("fault-free retransmission not flagged: %v", vs)
+	}
+}
+
+// TestLedgerKeepsDeclaredKindsOnly: the ledger is a filter over the
+// event stream, so an event of a kind outside the declared set — a new
+// emitter — leaves the behaviour hash exactly as it was, while one of a
+// declared kind moves it.
+func TestLedgerKeepsDeclaredKindsOnly(t *testing.T) {
+	feed := func(evs ...metrics.Event) string {
+		r := &run{rec: &recorder{}, jobs: map[string]string{}, bound: map[string]string{}}
+		for _, e := range evs {
+			if err := r.listen(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return r.rec.hash()
+	}
+	base := []metrics.Event{
+		{T: 10, Kind: "cqe", Node: "src", QPN: 7, Seq: 1},
+		{T: 20, Kind: "plug", Node: "dst", Seq: 1, Note: "buffer"},
+		{T: 30, Kind: "pchan", Mig: "m0", Seq: 2, Note: "send"},
+	}
+	want := feed(base...)
+	novel := slices.Insert(slices.Clone(base), 1, metrics.Event{T: 15, Kind: "wbs-sweep", Node: "src", Mig: "m0"},
+		metrics.Event{T: 16, Kind: "attempt", Mig: "d1/src/client", Note: "src/m1"})
+	if got := feed(novel...); got != want {
+		t.Errorf("undeclared kinds moved the behaviour hash: %s, want %s", got, want)
+	}
+	declared := slices.Insert(slices.Clone(base), 1, metrics.Event{T: 15, Kind: "ack", Node: "src", QPN: 7, PSN: 3})
+	if got := feed(declared...); got == want {
+		t.Error("a declared kind left the behaviour hash unchanged")
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"migrrdma/internal/core"
 	"migrrdma/internal/experiments"
 	"migrrdma/internal/metrics"
-	"migrrdma/internal/migmgr"
 	"migrrdma/internal/orchestrator"
 	"migrrdma/internal/runc"
 )
@@ -44,10 +43,13 @@ type run struct {
 	rec *recorder
 	inj *injector
 	w   workload
-	// movers maps a migration's ID to its container; jobs maps a drain
-	// attempt's executor job ID to its migration's ID.
-	movers map[string]*mover
-	jobs   map[string]string
+	// movers maps a migration's ID to its container. An orchestrated
+	// run's attempt events fill jobs (executor job ID → migration ID)
+	// and bound (migration ID → the job of its latest attempt).
+	movers      map[string]*mover
+	jobs, bound map[string]string
+	// orch drives an orchestrated run's migrations (nil under Direct).
+	orch *orchestrator.Orchestrator
 	// aborter is the mover the scenario's Abort targets; predumps counts
 	// its attempts ("predump" opens every one).
 	aborter  *mover
@@ -67,6 +69,9 @@ type Evidence struct {
 	ledger []metrics.Event
 	// movers[i] is the container Report.Migrations[i] moved.
 	movers []*mover
+	// bound maps an orchestrated migration's ID to the executor job its
+	// last attempt ran as.
+	bound  map[string]string
 	tenant *tenantWorkload
 	census []hostResidue
 	racks  map[string]int // host → rack
@@ -100,7 +105,7 @@ func Run(seed int64, sc Scenario) *Report {
 	defer rig.Close()
 	cl, sched := rig.CL, rig.CL.Sched
 	r := &run{sc: sc, rig: rig, rec: &recorder{sched: sched},
-		movers: make(map[string]*mover), jobs: make(map[string]string)}
+		movers: make(map[string]*mover), jobs: make(map[string]string), bound: make(map[string]string)}
 	r.inj = &injector{sched: sched, net: cl.Net, rec: r.rec}
 	cl.Metrics.Listen(r.listen)
 	wbs := core.DefaultWBSConfig()
@@ -180,7 +185,7 @@ func Run(seed int64, sc Scenario) *Report {
 		}
 	} else {
 		ev := &Evidence{Scenario: sc, Report: rep, ledger: r.rec.events, movers: moved,
-			census: takeCensus(rig), racks: make(map[string]int)}
+			bound: r.bound, census: takeCensus(rig, r.orch), racks: make(map[string]int)}
 		// The census reads the hosts as the run left them; only then are
 		// the parked procs unwound, and whatever survives that counted.
 		rig.Close()
@@ -204,27 +209,18 @@ func Run(seed int64, sc Scenario) *Report {
 }
 
 // listen is the run's one listener on the cluster's event stream. It
-// maps each event onto the ledger entry the behaviour hash has always
-// folded for it, field for field.
+// drives the run on stage events, binds an orchestrated attempt to its
+// migration, and keeps an event on the ledger only if its kind is one
+// of the declared set below: an emitter of a new kind moves no hash.
 func (r *run) listen(e metrics.Event) error {
 	switch e.Kind {
 	case "stage":
 		return r.onStage(e.Mig, e.Note)
 	case "attempt":
-		r.jobs[e.Note] = e.Mig
-		return nil
-	case "plug":
-		e.Node = "" // plug entries never carried their node
-	case "pchan":
-		// Only Direct runs have ever had their page channel on the
-		// ledger: the hook it came through was never wired on the
-		// managed or drain paths. The next `make goldens
-		// MODE=behaviour` re-baseline lifts this rule.
-		if r.sc.Migrate.Via != Direct {
-			return nil
-		}
+		r.jobs[e.Note], r.bound[e.Mig] = e.Mig, e.Note
+	case "cqe", "ack", "exp", "dereg", "rkey", "plug", "pchan": // the ledger's kinds
+		r.rec.events = append(r.rec.events, e)
 	}
-	r.rec.events = append(r.rec.events, e)
 	return nil
 }
 
@@ -233,7 +229,8 @@ func (r *run) listen(e metrics.Event) error {
 // faults, lets the workload churn and, last, decides the scenario's
 // abort: only the first mover aborts, and with Retry only on its first
 // attempt. It runs on the migration's driver proc. id is the runc
-// migration ID, which a drain resolves to its own migration's.
+// migration ID, which an orchestrated run resolves to its own
+// migration's through the attempt events.
 func (r *run) onStage(id, stage string) error {
 	if mig, ok := r.jobs[id]; ok {
 		id = mig
@@ -283,12 +280,7 @@ func (r *run) options(i int) runc.MigrateOptions {
 // reports the stage each migration is stuck in).
 func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover) {
 	cl, daemons := r.rig.CL, r.rig.Daemons
-	retries := 0
-	if r.sc.Abort.Retry {
-		retries = 1
-	}
-	switch r.sc.Migrate.Via {
-	case Direct:
+	if r.sc.Migrate.Via == Direct {
 		mv := movers[0]
 		src := mv.cont.Host.Name
 		m := &runc.Migrator{
@@ -308,62 +300,48 @@ func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover
 			rep.Migrations = []Outcome{o}
 			return movers[:1]
 		}
-	case Managed:
-		mgr := migmgr.New(cl, daemons, r.sc.Migrate.Cap)
-		migrate = func() {
-			for i, mv := range movers {
-				j, err := mgr.Submit(migmgr.Spec{C: mv.cont, Dst: mv.dst, Opts: r.options(i), Retries: retries})
-				if err != nil {
-					panic("chaos: submit " + mv.cont.Name + ": " + err.Error())
-				}
-				r.movers[j.ID] = mv
-			}
-			mgr.WaitAll()
+		return migrate, fill
+	}
+	// Orchestrated: one drain lists every mover that names its
+	// destination; the rest come from evacuating rack 0.
+	r.orch = orchestrator.New(orchestrator.Config{
+		CL: cl, Daemons: daemons, Opts: r.options(-1), BackoffBase: time.Millisecond,
+	})
+	drain := &orchestrator.Drain{BlackoutSLO: drainSLO, MaxParallel: r.sc.Migrate.Cap}
+	if r.sc.Abort.Retry {
+		drain.Retries = 1
+	}
+	byCont := make(map[*runc.Container]*mover)
+	for _, mv := range movers {
+		r.orch.Register(mv.cont)
+		byCont[mv.cont] = mv
+		if mv.dst == "" {
+			drain.Selector = func(h *cluster.Host) bool { return h.Rack == 0 }
+		} else {
+			drain.Migrations = append(drain.Migrations, &orchestrator.Migration{C: mv.cont, Dst: mv.dst})
 		}
-		fill = func(rep *Report) (moved []*mover) {
-			for _, j := range mgr.Jobs() {
-				mv := r.movers[j.ID]
-				moved = append(moved, mv)
-				rep.Migrations = append(rep.Migrations, Outcome{ID: j.ID, Src: j.Src, Dst: j.Spec.Dst,
-					Host: mv.cont.Host.Name, FinalStage: j.Stage(), Attempts: j.Attempts,
-					Started: j.Started, Finished: j.Finished, Report: j.Report, Err: j.Err})
-			}
-			return moved
+	}
+	var d *orchestrator.Drain
+	migrate = func() {
+		d = r.orch.Submit(drain)
+		// The drain's procs run once this one waits.
+		for _, m := range d.Migrations {
+			r.movers[m.ID] = byCont[m.C]
 		}
-	case Drain:
-		orch := orchestrator.New(orchestrator.Config{
-			CL: cl, Daemons: daemons, Opts: r.options(-1), BackoffBase: time.Millisecond,
-		})
-		byCont := make(map[*runc.Container]*mover)
-		for _, mv := range movers {
-			orch.Register(orchestrator.Workload{C: mv.cont})
-			byCont[mv.cont] = mv
+		d.Wait()
+	}
+	fill = func(rep *Report) (moved []*mover) {
+		if d == nil {
+			return nil
 		}
-		var d *orchestrator.Drain
-		migrate = func() {
-			d = orch.Submit(&orchestrator.Drain{
-				Selector:    func(h *cluster.Host) bool { return h.Rack == 0 },
-				BlackoutSLO: drainSLO, MaxParallel: r.sc.Migrate.Cap, Retries: retries,
-			})
-			// The drain's procs run once this one waits.
-			for _, m := range d.Migrations {
-				r.movers[m.ID] = byCont[m.C]
-			}
-			d.Wait()
+		for _, m := range d.Migrations {
+			moved = append(moved, byCont[m.C])
+			rep.Migrations = append(rep.Migrations, Outcome{ID: m.ID, Src: m.Src, Dst: m.Dst,
+				Host: m.C.Host.Name, FinalStage: m.State().String(), Attempts: m.Attempts,
+				Started: m.Started, Finished: m.Finished, Report: m.Report, Err: m.Err,
+				Blackout: m.Blackout, SLOMet: m.SLOMet})
 		}
-		fill = func(rep *Report) (moved []*mover) {
-			if d == nil {
-				return nil
-			}
-			for _, m := range d.Migrations {
-				moved = append(moved, byCont[m.C])
-				rep.Migrations = append(rep.Migrations, Outcome{ID: m.ID, Src: m.Src, Dst: m.Dst,
-					Host: m.C.Host.Name, FinalStage: m.State().String(), Attempts: m.Attempts,
-					Started: m.Started, Finished: m.Finished, Report: m.Report, Err: m.Err,
-					Blackout: m.Blackout, SLOMet: m.SLOMet})
-			}
-			return moved
-		}
+		return moved
 	}
 	return migrate, fill
 }

@@ -77,8 +77,8 @@ type Pair struct {
 	Name           string
 	Client, Server string // host names
 	Moves          Side
-	// Dst is the destination host; empty under Drain, where the
-	// orchestrator places the container.
+	// Dst is the destination host; empty when an orchestrated run's
+	// rack-0 drain places the container.
 	Dst string
 }
 
@@ -103,13 +103,12 @@ type Via int
 const (
 	// Direct runs one runc.Migrator on the driver proc (migration "m0").
 	Direct Via = iota
-	// Managed submits every migrating container to one migmgr.Manager
-	// under admission cap Cap (migrations "m1", "m2", …).
-	Managed
-	// Drain registers every migrating container with an orchestrator
-	// and evacuates rack 0 under MaxParallel = Cap; the placement
-	// policy picks the destinations.
-	Drain
+	// Orchestrated registers every migrating container with an
+	// orchestrator and submits one drain under MaxParallel = Cap
+	// (migrations "d1/<src>/<container>"): a mover that names its
+	// destination is listed with it, the others are found by evacuating
+	// rack 0 and placed by the placement policy.
+	Orchestrated
 )
 
 // Migrate says how the workload's migrating containers move.
@@ -157,12 +156,14 @@ type Outcome struct {
 	Host string
 	// FinalStage is the last workflow stage reached — "done" on
 	// success, "aborted" after a rollback, the stuck stage on a hung run.
-	// Under Drain it is the orchestrator's lifecycle state instead, whose
-	// "done" is the same word and whose "conflict" is an expansion reject.
+	// Orchestrated, it is the orchestrator's lifecycle state instead,
+	// whose "done" is the same word and whose "conflict" is an admission
+	// reject.
 	FinalStage        string
 	Started, Finished time.Duration
 	Attempts          int
-	// Blackout and SLOMet are the drain's per-migration SLO verdict.
+	// Blackout and SLOMet are the orchestrator's per-migration SLO
+	// verdict.
 	Blackout time.Duration
 	SLOMet   bool
 	Report   *runc.Report

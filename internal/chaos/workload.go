@@ -146,16 +146,8 @@ type tenantWorkload struct {
 }
 
 func (w *tenantWorkload) start() []*mover {
-	rig, sched, opts := w.r.rig, w.r.rig.CL.Sched, tenantOpts()
-	w.svc = tenant.NewService(sched, "svc", opts)
-	w.gw = tenant.NewGateway(sched, "gw", opts, tenant.Target{Node: "src", Name: "svc"})
-	svcCont := runc.NewContainer(rig.CL.Host("src"), "svc-cont")
-	svcCont.Start(func(tp *task.Process) { w.svc.Run(tp, rig.Daemons["src"]) })
-	gwCont := runc.NewContainer(rig.CL.Host("gw"), "gw-cont")
-	sched.Go("tenant-start-gw", func() {
-		w.svc.WaitReady()
-		gwCont.Start(func(tp *task.Process) { w.gw.Run(tp, rig.Daemons["gw"]) })
-	})
+	var svcCont *runc.Container
+	w.svc, w.gw, svcCont = w.r.rig.StartTenant("src", "gw", tenantOpts())
 	return []*mover{{cont: svcCont, dst: "dst"}}
 }
 

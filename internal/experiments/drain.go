@@ -173,7 +173,7 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (_ DrainPoin
 		CL: cl, Daemons: r.Daemons, Opts: runc.DefaultMigrateOptions(),
 	})
 	for _, cNode := range drained {
-		orch.Register(orchestrator.Workload{C: pairs[cNode].ClientCont})
+		orch.Register(pairs[cNode].ClientCont)
 	}
 
 	var (

@@ -105,15 +105,7 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 		Sessions: sessions, Lanes: 8, LaneDepth: 64,
 		Credits: 16, RefillAmount: 16, RefillEvery: 20 * time.Microsecond,
 	}
-	svc := tenant.NewService(r.CL.Sched, "svc", opts)
-	gw := tenant.NewGateway(r.CL.Sched, "gw", opts, tenant.Target{Node: "src", Name: "svc"})
-	svcCont := runc.NewContainer(r.CL.Host("src"), "svc-cont")
-	svcCont.Start(func(tp *task.Process) { svc.Run(tp, r.Daemons["src"]) })
-	gwCont := runc.NewContainer(r.CL.Host("gw"), "gw-cont")
-	r.CL.Sched.Go("tenancy-start-gw", func() {
-		svc.WaitReady()
-		gwCont.Start(func(tp *task.Process) { gw.Run(tp, r.Daemons["gw"]) })
-	})
+	svc, gw, svcCont := r.StartTenant("src", "gw", opts)
 	stopHog := func() {}
 	if hog {
 		if stopHog, err = pageHog.Start(svcCont.Procs[0]); err != nil {
@@ -168,6 +160,23 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 		Acked:      gw.Stats.AckedOK,
 		DrainAfter: drainAfter,
 	}, nil
+}
+
+// StartTenant launches a tenant service "svc" in container "svc-cont"
+// on svcNode and, once the service listens, its gateway "gw" in
+// container "gw-cont" on gwNode. The service container is the one that
+// migrates.
+func (r *Rig) StartTenant(svcNode, gwNode string, opts tenant.Options) (*tenant.Service, *tenant.Gateway, *runc.Container) {
+	svc := tenant.NewService(r.CL.Sched, "svc", opts)
+	gw := tenant.NewGateway(r.CL.Sched, "gw", opts, tenant.Target{Node: svcNode, Name: "svc"})
+	svcCont := runc.NewContainer(r.CL.Host(svcNode), "svc-cont")
+	svcCont.Start(func(tp *task.Process) { svc.Run(tp, r.Daemons[svcNode]) })
+	gwCont := runc.NewContainer(r.CL.Host(gwNode), "gw-cont")
+	r.CL.Sched.Go("tenant-start-gw", func() {
+		svc.WaitReady()
+		gwCont.Start(func(tp *task.Process) { gw.Run(tp, r.Daemons[gwNode]) })
+	})
+	return svc, gw, svcCont
 }
 
 // TenancySweep runs the scaling sweep: every session count × both

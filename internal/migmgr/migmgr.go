@@ -1,9 +1,12 @@
-// Package migmgr is the cluster-level migration manager: the cloud
-// manager role of §4 scaled past the paper's one-at-a-time testbed. It
-// admits container migrations under a configurable concurrency cap,
-// queues the rest, assigns each migration a stable ID ("m1", "m2", …)
-// and threads it through the Migrator so overlapping runs stay
-// distinguishable in daemon state, stream events, and metrics labels.
+// Package migmgr is per-host migration admission: the executor one
+// source host runs beneath the orchestrator. It admits container
+// migrations under a concurrency cap, queues the rest in submission
+// order, rejects a second migration of a busy container (ErrConflict),
+// and assigns each migration a stable ID ("m1", "m2", …) that it threads
+// through the Migrator so overlapping runs stay distinguishable in
+// daemon state, stream events, and metrics labels. A job runs once: what
+// happens after a failed one — backoff, retry, another destination — is
+// the orchestrator's decision, not the executor's.
 package migmgr
 
 import (
@@ -57,12 +60,6 @@ type Spec struct {
 	C    *runc.Container
 	Dst  string
 	Opts runc.MigrateOptions
-	// ExtraPlugs is the number of additional RDMA-holding processes in
-	// the container beyond the first (see runc.Migrator.ExtraPlugs).
-	ExtraPlugs int
-	// Retries is the number of times a failed (aborted and rolled back)
-	// migration is requeued before the job is marked Failed.
-	Retries int
 }
 
 // Job tracks one submitted migration through the manager.
@@ -72,20 +69,10 @@ type Job struct {
 
 	mgr   *Manager
 	state State
-	mig   runc.Migrator // of the latest attempt
 	// Src is the source host name, resolved when the job starts.
 	Src string
 
 	Submitted, Started, Finished time.Duration
-	// queued is when the latest attempt joined the queue; wait sums every
-	// attempt's time there.
-	queued, wait time.Duration
-
-	// Attempts counts migration attempts, including the one in flight.
-	Attempts int
-	// LastErr is the most recent attempt's error; set even when a retry
-	// later succeeds, so callers can see a job recovered from an abort.
-	LastErr error
 
 	Report *runc.Report
 	Err    error
@@ -94,12 +81,9 @@ type Job struct {
 // State returns the job's lifecycle position.
 func (j *Job) State() State { return j.state }
 
-// Stage is the workflow stage of the latest attempt ("" before one).
-func (j *Job) Stage() string { return j.mig.Stage }
-
-// QueueWait is the admission delay: the time the job spent queued, summed
-// over its attempts (a requeued attempt waits from its requeue).
-func (j *Job) QueueWait() time.Duration { return j.wait }
+// QueueWait is the admission delay, Started − Submitted: valid once the
+// job has started.
+func (j *Job) QueueWait() time.Duration { return j.Started - j.Submitted }
 
 // Wait parks the calling proc until the job finished (Done or Failed).
 func (j *Job) Wait() {
@@ -125,7 +109,7 @@ type Manager struct {
 	queue   []*Job
 	jobs    []*Job
 	running int
-	// busy guards against two concurrent migrations of one container.
+	// busy marks the containers of running jobs.
 	busy    map[*runc.Container]bool
 	changed *sim.Cond
 
@@ -134,7 +118,6 @@ type Manager struct {
 	mSubmitted metrics.Counter
 	mCompleted metrics.Counter
 	mFailed    metrics.Counter
-	mRetried   metrics.Counter
 
 	// IDPrefix, when set before the first Submit, prefixes every job ID
 	// ("r0h1/" ⇒ "r0h1/m1"). The orchestrator runs one executor per
@@ -158,13 +141,12 @@ func New(cl *cluster.Cluster, daemons map[string]*core.Daemon, max int) *Manager
 		changed: sim.NewCond(cl.Sched, "migmgr"),
 	}
 	if reg := cl.Metrics; reg != nil {
-		b := reg.Block("migmgr", metrics.Labels{}, 6)
+		b := reg.Block("migmgr", metrics.Labels{}, 5)
 		m.mActive = b.Gauge("active")
 		m.mQueued = b.Gauge("queued")
 		m.mSubmitted = b.Counter("submitted")
 		m.mCompleted = b.Counter("completed")
 		m.mFailed = b.Counter("failed")
-		m.mRetried = b.Counter("retried")
 	}
 	return m
 }
@@ -190,7 +172,6 @@ func (m *Manager) Submit(spec Spec) (*Job, error) {
 		mgr:       m,
 		state:     Queued,
 		Submitted: m.sched.Now(),
-		queued:    m.sched.Now(),
 	}
 	m.jobs = append(m.jobs, j)
 	m.queue = append(m.queue, j)
@@ -207,35 +188,25 @@ func (m *Manager) Jobs() []*Job {
 	return out
 }
 
+// Admission reports what the manager holds right now: admission slots
+// taken, jobs queued, containers marked busy. All three read zero once
+// every job has finished.
+func (m *Manager) Admission() (running, queued, busy int) {
+	return m.running, len(m.queue), len(m.busy)
+}
+
 // WaitAll parks until every submitted job finished.
 func (m *Manager) WaitAll() {
-	for {
-		pending := false
-		for _, j := range m.jobs {
-			if j.state == Queued || j.state == Running {
-				pending = true
-				break
-			}
-		}
-		if !pending {
-			return
-		}
+	for m.running > 0 || len(m.queue) > 0 {
 		m.changed.Wait()
 	}
 }
 
-// pump starts queued jobs while capacity allows. A job whose container
-// is already migrating is skipped (it stays queued, later jobs may
-// overtake it) — Submit rejects such conflicts up front, so this guard
-// only matters for the internal abort-retry requeue path.
+// pump starts queued jobs, oldest first, while capacity allows.
 func (m *Manager) pump() {
-	for i := 0; i < len(m.queue) && m.running < m.max; {
-		j := m.queue[i]
-		if m.busy[j.Spec.C] {
-			i++
-			continue
-		}
-		m.queue = append(m.queue[:i], m.queue[i+1:]...)
+	for len(m.queue) > 0 && m.running < m.max {
+		j := m.queue[0]
+		m.queue = append(m.queue[:0], m.queue[1:]...)
 		m.start(j)
 	}
 	m.mQueued.Set(int64(len(m.queue)))
@@ -247,38 +218,23 @@ func (m *Manager) start(j *Job) {
 	m.busy[j.Spec.C] = true
 	j.state = Running
 	j.Started = m.sched.Now()
-	wait := j.Started - j.queued
-	j.wait += wait
 	j.Src = j.Spec.C.Host.Name
 	m.mActive.Set(int64(m.running))
 	if reg := m.cl.Metrics; reg != nil {
 		reg.Histogram("migmgr", "queue_wait_us", metrics.L("mig", j.ID), queueWaitBucketsUS).
-			Observe(wait.Microseconds())
+			Observe(j.QueueWait().Microseconds())
 	}
 	m.sched.Go("migmgr/"+j.ID, func() {
-		j.Attempts++
 		j.Report, j.Err = m.migrate(j)
 		j.Finished = m.sched.Now()
-		// Release the admission slot and the container unconditionally:
-		// every exit path — success, terminal failure, or requeue —
-		// frees capacity so queued migrations keep draining.
+		// Release the admission slot and the container on success and
+		// failure alike, so queued migrations keep draining.
 		m.running--
 		delete(m.busy, j.Spec.C)
-		switch {
-		case j.Err == nil:
+		if j.Err == nil {
 			j.state = Done
 			m.mCompleted.Inc()
-		case j.Attempts <= j.Spec.Retries:
-			// The migration aborted and rolled back; spend one unit of
-			// the retry budget and requeue behind the current backlog.
-			j.LastErr = j.Err
-			j.Err = nil
-			j.state = Queued
-			j.queued = m.sched.Now()
-			m.queue = append(m.queue, j)
-			m.mRetried.Inc()
-		default:
-			j.LastErr = j.Err
+		} else {
 			j.state = Failed
 			m.mFailed.Inc()
 		}
@@ -298,15 +254,12 @@ func (m *Manager) migrate(j *Job) (*runc.Report, error) {
 	if !ok {
 		return nil, fmt.Errorf("migmgr: no daemon on destination host %s", j.Spec.Dst)
 	}
-	j.mig = runc.Migrator{
+	mig := &runc.Migrator{
 		ID:   j.ID,
 		C:    j.Spec.C,
 		Dst:  m.cl.Host(j.Spec.Dst),
 		Plug: core.NewPlugin(srcD, dstD),
 		Opts: j.Spec.Opts,
 	}
-	for i := 0; i < j.Spec.ExtraPlugs; i++ {
-		j.mig.ExtraPlugs = append(j.mig.ExtraPlugs, core.NewPlugin(srcD, dstD))
-	}
-	return j.mig.Migrate()
+	return mig.Migrate()
 }

@@ -1,16 +1,16 @@
-// Package orchestrator is the datacenter-scale drain control plane
-// (ROADMAP item 1): declarative KubeVirt-style objects over the
-// per-host migration executors. A Drain request — "move every
-// container off the hosts this selector matches, at most MaxParallel
-// at a time, each under this blackout SLO" — expands into per-host
-// Migration objects with accepted/conflict semantics; LeastLoaded
-// placement picks destinations (least-loaded, preferring same-rack
-// moves that spare the oversubscribed spine uplinks); and
-// aborted migrations — surfaced by the phase engine's rollback — are
-// retried with exponential backoff. migmgr is demoted to the per-host
-// admission executor beneath this layer: one Manager per source host,
-// ID-prefixed so concurrent drains stay distinguishable in daemon
-// state, stream events and metric labels.
+// Package orchestrator is the datacenter-scale drain control plane and
+// the one owner of a migration's attempts: declarative KubeVirt-style
+// objects over the per-host migration executors. A Drain request —
+// "move every container off the hosts this selector matches (or these
+// listed containers), at most MaxParallel at a time, each under this
+// blackout SLO" — expands into Migration objects with accepted/conflict
+// semantics; LeastLoaded placement picks destinations (least-loaded,
+// preferring same-rack moves that spare the oversubscribed spine
+// uplinks); and aborted migrations — surfaced by the phase engine's
+// rollback — are retried with exponential backoff, by this package
+// alone. migmgr is the per-host admission executor beneath this layer:
+// one Manager per source host, ID-prefixed so concurrent drains stay
+// distinguishable in daemon state, stream events and metric labels.
 package orchestrator
 
 import (
@@ -65,8 +65,9 @@ type Migration struct {
 	// ID is "<drain>/<src>/<container>", e.g. "d1/r0h1/kv-cont".
 	ID string
 	C  *runc.Container
-	// Src is the container's host at expansion time; Dst is filled by
-	// the placement policy when the migration starts (the container may
+	// Src is the container's host at submission. Dst is either listed
+	// with the migration, and then every attempt goes there, or filled
+	// by the placement policy when an attempt starts (the container may
 	// land elsewhere on retry if loads shifted).
 	Src, Dst string
 
@@ -89,9 +90,12 @@ type Migration struct {
 // State returns the migration's lifecycle position.
 func (m *Migration) State() MigState { return m.state }
 
-// Drain is the declarative rack/host evacuation request.
+// Drain is the declarative rack/host evacuation request, or a batch of
+// listed moves.
 type Drain struct {
-	// Selector matches the hosts to evacuate.
+	// Selector matches the hosts to evacuate: each of their registered
+	// containers becomes a placed Migration, and the hosts stop being
+	// placement candidates until the drain finished.
 	Selector func(h *cluster.Host) bool
 	// BlackoutSLO is the per-migration service-blackout objective;
 	// 0 means none. Violations are recorded, not enforced — the
@@ -106,8 +110,10 @@ type Drain struct {
 
 	// ID is assigned at submission ("d1", "d2", …).
 	ID string
-	// Migrations is the expansion, in deterministic host/registration
-	// order; includes Conflict rejections.
+	// Migrations may be listed before submission — C, plus Dst if known
+	// — instead of or after the Selector's expansion, which comes first
+	// in deterministic host/registration order. After Submit it holds
+	// every one of them, Conflict rejections included.
 	Migrations []*Migration
 
 	orch *Orchestrator
@@ -172,21 +178,15 @@ const (
 	maxBackoffFactor = 32
 )
 
-// Workload is a registered migratable container.
-type Workload struct {
-	C          *runc.Container
-	ExtraPlugs int
-}
-
 // Orchestrator owns the cluster-wide drain state.
 type Orchestrator struct {
 	cfg     Config
 	sched   *sim.Scheduler
 	changed *sim.Cond
 
-	// workloads in registration order — the deterministic expansion
-	// order within one host.
-	workloads []Workload
+	// workloads are the registered containers in registration order —
+	// the deterministic expansion order within one host.
+	workloads []*runc.Container
 	// active maps containers to their in-flight accepted Migration; the
 	// source of Conflict rejections.
 	active map[*runc.Container]*Migration
@@ -200,7 +200,6 @@ type Orchestrator struct {
 	draining map[string]int
 
 	nextDrain int
-	drains    []*Drain
 
 	mAccepted, mConflicted metrics.Counter
 	mDone, mFailed         metrics.Counter
@@ -234,16 +233,10 @@ func New(cfg Config) *Orchestrator {
 	return o
 }
 
-// Register adds a migratable workload to the inventory. Drains only
-// move registered containers.
-func (o *Orchestrator) Register(w Workload) { o.workloads = append(o.workloads, w) }
-
-// Drains returns every submitted drain in submission order.
-func (o *Orchestrator) Drains() []*Drain {
-	out := make([]*Drain, len(o.drains))
-	copy(out, o.drains)
-	return out
-}
+// Register adds a migratable container to the inventory: a Selector
+// drains registered containers only, and they count toward their
+// host's placement load.
+func (o *Orchestrator) Register(c *runc.Container) { o.workloads = append(o.workloads, c) }
 
 // exec returns (creating if needed) the source host's executor.
 func (o *Orchestrator) exec(host string) *migmgr.Manager {
@@ -256,12 +249,12 @@ func (o *Orchestrator) exec(host string) *migmgr.Manager {
 	return m
 }
 
-// Submit expands a drain into per-container Migrations and launches
-// its scheduling loop. Containers already claimed by another drain are
-// rejected as Conflict; everything else is accepted. Expansion walks
-// hosts in sorted-name order and each host's containers in
-// registration order, so the same drain against the same cluster
-// always expands identically.
+// Submit names and admits a drain's migrations and launches its
+// scheduling loop: first the Selector's expansion — hosts in sorted-name
+// order, each host's containers in registration order, so the same
+// drain against the same cluster always expands identically — then the
+// listed ones. A container already claimed by another drain is rejected
+// as Conflict; everything else is accepted.
 func (o *Orchestrator) Submit(d *Drain) *Drain {
 	o.nextDrain++
 	d.ID = "d" + strconv.Itoa(o.nextDrain)
@@ -269,35 +262,42 @@ func (o *Orchestrator) Submit(d *Drain) *Drain {
 	if d.MaxParallel <= 0 {
 		d.MaxParallel = 1
 	}
+	listed := d.Migrations
+	d.Migrations = nil
 	for _, host := range o.cfg.CL.Names() {
-		if !d.Selector(o.cfg.CL.Host(host)) {
+		if d.Selector == nil || !d.Selector(o.cfg.CL.Host(host)) {
 			continue
 		}
 		o.draining[host]++
-		for _, w := range o.workloads {
-			if w.C.Host.Name != host {
-				continue
+		for _, c := range o.workloads {
+			if c.Host.Name == host {
+				o.admit(d, &Migration{C: c})
 			}
-			m := &Migration{
-				ID:  d.ID + "/" + host + "/" + w.C.Name,
-				C:   w.C,
-				Src: host,
-			}
-			if o.active[w.C] != nil {
-				m.state = Conflict
-				m.Err = migmgr.ErrConflict
-				o.mConflicted.Inc()
-			} else {
-				m.state = Pending
-				o.active[w.C] = m
-				o.mAccepted.Inc()
-			}
-			d.Migrations = append(d.Migrations, m)
 		}
 	}
-	o.drains = append(o.drains, d)
+	for _, m := range listed {
+		o.admit(d, m)
+	}
 	o.sched.Go("orch/"+d.ID, func() { o.run(d) })
 	return d
+}
+
+// admit names m after its drain and its container's host, then accepts
+// it, or rejects it as a Conflict when the container already has an
+// active migration.
+func (o *Orchestrator) admit(d *Drain, m *Migration) {
+	m.Src = m.C.Host.Name
+	m.ID = d.ID + "/" + m.Src + "/" + m.C.Name
+	if o.active[m.C] != nil {
+		m.state = Conflict
+		m.Err = migmgr.ErrConflict
+		o.mConflicted.Inc()
+	} else {
+		m.state = Pending
+		o.active[m.C] = m
+		o.mAccepted.Inc()
+	}
+	d.Migrations = append(d.Migrations, m)
 }
 
 // run is the drain scheduling loop: keep up to MaxParallel accepted
@@ -328,7 +328,7 @@ func (o *Orchestrator) run(d *Drain) {
 		}
 	}
 	for _, host := range o.cfg.CL.Names() {
-		if d.Selector(o.cfg.CL.Host(host)) {
+		if d.Selector != nil && d.Selector(o.cfg.CL.Host(host)) {
 			o.draining[host]--
 		}
 	}
@@ -337,25 +337,22 @@ func (o *Orchestrator) run(d *Drain) {
 }
 
 // launch drives one migration through attempts and backoff on its own
-// proc.
+// proc. It is the only retry loop: an executor runs each attempt once.
 func (o *Orchestrator) launch(d *Drain, m *Migration) {
 	m.state = Running
 	m.Started = o.sched.Now()
+	listedDst := m.Dst
 	o.sched.Go("orch/"+m.ID, func() {
 		defer func() {
 			m.Finished = o.sched.Now()
 			delete(o.active, m.C)
 			o.changed.Broadcast()
 		}()
-		var w Workload
-		for _, cand := range o.workloads {
-			if cand.C == m.C {
-				w = cand
-			}
-		}
 		for attempt := 0; ; attempt++ {
-			src := m.C.Host.Name // re-resolved: a retried container drains from wherever it lives
-			dst := o.place(d, src)
+			src, dst := m.C.Host.Name, listedDst // re-resolved: a retried container drains from wherever it lives
+			if dst == "" {
+				dst = o.place(d, src)
+			}
 			if dst == "" {
 				m.state = Failed
 				m.Err = fmt.Errorf("orchestrator: %s: no feasible destination", m.ID)
@@ -365,9 +362,7 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			m.Src, m.Dst = src, dst
 			m.Attempts++
 			o.incoming[dst]++
-			j, err := o.exec(src).Submit(migmgr.Spec{
-				C: m.C, Dst: dst, Opts: o.cfg.Opts, ExtraPlugs: w.ExtraPlugs,
-			})
+			j, err := o.exec(src).Submit(migmgr.Spec{C: m.C, Dst: dst, Opts: o.cfg.Opts})
 			if err != nil {
 				// The orchestrator serializes per container, so an executor
 				// conflict is a bookkeeping bug, not an operational state.
@@ -408,12 +403,38 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 	})
 }
 
+// Census is what the orchestrator and its executors still hold on one
+// host; a quiesced cluster reads zero on every host.
+type Census struct {
+	// Active counts accepted, unfinished migrations of the host's
+	// containers; Incoming, attempts placed onto the host; Draining,
+	// unfinished drains selecting it.
+	Active, Incoming, Draining int
+	// Running, Queued and Busy are the admission state of the host's
+	// executor (migmgr.Manager.Admission); zero if it never had one.
+	Running, Queued, Busy int
+}
+
+// Census reads one host's in-flight state without changing any.
+func (o *Orchestrator) Census(host string) Census {
+	c := Census{Incoming: o.incoming[host], Draining: o.draining[host]}
+	for cont := range o.active {
+		if cont.Host.Name == host {
+			c.Active++
+		}
+	}
+	if m, ok := o.execs[host]; ok {
+		c.Running, c.Queued, c.Busy = m.Admission()
+	}
+	return c
+}
+
 // load scores a host for placement: resident registered containers
 // plus in-flight migrations already targeting it.
 func (o *Orchestrator) load(host string) int {
 	n := o.incoming[host]
-	for _, w := range o.workloads {
-		if w.C.Host.Name == host {
+	for _, c := range o.workloads {
+		if c.Host.Name == host {
 			n++
 		}
 	}
@@ -424,8 +445,9 @@ func (o *Orchestrator) load(host string) int {
 // daemon, in sorted-name order — and asks the policy.
 func (o *Orchestrator) place(d *Drain, src string) string {
 	srcHost := o.cfg.CL.Host(src)
-	var cands []Candidate
-	for _, host := range o.cfg.CL.Names() {
+	names := o.cfg.CL.Names()
+	cands := make([]Candidate, 0, len(names))
+	for _, host := range names {
 		if host == src || o.draining[host] > 0 {
 			continue
 		}

@@ -92,8 +92,8 @@ func TestDrainEvacuatesRack(t *testing.T) {
 	w0 := r.startPair("p0", "r0h0", "r1h2")
 	w1 := r.startPair("p1", "r0h1", "r1h2")
 	o := New(Config{CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions()})
-	o.Register(Workload{C: w0.cont})
-	o.Register(Workload{C: w1.cont})
+	o.Register(w0.cont)
+	o.Register(w1.cont)
 	var d, overlap *Drain
 	ran := false
 	r.cl.Sched.Go("driver", func() {
@@ -160,7 +160,7 @@ func TestDrainPrefersSameRack(t *testing.T) {
 	r := newRig(42, 2, 3)
 	w := r.startPair("p0", "r0h0", "r1h2")
 	o := New(Config{CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions()})
-	o.Register(Workload{C: w.cont})
+	o.Register(w.cont)
 	var d *Drain
 	ran := false
 	r.cl.Sched.Go("driver", func() {
@@ -203,7 +203,7 @@ func TestDrainRetriesWithBackoff(t *testing.T) {
 		CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions(),
 		BackoffBase: 2 * time.Millisecond,
 	})
-	o.Register(Workload{C: w.cont})
+	o.Register(w.cont)
 	// The stream names each attempt's executor job; the listener maps the
 	// job's stage events back to their Migration through it.
 	attempt := 0
@@ -280,7 +280,7 @@ func TestDrainAllHostsFails(t *testing.T) {
 	r := newRig(44, 1, 3)
 	w := r.startPair("p0", "r0h0", "r0h2")
 	o := New(Config{CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions()})
-	o.Register(Workload{C: w.cont})
+	o.Register(w.cont)
 	var d *Drain
 	ran := false
 	r.cl.Sched.Go("driver", func() {
@@ -309,5 +309,186 @@ func TestDrainAllHostsFails(t *testing.T) {
 	// The workload is untouched on its original host.
 	if w.cont.Host.Name != "r0h0" {
 		t.Errorf("container moved to %s despite the failed drain", w.cont.Host.Name)
+	}
+}
+
+// TestRetryBudgetRequeues lists one migration with its destination and
+// a retry budget of two, and refuses its first two attempts at
+// suspend-wbs: the orchestrator must roll each back, back off 1 then
+// 2 × BackoffBase, and succeed on the third attempt, each attempt a job
+// of its own on the source executor, every one admitted at once. A
+// listed destination marks no host as draining.
+func TestRetryBudgetRequeues(t *testing.T) {
+	r := newRig(26, 1, 3)
+	w := r.startPair("flaky", "r0h0", "r0h2")
+	o := New(Config{CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions()})
+	attempt := 0
+	r.cl.Metrics.Listen(func(e metrics.Event) error {
+		if e.Kind == "stage" && e.Note == "predump" {
+			attempt++
+		}
+		if e.Kind == "stage" && e.Note == "suspend-wbs" && attempt <= 2 {
+			return fmt.Errorf("boom on attempt %d", attempt)
+		}
+		return nil
+	})
+	var d *Drain
+	ran := false
+	r.cl.Sched.Go("driver", func() {
+		w.cli.WaitReady()
+		r.cl.Sched.Sleep(2 * time.Millisecond)
+		d = o.Submit(&Drain{Migrations: []*Migration{{C: w.cont, Dst: "r0h1"}}, Retries: 2})
+		if len(o.draining) != 0 {
+			t.Errorf("a listed migration marked hosts draining: %v", o.draining)
+		}
+		d.Wait()
+		r.cl.Sched.Sleep(2 * time.Millisecond)
+		w.stop()
+		ran = true
+	})
+	r.cl.Sched.RunFor(time.Minute)
+	if !ran {
+		t.Fatal("driver did not finish")
+	}
+	m := d.Migrations[0]
+	if m.ID != "d1/r0h0/cli-flaky-cont" {
+		t.Errorf("ID = %s, want d1/r0h0/cli-flaky-cont", m.ID)
+	}
+	if m.State() != Done {
+		t.Fatalf("state = %v (err %v), want done after retries", m.State(), m.Err)
+	}
+	if m.Attempts != 3 {
+		t.Fatalf("attempts = %d, want 3", m.Attempts)
+	}
+	if m.LastErr == nil || !strings.Contains(m.LastErr.Error(), "phase suspend-wbs") {
+		t.Fatalf("LastErr = %v, want the aborted attempt's error", m.LastErr)
+	}
+	jobs := o.execs["r0h0"].Jobs()
+	if len(jobs) != 3 {
+		t.Fatalf("%d executor jobs, want one per attempt", len(jobs))
+	}
+	for i, j := range jobs {
+		if j.Spec.Dst != "r0h1" {
+			t.Errorf("%s went to %s, want the listed r0h1", j.ID, j.Spec.Dst)
+		}
+		// Nothing else was queued on the executor: the aborted attempts'
+		// runs are not admission delay.
+		if j.QueueWait() != 0 {
+			t.Errorf("%s QueueWait = %v, want 0", j.ID, j.QueueWait())
+		}
+		if i > 0 {
+			want := time.Millisecond << (i - 1)
+			if gap := j.Submitted - jobs[i-1].Finished; gap != want {
+				t.Errorf("%s resubmitted %v after %s failed, want a %v backoff", j.ID, gap, jobs[i-1].ID, want)
+			}
+		}
+	}
+	if n := w.cli.Sess.Node(); n != "r0h1" {
+		t.Errorf("client ended on %s, want r0h1", n)
+	}
+	snap := r.cl.Metrics.Snapshot()
+	for _, c := range []struct {
+		comp, name string
+		want       int64
+	}{
+		{"orchestrator", "migrations_retried", 2},
+		{"orchestrator", "migrations_done", 1},
+		{"orchestrator", "migrations_failed", 0},
+		{"migmgr", "completed", 1},
+		{"migmgr", "failed", 2},
+		{"migr", "migrations_aborted", 2},
+	} {
+		if got := snap.Sum(c.comp, c.name); got != c.want {
+			t.Errorf("%s/%s = %d, want %d", c.comp, c.name, got, c.want)
+		}
+	}
+}
+
+// TestSlotBalanceAcrossAbortRetry pins the admission-slot accounting
+// under abort+retry contention: three flaky containers on one source
+// host, all in flight at once against its executor's cap of two, each
+// aborting its first attempt. Every attempt must take a slot exactly
+// once and give it back exactly once, so the executor never runs more
+// than its cap nor goes negative (a double release on the abort path
+// would free a phantom slot and over-admit the backlog), and ends with
+// nothing running, queued or busy.
+func TestSlotBalanceAcrossAbortRetry(t *testing.T) {
+	r := newRig(28, 1, 3)
+	var ws []*workload
+	var listed []*Migration
+	for i := 0; i < 3; i++ {
+		w := r.startPair(fmt.Sprintf("f%d", i), "r0h0", "r0h2")
+		ws = append(ws, w)
+		listed = append(listed, &Migration{C: w.cont, Dst: "r0h1"})
+	}
+	o := New(Config{CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions()})
+	minRunning, maxRunning, maxQueued := 0, 0, 0
+	jobs := make(map[string]string)  // executor job ID → Migration ID
+	attempts := make(map[string]int) // by Migration ID
+	r.cl.Metrics.Listen(func(e metrics.Event) error {
+		switch e.Kind {
+		case "attempt":
+			jobs[e.Note] = e.Mig
+		case "stage":
+			running, queued, _ := o.execs["r0h0"].Admission()
+			minRunning, maxRunning = min(minRunning, running), max(maxRunning, running)
+			maxQueued = max(maxQueued, queued)
+			mig := jobs[e.Mig]
+			if e.Note == "predump" {
+				attempts[mig]++
+			}
+			if e.Note == "suspend-wbs" && attempts[mig] == 1 {
+				return fmt.Errorf("first-attempt abort (%s)", mig)
+			}
+		}
+		return nil
+	})
+	var d *Drain
+	ran := false
+	r.cl.Sched.Go("driver", func() {
+		for _, w := range ws {
+			w.cli.WaitReady()
+		}
+		r.cl.Sched.Sleep(2 * time.Millisecond)
+		d = o.Submit(&Drain{Migrations: listed, MaxParallel: 3, Retries: 1})
+		d.Wait()
+		r.cl.Sched.Sleep(2 * time.Millisecond)
+		for _, w := range ws {
+			w.stop()
+		}
+		ran = true
+	})
+	r.cl.Sched.RunFor(time.Minute)
+	if !ran {
+		t.Fatal("driver did not finish")
+	}
+	for _, m := range d.Migrations {
+		if m.State() != Done {
+			t.Errorf("%s state = %v (err %v), want done", m.ID, m.State(), m.Err)
+		}
+		if m.Attempts != 2 {
+			t.Errorf("%s attempts = %d, want 2 (one abort, one retry)", m.ID, m.Attempts)
+		}
+	}
+	if minRunning < 0 {
+		t.Errorf("running count went negative (%d): a slot was released twice", minRunning)
+	}
+	if maxRunning > hostCap {
+		t.Errorf("running count hit %d under cap %d: a release was double-counted as capacity", maxRunning, hostCap)
+	}
+	if maxRunning < hostCap || maxQueued == 0 {
+		t.Errorf("at most %d running and %d queued: the executor was never contended", maxRunning, maxQueued)
+	}
+	for _, host := range r.cl.Names() {
+		if c := o.Census(host); c != (Census{}) {
+			t.Errorf("after the drain %s still holds %+v", host, c)
+		}
+	}
+	snap := r.cl.Metrics.Snapshot()
+	if got := snap.Sum("orchestrator", "migrations_retried"); got != 3 {
+		t.Errorf("migrations_retried = %d, want 3", got)
+	}
+	if got := snap.Sum("migmgr", "completed"); got != 3 {
+		t.Errorf("migmgr completed = %d, want 3", got)
 	}
 }
