@@ -69,16 +69,20 @@ goldens:
 	UPDATE_CHAOS_GOLDENS=$(MODE) $(GO) test ./internal/chaos -count=1 -run 'TestGoldenHashes$$' -v
 	$(GO) test ./internal/chaos -count=1 -run 'TestGoldenHashes|TestParallelGoldenEquivalence'
 
-# The fail-and-recover tiers, the streamed page channel and both
-# orchestrated tiers under the race detector: compensation paths
-# interleave with in-flight traffic, the multi-stream sender/applier
-# procs with the compensation drain, the orchestrator's retry/backoff
-# procs with the per-host executors, and the concurrency matrix puts one
+# The fail-and-recover tiers, the committed plug-forward tier, the
+# streamed page channel and both orchestrated tiers under the race
+# detector: compensation paths interleave with in-flight traffic, the
+# plug tier's deferred switch, resume-partners, flush, tunneled
+# stragglers and release at reclaim all go through the daemons'
+# migration records, the multi-stream sender/applier procs interleave
+# with the compensation drain, the orchestrator's retry/backoff procs
+# with the per-host executors, and the concurrency matrix puts one
 # host's source, destination and partner roles in flight at once. 8
 # seeds each on four workers, so the RunIndexed pool is under the
 # detector as well; the plug-vs-go-back-N contrast runs under -race too.
+# CI's race job runs this target, so the scenario list lives here only.
 chaos-race:
-	$(GO) run -race ./cmd/migrchaos -scenario 'abort/*,plug-abort/*,pipelined*/*,concurrent/*,drain/*' -seeds 8 -parallel 4
+	$(GO) run -race ./cmd/migrchaos -scenario 'abort/*,plug/*,plug-abort/*,pipelined*/*,concurrent/*,drain/*' -seeds 8 -parallel 4
 	$(GO) test -race ./internal/chaos -run TestPlugVsGoBackN
 
 # Fuzz smoke over the wire-format decoder, the transport fault-script

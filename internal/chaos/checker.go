@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"migrrdma/internal/core"
 	"migrrdma/internal/experiments"
 	"migrrdma/internal/orchestrator"
 	"migrrdma/internal/rnic"
@@ -58,7 +59,7 @@ func checkMigrations(ev *Evidence) []string {
 			point, needle := sc.Abort.Phase, "phase "+sc.Abort.Phase
 			if sc.Abort.Round != "" {
 				point = fmt.Sprintf("%s#%d", sc.Abort.Round, sc.Abort.Chunk)
-				needle = "injected mid-chunk fault"
+				needle = fmt.Sprintf("chunk %d of round %s refused", sc.Abort.Chunk, sc.Abort.Round)
 			}
 			switch {
 			case o.Err == nil:
@@ -430,16 +431,16 @@ func checkDrain(ev *Evidence) []string {
 	return v
 }
 
-// hostResidue is one host's row of the residue census: what a daemon
-// and the fabric still hold for migrations once a run has quiesced.
+// hostResidue is one host's row of the residue census: what its daemon,
+// its control channel, the fabric and the orchestrator still hold for
+// migrations once a run has quiesced.
 type hostResidue struct {
-	host           string
-	stagedRestores int  // restores staged on the daemon
-	pendingSpares  int  // pre-established spare QPs, any migration
-	suspendedQPs   int  // QPs still suspended on a migration's behalf
-	plugActive     bool // plug-forward destination state
-	forwardActive  bool // source-side forwarding rule
-	plugDepth      int  // frames in the fabric plug; -1: none installed
+	host   string
+	daemon core.Census
+	// oobCalls and oobHandlers are the host's control calls awaiting a
+	// reply and handler runs not returned (oob.Hub.InFlight).
+	oobCalls, oobHandlers int
+	plugDepth             int // frames in the fabric plug; -1: none installed
 	// orch is the orchestrator's and the host executor's in-flight
 	// state (orchestrated runs; zero under Direct).
 	orch orchestrator.Census
@@ -450,12 +451,8 @@ type hostResidue struct {
 func takeCensus(rig *experiments.Rig, orch *orchestrator.Orchestrator) []hostResidue {
 	var out []hostResidue
 	for _, n := range rig.CL.Names() {
-		d := rig.Daemons[n]
-		h := hostResidue{
-			host: n, stagedRestores: d.StagedRestores(), pendingSpares: d.PendingSpares(""),
-			suspendedQPs: d.SuspendedQPs(), plugActive: d.PlugActive(), forwardActive: d.ForwardActive(),
-			plugDepth: rig.CL.Net.PlugDepth(n),
-		}
+		h := hostResidue{host: n, daemon: rig.Daemons[n].Census(), plugDepth: rig.CL.Net.PlugDepth(n)}
+		h.oobCalls, h.oobHandlers = rig.CL.Host(n).Hub.InFlight()
 		if orch != nil {
 			h.orch = orch.Census(n)
 		}
@@ -467,37 +464,29 @@ func takeCensus(rig *experiments.Rig, orch *orchestrator.Orchestrator) []hostRes
 // checkNoResidue is the leave-no-residue invariant, on every scenario,
 // committed or aborted, over every host and every migration: at quiesce
 // exactly one side owns each connection's state (MigrOS's rule), so no
-// staged restore, spare or suspended QP, plug, forwarding rule or
-// staged chunk may remain anywhere, nor, on an orchestrated run, an
-// in-flight orchestrator entry or a held executor slot — and once the
-// rig is closed, no live proc and no goroutine above the count from
-// before it was built.
+// daemon may still hold a migration record, a staged restore, a spare
+// or suspended QP, a plug, a forwarding rule or a stashed n_sent; no
+// control call may await a reply nor handler run; no staged chunk may
+// remain; on an orchestrated run no in-flight orchestrator entry or held
+// executor slot may remain; and once the rig is closed, no live proc
+// and no goroutine above the count from before it was built.
 func checkNoResidue(ev *Evidence) []string {
 	var v violations
 	for _, h := range ev.census {
-		if h.stagedRestores != 0 {
-			v.addf("%s still holds %d staged restores", h.host, h.stagedRestores)
-		}
-		if h.pendingSpares != 0 {
-			v.addf("%s still holds %d pre-setup spare QPs", h.host, h.pendingSpares)
-		}
-		if h.suspendedQPs != 0 {
-			v.addf("%s still has %d suspended QPs", h.host, h.suspendedQPs)
-		}
-		if h.plugActive {
-			v.addf("%s still holds plug-forward destination state", h.host)
-		}
-		if h.forwardActive {
-			v.addf("%s still holds a forwarding rule", h.host)
-		}
-		if h.plugDepth >= 0 {
-			v.addf("%s still has a fabric plug installed (depth %d)", h.host, h.plugDepth)
-		}
-		c := h.orch
+		d, c := h.daemon, h.orch
 		for _, n := range []struct {
 			held int
 			what string
 		}{
+			{d.Records, "migration records"},
+			{d.Staged, "staged restores"},
+			{d.Spares, "pre-setup spare QPs"},
+			{d.Suspended, "suspended QPs"},
+			{d.Plugs, "plug-forward destination plugs"},
+			{d.Forwards, "forwarding rules"},
+			{d.NSent, "stashed n_sent announcements"},
+			{h.oobCalls, "control calls awaiting a reply"},
+			{h.oobHandlers, "control handler runs in flight"},
 			{c.Active, "active migrations of its containers"},
 			{c.Incoming, "attempts placed onto it"},
 			{c.Draining, "drains selecting it"},
@@ -506,8 +495,11 @@ func checkNoResidue(ev *Evidence) []string {
 			{c.Busy, "executor containers marked busy"},
 		} {
 			if n.held != 0 {
-				v.addf("%s still counts %d %s", h.host, n.held, n.what)
+				v.addf("%s still holds %d %s", h.host, n.held, n.what)
 			}
+		}
+		if h.plugDepth >= 0 {
+			v.addf("%s still has a fabric plug installed (depth %d)", h.host, h.plugDepth)
 		}
 	}
 	if staged := ev.Report.Metrics.Sum("pagechan", "staged_chunks"); staged != 0 {

@@ -200,18 +200,22 @@ func TestResidueCheckerFlagsEveryKind(t *testing.T) {
 		plant func(*hostResidue)
 		want  string
 	}{
-		{func(h *hostResidue) { h.stagedRestores = 1 }, "dst still holds 1 staged restores"},
-		{func(h *hostResidue) { h.pendingSpares = 2 }, "dst still holds 2 pre-setup spare QPs"},
-		{func(h *hostResidue) { h.suspendedQPs = 3 }, "dst still has 3 suspended QPs"},
-		{func(h *hostResidue) { h.plugActive = true }, "dst still holds plug-forward destination state"},
-		{func(h *hostResidue) { h.forwardActive = true }, "dst still holds a forwarding rule"},
+		{func(h *hostResidue) { h.daemon.Records = 1 }, "dst still holds 1 migration records"},
+		{func(h *hostResidue) { h.daemon.Staged = 1 }, "dst still holds 1 staged restores"},
+		{func(h *hostResidue) { h.daemon.Spares = 2 }, "dst still holds 2 pre-setup spare QPs"},
+		{func(h *hostResidue) { h.daemon.Suspended = 3 }, "dst still holds 3 suspended QPs"},
+		{func(h *hostResidue) { h.daemon.Plugs = 1 }, "dst still holds 1 plug-forward destination plugs"},
+		{func(h *hostResidue) { h.daemon.Forwards = 1 }, "dst still holds 1 forwarding rules"},
+		{func(h *hostResidue) { h.daemon.NSent = 2 }, "dst still holds 2 stashed n_sent announcements"},
+		{func(h *hostResidue) { h.oobCalls = 1 }, "dst still holds 1 control calls awaiting a reply"},
+		{func(h *hostResidue) { h.oobHandlers = 4 }, "dst still holds 4 control handler runs in flight"},
 		{func(h *hostResidue) { h.plugDepth = 0 }, "dst still has a fabric plug installed (depth 0)"},
-		{func(h *hostResidue) { h.orch.Active = 1 }, "dst still counts 1 active migrations of its containers"},
-		{func(h *hostResidue) { h.orch.Incoming = 2 }, "dst still counts 2 attempts placed onto it"},
-		{func(h *hostResidue) { h.orch.Draining = 1 }, "dst still counts 1 drains selecting it"},
-		{func(h *hostResidue) { h.orch.Running = 1 }, "dst still counts 1 executor admission slots taken"},
-		{func(h *hostResidue) { h.orch.Queued = 3 }, "dst still counts 3 executor jobs queued"},
-		{func(h *hostResidue) { h.orch.Busy = 1 }, "dst still counts 1 executor containers marked busy"},
+		{func(h *hostResidue) { h.orch.Active = 1 }, "dst still holds 1 active migrations of its containers"},
+		{func(h *hostResidue) { h.orch.Incoming = 2 }, "dst still holds 2 attempts placed onto it"},
+		{func(h *hostResidue) { h.orch.Draining = 1 }, "dst still holds 1 drains selecting it"},
+		{func(h *hostResidue) { h.orch.Running = 1 }, "dst still holds 1 executor admission slots taken"},
+		{func(h *hostResidue) { h.orch.Queued = 3 }, "dst still holds 3 executor jobs queued"},
+		{func(h *hostResidue) { h.orch.Busy = 1 }, "dst still holds 1 executor containers marked busy"},
 	} {
 		ev := healthy()
 		tc.plant(&ev.census[1])

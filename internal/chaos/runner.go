@@ -51,9 +51,13 @@ type run struct {
 	// orch drives an orchestrated run's migrations (nil under Direct).
 	orch *orchestrator.Orchestrator
 	// aborter is the mover the scenario's Abort targets; predumps counts
-	// its attempts ("predump" opens every one).
+	// its attempts ("predump" opens every one), round names the page
+	// channel round its current stage streams, and sends counts that
+	// round's chunk sends so far.
 	aborter  *mover
 	predumps int
+	round    string
+	sends    int
 	// setupErrs collects workload set-up and churn failures.
 	setupErrs []string
 }
@@ -220,9 +224,24 @@ func (r *run) listen(e metrics.Event) error {
 		r.jobs[e.Note], r.bound[e.Mig] = e.Mig, e.Note
 	case "cqe", "ack", "exp", "dereg", "rkey", "plug", "pchan": // the ledger's kinds
 		r.rec.events = append(r.rec.events, e)
+		if e.Kind == "pchan" {
+			return r.onChunk(e.Mig, e.Note)
+		}
 	}
 	return nil
 }
+
+// mover resolves a runc migration ID, which an orchestrated run maps to
+// its own migration's through the attempt events, to its mover.
+func (r *run) mover(id string) (string, *mover) {
+	if mig, ok := r.jobs[id]; ok {
+		id = mig
+	}
+	return id, r.movers[id]
+}
+
+// streams maps a workflow stage to the page-channel round it streams.
+var streams = map[string]string{"predump": "predump", "precopy": "precopy", "transfer": "final"}
 
 // onStage handles the stage events of every migration in a run: it
 // records the stage, pins the mover's atSwitch, arms the phase-anchored
@@ -232,10 +251,7 @@ func (r *run) listen(e metrics.Event) error {
 // migration ID, which an orchestrated run resolves to its own
 // migration's through the attempt events.
 func (r *run) onStage(id, stage string) error {
-	if mig, ok := r.jobs[id]; ok {
-		id = mig
-	}
-	mv := r.movers[id]
+	id, mv := r.mover(id)
 	note := stage
 	if r.sc.Migrate.Via != Direct {
 		note = id + ":" + stage
@@ -250,28 +266,41 @@ func (r *run) onStage(id, stage string) error {
 		}
 	}
 	r.w.onStage(stage)
-	a := r.sc.Abort
-	if a.Phase == "" || mv != r.aborter {
+	if mv != r.aborter {
 		return nil
 	}
 	if stage == "predump" {
 		r.predumps++
 	}
-	if stage == a.Phase && (!a.Retry || r.predumps == 1) {
+	r.round = streams[stage]
+	if a := r.sc.Abort; stage == a.Phase && r.firstTry() {
 		return errInjected
 	}
 	return nil
 }
 
-// options renders the scenario's migration options for mover i.
-func (r *run) options(i int) runc.MigrateOptions {
-	m, o := r.sc.Migrate, runc.DefaultMigrateOptions()
-	o.Cutover, o.Transfer, o.ChunkPages = m.Cutover, m.Transfer, m.ChunkPages
-	if i == 0 {
-		o.FailAtRound, o.FailAtChunk = r.sc.Abort.Round, r.sc.Abort.Chunk
+// onChunk decides the scenario's mid-stream abort: it counts the
+// aborter's chunk sends from each round's opening event on and refuses
+// the Abort.Chunk-th send of the round Abort.Round names.
+func (r *run) onChunk(id, note string) error {
+	if _, mv := r.mover(id); mv != r.aborter {
+		return nil
 	}
-	return o
+	switch note {
+	case "round":
+		r.sends = 0
+	case "send":
+		r.sends++
+		if a := r.sc.Abort; r.round == a.Round && r.sends == a.Chunk && r.firstTry() {
+			return errInjected
+		}
+	}
+	return nil
 }
+
+// firstTry reports whether the aborter may still fail: always, unless
+// the Abort grants a retry, which only its first attempt fails.
+func (r *run) firstTry() bool { return !r.sc.Abort.Retry || r.predumps == 1 }
 
 // plan builds the scenario's migration driver before the scheduler
 // runs. migrate blocks the driver proc until every migration finished
@@ -280,13 +309,15 @@ func (r *run) options(i int) runc.MigrateOptions {
 // reports the stage each migration is stuck in).
 func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover) {
 	cl, daemons := r.rig.CL, r.rig.Daemons
+	opts := runc.DefaultMigrateOptions()
+	opts.Cutover, opts.Transfer, opts.ChunkPages = r.sc.Migrate.Cutover, r.sc.Migrate.Transfer, r.sc.Migrate.ChunkPages
 	if r.sc.Migrate.Via == Direct {
 		mv := movers[0]
 		src := mv.cont.Host.Name
 		m := &runc.Migrator{
 			ID: "m0", C: mv.cont, Dst: cl.Host(mv.dst),
 			Plug: core.NewPlugin(daemons[src], daemons[mv.dst]),
-			Opts: r.options(0),
+			Opts: opts,
 		}
 		r.movers[m.ID] = mv
 		o := Outcome{ID: m.ID, Src: src, Dst: mv.dst}
@@ -305,7 +336,7 @@ func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover
 	// Orchestrated: one drain lists every mover that names its
 	// destination; the rest come from evacuating rack 0.
 	r.orch = orchestrator.New(orchestrator.Config{
-		CL: cl, Daemons: daemons, Opts: r.options(-1), BackoffBase: time.Millisecond,
+		CL: cl, Daemons: daemons, Opts: opts, BackoffBase: time.Millisecond,
 	})
 	drain := &orchestrator.Drain{BlackoutSLO: drainSLO, MaxParallel: r.sc.Migrate.Cap}
 	if r.sc.Abort.Retry {

@@ -123,10 +123,11 @@ type Migrate struct {
 
 // Abort is an injected abort point for the first migrating container.
 type Abort struct {
-	// Phase is the workflow phase the Migrator's fault hook fails at.
+	// Phase is the workflow phase whose opening stage event the run's
+	// listener refuses.
 	Phase string
-	// Round and Chunk instead abort a pipelined transfer mid-stream,
-	// after Chunk chunks of the named streamed round.
+	// Round and Chunk instead abort a pipelined transfer mid-stream: the
+	// listener refuses the Chunk-th chunk send of the named round.
 	Round string
 	Chunk int
 	// Retry fails only the first attempt and grants one retry: the

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"migrrdma/internal/verbs"
@@ -42,7 +44,7 @@ func (s *Session) Checkpoint(final bool) *Blob {
 				b.Destroyed = append(b.Destroyed, id)
 			}
 		}
-		sortObjIDs(b.Destroyed)
+		slices.Sort(b.Destroyed)
 	}
 	for _, qp := range s.sortedQPs() {
 		nSent, nRecv := qp.v.Counters()
@@ -60,23 +62,7 @@ func (s *Session) Checkpoint(final bool) *Blob {
 	for _, mr := range s.mrs {
 		b.MRs = append(b.MRs, MRMeta{ID: mr.id, VLKey: mr.vlkey, VRKey: mr.vrkey})
 	}
-	sortMRMetas(b.MRs)
+	slices.SortFunc(b.MRs, func(a, b MRMeta) int { return cmp.Compare(a.ID, b.ID) })
 	s.Sched().Sleep(dumpBaseCost + time.Duration(len(b.Records)+len(b.QPs))*dumpPerRecordCost)
 	return b
-}
-
-func sortObjIDs(ids []verbs.ObjID) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-}
-
-func sortMRMetas(ms []MRMeta) {
-	for i := 1; i < len(ms); i++ {
-		for j := i; j > 0 && ms[j-1].ID > ms[j].ID; j-- {
-			ms[j-1], ms[j] = ms[j], ms[j-1]
-		}
-	}
 }

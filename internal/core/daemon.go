@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/codec"
@@ -29,11 +30,10 @@ type Daemon struct {
 	// fetch routing and n_sent delivery).
 	byPhys map[uint32]*Session
 
-	// staging holds restores in progress on this host (the migration
-	// destination side), keyed by stagingKey — migration ID plus process
-	// name — so concurrent restores of identically named processes from
-	// different migrations never collide.
-	staging map[string]*Staged
+	// migs holds, by migration ID, everything this host keeps for a
+	// migration in flight (see migration): the one place commit, abort,
+	// Close and the census read it from.
+	migs map[string]*migration
 
 	// movedVQPN records virtual QPNs whose owning process migrated away
 	// and the node it now lives on, so fetches can be redirected.
@@ -49,23 +49,97 @@ type Daemon struct {
 
 	wbs        WBSConfig
 	helloCache map[string]bool
+}
 
-	// suspendedFor records, per migration ID, the QP sets this host
-	// suspended on that migration's behalf (hSuspendFor), so an abort can
-	// resume exactly those and a switch-over can drop the record.
-	suspendedFor map[string][]suspendedSet
+// migration is what one host keeps for one migration, in whichever role
+// it plays in it. A handler or plugin verb that leaves state for a
+// migration leaves it here; the record goes when nothing is left in it.
+type migration struct {
+	// Destination: the staged restores, by process name, and the plug
+	// buffer of a plug-forward cutover (one per host, see installPlug).
+	staged map[string]*Staged
+	plug   *plugState
+	// Source: the forwarding rule tunneling stragglers to the plug (one
+	// per host, see installForward).
+	forward bool
+	// Partner: spare QPs pre-connected to the destination (§3.2), the QP
+	// sets suspended on the migration's behalf (§3.4), and the sets a
+	// deferred switch-over re-pointed but left suspended until
+	// resume-partners, so the migrated service's un-drained receive
+	// queues never see partner traffic first (plug-forward cutover).
+	spares              []spare
+	suspended, deferred []suspendedSet
+}
 
-	// plugFwd is the destination-side plug state of an in-progress
-	// plug-and-forward migration (one at a time per host); fwdMig names
-	// the migration this host currently forwards for as the source side.
-	plugFwd *plugFwdState
-	fwdMig  string
+// spare is a partner QP's replacement, pre-connected to the migration
+// destination and swapped in at switch-over.
+type spare struct {
+	qp *QP
+	v  *verbs.QP
+}
 
-	// pendingResume stashes, per migration ID, the partner QP sets a
-	// deferred switch-over re-pointed but left suspended (plug-forward
-	// cutover): hResumePartners resumes them once the migrated service
-	// is live, so its un-drained receive queues never trigger RNR.
-	pendingResume map[string][]suspendedSet
+// suspendedSet is one session's QPs suspended for a migration.
+type suspendedSet struct {
+	s   *Session
+	qps []*QP
+}
+
+func (m *migration) empty() bool {
+	return len(m.staged) == 0 && m.plug == nil && !m.forward &&
+		len(m.spares) == 0 && len(m.suspended) == 0 && len(m.deferred) == 0
+}
+
+// record returns the record of migration id, making it on first use.
+func (d *Daemon) record(id string) *migration {
+	m, ok := d.migs[id]
+	if !ok {
+		m = &migration{}
+		d.migs[id] = m
+	}
+	return m
+}
+
+// settle drops the record of migration id once nothing is left in it.
+func (d *Daemon) settle(id string) {
+	if m, ok := d.migs[id]; ok && m.empty() {
+		delete(d.migs, id)
+	}
+}
+
+// Census is what a daemon holds for migrations, read without changing
+// anything: once every migration is over, committed or aborted, each
+// count is zero.
+type Census struct {
+	// Records counts migration records; Staged, Spares, Plugs and
+	// Forwards what they hold. Suspended counts every suspended QP on the
+	// host, the migration source's own included, which no record holds.
+	Records, Staged, Spares, Suspended, Plugs, Forwards int
+	// NSent counts n_sent announcements stashed for a physical QPN this
+	// host has not installed.
+	NSent int
+}
+
+// Census reads the host's migration state.
+func (d *Daemon) Census() Census {
+	c := Census{Records: len(d.migs), NSent: len(d.pendingNSent)}
+	for _, m := range d.migs {
+		c.Staged += len(m.staged)
+		c.Spares += len(m.spares)
+		if m.plug != nil {
+			c.Plugs++
+		}
+		if m.forward {
+			c.Forwards++
+		}
+	}
+	for _, s := range d.sessions {
+		for _, qp := range s.qps {
+			if qp.suspended {
+				c.Suspended++
+			}
+		}
+	}
+	return c
 }
 
 // EndpointName is the oob endpoint every MigrRDMA daemon listens on.
@@ -74,15 +148,13 @@ const EndpointName = "migrrdma"
 // NewDaemon starts the MigrRDMA daemon on a host.
 func NewDaemon(h *cluster.Host) *Daemon {
 	d := &Daemon{
-		host:          h,
-		dev:           h.Dev,
-		byPhys:        make(map[uint32]*Session),
-		staging:       make(map[string]*Staged),
-		movedVQPN:     make(map[uint32]string),
-		pendingNSent:  make(map[uint32]uint64),
-		wbs:           DefaultWBSConfig(),
-		suspendedFor:  make(map[string][]suspendedSet),
-		pendingResume: make(map[string][]suspendedSet),
+		host:         h,
+		dev:          h.Dev,
+		byPhys:       make(map[uint32]*Session),
+		migs:         make(map[string]*migration),
+		movedVQPN:    make(map[uint32]string),
+		pendingNSent: make(map[uint32]uint64),
+		wbs:          DefaultWBSConfig(),
 	}
 	d.ep = newOOBAdapter(h, d.serve)
 	if h.Mux != nil {
@@ -119,43 +191,35 @@ func (d *Daemon) register(s *Session) {
 	s.daemon = d
 }
 
-// unregister removes a migrated-away session.
-func (d *Daemon) unregister(s *Session) {
-	for i, e := range d.sessions {
-		if e == s {
-			d.sessions = append(d.sessions[:i], d.sessions[i+1:]...)
-			break
-		}
-	}
+// unregister removes a session that closed or migrated away, and with it
+// the session's share of every migration record: it may have closed
+// between suspend and switch, or between a deferred switch and
+// resume-partners, and a later abort or resume-partners must not replay
+// intercepted work onto its QPs. The spares it held are returned for
+// Close to destroy with their QPs; a migrating session partners no other
+// migration, so adopt's call returns none.
+func (d *Daemon) unregister(s *Session) []spare {
+	d.sessions = slices.DeleteFunc(d.sessions, func(e *Session) bool { return e == s })
 	for phys, owner := range d.byPhys {
 		if owner == s {
 			delete(d.byPhys, phys)
 		}
 	}
-	// Per-migration stashes may still reference the session (it closed
-	// between suspend and switch, or between a deferred switch and
-	// resume-partners). A later hAbort/hResumePartners must not replay
-	// intercepted work onto its destroyed QPs.
-	dropSession(d.suspendedFor, s)
-	dropSession(d.pendingResume, s)
-}
-
-// dropSession filters one session's QP sets out of a per-migration
-// stash, deleting migration entries that become empty.
-func dropSession(stash map[string][]suspendedSet, s *Session) {
-	for mig, sets := range stash {
-		kept := sets[:0]
-		for _, set := range sets {
-			if set.s != s {
-				kept = append(kept, set)
+	var taken []spare
+	ofS := func(set suspendedSet) bool { return set.s == s }
+	for _, id := range sortedKeys(d.migs) {
+		m := d.migs[id]
+		m.spares = slices.DeleteFunc(m.spares, func(sp spare) bool {
+			if sp.qp.sess == s {
+				taken = append(taken, sp)
 			}
-		}
-		if len(kept) == 0 {
-			delete(stash, mig)
-		} else {
-			stash[mig] = kept
-		}
+			return sp.qp.sess == s
+		})
+		m.suspended = slices.DeleteFunc(m.suspended, ofS)
+		m.deferred = slices.DeleteFunc(m.deferred, ofS)
+		d.settle(id)
 	}
+	return taken
 }
 
 // mapQPN installs a physical→virtual QPN mapping for a session's QP,
@@ -255,19 +319,12 @@ type switchReq struct {
 	DestNode string
 }
 
-// abortReq tells a node that a migration failed: destroy the spare QPs
-// stashed for it, resume the QPs suspended on its behalf, and clear the
-// per-migration stashes (staging slot, partner-WBS result).
+// abortReq tells a node that a migration failed: it rolls back what its
+// record of the migration holds (hAbort).
 type abortReq struct {
 	MigID   string
 	Proc    string
 	SrcNode string
-}
-
-// suspendedSet is one session's QPs suspended for a migration.
-type suspendedSet struct {
-	s   *Session
-	qps []*QP
 }
 
 // --- Handlers ----------------------------------------------------------------
@@ -378,7 +435,8 @@ func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
 		if len(qps) == 0 {
 			continue
 		}
-		d.suspendedFor[req.MigID] = append(d.suspendedFor[req.MigID], suspendedSet{s: s, qps: qps})
+		m := d.record(req.MigID)
+		m.suspended = append(m.suspended, suspendedSet{s: s, qps: qps})
 		res := s.WaitBeforeStop(qps, d.wbs)
 		if res.Elapsed > worst.Elapsed {
 			worst = res
@@ -408,12 +466,12 @@ func (d *Daemon) hNotify(_ string, body []byte) []byte {
 		// stays transparent; PD and SRQ are likewise reused (§3.2).
 		nv := s.ctx.CreateQP(qp.pd.v, qp.typ, qp.sendCQ.v, qp.recvCQ.v, srqV(qp.srq), qp.caps)
 		if err := d.connectSpare(nv, req, pair.VQPN); err != nil {
-			// Not in pendingNew yet, so no abort would find it.
+			// Not in the record yet, so no abort would find it.
 			nv.Destroy()
 			return []byte(err.Error())
 		}
-		qp.pendingNew = nv
-		qp.pendingNewMig = req.MigID
+		m := d.record(req.MigID)
+		m.spares = append(m.spares, spare{qp: qp, v: nv})
 	}
 	return nil
 }
@@ -451,13 +509,11 @@ func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 	if err := codec.Decode(body, &req); err != nil {
 		return codec.MustEncode(connectNewResp{Err: err.Error()})
 	}
-	st, ok := d.staging[stagingKey(req.MigID, req.Proc)]
-	if !ok {
-		// A restore staged without a migration ID is keyed by process
-		// name alone.
-		st, ok = d.staging[req.Proc]
+	var st *Staged
+	if m, ok := d.migs[req.MigID]; ok {
+		st = m.staged[req.Proc]
 	}
-	if !ok {
+	if st == nil {
 		return codec.MustEncode(connectNewResp{Err: "no staged restore for " + req.Proc})
 	}
 	nv, ok := st.qpByVQPN[req.VQPN]
@@ -480,11 +536,11 @@ func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 // hSwitch runs on partners after the destination restore completed:
 // activate the spare QPs (map the virtual QPN to the new QP, §3.2),
 // invalidate remote caches pointing at the source, replay pending
-// receives and post intercepted WRs. Only spares stashed for this
-// request's migration ID switch: a host partnering several concurrent
-// migrations holds one pendingNew set per migration, and activating
-// another migration's spares here would connect QPs whose destination
-// has not finished restoring.
+// receives and post intercepted WRs. Only the spares of this request's
+// migration switch: a host partnering several concurrent migrations
+// holds one record per migration, and activating another migration's
+// spares here would connect QPs whose destination has not finished
+// restoring.
 func (d *Daemon) hSwitch(_ string, body []byte) []byte {
 	return d.switchTo(body, false)
 }
@@ -498,22 +554,30 @@ func (d *Daemon) hSwitchDefer(_ string, body []byte) []byte {
 	return d.switchTo(body, true)
 }
 
+// switchTo swaps the record's spares in one session at a time, taking
+// each session's share off the record as it goes: Resume may block, and
+// a session that closes meanwhile takes its spares with it (unregister).
 func (d *Daemon) switchTo(body []byte, deferResume bool) []byte {
 	var req switchReq
 	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
-	for _, s := range d.sessions {
-		var resumed []*QP
-		for _, qp := range s.sortedQPs() {
-			if qp.pendingNew == nil || qp.pendingNewMig != req.MigID {
-				continue
-			}
-			old := qp.v
-			qp.oldV = old
-			qp.v = qp.pendingNew
-			qp.pendingNew = nil
-			qp.pendingNewMig = ""
+	if m, ok := d.migs[req.MigID]; ok {
+		d.sortSpares(m.spares)
+	}
+	for {
+		m, ok := d.migs[req.MigID]
+		if !ok || len(m.spares) == 0 {
+			break
+		}
+		s, n := m.spares[0].qp.sess, 1
+		for n < len(m.spares) && m.spares[n].qp.sess == s {
+			n++
+		}
+		resumed := make([]*QP, n)
+		for i, sp := range m.spares[:n] {
+			qp := sp.qp
+			qp.oldV, qp.v = qp.v, sp.v
 			// The wrapper now stands for the spare QP: re-key it to the
 			// spare's roadmap record so a later migration of this
 			// process replays the QP that actually exists (the old QP's
@@ -524,15 +588,12 @@ func (d *Daemon) switchTo(body []byte, deferResume bool) []byte {
 			// Old physical → virtual stays mapped until the old QP's
 			// completions drain; new physical maps to the same virtual.
 			d.mapQPN(qp.v.QPN(), qp.vqpn, s)
-			resumed = append(resumed, qp)
+			resumed[i] = qp
 		}
-		if len(resumed) == 0 {
-			continue
-		}
+		m.spares = m.spares[n:]
 		s.InvalidateRemoteCaches(req.SrcNode)
 		if deferResume {
-			d.pendingResume[req.MigID] = append(d.pendingResume[req.MigID],
-				suspendedSet{s: s, qps: resumed})
+			m.deferred = append(m.deferred, suspendedSet{s: s, qps: resumed})
 			continue
 		}
 		if err := s.Resume(resumed); err != nil {
@@ -542,11 +603,27 @@ func (d *Daemon) switchTo(body []byte, deferResume bool) []byte {
 		// them now (§3.4 "old QPs ... are destroyed").
 		d.retireOldQPs(resumed)
 	}
-	if !deferResume {
+	if m, ok := d.migs[req.MigID]; ok && !deferResume {
 		// The migration committed; the suspension record is spent.
-		delete(d.suspendedFor, req.MigID)
+		m.suspended = nil
 	}
+	d.settle(req.MigID)
 	return nil
+}
+
+// sortSpares puts spares in the order they are switched or destroyed
+// in, which the chaos goldens pin: host-session order, then virtual QPN.
+func (d *Daemon) sortSpares(spares []spare) {
+	if len(spares) < 2 {
+		return
+	}
+	rank := make(map[*Session]int, len(d.sessions))
+	for i, s := range d.sessions {
+		rank[s] = i
+	}
+	slices.SortFunc(spares, func(a, b spare) int {
+		return cmp.Or(cmp.Compare(rank[a.qp.sess], rank[b.qp.sess]), cmp.Compare(a.qp.vqpn, b.qp.vqpn))
+	})
 }
 
 // retireOldQPs destroys the pre-switch incarnation of re-pointed QPs.
@@ -569,46 +646,51 @@ func (d *Daemon) hResumePartners(_ string, body []byte) []byte {
 	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
-	sets := d.pendingResume[req.MigID]
-	delete(d.pendingResume, req.MigID)
+	m, ok := d.migs[req.MigID]
+	if !ok {
+		return nil
+	}
+	sets := m.deferred
+	m.deferred = nil
 	for _, set := range sets {
 		if err := set.s.Resume(set.qps); err != nil {
 			return []byte(err.Error())
 		}
 		d.retireOldQPs(set.qps)
 	}
-	delete(d.suspendedFor, req.MigID)
+	if m, ok := d.migs[req.MigID]; ok {
+		m.suspended = nil
+	}
+	d.settle(req.MigID)
 	return nil
 }
 
-// hAbort rolls back this node's participation in a failed migration:
-// spare QPs pre-established for it are destroyed, QPs suspended on its
-// behalf resume (replaying intercepted work), and the per-migration
-// stashes — staged restore slot, pending-switch markers — are cleared. Every step is keyed by the migration ID, so
-// other in-flight migrations sharing this node are untouched.
+// hAbort rolls back this node's part in a failed migration, all of it
+// read off the migration's record, so other in-flight migrations sharing
+// this node are untouched: the spares pre-established for it are
+// destroyed, the QPs suspended on its behalf resume (replaying
+// intercepted work), the sets a deferred switch-over left suspended are
+// dropped, and a restore this node stages for it is discarded.
 func (d *Daemon) hAbort(_ string, body []byte) []byte {
 	var req abortReq
 	if err := codec.Decode(body, &req); err != nil {
 		return []byte(err.Error())
 	}
-	// Drop the pending-switch markers: the spares connect to a
-	// destination that is being torn down.
-	for _, s := range d.sessions {
-		for _, qp := range s.sortedQPs() {
-			if qp.pendingNew == nil || qp.pendingNewMig != req.MigID {
-				continue
-			}
-			spare := qp.pendingNew
-			qp.pendingNew = nil
-			qp.pendingNewMig = ""
-			delete(d.pendingNSent, spare.QPN())
-			spare.Destroy()
-		}
+	m, ok := d.migs[req.MigID]
+	if !ok {
+		return nil
 	}
+	// The spares connect to a destination that is being torn down.
+	d.sortSpares(m.spares)
+	for _, sp := range m.spares {
+		delete(d.pendingNSent, sp.v.QPN())
+		sp.v.Destroy()
+	}
+	m.spares = nil
 	// Un-suspend the QPs this host parked for the migration's
 	// stop-and-copy. Resume replays their intercepted posts and pending
 	// receives on the original (still connected) QPs.
-	for _, set := range d.suspendedFor[req.MigID] {
+	for _, set := range m.suspended {
 		var still []*QP
 		for _, qp := range set.qps {
 			if qp.suspended {
@@ -622,50 +704,18 @@ func (d *Daemon) hAbort(_ string, body []byte) []byte {
 			return []byte(err.Error())
 		}
 	}
-	delete(d.suspendedFor, req.MigID)
-	// A deferred switch-over that never reached resume-partners leaves
-	// its re-pointed-but-suspended sets stashed; the abort owns them now.
-	delete(d.pendingResume, req.MigID)
-	// If this node also stages the migration's restore (it may be the
-	// destination of the aborted migration and a partner of the same
-	// process), discard the slot.
-	if st, ok := d.staging[stagingKey(req.MigID, req.Proc)]; ok {
+	if m, ok = d.migs[req.MigID]; !ok {
+		return nil
+	}
+	m.suspended, m.deferred = nil, nil
+	// This node may also be the migration's destination (and a partner
+	// of the same process): discard the staged restore.
+	if st := m.staged[req.Proc]; st != nil {
 		st.abort()
+		d.unstage(req.MigID, st)
 	}
+	d.settle(req.MigID)
 	return nil
-}
-
-// StagedRestores reports how many restores are currently staged on this
-// host. The chaos residue census asserts it is zero once any migration,
-// committed or aborted, is over.
-func (d *Daemon) StagedRestores() int { return len(d.staging) }
-
-// PendingSpares counts partner-side spare QPs stashed on this host for
-// the given migration ID; an empty ID counts every migration's spares.
-func (d *Daemon) PendingSpares(migID string) int {
-	n := 0
-	for _, s := range d.sessions {
-		for _, qp := range s.qps {
-			if qp.pendingNew != nil && (migID == "" || qp.pendingNewMig == migID) {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// SuspendedQPs counts QPs currently suspended across this host's
-// sessions. After a completed or aborted migration it must be zero.
-func (d *Daemon) SuspendedQPs() int {
-	n := 0
-	for _, s := range d.sessions {
-		for _, qp := range s.qps {
-			if qp.suspended {
-				n++
-			}
-		}
-	}
-	return n
 }
 
 // sortedQPs returns the session's QPs in virtual-QPN order for
@@ -675,7 +725,7 @@ func (s *Session) sortedQPs() []*QP {
 	for _, qp := range s.qps {
 		out = append(out, qp)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].vqpn < out[j].vqpn })
+	sortQPs(out)
 	return out
 }
 
@@ -759,15 +809,6 @@ func (d *Daemon) sendNSent(node string, dstQPN uint32, nSent uint64) {
 		return
 	}
 	d.ep.Send(node, "nsent", codec.MustEncode(nsentMsg{DstQPN: dstQPN, NSent: nSent}))
-}
-
-// stagingKey keys an in-progress restore: migration ID plus process
-// name when an ID is known, the bare process name otherwise.
-func stagingKey(migID, proc string) string {
-	if migID != "" {
-		return migID + "/" + proc
-	}
-	return proc
 }
 
 // Hello probes whether node runs a MigrRDMA daemon (§6 negotiation).

@@ -110,8 +110,8 @@ func TestNSentDelivery(t *testing.T) {
 
 // TestNotifyDestroysSpareOnFailure: a notification toward a destination
 // that staged no restore is refused by connect-new. The spare created for
-// it is in no pendingNew slot, so no abort would find it: hNotify itself
-// must leave the partner's device as it found it.
+// it is in no migration record, so no abort would find it: hNotify
+// itself must leave the partner's device as it found it.
 func TestNotifyDestroysSpareOnFailure(t *testing.T) {
 	cl, d, _, _, qp := newSessionHost(t)
 	dev := cl.Host("h").Dev
@@ -125,8 +125,8 @@ func TestNotifyDestroysSpareOnFailure(t *testing.T) {
 		if got := dev.QPCount(); got != before {
 			t.Errorf("refused notify left %d device QPs, want %d", got, before)
 		}
-		if n := d.PendingSpares(""); n != 0 {
-			t.Errorf("%d spares stashed by a refused notify", n)
+		if c := d.Census(); c != (Census{}) {
+			t.Errorf("a refused notify left %+v", c)
 		}
 	})
 	cl.Sched.RunFor(time.Second)

@@ -24,12 +24,11 @@ const PortMigrFwd = "migrfwd"
 // UDP header) added to a forwarded frame on the wire.
 const tunnelOverhead = 20
 
-// plugFwdState is the destination daemon's per-migration plug state.
-// One plug-mode migration per destination host at a time: the plug is a
+// plugState is the plug of a migration's destination record. One
+// plug-mode migration per destination host at a time: the plug is a
 // port-level object, and selectively flushing one migration's frames
 // while another's stay queued would break the arrival-order guarantee.
-type plugFwdState struct {
-	migID string
+type plugState struct {
 	// translate maps old (source-side) physical QPNs to the restored
 	// destination QPNs for tunneled frames.
 	translate map[uint32]uint32
@@ -49,25 +48,26 @@ type plugFwdState struct {
 	flushed bool
 }
 
-// PlugActive reports whether this daemon currently holds a destination
-// plug (chaos residue census: must be false once a migration is over).
-func (d *Daemon) PlugActive() bool { return d.plugFwd != nil }
-
-// ForwardActive reports whether the source-side forwarding rule is
-// installed (chaos residue census: must be false once a migration is over).
-func (d *Daemon) ForwardActive() bool { return d.fwdMig != "" }
+// plug returns the host's one plug and the migration holding it, if any.
+func (d *Daemon) plug() (string, *plugState) {
+	for id, m := range d.migs {
+		if m.plug != nil {
+			return id, m.plug
+		}
+	}
+	return "", nil
+}
 
 // installPlug installs the destination-side plug buffer for a
 // migration adopting the QPs in pairs (old physical QPN → new QPN).
 func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32) error {
-	if d.plugFwd != nil {
-		return fmt.Errorf("core: %s already has a plug installed (migration %s); concurrent plug-mode migrations sharing a destination are not supported", d.Node(), d.plugFwd.migID)
+	if id, st := d.plug(); st != nil {
+		return fmt.Errorf("core: %s already has a plug installed (migration %s); concurrent plug-mode migrations sharing a destination are not supported", d.Node(), id)
 	}
 	if len(pairs) == 0 {
 		return fmt.Errorf("core: migration %s has no QPN pairs to plug", migID)
 	}
-	st := &plugFwdState{
-		migID:     migID,
+	st := &plugState{
 		translate: make(map[uint32]uint32, len(pairs)),
 		newQPNs:   make(map[uint32]bool, len(pairs)),
 		// Registered here rather than at daemon construction so the
@@ -90,48 +90,39 @@ func (d *Daemon) installPlug(migID string, pairs map[uint32]uint32) error {
 	if err := d.host.Net.InstallPlug(d.Node(), fabric.DefaultPlugLimit, match); err != nil {
 		return err
 	}
-	d.plugFwd = st
+	d.record(migID).plug = st
 	return nil
 }
 
-// flushPlug releases the plug in arrival order. The translate state is
-// kept (marked flushed) so stragglers the source is still forwarding
-// are recognized and dropped with accounting; releasePlug clears it at
-// teardown. Idempotent: 0 when no plug-mode migration is active.
+// flushPlug releases migID's plug in arrival order. The translate state
+// is kept (marked flushed) so stragglers the source is still forwarding
+// are recognized and dropped with accounting; dropPlug clears it at
+// teardown. Idempotent: 0 when migID holds no plug.
 func (d *Daemon) flushPlug(migID string) int {
-	if d.plugFwd == nil || d.plugFwd.migID != migID {
+	id, st := d.plug()
+	if st == nil || id != migID {
 		return 0
 	}
 	n := d.host.Net.FlushPlug(d.Node())
-	d.plugFwd.flushed = true
+	st.flushed = true
 	return n
 }
 
-// releasePlug is the final plug-state teardown, run when the source
-// reclaims (the forwarding rule comes down at the same time, so no more
-// tunneled frames will need translation). Idempotent.
-func (d *Daemon) releasePlug(migID string) {
-	if d.plugFwd == nil || d.plugFwd.migID != migID {
+// dropPlug takes migID's plug off its record, discarding whatever it
+// still queues: the final teardown at source reclaim (ReleasePlug; the
+// forwarding rule comes down at the same time, so no more tunneled
+// frames will need translation) and the abort path (DiscardPlug).
+// Idempotent.
+func (d *Daemon) dropPlug(migID string) {
+	id, st := d.plug()
+	if st == nil || id != migID {
 		return
 	}
-	if !d.plugFwd.flushed {
+	if !st.flushed {
 		d.host.Net.DiscardPlug(d.Node())
 	}
-	d.plugFwd = nil
-}
-
-// discardPlug tears the plug down without delivering anything (abort
-// path). Idempotent.
-func (d *Daemon) discardPlug(migID string) int {
-	if d.plugFwd == nil || d.plugFwd.migID != migID {
-		return 0
-	}
-	n := 0
-	if !d.plugFwd.flushed {
-		n = d.host.Net.DiscardPlug(d.Node())
-	}
-	d.plugFwd = nil
-	return n
+	d.migs[migID].plug = nil
+	d.settle(migID)
 }
 
 // onTunnelFrame handles one encapsulated frame arriving on PortMigrFwd:
@@ -141,7 +132,7 @@ func (d *Daemon) discardPlug(migID string) int {
 // after the flush, are dropped with accounting — both are stale
 // leftovers of the torn-down pairing, never the only copy of data.
 func (d *Daemon) onTunnelFrame(f fabric.Frame) {
-	st := d.plugFwd
+	_, st := d.plug()
 	wire, ok := unwrapTunnel(f.Data)
 	if !ok {
 		return
@@ -193,8 +184,10 @@ func (d *Daemon) onTunnelFrame(f fabric.Frame) {
 // arrivals can no longer mutate the dumped transport state or provoke
 // acks/naks from the half-dead source QPs.
 func (d *Daemon) installForward(migID string, oldQPNs map[uint32]bool, dstNode string) error {
-	if d.fwdMig != "" && d.fwdMig != migID {
-		return fmt.Errorf("core: %s already forwards for migration %s; concurrent plug-mode migrations sharing a source are not supported", d.Node(), d.fwdMig)
+	for id, m := range d.migs {
+		if m.forward && id != migID {
+			return fmt.Errorf("core: %s already forwards for migration %s; concurrent plug-mode migrations sharing a source are not supported", d.Node(), id)
+		}
 	}
 	if len(oldQPNs) == 0 {
 		return fmt.Errorf("core: migration %s has no QPNs to forward", migID)
@@ -206,17 +199,17 @@ func (d *Daemon) installForward(migID string, oldQPNs map[uint32]bool, dstNode s
 		d.host.Net.Send(fabric.Frame{Src: node, Dst: dstNode, Port: PortMigrFwd,
 			Size: f.Size + tunnelOverhead, Data: payload})
 	})
-	d.fwdMig = migID
+	d.record(migID).forward = true
 	return nil
 }
 
 // removeForward tears the forwarding rule down. Idempotent.
 func (d *Daemon) removeForward(migID string) {
-	if d.fwdMig != migID {
-		return
+	if m, ok := d.migs[migID]; ok && m.forward {
+		d.dev.SetForward(nil, nil)
+		m.forward = false
+		d.settle(migID)
 	}
-	d.dev.SetForward(nil, nil)
-	d.fwdMig = ""
 }
 
 // wrapTunnel encapsulates original wire bytes with their original
@@ -260,7 +253,7 @@ func (pl *Plugin) InstallPlug() error {
 // DiscardPlug is InstallPlug's compensation: tear the plug down,
 // dropping anything queued. Safe to call when nothing was installed.
 func (pl *Plugin) DiscardPlug() {
-	pl.Dst.discardPlug(pl.ID)
+	pl.Dst.dropPlug(pl.ID)
 }
 
 // InstallForward installs the source-side forwarding rule for the
@@ -295,5 +288,5 @@ func (pl *Plugin) FlushPlug() int {
 // state. Runs at source reclaim, off the blackout's critical path.
 func (pl *Plugin) ReleasePlug() {
 	pl.Src.removeForward(pl.ID)
-	pl.Dst.releasePlug(pl.ID)
+	pl.Dst.dropPlug(pl.ID)
 }

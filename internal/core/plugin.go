@@ -6,7 +6,6 @@ import (
 
 	"migrrdma/internal/codec"
 	"migrrdma/internal/criu"
-	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
 )
 
@@ -18,9 +17,9 @@ type Plugin struct {
 	Src, Dst *Daemon
 
 	// ID identifies the migration this plugin drives. It keys the
-	// per-migration state stashed on partner and destination daemons
-	// (spare QPs, staged restores, partner WBS results) so one node can
-	// take part in several overlapping migrations.
+	// migration's record on every daemon taking part (spare QPs, staged
+	// restores, plug, forwarding rule), so one node can take part in
+	// several overlapping migrations.
 	ID string
 
 	sess       *Session
@@ -165,7 +164,7 @@ func (pl *Plugin) adopt(s *Session) error {
 	for _, qp := range s.sortedQPs() {
 		pl.Dst.mapQPN(qp.v.QPN(), qp.vqpn, s)
 	}
-	delete(pl.Dst.staging, st.key)
+	pl.Dst.unstage(pl.ID, st)
 	pl.adopted = true
 	return nil
 }
@@ -192,7 +191,8 @@ func (pl *Plugin) AbortSource() error {
 }
 
 // AbortStaging discards the destination-side staged restore: every
-// staged resource is destroyed and the daemon's staging slot cleared.
+// staged resource is destroyed and the restore taken off the
+// migration's record.
 // If the session was adopted, AbortAdoption must have run first (it
 // unbinds the session from the staged objects).
 func (pl *Plugin) AbortStaging() {
@@ -200,6 +200,7 @@ func (pl *Plugin) AbortStaging() {
 		return
 	}
 	pl.staged.abort()
+	pl.Dst.unstage(pl.ID, pl.staged)
 	pl.staged = nil
 }
 
@@ -229,37 +230,44 @@ func (pl *Plugin) AbortAdoption() {
 	}
 }
 
+// partners groups the migrated session's connected QPs by the node of
+// their peer, the nodes in the order the QPs (in virtual-QPN order)
+// first name them. Only RC QPs have a peer node, and it does not change
+// when the session moves.
+func (pl *Plugin) partners() (nodes []string, qps map[string][]*QP) {
+	qps = make(map[string][]*QP)
+	for _, qp := range pl.sess.sortedQPs() {
+		node := qp.v.RemoteNode()
+		if node == "" {
+			continue
+		}
+		if _, seen := qps[node]; !seen {
+			nodes = append(nodes, node)
+		}
+		qps[node] = append(qps[node], qp)
+	}
+	return nodes, qps
+}
+
 // AbortPartners tells every partner node involved in this migration to
-// roll back: destroy the spare QPs stashed for it, resume the QPs it
-// suspended on the migration's behalf, and clear the per-migration
-// stashes. Best-effort: unreachable partners are reported but do not
-// stop the remaining notifications.
+// roll back what its record of the migration holds (hAbort).
+// Best-effort: unreachable partners are reported but do not stop the
+// remaining notifications.
 func (pl *Plugin) AbortPartners() error {
-	s := pl.sess
-	if s == nil {
+	if pl.sess == nil {
 		return nil
 	}
-	seen := map[string]bool{}
+	nodes, _ := pl.partners()
 	var firstErr error
-	for _, qp := range s.sortedQPs() {
-		if qp.typ != rnic.RC || qp.v.RemoteNode() == "" {
-			continue
-		}
-		node := qp.v.RemoteNode()
-		if seen[node] {
-			continue
-		}
-		seen[node] = true
+	for _, node := range nodes {
 		resp, ok := pl.Src.call(node, "abort", codec.MustEncode(abortReq{
-			MigID: pl.ID, Proc: s.Proc.Name, SrcNode: pl.Src.Node(),
+			MigID: pl.ID, Proc: pl.sess.Proc.Name, SrcNode: pl.Src.Node(),
 		}))
-		if !ok {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: partner %s unreachable for abort", node)
-			}
-			continue
-		}
-		if len(resp) > 0 && firstErr == nil {
+		switch {
+		case firstErr != nil:
+		case !ok:
+			firstErr = fmt.Errorf("core: partner %s unreachable for abort", node)
+		case len(resp) > 0:
 			firstErr = fmt.Errorf("core: partner %s abort: %s", node, resp)
 		}
 	}
@@ -272,21 +280,12 @@ func (pl *Plugin) AbortPartners() error {
 // partner pre-establishes spare QPs to the destination. It blocks until
 // every partner finished pre-setup.
 func (pl *Plugin) NotifyPartners() error {
-	s := pl.sess
-	byNode := make(map[string][]notifyPair)
-	var nodes []string
-	for _, qp := range s.sortedQPs() {
-		if qp.typ != rnic.RC || qp.v.RemoteNode() == "" {
-			continue
-		}
-		node := qp.v.RemoteNode()
-		if _, seen := byNode[node]; !seen {
-			nodes = append(nodes, node)
-		}
-		byNode[node] = append(byNode[node], notifyPair{PartnerQPN: qp.v.RemoteQPN(), VQPN: qp.vqpn})
-	}
+	nodes, qps := pl.partners()
 	for _, node := range nodes {
-		req := notifyReq{MigID: pl.ID, Proc: s.Proc.Name, DestNode: pl.Dst.Node(), Pairs: byNode[node]}
+		req := notifyReq{MigID: pl.ID, Proc: pl.sess.Proc.Name, DestNode: pl.Dst.Node()}
+		for _, qp := range qps[node] {
+			req.Pairs = append(req.Pairs, notifyPair{PartnerQPN: qp.v.RemoteQPN(), VQPN: qp.vqpn})
+		}
 		resp, ok := pl.Src.call(node, "notify-migr", codec.MustEncode(req))
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for notification", node)
@@ -301,29 +300,22 @@ func (pl *Plugin) NotifyPartners() error {
 // SuspendPartners tells every partner to suspend its QPs toward the
 // migration source and run wait-before-stop; it blocks until all of
 // them finish (§3.4) and returns the slowest partner's result. It runs
-// concurrently with the source's own wait-before-stop.
+// concurrently with the source's own wait-before-stop. Each partner
+// gets the physical QPNs of this migration's connections, so it
+// suspends exactly those and not QPs of other processes that merely
+// talk to the same source.
 func (pl *Plugin) SuspendPartners() error {
-	s := pl.sess
-	// Collect, per partner node, the partner-side physical QPNs of this
-	// migration's connections so the partner suspends exactly those and
-	// not QPs of other processes that merely talk to the same source.
-	byNode := make(map[string][]uint32)
-	var nodes []string
 	pl.partnerWBS = WBSResult{}
-	for _, qp := range s.sortedQPs() {
-		node := qp.v.RemoteNode()
-		if node == "" || node == pl.Src.Node() || qp.typ != rnic.RC {
+	nodes, qps := pl.partners()
+	for _, node := range nodes {
+		if node == pl.Src.Node() {
 			continue
 		}
-		if _, seen := byNode[node]; !seen {
-			nodes = append(nodes, node)
+		req := suspendForReq{MigID: pl.ID, SrcNode: pl.Src.Node()}
+		for _, qp := range qps[node] {
+			req.PartnerQPNs = append(req.PartnerQPNs, qp.v.RemoteQPN())
 		}
-		byNode[node] = append(byNode[node], qp.v.RemoteQPN())
-	}
-	for _, node := range nodes {
-		resp, ok := pl.Src.call(node, "suspend-for", codec.MustEncode(suspendForReq{
-			MigID: pl.ID, SrcNode: pl.Src.Node(), PartnerQPNs: byNode[node],
-		}))
+		resp, ok := pl.Src.call(node, "suspend-for", codec.MustEncode(req))
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for suspension", node)
 		}
@@ -370,16 +362,10 @@ func (pl *Plugin) ResumePartners() error {
 }
 
 func (pl *Plugin) callPartners(kind string) error {
-	s := pl.sess
-	seen := map[string]bool{}
-	for _, qp := range s.sortedQPs() {
-		node := qp.v.RemoteNode() // the partner's node does not change
-		if node == "" || seen[node] {
-			continue
-		}
-		seen[node] = true
+	nodes, _ := pl.partners()
+	for _, node := range nodes {
 		resp, ok := pl.Dst.call(node, kind, codec.MustEncode(switchReq{
-			MigID: pl.ID, Proc: s.Proc.Name, SrcNode: pl.Src.Node(), DestNode: pl.Dst.Node(),
+			MigID: pl.ID, Proc: pl.sess.Proc.Name, SrcNode: pl.Src.Node(), DestNode: pl.Dst.Node(),
 		}))
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for %s", node, kind)

@@ -16,11 +16,12 @@ import (
 
 // TestMigrationLeavesNoPerMigrationState drives whole migrations — one
 // committed and one aborted, under each cutover mode — and requires
-// every daemon map keyed by migration ID to be empty on every host
-// afterwards: exactly one side owns the connection state once a
-// migration is over, so nothing keyed by its ID may survive it. (The
-// partner-WBS result map this test was written against leaked one entry
-// per committed migration; it had no reader and is gone.)
+// every daemon's census to be zero on every host afterwards: exactly one
+// side owns the connection state once a migration is over, so no
+// migration record, staged restore, spare, suspended QP, plug,
+// forwarding rule or stashed n_sent may survive it. (The partner-WBS
+// result map this test was written against leaked one entry per
+// committed migration; it had no reader and is gone.)
 func TestMigrationLeavesNoPerMigrationState(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -73,10 +74,8 @@ func TestMigrationLeavesNoPerMigrationState(t *testing.T) {
 				t.Fatalf("migration error = %v, abort injected at %q", err, tc.abortAt)
 			}
 			for _, host := range r.CL.Names() {
-				for name, n := range r.Daemons[host].PerMigrationEntries() {
-					if n != 0 {
-						t.Errorf("%s: %s still holds %d entries", host, name, n)
-					}
+				if c := r.Daemons[host].Census(); c != (core.Census{}) {
+					t.Errorf("%s: census %+v, want zero", host, c)
 				}
 			}
 		})

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"migrrdma/internal/criu"
 	"migrrdma/internal/mem"
@@ -15,11 +17,8 @@ import (
 // destination device; the IDs are stable across migrations so the same
 // process can migrate again later.
 type Staged struct {
-	daemon *Daemon
-	ctx    *verbs.Context
-	blob   *Blob
-	// key is this restore's slot in the daemon's staging map.
-	key string
+	ctx  *verbs.Context
+	blob *Blob
 
 	pds   map[verbs.ObjID]*verbs.PD
 	cqs   map[verbs.ObjID]*verbs.CQ
@@ -69,12 +68,11 @@ type Staged struct {
 // destination device for the restoring process and replays the roadmap.
 // img may be nil when there is no partial restore (the no-presetup
 // baseline); MR memory must then already be at its original addresses.
-// The staged restore is keyed by (migID, process), so concurrent inbound
-// migrations on one host stay separable for partner connect-new
-// requests; an empty migID keys it by process name alone.
+// The staged restore joins migID's record under the process name, so
+// concurrent inbound migrations on one host stay separable for partner
+// connect-new requests.
 func (d *Daemon) RestoreContextFor(r *criu.Restore, img *criu.Image, b *Blob, migID string) (*Staged, error) {
 	st := &Staged{
-		daemon:   d,
 		ctx:      verbs.OpenDevice(d.dev, r.AS),
 		blob:     b,
 		pds:      make(map[verbs.ObjID]*verbs.PD),
@@ -108,15 +106,35 @@ func (d *Daemon) RestoreContextFor(r *criu.Restore, img *criu.Image, b *Blob, mi
 			return nil, err
 		}
 	}
-	st.key = stagingKey(migID, b.Proc)
-	d.staging[st.key] = st
+	m := d.record(migID)
+	if m.staged == nil {
+		m.staged = make(map[string]*Staged)
+	}
+	m.staged[b.Proc] = st
 	return st, nil
 }
 
-// Replay re-executes the checkpointed roadmap on the destination
-// device. With pre-setup it runs during partial restore; the baseline
-// runs it inside the blackout.
-func (st *Staged) Replay() error { return st.replay(st.blob.Records) }
+// unstage takes st off migID's record, if it is still there.
+func (d *Daemon) unstage(migID string, st *Staged) {
+	if m, ok := d.migs[migID]; ok && m.staged[st.blob.Proc] == st {
+		delete(m.staged, st.blob.Proc)
+		d.settle(migID)
+	}
+}
+
+// Replay re-executes the checkpointed roadmap's control-path calls on
+// the destination device: the Table-3 restore entry points. RC QPs stop
+// at INIT; partner notification connects them. With pre-setup it runs
+// during partial restore; the no-presetup baseline pays the same cost
+// inside the blackout.
+func (st *Staged) Replay() error {
+	for _, rec := range st.blob.Records {
+		if err := st.replayOne(rec); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
 // claimMRMemory maps every VMA containing a to-be-registered MR at its
 // original virtual address and restores its pages.
@@ -134,20 +152,6 @@ func (st *Staged) claimMRMemory(r *criu.Restore, img *criu.Image, recs []RecordD
 					return err
 				}
 			}
-		}
-	}
-	return nil
-}
-
-// replay re-executes the roadmap's control-path calls on the
-// destination device: the Table-3 restore entry points. RC QPs stop at
-// INIT; partner notification connects them. With pre-setup this runs
-// during partial restore; the no-presetup baseline pays the same cost
-// inside the blackout.
-func (st *Staged) replay(recs []RecordDTO) error {
-	for _, rec := range recs {
-		if err := st.replayOne(rec); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -320,39 +324,18 @@ func (st *Staged) destroyStaged(id verbs.ObjID) {
 // records undo closures so unbind can roll the swap back if the
 // migration aborts later.
 func (st *Staged) bind(s *Session) error {
-	for id := range s.pds {
-		if _, ok := st.pds[id]; !ok {
-			return fmt.Errorf("core: bind: PD %d not staged", id)
-		}
-	}
-	for id := range s.mrs {
-		if _, ok := st.mrs[id]; !ok {
-			return fmt.Errorf("core: bind: MR %d not staged", id)
-		}
-	}
-	for id := range s.mws {
-		if _, ok := st.mws[id]; !ok {
-			return fmt.Errorf("core: bind: MW %d not staged", id)
-		}
-	}
-	for id := range s.dms {
-		if _, ok := st.dms[id]; !ok {
-			return fmt.Errorf("core: bind: DM %d not staged", id)
+	for _, err := range []error{
+		unstaged("PD", s.pds, st.pds), unstaged("MR", s.mrs, st.mrs),
+		unstaged("MW", s.mws, st.mws), unstaged("DM", s.dms, st.dms),
+		unstaged("SRQ", s.srqs, st.srqs), unstaged("QP", s.qps, st.qps),
+	} {
+		if err != nil {
+			return err
 		}
 	}
 	for _, cq := range s.cqs {
 		if _, ok := st.cqs[cq.id]; !ok {
 			return fmt.Errorf("core: bind: CQ %d not staged", cq.id)
-		}
-	}
-	for id := range s.srqs {
-		if _, ok := st.srqs[id]; !ok {
-			return fmt.Errorf("core: bind: SRQ %d not staged", id)
-		}
-	}
-	for id := range s.qps {
-		if _, ok := st.qps[id]; !ok {
-			return fmt.Errorf("core: bind: QP %d not staged", id)
 		}
 	}
 
@@ -410,7 +393,7 @@ func (st *Staged) bind(s *Session) error {
 		srq.v = st.srqs[id]
 		st.undo = append(st.undo, func() { srq.v = old })
 	}
-	for id, ch := range s.chans() {
+	for id, ch := range s.chanMap {
 		if nv, ok := st.chans[id]; ok {
 			ch, old := ch, ch.v
 			ch.v = nv
@@ -466,54 +449,52 @@ func (st *Staged) unbind(s *Session) {
 
 // abort tears down a staged restore after a failed migration: every
 // staged destination resource is destroyed (in reverse dependency
-// order, sorted by object ID for determinism) and the daemon's staging
-// slot is cleared. The staged context's recorder is nil except between
-// bind and unbind, so these destructions never touch the session's
-// roadmap; callers must unbind first when the staging was adopted.
-// abort is idempotent.
+// order, sorted by object ID for determinism); the caller takes it off
+// its record (unstage). The staged context's recorder is nil except
+// between bind and unbind, so these destructions never touch the
+// session's roadmap; callers must unbind first when the staging was
+// adopted. abort is idempotent.
 func (st *Staged) abort() {
 	if st.aborted {
 		return
 	}
 	st.aborted = true
-	for _, id := range sortedKeys(st.mws) {
-		st.mws[id].Dealloc()
-	}
-	for _, id := range sortedKeys(st.mrs) {
-		st.mrs[id].Dereg()
-	}
-	for _, id := range sortedKeys(st.qps) {
-		st.qps[id].Destroy()
-	}
-	for _, id := range sortedKeys(st.srqs) {
-		st.srqs[id].Destroy()
-	}
-	for _, id := range sortedKeys(st.cqs) {
-		st.cqs[id].Destroy()
-	}
-	for _, id := range sortedKeys(st.dms) {
-		st.dms[id].Free()
-	}
-	for _, id := range sortedKeys(st.pds) {
-		st.pds[id].Dealloc()
-	}
+	inOrder(st.mws, (*verbs.MW).Dealloc)
+	inOrder(st.mrs, (*verbs.MR).Dereg)
+	inOrder(st.qps, (*verbs.QP).Destroy)
+	inOrder(st.srqs, (*verbs.SRQ).Destroy)
+	inOrder(st.cqs, (*verbs.CQ).Destroy)
+	inOrder(st.dms, (*verbs.DM).Free)
+	inOrder(st.pds, (*verbs.PD).Dealloc)
 	st.pds, st.cqs, st.chans, st.srqs = nil, nil, nil, nil
 	st.mrs, st.mws, st.dms, st.qps = nil, nil, nil, nil
 	st.qpByVQPN, st.qpMeta, st.deferred = nil, nil, nil
-	if st.daemon.staging[st.key] == st {
-		delete(st.daemon.staging, st.key)
+}
+
+// unstaged reports a session object of the given kind with no staged
+// counterpart.
+func unstaged[A, B any](kind string, have map[verbs.ObjID]A, staged map[verbs.ObjID]B) error {
+	for id := range have {
+		if _, ok := staged[id]; !ok {
+			return fmt.Errorf("core: bind: %s %d not staged", kind, id)
+		}
+	}
+	return nil
+}
+
+// inOrder calls f on m's values in ascending key order.
+func inOrder[K cmp.Ordered, V any](m map[K]V, f func(V)) {
+	for _, k := range sortedKeys(m) {
+		f(m[k])
 	}
 }
 
-// sortedKeys returns a staged category's object IDs in ascending order.
-func sortedKeys[V any](m map[verbs.ObjID]V) []verbs.ObjID {
-	ids := make([]verbs.ObjID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
-	sortObjIDs(ids)
-	return ids
+	slices.Sort(keys)
+	return keys
 }
-
-// chans enumerates the session's completion-channel wrappers.
-func (s *Session) chans() map[verbs.ObjID]*CompChannel { return s.chanMap }

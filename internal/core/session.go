@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"migrrdma/internal/fifo"
@@ -377,11 +376,7 @@ type QPConfig struct {
 // stable across migrations while the physical value changes.
 func (s *Session) CreateQP(pd *PD, cfg QPConfig) *QP {
 	s.Proc.Gate()
-	var vsrq *verbs.SRQ
-	if cfg.SRQ != nil {
-		vsrq = cfg.SRQ.v
-	}
-	v := s.ctx.CreateQP(pd.v, cfg.Type, cfg.SendCQ.v, cfg.RecvCQ.v, vsrq, cfg.Caps)
+	v := s.ctx.CreateQP(pd.v, cfg.Type, cfg.SendCQ.v, cfg.RecvCQ.v, srqV(cfg.SRQ), cfg.Caps)
 	qp := &QP{
 		sess: s, id: v.ID, v: v,
 		vqpn: v.QPN(), // virtual initially equals physical
@@ -437,13 +432,6 @@ type QP struct {
 	lastVRKey    uint32
 	lastPhysRKey uint32
 
-	// pendingNew is a partner-side spare QP pre-connected to the
-	// migration destination, activated at switch-over (§3.2).
-	// pendingNewMig records which migration stashed it, so a switch-over
-	// for one migration never activates spares another migration (on a
-	// shared partner host) is still preparing.
-	pendingNew    *verbs.QP
-	pendingNewMig string
 	// oldV is the partner-side previous QP kept until its completions
 	// drain after a switch-over.
 	oldV *verbs.QP
@@ -579,16 +567,13 @@ func (qp *QP) Outstanding() int { return qp.unfinished.Len() }
 
 // --- Data-path translation ----------------------------------------------------
 
-// translateSend maps a work request from virtual to physical values:
-// SGE lkeys through the dense array, the rkey through the remote cache,
-// and (for UD) the remote QPN through the QPN cache. The translated
-// gather list lives in a per-QP scratch buffer — the device copies the
-// WQE at post time, so no allocation is needed on the hot path (the
-// array-translation design of §3.3 exists precisely to keep this cheap).
-// It mutates *wr in place — the caller owns its copy of the work
-// request and the device copies the gather list at post time, so the
-// whole translation is a scratch-buffer fill with no allocation (the
-// §3.3 dense-array design exists to keep exactly this path cheap).
+// translateSend maps a work request from virtual to physical values, in
+// place (the caller owns its copy): SGE lkeys through the dense array,
+// the rkey through the remote cache, and (for UD) the remote QPN through
+// the QPN cache. The translated gather list lives in a per-QP scratch
+// buffer — the device copies it at post time — so the whole translation
+// allocates nothing (the §3.3 dense-array design exists to keep exactly
+// this path cheap).
 func (s *Session) translateSend(qp *QP, wr *rnic.SendWR) error {
 	if n := len(wr.SGEs); n > 0 {
 		if cap(qp.scratchSGE) < n {
@@ -940,66 +925,48 @@ func (s *Session) Sched() *sim.Scheduler { return s.ctx.Scheduler() }
 // the session itself lives on at the destination.
 func (s *Session) Close() {
 	s.Proc.Gate()
+	d := s.daemon
+	spares := d.unregister(s)
 	for _, qp := range s.sortedQPs() {
 		// A teardown can land mid-migration: the wrapper may still hold
-		// the pre-switch incarnation (kept until its completions drain)
-		// or a stashed partner spare. Both are live physical QPs with
-		// daemon-table entries; destroying only the active incarnation
-		// leaks them on the device — the many-session teardown leak.
+		// the pre-switch incarnation (kept until its completions drain),
+		// and a migration record may hold a partner spare for it. Both
+		// are live physical QPs with daemon-table entries; destroying
+		// only the active incarnation leaks them on the device — the
+		// many-session teardown leak.
 		if qp.oldV != nil {
 			oldPhys := qp.oldV.QPN()
 			qp.oldV.Destroy()
-			s.daemon.unmapQPN(oldPhys)
+			d.unmapQPN(oldPhys)
 			qp.oldV = nil
 		}
-		if spare := qp.pendingNew; spare != nil {
-			qp.pendingNew = nil
-			qp.pendingNewMig = ""
-			delete(s.daemon.pendingNSent, spare.QPN())
-			spare.Destroy()
+		for _, sp := range spares {
+			if sp.qp == qp {
+				delete(d.pendingNSent, sp.v.QPN())
+				sp.v.Destroy()
+			}
 		}
 		phys := qp.v.QPN()
 		qp.v.Destroy()
-		s.daemon.unmapQPN(phys)
+		d.unmapQPN(phys)
 		delete(s.qps, qp.id)
 		delete(s.byVQPN, qp.vqpn)
 	}
 	// Every remaining class tears down in ObjID (creation) order: map
 	// iteration order would vary across runs, and the destroy records it
 	// emits feed the deterministic trace/metrics hashes.
-	for _, id := range sortedObjIDs(s.mws) {
-		s.mws[id].v.Dealloc()
-		delete(s.mws, id)
-	}
-	for _, id := range sortedObjIDs(s.mrs) {
-		s.mrs[id].v.Dereg()
-		delete(s.mrs, id)
-	}
-	for _, id := range sortedObjIDs(s.dms) {
-		s.dms[id].v.Free()
-		delete(s.dms, id)
-	}
-	for _, id := range sortedObjIDs(s.srqs) {
-		s.srqs[id].v.Destroy()
-		delete(s.srqs, id)
-	}
+	inOrder(s.mws, func(mw *MW) { mw.v.Dealloc() })
+	inOrder(s.mrs, func(mr *MR) { mr.v.Dereg() })
+	inOrder(s.dms, func(dm *DM) { dm.v.Free() })
+	inOrder(s.srqs, func(srq *SRQ) { srq.v.Destroy() })
+	clear(s.mws)
+	clear(s.mrs)
+	clear(s.dms)
+	clear(s.srqs)
 	for _, cq := range s.cqs {
 		cq.v.Destroy()
 	}
 	s.cqs = nil
-	for _, id := range sortedObjIDs(s.pds) {
-		s.pds[id].v.Dealloc()
-		delete(s.pds, id)
-	}
-	s.daemon.unregister(s)
-}
-
-// sortedObjIDs returns the map's keys in ascending ObjID order.
-func sortedObjIDs[T any](m map[verbs.ObjID]T) []verbs.ObjID {
-	ids := make([]verbs.ObjID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
+	inOrder(s.pds, func(pd *PD) { pd.v.Dealloc() })
+	clear(s.pds)
 }

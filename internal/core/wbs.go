@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"time"
 
 	"migrrdma/internal/fifo"
@@ -67,11 +69,7 @@ func (s *Session) Suspend(qps []*QP) {
 // SuspendAll suspends every QP of the session (the migrated service
 // suspends all communication).
 func (s *Session) SuspendAll() []*QP {
-	var out []*QP
-	for _, qp := range s.qps {
-		out = append(out, qp)
-	}
-	s.sortQPs(out)
+	out := s.sortedQPs()
 	s.Suspend(out)
 	return out
 }
@@ -86,7 +84,7 @@ func (s *Session) SuspendPeer(node string) []*QP {
 			out = append(out, qp)
 		}
 	}
-	s.sortQPs(out)
+	sortQPs(out)
 	s.Suspend(out)
 	return out
 }
@@ -108,18 +106,14 @@ func (s *Session) SuspendByPhys(qpns []uint32) []*QP {
 			out = append(out, qp)
 		}
 	}
-	s.sortQPs(out)
+	sortQPs(out)
 	s.Suspend(out)
 	return out
 }
 
 // sortQPs orders QPs by virtual QPN for deterministic iteration.
-func (s *Session) sortQPs(qps []*QP) {
-	for i := 1; i < len(qps); i++ {
-		for j := i; j > 0 && qps[j-1].vqpn > qps[j].vqpn; j-- {
-			qps[j-1], qps[j] = qps[j], qps[j-1]
-		}
-	}
+func sortQPs(qps []*QP) {
+	slices.SortFunc(qps, func(a, b *QP) int { return cmp.Compare(a.vqpn, b.vqpn) })
 }
 
 // announceNSent sends each suspended QP's n_sent counter to its peer

@@ -121,7 +121,8 @@ func (p *Pair) Errors() []string {
 
 // StartPair launches a server on sNode and a client container on cNode.
 func (r *Rig) StartPair(cNode, sNode string, opts perftest.Options) *Pair {
-	return r.startPair(cNode, sNode, "cli", "srv", "client", "server", opts)
+	p, _ := r.start(cNode, "cli", "client", "srv", opts, serverAt{sNode, "server"})
+	return p
 }
 
 // StartPairNamed is StartPair with explicit perftest names; several
@@ -129,22 +130,41 @@ func (r *Rig) StartPair(cNode, sNode string, opts perftest.Options) *Pair {
 // endpoint derived from its name). Container names follow the perftest
 // names.
 func (r *Rig) StartPairNamed(cNode, sNode, cliName, srvName string, opts perftest.Options) *Pair {
-	return r.startPair(cNode, sNode, cliName, srvName, cliName+"-cont", srvName+"-cont", opts)
+	p, _ := r.start(cNode, cliName, cliName+"-cont", srvName, opts, serverAt{sNode, srvName + "-cont"})
+	return p
 }
 
-func (r *Rig) startPair(cNode, sNode, cliName, srvName, cliCont, srvCont string, opts perftest.Options) *Pair {
-	p := &Pair{
-		Server: perftest.NewServer(r.CL.Sched, srvName, opts),
-		Client: perftest.NewClient(r.CL.Sched, cliName, opts, perftest.Target{Node: sNode, Name: srvName}),
+// serverAt places one perftest server: its node and its container.
+type serverAt struct{ node, cont string }
+
+// start is the one way perftest traffic starts: a server named srvName in
+// a container on each node of at, spawned in that order, then the
+// client's starter proc, which starts the client container on cNode once
+// every server is ready. The client targets every server; the Pair holds
+// the first, and servers all of them.
+func (r *Rig) start(cNode, cliName, cliCont, srvName string, opts perftest.Options, at ...serverAt) (*Pair, []*perftest.Server) {
+	p := &Pair{}
+	var servers []*perftest.Server
+	var targets []perftest.Target
+	for _, a := range at {
+		srv, d := perftest.NewServer(r.CL.Sched, srvName, opts), r.Daemons[a.node]
+		cont := runc.NewContainer(r.CL.Host(a.node), a.cont)
+		cont.Start(func(tp *task.Process) { srv.Run(tp, d) })
+		if p.Server == nil {
+			p.Server, p.ServerCont = srv, cont
+		}
+		servers = append(servers, srv)
+		targets = append(targets, perftest.Target{Node: a.node, Name: srvName})
 	}
-	p.ServerCont = runc.NewContainer(r.CL.Host(sNode), srvCont)
-	p.ServerCont.Start(func(tp *task.Process) { p.Server.Run(tp, r.Daemons[sNode]) })
+	p.Client = perftest.NewClient(r.CL.Sched, cliName, opts, targets...)
 	p.ClientCont = runc.NewContainer(r.CL.Host(cNode), cliCont)
 	r.CL.Sched.Go("start-"+cliName, func() {
-		p.Server.WaitReady()
+		for _, srv := range servers {
+			srv.WaitReady()
+		}
 		p.ClientCont.Start(func(tp *task.Process) { p.Client.Run(tp, r.Daemons[cNode]) })
 	})
-	return p
+	return p, servers
 }
 
 // Migrate runs one live migration of the container from its current

@@ -8,7 +8,6 @@ import (
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
-	"migrrdma/internal/task"
 )
 
 // Fig4Row is one point of the Fig. 4 wait-before-stop study.
@@ -57,10 +56,12 @@ func Fig4(n, msgSize, partners int) (Fig4Row, error) {
 func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
 	defer wrapErr(&err, "fig4 n=%d msg=%d partners=%d seed=%d", n, msgSize, partners, seed)
 	nodes := []string{"src", "dst"}
-	var targets []perftest.Target
-	var servers []*perftest.Server
-	for i := 0; i < partners; i++ {
-		nodes = append(nodes, fmt.Sprintf("p%d", i))
+	// One perftest server per partner (the paper's one-to-many mode).
+	at := make([]serverAt, partners)
+	for i := range at {
+		node := fmt.Sprintf("p%d", i)
+		nodes = append(nodes, node)
+		at[i] = serverAt{node, "server-" + node}
 	}
 	// Wait-before-stop is independent of checkpoint costs; the light
 	// CRIU configuration keeps the line-rate traffic window (and thus
@@ -69,29 +70,14 @@ func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
 	r := NewRigCfg(cfg, nodes...)
 	defer r.Close()
 	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: msgSize, QueueDepth: 64, NumQPs: n, Messages: 0}
-	// One perftest server per partner (the paper's one-to-many mode).
-	for i := 0; i < partners; i++ {
-		node := fmt.Sprintf("p%d", i)
-		srv := perftest.NewServer(r.CL.Sched, "srv", opts)
-		servers = append(servers, srv)
-		cont := runc.NewContainer(r.CL.Host(node), "server-"+node)
-		cont.Start(func(tp *task.Process) { srv.Run(tp, r.Daemons[node]) })
-		targets = append(targets, perftest.Target{Node: node, Name: "srv"})
-	}
-	cli := perftest.NewClient(r.CL.Sched, "cli", opts, targets...)
-	cliCont := runc.NewContainer(r.CL.Host("src"), "client")
-	r.CL.Sched.Go("start-client", func() {
-		for _, srv := range servers {
-			srv.WaitReady()
-		}
-		cliCont.Start(func(tp *task.Process) { cli.Run(tp, r.Daemons["src"]) })
-	})
+	pair, servers := r.start("src", "cli", "client", "srv", opts, at...)
+	cli := pair.Client
 
 	var rep *runc.Report
 	err = r.Run(Horizon, func() (err error) {
 		cli.WaitReady()
 		r.CL.Sched.Sleep(settle)
-		if rep, err = r.Migrate(cliCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
+		if rep, err = r.Migrate(pair.ClientCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
 			return err
 		}
 		r.CL.Sched.Sleep(time.Millisecond)

@@ -402,7 +402,9 @@ func (r *Registry) Listen(fn func(Event) error) { r.listen = fn }
 // Emit stamps e with the registry's clock and hands it to the listener.
 // On a nil registry, or with no listener, it is a branch: no event is
 // stamped and nothing allocates. The listener's error is returned; only
-// the phase engine reads it (a stage event's error fails that phase).
+// the emitters of events that open a unit of work read it: the phase
+// engine (a stage event's error fails that phase) and the page channel
+// (a chunk send's error aborts the round).
 func (r *Registry) Emit(e Event) error {
 	if r == nil || r.listen == nil {
 		return nil

@@ -412,11 +412,8 @@ func TestPlugForwardThroughManager(t *testing.T) {
 		t.Error("plug buffered nothing; the cutover never exercised the plug")
 	}
 	for n, d := range r.daemons {
-		if d.PlugActive() {
-			t.Errorf("daemon %s still holds a plug after the migration", n)
-		}
-		if d.ForwardActive() {
-			t.Errorf("daemon %s still forwards after the migration", n)
+		if c := d.Census(); c.Plugs != 0 || c.Forwards != 0 {
+			t.Errorf("daemon %s still holds %d plugs and %d forwarding rules after the migration", n, c.Plugs, c.Forwards)
 		}
 	}
 }

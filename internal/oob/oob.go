@@ -46,8 +46,10 @@ type Hub struct {
 	// names interns the endpoint and kind names arriving frames carry —
 	// a small fixed vocabulary — so decoding allocates each name once.
 	names map[string]string
-	// idle holds the servings whose handler has returned, for reuse.
-	idle []*serving
+	// idle holds the servings whose handler has returned, for reuse;
+	// running counts those whose handler has not.
+	idle    []*serving
+	running int
 }
 
 // NewHub attaches a hub to the node's mux.
@@ -77,6 +79,16 @@ func (h *Hub) Endpoint(name string) *Endpoint {
 	}
 	h.eps[name] = ep
 	return ep
+}
+
+// InFlight reports the calls the hub's endpoints still await a reply to
+// and the handler runs that have not returned; both are zero once the
+// node's control traffic has quiesced.
+func (h *Hub) InFlight() (calls, handlers int) {
+	for _, ep := range h.eps {
+		calls += len(ep.pending)
+	}
+	return calls, h.running
 }
 
 // Close removes an endpoint; subsequent frames for it are dropped.
@@ -315,6 +327,7 @@ func (h *Hub) onFrame(f fabric.Frame) {
 		// their own proc so they may block.
 		sv := h.takeServing()
 		sv.ep, sv.fn, sv.msg = ep, hd.fn, msg
+		h.running++
 		h.sched.Go(hd.procName, sv.run)
 		return
 	}
@@ -358,4 +371,5 @@ func (sv *serving) serve() {
 	}
 	sv.ep, sv.fn, sv.msg = nil, nil, Msg{}
 	sv.hub.idle = append(sv.hub.idle, sv)
+	sv.hub.running--
 }

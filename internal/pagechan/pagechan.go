@@ -45,10 +45,6 @@ const (
 // either by a compensation calling Abort or by a prior failure.
 var ErrAborted = errors.New("pagechan: channel aborted")
 
-// ErrInjected marks the FailAt test hook firing mid-round (chaos
-// mid-chunk abort coverage).
-var ErrInjected = errors.New("pagechan: injected mid-chunk fault")
-
 // Chunk is one pipeline unit: a bounded batch of dumped pages plus the
 // addresses of pages that were all zero (shipped header-only).
 type Chunk struct {
@@ -95,16 +91,11 @@ type Config struct {
 	// page ships in full (no zero-page or duplicate elision).
 	Monolithic bool
 
-	// FailAtRound/FailAtChunk inject an abort after FailAtChunk chunks
-	// of the named round have been enqueued — the chaos harness's
-	// mid-chunk fault hook. Zero values disable it.
-	FailAtRound string
-	FailAtChunk int
-
 	// Metrics, when set, receives the session's counters and its
 	// staged-chunk gauge under the "pagechan" component, labelled {mig},
 	// and its pchan events ("round", "send", "recv", "apply", "abort",
-	// each with a chunk sequence number or a page count).
+	// each with a chunk sequence number or a page count). A listener
+	// that refuses a "send" aborts the round at that chunk.
 	Metrics *metrics.Registry
 	MigID   string
 }
@@ -179,8 +170,9 @@ func (s *Session) Staged() int { return s.staged }
 // Aborted reports whether the channel has been aborted.
 func (s *Session) Aborted() bool { return s.aborted }
 
-func (s *Session) emit(ev string, seq uint64) {
-	s.cfg.Metrics.Emit(metrics.Event{Kind: "pchan", Mig: s.cfg.MigID, Seq: seq, Note: ev})
+// emit returns the listener's verdict on the event.
+func (s *Session) emit(ev string, seq uint64) error {
+	return s.cfg.Metrics.Emit(metrics.Event{Kind: "pchan", Mig: s.cfg.MigID, Seq: seq, Note: ev})
 }
 
 // Abort tears the channel down: staged and queued chunks are dropped,
@@ -213,8 +205,8 @@ func (s *Session) Abort() {
 // of order across the K streams, which is sound because page addresses
 // within a round are unique and chunks are independent. A round of one
 // chunk has nothing to overlap, so the calling proc sends and applies
-// it itself — same events, same stats, same FailAt and Abort semantics,
-// no proc spawned.
+// it itself — same events, same stats, same refusal and Abort
+// semantics, no proc spawned.
 func (s *Session) Stream(round string, addrs []mem.Addr,
 	dump func([]mem.Addr) []criu.PageRec, apply func(*Chunk)) (RoundStats, error) {
 
@@ -290,11 +282,11 @@ func (s *Session) stream(round string, addrs []mem.Addr, dump func([]mem.Addr) [
 		}
 		st.WireBytes += int64(ch.WireBytes())
 		s.sendQ = append(s.sendQ, ch)
-		s.emit("send", ch.Seq)
+		refused := s.emit("send", ch.Seq)
 		s.cond.Broadcast()
-		if s.cfg.FailAtChunk > 0 && round == s.cfg.FailAtRound && st.Chunks >= s.cfg.FailAtChunk {
+		if refused != nil {
 			s.Abort()
-			err = fmt.Errorf("%w (round %s, chunk %d)", ErrInjected, round, st.Chunks)
+			err = fmt.Errorf("pagechan: chunk %d of round %s refused: %w", st.Chunks, round, refused)
 		}
 	}
 	s.closed = true

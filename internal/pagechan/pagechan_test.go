@@ -230,18 +230,18 @@ func TestMidChunkAbortLeavesNothingStaged(t *testing.T) {
 		for i, a := range as {
 			content[a] = page(byte(i + 1))
 		}
+		var log string
 		sess := NewSession(s, h, "dst", Config{
-			Streams: 2, ChunkPages: 4,
-			FailAtRound: "precopy", FailAtChunk: 3,
+			Streams: 2, ChunkPages: 4, Metrics: logEvents(s, &log, 3),
 		})
 		applied := 0
 		st, err := sess.Stream("precopy", as, dumper(h, content, time.Microsecond),
 			func(*Chunk) { applied++ })
-		if !errors.Is(err, ErrInjected) {
-			t.Errorf("err = %v, want ErrInjected", err)
+		if !errors.Is(err, errRefused) {
+			t.Errorf("err = %v, want the listener's refusal", err)
 		}
-		if st.Chunks < 3 {
-			t.Errorf("injected after %d chunks, want >= 3", st.Chunks)
+		if st.Chunks != 3 {
+			t.Errorf("aborted after %d chunks, want 3", st.Chunks)
 		}
 		if !sess.Aborted() {
 			t.Error("session not aborted after injected fault")
@@ -259,12 +259,22 @@ func TestMidChunkAbortLeavesNothingStaged(t *testing.T) {
 	})
 }
 
+// errRefused is a test listener's answer to the chunk send it refuses.
+var errRefused = errors.New("send refused")
+
 // logEvents returns a registry whose listener appends every pchan event
-// to *log as "time:event:seq|".
-func logEvents(s *sim.Scheduler, log *string) *metrics.Registry {
+// to *log as "time:event:seq|" and refuses the refuse-th chunk send
+// (none when refuse is 0).
+func logEvents(s *sim.Scheduler, log *string, refuse int) *metrics.Registry {
 	reg := metrics.New(s.Now)
+	sends := 0
 	reg.Listen(func(e metrics.Event) error {
 		*log += fmt.Sprintf("%d:%s:%d|", e.T, e.Note, e.Seq)
+		if e.Note == "send" {
+			if sends++; sends == refuse {
+				return errRefused
+			}
+		}
 		return nil
 	})
 	return reg
@@ -285,7 +295,7 @@ func TestStreamDeterministic(t *testing.T) {
 				content[a] = page(byte(i%5 + 1))
 			}
 			sess := NewSession(s, h, "dst", Config{
-				Streams: 3, ChunkPages: 4, Metrics: logEvents(s, &log),
+				Streams: 3, ChunkPages: 4, Metrics: logEvents(s, &log, 0),
 			})
 			st, err := sess.Stream("final", as, dumper(h, content, time.Microsecond),
 				func(*Chunk) { h.Sleep(2 * time.Microsecond) })
@@ -311,8 +321,8 @@ func TestStreamDeterministic(t *testing.T) {
 // Stream's choice: a round of one chunk run on the calling proc and the
 // same round handed to sender and applier procs yield the same event
 // sequence with the same timestamps, the same RoundStats and the same
-// virtual end time — clean, with the FailAt hook firing on the chunk,
-// and with an Abort landing while the chunk is on the wire.
+// virtual end time — clean, with the listener refusing the chunk's
+// send, and with an Abort landing while the chunk is on the wire.
 func TestOneChunkRoundInlineMatchesWorkers(t *testing.T) {
 	type outcome struct {
 		log  string
@@ -324,12 +334,12 @@ func TestOneChunkRoundInlineMatchesWorkers(t *testing.T) {
 	const n = 24
 	for _, tc := range []struct {
 		name    string
-		failAt  int
+		refuse  int
 		abortAt time.Duration // 0: never
 		wantErr error
 	}{
 		{"clean", 0, 0, nil},
-		{"fail-at-chunk-1", 1, 0, ErrInjected},
+		{"fail-at-chunk-1", 1, 0, errRefused},
 		// Dump ends at 24 µs; the chunk is on the wire for ~98 µs after.
 		{"abort-mid-transfer", 0, 60 * time.Microsecond, ErrAborted},
 	} {
@@ -341,9 +351,7 @@ func TestOneChunkRoundInlineMatchesWorkers(t *testing.T) {
 					for i, a := range as {
 						content[a] = page(byte(i%3 + 1))
 					}
-					sess := NewSession(s, h, "dst", Config{
-						FailAtRound: "final", FailAtChunk: tc.failAt, Metrics: logEvents(s, &o.log),
-					})
+					sess := NewSession(s, h, "dst", Config{Metrics: logEvents(s, &o.log, tc.refuse)})
 					if tc.abortAt > 0 {
 						s.AfterFunc(tc.abortAt, sess.Abort)
 					}

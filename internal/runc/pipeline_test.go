@@ -1,12 +1,14 @@
 package runc
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
@@ -141,10 +143,11 @@ func TestPipelinedBeatsMonolithic(t *testing.T) {
 		pipe.Blackout(), pipe.FinalWireBytes, pipe.WireBytes, pipe.PagesTransferred, pipe.DistinctPages, pipe.PagesElided)
 }
 
-// TestPipelinedAbortMidChunk injects a page-channel fault mid-round at
-// each streaming phase and asserts the phase engine unwinds: the error
-// names the phase, the channel holds no staged chunks, and the
-// workload recovers on the source.
+// TestPipelinedAbortMidChunk refuses a chunk send mid-round at each
+// streaming phase, from the event stream's listener, and asserts the
+// phase engine unwinds: the error names the phase and the refusal, the
+// channel holds no staged chunks, and the workload recovers on the
+// source.
 func TestPipelinedAbortMidChunk(t *testing.T) {
 	for _, tc := range []struct {
 		round string
@@ -157,10 +160,27 @@ func TestPipelinedAbortMidChunk(t *testing.T) {
 			tb := newTestbed(t, "src", "dst", "partner")
 			// PostGap 10µs: denser traffic keeps the client's rings dirty so
 			// the final stop-and-copy round always has several chunks for
-			// the FailAtChunk hook to land in.
+			// the refusal to land in.
 			opts := perftest.Options{Verb: rnic.OpSend, MsgSize: 2048, QueueDepth: 8, NumQPs: 2,
 				Messages: 0, CheckOrder: true, PostGap: 10 * time.Microsecond}
 			cont, cli, srv := tb.startPair(t, "src", "partner", opts)
+			// The listener refuses the second chunk send of the round the
+			// phase under test streams.
+			refused := errors.New("chunk refused")
+			stage, sends := "", 0
+			tb.cl.Metrics.Listen(func(e metrics.Event) error {
+				switch {
+				case e.Kind == "stage":
+					stage = e.Note
+				case e.Kind == "pchan" && e.Note == "round":
+					sends = 0
+				case e.Kind == "pchan" && e.Note == "send":
+					if sends++; sends == 2 && stage == tc.phase {
+						return refused
+					}
+				}
+				return nil
+			})
 
 			var mErr error
 			var after int64
@@ -174,8 +194,6 @@ func TestPipelinedAbortMidChunk(t *testing.T) {
 				o := DefaultMigrateOptions()
 				o.Transfer = TransferPipelined
 				o.ChunkPages = 4 // small chunks so every round has several
-				o.FailAtRound = tc.round
-				o.FailAtChunk = 2
 				m := &Migrator{C: cont, Dst: tb.cl.Host("dst"),
 					Plug: core.NewPlugin(tb.daemons["src"], tb.daemons["dst"]), Opts: o}
 				_, mErr = m.Migrate()
@@ -195,8 +213,8 @@ func TestPipelinedAbortMidChunk(t *testing.T) {
 			if !strings.Contains(mErr.Error(), "phase "+tc.phase) {
 				t.Errorf("error %q does not name phase %q", mErr, tc.phase)
 			}
-			if !strings.Contains(mErr.Error(), "injected mid-chunk fault") {
-				t.Errorf("error %q does not surface the channel fault", mErr)
+			if !errors.Is(mErr, refused) || !strings.Contains(mErr.Error(), "chunk 2 of round "+tc.round) {
+				t.Errorf("error %q does not surface the refused chunk", mErr)
 			}
 			if after == 0 || cli.Stats.Completed != srv.Stats.Completed {
 				t.Errorf("workload did not recover on the source: after=%d cli=%d srv=%d",

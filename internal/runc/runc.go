@@ -138,12 +138,6 @@ type MigrateOptions struct {
 	// pagechan.DefaultChunkPages. A monolithic round is one chunk
 	// whatever this says.
 	ChunkPages int
-	// FailAtRound/FailAtChunk inject a mid-chunk page-channel abort
-	// after FailAtChunk chunks of the named round ("predump",
-	// "precopy", "final") have shipped; the chaos fail-and-recover
-	// harness uses it. Zero values disable it.
-	FailAtRound string
-	FailAtChunk int
 }
 
 // DefaultMigrateOptions mirrors the paper's configuration.
@@ -369,13 +363,7 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 
 	// Every round of pages leaves through the page channel; the transfer
 	// mode only picks the channel's parameters (DESIGN.md §12).
-	cfg := pagechan.Config{
-		ChunkPages:  m.Opts.ChunkPages,
-		FailAtRound: m.Opts.FailAtRound,
-		FailAtChunk: m.Opts.FailAtChunk,
-		Metrics:     src.Metrics,
-		MigID:       m.ID,
-	}
+	cfg := pagechan.Config{ChunkPages: m.Opts.ChunkPages, Metrics: src.Metrics, MigID: m.ID}
 	ctl := pagechan.NewController(m.Opts.DirtyPageThreshold)
 	if m.Opts.Transfer == TransferMonolithic {
 		// The paper's workflow: whole rounds, and a fixed iteration
