@@ -86,18 +86,21 @@ chaos-race:
 	$(GO) test -race ./internal/chaos -run TestPlugVsGoBackN
 
 # Fuzz smoke over the wire-format decoder, the transport fault-script
-# harness, the control-message codec and the OOB control-frame decoder
-# (go test fuzzes one target per invocation). FuzzDecode walks reflect,
-# whose first-use paths make coverage flicker; the engine's default 60 s
-# budget for minimising each "interesting" input would eat the ten
-# seconds, hence the 1 s cap. The decoder line first runs its seed
-# corpus (the header-only zero packet among them) and the zero-packet
-# codec test.
+# harness, the control-message codec, the OOB control-frame decoder and
+# the address space's copy-on-write rule for borrowed frames, checked
+# against its private-pages reference (go test fuzzes one target per
+# invocation). FuzzDecode walks reflect, whose first-use paths make
+# coverage flicker, and FuzzAddressSpace finds new inputs for most of
+# its ten seconds; the engine's default 60 s budget for minimising each
+# "interesting" input would eat them, hence the 1 s cap. The decoder
+# line first runs its seed corpus (the header-only zero packet among
+# them) and the zero-packet codec test.
 fuzz:
 	$(GO) test ./internal/rnic -run='FuzzDecodePacket|TestZeroPacketCodec' -fuzz=FuzzDecodePacket -fuzztime=10s
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzRCFaultScript -fuzztime=10s
 	$(GO) test ./internal/codec -run=Fuzz -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/oob -run=Fuzz -fuzz=FuzzDecodeWire -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/mem -run=Fuzz -fuzz=FuzzAddressSpace -fuzztime=10s -fuzzminimizetime=1s
 
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.

@@ -63,10 +63,12 @@ type VMARec struct {
 	Device bool
 }
 
-// PageRec is one page of image content.
+// PageRec is one page of image content. Its bytes are a read-only
+// frame: the restore installs it as the destination's page, and a dump
+// points it at the frame the source page borrows.
 type PageRec struct {
 	Addr mem.Addr
-	Data []byte
+	Data mem.Frame
 }
 
 // Image is a checkpoint image: the memory table, page contents, and the
@@ -221,27 +223,26 @@ func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
 }
 
 // DumpPages reads one batch of page contents at the dump cost model's
-// per-page rate. A zero page (mem.ZeroPage) gets a record aliasing the
-// shared zero run (mem.Zeros); the others are copied into one slab, an
-// allocation a batch instead of one a page. Every record's Data is cut
-// with its capacity, so an append to one page cannot reach another.
-// Records are read-only.
+// per-page rate. A page that borrows a frame (mem.BorrowedFrame; the zero
+// page for one without content) gets a record pointing at that frame;
+// the others are copied into one slab, an allocation a batch instead of
+// one a page.
 func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
 	recs := make([]PageRec, len(addrs))
 	n := 0
 	for _, a := range addrs {
-		if !p.AS.ZeroPage(a) {
+		if _, ok := p.AS.BorrowedFrame(a); !ok {
 			n++
 		}
 	}
 	slab := make([]byte, n*mem.PageSize)
 	for i, a := range addrs {
-		data := mem.Zeros(mem.PageSize)
-		if !p.AS.ZeroPage(a) {
-			data, slab = slab[:mem.PageSize:mem.PageSize], slab[mem.PageSize:]
-			p.AS.ReadPageInto(a, data)
+		f, ok := p.AS.BorrowedFrame(a)
+		if !ok {
+			p.AS.ReadPageInto(a, slab)
+			f, slab = mem.FrameOf(slab), slab[mem.PageSize:]
 		}
-		recs[i] = PageRec{Addr: a, Data: data}
+		recs[i] = PageRec{Addr: a, Data: f}
 	}
 	t.host.Sleep(time.Duration(len(addrs)) * t.cfg.DumpPerPage)
 	return recs
@@ -305,7 +306,7 @@ func (r *Restore) MapAtOriginal(img *Image, rec VMARec) error {
 	n := 0
 	for _, pg := range img.Pages {
 		if pg.Addr >= rec.Start && pg.Addr < rec.Start+mem.Addr(rec.Len) {
-			_ = r.AS.WriteClean(pg.Addr, pg.Data)
+			_ = r.AS.BorrowClean(pg.Addr, pg.Data)
 			n++
 		}
 	}
@@ -337,14 +338,15 @@ func (r *Restore) PartialRestore(img *Image) error {
 
 // ApplyChunk applies one page-channel chunk at its pages' current
 // (possibly temporary) locations (Fig. 2b merge step): full-content
-// pages plus header-only zero pages. img supplies the round's memory
+// pages plus header-only zero pages, each installed as the page it lands
+// on (BorrowClean) rather than copied into it. img supplies the round's memory
 // table for address translation; a page of a VMA it does not list is
 // skipped.
 func (r *Restore) ApplyChunk(img *Image, pages []PageRec, zeros []mem.Addr) {
 	n := 0
 	for _, pg := range pages {
 		if dst, ok := r.locate(img, pg.Addr); ok {
-			_ = r.AS.WriteClean(dst, pg.Data)
+			_ = r.AS.BorrowClean(dst, pg.Data)
 			n++
 		}
 	}
@@ -352,7 +354,7 @@ func (r *Restore) ApplyChunk(img *Image, pages []PageRec, zeros []mem.Addr) {
 		if dst, ok := r.locate(img, a); ok {
 			// A page shipped as a header only still pays the
 			// per-page restore cost.
-			_ = r.AS.WriteClean(dst, mem.Zeros(mem.PageSize))
+			_ = r.AS.BorrowClean(dst, mem.ZeroFrame)
 			n++
 		}
 	}

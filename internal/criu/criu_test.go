@@ -258,24 +258,24 @@ func TestDumpedPagesShareASlabSafely(t *testing.T) {
 			"DumpPages": tool.DumpPages(p, append(addrs, 0x1000+6*mem.PageSize)), // and one page without content
 		} {
 			for i, a := range addrs {
-				r := recs[i]
-				if r.Addr != a || len(r.Data) != mem.PageSize || cap(r.Data) != mem.PageSize ||
-					!bytes.Equal(r.Data, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize)) {
-					t.Fatalf("%s: record %d: addr %#x, len %d, cap %d, first byte %q", name, i, r.Addr, len(r.Data), cap(r.Data), r.Data[0])
+				r, b := recs[i], recs[i].Data.Bytes()
+				if r.Addr != a || len(b) != mem.PageSize || cap(b) != mem.PageSize ||
+					!bytes.Equal(b, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize)) {
+					t.Fatalf("%s: record %d: addr %#x, len %d, cap %d, first byte %q", name, i, r.Addr, len(b), cap(b), b[0])
 				}
 			}
-			if name == "DumpPages" && !mem.AllZero(recs[4].Data) {
+			if name == "DumpPages" && !mem.AllZero(recs[4].Data.Bytes()) {
 				t.Errorf("%s: a page without content is not zero", name)
 			}
-			_ = append(recs[0].Data, 'X')
-			if recs[1].Data[0] != 'b' {
+			_ = append(recs[0].Data.Bytes(), 'X')
+			if recs[1].Data.Bytes()[0] != 'b' {
 				t.Errorf("%s: an append to record 0 wrote into record 1", name)
 			}
 		}
 		// The records are copies: a later write does not reach them.
 		recs := tool.DumpPages(p, addrs[:1])
 		p.AS.Write(addrs[0], []byte("z"))
-		if recs[0].Data[0] != 'a' {
+		if recs[0].Data.Bytes()[0] != 'a' {
 			t.Error("a write to the process changed a dumped page")
 		}
 		allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, addrs) })
@@ -314,24 +314,24 @@ func TestZeroPageRecordsAliasOneZeroPage(t *testing.T) {
 		for i, a := range addrs {
 			want := make([]byte, mem.PageSize)
 			p.AS.ReadPageInto(a, want)
-			r := recs[i]
-			if r.Addr != a || !bytes.Equal(r.Data, want) || len(r.Data) != mem.PageSize || cap(r.Data) != mem.PageSize {
-				t.Fatalf("record %d: addr %#x, len %d, cap %d, or bytes differ from the page", i, r.Addr, len(r.Data), cap(r.Data))
+			r, b := recs[i], recs[i].Data.Bytes()
+			if r.Addr != a || !bytes.Equal(b, want) || len(b) != mem.PageSize || cap(b) != mem.PageSize {
+				t.Fatalf("record %d: addr %#x, len %d, cap %d, or bytes differ from the page", i, r.Addr, len(b), cap(b))
 			}
 			if !zero[a] {
 				continue
 			}
 			if zeroData == nil {
-				zeroData = &r.Data[0]
-			} else if &r.Data[0] != zeroData {
+				zeroData = &b[0]
+			} else if &b[0] != zeroData {
 				t.Errorf("record %d (%#x): a zero page with a copy of its own", i, a)
 			}
 		}
-		if &recs[0].Data[0] == zeroData || &recs[4].Data[0] == zeroData {
+		if &recs[0].Data.Bytes()[0] == zeroData || &recs[4].Data.Bytes()[0] == zeroData {
 			t.Error("a page with a byte of its own aliases the zero page")
 		}
-		_ = append(recs[1].Data, 'X')
-		if !mem.AllZero(recs[2].Data) || !mem.AllZero(mem.Zeros(mem.ZeroRunLen)) {
+		_ = append(recs[1].Data.Bytes(), 'X')
+		if !mem.AllZero(recs[2].Data.Bytes()) || !mem.AllZero(mem.Zeros(mem.ZeroRunLen)) {
 			t.Error("an append to a zero record wrote into the zero page")
 		}
 
@@ -339,6 +339,106 @@ func TestZeroPageRecordsAliasOneZeroPage(t *testing.T) {
 		zeros := []mem.Addr{page(1), page(2), page(5)}
 		if allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, zeros) }); allocs > 1 {
 			t.Errorf("dumping %d zero pages allocates %.0f times, want 1 (records)", len(zeros), allocs)
+		}
+	})
+	s.Run()
+}
+
+// TestBorrowedPageRecordsPointAtTheirFrame: a page that borrows a frame
+// gets a record pointing at that frame, however many pages borrow it; a
+// borrowing page a write changed owns its bytes again and is copied. A
+// batch of borrowing pages costs its records and nothing else.
+func TestBorrowedPageRecordsPointAtTheirFrame(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	tool, _ := newTool(s)
+	p := task.New(s, "p")
+	s.Go("test", func() {
+		p.AS.Map(0x1000, 8*mem.PageSize, "heap")
+		page := func(i int) mem.Addr { return mem.Addr(0x1000 + i*mem.PageSize) }
+		f := mem.FrameOf(bytes.Repeat([]byte{'f'}, mem.PageSize))
+		p.AS.Borrow(page(0), f)
+		p.AS.BorrowClean(page(1), f)
+		p.AS.Borrow(page(2), f)
+		p.AS.Write(page(2)+7, []byte{'x'}) // changes a byte: a copy of its own
+
+		recs := tool.DumpPages(p, []mem.Addr{page(0), page(1), page(2)})
+		if recs[0].Data != f || recs[1].Data != f {
+			t.Error("a borrowing page's record does not point at its frame")
+		}
+		if b := recs[2].Data.Bytes(); recs[2].Data == f || b[7] != 'x' || b[8] != 'f' {
+			t.Errorf("a page a write changed: record aliases the frame (%v) or holds %q", recs[2].Data == f, b[6:9])
+		}
+		if !bytes.Equal(f.Bytes(), bytes.Repeat([]byte{'f'}, mem.PageSize)) {
+			t.Error("the write reached the frame")
+		}
+		borrowed := []mem.Addr{page(0), page(1)}
+		if allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, borrowed) }); allocs > 1 {
+			t.Errorf("dumping %d borrowing pages allocates %.0f times, want 1 (records)", len(borrowed), allocs)
+		}
+	})
+	s.Run()
+}
+
+// TestRestoredHogPagesStayIsolated dumps the pages a page hog borrows,
+// restores them and writes every restored page: the image's records,
+// the source's pages and the hog's frames keep their bytes, and the
+// destination reads its writes over the restored bytes.
+func TestRestoredHogPagesStayIsolated(t *testing.T) {
+	s := sim.New(1)
+	defer s.Close()
+	tool, _ := newTool(s)
+	p := task.New(s, "app")
+	h := task.PageHog{Base: 0x40000, Pages: 6, Hot: 2, Zero: 2, Interval: 100 * time.Microsecond}
+	stop, err := h.Start(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Go("test", func() {
+		defer stop()
+		s.Sleep(h.Interval / 2) // the hog has written its first epoch
+		img := tool.Dump(p, true)
+		if len(img.Pages) != h.Pages {
+			t.Fatalf("dumped %d pages, want %d", len(img.Pages), h.Pages)
+		}
+		var frames []mem.Frame // what each source page borrows
+		var want [][]byte      // and the bytes it holds
+		for i, rec := range img.Pages {
+			f, ok := p.AS.BorrowedFrame(rec.Addr)
+			if !ok || rec.Data != f {
+				t.Fatalf("page %d: the record does not point at the hog's frame", i)
+			}
+			frames, want = append(frames, f), append(want, bytes.Clone(f.Bytes()))
+		}
+		r := tool.BeginRestore(p)
+		if err := r.PartialRestore(img); err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Finalize(); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]byte, mem.PageSize)
+		for i, rec := range img.Pages {
+			if err := r.AS.Write(rec.Addr+100, []byte("written at the destination")); err != nil {
+				t.Fatal(err)
+			}
+			if err := r.AS.Read(rec.Addr, got); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got[:100], want[i][:100]) || string(got[100:126]) != "written at the destination" {
+				t.Errorf("page %d: the destination does not read its write over the restored bytes", i)
+			}
+		}
+		for i, rec := range img.Pages {
+			p.AS.ReadPageInto(rec.Addr, got)
+			switch {
+			case !bytes.Equal(rec.Data.Bytes(), want[i]):
+				t.Errorf("page %d: a write at the destination reached the image record", i)
+			case !bytes.Equal(got, want[i]):
+				t.Errorf("page %d: a write at the destination reached the source page", i)
+			case !bytes.Equal(frames[i].Bytes(), want[i]):
+				t.Errorf("page %d: a write at the destination reached the hog's frame", i)
+			}
 		}
 	})
 	s.Run()

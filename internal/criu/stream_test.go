@@ -90,7 +90,7 @@ func TestZeroPageImageRestores(t *testing.T) {
 		zeros := make([]byte, mem.PageSize)
 		src.AS.Write(0x10000, zeros)
 		diff := tool.Dump(src, false)
-		if len(diff.Pages) != 1 || !mem.AllZero(diff.Pages[0].Data) {
+		if len(diff.Pages) != 1 || !mem.AllZero(diff.Pages[0].Data.Bytes()) {
 			t.Fatalf("diff should carry one all-zero page, got %d pages", len(diff.Pages))
 		}
 		r.ApplyChunk(diff, diff.Pages, nil)
@@ -202,7 +202,7 @@ func TestBeginDumpMatchesDump(t *testing.T) {
 			t.Fatalf("chunked dump read %d pages, mono %d", len(recs), len(monoPages))
 		}
 		for i := range recs {
-			if recs[i].Addr != monoPages[i].Addr || !bytes.Equal(recs[i].Data, monoPages[i].Data) {
+			if recs[i].Addr != monoPages[i].Addr || !bytes.Equal(recs[i].Data.Bytes(), monoPages[i].Data.Bytes()) {
 				t.Errorf("page %d differs: %#x vs %#x", i, uint64(recs[i].Addr), uint64(monoPages[i].Addr))
 			}
 		}
@@ -239,7 +239,7 @@ func TestApplyChunkTranslatesAndZeroFills(t *testing.T) {
 		// Stream a chunk: one content page, one header-only zero page.
 		pg := make([]byte, mem.PageSize)
 		copy(pg, "chunked")
-		r.ApplyChunk(img, []PageRec{{Addr: 0x10000, Data: pg}}, []mem.Addr{0x10000 + mem.PageSize})
+		r.ApplyChunk(img, []PageRec{{Addr: 0x10000, Data: mem.FrameOf(pg)}}, []mem.Addr{0x10000 + mem.PageSize})
 
 		// Before finalize the original address must still be unmapped
 		// (content lives at temp).

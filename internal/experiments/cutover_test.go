@@ -92,23 +92,44 @@ func TestRepsLeaveNothingBehind(t *testing.T) {
 
 // TestCutoverRepAllocationBudget guards what a rep of the benchmark's
 // cutover-gbn configuration allocates: at most 0.6 MB after a warm rep
-// (0.36 MB with the shared zero page, zero-page dump records, reserved
-// rings and one inline SGE; 1.24 MB without them). It is not parallel,
-// so nothing else allocates while it reads the allocator's total.
+// (about 0.29 MB with the shared zero page, dump records that point at
+// the frames pages borrow, reserved rings and one inline SGE; 1.24 MB
+// without them). It is not parallel, so nothing else allocates while it
+// reads the allocator's total.
 func TestCutoverRepAllocationBudget(t *testing.T) {
-	rep := func() {
-		if _, err := RunCutoverSeeded(runc.CutoverGoBackN, 8192, 2, 50, 1); err != nil {
-			t.Fatal(err)
-		}
+	repAllocationBudget(t, "cutover-gbn", 0.6, func() error {
+		_, err := RunCutoverSeeded(runc.CutoverGoBackN, 8192, 2, 50, 1)
+		return err
+	})
+}
+
+// TestPageHogRepAllocationBudget guards what a rep of the benchmark's
+// pagehog-mono configuration allocates: at most 1.0 MB after a warm rep
+// (about 0.5 MB when the hog's pages borrow its tables, dump records
+// point at those frames and restore installs records instead of copying
+// them; 5.35 MB when every step copied the page).
+func TestPageHogRepAllocationBudget(t *testing.T) {
+	repAllocationBudget(t, "pagehog-mono", 1.0, func() error {
+		_, err := RunPageChanSeeded(runc.TransferMonolithic, 8192, 2, 400, 1)
+		return err
+	})
+}
+
+// repAllocationBudget runs rep once to warm up, then fails the test if
+// a second rep allocates more than budget MB.
+func repAllocationBudget(t *testing.T, name string, budget float64, rep func() error) {
+	if err := rep(); err != nil {
+		t.Fatal(err)
 	}
-	rep() // warm
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	rep()
+	if err := rep(); err != nil {
+		t.Fatal(err)
+	}
 	runtime.ReadMemStats(&after)
 	mb := float64(after.TotalAlloc-before.TotalAlloc) / 1e6
-	t.Logf("a cutover-gbn rep allocates %.3f MB", mb)
-	if mb > 0.6 {
-		t.Fatalf("a cutover-gbn rep allocates %.3f MB, budget 0.6 MB", mb)
+	t.Logf("a %s rep allocates %.3f MB", name, mb)
+	if mb > budget {
+		t.Fatalf("a %s rep allocates %.3f MB, budget %.1f MB", name, mb, budget)
 	}
 }

@@ -57,11 +57,20 @@ func (e *FaultError) Error() string {
 	return fmt.Sprintf("mem: %s fault at %#x (unmapped)", e.Op, uint64(e.Addr))
 }
 
-// page is the content of one touched page: a single allocation of
-// exactly PageSize bytes. Its dirty bit lives in the address space's
-// dirty set, because a flag beside the bytes would push every page into
+// page is the content of one touched page: exactly PageSize bytes,
+// either one allocation the address space owns or a Frame it borrows.
+// Whether it borrows is kept beside the pointer (pageRef, and slotBorrowed
+// in the page cache); its dirty bit lives in the address space's dirty
+// set, because a flag beside the bytes would push every owned page into
 // the next allocation size class.
 type page [PageSize]byte
+
+// pageRef is a written page: its bytes, and whether they are a frame the
+// page borrows rather than its own.
+type pageRef struct {
+	pg       *page
+	borrowed bool
+}
 
 // ZeroRunLen is the length of zeroRun, the one run of zeros every
 // address space and zero payload share and nothing writes: it covers
@@ -70,10 +79,27 @@ const ZeroRunLen = 1 << 16
 
 var zeroRun [ZeroRunLen]byte
 
-// zeroPage backs every written page that holds only zeros, in every
-// address space: the first page of zeroRun. A write carrying a non-zero
-// byte gives the page its own copy first (see access).
+// zeroPage is the first page of zeroRun, ZeroFrame's bytes: what every
+// page written only with zeros borrows, in every address space.
 var zeroPage = (*page)(zeroRun[:PageSize])
+
+// Frame is a page of bytes that nothing writes: the zero page, a record
+// of a checkpoint image, a window of a writer's table. Any number of
+// pages, in any number of address spaces and concurrent simulations, may
+// borrow one (Borrow); a write that changes a borrowing page's bytes
+// gives that page its own copy first, so a frame's bytes never change.
+type Frame struct{ pg *page }
+
+// ZeroFrame is the frame of zeros.
+var ZeroFrame = Frame{zeroPage}
+
+// FrameOf hands the first PageSize bytes of b over as a frame; nothing
+// may write them afterwards. It panics if b is shorter than a page.
+func FrameOf(b []byte) Frame { return Frame{(*page)(b)} }
+
+// Bytes returns the frame's bytes, which must not be written. Its
+// capacity is PageSize, so an append cannot reach past the frame.
+func (f Frame) Bytes() []byte { return f.pg[:] }
 
 // Zeros returns n zero bytes: a view of the shared zero run when n fits
 // it (capacity cut to n, so an append cannot reach the run), a fresh
@@ -98,10 +124,11 @@ func IsZeros(b []byte) bool {
 // AddressSpace is one process's virtual memory.
 type AddressSpace struct {
 	vmas []*VMA // sorted by Start
-	// pages holds the written pages: a private copy, or zeroPage for a
-	// page written only with zeros. A mapped page not here reads as zeros
-	// too, but has no content (PopulatedPages leaves it out).
-	pages map[Addr]*page
+	// pages holds the written pages: bytes of their own, or a frame they
+	// borrow (zeroPage for a page written only with zeros). A mapped page
+	// not here reads as zeros too, but has no content (PopulatedPages
+	// leaves it out).
+	pages map[Addr]pageRef
 	dirty map[Addr]struct{} // pages written (and marked) since ClearDirty
 
 	// cache short-circuits the per-page VMA search and map probe of
@@ -131,17 +158,19 @@ const pageCacheSlots = 256
 // pageSlot caches the resolution of one page address. tag is the page
 // address with slotValid set, so the zero slot matches no page; the
 // page is inside a VMA, and pg is its entry in pages (nil while it is
-// still untouched). slotDirty in the tag records that the page is known
-// to be in the dirty set, so rewriting a dirty page does not probe the
-// set again.
+// still untouched). slotBorrowed in the tag is the entry's borrowed bit.
+// slotDirty records that the page is known to be in the dirty set, so
+// rewriting a dirty page does not probe the set again.
 type pageSlot struct {
 	tag Addr
 	pg  *page
 }
 
 const (
-	slotValid Addr = 1
-	slotDirty Addr = 2
+	slotValid    Addr = 1
+	slotDirty    Addr = 2
+	slotBorrowed Addr = 4
+	slotHints         = slotDirty | slotBorrowed
 )
 
 func cacheSlot(pa Addr) Addr { return (pa / PageSize) % pageCacheSlots }
@@ -152,7 +181,7 @@ func (as *AddressSpace) invalidate() { as.cache = [pageCacheSlots]pageSlot{} }
 
 // NewAddressSpace returns an empty address space.
 func NewAddressSpace() *AddressSpace {
-	return &AddressSpace{pages: make(map[Addr]*page), dirty: make(map[Addr]struct{})}
+	return &AddressSpace{pages: make(map[Addr]pageRef), dirty: make(map[Addr]struct{})}
 }
 
 // Map establishes a VMA at an explicit address. start must be
@@ -260,20 +289,20 @@ func (as *AddressSpace) Remap(old, new Addr) error {
 	}
 	// Lift the pages out before putting any back: the ranges may overlap.
 	type movedPage struct {
-		pg    *page
+		ref   pageRef
 		dirty bool
 	}
 	moved := make(map[Addr]movedPage, v.Len/PageSize)
 	for off := Addr(0); off < Addr(v.Len); off += PageSize {
-		if pg, ok := as.pages[old+off]; ok {
+		if ref, ok := as.pages[old+off]; ok {
 			_, dirty := as.dirty[old+off]
-			moved[new+off] = movedPage{pg, dirty}
+			moved[new+off] = movedPage{ref, dirty}
 			delete(as.pages, old+off)
 			delete(as.dirty, old+off)
 		}
 	}
 	for a, m := range moved {
-		as.pages[a] = m.pg
+		as.pages[a] = m.ref
 		if m.dirty {
 			as.dirty[a] = struct{}{}
 		}
@@ -345,6 +374,50 @@ func (as *AddressSpace) WriteClean(a Addr, buf []byte) error {
 	return as.access(a, buf, true, false)
 }
 
+// Borrow makes the page at a, which must be page-aligned, borrow f: it
+// reads as f's bytes without a copy, and is populated and marked dirty
+// as by a Write of them.
+func (as *AddressSpace) Borrow(a Addr, f Frame) error { return as.borrow(a, f, true) }
+
+// BorrowClean is Borrow without the dirty mark, as WriteClean is Write
+// without it: CRIU's restore installs image records with it.
+func (as *AddressSpace) BorrowClean(a Addr, f Frame) error { return as.borrow(a, f, false) }
+
+func (as *AddressSpace) borrow(a Addr, f Frame, markDirty bool) error {
+	if a%PageSize != 0 {
+		return fmt.Errorf("mem: borrow at unaligned address %#x", uint64(a))
+	}
+	s := as.lookup(a)
+	if s == nil {
+		return &FaultError{Addr: a, Op: "write"}
+	}
+	if s.pg != f.pg {
+		as.set(s, a, f.pg, true)
+	}
+	if markDirty {
+		as.markDirty(s, a)
+	}
+	return nil
+}
+
+// BorrowedFrame returns the frame the page at a (page-aligned) borrows,
+// ZeroFrame for a page without content; ok is false when the page owns
+// its bytes.
+func (as *AddressSpace) BorrowedFrame(a Addr) (f Frame, ok bool) {
+	switch ref := as.pages[a]; {
+	case ref.pg == nil:
+		return ZeroFrame, true
+	case ref.borrowed:
+		return Frame{ref.pg}, true
+	}
+	return Frame{}, false
+}
+
+// access reads or writes buf at a. A write to a page without bytes of its
+// own (untouched, which reads as the zero page, or borrowing a frame)
+// copies nothing when it leaves the page's bytes as they are: an untouched
+// page then borrows the zero page. Only a write that changes them gives
+// the page its own copy of the frame first (copy-on-write).
 func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error {
 	op := "read"
 	if write {
@@ -353,11 +426,9 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 	zeros := write && IsZeros(buf)
 	for off := 0; off < len(buf); {
 		pa := PageFloor(a + Addr(off))
-		slot := &as.cache[cacheSlot(pa)]
-		if slot.tag&^slotDirty != pa|slotValid {
-			if slot = as.fill(slot, pa); slot == nil {
-				return &FaultError{Addr: a + Addr(off), Op: op}
-			}
+		slot := as.lookup(pa)
+		if slot == nil {
+			return &FaultError{Addr: a + Addr(off), Op: op}
 		}
 		pg := slot.pg
 		inPage := int(a + Addr(off) - pa)
@@ -365,34 +436,50 @@ func (as *AddressSpace) access(a Addr, buf []byte, write, markDirty bool) error 
 		if n > len(buf)-off {
 			n = len(buf) - off
 		}
+		src := buf[off : off+n]
 		if write {
-			if pg == nil || pg == zeroPage {
-				pg = zeroPage
-				if !zeros && !AllZero(buf[off:off+n]) {
+			if pg == nil || slot.tag&slotBorrowed != 0 {
+				frame := pg
+				if frame == nil {
+					frame = zeroPage
+				}
+				pg = frame
+				if !(zeros && frame == zeroPage) && !bytes.Equal(frame[inPage:inPage+n], src) {
 					pg = new(page)
+					if frame != zeroPage && n < PageSize {
+						*pg = *frame
+					}
 				}
 				if slot.pg != pg {
-					as.pages[pa] = pg
-					slot.pg = pg
+					as.set(slot, pa, pg, pg == frame)
 				}
 			}
-			if pg != zeroPage {
-				copy(pg[inPage:inPage+n], buf[off:off+n])
+			if slot.tag&slotBorrowed == 0 {
+				copy(pg[inPage:inPage+n], src)
 			}
-			if markDirty && slot.tag&slotDirty == 0 {
-				as.dirty[pa] = struct{}{}
-				slot.tag |= slotDirty
+			if markDirty {
+				as.markDirty(slot, pa)
 			}
 		} else {
 			if pg == nil || pg == zeroPage {
-				clear(buf[off : off+n])
+				clear(src)
 			} else {
-				copy(buf[off:off+n], pg[inPage:inPage+n])
+				copy(src, pg[inPage:inPage+n])
 			}
 		}
 		off += n
 	}
 	return nil
+}
+
+// lookup returns the page-cache slot resolving the page at pa, filling
+// it on a miss, or nil when pa is unmapped.
+func (as *AddressSpace) lookup(pa Addr) *pageSlot {
+	s := &as.cache[cacheSlot(pa)]
+	if s.tag&^slotHints != pa|slotValid {
+		return as.fill(s, pa)
+	}
+	return s
 }
 
 // fill points the page-cache slot s at the page at pa after a miss, or
@@ -401,12 +488,34 @@ func (as *AddressSpace) fill(s *pageSlot, pa Addr) *pageSlot {
 	if as.FindVMA(pa) == nil {
 		return nil
 	}
-	*s = pageSlot{tag: pa | slotValid, pg: as.pages[pa]}
+	ref := as.pages[pa]
+	*s = pageSlot{tag: pa | slotValid, pg: ref.pg}
+	if ref.borrowed {
+		s.tag |= slotBorrowed
+	}
 	return s
 }
 
+// set points the page at pa, resolved by slot s, at pg: a frame it
+// borrows, or bytes of its own.
+func (as *AddressSpace) set(s *pageSlot, pa Addr, pg *page, borrowed bool) {
+	as.pages[pa] = pageRef{pg, borrowed}
+	s.pg = pg
+	s.tag &^= slotBorrowed
+	if borrowed {
+		s.tag |= slotBorrowed
+	}
+}
+
+func (as *AddressSpace) markDirty(s *pageSlot, pa Addr) {
+	if s.tag&slotDirty == 0 {
+		as.dirty[pa] = struct{}{}
+		s.tag |= slotDirty
+	}
+}
+
 // ZeroRange reports whether [a, a+n) is mapped and every page it touches
-// holds no bytes of its own (ZeroPage), so the range reads as zeros. It
+// is untouched or borrows the zero page, so the range reads as zeros. It
 // answers from the page cache and reads no bytes.
 func (as *AddressSpace) ZeroRange(a Addr, n uint64) bool {
 	end := a + Addr(n)
@@ -414,10 +523,7 @@ func (as *AddressSpace) ZeroRange(a Addr, n uint64) bool {
 		return false
 	}
 	for pa := PageFloor(a); pa < end; pa += PageSize {
-		s := &as.cache[cacheSlot(pa)]
-		if s.tag&^slotDirty != pa|slotValid {
-			s = as.fill(s, pa)
-		}
+		s := as.lookup(pa)
 		if s == nil || (s.pg != nil && s.pg != zeroPage) {
 			return false
 		}
@@ -477,12 +583,10 @@ func (as *AddressSpace) PopulatedPages() []Addr {
 	return out
 }
 
-// AllZero reports whether every byte of buf is zero. It is the one zero
-// test: a write that passes it leaves a page on the shared zero page,
-// and the page channel ships a page that passes it as a header instead
-// of full content (CRIU's zero-page image optimization). A compare
-// against the zero page runs at memory-compare speed, about 7× a loop
-// over words.
+// AllZero reports whether every byte of buf is zero. The page channel
+// ships a page that passes it as a header instead of full content
+// (CRIU's zero-page image optimization). A compare against the zero page
+// runs at memory-compare speed, about 7× a loop over words.
 func AllZero(buf []byte) bool {
 	for ; len(buf) > PageSize; buf = buf[PageSize:] {
 		if !bytes.Equal(buf[:PageSize], zeroPage[:]) {
@@ -492,18 +596,10 @@ func AllZero(buf []byte) bool {
 	return bytes.Equal(buf, zeroPage[:len(buf)])
 }
 
-// ZeroPage reports whether the page at a (page-aligned) holds no bytes
-// of its own: it was never written, or only ever with zeros. Such a page
-// reads as zeros without a copy.
-func (as *AddressSpace) ZeroPage(a Addr) bool {
-	pg := as.pages[a]
-	return pg == nil || pg == zeroPage
-}
-
 // ReadPageInto copies the page at a (which must be page-aligned) into
 // dst[:PageSize]; a page without content reads as zeros.
 func (as *AddressSpace) ReadPageInto(a Addr, dst []byte) {
-	if pg := as.pages[a]; pg != nil {
+	if pg := as.pages[a].pg; pg != nil {
 		copy(dst[:PageSize], pg[:])
 	} else {
 		clear(dst[:PageSize])

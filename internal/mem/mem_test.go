@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
@@ -270,6 +271,26 @@ func TestMappedAccessAllocatesNothing(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("Read+Write on mapped pages: %v allocs per run, want 0", n)
 	}
+
+	// A write of the bytes a borrowing page already holds copies nothing.
+	ramp := make([]byte, PageSize)
+	for i := range ramp {
+		ramp[i] = byte(i)
+	}
+	f := FrameOf(ramp)
+	if err := as.Borrow(0x10000, f); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		if err := as.Write(0x10000+100, f.Bytes()[100:300]); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("a byte-identical write to a borrowing page: %v allocs per run, want 0", n)
+	}
+	if g, ok := as.BorrowedFrame(0x10000); !ok || g != f {
+		t.Fatal("a byte-identical write gave the borrowing page a copy")
+	}
 }
 
 func TestZeroPageReadClearsBuffer(t *testing.T) {
@@ -484,10 +505,18 @@ func TestPageIsOneAllocation(t *testing.T) {
 	}
 }
 
-// --- Shared zero page --------------------------------------------------------
+// --- Borrowed frames ----------------------------------------------------------
 
-// refAS is the reference address space of the zero-page differential:
-// every written page is a private copy, as before the shared zero page.
+// ZeroPage reports whether the page at a (page-aligned) reads as zeros
+// without bytes of its own: never written, or only ever with zeros.
+func (as *AddressSpace) ZeroPage(a Addr) bool {
+	f, ok := as.BorrowedFrame(a)
+	return ok && f == ZeroFrame
+}
+
+// refAS is the reference address space of the borrowed-frame
+// differential: every written page is a private copy, as before pages
+// borrowed frames.
 type refAS struct {
 	pages map[Addr]*page
 	dirty map[Addr]bool
@@ -504,6 +533,21 @@ func (r *refAS) write(a Addr, buf []byte, markDirty bool) {
 		copy(r.pages[pa][in:in+n], buf[off:off+n])
 		if markDirty {
 			r.dirty[pa] = true
+		}
+		off += n
+	}
+}
+
+// read copies what the reference holds at [a, a+len(buf)) into buf.
+func (r *refAS) read(a Addr, buf []byte) {
+	for off := 0; off < len(buf); {
+		pa := PageFloor(a + Addr(off))
+		in := int(a + Addr(off) - pa)
+		n := min(PageSize-in, len(buf)-off)
+		if pg := r.pages[pa]; pg != nil {
+			copy(buf[off:off+n], pg[in:in+n])
+		} else {
+			clear(buf[off : off+n])
 		}
 		off += n
 	}
@@ -536,117 +580,231 @@ func sortedKeys[V any](m map[Addr]V) []Addr {
 	return out
 }
 
+// diffSource is where the differential draws its choices: a seeded
+// generator in the test, the fuzzer's input in FuzzAddressSpace.
+type diffSource interface {
+	Intn(n int) int
+	Read(p []byte) (int, error)
+}
+
+// differential drives an address space and the private-pages reference
+// through the same operations and checks after each that they agree.
+// The frames it lends are held with a copy of their bytes, which must
+// never change.
+type differential struct {
+	t                    testing.TB
+	as                   *AddressSpace
+	ref                  *refAS
+	frames               []Frame
+	frameBytes           [][]byte
+	aStart, bStart, bAlt Addr
+	got, want            []byte
+}
+
+const diffALen, diffBLen = 8 * PageSize, 4 * PageSize
+
+func newDifferential(t testing.TB) *differential {
+	d := &differential{t: t, as: NewAddressSpace(), ref: &refAS{pages: map[Addr]*page{}, dirty: map[Addr]bool{}},
+		aStart: 0x100000, bStart: 0x200000, bAlt: 0x300000,
+		got: make([]byte, PageSize), want: make([]byte, PageSize)}
+	d.as.Map(d.aStart, diffALen, "a")
+	d.as.Map(d.bStart, diffBLen, "b")
+	ramp, sparse := make([]byte, PageSize), make([]byte, PageSize)
+	for i := range ramp {
+		ramp[i] = byte(i * 7)
+	}
+	sparse[100] = 9
+	d.frames = []Frame{ZeroFrame, FrameOf(ramp), FrameOf(bytes.Repeat([]byte{0x5A}, PageSize)), FrameOf(sparse)}
+	for _, f := range d.frames {
+		d.frameBytes = append(d.frameBytes, bytes.Clone(f.Bytes()))
+	}
+	return d
+}
+
+// span picks a range of a VMA: a whole page, or a partial range that
+// may cross a page boundary.
+func (d *differential) span(src diffSource, v *VMA) (Addr, int) {
+	if src.Intn(2) == 0 {
+		return v.Start + Addr(src.Intn(int(v.Len/PageSize)))*PageSize, PageSize
+	}
+	n := 1 + src.Intn(2*PageSize)
+	return v.Start + Addr(src.Intn(int(v.Len)-n+1)), n
+}
+
+// step performs one operation drawn from src, then compares the two
+// address spaces page by page.
+func (d *differential) step(src diffSource, at string) {
+	t, as, ref := d.t, d.as, d.ref
+	vmas := as.VMAs()
+	v := vmas[src.Intn(len(vmas))]
+	switch op := src.Intn(24); {
+	case op < 12: // a write
+		a, n := d.span(src, v)
+		buf := make([]byte, n)
+		var before []Frame // what each page borrows, for a write that changes no byte
+		switch src.Intn(5) {
+		case 1: // one non-zero byte among zeros
+			buf[src.Intn(n)] = byte(1 + src.Intn(255))
+		case 2:
+			src.Read(buf)
+		case 3: // a view of the shared zero run
+			buf = Zeros(n)
+		case 4: // the bytes the range already holds
+			ref.read(a, buf)
+			for pa := PageFloor(a); pa < a+Addr(n); pa += PageSize {
+				f, _ := as.BorrowedFrame(pa)
+				before = append(before, f)
+			}
+		}
+		clean := src.Intn(4) == 0
+		if clean {
+			as.WriteClean(a, buf)
+		} else {
+			as.Write(a, buf)
+		}
+		ref.write(a, buf, !clean)
+		for i, pa := 0, PageFloor(a); i < len(before); i, pa = i+1, pa+PageSize {
+			if f, ok := as.BorrowedFrame(pa); before[i] != (Frame{}) && (!ok || f != before[i]) {
+				t.Fatalf("%s: a write of the bytes page %#x held gave it a copy", at, pa)
+			}
+		}
+	case op < 15: // a read, compared with the reference
+		n := 1 + src.Intn(2*PageSize)
+		a := v.Start + Addr(src.Intn(int(v.Len)-n+1))
+		buf, want := make([]byte, n), make([]byte, n)
+		if err := as.Read(a, buf); err != nil {
+			t.Fatal(err)
+		}
+		if as.ZeroRange(a, uint64(n)) && !AllZero(buf) {
+			t.Fatalf("%s: ZeroRange(%#x, %d) holds a non-zero byte", at, a, n)
+		}
+		if ref.read(a, want); !bytes.Equal(buf, want) {
+			t.Fatalf("%s: read at %#x differs from the reference", at, a)
+		}
+	case op < 17:
+		as.ClearDirty()
+		clear(ref.dirty)
+	case op < 19: // move b between its two homes
+		if err := as.Remap(d.bStart, d.bAlt); err != nil {
+			t.Fatal(err)
+		}
+		ref.move(d.bStart, d.bAlt, diffBLen)
+		d.bStart, d.bAlt = d.bAlt, d.bStart
+	case op < 20: // unmap a and map it again empty
+		if err := as.Unmap(d.aStart); err != nil {
+			t.Fatal(err)
+		}
+		for a := d.aStart; a < d.aStart+diffALen; a += PageSize {
+			delete(ref.pages, a)
+			delete(ref.dirty, a)
+		}
+		as.Map(d.aStart, diffALen, "a")
+	default: // a page borrows a frame, marked dirty or not
+		a := v.Start + Addr(src.Intn(int(v.Len/PageSize)))*PageSize
+		f := d.frames[src.Intn(len(d.frames))]
+		clean := src.Intn(2) == 0
+		if clean {
+			as.BorrowClean(a, f)
+		} else {
+			as.Borrow(a, f)
+		}
+		ref.write(a, f.Bytes(), !clean)
+		if g, ok := as.BorrowedFrame(a); !ok || g != f {
+			t.Fatalf("%s: page %#x does not borrow the frame it was given", at, a)
+		}
+	}
+	for _, v := range as.VMAs() {
+		for a := v.Start; a < v.End(); a += PageSize {
+			as.ReadPageInto(a, d.got)
+			ref.read(a, d.want)
+			if !bytes.Equal(d.got, d.want) {
+				t.Fatalf("%s: page %#x differs from the reference", at, a)
+			}
+			if as.ZeroRange(a, PageSize) != as.ZeroPage(a) {
+				t.Fatalf("%s: ZeroRange and ZeroPage disagree on %#x", at, a)
+			}
+		}
+	}
+	if g, w := as.DirtyPages(), sortedKeys(ref.dirty); !slices.Equal(g, w) {
+		t.Fatalf("%s: dirty pages %#x, want %#x", at, g, w)
+	}
+	if g, w := as.PopulatedPages(), sortedKeys(ref.pages); !slices.Equal(g, w) {
+		t.Fatalf("%s: populated pages %#x, want %#x", at, g, w)
+	}
+}
+
+// finish checks that no frame, the zero run among them, was written.
+func (d *differential) finish(at string) {
+	for i, f := range d.frames {
+		if !bytes.Equal(f.Bytes(), d.frameBytes[i]) {
+			d.t.Fatalf("%s: frame %d was written", at, i)
+		}
+	}
+	if !AllZero(zeroRun[:]) {
+		d.t.Fatalf("%s: the shared zero run was written", at)
+	}
+}
+
 // TestZeroPageDifferential drives the real address space and a
-// private-pages-only reference through the same seeded mix of zero and
-// non-zero, partial and whole-page Write/WriteClean (zeros from a fresh
-// slice or from the shared run), reads, ClearDirty, Remap and Unmap.
-// After every step every page's bytes, DirtyPages and PopulatedPages
-// agree, ZeroRange agrees with ZeroPage and with the bytes read, and the
-// shared zero run stays all zeros.
+// private-pages-only reference through the same seeded mix of zero,
+// non-zero and byte-identical, partial and whole-page Write/WriteClean
+// (zeros from a fresh slice or from the shared run), Borrow/BorrowClean
+// of read-only frames (the zero page among them), reads, ClearDirty,
+// Remap and Unmap. After every step every page's bytes, DirtyPages and
+// PopulatedPages agree, ZeroRange agrees with ZeroPage and with the bytes
+// read, and a write of the bytes a borrowing page holds leaves it on its
+// frame; at the end no frame has changed.
 func TestZeroPageDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		as := NewAddressSpace()
-		ref := &refAS{pages: map[Addr]*page{}, dirty: map[Addr]bool{}}
-		const aLen, bLen = 8 * PageSize, 4 * PageSize
-		aStart, bStart, bAlt := Addr(0x100000), Addr(0x200000), Addr(0x300000)
-		as.Map(aStart, aLen, "a")
-		as.Map(bStart, bLen, "b")
-		got, want := make([]byte, PageSize), make([]byte, PageSize)
+		d := newDifferential(t)
 		for step := 0; step < 2000; step++ {
-			vmas := as.VMAs()
-			v := vmas[rng.Intn(len(vmas))]
-			switch op := rng.Intn(20); {
-			case op < 12: // a write
-				var n int
-				var a Addr
-				if rng.Intn(2) == 0 { // a whole page
-					n, a = PageSize, v.Start+Addr(rng.Intn(int(v.Len/PageSize)))*PageSize
-				} else { // partial, possibly across a page boundary
-					n = 1 + rng.Intn(2*PageSize)
-					a = v.Start + Addr(rng.Intn(int(v.Len)-n+1))
-				}
-				buf := make([]byte, n)
-				switch rng.Intn(4) {
-				case 1: // one non-zero byte among zeros
-					buf[rng.Intn(n)] = byte(1 + rng.Intn(255))
-				case 2:
-					rng.Read(buf)
-				case 3: // a view of the shared zero run
-					buf = Zeros(n)
-				}
-				clean := rng.Intn(4) == 0
-				if clean {
-					as.WriteClean(a, buf)
-				} else {
-					as.Write(a, buf)
-				}
-				ref.write(a, buf, !clean)
-			case op < 15: // a read, compared with the reference
-				n := 1 + rng.Intn(2*PageSize)
-				a := v.Start + Addr(rng.Intn(int(v.Len)-n+1))
-				buf := make([]byte, n)
-				if err := as.Read(a, buf); err != nil {
-					t.Fatal(err)
-				}
-				if as.ZeroRange(a, uint64(n)) && !AllZero(buf) {
-					t.Fatalf("seed %d step %d: ZeroRange(%#x, %d) holds a non-zero byte", seed, step, a, n)
-				}
-				for i := range buf {
-					pa := PageFloor(a + Addr(i))
-					var w byte
-					if pg := ref.pages[pa]; pg != nil {
-						w = pg[a+Addr(i)-pa]
-					}
-					if buf[i] != w {
-						t.Fatalf("seed %d step %d: read byte %#x = %#x, want %#x", seed, step, a+Addr(i), buf[i], w)
-					}
-				}
-			case op < 17:
-				as.ClearDirty()
-				clear(ref.dirty)
-			case op < 19: // move b between its two homes
-				if err := as.Remap(bStart, bAlt); err != nil {
-					t.Fatal(err)
-				}
-				ref.move(bStart, bAlt, bLen)
-				bStart, bAlt = bAlt, bStart
-			default: // unmap a and map it again empty
-				if err := as.Unmap(aStart); err != nil {
-					t.Fatal(err)
-				}
-				for a := aStart; a < aStart+aLen; a += PageSize {
-					delete(ref.pages, a)
-					delete(ref.dirty, a)
-				}
-				as.Map(aStart, aLen, "a")
-			}
-			for _, v := range as.VMAs() {
-				for a := v.Start; a < v.End(); a += PageSize {
-					as.ReadPageInto(a, got)
-					clear(want)
-					if pg := ref.pages[a]; pg != nil {
-						copy(want, pg[:])
-					}
-					if !bytes.Equal(got, want) {
-						t.Fatalf("seed %d step %d: page %#x differs from the reference", seed, step, a)
-					}
-					if as.ZeroRange(a, PageSize) != as.ZeroPage(a) {
-						t.Fatalf("seed %d step %d: ZeroRange and ZeroPage disagree on %#x", seed, step, a)
-					}
-				}
-			}
-			if g, w := as.DirtyPages(), sortedKeys(ref.dirty); !slices.Equal(g, w) {
-				t.Fatalf("seed %d step %d: dirty pages %#x, want %#x", seed, step, g, w)
-			}
-			if g, w := as.PopulatedPages(), sortedKeys(ref.pages); !slices.Equal(g, w) {
-				t.Fatalf("seed %d step %d: populated pages %#x, want %#x", seed, step, g, w)
-			}
+			d.step(rng, fmt.Sprintf("seed %d step %d", seed, step))
 		}
-		if !AllZero(zeroRun[:]) {
-			t.Fatalf("seed %d: the shared zero run was written", seed)
-		}
+		d.finish(fmt.Sprintf("seed %d", seed))
 	}
+}
+
+// fuzzSource reads the differential's choices from a fuzz input: two
+// bytes a choice; Read fills a buffer with a ramp from one byte. An
+// exhausted input reads as zeros.
+type fuzzSource []byte
+
+func (s *fuzzSource) next() byte {
+	if len(*s) == 0 {
+		return 0
+	}
+	b := (*s)[0]
+	*s = (*s)[1:]
+	return b
+}
+
+func (s *fuzzSource) Intn(n int) int { return (int(s.next()) | int(s.next())<<8) % n }
+
+func (s *fuzzSource) Read(p []byte) (int, error) {
+	b := s.next()
+	for i := range p {
+		p[i] = b + byte(i)
+	}
+	return len(p), nil
+}
+
+// FuzzAddressSpace is TestZeroPageDifferential with the fuzzer choosing
+// the operations: each input is a sequence of them, checked against the
+// private-pages reference after every step.
+func FuzzAddressSpace(f *testing.F) {
+	for seed := int64(1); seed <= 4; seed++ {
+		in := make([]byte, 256)
+		rand.New(rand.NewSource(seed)).Read(in)
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		d := newDifferential(t)
+		for src, step := fuzzSource(in), 0; len(src) > 0 && step < 256; step++ {
+			d.step(&src, fmt.Sprintf("step %d", step))
+		}
+		d.finish("end")
+	})
 }
 
 // TestZeroWriteSharesTheZeroPage: writing zeros to a page without

@@ -331,13 +331,13 @@ func (s *Session) buildChunk(recs []criu.PageRec, st *RoundStats) *Chunk {
 	}
 	ch := &Chunk{}
 	for _, r := range recs {
-		h := hashPage(r.Data)
+		h := hashPage(r.Data.Bytes())
 		if prev, ok := s.dedup[r.Addr]; ok && prev == h {
 			st.DupElided++
 			continue
 		}
 		s.dedup[r.Addr] = h
-		if mem.AllZero(r.Data) {
+		if mem.AllZero(r.Data.Bytes()) {
 			ch.Zeros = append(ch.Zeros, r.Addr)
 			st.ZeroPages++
 			continue

@@ -62,7 +62,7 @@ func dumper(h *fakeHost, content map[mem.Addr][]byte, perPage time.Duration) fun
 	return func(addrs []mem.Addr) []criu.PageRec {
 		recs := make([]criu.PageRec, 0, len(addrs))
 		for _, a := range addrs {
-			recs = append(recs, criu.PageRec{Addr: a, Data: content[a]})
+			recs = append(recs, criu.PageRec{Addr: a, Data: mem.FrameOf(content[a])})
 		}
 		h.Sleep(time.Duration(len(addrs)) * perPage)
 		return recs
@@ -90,7 +90,7 @@ func TestStreamShipsEveryPage(t *testing.T) {
 		st, err := sess.Stream("final", as, dumper(h, content, time.Microsecond),
 			func(ch *Chunk) {
 				for _, pg := range ch.Pages {
-					got[pg.Addr] = pg.Data[0]
+					got[pg.Addr] = pg.Data.Bytes()[0]
 				}
 			})
 		if err != nil {

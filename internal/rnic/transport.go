@@ -193,8 +193,8 @@ func (qp *QP) buildFragment(e *sqEntry) (*packet, bool) {
 
 // zeroSource reports, without reading a byte, whether the n bytes at
 // offset off of the SGE list read as zeros: every range lies on pages
-// with no bytes of their own (mem.AddressSpace.ZeroRange) or in a
-// deregistered MR, which gather reads as zeros.
+// that are untouched or borrow the zero page (mem.AddressSpace.ZeroRange)
+// or in a deregistered MR, which gather reads as zeros.
 func (qp *QP) zeroSource(sges []SGE, off, n uint32) bool {
 	return qp.sgeRanges(sges, off, n, func(mr *MR, a mem.Addr, _, take uint32) bool {
 		return mr == nil || mr.as.ZeroRange(a, uint64(take))
@@ -587,7 +587,7 @@ func (qp *QP) replyDuplicate(p *packet, src string) {
 }
 
 // readSource returns the n bytes a READ response carries from a: a view
-// of the shared zero run when the range holds no bytes of its own (its
+// of the shared zero run when the range reads as the zero page (its
 // fragments then travel as lengths), else a fresh copy.
 func readSource(as *mem.AddressSpace, a mem.Addr, n uint32) ([]byte, error) {
 	if as.ZeroRange(a, uint64(n)) {

@@ -1,6 +1,7 @@
 package task
 
 import (
+	"sync"
 	"time"
 
 	"migrrdma/internal/mem"
@@ -19,11 +20,9 @@ type PageHog struct {
 }
 
 // Byte j of hot page i at epoch e is byte(e+i+j), which is hogRamp from
-// (e+i) mod 256 on; constant page i is all byte(i), hogRamp[i mod 256].
-var (
-	hogRamp [mem.PageSize + 256]byte
-	hogZero [mem.PageSize]byte
-)
+// (e+i) mod 256 on; constant page i is all byte(i), hogConst()[i mod 256].
+// Both are read-only frames the hog's pages borrow (mem.Frame).
+var hogRamp [mem.PageSize + 256]byte
 
 func init() {
 	for k := range hogRamp {
@@ -31,26 +30,35 @@ func init() {
 	}
 }
 
+// hogConst is one constant page per byte value, built the first time a
+// hog needs one and shared by every hog and simulation after.
+var hogConst = sync.OnceValue(func() *[256][mem.PageSize]byte {
+	t := new([256][mem.PageSize]byte)
+	for v := range t {
+		for j := range t[v] {
+			t[v][j] = byte(v)
+		}
+	}
+	return t
+})
+
 // page returns what epoch e writes to page i. A full write is the whole
-// page (a constant page is built in buf); otherwise a zero or constant
-// page, which already holds its bytes, gets one store of its first
-// byte: the same bytes and dirty set without recopying them.
-func (h PageHog) page(e, i int, full bool, buf []byte) []byte {
+// page, a frame the page borrows, so the last argument is unused;
+// otherwise a zero or constant page, which already holds its bytes, gets
+// one store of its first byte: the same bytes and dirty set without
+// touching the others.
+func (h PageHog) page(e, i int, full bool, _ []byte) []byte {
 	switch {
 	case i < h.Hot:
 		return hogRamp[(e+i)&255:][:mem.PageSize]
 	case i < h.Hot+h.Zero && full:
-		return hogZero[:]
+		return mem.ZeroFrame.Bytes()
 	case i < h.Hot+h.Zero:
-		return hogZero[:1]
+		return mem.ZeroFrame.Bytes()[:1]
 	case !full:
 		return hogRamp[i&255:][:1]
 	}
-	buf[0] = byte(i)
-	for n := 1; n < mem.PageSize; n *= 2 {
-		copy(buf[n:mem.PageSize], buf[:n])
-	}
-	return buf[:mem.PageSize]
+	return hogConst()[i&255][:]
 }
 
 // Start maps the hog's region on p and attaches the writer until the
@@ -64,12 +72,18 @@ func (h PageHog) Start(p *Process) (stop func(), err error) {
 	}
 	stopped := false
 	p.sched.Go("page-hog", func() {
-		var buf [mem.PageSize]byte
 		var last *mem.AddressSpace // written by the previous epoch
 		for e := 1; !p.Exited() && !stopped; e++ {
 			if as := p.AS; !p.Frozen() {
 				for i := 0; i < h.Pages; i++ {
-					if as.Write(h.Base+mem.Addr(i*mem.PageSize), h.page(e, i, as != last, buf[:])) != nil {
+					a, b := h.Base+mem.Addr(i*mem.PageSize), h.page(e, i, as != last, nil)
+					var err error
+					if len(b) == mem.PageSize {
+						err = as.Borrow(a, mem.FrameOf(b))
+					} else {
+						err = as.Write(a, b)
+					}
+					if err != nil {
 						return // unmapped mid-teardown
 					}
 				}
