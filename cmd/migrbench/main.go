@@ -62,8 +62,6 @@ func run(args []string, out, errOut io.Writer) int {
 	fs.Var(&partners, "partners", "partner counts for fig4c")
 	k := fs.Int("k", 4, "container count for the concurrent experiment")
 	conc := fs.Int("conc", 2, "admission cap for the concurrent experiment")
-	parallel := fs.Int("parallel", 1, "worker pool size for the fig4a/cutover sweeps (each sweep point is an independent simulation)")
-	count := fs.Int("count", 1, "replica seeds per fig4a/cutover point; the median row is reported")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 
@@ -74,7 +72,7 @@ func run(args []string, out, errOut io.Writer) int {
 			return err
 		}},
 		{"fig4a", "Figure 4(a) — wait-before-stop vs #QPs", func(out io.Writer) error {
-			rows, err := experiments.Fig4aParallel(qps, *count, *parallel)
+			rows, err := experiments.Fig4a(qps)
 			printRows(out, rows)
 			return err
 		}},
@@ -159,7 +157,7 @@ func run(args []string, out, errOut io.Writer) int {
 			return nil
 		}},
 		{"cutover", "Cutover modes — go-back-N vs plug-and-forward", func(out io.Writer) error {
-			rows, err := experiments.CutoverComparisonCount([]int{2048, 8192, 32768}, []int{1, 2}, 50, *count, *parallel)
+			rows, err := experiments.CutoverComparison([]int{2048, 8192, 32768}, []int{1, 2}, 50)
 			if err != nil {
 				return err
 			}
@@ -181,9 +179,10 @@ func run(args []string, out, errOut io.Writer) int {
 			}
 			printRows(out, rows)
 			// The consolidation scale point: 2000 tenant sessions with a
-			// churning session table, both transfer modes.
+			// churning session table, both transfer modes. The rig draws
+			// no fault, so the rows do not depend on the seed.
 			for _, mode := range []runc.TransferMode{runc.TransferMonolithic, runc.TransferPipelined} {
-				row, err := experiments.RunTenancyTransferSeeded(runc.CutoverPlugForward, mode, 2000, experiments.TenancySeedFor(0))
+				row, err := experiments.RunTenancyTransferSeeded(runc.CutoverPlugForward, mode, 2000, 71)
 				if err != nil {
 					return err
 				}

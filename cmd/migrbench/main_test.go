@@ -13,17 +13,6 @@ func drive(args ...string) (code int, out, errOut string) {
 	return code, o.String(), e.String()
 }
 
-// rows is an experiment's output without the wall-time line.
-func rows(out string) string {
-	var keep []string
-	for _, l := range strings.Split(out, "\n") {
-		if !strings.HasPrefix(l, "(completed in ") {
-			keep = append(keep, l)
-		}
-	}
-	return strings.Join(keep, "\n")
-}
-
 func TestUnknownExperimentNamesTheValidOnes(t *testing.T) {
 	code, out, errOut := drive("-exp", "fig4")
 	if code != 2 || out != "" {
@@ -62,21 +51,5 @@ func TestCheapestExperiments(t *testing.T) {
 		if n := strings.Count(out, "════") / 2; n != 1 {
 			t.Errorf("%v ran %d experiments, want 1", c.args, n)
 		}
-	}
-}
-
-// TestParallelPrintsTheSameRows: the pool changes the wall clock only.
-func TestParallelPrintsTheSameRows(t *testing.T) {
-	args := strings.Fields("-exp fig4a -qps 16 -count 2 -parallel")
-	code1, seq, _ := drive(append(args, "1")...)
-	code2, par, _ := drive(append(args, "2")...)
-	if code1 != 0 || code2 != 0 {
-		t.Fatalf("exit %d and %d", code1, code2)
-	}
-	if !strings.Contains(seq, "\nQPs=16 ") {
-		t.Fatalf("no fig4a row:\n%s", seq)
-	}
-	if rows(seq) != rows(par) {
-		t.Errorf("-parallel 2 differs from -parallel 1:\n%s\nvs\n%s", rows(par), rows(seq))
 	}
 }

@@ -33,7 +33,6 @@ type Host struct {
 
 	xferSeq  uint64
 	xferWait map[uint64]*sim.Cond
-	rxCount  map[uint64]struct{} // transfers already acked
 }
 
 // Cluster is the whole testbed.
@@ -97,7 +96,6 @@ func New(cfg Config, names ...string) *Cluster {
 			Hub:      oob.NewHub(net, mux, name),
 			Metrics:  reg,
 			xferWait: make(map[uint64]*sim.Cond),
-			rxCount:  make(map[uint64]struct{}),
 		}
 		h.CRIU = criu.New(h, cfg.CRIU)
 		mux.Register(portXfer, h.onXfer)

@@ -54,17 +54,12 @@ func (r CutoverRow) String() string {
 		r.Retransmitted, r.Duplicated, r.WireBytes, r.PlugFlushed, r.Forwarded)
 }
 
-// cutoverSeed fixes the comparison's determinism; both modes run the
+// cutoverSeed is the seed the comparison runs at. The rig draws no
+// fault, so the rows do not depend on it; both modes run the
 // byte-identical workload and migration timeline up to the cutover.
 const cutoverSeed = 61
 
-// RunCutover measures one cutover configuration at the canonical seed.
-func RunCutover(mode runc.CutoverMode, msgSize, qps, messages int) (CutoverRow, error) {
-	return RunCutoverSeeded(mode, msgSize, qps, messages, cutoverSeed)
-}
-
-// RunCutoverSeeded is RunCutover at an explicit seed, for replicated
-// runs (CutoverComparisonCount, the -count benchmarks).
+// RunCutoverSeeded measures one cutover configuration.
 func RunCutoverSeeded(mode runc.CutoverMode, msgSize, qps, messages int, seed int64) (row CutoverRow, err error) {
 	defer wrapErr(&err, "cutover %v msg=%d qps=%d seed=%d", mode, msgSize, qps, seed)
 	mopts := runc.DefaultMigrateOptions()
@@ -146,5 +141,8 @@ func migrateLatencyServer(seed int64, msgSize, qps, messages int, mopts runc.Mig
 // sizes and QP counts. Rows come out grouped by (size, qps) with the
 // go-back-N row directly before its plug-forward counterpart.
 func CutoverComparison(sizes, qpCounts []int, messages int) ([]CutoverRow, error) {
-	return CutoverComparisonCount(sizes, qpCounts, messages, 1, 1)
+	modes := []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward}
+	return sweep(len(sizes)*len(qpCounts)*len(modes), func(i int) (CutoverRow, error) {
+		return RunCutoverSeeded(modes[i%2], sizes[i/2/len(qpCounts)], qpCounts[i/2%len(qpCounts)], messages, cutoverSeed)
+	})
 }

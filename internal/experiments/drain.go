@@ -41,12 +41,9 @@ const (
 	DrainWholeRacks = "whole-racks"
 )
 
-// drainExpSeed anchors the experiment's determinism.
+// drainExpSeed is the seed the sweep runs at. The rig draws no fault,
+// so the points do not depend on it.
 const drainExpSeed = 83
-
-// DrainSeedFor returns replica rep's seed, anchored at the canonical
-// drainExpSeed like the other replicated experiments.
-func DrainSeedFor(rep int) int64 { return replicaSeed(drainExpSeed, rep) }
 
 // drainExpSLO is the per-migration blackout objective the drain is
 // submitted under; misses are recorded, not enforced.
@@ -112,12 +109,6 @@ func drainExpTargets(variant string) (map[string]bool, error) {
 			variant, DrainHalfRacks, DrainWholeRacks)
 	}
 	return set, nil
-}
-
-// RunDrainExp measures one (variant, MaxParallel) point at the
-// canonical seed.
-func RunDrainExp(variant string, maxParallel int) (DrainPoint, error) {
-	return RunDrainExpSeeded(variant, maxParallel, drainExpSeed)
 }
 
 // RunDrainExpSeeded builds the 128-host two-tier cluster, starts one
@@ -256,7 +247,7 @@ func RunDrainExpSeeded(variant string, maxParallel int, seed int64) (_ DrainPoin
 func DrainSweep(parallels []int) ([]DrainPoint, error) {
 	variants := []string{DrainHalfRacks, DrainWholeRacks}
 	return sweep(len(variants)*len(parallels), func(i int) (DrainPoint, error) {
-		return RunDrainExp(variants[i/len(parallels)], parallels[i%len(parallels)])
+		return RunDrainExpSeeded(variants[i/len(parallels)], parallels[i%len(parallels)], drainExpSeed)
 	})
 }
 

@@ -98,6 +98,22 @@ func wrapErr(err *error, format string, args ...any) {
 	}
 }
 
+// sweep is the package's one sweep: it runs run(0), …, run(cells-1) in
+// order, one simulation per cell, and returns their rows. The first
+// error ends it, and no rows come back with it. A sweep over several
+// axes numbers its cells row-major, the last axis fastest.
+func sweep[R any](cells int, run func(cell int) (R, error)) ([]R, error) {
+	rows := make([]R, 0, cells)
+	for c := 0; c < cells; c++ {
+		r, err := run(c)
+		if err != nil {
+			return nil, err
+		}
+		rows = append(rows, r)
+	}
+	return rows, nil
+}
+
 // Stop ends the pair's traffic from the driver proc: the client stops
 // posting and drains what it has in flight, then the server stops.
 func (p *Pair) Stop() {

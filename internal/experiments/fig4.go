@@ -40,19 +40,14 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// fig4BaseSeed is the seed the canonical Fig. 4 rows are captured at;
-// replicated sweeps derive per-replica seeds from it (Fig4SeedFor).
+// fig4BaseSeed is the seed the Fig. 4 sweeps run at. The rig draws no
+// fault, so the rows do not depend on it.
 const fig4BaseSeed = 13
 
-// Fig4 measures wait-before-stop with n QPs of msgSize messages spread
-// over the given partner nodes (queue depth 64, §5.4) at the canonical
-// seed.
-func Fig4(n, msgSize, partners int) (Fig4Row, error) {
-	return Fig4Seeded(n, msgSize, partners, fig4BaseSeed)
-}
-
-// Fig4Seeded is Fig4 at an explicit seed. The migrated container is the
-// sender, so the full send window is in flight at suspension time.
+// Fig4Seeded measures wait-before-stop with n QPs of msgSize messages
+// spread over the given partner nodes (queue depth 64, §5.4). The
+// migrated container is the sender, so the full send window is in
+// flight at suspension time.
 func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
 	defer wrapErr(&err, "fig4 n=%d msg=%d partners=%d seed=%d", n, msgSize, partners, seed)
 	nodes := []string{"src", "dst"}
@@ -103,14 +98,22 @@ func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
 }
 
 // Fig4a sweeps the QP count (message size 4 KB, one partner).
-func Fig4a(qps []int) ([]Fig4Row, error) { return Fig4aParallel(qps, 1, 1) }
+func Fig4a(qps []int) ([]Fig4Row, error) {
+	return sweep(len(qps), func(i int) (Fig4Row, error) {
+		return Fig4Seeded(qps[i], 4096, 1, fig4BaseSeed)
+	})
+}
 
 // Fig4b sweeps the message size (16 QPs, one partner).
 func Fig4b(sizes []int) ([]Fig4Row, error) {
-	return sweep(len(sizes), func(i int) (Fig4Row, error) { return Fig4(16, sizes[i], 1) })
+	return sweep(len(sizes), func(i int) (Fig4Row, error) {
+		return Fig4Seeded(16, sizes[i], 1, fig4BaseSeed)
+	})
 }
 
 // Fig4c sweeps the number of partners, one QP per partner.
 func Fig4c(partners []int) ([]Fig4Row, error) {
-	return sweep(len(partners), func(i int) (Fig4Row, error) { return Fig4(partners[i], 4096, partners[i]) })
+	return sweep(len(partners), func(i int) (Fig4Row, error) {
+		return Fig4Seeded(partners[i], 4096, partners[i], fig4BaseSeed)
+	})
 }

@@ -46,22 +46,6 @@ func TestPageChanComparison(t *testing.T) {
 	}
 }
 
-// TestPageChanDeterminism pins that a transfer comparison run is a
-// pure function of its seed.
-func TestPageChanDeterminism(t *testing.T) {
-	a, err := RunPageChanSeeded(runc.TransferPipelined, 2048, 2, 200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunPageChanSeeded(runc.TransferPipelined, 2048, 2, 200, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("re-run diverged:\n  %s\n  %s", a, b)
-	}
-}
-
 // TestTenancyTransferModes runs the consolidation point at a small
 // session count under both transfer modes: every tenant burst survives
 // exactly-once either way, and the pipelined channel shrinks the
@@ -71,7 +55,7 @@ func TestTenancyTransferModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pipe, err := RunTenancyTransferSeeded(runc.CutoverPlugForward, runc.TransferPipelined, 128, tenancySeed)
+	pipe, err := tenancyTransferPipelined128()
 	if err != nil {
 		t.Fatal(err)
 	}

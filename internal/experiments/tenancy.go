@@ -56,21 +56,13 @@ func (r TenancyRow) String() string {
 		r.Total.Round(time.Microsecond), r.Pages, r.Acked, r.DrainAfter.Round(time.Microsecond))
 }
 
-// tenancySeed anchors the sweep's determinism.
+// tenancySeed is the seed the sweep runs at. The rig draws no fault, so
+// the rows do not depend on it.
 const tenancySeed = 71
-
-// TenancySeedFor returns replica rep's seed, anchored at the canonical
-// tenancySeed the same way as the other replicated experiments.
-func TenancySeedFor(rep int) int64 { return replicaSeed(tenancySeed, rep) }
 
 // tenancyBurst is the data operations per session per burst; one burst
 // is in flight when the migration starts, a second drains after it.
 const tenancyBurst = 2
-
-// RunTenancy measures one tenancy configuration at the canonical seed.
-func RunTenancy(mode runc.CutoverMode, sessions int) (TenancyRow, error) {
-	return RunTenancySeeded(mode, sessions, tenancySeed)
-}
 
 // RunTenancySeeded live-migrates a service container carrying the
 // given number of live tenant sessions, with a burst in flight at
@@ -184,6 +176,6 @@ func (r *Rig) StartTenant(svcNode, gwNode string, opts tenant.Options) (*tenant.
 func TenancySweep(sessionCounts []int) ([]TenancyRow, error) {
 	modes := []runc.CutoverMode{runc.CutoverGoBackN, runc.CutoverPlugForward}
 	return sweep(len(sessionCounts)*len(modes), func(i int) (TenancyRow, error) {
-		return RunTenancy(modes[i%2], sessionCounts[i/2])
+		return RunTenancySeeded(modes[i%2], sessionCounts[i/2], tenancySeed)
 	})
 }

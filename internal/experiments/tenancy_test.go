@@ -42,19 +42,3 @@ func TestTenancyScaling(t *testing.T) {
 		t.Errorf("replay grew with tenant count: %d → %d", replaySmall, replayBig)
 	}
 }
-
-// TestTenancyDeterminism pins that a tenancy run is a pure function of
-// its seed.
-func TestTenancyDeterminism(t *testing.T) {
-	a, err := tenancyGoBackN64()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunTenancySeeded(runc.CutoverGoBackN, 64, TenancySeedFor(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatalf("re-run diverged:\n  %s\n  %s", a, b)
-	}
-}

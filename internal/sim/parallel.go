@@ -3,8 +3,9 @@ package sim
 import "sync"
 
 // A simulation is one Scheduler on one goroutine. What runs in parallel
-// is whole simulations that share nothing: chaos sweeps, replica seeds,
-// sweep points. This file is all of it.
+// is whole simulations that share nothing: the chaos sweep's runs.
+// This file is all of it, plus DeriveSeed, which gives each simulation
+// of a series (the fixed benchmark's reps) a seed of its own.
 
 // DeriveSeed deterministically derives the seed of sub-stream i from
 // the root seed (splitmix64 of the pair), so the streams are

@@ -47,7 +47,6 @@ type Scheduler struct {
 	recentNames [recentNamesSize]string
 	recentHead  int // next slot to write
 	recentLen   int
-	seed        int64
 
 	// idle holds the workers of procs whose function has returned, for Go
 	// to reuse. runWhile releases them when it returns, so a simulation
@@ -57,8 +56,8 @@ type Scheduler struct {
 	// procs lists this scheduler's unfinished procs for deadlock
 	// reporting (each carries a parked flag, so parking itself touches no
 	// shared table). It is per-scheduler (not package-global) so that
-	// independent schedulers — RunIndexed's parallel chaos sweeps and
-	// replicas — can run on separate goroutines without sharing state.
+	// independent schedulers — RunIndexed's parallel chaos sweeps — can
+	// run on separate goroutines without sharing state.
 	procs []*Proc
 }
 
@@ -68,18 +67,11 @@ const recentNamesSize = 8
 // New returns a Scheduler whose clock reads zero and whose deterministic
 // random source is seeded with seed.
 func New(seed int64) *Scheduler {
-	return &Scheduler{
-		rng:  rand.New(rand.NewSource(seed)),
-		seed: seed,
-	}
+	return &Scheduler{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now reports the current virtual time.
 func (s *Scheduler) Now() time.Duration { return s.now }
-
-// Seed reports the seed the deterministic random source was created
-// with, so trace reports can record how to replay a run.
-func (s *Scheduler) Seed() int64 { return s.seed }
 
 // Rand returns the scheduler's deterministic random source. It must only
 // be used from managed procs or timer callbacks so that draws happen in a

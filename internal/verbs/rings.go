@@ -38,8 +38,8 @@ const (
 
 // nextCtxInstance numbers contexts for ring arena placement. It is a
 // process-wide atomic, not per-simulation: independent simulations run
-// on concurrent goroutines (sim.RunIndexed: parallel chaos sweeps and
-// replicas), and the arena hint must stay tear-free. The hint's value
+// on concurrent goroutines (sim.RunIndexed: parallel chaos sweeps),
+// and the arena hint must stay tear-free. The hint's value
 // never feeds observable behavior — MapAnywhere treats it as a
 // placement preference inside a per-process address space — so
 // cross-run counter drift cannot perturb trace hashes.
