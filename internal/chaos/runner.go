@@ -14,6 +14,7 @@ import (
 	"migrrdma/internal/experiments"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/orchestrator"
+	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
 )
 
@@ -99,7 +100,7 @@ func Run(seed int64, sc Scenario) *Report {
 	cfg := cluster.FastCheckpointTestbed(seed)
 	cfg.Fabric.Topology = sc.Rig.Topology
 	if sc.Rig.UnlimitedRetries {
-		cfg.NIC.MaxRetries = 1 << 30
+		cfg.NIC.MaxRetries = rnic.UnlimitedRetries
 	}
 	started := runsStarted.Add(1)
 	alone := runsInFlight.Add(1) == 1
@@ -112,12 +113,10 @@ func Run(seed int64, sc Scenario) *Report {
 		movers: make(map[string]*mover), jobs: make(map[string]string), bound: make(map[string]string)}
 	r.inj = &injector{sched: sched, net: cl.Net, rec: r.rec}
 	cl.Metrics.Listen(r.listen)
-	wbs := core.DefaultWBSConfig()
 	if sc.Rig.WBSTimeout > 0 {
-		wbs.Timeout = sc.Rig.WBSTimeout
-	}
-	for _, n := range cl.Names() {
-		rig.Daemons[n].SetWBSConfig(wbs)
+		for _, n := range cl.Names() {
+			rig.Daemons[n].SetWBSTimeout(sc.Rig.WBSTimeout)
+		}
 	}
 	if sc.Workload.Tenant {
 		r.w = &tenantWorkload{r: r}
@@ -336,7 +335,7 @@ func (r *run) plan(movers []*mover) (migrate func(), fill func(*Report) []*mover
 	// Orchestrated: one drain lists every mover that names its
 	// destination; the rest come from evacuating rack 0.
 	r.orch = orchestrator.New(orchestrator.Config{
-		CL: cl, Daemons: daemons, Opts: opts, BackoffBase: time.Millisecond,
+		CL: cl, Daemons: daemons, Opts: opts,
 	})
 	drain := &orchestrator.Drain{BlackoutSLO: drainSLO, MaxParallel: r.sc.Migrate.Cap}
 	if r.sc.Abort.Retry {

@@ -47,22 +47,22 @@ type Cluster struct {
 }
 
 // Config selects component parameters for every host. A field left zero
-// takes its package's paper-calibrated default (rnic.DefaultConfig,
-// criu.DefaultConfig, fabric.DefaultConfig); those mirror the paper's
-// environment (§5.1): six servers with ConnectX-5 100 Gbps RNICs behind
-// one Arista switch, container migration via CRIU + runc. The
-// load-bearing constants and the observations they are calibrated
-// against:
+// takes its package's default; with the constants in rnic, criu and
+// fabric they mirror the paper's environment (§5.1): six servers with
+// ConnectX-5 100 Gbps RNICs behind one Arista switch, container
+// migration via CRIU + runc. The load-bearing constants and the
+// observations they are calibrated against:
 //
-//   - fabric: 100 Gbps per port, ~1 µs propagation — §5.1.
-//   - rnic: QP create→RTS ≈ 0.9 ms ("setting up an RDMA connection
-//     takes several milliseconds", §2.2 via [53]); sparse physical
-//     QPNs/keys (why §3.3 introduces dense virtual values).
+//   - fabric: LinkRate 100 Gbps per port, ~1 µs propagation — §5.1.
+//   - rnic: QP create→RTS ≈ 0.9 ms (CreateQPLat … ModifyRTSLat;
+//     "setting up an RDMA connection takes several milliseconds", §2.2
+//     via [53]); sparse physical QPNs/keys (why §3.3 introduces dense
+//     virtual values).
 //   - criu: dump cost superlinear in the number of mappings
 //     ("inefficient CRIU implementation for large and complicated
-//     memory structures", §5.2); fixed dump+thaw costs sized so a
-//     16-QP container's blackout lands in the paper's ≈150 ms band
-//     (Fig. 5).
+//     memory structures", §5.2); fixed dump+thaw costs
+//     (criu.DefaultConfig) sized so a 16-QP container's blackout lands
+//     in the paper's ≈150 ms band (Fig. 5).
 type Config struct {
 	Fabric fabric.Config
 	NIC    rnic.Config

@@ -4,8 +4,6 @@ import (
 	"time"
 
 	"migrrdma/internal/criu"
-	"migrrdma/internal/fabric"
-	"migrrdma/internal/rnic"
 )
 
 // FastCheckpointTestbed keeps the RNIC and fabric calibration (see
@@ -14,9 +12,7 @@ import (
 // study) use it so the simulated traffic volume stays tractable.
 func FastCheckpointTestbed(seed int64) Config {
 	return Config{
-		Seed:   seed,
-		Fabric: fabric.DefaultConfig(),
-		NIC:    rnic.DefaultConfig(),
+		Seed: seed,
 		CRIU: criu.Config{
 			DumpBase:  time.Millisecond,
 			FreezeLat: time.Millisecond,

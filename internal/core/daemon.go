@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"time"
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/codec"
@@ -47,7 +48,7 @@ type Daemon struct {
 	// the QPN.
 	pendingNSent map[uint32]uint64
 
-	wbs        WBSConfig
+	wbsTimeout time.Duration
 	helloCache map[string]bool
 }
 
@@ -154,7 +155,7 @@ func NewDaemon(h *cluster.Host) *Daemon {
 		migs:         make(map[string]*migration),
 		movedVQPN:    make(map[uint32]string),
 		pendingNSent: make(map[uint32]uint64),
-		wbs:          DefaultWBSConfig(),
+		wbsTimeout:   defaultWBSTimeout,
 	}
 	d.ep = newOOBAdapter(h, d.serve)
 	if h.Mux != nil {
@@ -182,8 +183,9 @@ func (d *Daemon) registry() *metrics.Registry {
 // Host returns the daemon's host.
 func (d *Daemon) Host() *cluster.Host { return d.host }
 
-// SetWBSConfig overrides wait-before-stop tuning.
-func (d *Daemon) SetWBSConfig(cfg WBSConfig) { d.wbs = cfg }
+// SetWBSTimeout bounds every wait-before-stop this daemon runs, for the
+// migrated service and as a partner (defaultWBSTimeout until set).
+func (d *Daemon) SetWBSTimeout(timeout time.Duration) { d.wbsTimeout = timeout }
 
 // register adds a session to the daemon's registries.
 func (d *Daemon) register(s *Session) {
@@ -271,12 +273,13 @@ type nsentMsg struct {
 type suspendForReq struct {
 	// MigID identifies the migration so the partner's wait-before-stop
 	// result is stashed per migration.
-	MigID   string
+	MigID string
+	// SrcNode names the migration source. The partner selects QPs by
+	// PartnerQPNs alone; the field stays on the wire so the control
+	// message keeps its encoding.
 	SrcNode string
 	// PartnerQPNs lists this host's physical QPNs connected to the
-	// migrating process; only these QPs are suspended. Empty falls back
-	// to suspending every QP toward SrcNode — correct only while no
-	// other migration involves that node.
+	// migrating process; only these QPs are suspended.
 	PartnerQPNs []uint32
 }
 
@@ -426,18 +429,13 @@ func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
 	}
 	var worst WBSResult
 	for _, s := range d.sessions {
-		var qps []*QP
-		if len(req.PartnerQPNs) > 0 {
-			qps = s.SuspendByPhys(req.PartnerQPNs)
-		} else {
-			qps = s.SuspendPeer(req.SrcNode)
-		}
+		qps := s.SuspendByPhys(req.PartnerQPNs)
 		if len(qps) == 0 {
 			continue
 		}
 		m := d.record(req.MigID)
 		m.suspended = append(m.suspended, suspendedSet{s: s, qps: qps})
-		res := s.WaitBeforeStop(qps, d.wbs)
+		res := s.WaitBeforeStop(qps, d.wbsTimeout)
 		if res.Elapsed > worst.Elapsed {
 			worst = res
 		}

@@ -172,7 +172,7 @@ func TestTimeoutReplayOntoSwitchedQP(t *testing.T) {
 			post(i)
 		}
 		qps := r.sa.SuspendAll()
-		res := r.sa.WaitBeforeStop(qps, WBSConfig{PollInterval: 2 * time.Microsecond, Timeout: 2 * time.Millisecond})
+		res := r.sa.WaitBeforeStop(qps, 2*time.Millisecond)
 		if !res.TimedOut || res.LeftoverSends != leftover {
 			t.Fatalf("WBS: timed out %v, leftover %d", res.TimedOut, res.LeftoverSends)
 		}

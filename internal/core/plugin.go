@@ -337,7 +337,7 @@ func (pl *Plugin) WorstPartnerWBS() WBSResult { return pl.partnerWBS }
 // wait-before-stop, returning the result (§3.4).
 func (pl *Plugin) SuspendSource() WBSResult {
 	qps := pl.sess.SuspendAll()
-	return pl.sess.WaitBeforeStop(qps, pl.Src.wbs)
+	return pl.sess.WaitBeforeStop(qps, pl.Src.wbsTimeout)
 }
 
 // SwitchPartners activates the partners' spare QPs (step right before

@@ -21,29 +21,21 @@ import (
 // the observable behaviour (application keeps running, completions are
 // preserved, termination conditions) is identical.
 
-// WBSConfig tunes wait-before-stop.
-type WBSConfig struct {
-	// PollInterval is the pause between CQ sweep rounds.
-	PollInterval time.Duration
-	// PerCQE is the wait-before-stop thread's CPU cost to process one
+// Wait-before-stop's calibration.
+const (
+	// wbsPollInterval is the pause between CQ sweep rounds.
+	wbsPollInterval = 2 * time.Microsecond
+	// wbsPerCQE is the wait-before-stop thread's CPU cost to process one
 	// completion. For small messages it dominates over wire drain time —
 	// the §5.4 observation that at 512 B the measured time is ~6× the
 	// inflight_bytes/link_rate theory value.
-	PerCQE time.Duration
-	// Timeout bounds wait-before-stop in spotty networks (§3.4
-	// "Handling buggy network situations"); on expiry stop-and-copy
-	// proceeds and leftover WRs are replayed after restoration.
-	Timeout time.Duration
-}
-
-// DefaultWBSConfig returns the calibrated defaults.
-func DefaultWBSConfig() WBSConfig {
-	return WBSConfig{
-		PollInterval: 2 * time.Microsecond,
-		PerCQE:       300 * time.Nanosecond,
-		Timeout:      2 * time.Second,
-	}
-}
+	wbsPerCQE = 300 * time.Nanosecond
+	// defaultWBSTimeout bounds a daemon's wait-before-stop unless
+	// SetWBSTimeout says otherwise: in spotty networks (§3.4 "Handling
+	// buggy network situations") stop-and-copy proceeds on expiry and
+	// leftover WRs are replayed after restoration.
+	defaultWBSTimeout = 2 * time.Second
+)
 
 // WBSResult reports one wait-before-stop execution.
 type WBSResult struct {
@@ -74,27 +66,12 @@ func (s *Session) SuspendAll() []*QP {
 	return out
 }
 
-// SuspendPeer suspends only the QPs connected to the given node (the
-// partner side suspends just the communication destined for the
-// migration source).
-func (s *Session) SuspendPeer(node string) []*QP {
-	var out []*QP
-	for _, qp := range s.qps {
-		if qp.typ == rnic.RC && qp.v.RemoteNode() == node {
-			out = append(out, qp)
-		}
-	}
-	sortQPs(out)
-	s.Suspend(out)
-	return out
-}
-
 // SuspendByPhys suspends exactly the session QPs whose current physical
-// QPN is listed — the partner side of one identified migration. Unlike
-// SuspendPeer it leaves QPs that merely share the peer node but belong
-// to other (possibly also migrating) processes untouched; under
-// concurrent migrations those would otherwise be suspended with nobody
-// ever switching or resuming them.
+// QPN is listed — the partner side of one identified migration. QPs
+// that merely share the peer node but belong to other (possibly also
+// migrating) processes stay untouched; under concurrent migrations
+// those would otherwise be suspended with nobody ever switching or
+// resuming them.
 func (s *Session) SuspendByPhys(qpns []uint32) []*QP {
 	want := make(map[uint32]bool, len(qpns))
 	for _, q := range qpns {
@@ -145,11 +122,8 @@ func (s *Session) deliverNSent(physQPN uint32, nSent uint64) {
 // keeps polling every CQ of the session, parking completions in fake
 // CQs, until for each QP: the SQ window is empty, the peer's n_sent
 // equals the completed receive count, and no CQ events are unhandled —
-// or until the timeout expires.
-func (s *Session) WaitBeforeStop(qps []*QP, cfg WBSConfig) WBSResult {
-	if cfg.PollInterval == 0 {
-		cfg = DefaultWBSConfig()
-	}
+// or until timeout has passed.
+func (s *Session) WaitBeforeStop(qps []*QP, timeout time.Duration) WBSResult {
 	sched := s.ctx.Scheduler()
 	s.wbsDepth++
 	defer func() { s.wbsDepth-- }()
@@ -164,20 +138,20 @@ func (s *Session) WaitBeforeStop(qps []*QP, cfg WBSConfig) WBSResult {
 	}
 	s.announceNSent(qps)
 	for {
-		if n := s.sweepCQs(); n > 0 && cfg.PerCQE > 0 {
-			sched.Sleep(time.Duration(n) * cfg.PerCQE)
+		if n := s.sweepCQs(); n > 0 {
+			sched.Sleep(time.Duration(n) * wbsPerCQE)
 		}
 		if s.wbsDone(qps) {
 			return WBSResult{Elapsed: sched.Now() - start, InflightBytes: inflight}
 		}
-		if sched.Now()-start >= cfg.Timeout {
+		if sched.Now()-start >= timeout {
 			left := 0
 			for _, qp := range qps {
 				left += qp.unfinished.Len()
 			}
 			return WBSResult{Elapsed: sched.Now() - start, TimedOut: true, LeftoverSends: left, InflightBytes: inflight}
 		}
-		sched.Sleep(cfg.PollInterval)
+		sched.Sleep(wbsPollInterval)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/codec"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
 )
@@ -112,7 +113,7 @@ func TestWBSDrainsAndPreservesCompletions(t *testing.T) {
 			}
 		}
 		qps := r.sa.SuspendAll()
-		res := r.sa.WaitBeforeStop(qps, DefaultWBSConfig())
+		res := r.sa.WaitBeforeStop(qps, defaultWBSTimeout)
 		if res.TimedOut {
 			t.Fatal("WBS timed out on a healthy wire")
 		}
@@ -156,21 +157,21 @@ func TestWBSTwoSidedNSentExchange(t *testing.T) {
 		// receiver may finish WBS immediately; that race is benign
 		// because the sender's own WBS gates the switch-over.)
 		r.cl.Sched.Sleep(2 * time.Millisecond)
-		qpsB := r.sb.SuspendPeer("a")
+		qpsB := r.sb.SuspendAll()
 		done := 0
 		r.cl.Sched.Go("wbs-a", func() {
 			// A's WBS (and its n_sent announcement) starts a little
 			// later; B must block on the handshake until it lands.
 			r.cl.Sched.Sleep(500 * time.Microsecond)
 			qpsA := r.sa.SuspendAll()
-			if res := r.sa.WaitBeforeStop(qpsA, DefaultWBSConfig()); res.TimedOut {
+			if res := r.sa.WaitBeforeStop(qpsA, defaultWBSTimeout); res.TimedOut {
 				t.Error("A timed out")
 			}
 			done++
 		})
 		start := r.cl.Sched.Now()
 		r.cl.Sched.Go("wbs-b", func() {
-			res := r.sb.WaitBeforeStop(qpsB, DefaultWBSConfig())
+			res := r.sb.WaitBeforeStop(qpsB, defaultWBSTimeout)
 			if res.TimedOut {
 				t.Error("B timed out")
 			}
@@ -222,11 +223,7 @@ func TestWBSTimeoutReplayNoDoubleCount(t *testing.T) {
 			}
 		}
 		qps := r.sa.SuspendAll()
-		res := r.sa.WaitBeforeStop(qps, WBSConfig{
-			PollInterval: 2 * time.Microsecond,
-			PerCQE:       300 * time.Nanosecond,
-			Timeout:      5 * time.Millisecond,
-		})
+		res := r.sa.WaitBeforeStop(qps, 5*time.Millisecond)
 		if !res.TimedOut {
 			t.Fatal("WBS finished across a partition")
 		}
@@ -267,6 +264,55 @@ func TestWBSTimeoutReplayNoDoubleCount(t *testing.T) {
 	}
 }
 
+// TestWBSTimeoutAloneIsHonoured: a timeout is all wait-before-stop
+// takes. Across a partition the wait ends at that bound, within one
+// poll interval, both where the migrated service calls WaitBeforeStop
+// and on a partner whose daemon was given it with SetWBSTimeout
+// (hSuspendFor runs the partner side).
+func TestWBSTimeoutAloneIsHonoured(t *testing.T) {
+	const timeout = time.Millisecond
+	for _, side := range []string{"service", "partner"} {
+		t.Run(side, func(t *testing.T) {
+			r := newWBSRig(t)
+			done := false
+			r.cl.Sched.Go("test", func() {
+				defer func() { done = true }()
+				if err := r.write(100); err != nil { // warm the rkey cache
+					t.Fatal(err)
+				}
+				r.cqA.WaitNonEmpty()
+				r.cqA.Poll(4)
+				r.cl.Net.SetPartitioned("b", true)
+				for i := 0; i < 4; i++ {
+					if err := r.write(uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				var res WBSResult
+				if side == "service" {
+					res = r.sa.WaitBeforeStop(r.sa.SuspendAll(), timeout)
+				} else {
+					r.sa.daemon.SetWBSTimeout(timeout)
+					var resp suspendForResp
+					req := suspendForReq{MigID: "m", SrcNode: "b", PartnerQPNs: []uint32{r.qpA.v.QPN()}}
+					if err := codec.Decode(r.sa.daemon.hSuspendFor("b", codec.MustEncode(req)), &resp); err != nil {
+						t.Fatal(err)
+					}
+					res = WBSResult{Elapsed: time.Duration(resp.ElapsedNS), TimedOut: resp.TimedOut}
+				}
+				if !res.TimedOut || res.Elapsed < timeout || res.Elapsed > timeout+wbsPollInterval {
+					t.Errorf("timed out %v after %v, want a timeout within %v of %v",
+						res.TimedOut, res.Elapsed, wbsPollInterval, timeout)
+				}
+			})
+			r.cl.Sched.RunFor(time.Second)
+			if !done {
+				t.Fatal("test proc never finished")
+			}
+		})
+	}
+}
+
 func TestStaleCQESuppressed(t *testing.T) {
 	// A late completion from a pre-switch QP incarnation whose WR was
 	// already replayed must be dropped, once; recvs and unknown WRIDs
@@ -294,9 +340,9 @@ func TestStaleCQESuppressed(t *testing.T) {
 	r.cl.Sched.RunFor(time.Second)
 }
 
-func TestSuspendPeerIsSelective(t *testing.T) {
-	// A partner suspends only QPs toward the migration source; QPs to
-	// other nodes keep flowing (§3.4).
+func TestSuspendByPhysIsSelective(t *testing.T) {
+	// A partner suspends only the QPs it was told serve the migration
+	// (toward its source); QPs to other nodes keep flowing (§3.4).
 	cl := cluster.New(cluster.Config{Seed: 22}, "p", "src", "other")
 	dp, ds, do := NewDaemon(cl.Host("p")), NewDaemon(cl.Host("src")), NewDaemon(cl.Host("other"))
 	cl.Sched.Go("test", func() {
@@ -326,9 +372,9 @@ func TestSuspendPeerIsSelective(t *testing.T) {
 		toSrc, _ := mkPeer(ds, "src")
 		toOther, otherMR := mkPeer(do, "other")
 
-		suspended := sp.SuspendPeer("src")
+		suspended := sp.SuspendByPhys([]uint32{toSrc.v.QPN()})
 		if len(suspended) != 1 || suspended[0] != toSrc {
-			t.Errorf("SuspendPeer picked %d QPs", len(suspended))
+			t.Errorf("SuspendByPhys picked %d QPs", len(suspended))
 		}
 		if !toSrc.Suspended() || toOther.Suspended() {
 			t.Error("selective suspension wrong")

@@ -26,34 +26,33 @@ import (
 	"migrrdma/internal/task"
 )
 
-// Config is the cost model of the checkpoint/restore engine.
+// Config holds the fixed costs of the checkpoint/restore engine, the
+// part of its cost model a testbed may shrink (cluster.FastCheckpointTestbed
+// does). Zero fields take DefaultConfig's values.
 type Config struct {
-	DumpBase    time.Duration // fixed dump overhead
-	DumpPerVMA  time.Duration // per-mapping walk cost
-	VMAExponent float64       // superlinearity of the mapping walk
-	DumpPerPage time.Duration // per dumped page
-	RestPerPage time.Duration // per restored page
-	FreezeLat   time.Duration // cgroup freezer stop
-	ThawLat     time.Duration // process resume
-	RemapLat    time.Duration // final mremap of the temporary area, per VMA
-	// TempBase is where partial restore places memory temporarily.
-	TempBase mem.Addr
+	DumpBase  time.Duration // fixed dump overhead
+	FreezeLat time.Duration // cgroup freezer stop
+	ThawLat   time.Duration // process resume
 }
 
 // DefaultConfig mirrors observed CRIU behaviour on the paper's testbed.
 func DefaultConfig() Config {
 	return Config{
-		DumpBase:    70 * time.Millisecond,
-		DumpPerVMA:  18 * time.Microsecond,
-		VMAExponent: 1.30,
-		DumpPerPage: 150 * time.Nanosecond,
-		RestPerPage: 250 * time.Nanosecond,
-		FreezeLat:   5 * time.Millisecond,
-		ThawLat:     50 * time.Millisecond,
-		RemapLat:    12 * time.Microsecond,
-		TempBase:    0x7000_0000_0000,
+		DumpBase:  70 * time.Millisecond,
+		FreezeLat: 5 * time.Millisecond,
+		ThawLat:   50 * time.Millisecond,
 	}
 }
+
+// The per-mapping and per-page costs, the same on every testbed.
+const (
+	DumpPerVMA  = 18 * time.Microsecond      // per-mapping walk cost
+	vmaExponent = 1.30                       // superlinearity of the mapping walk
+	DumpPerPage = 150 * time.Nanosecond      // per dumped page
+	RestPerPage = 250 * time.Nanosecond      // per restored page
+	RemapLat    = 12 * time.Microsecond      // final mremap of the temporary area, per VMA
+	tempBase    = mem.Addr(0x7000_0000_0000) // where partial restore places memory temporarily
+)
 
 // VMARec describes one mapping in an image.
 type VMARec struct {
@@ -132,29 +131,11 @@ func New(host HostServices, cfg Config) *Tool {
 	if cfg.DumpBase == 0 {
 		cfg.DumpBase = d.DumpBase
 	}
-	if cfg.DumpPerVMA == 0 {
-		cfg.DumpPerVMA = d.DumpPerVMA
-	}
-	if cfg.VMAExponent == 0 {
-		cfg.VMAExponent = d.VMAExponent
-	}
-	if cfg.DumpPerPage == 0 {
-		cfg.DumpPerPage = d.DumpPerPage
-	}
-	if cfg.RestPerPage == 0 {
-		cfg.RestPerPage = d.RestPerPage
-	}
 	if cfg.FreezeLat == 0 {
 		cfg.FreezeLat = d.FreezeLat
 	}
 	if cfg.ThawLat == 0 {
 		cfg.ThawLat = d.ThawLat
-	}
-	if cfg.RemapLat == 0 {
-		cfg.RemapLat = d.RemapLat
-	}
-	if cfg.TempBase == 0 {
-		cfg.TempBase = d.TempBase
 	}
 	return &Tool{cfg: cfg, host: host}
 }
@@ -217,7 +198,7 @@ func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
 		sel = append(sel, a)
 	}
 	p.AS.ClearDirty()
-	walk := time.Duration(float64(t.cfg.DumpPerVMA) * math.Pow(float64(len(vmas)), t.cfg.VMAExponent))
+	walk := time.Duration(float64(DumpPerVMA) * math.Pow(float64(len(vmas)), vmaExponent))
 	t.host.Sleep(t.cfg.DumpBase + walk)
 	return img, sel
 }
@@ -244,7 +225,7 @@ func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
 		}
 		recs[i] = PageRec{Addr: a, Data: f}
 	}
-	t.host.Sleep(time.Duration(len(addrs)) * t.cfg.DumpPerPage)
+	t.host.Sleep(time.Duration(len(addrs)) * DumpPerPage)
 	return recs
 }
 
@@ -287,7 +268,7 @@ func (t *Tool) BeginRestore(p *task.Process) *Restore {
 		AS:      mem.NewAddressSpace(),
 		claimed: make(map[mem.Addr]bool),
 		tempOf:  make(map[mem.Addr]mem.Addr),
-		cursor:  t.cfg.TempBase,
+		cursor:  tempBase,
 	}
 }
 
@@ -310,7 +291,7 @@ func (r *Restore) MapAtOriginal(img *Image, rec VMARec) error {
 			n++
 		}
 	}
-	r.tool.host.Sleep(time.Duration(n) * r.tool.cfg.RestPerPage)
+	r.tool.host.Sleep(time.Duration(n) * RestPerPage)
 	return nil
 }
 
@@ -358,7 +339,7 @@ func (r *Restore) ApplyChunk(img *Image, pages []PageRec, zeros []mem.Addr) {
 			n++
 		}
 	}
-	r.tool.host.Sleep(time.Duration(n) * r.tool.cfg.RestPerPage)
+	r.tool.host.Sleep(time.Duration(n) * RestPerPage)
 }
 
 // locate maps an original page address to its current location.
@@ -407,7 +388,7 @@ func (r *Restore) Finalize() error {
 			return fmt.Errorf("criu: final remap: %w", err)
 		}
 	}
-	r.tool.host.Sleep(time.Duration(len(r.tempOf)) * r.tool.cfg.RemapLat)
+	r.tool.host.Sleep(time.Duration(len(r.tempOf)) * RemapLat)
 	r.tempOf = make(map[mem.Addr]mem.Addr)
 	r.finalized = true
 	return nil

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"migrrdma/internal/core"
+	"migrrdma/internal/fabric"
 	"migrrdma/internal/migros"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
@@ -153,17 +153,15 @@ func (r WBSAblationRow) String() string {
 // both slow and inside the blackout — the paper's two reasons for
 // rejecting drop-and-replay.
 func AblationWBS(qpCounts []int) []WBSAblationRow {
-	nic := rnic.DefaultConfig()
-	const linkRate = 100e9
 	var rows []WBSAblationRow
 	for _, n := range qpCounts {
 		inflight := int64(n) * 64 * 4096
-		wire := time.Duration(float64(inflight*8) / linkRate * float64(time.Second))
+		wire := time.Duration(float64(inflight*8) / float64(fabric.LinkRate) * float64(time.Second))
 		rows = append(rows, WBSAblationRow{
 			QPs:           n,
 			InflightBytes: inflight,
 			WBS:           wire,
-			DropReset:     time.Duration(n) * nic.ResetQPLat,
+			DropReset:     time.Duration(n) * rnic.ResetQPLat,
 			DropReplay:    wire,
 		})
 	}
@@ -248,9 +246,10 @@ func (r PartnerPreSetupRow) String() string {
 // AblationPartnerPreSetup models both strategies from the NIC control
 // costs (§3.2's argument for spare QPs).
 func AblationPartnerPreSetup(qpCounts []int) []PartnerPreSetupRow {
-	nic := rnic.DefaultConfig()
-	connect := nic.CreateQPLat + nic.ModifyInitLat + nic.ModifyRTRLat + nic.ModifyRTSLat
-	reconnect := nic.ResetQPLat + nic.ModifyInitLat + nic.ModifyRTRLat + nic.ModifyRTSLat
+	const (
+		connect   = rnic.CreateQPLat + rnic.ModifyInitLat + rnic.ModifyRTRLat + rnic.ModifyRTSLat
+		reconnect = rnic.ResetQPLat + rnic.ModifyInitLat + rnic.ModifyRTRLat + rnic.ModifyRTSLat
+	)
 	var rows []PartnerPreSetupRow
 	for _, n := range qpCounts {
 		rows = append(rows, PartnerPreSetupRow{
@@ -314,9 +313,7 @@ func MigrationUnderLoss(loss float64, wbsTimeout time.Duration) (LossRow, error)
 	r := NewRig(31, "src", "dst", "partner")
 	defer r.Close()
 	for _, d := range r.Daemons {
-		cfg := core.DefaultWBSConfig()
-		cfg.Timeout = wbsTimeout
-		d.SetWBSConfig(cfg)
+		d.SetWBSTimeout(wbsTimeout)
 	}
 	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: 4096, QueueDepth: 16, NumQPs: 2, Messages: 2000, CheckOrder: true}
 	pair := r.StartPair("src", "partner", opts)

@@ -94,7 +94,7 @@ func migrateLatencyServer(seed int64, msgSize, qps, messages int, mopts runc.Mig
 	// rnr_retry=7 semantics: retry through the blackout instead of
 	// erroring out — go-back-N's whole recovery story depends on it,
 	// and the retries are exactly the cost the comparison measures.
-	cfg.NIC.MaxRetries = 1 << 20
+	cfg.NIC.MaxRetries = rnic.UnlimitedRetries
 	r := NewRigCfg(cfg, "src", "dst", "partner")
 	defer r.Close()
 	opts := perftest.Options{

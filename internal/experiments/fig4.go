@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/fabric"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
@@ -89,7 +90,7 @@ func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
 	if rep.WBS.TimedOut {
 		return Fig4Row{}, fmt.Errorf("wait-before-stop timed out")
 	}
-	theory := time.Duration(rep.WBS.InflightBytes * 8 * int64(time.Second) / r.CL.Net.Rate())
+	theory := time.Duration(rep.WBS.InflightBytes * 8 * int64(time.Second) / fabric.LinkRate)
 	return Fig4Row{
 		QPs: n, MsgSize: msgSize, Partners: partners,
 		WBS: rep.WBS.Elapsed, Theory: theory,

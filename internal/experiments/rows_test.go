@@ -48,8 +48,12 @@ var (
 // and none later or slower. The last four rows, captured at commit
 // 0bbc9e2, pin the cutover and transfer comparisons, which share one
 // latency-mode server migration, and the page hog the transfer rows run.
+// The four ablation rows, captured at commit 45b1014, pin the analytic
+// ablations: pure functions of rnic's QP command latencies and
+// fabric.LinkRate, rendered in Go syntax so every nanosecond shows.
 func TestRowsUnchangedByTheRunner(t *testing.T) {
 	row := func(r any, err error) (string, error) { return fmt.Sprint(r), err }
+	exact := func(r any) (string, error) { return fmt.Sprintf("%#v", r), nil }
 	for _, c := range []struct {
 		name string
 		run  func() (string, error)
@@ -98,6 +102,14 @@ func TestRowsUnchangedByTheRunner(t *testing.T) {
 			"monolithic   msg=8192   ops=800   p50=250µs     p99=250µs     blackout=3.503ms   pages=1013  distinct=227   elided=0     wire=4167431   finalwire=827334   rounds=5"},
 		{"pagechan pipelined", func() (string, error) { return row(pagechanPipelined8192()) },
 			"pipelined    msg=8192   ops=800   p50=250µs     p99=250µs     blackout=3.384ms   pages=617   distinct=225   elided=392   wire=928231    finalwire=112134   rounds=3"},
+		{"ablation wbs 64", func() (string, error) { return exact(AblationWBS([]int{64})[0]) },
+			"experiments.WBSAblationRow{QPs:64, InflightBytes:16777216, WBS:1342177, DropReset:57600000, DropReplay:1342177}"},
+		{"ablation wbs 1024", func() (string, error) { return exact(AblationWBS([]int{1024})[0]) },
+			"experiments.WBSAblationRow{QPs:1024, InflightBytes:268435456, WBS:21474836, DropReset:921600000, DropReplay:21474836}"},
+		{"ablation partner 64", func() (string, error) { return exact(AblationPartnerPreSetup([]int{64})[0]) },
+			"experiments.PartnerPreSetupRow{QPs:64, SpareQPBrownout:57600000, SpareQPBlackout:128000, ResetReuseBlackout:105600000}"},
+		{"ablation partner 1024", func() (string, error) { return exact(AblationPartnerPreSetup([]int{1024})[0]) },
+			"experiments.PartnerPreSetupRow{QPs:1024, SpareQPBrownout:921600000, SpareQPBlackout:2048000, ResetReuseBlackout:1689600000}"},
 	} {
 		got, err := c.run()
 		if err != nil {

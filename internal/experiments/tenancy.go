@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/rnic"
 	"migrrdma/internal/runc"
 	"migrrdma/internal/task"
 	"migrrdma/internal/tenant"
@@ -90,7 +91,7 @@ func runTenancy(mode runc.CutoverMode, transfer runc.TransferMode, sessions int,
 	cfg := cluster.FastCheckpointTestbed(seed)
 	// rnr_retry=7 semantics, as in the cutover comparison: requests in
 	// flight at freeze must retry through the blackout, not error out.
-	cfg.NIC.MaxRetries = 1 << 20
+	cfg.NIC.MaxRetries = rnic.UnlimitedRetries
 	r := NewRigCfg(cfg, "src", "dst", "gw")
 	defer r.Close()
 	opts := tenant.Options{

@@ -1,7 +1,7 @@
 // Package fabric models the data-center network the MigrRDMA testbed
 // runs on: hosts attached to a single switch through full-duplex links
-// with a configurable rate and propagation delay (the paper uses
-// 100 Gbps ConnectX-5 NICs behind an Arista 7260CX3-64 switch).
+// with the rate and propagation delay of the paper's testbed (100 Gbps
+// ConnectX-5 NICs behind an Arista 7260CX3-64 switch).
 //
 // The fabric is rate-accurate: a frame of S bytes occupies its egress
 // link for S*8/rate of virtual time, so end-to-end throughput, queueing
@@ -33,23 +33,24 @@ type Frame struct {
 // frame and signal a condition variable.
 type Handler func(Frame)
 
-// Config describes link characteristics shared by every port.
+// The links of the paper's testbed (§5.1). A port can run slower
+// (SetRate), and a two-tier topology can give its spine links their own
+// rate and delay (Topology).
+const (
+	// LinkRate is the host link rate in bits per second.
+	LinkRate int64 = 100e9
+	// propDelay is the one-way propagation delay per hop.
+	propDelay = time.Microsecond
+)
+
+// Config describes the network's shape and where it reports.
 type Config struct {
-	// Rate is the link rate in bits per second (default 100 Gbps).
-	Rate int64
-	// PropDelay is the one-way propagation delay per hop (default 1 µs).
-	PropDelay time.Duration
 	// Topology declares the two-tier rack/spine fabric (topology.go).
 	// The zero value is the classic flat single-switch network.
 	Topology Topology
 	// Metrics, when set, receives the per-port counters. A nil registry
 	// gets replaced by a detached one so increments are always valid.
 	Metrics *metrics.Registry
-}
-
-// DefaultConfig mirrors the paper's testbed.
-func DefaultConfig() Config {
-	return Config{Rate: 100e9, PropDelay: 1 * time.Microsecond}
 }
 
 // Network is the fabric connecting named nodes: one switch, or the
@@ -132,7 +133,7 @@ type port struct {
 	reorderProb  float64
 	reorderPort  string
 	reorderDelay time.Duration
-	// rate overrides the network link rate for this port (0 = default),
+	// rate overrides LinkRate for this port (0 = LinkRate),
 	// modelling a degraded or renegotiated link.
 	rate int64
 	// rack is the port's ToR assignment under a two-tier topology
@@ -161,12 +162,6 @@ type port struct {
 
 // New creates an empty network.
 func New(sched *sim.Scheduler, cfg Config) *Network {
-	if cfg.Rate == 0 {
-		cfg.Rate = DefaultConfig().Rate
-	}
-	if cfg.PropDelay == 0 {
-		cfg.PropDelay = DefaultConfig().PropDelay
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = metrics.New(sched.Now)
@@ -180,9 +175,6 @@ func New(sched *sim.Scheduler, cfg Config) *Network {
 
 // Scheduler returns the scheduler the network runs on.
 func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
-// Rate returns the configured link rate in bits per second.
-func (n *Network) Rate() int64 { return n.cfg.Rate }
 
 // Attach connects a node to the switch. The handler receives every frame
 // addressed to name.
@@ -257,8 +249,8 @@ func (n *Network) SetPortReorder(name, port string, p float64, delay time.Durati
 }
 
 // SetRate overrides the link rate of one node in bits per second,
-// modelling a renegotiated or degraded link. Zero restores the shared
-// network rate. Frames already serialized keep their old timing.
+// modelling a renegotiated or degraded link. Zero restores LinkRate.
+// Frames already serialized keep their old timing.
 func (n *Network) SetRate(name string, bps int64) { n.mustPort(name).rate = bps }
 
 // SetPartitioned isolates or reconnects a node.
@@ -293,12 +285,12 @@ func (n *Network) SerializationTime(size int) time.Duration {
 
 // serialization returns the time a frame of size bytes occupies a link.
 func (n *Network) serialization(size int) time.Duration {
-	return time.Duration(int64(size) * 8 * int64(time.Second) / n.cfg.Rate)
+	return time.Duration(int64(size) * 8 * int64(time.Second) / LinkRate)
 }
 
 // serializationAt is serialization against one port's effective rate.
 func (n *Network) serializationAt(p *port, size int) time.Duration {
-	rate := n.cfg.Rate
+	rate := LinkRate
 	if p.rate > 0 {
 		rate = p.rate
 	}
@@ -329,7 +321,7 @@ func (n *Network) Send(f Frame) {
 		dst.drop()
 		return
 	}
-	arriveSwitch := n.serializeUplink(src, f.Size) + n.cfg.PropDelay
+	arriveSwitch := n.serializeUplink(src, f.Size) + propDelay
 	if n.racks != nil && src.rack != dst.rack {
 		// Two-tier crossing: ToR→spine on the source rack's uplink,
 		// spine→ToR on the destination rack's downlink (topology.go).
@@ -386,7 +378,7 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 			egress = dst.downBusy
 		}
 		dst.downBusy = egress + serDown
-		arrive := dst.downBusy + n.cfg.PropDelay
+		arrive := dst.downBusy + propDelay
 		if dst.lossProb > 0 && (dst.lossPort == "" || dst.lossPort == f.Port) &&
 			n.sched.Rand().Float64() < dst.lossProb {
 			dst.drop()

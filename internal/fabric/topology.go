@@ -17,10 +17,10 @@ import (
 //
 // A cross-rack frame traverses five links instead of three:
 //
-//	host ──serialize @ link rate──▶ ToR(src)          (+ PropDelay)
+//	host ──serialize @ LinkRate──▶ ToR(src)           (+ propDelay)
 //	ToR(src) ──serialize @ UplinkRate──▶ spine        (+ SpineDelay)
 //	spine ──serialize @ UplinkRate──▶ ToR(dst)        (+ SpineDelay)
-//	ToR(dst) ──serialize @ link rate──▶ host          (+ PropDelay)
+//	ToR(dst) ──serialize @ LinkRate──▶ host           (+ propDelay)
 //
 // The two middle hops share per-rack state: every host of a rack books
 // the same uplink (ToR→spine) and downlink (spine→ToR), so with H
@@ -41,29 +41,15 @@ type Topology struct {
 	// fabric itself takes explicit per-port racks via SetRack.
 	HostsPerRack int
 	// UplinkRate is the ToR↔spine rate per direction in bits per
-	// second; 0 means the host link rate (no oversubscription).
+	// second; 0 means LinkRate (no oversubscription).
 	UplinkRate int64
 	// SpineDelay is the one-way ToR↔spine propagation delay, paid twice
-	// per crossing; 0 means the per-hop PropDelay.
+	// per crossing; 0 means a host link's delay.
 	SpineDelay time.Duration
 }
 
 // Flat reports whether the topology degenerates to one switch.
 func (t Topology) Flat() bool { return t.Racks <= 1 }
-
-// Oversubscription returns the rack oversubscription ratio
-// HostsPerRack·linkRate/UplinkRate against the given host link rate.
-func (t Topology) Oversubscription(linkRate int64) float64 {
-	up := t.UplinkRate
-	if up == 0 {
-		up = linkRate
-	}
-	hosts := t.HostsPerRack
-	if hosts == 0 {
-		hosts = 1
-	}
-	return float64(hosts) * float64(linkRate) / float64(up)
-}
 
 // rackLink is the shared ToR↔spine link pair of one rack. upBusy is
 // the ToR→spine direction (booked by sources in the rack), downBusy
@@ -165,7 +151,7 @@ func (n *Network) mustRack(rack int) *rackLink {
 func (n *Network) uplinkSerialization(size int) time.Duration {
 	rate := n.cfg.Topology.UplinkRate
 	if rate == 0 {
-		rate = n.cfg.Rate
+		rate = LinkRate
 	}
 	return time.Duration(int64(size) * 8 * int64(time.Second) / rate)
 }
@@ -175,7 +161,7 @@ func (n *Network) spineDelay() time.Duration {
 	if d := n.cfg.Topology.SpineDelay; d != 0 {
 		return d
 	}
-	return n.cfg.PropDelay
+	return propDelay
 }
 
 // lossDraw reports whether the rack link's fault state drops a frame on

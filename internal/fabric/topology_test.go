@@ -28,8 +28,6 @@ func newTopo(t *testing.T, cfg Config) (*sim.Scheduler, *Network, map[string]*[]
 
 func TestCrossRackLatency(t *testing.T) {
 	cfg := Config{
-		Rate:      1e9, // 10 µs per 1250 B hop at host links
-		PropDelay: 10 * time.Microsecond,
 		Topology: Topology{
 			Racks: 2, HostsPerRack: 2,
 			UplinkRate: 5e8, // 20 µs per 1250 B spine hop (2:1 per host, 4:1 per rack)
@@ -37,6 +35,7 @@ func TestCrossRackLatency(t *testing.T) {
 		},
 	}
 	s, n, arrivals := newTopo(t, cfg)
+	setLinkRates(n, 1e9) // 10 µs per 1250 B hop at host links
 	s.Go("send", func() {
 		n.Send(Frame{Src: "a0", Dst: "b0", Size: 1250})
 	})
@@ -44,9 +43,9 @@ func TestCrossRackLatency(t *testing.T) {
 	if got := len(*arrivals["b0"]); got != 1 {
 		t.Fatalf("delivered %d frames, want 1", got)
 	}
-	// host uplink 10 + prop 10 + spine up 20 + spine 30 + spine down 20
-	// + spine 30 + host downlink 10 + prop 10.
-	want := 140 * time.Microsecond
+	// host uplink 10 + prop 1 + spine up 20 + spine 30 + spine down 20
+	// + spine 30 + host downlink 10 + prop 1.
+	want := 122 * time.Microsecond
 	if at := (*arrivals["b0"])[0]; at != want {
 		t.Fatalf("cross-rack arrival at %v, want %v", at, want)
 	}
@@ -56,9 +55,8 @@ func TestCrossRackLatency(t *testing.T) {
 // traffic on a topology network takes exactly the flat path, byte for
 // byte in timing.
 func TestSameRackMatchesFlat(t *testing.T) {
-	flatCfg := Config{Rate: 1e9, PropDelay: 10 * time.Microsecond}
-	topoCfg := flatCfg
-	topoCfg.Topology = Topology{Racks: 2, HostsPerRack: 2, UplinkRate: 1e8}
+	flatCfg := Config{}
+	topoCfg := Config{Topology: Topology{Racks: 2, HostsPerRack: 2, UplinkRate: 1e8}}
 
 	run := func(cfg Config) []time.Duration {
 		s := sim.New(7)
@@ -72,6 +70,7 @@ func TestSameRackMatchesFlat(t *testing.T) {
 			n.Attach("b0", func(f Frame) {})
 			n.SetRack("b0", 1)
 		}
+		setLinkRates(n, 1e9)
 		s.Go("send", func() {
 			for i := 0; i < 16; i++ {
 				n.Send(Frame{Src: "a0", Dst: "a1", Size: 1250})
@@ -95,12 +94,8 @@ func TestSameRackMatchesFlat(t *testing.T) {
 // into the other rack share one uplink, so the aggregate cross-rack
 // rate is pinned at UplinkRate, not 2× the host rate.
 func TestUplinkOversubscriptionQueueing(t *testing.T) {
-	cfg := Config{
-		Rate:      1e9,
-		PropDelay: time.Microsecond,
-		Topology:  Topology{Racks: 2, HostsPerRack: 2, UplinkRate: 5e8},
-	}
-	s, n, arrivals := newTopo(t, cfg)
+	s, n, arrivals := newTopo(t, Config{Topology: Topology{Racks: 2, HostsPerRack: 2, UplinkRate: 5e8}})
+	setLinkRates(n, 1e9)
 	const frames, size = 200, 1250
 	s.Go("send0", func() {
 		for i := 0; i < frames; i++ {
@@ -137,12 +132,8 @@ func TestUplinkOversubscriptionQueueing(t *testing.T) {
 }
 
 func TestUplinkLossAndBlackhole(t *testing.T) {
-	cfg := Config{
-		Rate:      1e9,
-		PropDelay: time.Microsecond,
-		Topology:  Topology{Racks: 2, HostsPerRack: 2},
-	}
-	s, n, arrivals := newTopo(t, cfg)
+	s, n, arrivals := newTopo(t, Config{Topology: Topology{Racks: 2, HostsPerRack: 2}})
+	setLinkRates(n, 1e9)
 	n.SetUplinkBlackhole(1, "rdma", true)
 	s.Go("send", func() {
 		// RDMA-port frames die crossing into rack 1; other ports pass.

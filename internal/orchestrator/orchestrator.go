@@ -163,9 +163,6 @@ type Config struct {
 	Daemons map[string]*core.Daemon
 	// Opts is the migration option template every attempt uses.
 	Opts runc.MigrateOptions
-	// BackoffBase is the delay before the first retry (0 means 1ms); it
-	// doubles per attempt up to maxBackoffFactor times the base.
-	BackoffBase time.Duration
 }
 
 const (
@@ -173,8 +170,11 @@ const (
 	// checkpoints at most this many containers at once regardless of
 	// drain-level parallelism.
 	hostCap = 2
+	// backoffBase is the delay before the first retry; it doubles per
+	// attempt up to maxBackoffFactor times the base.
+	backoffBase = time.Millisecond
 	// maxBackoffFactor caps the retry delay at this multiple of
-	// Config.BackoffBase.
+	// backoffBase.
 	maxBackoffFactor = 32
 )
 
@@ -209,9 +209,6 @@ type Orchestrator struct {
 // New builds an orchestrator over the cluster; drain orchestration is
 // control-plane work on the cluster scheduler.
 func New(cfg Config) *Orchestrator {
-	if cfg.BackoffBase <= 0 {
-		cfg.BackoffBase = time.Millisecond
-	}
 	o := &Orchestrator{
 		cfg:      cfg,
 		sched:    cfg.CL.Sched,
@@ -394,8 +391,8 @@ func (o *Orchestrator) launch(d *Drain, m *Migration) {
 			// Aborted and rolled back: retry after exponential backoff so a
 			// persistently faulty path stops hammering the fabric.
 			o.mRetried.Inc()
-			delay := o.cfg.BackoffBase << attempt
-			if limit := maxBackoffFactor * o.cfg.BackoffBase; delay > limit || delay <= 0 {
+			delay := backoffBase << attempt
+			if limit := maxBackoffFactor * backoffBase; delay > limit || delay <= 0 {
 				delay = limit
 			}
 			o.sched.Sleep(delay)

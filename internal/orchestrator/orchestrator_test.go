@@ -199,10 +199,7 @@ func TestDrainPrefersSameRack(t *testing.T) {
 func TestDrainRetriesWithBackoff(t *testing.T) {
 	r := newRig(43, 2, 2)
 	w := r.startPair("p0", "r0h0", "r1h1")
-	o := New(Config{
-		CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions(),
-		BackoffBase: 2 * time.Millisecond,
-	})
+	o := New(Config{CL: r.cl, Daemons: r.daemons, Opts: runc.DefaultMigrateOptions()})
 	o.Register(w.cont)
 	// The stream names each attempt's executor job; the listener maps the
 	// job's stage events back to their Migration through it.
@@ -315,7 +312,7 @@ func TestDrainAllHostsFails(t *testing.T) {
 // TestRetryBudgetRequeues lists one migration with its destination and
 // a retry budget of two, and refuses its first two attempts at
 // suspend-wbs: the orchestrator must roll each back, back off 1 then
-// 2 × BackoffBase, and succeed on the third attempt, each attempt a job
+// 2 × backoffBase, and succeed on the third attempt, each attempt a job
 // of its own on the source executor, every one admitted at once. A
 // listed destination marks no host as draining.
 func TestRetryBudgetRequeues(t *testing.T) {
@@ -377,7 +374,7 @@ func TestRetryBudgetRequeues(t *testing.T) {
 			t.Errorf("%s QueueWait = %v, want 0", j.ID, j.QueueWait())
 		}
 		if i > 0 {
-			want := time.Millisecond << (i - 1)
+			want := backoffBase << (i - 1)
 			if gap := j.Submitted - jobs[i-1].Finished; gap != want {
 				t.Errorf("%s resubmitted %v after %s failed, want a %v backoff", j.ID, gap, jobs[i-1].ID, want)
 			}

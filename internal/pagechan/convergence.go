@@ -32,11 +32,8 @@ type Controller struct {
 }
 
 // NewController returns a controller with the given convergence floor
-// (non-positive values fall back to 64 pages) and default model knobs.
+// and default model knobs.
 func NewController(floorPages int) *Controller {
-	if floorPages <= 0 {
-		floorPages = 64
-	}
 	return &Controller{FloorPages: floorPages, MaxIters: DefaultMaxIters, Epsilon: DefaultEpsilon}
 }
 

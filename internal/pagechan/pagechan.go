@@ -1,8 +1,8 @@
 // Package pagechan is the page channel (DESIGN.md §12), the one way a
 // round of pages leaves a migration source: the source dumps pages
 // into chunks, the chunks cross the link, and the destination applies
-// them as they land. A round of several chunks streams over K
-// concurrent link streams, so dump, wire time and apply overlap
+// them as they land. A round of several chunks streams over
+// Streams concurrent link streams, so dump, wire time and apply overlap
 // instead of summing; a round that fits one chunk has nothing to
 // overlap and runs dump → transfer → apply on the calling proc. The
 // paper's monolithic workflow is the Monolithic preset: every round is
@@ -31,10 +31,10 @@ import (
 	"migrrdma/internal/sim"
 )
 
-// Defaults and on-wire framing constants. A zero page ships only its
-// per-page header.
+// The sender procs of a round of several chunks, the default chunk size
+// and the on-wire framing. A zero page ships only its per-page header.
 const (
-	DefaultStreams    = 4
+	Streams           = 4
 	DefaultChunkPages = 64
 
 	chunkHeader = 64 // per-chunk framing (seq, count, round tag)
@@ -83,7 +83,6 @@ func (s RoundStats) Elided() int { return s.ZeroPages + s.DupElided }
 
 // Config parameterizes a Session.
 type Config struct {
-	Streams    int // concurrent sender procs (default DefaultStreams)
 	ChunkPages int // pages per chunk (default DefaultChunkPages)
 
 	// Monolithic is the paper's dump → ship → apply workflow as a preset
@@ -135,9 +134,6 @@ type Session struct {
 // source host's services (the same interface criu.Tool consumes);
 // sched must be the scheduler that host lives on.
 func NewSession(sched *sim.Scheduler, host criu.HostServices, peer string, cfg Config) *Session {
-	if cfg.Streams <= 0 {
-		cfg.Streams = DefaultStreams
-	}
 	if cfg.ChunkPages <= 0 {
 		cfg.ChunkPages = DefaultChunkPages
 	}
@@ -202,7 +198,7 @@ func (s *Session) Abort() {
 // feeds a bounded window (2×Streams chunks) so memory stays bounded
 // and dump throttles to wire speed. A round of several chunks gets
 // sender and applier procs for its duration; chunks may then land out
-// of order across the K streams, which is sound because page addresses
+// of order across the streams, which is sound because page addresses
 // within a round are unique and chunks are independent. A round of one
 // chunk has nothing to overlap, so the calling proc sends and applies
 // it itself — same events, same stats, same refusal and Abort
@@ -242,7 +238,7 @@ func (s *Session) stream(round string, addrs []mem.Addr, dump func([]mem.Addr) [
 		// procs, so a round without workers allocates neither.
 		wg := sim.NewWaitGroup(s.sched, "pagechan-workers")
 		procs = wg
-		for i := 0; i < s.cfg.Streams; i++ {
+		for i := 0; i < Streams; i++ {
 			wg.Add(1)
 			s.sched.Go(fmt.Sprintf("pagechan-send-%d", i), func() {
 				defer wg.Done()
@@ -264,7 +260,7 @@ func (s *Session) stream(round string, addrs []mem.Addr, dump func([]mem.Addr) [
 		st.PagesDumped += len(recs)
 		ch := s.buildChunk(recs, &st)
 		// Bounded pipeline window: throttle the dump to wire speed.
-		for workers && !s.aborted && s.produced-s.finished >= 2*s.cfg.Streams {
+		for workers && !s.aborted && s.produced-s.finished >= 2*Streams {
 			s.cond.Wait()
 		}
 		if s.aborted {

@@ -86,7 +86,7 @@ func TestStreamShipsEveryPage(t *testing.T) {
 			content[a] = page(byte(i + 1))
 		}
 		got := make(map[mem.Addr]byte)
-		sess := NewSession(s, h, "dst", Config{Streams: 3, ChunkPages: 8})
+		sess := NewSession(s, h, "dst", Config{ChunkPages: 8})
 		st, err := sess.Stream("final", as, dumper(h, content, time.Microsecond),
 			func(ch *Chunk) {
 				for _, pg := range ch.Pages {
@@ -131,7 +131,7 @@ func TestZeroPageElision(t *testing.T) {
 			}
 		}
 		applied := 0
-		sess := NewSession(s, h, "dst", Config{Streams: 2, ChunkPages: 16})
+		sess := NewSession(s, h, "dst", Config{ChunkPages: 16})
 		st, err := sess.Stream("final", as, dumper(h, content, 0),
 			func(ch *Chunk) { applied += len(ch.Pages) + len(ch.Zeros) })
 		if err != nil {
@@ -159,7 +159,7 @@ func TestDuplicateElisionAcrossRounds(t *testing.T) {
 		for i, a := range as {
 			content[a] = page(byte(i + 1))
 		}
-		sess := NewSession(s, h, "dst", Config{Streams: 2, ChunkPages: 8})
+		sess := NewSession(s, h, "dst", Config{ChunkPages: 8})
 		apply := func(*Chunk) {}
 		if _, err := sess.Stream("predump", as, dumper(h, content, 0), apply); err != nil {
 			t.Errorf("round 1: %v", err)
@@ -206,7 +206,7 @@ func TestPipelineOverlaps(t *testing.T) {
 		}
 		perDump := 10 * time.Microsecond
 		perApply := 10 * time.Microsecond
-		sess := NewSession(s, h, "dst", Config{Streams: 4, ChunkPages: 8})
+		sess := NewSession(s, h, "dst", Config{ChunkPages: 8})
 		st, err := sess.Stream("final", as, dumper(h, content, perDump),
 			func(ch *Chunk) { h.Sleep(time.Duration(len(ch.Pages)) * perApply) })
 		if err != nil {
@@ -232,7 +232,7 @@ func TestMidChunkAbortLeavesNothingStaged(t *testing.T) {
 		}
 		var log string
 		sess := NewSession(s, h, "dst", Config{
-			Streams: 2, ChunkPages: 4, Metrics: logEvents(s, &log, 3),
+			ChunkPages: 4, Metrics: logEvents(s, &log, 3),
 		})
 		applied := 0
 		st, err := sess.Stream("precopy", as, dumper(h, content, time.Microsecond),
@@ -295,7 +295,7 @@ func TestStreamDeterministic(t *testing.T) {
 				content[a] = page(byte(i%5 + 1))
 			}
 			sess := NewSession(s, h, "dst", Config{
-				Streams: 3, ChunkPages: 4, Metrics: logEvents(s, &log, 0),
+				ChunkPages: 4, Metrics: logEvents(s, &log, 0),
 			})
 			st, err := sess.Stream("final", as, dumper(h, content, time.Microsecond),
 				func(*Chunk) { h.Sleep(2 * time.Microsecond) })
@@ -390,7 +390,7 @@ func TestOneChunkRoundSpawnsNoProc(t *testing.T) {
 	}{
 		{"monolithic-large", Config{Monolithic: true}, 5 * DefaultChunkPages, 0, 1},
 		{"pipelined-small", Config{}, DefaultChunkPages, 0, 1},
-		{"pipelined-large", Config{Streams: 3}, DefaultChunkPages + 1, 3 + 1, 2},
+		{"pipelined-large", Config{}, DefaultChunkPages + 1, Streams + 1, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			run(t, func(s *sim.Scheduler, h *fakeHost) {

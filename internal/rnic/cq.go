@@ -52,7 +52,7 @@ const cqeSlotSize = 64
 // CreateCQ creates a completion queue with the given capacity, optionally
 // bound to a completion channel.
 func (d *Device) CreateCQ(capacity int, comp *CompChannel) *CQ {
-	d.sched.Sleep(d.cfg.CreateCQLat)
+	d.sched.Sleep(createCQLat)
 	cq := &CQ{
 		Handle:  d.allocID(),
 		dev:     d,
@@ -67,7 +67,7 @@ func (d *Device) CreateCQ(capacity int, comp *CompChannel) *CQ {
 
 // DestroyCQ releases the CQ.
 func (d *Device) DestroyCQ(cq *CQ) {
-	d.sched.Sleep(d.cfg.DestroyLat)
+	d.sched.Sleep(destroyLat)
 	delete(d.cqs, cq.Handle)
 }
 

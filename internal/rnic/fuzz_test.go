@@ -325,7 +325,7 @@ func TestRTOFiresAtLastArmPlusRTO(t *testing.T) {
 		// ACKed traffic spread over several RTOs: every ACK re-arms.
 		for i := 0; i < acked; i++ {
 			send(uint64(i))
-			r.s.Sleep(cfg.RTO / 8)
+			r.s.Sleep(rto / 8)
 		}
 		if got := len(pollN(r.a.cq, acked)); got != acked {
 			t.Fatalf("%d of %d sends completed before the blackhole", got, acked)
@@ -339,7 +339,7 @@ func TestRTOFiresAtLastArmPlusRTO(t *testing.T) {
 				last = r.qpA.retries
 				fires = append(fires, r.s.Now())
 			}
-			if r.s.Now() > posted+time.Duration(cfg.MaxRetries+3)*cfg.RTO {
+			if r.s.Now() > posted+time.Duration(cfg.MaxRetries+3)*rto {
 				break
 			}
 		}
@@ -353,12 +353,12 @@ func TestRTOFiresAtLastArmPlusRTO(t *testing.T) {
 	}
 	// The send is on the wire a doorbell and a serialisation after the
 	// post; the sampler rounds up to the next microsecond.
-	if d := fires[0] - posted - cfg.RTO; d < 0 || d > 20*time.Microsecond {
-		t.Errorf("first RTO %v after the post, want one RTO (%v) plus the time to transmit", fires[0]-posted, cfg.RTO)
+	if d := fires[0] - posted - rto; d < 0 || d > 20*time.Microsecond {
+		t.Errorf("first RTO %v after the post, want one RTO (%v) plus the time to transmit", fires[0]-posted, rto)
 	}
 	for i := 1; i < len(fires); i++ {
-		if d := fires[i] - fires[i-1]; d != cfg.RTO {
-			t.Errorf("RTO fire %d came %v after fire %d, want %v", i, d, i-1, cfg.RTO)
+		if d := fires[i] - fires[i-1]; d != rto {
+			t.Errorf("RTO fire %d came %v after fire %d, want %v", i, d, i-1, rto)
 		}
 	}
 }

@@ -116,7 +116,7 @@ type SRQ struct {
 
 // CreateSRQ creates a shared receive queue.
 func (d *Device) CreateSRQ() *SRQ {
-	d.sched.Sleep(d.cfg.CreateCQLat)
+	d.sched.Sleep(createCQLat)
 	s := &SRQ{Handle: d.allocID(), dev: d}
 	d.srqs[s.Handle] = s
 	return s
@@ -130,13 +130,13 @@ func (s *SRQ) Len() int { return s.rq.Len() }
 
 // DestroySRQ releases the SRQ.
 func (d *Device) DestroySRQ(s *SRQ) {
-	d.sched.Sleep(d.cfg.DestroyLat)
+	d.sched.Sleep(destroyLat)
 	delete(d.srqs, s.Handle)
 }
 
 // CreateQP creates a queue pair in the RESET state.
 func (d *Device) CreateQP(pd *PD, typ QPType, sendCQ, recvCQ *CQ, srq *SRQ, caps QPCaps) *QP {
-	d.sched.Sleep(d.cfg.CreateQPLat)
+	d.sched.Sleep(CreateQPLat)
 	if caps.MaxSend == 0 {
 		caps.MaxSend = 128
 	}
@@ -167,7 +167,7 @@ func (d *Device) CreateQP(pd *PD, typ QPType, sendCQ, recvCQ *CQ, srq *SRQ, caps
 
 // DestroyQP tears a queue pair down.
 func (d *Device) DestroyQP(qp *QP) {
-	d.sched.Sleep(d.cfg.DestroyLat)
+	d.sched.Sleep(destroyLat)
 	qp.closed = true
 	qp.rtoTimer.Cancel()
 	delete(d.qps, qp.QPN)
@@ -202,13 +202,13 @@ func (qp *QP) Modify(attr ModifyAttr) error {
 		if qp.state != StateReset {
 			return fmt.Errorf("rnic: %v→INIT invalid", qp.state)
 		}
-		d.sched.Sleep(d.cfg.ModifyInitLat)
+		d.sched.Sleep(ModifyInitLat)
 		qp.state = StateInit
 	case StateRTR:
 		if qp.state != StateInit {
 			return fmt.Errorf("rnic: %v→RTR invalid", qp.state)
 		}
-		d.sched.Sleep(d.cfg.ModifyRTRLat)
+		d.sched.Sleep(ModifyRTRLat)
 		if qp.Type == RC {
 			if attr.RemoteNode == "" {
 				return fmt.Errorf("rnic: RC RTR requires a remote endpoint")
@@ -221,15 +221,15 @@ func (qp *QP) Modify(attr ModifyAttr) error {
 		if qp.state != StateRTR {
 			return fmt.Errorf("rnic: %v→RTS invalid", qp.state)
 		}
-		d.sched.Sleep(d.cfg.ModifyRTSLat)
+		d.sched.Sleep(ModifyRTSLat)
 		qp.state = StateRTS
 	case StateError:
-		d.sched.Sleep(d.cfg.ModifyInitLat)
+		d.sched.Sleep(ModifyInitLat)
 		qp.enterError()
 	case StateReset:
 		// Resetting a live QP is slow (paper §3.2 rejects QP reuse via
 		// reset partly for this reason).
-		d.sched.Sleep(d.cfg.ResetQPLat)
+		d.sched.Sleep(ResetQPLat)
 		qp.reset()
 	default:
 		return fmt.Errorf("rnic: unsupported target state %v", attr.State)
@@ -435,8 +435,8 @@ func (qp *QP) armRTO() {
 	if qp.Type == RC && qp.state == StateRTS {
 		for _, e := range qp.sq {
 			if e.state == sqSent {
-				qp.rtoDue = qp.dev.sched.Now() + qp.dev.cfg.RTO
-				qp.dev.sched.Rearm(&qp.rtoTimer, qp.dev.cfg.RTO, fireRTO, qp)
+				qp.rtoDue = qp.dev.sched.Now() + rto
+				qp.dev.sched.Rearm(&qp.rtoTimer, rto, fireRTO, qp)
 				return
 			}
 		}
@@ -490,7 +490,7 @@ func (qp *QP) rnrRetry() {
 		return
 	}
 	qp.rnrBackoff = true
-	qp.dev.sched.AfterFuncArg(qp.dev.cfg.RNRDelay, fireRNRResume, qp)
+	qp.dev.sched.AfterFuncArg(rnrDelay, fireRNRResume, qp)
 }
 
 // rnrResume ends the RNR back-off window and restarts transmission.

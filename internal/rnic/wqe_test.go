@@ -119,7 +119,7 @@ func TestRecycledWQEsSurviveRecovery(t *testing.T) {
 		depth = 8
 		slot  = 8192
 	)
-	r := newRig(t, Config{RNRDelay: 20 * time.Microsecond}, func(r *rig) {
+	r := newRig(t, Config{}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 1<<20)
 		mrB := r.b.regMR(t, 0x100000, 1<<20)
 		r.a.dev.Metrics().Listen(func(e metrics.Event) error {

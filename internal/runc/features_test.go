@@ -222,15 +222,13 @@ func TestWBSTimeoutPathUnderHeavyLoss(t *testing.T) {
 	// Effectively-infinite transport retries keep the QPs alive through
 	// the loss burst (rnr_retry=7 semantics), so the drain stalls
 	// instead of erroring out.
-	cl := cluster.New(cluster.Config{Seed: 7, NIC: rnic.Config{MaxRetries: 1 << 30}}, "src", "dst", "partner")
+	cl := cluster.New(cluster.Config{Seed: 7, NIC: rnic.Config{MaxRetries: rnic.UnlimitedRetries}}, "src", "dst", "partner")
 	tb := &testbed{cl: cl, daemons: map[string]*core.Daemon{}}
 	for _, n := range []string{"src", "dst", "partner"} {
 		tb.daemons[n] = core.NewDaemon(cl.Host(n))
 	}
-	wbs := core.DefaultWBSConfig()
-	wbs.Timeout = 2 * time.Millisecond
 	for _, d := range tb.daemons {
-		d.SetWBSConfig(wbs)
+		d.SetWBSTimeout(2 * time.Millisecond)
 	}
 	// Endless traffic so the send window is in flight when suspension
 	// lands.

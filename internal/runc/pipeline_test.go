@@ -263,9 +263,8 @@ func TestMonolithicEmptyPrecopyShortCircuit(t *testing.T) {
 			}
 		})
 		tb.cl.Sched.Sleep(time.Millisecond)
-		o := DefaultMigrateOptions()
-		o.DirtyPageThreshold = 16 // below the 256 device pages
-		m := &Migrator{C: cont, Dst: tb.cl.Host("dst"), Opts: o}
+		// dirtyPageThreshold is below the 256 device pages.
+		m := &Migrator{C: cont, Dst: tb.cl.Host("dst"), Opts: DefaultMigrateOptions()}
 		rep, mErr = m.Migrate()
 		p.Exit()
 	})

@@ -7,6 +7,7 @@ import (
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
+	"migrrdma/internal/criu"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/task"
@@ -150,14 +151,14 @@ func TestMonolithicBlackoutIsTheSequentialSum(t *testing.T) {
 		t.Fatalf("migration: %v (report %v)", mErr, rep)
 	}
 	c := src.CRIU.Config()
-	walk := c.DumpPerVMA // pow(1 VMA, exponent) = 1
+	walk := criu.DumpPerVMA // pow(1 VMA, exponent) = 1
 	for _, tc := range []struct {
 		name      string
 		got, want time.Duration
 	}{
-		{"DumpOthers", rep.DumpOthers, c.DumpBase + walk + dirty*c.DumpPerPage},
+		{"DumpOthers", rep.DumpOthers, c.DumpBase + walk + dirty*criu.DumpPerPage},
 		{"Transfer", rep.Transfer, wireFinal},
-		{"FullRestore", rep.FullRestore, dirty*c.RestPerPage + c.RemapLat + c.ThawLat},
+		{"FullRestore", rep.FullRestore, dirty*criu.RestPerPage + criu.RemapLat + c.ThawLat},
 		{"ServiceBlackout", rep.ServiceBlackout, c.FreezeLat + rep.Blackout()},
 	} {
 		if tc.got != tc.want {

@@ -99,8 +99,8 @@ const (
 	// ships it as one chunk, then applies it — dump, wire time, and
 	// apply sum — for a fixed budget of pre-copy iterations.
 	TransferMonolithic TransferMode = iota
-	// TransferPipelined streams chunk-sized page batches over K
-	// concurrent link streams while the destination applies chunks as
+	// TransferPipelined streams chunk-sized page batches over
+	// pagechan.Streams concurrent link streams while the destination applies chunks as
 	// they land, with zero-page and duplicate-page elision and adaptive
 	// pre-copy convergence.
 	TransferPipelined
@@ -120,19 +120,14 @@ type MigrateOptions struct {
 	// restore (§3.2); disabling it reproduces the paper's baseline that
 	// restores RDMA inside the blackout.
 	PreSetup bool
-	// MaxPreCopyIters bounds the dirty-page iterations (write-heavy
-	// RDMA workloads never converge, as on real systems).
-	MaxPreCopyIters int
-	// DirtyPageThreshold stops iterating when a diff is this small.
-	DirtyPageThreshold int
 	// Cutover selects the blackout-traffic strategy; the zero value is
 	// the paper's go-back-N cutover.
 	Cutover CutoverMode
 	// Transfer selects the page channel's preset (internal/pagechan
 	// carries every round in both); the zero value is the paper's
 	// monolithic dump-then-send workflow. Pipelined mode replaces the
-	// MaxPreCopyIters bound with the channel's adaptive convergence
-	// controller (DirtyPageThreshold remains the convergence floor).
+	// maxPreCopyIters bound with the channel's adaptive convergence
+	// controller (dirtyPageThreshold remains the convergence floor).
 	Transfer TransferMode
 	// ChunkPages is the page-channel chunk size in pages; 0 takes
 	// pagechan.DefaultChunkPages. A monolithic round is one chunk
@@ -142,8 +137,17 @@ type MigrateOptions struct {
 
 // DefaultMigrateOptions mirrors the paper's configuration.
 func DefaultMigrateOptions() MigrateOptions {
-	return MigrateOptions{PreSetup: true, MaxPreCopyIters: 3, DirtyPageThreshold: 64}
+	return MigrateOptions{PreSetup: true}
 }
+
+// Pre-copy's limits in both transfer modes.
+const (
+	// maxPreCopyIters bounds the monolithic dirty-page iterations
+	// (write-heavy RDMA workloads never converge, as on real systems).
+	maxPreCopyIters = 3
+	// dirtyPageThreshold stops iterating when a diff is this small.
+	dirtyPageThreshold = 64
+)
 
 // Report is the outcome of one migration, with the Fig. 3 blackout
 // breakdown.
@@ -364,12 +368,12 @@ func (m *Migrator) migrateProc(p *task.Process, plug *core.Plugin, moveContainer
 	// Every round of pages leaves through the page channel; the transfer
 	// mode only picks the channel's parameters (DESIGN.md §12).
 	cfg := pagechan.Config{ChunkPages: m.Opts.ChunkPages, Metrics: src.Metrics, MigID: m.ID}
-	ctl := pagechan.NewController(m.Opts.DirtyPageThreshold)
+	ctl := pagechan.NewController(dirtyPageThreshold)
 	if m.Opts.Transfer == TransferMonolithic {
 		// The paper's workflow: whole rounds, and a fixed iteration
 		// budget in place of the shrink test.
 		cfg.Monolithic = true
-		ctl.MaxIters, ctl.Epsilon = m.Opts.MaxPreCopyIters, math.Inf(-1)
+		ctl.MaxIters, ctl.Epsilon = maxPreCopyIters, math.Inf(-1)
 	}
 	pchan := pagechan.NewSession(sched, src, dst.Name, cfg)
 

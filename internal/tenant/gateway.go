@@ -133,16 +133,16 @@ func NewGateway(sched *sim.Scheduler, name string, opts Options, target Target) 
 
 // Arena layout: lane request ring, then lane response receive ring.
 func (g *Gateway) txSlot(lane, idx int) mem.Addr {
-	return tenantArena + mem.Addr((lane*g.Opts.LaneDepth+idx)*g.Opts.MsgSize)
+	return tenantArena + mem.Addr((lane*g.Opts.LaneDepth+idx)*msgSize)
 }
 
 func (g *Gateway) rxSlot(lane, idx int) mem.Addr {
-	base := g.Opts.Lanes * g.Opts.LaneDepth * g.Opts.MsgSize
-	return tenantArena + mem.Addr(base+(lane*g.Opts.recvDepth()+idx)*g.Opts.MsgSize)
+	base := g.Opts.Lanes * g.Opts.LaneDepth * msgSize
+	return tenantArena + mem.Addr(base+(lane*g.Opts.recvDepth()+idx)*msgSize)
 }
 
 func (g *Gateway) arenaSize() uint64 {
-	return uint64(g.Opts.Lanes * (g.Opts.LaneDepth + g.Opts.recvDepth()) * g.Opts.MsgSize)
+	return uint64(g.Opts.Lanes * (g.Opts.LaneDepth + g.Opts.recvDepth()) * msgSize)
 }
 
 // Run is the gateway process main: map the arena, connect the lanes,
@@ -192,7 +192,7 @@ func (g *Gateway) attach(d *core.Daemon) {
 		}
 		for i := 0; i < o.recvDepth(); i++ {
 			wr := rnic.RecvWR{WRID: laneWRID(lane, i), SGEs: []rnic.SGE{{
-				Addr: g.rxSlot(lane, i), Len: uint32(o.MsgSize), LKey: g.mr.LKey(),
+				Addr: g.rxSlot(lane, i), Len: uint32(msgSize), LKey: g.mr.LKey(),
 			}}}
 			if err := qp.PostRecv(wr); err != nil {
 				panic(err)
@@ -489,7 +489,7 @@ func (g *Gateway) post(s *TenantSession, claimed uint32) error {
 	if err := writeHeader(g.Sess.Proc.AS, addr, h); err != nil {
 		return err
 	}
-	g.sge[0] = rnic.SGE{Addr: addr, Len: uint32(o.MsgSize), LKey: g.mr.LKey()}
+	g.sge[0] = rnic.SGE{Addr: addr, Len: uint32(msgSize), LKey: g.mr.LKey()}
 	wr := rnic.SendWR{WRID: g.laneSent[lane], Opcode: rnic.OpSend, Signaled: true, SGEs: g.sge[:]}
 	if err := g.lanes[lane].PostSend(wr); err != nil {
 		return err
@@ -531,7 +531,7 @@ func (g *Gateway) complete(e rnic.CQE) {
 	g.laneInflight[lane]--
 	// Repost before accounting so the service can never overrun the
 	// response ring.
-	g.sge[0] = rnic.SGE{Addr: addr, Len: uint32(g.Opts.MsgSize), LKey: g.mr.LKey()}
+	g.sge[0] = rnic.SGE{Addr: addr, Len: uint32(msgSize), LKey: g.mr.LKey()}
 	if err := g.lanes[lane].PostRecv(rnic.RecvWR{WRID: e.WRID, SGEs: g.sge[:]}); err != nil {
 		g.Stats.errf("repost recv: %v", err)
 	}

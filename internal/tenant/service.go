@@ -100,21 +100,21 @@ func NewService(sched *sim.Scheduler, name string, opts Options) *Service {
 
 // Arena layout: lane receive ring, lane response ring, tenant slices.
 func (s *Service) rxSlot(lane, idx int) mem.Addr {
-	return tenantArena + mem.Addr((lane*s.Opts.recvDepth()+idx)*s.Opts.MsgSize)
+	return tenantArena + mem.Addr((lane*s.Opts.recvDepth()+idx)*msgSize)
 }
 
 func (s *Service) txSlot(lane, idx int) mem.Addr {
-	base := s.Opts.Lanes * s.Opts.recvDepth() * s.Opts.MsgSize
-	return tenantArena + mem.Addr(base+(lane*s.Opts.recvDepth()+idx)*s.Opts.MsgSize)
+	base := s.Opts.Lanes * s.Opts.recvDepth() * msgSize
+	return tenantArena + mem.Addr(base+(lane*s.Opts.recvDepth()+idx)*msgSize)
 }
 
 func (s *Service) sliceAddr(i int) mem.Addr {
-	base := 2 * s.Opts.Lanes * s.Opts.recvDepth() * s.Opts.MsgSize
+	base := 2 * s.Opts.Lanes * s.Opts.recvDepth() * msgSize
 	return tenantArena + mem.Addr(base+i*sliceSize)
 }
 
 func (s *Service) arenaSize() uint64 {
-	return uint64(2*s.Opts.Lanes*s.Opts.recvDepth()*s.Opts.MsgSize + s.capSess*sliceSize)
+	return uint64(2*s.Opts.Lanes*s.Opts.recvDepth()*msgSize + s.capSess*sliceSize)
 }
 
 // Run is the service process main: map the arena, set up the shared
@@ -216,7 +216,7 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 		}
 		for i := 0; i < o.recvDepth(); i++ {
 			wr := rnic.RecvWR{WRID: laneWRID(lane, i), SGEs: []rnic.SGE{{
-				Addr: s.rxSlot(lane, i), Len: uint32(o.MsgSize), LKey: s.mr.LKey(),
+				Addr: s.rxSlot(lane, i), Len: uint32(msgSize), LKey: s.mr.LKey(),
 			}}}
 			if err := qp.PostRecv(wr); err != nil {
 				return codec.MustEncode(attachResp{Err: err.Error()})
@@ -311,7 +311,7 @@ func (s *Service) consume(e rnic.CQE) {
 	status := s.admit(h)
 	s.respond(lane, h, status)
 	// Repost the consumed receive.
-	s.sge[0] = rnic.SGE{Addr: addr, Len: uint32(s.Opts.MsgSize), LKey: s.mr.LKey()}
+	s.sge[0] = rnic.SGE{Addr: addr, Len: uint32(msgSize), LKey: s.mr.LKey()}
 	wr := rnic.RecvWR{WRID: e.WRID, SGEs: s.sge[:]}
 	if err := s.lanes[lane].PostRecv(wr); err != nil {
 		s.Stats.errf("repost recv: %v", err)

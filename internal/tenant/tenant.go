@@ -49,9 +49,6 @@ type Options struct {
 	Lanes int
 	// LaneDepth bounds the unacknowledged requests in flight per lane.
 	LaneDepth int
-	// MsgSize is the wire size of one request/response message. The
-	// first 32 bytes are the tenancy header.
-	MsgSize int
 	// Credits is the per-tenant admission bucket capacity. Each data
 	// operation spends one credit; an empty bucket queues the operation.
 	Credits int
@@ -74,12 +71,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.LaneDepth == 0 {
 		o.LaneDepth = 32
-	}
-	if o.MsgSize == 0 {
-		o.MsgSize = 128
-	}
-	if o.MsgSize < headerSize {
-		o.MsgSize = headerSize
 	}
 	if o.Credits == 0 {
 		o.Credits = 32
@@ -105,8 +96,12 @@ const tenantArena = mem.Addr(0x20_0000_0000)
 // writes land in.
 const sliceSize = 64
 
-// headerSize is the tenancy header at the front of every message.
-const headerSize = 32
+const (
+	// msgSize is the wire size of one request/response message.
+	msgSize = 128
+	// headerSize is the tenancy header at the front of every message.
+	headerSize = 32
+)
 
 // Message kinds.
 const (

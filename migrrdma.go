@@ -59,7 +59,8 @@ type (
 	Container = runc.Container
 	// Migrator drives one live migration.
 	Migrator = runc.Migrator
-	// MigrateOptions tunes a migration (pre-setup, pre-copy rounds).
+	// MigrateOptions tunes a migration (pre-setup, cutover mode,
+	// transfer mode, chunk size).
 	MigrateOptions = runc.MigrateOptions
 	// MigrationReport is the per-phase outcome of a migration.
 	MigrationReport = runc.Report
@@ -126,5 +127,5 @@ func NewContainer(t *Testbed, host, name string) *Container {
 func NewPlugin(src, dst *Daemon) *core.Plugin { return core.NewPlugin(src, dst) }
 
 // DefaultMigrateOptions mirrors the paper's configuration (pre-setup
-// on, up to three pre-copy iterations).
+// on, go-back-N cutover, monolithic transfer).
 func DefaultMigrateOptions() MigrateOptions { return runc.DefaultMigrateOptions() }
