@@ -8,10 +8,12 @@ build:
 	$(GO) build ./...
 
 # bench/ is a module of its own, so ./... does not reach it; it compiles
-# against the rnic, fabric, pagechan and runc option types.
+# against the rnic, fabric, pagechan and runc option types. gofmt -l
+# walks both modules and names every file it would rewrite.
 vet:
 	$(GO) vet ./...
 	cd bench && $(GO) vet .
+	@files=$$(gofmt -l .); test -z "$$files" || { echo "gofmt -l:" $$files >&2; exit 1; }
 
 test: build
 	$(GO) test ./...

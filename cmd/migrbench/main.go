@@ -106,9 +106,10 @@ func run(args []string, out, errOut io.Writer) int {
 			printRows(out, rows)
 			return err
 		}},
-		{"migros", "§6 — MigrOS vs MigrRDMA blackout analysis", func(out io.Writer) error {
-			printRows(out, experiments.MigrOSCompare(qps))
-			return nil
+		{"migros", "§6 — MigrOS vs MigrRDMA blackout on the Fig. 3 migration", func(out io.Writer) error {
+			rows, err := experiments.MigrOSCompare(qps)
+			printRows(out, rows)
+			return err
 		}},
 		{"ablation-keytable", "Ablation — dense key array vs LubeRDMA linked list", func(out io.Writer) error {
 			printRows(out, experiments.AblationKeyTable([]int{4, 32, 128, 1024}))

@@ -38,7 +38,7 @@ func TestCheapestExperiments(t *testing.T) {
 		args        []string
 		banner, row string
 	}{
-		{[]string{"-exp", "migros", "-qps", "16"}, "════ §6 — MigrOS vs MigrRDMA blackout analysis ════", "QPs=16 "},
+		{[]string{"-exp", "ablation-wbs", "-qps", "16"}, "════ Ablation — wait-before-stop vs drop-and-replay ════", "QPs=16 "},
 		{[]string{"-exp", "latency"}, "════ Per-op latency across a live migration", "ops="},
 	} {
 		code, out, errOut := drive(c.args...)

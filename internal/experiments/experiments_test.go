@@ -227,11 +227,35 @@ func TestMigrationUnderLossStillCorrect(t *testing.T) {
 	}
 }
 
+// TestMigrOSCompareRows: §6 on measured rows. MigrRDMA's side is the
+// Fig. 3 pre-setup sender migration to the nanosecond; MigrOS waits as
+// long, its blackout is longer, and the gap grows with QPs (PAPER.md,
+// the MigrOS row).
 func TestMigrOSCompareRows(t *testing.T) {
-	for _, r := range MigrOSCompare([]int{16, 256, 4096}) {
-		t.Logf("%s", r)
-		if r.MigrOS.Total() <= r.MigrRDMA.Total() {
-			t.Error("MigrOS should have the longer blackout")
+	var gaps []time.Duration
+	for _, run := range []func() (Fig3Row, error){
+		fig3Send16PreSetup,
+		func() (Fig3Row, error) { return Fig3(256, true, true) },
+	} {
+		f, err := run()
+		if err != nil {
+			t.Fatal(err)
 		}
+		r := migrOSRow(f)
+		t.Logf("%s", r)
+		if r.MigrRDMA.Transfer != f.ServiceBlackout || r.MigrRDMA.Total() != f.CommBlackout {
+			t.Errorf("QPs=%d: MigrRDMA transfer/total %v/%v, the run measured %v/%v",
+				f.QPs, r.MigrRDMA.Transfer, r.MigrRDMA.Total(), f.ServiceBlackout, f.CommBlackout)
+		}
+		if r.MigrOS.Wait != r.MigrRDMA.Wait {
+			t.Errorf("QPs=%d: wait differs: MigrOS %v, MigrRDMA %v", f.QPs, r.MigrOS.Wait, r.MigrRDMA.Wait)
+		}
+		if r.MigrOS.Total() <= r.MigrRDMA.Total() {
+			t.Errorf("QPs=%d: MigrOS %v not longer than MigrRDMA %v", f.QPs, r.MigrOS.Total(), r.MigrRDMA.Total())
+		}
+		gaps = append(gaps, r.MigrOS.Total()-r.MigrRDMA.Total())
+	}
+	if gaps[1] <= gaps[0] {
+		t.Errorf("gap did not grow from 16 to 256 QPs: %v, %v", gaps[0], gaps[1])
 	}
 }

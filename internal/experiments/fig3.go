@@ -21,6 +21,12 @@ type Fig3Row struct {
 	RestoreRDMA time.Duration
 	FullRestore time.Duration
 	Blackout    time.Duration
+
+	// ServiceBlackout is freeze→thaw and CommBlackout suspension→
+	// resumption (runc.Report); the figure does not print them, §6
+	// reads them.
+	ServiceBlackout time.Duration
+	CommBlackout    time.Duration
 }
 
 // String renders a table row.
@@ -97,6 +103,7 @@ func Fig3(n int, sender, preSetup bool) (_ Fig3Row, err error) {
 		DumpRDMA: rep.DumpRDMA, DumpOthers: rep.DumpOthers,
 		Transfer: rep.Transfer, RestoreRDMA: rep.RestoreRDMA,
 		FullRestore: rep.FullRestore, Blackout: rep.Blackout(),
+		ServiceBlackout: rep.ServiceBlackout, CommBlackout: rep.CommBlackout,
 	}, nil
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 func TestFig3SmokeSender(t *testing.T) {
-	with, err := Fig3(16, true, true)
+	with, err := fig3Send16PreSetup()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,21 +43,20 @@ type fig6Rig struct {
 
 func newFig6Rig(withBackup bool) *fig6Rig {
 	r := NewRig(23, "master", "datanode", "w1", "w2", "spare")
-	cfg := hdfs.DefaultMasterConfig()
 	f := &fig6Rig{rig: r}
-	f.master = hdfs.NewMaster(r.CL.Sched, r.CL.Host("master").Hub, cfg)
+	f.master = hdfs.NewMaster(r.CL.Sched, r.CL.Host("master").Hub)
 	dn := hdfs.NewDataNode(r.CL.Sched, "dn0")
 	dnCont := runc.NewContainer(r.CL.Host("datanode"), "dn")
 	dnCont.Start(func(p *task.Process) { dn.Run(p, r.Daemons["datanode"]) })
 
-	f.worker = hdfs.NewWorker(r.CL.Sched, "w1", "master", "datanode", "dn0", cfg)
+	f.worker = hdfs.NewWorker(r.CL.Sched, "w1", "master", "datanode", "dn0")
 	f.wCont = runc.NewContainer(r.CL.Host("w1"), "worker")
 	r.CL.Sched.Go("start-worker", func() {
 		dn.WaitReady()
 		f.wCont.Start(func(p *task.Process) { f.worker.Run(p, r.Daemons["w1"]) })
 	})
 	if withBackup {
-		f.backup = hdfs.NewWorker(r.CL.Sched, "w2", "master", "datanode", "dn0", cfg)
+		f.backup = hdfs.NewWorker(r.CL.Sched, "w2", "master", "datanode", "dn0")
 		bCont := runc.NewContainer(r.CL.Host("w2"), "backup")
 		r.CL.Sched.Go("start-backup", func() {
 			dn.WaitReady()

@@ -14,6 +14,7 @@ import (
 // Rows that more than one test reads are simulated once per test binary.
 var (
 	fig3Send16NoPreSetup = sync.OnceValues(func() (Fig3Row, error) { return Fig3(16, true, false) })
+	fig3Send16PreSetup   = sync.OnceValues(func() (Fig3Row, error) { return Fig3(16, true, true) })
 	fig5Sender           = sync.OnceValues(func() (Fig5Result, error) { return Fig5(true) })
 	table4Rows           = sync.OnceValue(Table4)
 	fig6PiBaseline       = sync.OnceValues(func() (Fig6Row, error) { return Fig6(hdfs.EstimatePI, "baseline") })
@@ -51,6 +52,8 @@ var (
 // The four ablation rows, captured at commit 45b1014, pin the analytic
 // ablations: pure functions of rnic's QP command latencies and
 // fabric.LinkRate, rendered in Go syntax so every nanosecond shows.
+// The §6 row, captured at the change that built it on the Fig. 3
+// migration, pins MigrRDMA's measured side and MigrOS's modelled one.
 func TestRowsUnchangedByTheRunner(t *testing.T) {
 	row := func(r any, err error) (string, error) { return fmt.Sprint(r), err }
 	exact := func(r any) (string, error) { return fmt.Sprintf("%#v", r), nil }
@@ -110,6 +113,11 @@ func TestRowsUnchangedByTheRunner(t *testing.T) {
 			"experiments.PartnerPreSetupRow{QPs:64, SpareQPBrownout:57600000, SpareQPBlackout:128000, ResetReuseBlackout:105600000}"},
 		{"ablation partner 1024", func() (string, error) { return exact(AblationPartnerPreSetup([]int{1024})[0]) },
 			"experiments.PartnerPreSetupRow{QPs:1024, SpareQPBrownout:921600000, SpareQPBlackout:2048000, ResetReuseBlackout:1689600000}"},
+		{"migros 16", func() (string, error) {
+			f, err := fig3Send16PreSetup()
+			return row(migrOSRow(f), err)
+		},
+			"QPs=16    MigrOS: wait=361µs xfer=129.545ms total=129.906ms | MigrRDMA: wait=361µs xfer=127.544ms total=127.906ms  gap=+1.6%"},
 	} {
 		got, err := c.run()
 		if err != nil {

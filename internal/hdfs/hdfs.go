@@ -81,32 +81,24 @@ type JobResult struct {
 
 // --- Master -------------------------------------------------------------------
 
-// MasterConfig tunes failure detection.
-type MasterConfig struct {
-	HeartbeatEvery time.Duration
-	// DetectAfter is how long without heartbeats before the worker is
+// Failure detection, with Hadoop-like settings.
+const (
+	// heartbeatEvery is the worker's heartbeat period and the master's
+	// check period.
+	heartbeatEvery = 1 * time.Second
+	// detectAfter is how long without heartbeats before the worker is
 	// declared dead (Hadoop-style conservative timeout).
-	DetectAfter time.Duration
-	// RecoveryLat models the backup reading the task log and re-staging
+	detectAfter = 10 * time.Second
+	// recoveryLat models the backup reading the task log and re-staging
 	// the task runtime.
-	RecoveryLat time.Duration
-}
-
-// DefaultMasterConfig mirrors Hadoop-like settings.
-func DefaultMasterConfig() MasterConfig {
-	return MasterConfig{
-		HeartbeatEvery: 1 * time.Second,
-		DetectAfter:    10 * time.Second,
-		RecoveryLat:    2 * time.Second,
-	}
-}
+	recoveryLat = 2 * time.Second
+)
 
 // Master coordinates jobs, tracks per-unit progress logs and drives
 // failover.
 type Master struct {
 	sched *sim.Scheduler
 	ep    *oob.Endpoint
-	cfg   MasterConfig
 
 	workers map[string]*workerState
 	job     *jobState
@@ -133,11 +125,10 @@ type jobState struct {
 }
 
 // NewMaster starts a master on a host's hub.
-func NewMaster(sched *sim.Scheduler, hub *oob.Hub, cfg MasterConfig) *Master {
+func NewMaster(sched *sim.Scheduler, hub *oob.Hub) *Master {
 	m := &Master{
 		sched:   sched,
 		ep:      hub.Endpoint("hdfs-master"),
-		cfg:     cfg,
 		workers: make(map[string]*workerState),
 	}
 	m.ep.Handle("register", m.hRegister)
@@ -240,7 +231,7 @@ func (m *Master) Wait() JobResult {
 // job (as Hadoop would without speculative execution).
 func (m *Master) MonitorFailover(backup string) {
 	for {
-		m.sched.Sleep(m.cfg.HeartbeatEvery)
+		m.sched.Sleep(heartbeatEvery)
 		j := m.job
 		if j == nil || j.finished {
 			return
@@ -249,7 +240,7 @@ func (m *Master) MonitorFailover(backup string) {
 		if !ok {
 			continue
 		}
-		if m.sched.Now()-w.lastBeat < m.cfg.DetectAfter {
+		if m.sched.Now()-w.lastBeat < detectAfter {
 			continue
 		}
 		// Declared dead: recover on the backup from the task log.
@@ -257,7 +248,7 @@ func (m *Master) MonitorFailover(backup string) {
 		if !ok {
 			panic("hdfs: no backup worker " + backup)
 		}
-		m.sched.Sleep(m.cfg.RecoveryLat)
+		m.sched.Sleep(recoveryLat)
 		j.worker = backup
 		j.failedOv = true
 		done := make([]bool, len(j.done))
@@ -283,7 +274,6 @@ type Worker struct {
 
 	Sess *core.Session
 
-	cfg    MasterConfig
 	killed bool
 
 	ready   bool
@@ -310,11 +300,10 @@ type replicaConn struct {
 }
 
 // NewWorker creates a worker descriptor.
-func NewWorker(sched *sim.Scheduler, name, masterNode, dataNode, dataNodeName string, cfg MasterConfig) *Worker {
+func NewWorker(sched *sim.Scheduler, name, masterNode, dataNode, dataNodeName string) *Worker {
 	return &Worker{
 		Name: name, MasterNode: masterNode,
 		DataNode: dataNode, DataNodeName: dataNodeName,
-		cfg:    cfg,
 		readyC: sim.NewCond(sched, "hdfs-worker-ready:"+name),
 	}
 }
@@ -407,7 +396,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 				return
 			}
 			ep.Send(w.MasterNode, "hdfs-master", "heartbeat", codec.MustEncode(heartbeatMsg{Name: w.Name}))
-			sched.Sleep(w.cfg.HeartbeatEvery)
+			sched.Sleep(heartbeatEvery)
 		}
 	})
 

@@ -30,20 +30,19 @@ func newRig(t *testing.T, withBackup bool) *rig {
 	for _, n := range names {
 		r.daemons[n] = core.NewDaemon(cl.Host(n))
 	}
-	cfg := DefaultMasterConfig()
-	r.master = NewMaster(cl.Sched, cl.Host("master").Hub, cfg)
+	r.master = NewMaster(cl.Sched, cl.Host("master").Hub)
 	r.dn = NewDataNode(cl.Sched, "dn0")
 	dnCont := runc.NewContainer(cl.Host("datanode"), "dn")
 	dnCont.Start(func(p *task.Process) { r.dn.Run(p, r.daemons["datanode"]) })
 
-	r.worker = NewWorker(cl.Sched, "w1", "master", "datanode", "dn0", cfg)
+	r.worker = NewWorker(cl.Sched, "w1", "master", "datanode", "dn0")
 	r.wCont = runc.NewContainer(cl.Host("w1"), "worker")
 	cl.Sched.Go("start-worker", func() {
 		r.dn.WaitReady()
 		r.wCont.Start(func(p *task.Process) { r.worker.Run(p, r.daemons["w1"]) })
 	})
 	if withBackup {
-		r.backup = NewWorker(cl.Sched, "w2", "master", "datanode", "dn0", cfg)
+		r.backup = NewWorker(cl.Sched, "w2", "master", "datanode", "dn0")
 		bCont := runc.NewContainer(cl.Host("w2"), "backup")
 		cl.Sched.Go("start-backup", func() {
 			r.dn.WaitReady()
@@ -177,12 +176,11 @@ func TestDFSIOWithReplication(t *testing.T) {
 	for _, n := range names {
 		daemons[n] = core.NewDaemon(cl.Host(n))
 	}
-	cfg := DefaultMasterConfig()
-	master := NewMaster(cl.Sched, cl.Host("master").Hub, cfg)
+	master := NewMaster(cl.Sched, cl.Host("master").Hub)
 	dnA, dnB := NewDataNode(cl.Sched, "dnA"), NewDataNode(cl.Sched, "dnB")
 	runc.NewContainer(cl.Host("dn1"), "a").Start(func(p *task.Process) { dnA.Run(p, daemons["dn1"]) })
 	runc.NewContainer(cl.Host("dn2"), "b").Start(func(p *task.Process) { dnB.Run(p, daemons["dn2"]) })
-	w := NewWorker(cl.Sched, "w1", "master", "dn1", "dnA", cfg)
+	w := NewWorker(cl.Sched, "w1", "master", "dn1", "dnA")
 	w.Replicas = []Replica{{Node: "dn2", Name: "dnB"}}
 	runc.NewContainer(cl.Host("w1"), "w").Start(func(p *task.Process) {
 		dnA.WaitReady()

@@ -3,67 +3,41 @@
 // are extracted from and injected into the NIC through a TCP_REPAIR-like
 // hardware interface, and QPs are moved through a new STOP state.
 //
-// The paper argues (and this model reproduces) that the waiting and
-// replaying steps of stop-and-copy cost the same for both systems —
-// their bottleneck is draining in-flight bytes at link rate — while the
-// state-transfer step differs: MigrOS pays per-QP hardware extraction,
-// STOP transitions and injection, whereas MigrRDMA's metadata already
-// lives in host memory and rides the existing memory migration path.
-// MigrOS's blackout is therefore strictly longer, and the gap grows
-// with the number of QPs.
+// The paper argues that the waiting and replaying steps of
+// stop-and-copy cost the same for both systems — their bottleneck is
+// draining in-flight bytes at link rate — while the state-transfer step
+// differs: MigrOS pays per-QP hardware extraction, STOP transitions and
+// injection, whereas MigrRDMA's metadata already lives in host memory
+// and rides the existing memory migration path.
 //
-// MigrOS has no hardware prototype (the original work validates on
-// SoftRoCE, which the paper rejects for performance comparison), so
-// this is a calibrated analytical model, exactly like §6.
+// MigrRDMA's side is measured: the simulated Fig. 3 migration at the
+// same QP count. MigrOS has no hardware prototype (the original work
+// validates on SoftRoCE, which the paper rejects for performance
+// comparison), so its hardware interface is the one part of §6 that
+// stays a model: the per-QP costs below, added to MigrRDMA's measured
+// breakdown.
 package migros
 
-import "time"
+import (
+	"time"
 
-// Params describes one migration scenario.
-type Params struct {
-	QPs int
-	MRs int
-	// InflightBytes is the wire backlog wait-before-stop (MigrRDMA) or
-	// packet draining (MigrOS) must absorb.
-	InflightBytes int64
-	// ImageBytes is the final stop-and-copy memory image.
-	ImageBytes int64
-	// RDMAStateBytes is the serialized RDMA state per QP.
-	RDMAStateBytes int64
-	// LinkRate in bits per second.
-	LinkRate int64
+	"migrrdma/internal/fabric"
+)
 
-	// MigrOS hardware interface costs (per QP).
-	ExtractPerQP time.Duration // read transport state out of the NIC
-	InjectPerQP  time.Duration // write transport state into the NIC
-	StopPerQP    time.Duration // QP → STOP state transition
+// MigrOS's hardware interface costs, per QP.
+const (
+	extractPerQP = 40 * time.Microsecond // read transport state out of the NIC
+	stopPerQP    = 25 * time.Microsecond // QP → STOP state transition
+	injectPerQP  = 60 * time.Microsecond // write transport state into the NIC
+	// stateBytesPerQP is the serialized transport state that joins the
+	// image transfer.
+	stateBytesPerQP = 512
+)
 
-	// MigrRDMA software costs (per QP) for the same step: metadata is in
-	// host memory, so only the restored QP's doorbell/handles update.
-	UpdatePerQP time.Duration
-
-	// Shared process costs.
-	FreezeThaw time.Duration
-}
-
-// DefaultParams returns testbed-calibrated defaults for n QPs.
-func DefaultParams(n int) Params {
-	return Params{
-		QPs:            n,
-		MRs:            8,
-		InflightBytes:  int64(n) * 64 * 4096,
-		ImageBytes:     64 << 20,
-		RDMAStateBytes: 512,
-		LinkRate:       100e9,
-		ExtractPerQP:   40 * time.Microsecond,
-		InjectPerQP:    60 * time.Microsecond,
-		StopPerQP:      25 * time.Microsecond,
-		UpdatePerQP:    2 * time.Microsecond,
-		FreezeThaw:     3 * time.Millisecond,
-	}
-}
-
-// Breakdown is the three-step stop-and-copy decomposition of §6.
+// Breakdown is the stop-and-copy decomposition of §6, steps 1 and 2.
+// Step 3, replaying what applications posted but the wire never
+// carried, costs the same on both systems, and after thaw it shares the
+// wire with live traffic, so no run measures it as a window.
 type Breakdown struct {
 	// Wait is step 1: reaching a safe state (wait-before-stop for
 	// MigrRDMA, natural packet drain for MigrOS).
@@ -71,40 +45,20 @@ type Breakdown struct {
 	// Transfer is step 2: moving and restoring all states — the service
 	// blackout.
 	Transfer time.Duration
-	// Replay is step 3: re-issuing what applications posted but the
-	// wire never carried.
-	Replay time.Duration
 }
 
-// Total is the communication blackout: all three steps.
-func (b Breakdown) Total() time.Duration { return b.Wait + b.Transfer + b.Replay }
+// Total is the communication blackout.
+func (b Breakdown) Total() time.Duration { return b.Wait + b.Transfer }
 
-// wire returns the time bytes occupy the link.
-func (p Params) wire(bytes int64) time.Duration {
-	return time.Duration(bytes * 8 * int64(time.Second) / p.LinkRate)
-}
-
-// MigrRDMA returns the software-based breakdown.
-func (p Params) MigrRDMA() Breakdown {
+// MigrOS returns MigrOS's breakdown for a migration of qps QPs that
+// MigrRDMA completed as m. Step 1 costs the same: both systems drain
+// the same backlog. Step 2 additionally extracts, stops and injects
+// each QP's NIC state, and the state bytes cross the same link.
+func MigrOS(m Breakdown, qps int) Breakdown {
+	state := int64(qps) * stateBytesPerQP * 8 * int64(time.Second) / fabric.LinkRate
 	return Breakdown{
-		Wait: p.wire(p.InflightBytes),
-		// Metadata travels inside the memory image; the only extra work
-		// is updating handles for each restored QP.
-		Transfer: p.FreezeThaw + p.wire(p.ImageBytes) +
-			time.Duration(p.QPs)*p.UpdatePerQP,
-		Replay: p.wire(p.InflightBytes / 2),
-	}
-}
-
-// MigrOS returns the hardware-assisted breakdown.
-func (p Params) MigrOS() Breakdown {
-	return Breakdown{
-		// Step 1 costs the same: both systems drain the same backlog.
-		Wait: p.wire(p.InflightBytes),
-		// Step 2 additionally extracts, stops and injects per-QP NIC
-		// state, and the state bytes join the transfer.
-		Transfer: p.FreezeThaw + p.wire(p.ImageBytes+int64(p.QPs)*p.RDMAStateBytes) +
-			time.Duration(p.QPs)*(p.ExtractPerQP+p.StopPerQP+p.InjectPerQP),
-		Replay: p.wire(p.InflightBytes / 2),
+		Wait: m.Wait,
+		Transfer: m.Transfer + time.Duration(qps)*(extractPerQP+stopPerQP+injectPerQP) +
+			time.Duration(state),
 	}
 }
