@@ -58,9 +58,11 @@ func sixteenHostDigest(t *testing.T) uint64 {
 	c.Sched.Run()
 
 	hash := fnv.New64a()
+	snap := c.Metrics.Snapshot()
 	for _, name := range c.Names() {
-		rx, tx := c.Net.Bytes(name)
-		fmt.Fprintf(hash, "%s done=%d rx=%d tx=%d\n", name, done[name], rx, tx)
+		rx, _ := snap.Get("fabric/rx_bytes{node=" + name + "}")
+		tx, _ := snap.Get("fabric/tx_bytes{node=" + name + "}")
+		fmt.Fprintf(hash, "%s done=%d rx=%d tx=%d\n", name, done[name], rx.Value, tx.Value)
 	}
 	for r := 0; r < topo.Racks; r++ {
 		up, down := c.Net.UplinkBytes(r)

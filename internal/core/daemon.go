@@ -777,7 +777,8 @@ func (d *Daemon) fetchRKey(node string, rqpn, vrkey uint32) (uint32, error) {
 }
 
 // fetchQPN resolves a (node, virtual QPN) to its current node and
-// physical QPN, following at most one relocation redirect.
+// physical QPN, following at most two relocation redirects: a process
+// migrated A→B→C leaves one on A and one on B.
 func (d *Daemon) fetchQPN(node string, vqpn uint32) (string, uint32, error) {
 	for hops := 0; hops < 3; hops++ {
 		resp, ok := d.call(node, "fetch-qpn", codec.MustEncode(fetchQPNReq{VQPN: vqpn}))

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -92,6 +93,36 @@ func TestFetchQPNHandlerAndRedirect(t *testing.T) {
 		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("unknown virtual QPN resolved")
+		}
+	})
+	cl.Sched.RunFor(time.Second)
+}
+
+// TestFetchQPNFollowsTwoRedirects: a process migrated a→b→c leaves a
+// movedVQPN redirect on a and on b; fetchQPN follows both to the QP on
+// c. Had it started on z (z→a→b→c), the third redirect is refused.
+func TestFetchQPNFollowsTwoRedirects(t *testing.T) {
+	cl := cluster.New(cluster.Config{Seed: 5}, "peer", "z", "a", "b", "c")
+	defer cl.Close()
+	peer, z := NewDaemon(cl.Host("peer")), NewDaemon(cl.Host("z"))
+	a, b, c := NewDaemon(cl.Host("a")), NewDaemon(cl.Host("b")), NewDaemon(cl.Host("c"))
+	var qp *QP
+	cl.Sched.Go("setup", func() {
+		s := NewSession(task.New(cl.Sched, "p"), c)
+		pd := s.AllocPD()
+		cq := s.CreateCQ(64, nil)
+		qp = s.CreateQP(pd, QPConfig{Type: rnic.RC, SendCQ: cq, RecvCQ: cq})
+	})
+	cl.Sched.RunFor(50 * time.Millisecond)
+	v := qp.VQPN()
+	z.movedVQPN[v], a.movedVQPN[v], b.movedVQPN[v] = "a", "b", "c"
+	cl.Sched.Go("test", func() {
+		node, phys, err := peer.fetchQPN("a", v)
+		if err != nil || node != "c" || phys != qp.v.QPN() {
+			t.Errorf("two redirects: %s %#x %v, want c %#x", node, phys, err, qp.v.QPN())
+		}
+		if _, _, err := peer.fetchQPN("z", v); err == nil || !strings.Contains(err.Error(), "too many redirects") {
+			t.Errorf("three redirects: %v, want too many redirects", err)
 		}
 	})
 	cl.Sched.RunFor(time.Second)

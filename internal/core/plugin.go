@@ -12,7 +12,9 @@ import (
 // Plugin is the MigrRDMA CRIU plugin (§4): it checkpoints the
 // indirection layer on the source and rebuilds equivalent RDMA
 // communications on the destination using the Table-3 restore calls.
-// One Plugin instance drives one migration.
+// One Plugin instance drives one migration. runc calls its dump and
+// restore hooks around criu's own, in managed procs; every hook may
+// block.
 type Plugin struct {
 	Src, Dst *Daemon
 
@@ -30,8 +32,6 @@ type Plugin struct {
 	// move must be reversed.
 	adopted bool
 }
-
-var _ criu.Plugin = (*Plugin)(nil)
 
 // NewPlugin creates a plugin for migrating a process from Src's host to
 // Dst's host.
@@ -84,10 +84,12 @@ func (pl *Plugin) FinalDump(p *task.Process) ([]byte, error) {
 	return encodeBlob(s.Checkpoint(true))
 }
 
-// PreRestore claims MR-backing memory at its original virtual addresses
-// on the destination (§3.2); it is quick and must run before CRIU's
-// temporary mappings. The long part — replaying the roadmap and partner
-// notification — happens in RunPreSetup, which overlaps memory pre-copy.
+// PreRestore runs at the start of partial restore on the destination
+// (Fig. 2b ②'): it claims MR-backing memory at its original virtual
+// addresses, using img's memory table and pages (§3.2); it is quick and
+// must run before CRIU's temporary mappings. The long part — replaying
+// the roadmap and partner notification — happens in RunPreSetup, which
+// overlaps memory pre-copy.
 func (pl *Plugin) PreRestore(r *criu.Restore, img *criu.Image, blob []byte) error {
 	b, err := DecodeBlob(blob)
 	if err != nil {

@@ -86,26 +86,6 @@ func (img *Image) HeaderBytes() int {
 	return 256 + len(img.PluginBlob) + 64*len(img.VMAs)
 }
 
-// Plugin is the checkpoint/restore extension point the MigrRDMA plugin
-// implements (§4). All hooks run in managed procs and may block.
-type Plugin interface {
-	// PreDump checkpoints RDMA state on the migration source at the
-	// start of pre-copy (Fig. 2b ①').
-	PreDump(p *task.Process) ([]byte, error)
-	// FinalDump dumps the stop-and-copy difference of RDMA state plus
-	// virtualization info (Fig. 2b ⑤').
-	FinalDump(p *task.Process) ([]byte, error)
-	// PreRestore runs at the start of partial restore on the migration
-	// destination: it claims MR-backing VMAs at their original virtual
-	// addresses (using img's memory table and pages) and pre-establishes
-	// RDMA communication (Fig. 2b ②').
-	PreRestore(r *Restore, img *Image, blob []byte) error
-	// PostRestore runs after full memory restoration: it maps the new
-	// RDMA resources into the restored process and re-arms the data
-	// path (Fig. 2b ⑥' and ⑦).
-	PostRestore(r *Restore, p *task.Process, blob []byte) error
-}
-
 // Tool is the checkpoint/restore engine instance on one host.
 type Tool struct {
 	cfg Config

@@ -142,14 +142,10 @@ type port struct {
 	// plug, when installed, queues matching frames instead of delivering
 	// them (plug-and-forward cutover; see plug.go).
 	plug *plug
-	// delivered and dropped count frames for tests and traces.
-	delivered, dropped int64
-	// duplicated and reordered count injected faults.
-	duplicated, reordered int64
-	rxBytes, txBytes      int64
 
 	// Registry handles, resolved once at Attach (hot-path increments
-	// are single atomic adds).
+	// are single atomic adds). They are the port's only counts: a test
+	// reads them off the registry.
 	mTxBytes, mRxBytes   metrics.Counter
 	mTxFrames, mRxFrames metrics.Counter
 	mDelivered, mDropped metrics.Counter
@@ -256,18 +252,6 @@ func (n *Network) SetRate(name string, bps int64) { n.mustPort(name).rate = bps 
 // SetPartitioned isolates or reconnects a node.
 func (n *Network) SetPartitioned(name string, v bool) { n.mustPort(name).partitioned = v }
 
-// Stats reports frames delivered to and dropped on the way to name.
-func (n *Network) Stats(name string) (delivered, dropped int64) {
-	p := n.mustPort(name)
-	return p.delivered, p.dropped
-}
-
-// FaultStats reports frames duplicated and reordered on the way to name.
-func (n *Network) FaultStats(name string) (duplicated, reordered int64) {
-	p := n.mustPort(name)
-	return p.duplicated, p.reordered
-}
-
 func (n *Network) mustPort(name string) *port {
 	p, ok := n.ports[name]
 	if !ok {
@@ -313,12 +297,12 @@ func (n *Network) Send(f Frame) {
 	src := n.mustPort(f.Src)
 	dst := n.mustPort(f.Dst)
 	if src.partitioned || dst.partitioned {
-		dst.drop()
+		dst.mDropped.Inc()
 		return
 	}
 	if src.lossProb > 0 && (src.lossPort == "" || src.lossPort == f.Port) &&
 		n.sched.Rand().Float64() < src.lossProb {
-		dst.drop()
+		dst.mDropped.Inc()
 		return
 	}
 	arriveSwitch := n.serializeUplink(src, f.Size) + propDelay
@@ -327,12 +311,12 @@ func (n *Network) Send(f Frame) {
 		// spine→ToR on the destination rack's downlink (topology.go).
 		atSpine, ok := n.bookSpineUp(src.rack, f, arriveSwitch)
 		if !ok {
-			dst.drop()
+			dst.mDropped.Inc()
 			return
 		}
 		atDstToR, ok := n.bookSpineDown(dst.rack, f, atSpine)
 		if !ok {
-			dst.drop()
+			dst.mDropped.Inc()
 			return
 		}
 		arriveSwitch = atDstToR
@@ -348,7 +332,6 @@ func (n *Network) serializeUplink(src *port, size int) time.Duration {
 		start = src.upBusy
 	}
 	src.upBusy = start + n.serializationAt(src, size)
-	src.txBytes += int64(size)
 	src.mTxBytes.Add(int64(size))
 	src.mTxFrames.Inc()
 	return src.upBusy
@@ -366,7 +349,6 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 	if dst.dupProb > 0 && (dst.dupPort == "" || dst.dupPort == f.Port) &&
 		n.sched.Rand().Float64() < dst.dupProb {
 		copies = 2
-		dst.duplicated++
 		dst.mDup.Inc()
 	}
 	// Downlink: switch → destination NIC (store-and-forward), one
@@ -381,12 +363,11 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 		arrive := dst.downBusy + propDelay
 		if dst.lossProb > 0 && (dst.lossPort == "" || dst.lossPort == f.Port) &&
 			n.sched.Rand().Float64() < dst.lossProb {
-			dst.drop()
+			dst.mDropped.Inc()
 			continue
 		}
 		if dst.reorderProb > 0 && (dst.reorderPort == "" || dst.reorderPort == f.Port) &&
 			n.sched.Rand().Float64() < dst.reorderProb {
-			dst.reordered++
 			dst.mReord.Inc()
 			arrive += dst.reorderDelay
 		}
@@ -403,12 +384,6 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 	// once after the loop observes the same final value and high-water
 	// mark as a per-copy set would.
 	dst.mBacklog.Set(int64(dst.downBusy - now))
-}
-
-// drop records one frame lost on the way to the port.
-func (p *port) drop() {
-	p.dropped++
-	p.mDropped.Inc()
 }
 
 // delivery is the pending arrival of one frame at one port. Instances
@@ -448,7 +423,6 @@ func (dv *delivery) run() {
 	dv.dst = nil
 	dv.f = Frame{}
 	n.freeDeliveries = append(n.freeDeliveries, dv)
-	dst.rxBytes += int64(f.Size)
 	dst.mRxBytes.Add(int64(f.Size))
 	dst.mRxFrames.Inc()
 	// A plugged frame has arrived at the NIC (rx accounting above) but
@@ -462,17 +436,9 @@ func (dv *delivery) run() {
 
 // deliver counts a frame as delivered and hands it to the port handler.
 func (p *port) deliver(f Frame) {
-	p.delivered++
 	p.mDelivered.Inc()
 	if p.handler == nil {
 		panic(fmt.Sprintf("fabric: node %s has no handler", f.Dst))
 	}
 	p.handler(f)
-}
-
-// Bytes reports cumulative bytes received and transmitted by the node,
-// used by the Fig. 5 throughput sampler.
-func (n *Network) Bytes(name string) (rx, tx int64) {
-	p := n.mustPort(name)
-	return p.rxBytes, p.txBytes
 }

@@ -7,6 +7,16 @@ import (
 	"migrrdma/internal/sim"
 )
 
+// counter reads a port's counter name off the network's registry, the
+// one place the port counts frames and bytes.
+func counter(n *Network, name, node string) int64 {
+	v, ok := n.reg.Snapshot().Get("fabric/" + name + "{node=" + node + "}")
+	if !ok {
+		panic("fabric: no counter " + name + " for " + node)
+	}
+	return v.Value
+}
+
 // newPair returns a network with nodes a and b, recording frames at b.
 func newPair(t *testing.T, cfg Config) (*sim.Scheduler, *Network, *[]Frame, *[]time.Duration) {
 	t.Helper()
@@ -98,7 +108,7 @@ func TestLossInjection(t *testing.T) {
 	if recv < 350 || recv > 650 {
 		t.Fatalf("received %d of 1000 at 50%% loss", recv)
 	}
-	_, dropped := n.Stats("b")
+	dropped := counter(n, "dropped_frames", "b")
 	if int(dropped)+recv != 1000 {
 		t.Fatalf("delivered+dropped = %d, want 1000", int(dropped)+recv)
 	}
@@ -129,12 +139,10 @@ func TestByteCounters(t *testing.T) {
 		n.Send(Frame{Src: "a", Dst: "b", Size: 500})
 	})
 	s.Run()
-	rx, _ := n.Bytes("b")
-	if rx != 1500 {
+	if rx := counter(n, "rx_bytes", "b"); rx != 1500 {
 		t.Fatalf("rx=%d, want 1500", rx)
 	}
-	_, tx := n.Bytes("a")
-	if tx != 1500 {
+	if tx := counter(n, "tx_bytes", "a"); tx != 1500 {
 		t.Fatalf("tx=%d, want 1500", tx)
 	}
 }
@@ -182,8 +190,7 @@ func TestDuplicateInjection(t *testing.T) {
 	if len(*got) != 2*frames {
 		t.Fatalf("delivered %d frames, want %d (every frame twice)", len(*got), 2*frames)
 	}
-	dup, _ := n.FaultStats("b")
-	if dup != frames {
+	if dup := counter(n, "duplicated_frames", "b"); dup != frames {
 		t.Fatalf("duplicated = %d, want %d", dup, frames)
 	}
 	// The copy re-serializes on the downlink, so arrivals are strictly
@@ -212,8 +219,7 @@ func TestDuplicateCopiesFaceLossIndependently(t *testing.T) {
 		}
 	})
 	s.Run()
-	dup, _ := n.FaultStats("b")
-	if dup != frames {
+	if dup := counter(n, "duplicated_frames", "b"); dup != frames {
 		t.Fatalf("duplicated = %d, want %d (dup decided before loss)", dup, frames)
 	}
 	// Count deliveries per frame: with independent per-copy loss about
@@ -232,7 +238,7 @@ func TestDuplicateCopiesFaceLossIndependently(t *testing.T) {
 	if singles == 0 {
 		t.Fatalf("no frame delivered exactly once in %d: copies are not independently lossy", frames)
 	}
-	_, dropped := n.Stats("b")
+	dropped := counter(n, "dropped_frames", "b")
 	delivered := int64(len(*got))
 	if delivered+dropped != 2*frames {
 		t.Fatalf("delivered %d + dropped %d != %d copies", delivered, dropped, 2*frames)
@@ -270,7 +276,7 @@ func TestReorderInjection(t *testing.T) {
 	if (*got)[0].Data[0] != 2 || (*got)[1].Data[0] != 1 {
 		t.Fatalf("no overtake: order %d,%d", (*got)[0].Data[0], (*got)[1].Data[0])
 	}
-	if _, reord := n.FaultStats("b"); reord != 1 {
+	if reord := counter(n, "reordered_frames", "b"); reord != 1 {
 		t.Fatalf("reordered = %d, want 1", reord)
 	}
 }

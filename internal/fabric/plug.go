@@ -150,7 +150,7 @@ func (pl *plug) enqueue(n *Network, pt *port, f Frame) {
 	if len(pl.frames) >= pl.limit {
 		// Reject-newest: see InstallPlug.
 		pl.mOverflow.Inc()
-		pt.drop()
+		pt.mDropped.Inc()
 		n.plugEvent(pt, "drop-overflow", seq)
 		if f.Data != nil {
 			n.PutBuf(f.Data)

@@ -153,7 +153,7 @@ func TestUplinkLossAndBlackhole(t *testing.T) {
 	if got := len(*arrivals["a1"]); got != 5 {
 		t.Fatalf("a1 got %d frames, want 5", got)
 	}
-	if _, dropped := n.Stats("b0"); dropped != 10 {
+	if dropped := counter(n, "dropped_frames", "b0"); dropped != 10 {
 		t.Fatalf("b0 dropped %d, want 10", dropped)
 	}
 	n.SetUplinkBlackhole(1, "rdma", false)

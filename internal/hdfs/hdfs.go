@@ -389,7 +389,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 	ep.Call(w.MasterNode, "hdfs-master", "register", codec.MustEncode(registerMsg{Name: w.Name, Node: d.Node()}))
 
 	// Heartbeat proc: stops while frozen (Gate) and dies with the worker.
-	sched.GoDaemon("hdfs-hb:"+w.Name, func() {
+	sched.Go("hdfs-hb:"+w.Name, func() {
 		for !w.killed && !p.Exited() {
 			p.Gate()
 			if w.killed {

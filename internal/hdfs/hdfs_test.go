@@ -198,8 +198,10 @@ func TestDFSIOWithReplication(t *testing.T) {
 		t.Fatal("replicated job did not finish")
 	}
 	// Both datanodes received the block bytes.
-	rx1, _ := cl.Net.Bytes("dn1")
-	rx2, _ := cl.Net.Bytes("dn2")
+	snap := cl.Metrics.Snapshot()
+	dn1, _ := snap.Get("fabric/rx_bytes{node=dn1}")
+	dn2, _ := snap.Get("fabric/rx_bytes{node=dn2}")
+	rx1, rx2 := dn1.Value, dn2.Value
 	want := int64(20 * (2 << 20))
 	if rx1 < want || rx2 < want {
 		t.Fatalf("replica traffic rx1=%d rx2=%d, want ≥%d each", rx1, rx2, want)

@@ -9,9 +9,9 @@
 // partners fetch fresh physical rkeys/QPNs after restoration (§3.3).
 //
 // Each node runs a Hub demultiplexing frames (fabric port "oob") to
-// named endpoints. Endpoints support fire-and-forget sends, blocking
-// receives, and blocking request/response calls with registered
-// handlers.
+// named endpoints. Endpoints support fire-and-forget sends, a
+// non-blocking inbox for one-way messages no handler serves, and
+// blocking request/response calls with registered handlers.
 package oob
 
 import (
@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"migrrdma/internal/fabric"
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/sim"
 )
 
@@ -73,7 +74,6 @@ func (h *Hub) Endpoint(name string) *Endpoint {
 	ep := &Endpoint{
 		hub:      h,
 		name:     name,
-		inbox:    sim.NewChan[Msg](h.sched, "oob-inbox:"+name, 4096),
 		handlers: make(map[string]handler),
 		pending:  make(map[uint64]*call),
 	}
@@ -124,7 +124,7 @@ func procName(kind string) string { return "oob-handler:" + kind }
 type Endpoint struct {
 	hub      *Hub
 	name     string
-	inbox    *sim.Chan[Msg]
+	inbox    fifo.Queue[Msg] // one-way messages no handler serves
 	handlers map[string]handler
 	kinds    Kinds   // served by all, unless handlers has the kind
 	all      Handler // see HandleAll
@@ -151,14 +151,17 @@ func (ep *Endpoint) Send(toNode, toEP, kind string, body []byte) {
 	}, toNode)
 }
 
-// Recv blocks until a one-way message arrives.
-func (ep *Endpoint) Recv() Msg {
-	m, _ := ep.inbox.Recv()
-	return m
-}
+// inboxCap bounds an endpoint's inbox; a message arriving at a full
+// inbox is dropped.
+const inboxCap = 4096
 
-// TryRecv returns a pending one-way message without blocking.
-func (ep *Endpoint) TryRecv() (Msg, bool) { return ep.inbox.TryRecv() }
+// TryRecv returns the oldest pending one-way message without blocking.
+func (ep *Endpoint) TryRecv() (Msg, bool) {
+	if ep.inbox.Len() == 0 {
+		return Msg{}, false
+	}
+	return ep.inbox.Pop(), true
+}
 
 // Handle registers a request handler for kind. Handlers run in a fresh
 // managed proc and may block.
@@ -334,7 +337,9 @@ func (h *Hub) onFrame(f fabric.Frame) {
 	if w.reqID != 0 {
 		return // RPC for an unhandled kind: drop; the caller times out
 	}
-	ep.inbox.TrySend(msg)
+	if ep.inbox.Len() < inboxCap {
+		ep.inbox.Push(msg)
+	}
 }
 
 // serving is one run of a handler: what its proc needs, kept in a

@@ -2,6 +2,7 @@ package oob
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,16 +22,17 @@ func twoHubs(t *testing.T) (*sim.Scheduler, *Hub, *Hub) {
 
 func TestSendRecv(t *testing.T) {
 	s, ha, hb := twoHubs(t)
-	var got Msg
-	s.Go("recv", func() {
-		got = hb.Endpoint("svc").Recv()
-	})
+	svc := hb.Endpoint("svc")
+	if _, ok := svc.TryRecv(); ok {
+		t.Fatal("TryRecv on an empty inbox returned a message")
+	}
 	s.Go("send", func() {
 		ha.Endpoint("cli").Send("b", "svc", "hello", []byte("world"))
 	})
 	s.Run()
-	if got.Kind != "hello" || string(got.Body) != "world" || got.FromNode != "a" || got.FromEP != "cli" {
-		t.Fatalf("got %+v", got)
+	got, ok := svc.TryRecv()
+	if !ok || got.Kind != "hello" || string(got.Body) != "world" || got.FromNode != "a" || got.FromEP != "cli" {
+		t.Fatalf("got %+v, %v", got, ok)
 	}
 }
 
@@ -236,4 +238,29 @@ func TestHandleAllServesItsKinds(t *testing.T) {
 		}
 	}()
 	s.Run()
+}
+
+// TestInboxKeepsTheFirst4096: the one-way inbox holds 4,096 messages.
+// Of 4,097 sent to an endpoint that has no handler for their kind,
+// TryRecv yields the first 4,096 in send order; the newest is dropped.
+func TestInboxKeepsTheFirst4096(t *testing.T) {
+	s, ha, hb := twoHubs(t)
+	defer s.Close()
+	svc := hb.Endpoint("svc")
+	s.Go("send", func() {
+		cli := ha.Endpoint("cli")
+		for i := 0; i <= 4096; i++ {
+			cli.Send("b", "svc", "note", []byte(strconv.Itoa(i)))
+		}
+	})
+	s.Run()
+	for i := 0; i < 4096; i++ {
+		m, ok := svc.TryRecv()
+		if !ok || m.Kind != "note" || string(m.Body) != strconv.Itoa(i) {
+			t.Fatalf("message %d: %q %q, %v", i, m.Kind, m.Body, ok)
+		}
+	}
+	if m, ok := svc.TryRecv(); ok {
+		t.Fatalf("inbox held a 4,097th message: %q", m.Body)
+	}
 }

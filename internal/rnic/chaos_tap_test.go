@@ -56,8 +56,7 @@ func TestDuplicatedSendSingleCQE(t *testing.T) {
 		if r.qpB.NRecvDone != msgs {
 			t.Errorf("NRecvDone = %d, want %d (duplicate executed twice?)", r.qpB.NRecvDone, msgs)
 		}
-		dup, _ := r.net.FaultStats("hostB")
-		if dup == 0 {
+		if dup, _ := r.reg.Snapshot().Get("fabric/duplicated_frames{node=hostB}"); dup.Value == 0 {
 			t.Error("no frames were duplicated (vacuous test)")
 		}
 	})

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"time"
 
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
@@ -166,25 +167,28 @@ func (cq *CQ) ReqNotify() { cq.armed = true }
 // interrupt-style notification path multiplexing events from any number
 // of CQs.
 type CompChannel struct {
-	events *sim.Chan[*CQ]
+	events fifo.Queue[*CQ]
 }
 
+// compChannelCap bounds the events a completion channel holds.
+const compChannelCap = 1024
+
 // CreateCompChannel creates a completion channel.
-func (d *Device) CreateCompChannel() *CompChannel {
-	return &CompChannel{events: sim.NewChan[*CQ](d.sched, "comp-channel", 1024)}
-}
+func (d *Device) CreateCompChannel() *CompChannel { return &CompChannel{} }
 
 func (c *CompChannel) deliver(cq *CQ) {
 	// Channel full means the consumer is hopelessly behind; events are
 	// edge-triggered so dropping is safe (the CQ stays readable).
-	c.events.TrySend(cq)
+	if c.events.Len() < compChannelCap {
+		c.events.Push(cq)
+	}
 }
 
-// Get blocks until a CQ event arrives and returns the CQ (ibv_get_cq_event).
-func (c *CompChannel) Get() *CQ {
-	cq, _ := c.events.Recv()
-	return cq
+// TryGet returns the oldest pending event without blocking
+// (ibv_get_cq_event on a non-blocking channel).
+func (c *CompChannel) TryGet() (*CQ, bool) {
+	if c.events.Len() == 0 {
+		return nil, false
+	}
+	return c.events.Pop(), true
 }
-
-// TryGet returns a pending event without blocking.
-func (c *CompChannel) TryGet() (*CQ, bool) { return c.events.TryRecv() }

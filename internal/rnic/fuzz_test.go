@@ -115,9 +115,9 @@ func FuzzDecodePacket(f *testing.F) {
 type faultScriptResult struct {
 	accepted  int // signaled sends the device took
 	completed int // send CQEs observed
-	naks      uint64
-	rnrs      uint64
-	goBackN   uint64
+	naks      int64
+	rnrs      int64
+	goBackN   int64
 }
 
 // runFaultScript interprets script bytes as operations on a connected
@@ -199,9 +199,9 @@ func runFaultScript(t *testing.T, script []byte) faultScriptResult {
 		if r.qpB.NRecvDone > uint64(recvs) {
 			t.Errorf("NRecvDone %d exceeds %d posted recvs", r.qpB.NRecvDone, recvs)
 		}
-		res.naks = r.qpB.NNaks
-		res.rnrs = r.qpB.NRNRs
-		res.goBackN = r.qpA.NGoBackN
+		res.naks = r.qpB.mNaks.Value()
+		res.rnrs = r.qpB.mRNRs.Value()
+		res.goBackN = r.qpA.mGoBackN.Value()
 	})
 	r.s.Run()
 	return res

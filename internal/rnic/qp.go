@@ -88,17 +88,13 @@ type QP struct {
 	NSent     uint64
 	NRecvDone uint64
 
-	// Fault-path counters: responder NAKs and RNR NAKs sent, requester
-	// go-back-N rewinds (NAK- or RTO-triggered). Fault-injection tests
-	// use them to prove their corpora reach these branches.
-	NNaks    uint64
-	NRNRs    uint64
-	NGoBackN uint64
-
 	// Registry handles (per-QP posts, completion and fault telemetry),
 	// resolved once at creation.
 	mPosts, mRecvPosts, mCQEs metrics.Counter
 
+	// Fault-path counters: responder NAKs and RNR NAKs sent, requester
+	// go-back-N rewinds (NAK- or RTO-triggered). Fault-injection tests
+	// read them to prove their corpora reach these branches.
 	mNaks, mRNRs metrics.Counter
 	mGoBackN     metrics.Counter
 	mRetx        metrics.Counter

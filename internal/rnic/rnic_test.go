@@ -7,6 +7,7 @@ import (
 
 	"migrrdma/internal/fabric"
 	"migrrdma/internal/mem"
+	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
 )
 
@@ -22,6 +23,7 @@ type host struct {
 type rig struct {
 	s        *sim.Scheduler
 	net      *fabric.Network
+	reg      *metrics.Registry // the fabric's
 	a, b     *host
 	qpA, qpB *QP
 }
@@ -31,8 +33,9 @@ type rig struct {
 func newRig(t *testing.T, cfg Config, setup func(*rig)) *rig {
 	t.Helper()
 	s := sim.New(42)
-	net := fabric.New(s, fabric.Config{})
-	r := &rig{s: s, net: net}
+	reg := metrics.New(s.Now)
+	net := fabric.New(s, fabric.Config{Metrics: reg})
+	r := &rig{s: s, net: net, reg: reg}
 	mk := func(name string) *host {
 		mux := fabric.NewMux(net, name)
 		h := &host{dev: NewDevice(net, mux, name, cfg), as: mem.NewAddressSpace()}
@@ -469,9 +472,11 @@ func TestCompletionChannelEvents(t *testing.T) {
 		}
 		qpA2.PostSend(SendWR{WRID: 20, Opcode: OpSend, Signaled: true,
 			SGEs: []SGE{{Addr: 0x100000, Len: 16, LKey: mrA.LKey}}})
-		cq := comp.Get() // blocks until the interrupt fires
-		if cq != evCQ {
-			t.Error("event for wrong CQ")
+		evCQ.WaitNonEmpty()
+		// The completion that made the CQ non-empty fired the event.
+		cq, ok := comp.TryGet()
+		if !ok || cq != evCQ {
+			t.Errorf("event %v, %v: want one for the CQ", cq, ok)
 		}
 		if got := cq.Poll(10); len(got) != 1 || got[0].WRID != 21 {
 			t.Errorf("polled %+v", got)
@@ -699,6 +704,45 @@ func TestSendAndWriteWithImmediate(t *testing.T) {
 		r.b.as.Read(0x100800, got)
 		if !bytes.Equal(got, msg) {
 			t.Errorf("WRITE_WITH_IMM payload = %q", got)
+		}
+	})
+	r.s.Run()
+}
+
+// TestCompChannelKeepsTheFirst1024Events: a completion channel holds
+// 1,024 events. 1,025 completions on a CQ re-armed before each leave
+// 1,024 events on the channel (the newest is dropped, which is safe:
+// events are edge-triggered), and the CQ still polls every completion.
+func TestCompChannelKeepsTheFirst1024Events(t *testing.T) {
+	r := newRig(t, Config{}, func(r *rig) {
+		comp := r.b.dev.CreateCompChannel()
+		cq := r.b.dev.CreateCQ(2048, comp)
+		for i := 0; i <= 1024; i++ {
+			cq.ReqNotify()
+			cq.push(CQE{WRID: uint64(i)})
+		}
+		events := 0
+		for {
+			got, ok := comp.TryGet()
+			if !ok {
+				break
+			}
+			if got != cq {
+				t.Fatal("event for the wrong CQ")
+			}
+			events++
+		}
+		if events != 1024 {
+			t.Errorf("%d events on the channel, want 1024", events)
+		}
+		polled := cq.Poll(2048)
+		if len(polled) != 1025 {
+			t.Fatalf("polled %d completions, want 1025", len(polled))
+		}
+		for i, e := range polled {
+			if e.WRID != uint64(i) {
+				t.Fatalf("completion %d has WRID %d", i, e.WRID)
+			}
 		}
 	})
 	r.s.Run()

@@ -633,7 +633,6 @@ func (qp *QP) streamReadResponse(dst string, dstQPN, psn uint32, data []byte) {
 
 // sendNak sends a go-back-N sequence NAK for the expected PSN.
 func (qp *QP) sendNak(dst string, dstQPN, expected uint32, syndrome uint8) {
-	qp.NNaks++
 	qp.mNaks.Inc()
 	n := qp.dev.getPkt()
 	n.Type = ptNak
@@ -647,7 +646,6 @@ func (qp *QP) sendNak(dst string, dstQPN, expected uint32, syndrome uint8) {
 
 // sendRNR reports receiver-not-ready for the given message PSN.
 func (qp *QP) sendRNR(dst string, dstQPN, psn uint32) {
-	qp.NRNRs++
 	qp.mRNRs.Inc()
 	r := qp.dev.getPkt()
 	r.Type = ptRnrNak
@@ -808,7 +806,6 @@ func (qp *QP) afterAck() {
 
 // goBackN re-queues every entry with PSN ≥ from for retransmission.
 func (qp *QP) goBackN(from uint32) {
-	qp.NGoBackN++
 	qp.mGoBackN.Inc()
 	qp.markUnsent(from)
 	qp.requeueUnsent()
@@ -839,7 +836,6 @@ func (qp *QP) requeueUnsent() {
 
 // retransmitUnackedImpl re-queues all sent-unacked entries (RTO / RNR).
 func (qp *QP) retransmitUnackedQueued() {
-	qp.NGoBackN++
 	qp.mGoBackN.Inc()
 	for _, e := range qp.sq {
 		if e.state == sqSent {

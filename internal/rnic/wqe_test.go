@@ -182,8 +182,8 @@ func TestRecycledWQEsSurviveRecovery(t *testing.T) {
 			}
 			done++
 		}
-		if r.qpA.NGoBackN == 0 || r.qpB.NRNRs == 0 {
-			t.Errorf("go-back-N rounds %d, RNR NAKs %d: both recoveries must have run", r.qpA.NGoBackN, r.qpB.NRNRs)
+		if gbn, rnrs := r.qpA.mGoBackN.Value(), r.qpB.mRNRs.Value(); gbn == 0 || rnrs == 0 {
+			t.Errorf("go-back-N rounds %d, RNR NAKs %d: both recoveries must have run", gbn, rnrs)
 		}
 		wqeInvariant(t, r.a.dev)
 		// Everything retired went back to the pool and was taken from it
@@ -347,8 +347,8 @@ func TestSendQueueHoldsNoCompletedEntry(t *testing.T) {
 			check()
 			done++
 		}
-		if r.qpA.NGoBackN == 0 || r.qpB.NNaks == 0 {
-			t.Fatalf("go-back-N rounds %d, NAKs %d: both recoveries must have run", r.qpA.NGoBackN, r.qpB.NNaks)
+		if gbn, naks := r.qpA.mGoBackN.Value(), r.qpB.mNaks.Value(); gbn == 0 || naks == 0 {
+			t.Fatalf("go-back-N rounds %d, NAKs %d: both recoveries must have run", gbn, naks)
 		}
 		// Everything lost from here on: RTOs until the retry budget runs
 		// out, then the flush into the error state.

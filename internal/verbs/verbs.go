@@ -212,15 +212,6 @@ func (c *Context) CreateCompChannel() *CompChannel {
 	return ch
 }
 
-// Get blocks until a CQ event arrives (ibv_get_cq_event).
-func (ch *CompChannel) Get() *CQ {
-	rcq := ch.ch.Get()
-	if rcq == nil {
-		return nil
-	}
-	return ch.ctx.cqFor(rcq)
-}
-
 // TryGet returns a pending event without blocking.
 func (ch *CompChannel) TryGet() (*CQ, bool) {
 	rcq, ok := ch.ch.TryGet()
