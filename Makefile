@@ -110,7 +110,7 @@ fuzz:
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu
 
 # The repository's one fixed benchmark (BENCHMARK.json, bench/README.md):
 # eight migration workloads, one process each. bench-fixed appends one

@@ -185,11 +185,23 @@ func (t *Tool) BeginDump(p *task.Process, full bool) (*Image, []mem.Addr) {
 
 // DumpPages reads one batch of page contents at the dump cost model's
 // per-page rate. A page that borrows a frame (mem.BorrowedFrame; the zero
-// page for one without content) gets a record pointing at that frame;
-// the others are copied into one slab, an allocation a batch instead of
-// one a page.
+// page for one without content) gets a record pointing at that frame.
+// The pages a running process owns are copied into one slab, an
+// allocation a batch instead of one a page: sharing them would cost an
+// allocation for each one written after the dump. A frozen process
+// writes nothing until it is thawed, so its pages are shared instead
+// (mem.AddressSpace.Share): each record is the page's own bytes, the
+// batch allocates only its records, and a write after a thaw that
+// changes a page copies it then.
 func (t *Tool) DumpPages(p *task.Process, addrs []mem.Addr) []PageRec {
 	recs := make([]PageRec, len(addrs))
+	if p.Frozen() {
+		for i, a := range addrs {
+			recs[i] = PageRec{Addr: a, Data: p.AS.Share(a)}
+		}
+		t.host.Sleep(time.Duration(len(addrs)) * DumpPerPage)
+		return recs
+	}
 	n := 0
 	for _, a := range addrs {
 		if _, ok := p.AS.BorrowedFrame(a); !ok {

@@ -236,10 +236,12 @@ func TestFullRestorePanicsBeforeFinalize(t *testing.T) {
 	s.Run()
 }
 
-// TestDumpedPagesShareASlabSafely: Dump and DumpPages read a batch into
-// one allocation, and a record is still a page of its own — the right
-// bytes, a copy of the process's, and capped so that an append cannot
-// write into the next record.
+// TestDumpedPagesShareASlabSafely: Dump and DumpPages give each record
+// the right bytes, capped so that an append cannot write into the next
+// record, and no later write to the process reaches a record. A running
+// process's batch is read into one slab (two allocations: records and
+// slab); a frozen process's batch shares its pages (one allocation, the
+// records), and a write after the thaw copies the page it changes.
 func TestDumpedPagesShareASlabSafely(t *testing.T) {
 	s := sim.New(1)
 	defer s.Close()
@@ -249,38 +251,50 @@ func TestDumpedPagesShareASlabSafely(t *testing.T) {
 		p.AS.Map(0x1000, 8*mem.PageSize, "heap")
 		var addrs []mem.Addr
 		for i := 0; i < 4; i++ {
-			a := mem.Addr(0x1000 + i*mem.PageSize)
-			p.AS.Write(a, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize))
-			addrs = append(addrs, a)
+			addrs = append(addrs, mem.Addr(0x1000+i*mem.PageSize))
 		}
-		for name, recs := range map[string][]PageRec{
-			"Dump":      tool.Dump(p, true).Pages,
-			"DumpPages": tool.DumpPages(p, append(addrs, 0x1000+6*mem.PageSize)), // and one page without content
-		} {
+		for _, frozen := range []bool{false, true} {
+			pass, wantAllocs := "running", 2.0
 			for i, a := range addrs {
-				r, b := recs[i], recs[i].Data.Bytes()
-				if r.Addr != a || len(b) != mem.PageSize || cap(b) != mem.PageSize ||
-					!bytes.Equal(b, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize)) {
-					t.Fatalf("%s: record %d: addr %#x, len %d, cap %d, first byte %q", name, i, r.Addr, len(b), cap(b), b[0])
+				p.AS.Write(a, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize))
+			}
+			if frozen {
+				pass, wantAllocs = "frozen", 1
+				tool.Freeze(p)
+			}
+			for name, recs := range map[string][]PageRec{
+				"Dump":      tool.Dump(p, true).Pages,
+				"DumpPages": tool.DumpPages(p, append(addrs, 0x1000+6*mem.PageSize)), // and one page without content
+			} {
+				for i, a := range addrs {
+					r, b := recs[i], recs[i].Data.Bytes()
+					if r.Addr != a || len(b) != mem.PageSize || cap(b) != mem.PageSize ||
+						!bytes.Equal(b, bytes.Repeat([]byte{byte('a' + i)}, mem.PageSize)) {
+						t.Fatalf("%s %s: record %d: addr %#x, len %d, cap %d, first byte %q", pass, name, i, r.Addr, len(b), cap(b), b[0])
+					}
+				}
+				if name == "DumpPages" && !mem.AllZero(recs[4].Data.Bytes()) {
+					t.Errorf("%s %s: a page without content is not zero", pass, name)
+				}
+				_ = append(recs[0].Data.Bytes(), 'X')
+				if recs[1].Data.Bytes()[0] != 'b' {
+					t.Errorf("%s %s: an append to record 0 wrote into record 1", pass, name)
 				}
 			}
-			if name == "DumpPages" && !mem.AllZero(recs[4].Data.Bytes()) {
-				t.Errorf("%s: a page without content is not zero", name)
+			if allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, addrs) }); allocs != wantAllocs {
+				t.Errorf("%s: reading a batch of %d pages allocates %.0f times, want %.0f", pass, len(addrs), allocs, wantAllocs)
 			}
-			_ = append(recs[0].Data.Bytes(), 'X')
-			if recs[1].Data.Bytes()[0] != 'b' {
-				t.Errorf("%s: an append to record 0 wrote into record 1", name)
+			// A later write, after the thaw if frozen, does not reach a record.
+			recs := tool.DumpPages(p, addrs[:1])
+			if frozen {
+				tool.Thaw(p)
 			}
-		}
-		// The records are copies: a later write does not reach them.
-		recs := tool.DumpPages(p, addrs[:1])
-		p.AS.Write(addrs[0], []byte("z"))
-		if recs[0].Data.Bytes()[0] != 'a' {
-			t.Error("a write to the process changed a dumped page")
-		}
-		allocs := testing.AllocsPerRun(20, func() { tool.DumpPages(p, addrs) })
-		if allocs > 2 {
-			t.Errorf("reading a batch of %d pages allocates %.0f times, want 2 (records, slab)", len(addrs), allocs)
+			p.AS.Write(addrs[0], []byte("z"))
+			got := make([]byte, 2)
+			p.AS.Read(addrs[0], got)
+			if b := recs[0].Data.Bytes(); b[0] != 'a' || b[1] != 'a' || string(got) != "za" {
+				t.Errorf("%s: after a write of %q the record starts %q and the page %q", pass, "z", b[:2], got)
+			}
 		}
 	})
 	s.Run()

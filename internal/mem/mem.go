@@ -413,6 +413,24 @@ func (as *AddressSpace) BorrowedFrame(a Addr) (f Frame, ok bool) {
 	return Frame{}, false
 }
 
+// Share returns the page at a (page-aligned) as a frame without a copy:
+// the frame it borrows, ZeroFrame for a page without content, or its own
+// bytes, which it borrows from then on, so the next write that changes
+// them gives it a copy first and the frame never changes.
+func (as *AddressSpace) Share(a Addr) Frame {
+	ref := as.pages[a]
+	if ref.pg == nil {
+		return ZeroFrame
+	}
+	if !ref.borrowed {
+		as.pages[a] = pageRef{ref.pg, true}
+		if s := &as.cache[cacheSlot(a)]; s.tag&^slotHints == a|slotValid {
+			s.tag |= slotBorrowed
+		}
+	}
+	return Frame{ref.pg}
+}
+
 // access reads or writes buf at a. A write to a page without bytes of its
 // own (untouched, which reads as the zero page, or borrowing a frame)
 // copies nothing when it leaves the page's bytes as they are: an untouched

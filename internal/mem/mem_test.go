@@ -589,8 +589,8 @@ type diffSource interface {
 
 // differential drives an address space and the private-pages reference
 // through the same operations and checks after each that they agree.
-// The frames it lends are held with a copy of their bytes, which must
-// never change.
+// The frames it lends, and those Share hands out, are held with a copy
+// of their bytes, which must never change.
 type differential struct {
 	t                    testing.TB
 	as                   *AddressSpace
@@ -637,7 +637,7 @@ func (d *differential) step(src diffSource, at string) {
 	t, as, ref := d.t, d.as, d.ref
 	vmas := as.VMAs()
 	v := vmas[src.Intn(len(vmas))]
-	switch op := src.Intn(24); {
+	switch op := src.Intn(26); {
 	case op < 12: // a write
 		a, n := d.span(src, v)
 		buf := make([]byte, n)
@@ -699,6 +699,21 @@ func (d *differential) step(src diffSource, at string) {
 			delete(ref.dirty, a)
 		}
 		as.Map(d.aStart, diffALen, "a")
+	case op < 22: // a page is shared, cached or not; its frame joins the checked ones
+		a := v.Start + Addr(src.Intn(int(v.Len/PageSize)))*PageSize
+		if src.Intn(2) == 0 {
+			as.invalidate()
+		} else {
+			as.lookup(a)
+		}
+		f := as.Share(a)
+		if ref.read(a, d.want); !bytes.Equal(f.Bytes(), d.want) {
+			t.Fatalf("%s: page %#x shared as a frame that differs from it", at, a)
+		}
+		if g, ok := as.BorrowedFrame(a); !ok || g != f {
+			t.Fatalf("%s: shared page %#x does not borrow its frame", at, a)
+		}
+		d.frames, d.frameBytes = append(d.frames, f), append(d.frameBytes, bytes.Clone(f.Bytes()))
 	default: // a page borrows a frame, marked dirty or not
 		a := v.Start + Addr(src.Intn(int(v.Len/PageSize)))*PageSize
 		f := d.frames[src.Intn(len(d.frames))]
@@ -749,11 +764,12 @@ func (d *differential) finish(at string) {
 // private-pages-only reference through the same seeded mix of zero,
 // non-zero and byte-identical, partial and whole-page Write/WriteClean
 // (zeros from a fresh slice or from the shared run), Borrow/BorrowClean
-// of read-only frames (the zero page among them), reads, ClearDirty,
-// Remap and Unmap. After every step every page's bytes, DirtyPages and
+// of read-only frames (the zero page among them), Share of a page in or
+// out of the page cache, reads, ClearDirty, Remap and Unmap. After every
+// step every page's bytes, DirtyPages and
 // PopulatedPages agree, ZeroRange agrees with ZeroPage and with the bytes
 // read, and a write of the bytes a borrowing page holds leaves it on its
-// frame; at the end no frame has changed.
+// frame; at the end no frame, a shared page's among them, has changed.
 func TestZeroPageDifferential(t *testing.T) {
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))

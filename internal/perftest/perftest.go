@@ -14,6 +14,7 @@ package perftest
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -389,6 +390,12 @@ type Client struct {
 	cq  *core.CQ
 	mr  *core.MR
 	qps []*clientQP
+	// byVQPN finds a completion's QP. ready lists the QPs that completed
+	// since pump's last pass, the only ones it has to top up; posted and
+	// outstanding count WRs over every QP.
+	byVQPN              map[uint32]*clientQP
+	ready               []*clientQP
+	posted, outstanding uint64
 
 	// sge and wc are the pump loop's post and poll scratch.
 	sge [1]rnic.SGE
@@ -403,6 +410,7 @@ type clientQP struct {
 	posted  uint64
 	done    uint64
 	nextSeq uint64 // next expected completion WR-ID (CheckOrder)
+	ready   bool   // listed in Client.ready
 	// lastPost is the post time of the in-flight op (LatencyMode).
 	lastPost time.Duration
 }
@@ -433,6 +441,8 @@ func (c *Client) Run(p *task.Process, d *core.Daemon) {
 	}
 	c.mr = mr
 	ep := d.Host().Hub.Endpoint("pt-cli:" + c.Name)
+	c.qps, c.ready = make([]*clientQP, 0, o.NumQPs), make([]*clientQP, 0, o.NumQPs)
+	c.byVQPN = make(map[uint32]*clientQP, o.NumQPs)
 	for i := 0; i < o.NumQPs; i++ {
 		tgt := c.Targets[i%len(c.Targets)]
 		qp := sess.CreateQP(c.pd, core.QPConfig{
@@ -456,7 +466,9 @@ func (c *Client) Run(p *task.Process, d *core.Daemon) {
 		if err := qp.Modify(rnic.ModifyAttr{State: rnic.StateRTS}); err != nil {
 			panic(err)
 		}
-		c.qps = append(c.qps, &clientQP{qp: qp, idx: i, rkey: cr.RKey, raddr: mem.Addr(cr.BufAddr)})
+		q := &clientQP{qp: qp, idx: i, rkey: cr.RKey, raddr: mem.Addr(cr.BufAddr), ready: true}
+		c.qps, c.ready = append(c.qps, q), append(c.ready, q)
+		c.byVQPN[qp.VQPN()] = q
 	}
 	c.isReady = true
 	c.readyC.Broadcast()
@@ -483,38 +495,33 @@ func (c *Client) Wait() {
 func (c *Client) Stop() { c.stopped = true }
 
 // pump keeps QueueDepth WRs outstanding on every QP, best-effort, until
-// each QP has completed Messages WRs (or Stop).
+// each QP has completed Messages WRs (or Stop). A pass tops up only the
+// QPs that completed since the last one, every other QP being full or
+// finished, and walks them in index order, as a walk over every QP would.
 func (c *Client) pump(p *task.Process) {
 	o := c.Opts
 	for {
 		p.Gate()
-		active := false
-		for _, q := range c.qps {
-			if !c.stopped && (o.Messages == 0 || q.posted < uint64(o.Messages)) {
-				active = true
-				for q.posted-q.done < uint64(o.QueueDepth) && (o.Messages == 0 || q.posted < uint64(o.Messages)) {
-					if c.stopped {
-						break
-					}
-					// In latency mode the pacing gap precedes the post so
-					// the post→completion measurement stays clean.
-					if o.PostGap > 0 && o.LatencyMode {
-						p.Scheduler().Sleep(o.PostGap)
-					}
-					if err := c.post(q); err != nil {
-						c.Stats.errf("post: %v", err)
-						return
-					}
-					if o.PostGap > 0 && !o.LatencyMode {
-						p.Scheduler().Sleep(o.PostGap)
-					}
+		slices.SortFunc(c.ready, func(a, b *clientQP) int { return a.idx - b.idx })
+		for _, q := range c.ready {
+			q.ready = false
+			for !c.stopped && q.posted-q.done < uint64(o.QueueDepth) && (o.Messages == 0 || q.posted < uint64(o.Messages)) {
+				// In latency mode the pacing gap precedes the post so
+				// the post→completion measurement stays clean.
+				if o.PostGap > 0 && o.LatencyMode {
+					p.Scheduler().Sleep(o.PostGap)
+				}
+				if err := c.post(q); err != nil {
+					c.Stats.errf("post: %v", err)
+					return
+				}
+				if o.PostGap > 0 && !o.LatencyMode {
+					p.Scheduler().Sleep(o.PostGap)
 				}
 			}
-			if q.done < q.posted {
-				active = true
-			}
 		}
-		if !active {
+		c.ready = c.ready[:0]
+		if c.outstanding == 0 && (c.stopped || o.Messages > 0 && c.posted == uint64(len(c.qps)*o.Messages)) {
 			return
 		}
 		c.cq.WaitNonEmpty()
@@ -563,6 +570,8 @@ func (c *Client) post(q *clientQP) error {
 		return err
 	}
 	q.posted++
+	c.posted++
+	c.outstanding++
 	return nil
 }
 
@@ -572,23 +581,26 @@ func (c *Client) complete(e rnic.CQE) {
 		c.Stats.errf("client CQE error: %v (wrid %d qpn %#x)", e.Status, e.WRID, e.QPN)
 		return
 	}
-	for _, q := range c.qps {
-		if q.qp.VQPN() != e.QPN {
-			continue
-		}
-		if c.Opts.CheckOrder && e.WRID != q.nextSeq {
-			c.Stats.errf("QP %#x: send completion WRID %d, want %d", e.QPN, e.WRID, q.nextSeq)
-		}
-		q.nextSeq++
-		q.done++
-		c.Stats.Completed++
-		c.Stats.Bytes += int64(c.Opts.MsgSize)
-		if c.Opts.LatencyMode {
-			c.Stats.LatSamples = append(c.Stats.LatSamples, c.Sess.Sched().Now()-q.lastPost)
-		}
+	q := c.byVQPN[e.QPN]
+	if q == nil {
+		c.Stats.errf("completion for unknown QPN %#x", e.QPN)
 		return
 	}
-	c.Stats.errf("completion for unknown QPN %#x", e.QPN)
+	if c.Opts.CheckOrder && e.WRID != q.nextSeq {
+		c.Stats.errf("QP %#x: send completion WRID %d, want %d", e.QPN, e.WRID, q.nextSeq)
+	}
+	q.nextSeq++
+	q.done++
+	c.outstanding--
+	if !q.ready {
+		q.ready = true
+		c.ready = append(c.ready, q)
+	}
+	c.Stats.Completed++
+	c.Stats.Bytes += int64(c.Opts.MsgSize)
+	if c.Opts.LatencyMode {
+		c.Stats.LatSamples = append(c.Stats.LatSamples, c.Sess.Sched().Now()-q.lastPost)
+	}
 }
 
 // QPStates summarizes per-QP progress for diagnostics.

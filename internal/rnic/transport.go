@@ -772,9 +772,14 @@ func (qp *QP) requester(p *packet) {
 }
 
 // ackUpTo acknowledges every sent entry with PSN ≤ ack (cumulative).
+// PostSend hands out PSNs in order, so the send queue is in PSN order and
+// the walk stops at the first entry the ACK does not cover.
 func (qp *QP) ackUpTo(ack uint32) {
 	for _, e := range qp.sq {
-		if e.state == sqSent && !psnLess(ack, e.psn) {
+		if psnLess(ack, e.psn) {
+			break
+		}
+		if e.state == sqSent {
 			if isFenced(e.wr.Opcode) {
 				// READ/ATOMIC complete only via their response packets.
 				continue
@@ -786,10 +791,14 @@ func (qp *QP) ackUpTo(ack uint32) {
 	qp.afterAck()
 }
 
-// ackBelow acknowledges sent entries with PSN strictly below psn.
+// ackBelow acknowledges sent entries with PSN strictly below psn, in
+// PSN order as ackUpTo does.
 func (qp *QP) ackBelow(psn uint32) {
 	for _, e := range qp.sq {
-		if e.state == sqSent && psnLess(e.psn, psn) && !isFenced(e.wr.Opcode) {
+		if !psnLess(e.psn, psn) {
+			break
+		}
+		if e.state == sqSent && !isFenced(e.wr.Opcode) {
 			e.state = sqAcked
 			qp.dev.emitPSN("ack", qp.QPN, e.psn)
 		}

@@ -506,3 +506,27 @@ func TestProcListTracksLiveProcs(t *testing.T) {
 		t.Fatalf("LiveBlocked = %d, want 2", n)
 	}
 }
+
+// TestRandIsSeededOnTheFirstDraw: a scheduler that never draws holds no
+// random source (New allocates the scheduler alone), and one whose first
+// draw comes after its procs ran draws the stream
+// rand.New(rand.NewSource(seed)) draws.
+func TestRandIsSeededOnTheFirstDraw(t *testing.T) {
+	var kept *Scheduler
+	if n := testing.AllocsPerRun(20, func() { kept = New(7) }); n != 1 || kept == nil {
+		t.Errorf("New allocates %v times, want 1 (the scheduler, no source)", n)
+	}
+	s := New(7)
+	defer s.Close()
+	s.Go("sleeper", func() { s.Sleep(time.Millisecond) })
+	s.Run()
+	if s.rng != nil {
+		t.Fatal("a scheduler that never drew built a random source")
+	}
+	want := rand.New(rand.NewSource(7))
+	for i := 0; i < 16; i++ {
+		if g, w := s.Rand().Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d: %d, want %d", i, g, w)
+		}
+	}
+}
