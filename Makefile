@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-time loc test-race chaos goldens chaos-race fuzz check bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
+.PHONY: all build vet test test-time loc test-race chaos goldens chaos-race fuzz check examples bench-smoke bench-fixed bench-fixed-smoke bench-compare profile
 
 all: build
 
@@ -107,6 +107,11 @@ fuzz:
 	$(GO) test ./internal/oob -run=Fuzz -fuzz=FuzzDecodeWire -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/mem -run=Fuzz -fuzz=FuzzAddressSpace -fuzztime=10s -fuzzminimizetime=1s
 
+# The programs under examples/, each run to completion. Every one panics
+# when a check it makes fails, so a non-zero exit is a broken example.
+examples:
+	@for d in examples/*/; do echo "go run ./$${d%/}"; $(GO) run ./$${d%/} || exit 1; done
+
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.
 bench-smoke:
@@ -145,4 +150,4 @@ profile:
 bench-fixed-smoke:
 	cd bench && $(GO) test .
 
-check: vet test bench-smoke bench-fixed-smoke chaos chaos-race fuzz test-race
+check: vet test examples bench-smoke bench-fixed-smoke chaos chaos-race fuzz test-race

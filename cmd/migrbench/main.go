@@ -6,13 +6,12 @@
 //	migrbench -exp all
 //	migrbench -exp fig3 -qps 16,64,256,1024,4096
 //	migrbench -exp fig4a|fig4b|fig4c|fig5|fig6|table4
-//	migrbench -exp migros|latency|loss
-//	migrbench -exp concurrent -k 4 -conc 2
+//	migrbench -exp migros|latency
 //	migrbench -exp cutover
 //	migrbench -exp tenancy -sessions 250,500,1000,2000
 //	migrbench -exp pagechan
 //	migrbench -exp drain -drainpar 1,2,4,8
-//	migrbench -exp ablation-keytable|ablation-wbs|ablation-rkey|ablation-partner
+//	migrbench -exp ablation-keytable|ablation-rkey
 //
 // Output is a textual rendition of each table/figure: the same rows or
 // series the paper reports, produced by the same workloads.
@@ -60,8 +59,6 @@ func run(args []string, out, errOut io.Writer) int {
 	fs.Var(&sizes, "sizes", "message sizes for fig4b")
 	partners := intList{1, 2, 4}
 	fs.Var(&partners, "partners", "partner counts for fig4c")
-	k := fs.Int("k", 4, "container count for the concurrent experiment")
-	conc := fs.Int("conc", 2, "admission cap for the concurrent experiment")
 	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile of the sweep to this file")
 	memprofile := fs.String("memprofile", "", "write a pprof heap profile at exit to this file")
 
@@ -115,14 +112,6 @@ func run(args []string, out, errOut io.Writer) int {
 			printRows(out, experiments.AblationKeyTable([]int{4, 32, 128, 1024}))
 			return nil
 		}},
-		{"ablation-wbs", "Ablation — wait-before-stop vs drop-and-replay", func(out io.Writer) error {
-			printRows(out, experiments.AblationWBS(qps))
-			return nil
-		}},
-		{"ablation-partner", "Ablation — partner spare QPs vs QP reset reuse", func(out io.Writer) error {
-			printRows(out, experiments.AblationPartnerPreSetup(qps))
-			return nil
-		}},
 		{"ablation-rkey", "Ablation — remote key cache on/off", func(out io.Writer) error {
 			r, err := experiments.AblationRKeyCache(500)
 			if err != nil {
@@ -131,30 +120,12 @@ func run(args []string, out, errOut io.Writer) int {
 			fmt.Fprintln(out, r)
 			return nil
 		}},
-		{"concurrent", "Concurrent drain — K container migrations under an admission cap", func(out io.Writer) error {
-			res, err := experiments.ConcurrentMigrations(*k, *conc)
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(out, res)
-			return nil
-		}},
 		{"latency", "Per-op latency across a live migration (Fig. 5's per-op view)", func(out io.Writer) error {
 			prof, err := experiments.LatencyAcrossMigration()
 			if err != nil {
 				return err
 			}
 			fmt.Fprintln(out, prof)
-			return nil
-		}},
-		{"loss", "Robustness — migration under packet loss (§3.4 timeout path)", func(out io.Writer) error {
-			for _, p := range []float64{0.01, 0.05} {
-				r, err := experiments.MigrationUnderLoss(p, 300*time.Millisecond)
-				if err != nil {
-					return err
-				}
-				fmt.Fprintln(out, r)
-			}
 			return nil
 		}},
 		{"cutover", "Cutover modes — go-back-N vs plug-and-forward", func(out io.Writer) error {

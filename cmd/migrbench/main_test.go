@@ -23,8 +23,15 @@ func TestUnknownExperimentNamesTheValidOnes(t *testing.T) {
 			t.Errorf("stderr %q does not mention %s", errOut, want)
 		}
 	}
-	if code, _, _ := drive("-no-such-flag"); code != 2 {
-		t.Errorf("bad flag exited %d, want 2", code)
+	for _, gone := range []string{"concurrent", "loss"} {
+		if code, _, errOut := drive("-exp", gone); code != 2 || !strings.Contains(errOut, `unknown experiment "`+gone+`"`) {
+			t.Errorf("-exp %s exited %d, stderr %q", gone, code, errOut)
+		}
+	}
+	for _, bad := range []string{"-no-such-flag", "-k"} {
+		if code, _, _ := drive(bad, "4"); code != 2 {
+			t.Errorf("%s exited %d, want 2", bad, code)
+		}
 	}
 	if code, _, errOut := drive("-exp", "migros", "-qps", "16,x"); code != 2 || !strings.Contains(errOut, `bad integer "x"`) {
 		t.Errorf("bad -qps exited %d, stderr %q", code, errOut)
@@ -38,7 +45,7 @@ func TestCheapestExperiments(t *testing.T) {
 		args        []string
 		banner, row string
 	}{
-		{[]string{"-exp", "ablation-wbs", "-qps", "16"}, "════ Ablation — wait-before-stop vs drop-and-replay ════", "QPs=16 "},
+		{[]string{"-exp", "ablation-keytable"}, "════ Ablation — dense key array vs LubeRDMA linked list ════", "MRs=4 "},
 		{[]string{"-exp", "latency"}, "════ Per-op latency across a live migration", "ops="},
 	} {
 		code, out, errOut := drive(c.args...)

@@ -54,7 +54,7 @@ type Cluster struct {
 // observations they are calibrated against:
 //
 //   - fabric: LinkRate 100 Gbps per port, ~1 µs propagation — §5.1.
-//   - rnic: QP create→RTS ≈ 0.9 ms (CreateQPLat … ModifyRTSLat;
+//   - rnic: QP create→RTS ≈ 0.9 ms (createQPLat … modifyRTSLat;
 //     "setting up an RDMA connection takes several milliseconds", §2.2
 //     via [53]); sparse physical QPNs/keys (why §3.3 introduces dense
 //     virtual values).

@@ -482,10 +482,6 @@ func (qp *QP) State() rnic.QPState { return qp.v.State() }
 // Suspended reports whether the data path is currently intercepted.
 func (qp *QP) Suspended() bool { return qp.suspended }
 
-// SetPeerSupport records the §6 negotiation result: whether the peer
-// side runs MigrRDMA. Without it, rkeys pass through unvirtualized.
-func (qp *QP) SetPeerSupport(ok bool) { qp.peerMigr = ok }
-
 // Modify transitions the QP state machine. For RC RTR the remote QPN
 // the application supplies is the peer's *virtual* QPN (what the peer's
 // application exchanged out-of-band); the library translates it to the

@@ -364,9 +364,6 @@ func (r *Restore) Abandon() {
 	r.tempOf = nil
 }
 
-// Abandoned reports whether the restore was discarded.
-func (r *Restore) Abandoned() bool { return r.abandoned }
-
 // Finalize performs the final restore iteration (Fig. 2b ⑥): the last
 // diff has been applied chunk by chunk, so what remains is remapping
 // every temporary area to its original virtual address. The process

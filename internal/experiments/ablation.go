@@ -4,15 +4,14 @@ import (
 	"fmt"
 	"time"
 
-	"migrrdma/internal/fabric"
 	"migrrdma/internal/migros"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
-	"migrrdma/internal/runc"
 )
 
-// This file contains the ablation studies of DESIGN.md §4: the design
-// choices the paper argues for, each compared against its alternative.
+// This file contains the ablation studies of DESIGN.md §4 that no figure
+// already measures, each design choice compared against its
+// alternative, and §6's MigrOS comparison.
 
 // --- Key-table ablation: dense array (MigrRDMA) vs move-to-front
 // linked list (LubeRDMA, §6) ---------------------------------------------------
@@ -125,49 +124,6 @@ func accessPattern(n int, skewed bool) []uint32 {
 	return keys
 }
 
-// --- Wait-before-stop vs drop-and-replay (§3.4) -------------------------------
-
-// WBSAblationRow compares stop-and-copy strategies for in-flight WRs.
-type WBSAblationRow struct {
-	QPs           int
-	InflightBytes int64
-	// WaitBeforeStop: drain the wire before stopping (brownout, off the
-	// blackout path).
-	WBS time.Duration
-	// DropAndReplay: reset every QP to discard in-flight WRs (inside
-	// the blackout) and retransmit them after restore.
-	DropReset  time.Duration
-	DropReplay time.Duration
-}
-
-// String renders a row.
-func (r WBSAblationRow) String() string {
-	return fmt.Sprintf("QPs=%-5d inflight=%-10d wbs=%-12v drop: reset=%v (blackout!) + replay=%v",
-		r.QPs, r.InflightBytes, r.WBS.Round(time.Microsecond),
-		r.DropReset.Round(time.Microsecond), r.DropReplay.Round(time.Microsecond))
-}
-
-// AblationWBS contrasts the strategies analytically using the measured
-// NIC reset latency and link rate: replay costs what waiting costs (both
-// drain the same bytes), but discarding requires per-QP resets which are
-// both slow and inside the blackout — the paper's two reasons for
-// rejecting drop-and-replay.
-func AblationWBS(qpCounts []int) []WBSAblationRow {
-	var rows []WBSAblationRow
-	for _, n := range qpCounts {
-		inflight := int64(n) * 64 * 4096
-		wire := time.Duration(float64(inflight*8) / float64(fabric.LinkRate) * float64(time.Second))
-		rows = append(rows, WBSAblationRow{
-			QPs:           n,
-			InflightBytes: inflight,
-			WBS:           wire,
-			DropReset:     time.Duration(n) * rnic.ResetQPLat,
-			DropReplay:    wire,
-		})
-	}
-	return rows
-}
-
 // --- rkey cache on/off (§3.3) ---------------------------------------------------
 
 // RKeyCacheRow compares one-sided op throughput with and without the
@@ -222,46 +178,6 @@ func AblationRKeyCache(messages int) (RKeyCacheRow, error) {
 	return RKeyCacheRow{Messages: messages, CachedOps: cached, UncachedOps: uncached, Fetches: fetches}, nil
 }
 
-// --- Partner pre-setup vs QP reset reuse (§3.2) ---------------------------------
-
-// PartnerPreSetupRow contrasts the partner-side strategies.
-type PartnerPreSetupRow struct {
-	QPs int
-	// SpareQP is MigrRDMA's choice: new QPs during pre-copy; only the
-	// switch-over touches the blackout.
-	SpareQPBrownout time.Duration
-	SpareQPBlackout time.Duration
-	// ResetReuse reuses old QPs via reset — possible only during
-	// stop-and-copy, so the whole cost lands in the blackout.
-	ResetReuseBlackout time.Duration
-}
-
-// String renders the row.
-func (r PartnerPreSetupRow) String() string {
-	return fmt.Sprintf("QPs=%-5d spare: brownout=%v blackout=%v   reset-reuse: blackout=%v",
-		r.QPs, r.SpareQPBrownout.Round(time.Microsecond), r.SpareQPBlackout.Round(time.Microsecond),
-		r.ResetReuseBlackout.Round(time.Microsecond))
-}
-
-// AblationPartnerPreSetup models both strategies from the NIC control
-// costs (§3.2's argument for spare QPs).
-func AblationPartnerPreSetup(qpCounts []int) []PartnerPreSetupRow {
-	const (
-		connect   = rnic.CreateQPLat + rnic.ModifyInitLat + rnic.ModifyRTRLat + rnic.ModifyRTSLat
-		reconnect = rnic.ResetQPLat + rnic.ModifyInitLat + rnic.ModifyRTRLat + rnic.ModifyRTSLat
-	)
-	var rows []PartnerPreSetupRow
-	for _, n := range qpCounts {
-		rows = append(rows, PartnerPreSetupRow{
-			QPs:                n,
-			SpareQPBrownout:    time.Duration(n) * connect,
-			SpareQPBlackout:    time.Duration(n) * 2 * time.Microsecond, // table switch only
-			ResetReuseBlackout: time.Duration(n) * reconnect,
-		})
-	}
-	return rows
-}
-
 // --- §6 MigrOS comparison ---------------------------------------------------------
 
 // MigrOSRow compares the systems at one QP count. MigrRDMA's side is
@@ -302,58 +218,4 @@ func MigrOSCompare(qpCounts []int) ([]MigrOSRow, error) {
 func migrOSRow(r Fig3Row) MigrOSRow {
 	m := migros.Breakdown{Wait: r.CommBlackout - r.ServiceBlackout, Transfer: r.ServiceBlackout}
 	return MigrOSRow{QPs: r.QPs, MigrOS: migros.MigrOS(m, r.QPs), MigrRDMA: m}
-}
-
-// --- Migration under packet loss (robustness; §3.4 timeout path) ---------------
-
-// LossRow reports a migration under fabric loss.
-type LossRow struct {
-	LossPct   float64
-	WBS       time.Duration
-	TimedOut  bool
-	Completed int64
-	Errors    int
-}
-
-// String renders the row.
-func (r LossRow) String() string {
-	return fmt.Sprintf("loss=%.1f%% wbs=%v timedout=%v completed=%d errors=%d",
-		r.LossPct*100, r.WBS.Round(time.Microsecond), r.TimedOut, r.Completed, r.Errors)
-}
-
-// MigrationUnderLoss migrates a sender while the fabric drops packets.
-func MigrationUnderLoss(loss float64, wbsTimeout time.Duration) (LossRow, error) {
-	r := NewRig(31, "src", "dst", "partner")
-	defer r.Close()
-	for _, d := range r.Daemons {
-		d.SetWBSTimeout(wbsTimeout)
-	}
-	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: 4096, QueueDepth: 16, NumQPs: 2, Messages: 2000, CheckOrder: true}
-	pair := r.StartPair("src", "partner", opts)
-	var rep *runc.Report
-	err := r.Run(Horizon, func() (err error) {
-		pair.Client.WaitReady()
-		r.CL.Sched.Sleep(settle)
-		// Loss hits only the RDMA data path; the control plane and image
-		// transfer are TCP-reliable on a real deployment.
-		r.CL.Net.SetPortLoss("src", rnic.PortRDMA, loss)
-		r.CL.Net.SetPortLoss("partner", rnic.PortRDMA, loss)
-		if rep, err = r.Migrate(pair.ClientCont, "src", "dst", runc.DefaultMigrateOptions()); err != nil {
-			return err
-		}
-		r.CL.Net.SetPortLoss("src", rnic.PortRDMA, 0)
-		r.CL.Net.SetPortLoss("partner", rnic.PortRDMA, 0)
-		pair.Client.Wait()
-		r.CL.Sched.Sleep(5 * time.Millisecond)
-		pair.Server.Stop()
-		return nil
-	})
-	if err != nil {
-		return LossRow{}, fmt.Errorf("loss=%v: %w", loss, err)
-	}
-	return LossRow{
-		LossPct: loss, WBS: rep.WBS.Elapsed, TimedOut: rep.WBS.TimedOut,
-		Completed: pair.Server.Stats.Completed,
-		Errors:    len(pair.Errors()),
-	}, nil
 }

@@ -187,18 +187,6 @@ func TestAblationKeyTable(t *testing.T) {
 	}
 }
 
-func TestAblationWBSAndPartner(t *testing.T) {
-	for _, r := range AblationWBS([]int{64, 1024}) {
-		t.Logf("%s", r)
-	}
-	for _, r := range AblationPartnerPreSetup([]int{64, 1024}) {
-		t.Logf("%s", r)
-		if r.ResetReuseBlackout <= r.SpareQPBlackout {
-			t.Error("reset-reuse should cost more blackout than spare QPs")
-		}
-	}
-}
-
 func TestAblationRKeyCache(t *testing.T) {
 	row, err := rkeyCache300()
 	if err != nil {
@@ -210,20 +198,6 @@ func TestAblationRKeyCache(t *testing.T) {
 	}
 	if row.Fetches > 4 {
 		t.Errorf("cached run fetched %d times, want ~1", row.Fetches)
-	}
-}
-
-func TestMigrationUnderLossStillCorrect(t *testing.T) {
-	row, err := MigrationUnderLoss(0.02, 300*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("%s", row)
-	if row.Errors > 0 {
-		t.Errorf("correctness errors under loss: %d", row.Errors)
-	}
-	if row.Completed != 2000*2 {
-		t.Errorf("completed %d, want 4000", row.Completed)
 	}
 }
 

@@ -27,15 +27,6 @@ func (m *Mux) Unregister(port string) {
 	delete(m.handlers, port)
 }
 
-// Inject hands a frame to the registered port handler as if it had just
-// been delivered by the fabric, bypassing the wire. The plug-and-forward
-// teardown uses it for tunnel stragglers that arrive after the plug is
-// gone: they are re-offered locally and the transport's PSN window
-// decides their fate.
-func (m *Mux) Inject(f Frame) {
-	m.dispatch(f)
-}
-
 func (m *Mux) dispatch(f Frame) {
 	if h, ok := m.handlers[f.Port]; ok {
 		h(f)

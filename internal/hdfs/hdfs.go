@@ -414,7 +414,6 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 		if msg.Kind != "assign" {
 			continue
 		}
-		debugf("worker %s got assign", w.Name)
 		var a assignMsg
 		codec.MustDecode(msg.Body, &a)
 		w.execute(p, ep, a)
@@ -434,7 +433,6 @@ func (w *Worker) execute(p *task.Process, ep *oob.Endpoint, a assignMsg) {
 		}
 		switch a.Spec.Kind {
 		case TestDFSIO:
-			debugf("worker %s block %d start", w.Name, unit)
 			if err := w.writeBlock(a.Spec, unit); err != nil {
 				panic(fmt.Sprintf("hdfs: block %d: %v", unit, err))
 			}
@@ -619,13 +617,4 @@ func (dn *DataNode) Run(p *task.Process, d *core.Daemon) {
 	dn.ready = true
 	dn.readyC.Broadcast()
 	// Passive: one-sided writes need no completion handling.
-}
-
-// debugf prints when the HDFSDEBUG build flag is on.
-var debugEnabled = false
-
-func debugf(format string, args ...any) {
-	if debugEnabled {
-		fmt.Printf("hdfs: "+format+"\n", args...)
-	}
 }

@@ -61,8 +61,6 @@ func piSpec() JobSpec {
 }
 
 func TestDFSIOBaseline(t *testing.T) {
-	debugEnabled = true
-	defer func() { debugEnabled = false }()
 	r := newRig(t, false)
 	var res JobResult
 	r.cl.Sched.Go("driver", func() {

@@ -37,9 +37,6 @@ func NewController(floorPages int) *Controller {
 	return &Controller{FloorPages: floorPages, MaxIters: DefaultMaxIters, Epsilon: DefaultEpsilon}
 }
 
-// Iters reports how many rounds have been observed.
-func (c *Controller) Iters() int { return c.iters }
-
 // Observe folds one finished round into the model: st is the round the
 // channel just streamed, dirtyAfter the dirty-page count measured once
 // it completed.

@@ -51,14 +51,13 @@ const (
 // sum along create→INIT→RTR→RTS is 0.9 ms per QP (the paper cites
 // "several milliseconds" to set up a connection, [53] via §2.2); over a
 // process's QPs it is what makes RestoreRDMA dominate the no-presetup
-// blackout in Fig. 3. The QP commands are exported for the analytic
-// ablations.
+// blackout in Fig. 3.
 const (
-	CreateQPLat   = 150 * time.Microsecond
-	ModifyInitLat = 100 * time.Microsecond
-	ModifyRTRLat  = 400 * time.Microsecond
-	ModifyRTSLat  = 250 * time.Microsecond
-	ResetQPLat    = 900 * time.Microsecond
+	createQPLat   = 150 * time.Microsecond
+	modifyInitLat = 100 * time.Microsecond
+	modifyRTRLat  = 400 * time.Microsecond
+	modifyRTSLat  = 250 * time.Microsecond
+	resetQPLat    = 900 * time.Microsecond
 
 	createCQLat = 80 * time.Microsecond
 	regMRLat    = 30 * time.Microsecond // base cost
@@ -362,9 +361,6 @@ func (d *Device) allocID() uint32 {
 // checks (session close mid-migration, chaos invariants) assert it
 // returns to the expected floor.
 func (d *Device) QPCount() int { return len(d.qps) }
-
-// MRCount reports the number of registered MRs on the device.
-func (d *Device) MRCount() int { return len(d.mrs) }
 
 // SetForward installs (or, with nil maps, removes) the source-side
 // forwarding rule: frames addressed to a listed QPN bypass the local

@@ -132,7 +132,7 @@ func (d *Device) DestroySRQ(s *SRQ) {
 
 // CreateQP creates a queue pair in the RESET state.
 func (d *Device) CreateQP(pd *PD, typ QPType, sendCQ, recvCQ *CQ, srq *SRQ, caps QPCaps) *QP {
-	d.sched.Sleep(CreateQPLat)
+	d.sched.Sleep(createQPLat)
 	if caps.MaxSend == 0 {
 		caps.MaxSend = 128
 	}
@@ -198,13 +198,13 @@ func (qp *QP) Modify(attr ModifyAttr) error {
 		if qp.state != StateReset {
 			return fmt.Errorf("rnic: %v→INIT invalid", qp.state)
 		}
-		d.sched.Sleep(ModifyInitLat)
+		d.sched.Sleep(modifyInitLat)
 		qp.state = StateInit
 	case StateRTR:
 		if qp.state != StateInit {
 			return fmt.Errorf("rnic: %v→RTR invalid", qp.state)
 		}
-		d.sched.Sleep(ModifyRTRLat)
+		d.sched.Sleep(modifyRTRLat)
 		if qp.Type == RC {
 			if attr.RemoteNode == "" {
 				return fmt.Errorf("rnic: RC RTR requires a remote endpoint")
@@ -217,15 +217,15 @@ func (qp *QP) Modify(attr ModifyAttr) error {
 		if qp.state != StateRTR {
 			return fmt.Errorf("rnic: %v→RTS invalid", qp.state)
 		}
-		d.sched.Sleep(ModifyRTSLat)
+		d.sched.Sleep(modifyRTSLat)
 		qp.state = StateRTS
 	case StateError:
-		d.sched.Sleep(ModifyInitLat)
+		d.sched.Sleep(modifyInitLat)
 		qp.enterError()
 	case StateReset:
 		// Resetting a live QP is slow (paper §3.2 rejects QP reuse via
 		// reset partly for this reason).
-		d.sched.Sleep(ResetQPLat)
+		d.sched.Sleep(resetQPLat)
 		qp.reset()
 	default:
 		return fmt.Errorf("rnic: unsupported target state %v", attr.State)

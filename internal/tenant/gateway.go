@@ -48,9 +48,6 @@ type TenantSession struct {
 // Pending returns the session's queued (not yet sent) operation count.
 func (s *TenantSession) Pending() int { return s.pendingData + len(s.pendingProbes) }
 
-// Inflight returns the session's unacknowledged operation count.
-func (s *TenantSession) Inflight() int { return len(s.inflight) }
-
 // GatewayStats aggregates the mux-side outcome counts.
 type GatewayStats struct {
 	Submitted    int64
