@@ -91,9 +91,10 @@ chaos-race:
 	$(GO) test -race ./internal/chaos -run TestPlugVsGoBackN
 
 # Fuzz smoke over the wire-format decoder, the transport fault-script
-# harness, the control-message codec, the OOB control-frame decoder and
-# the address space's copy-on-write rule for borrowed frames, checked
-# against its private-pages reference (go test fuzzes one target per
+# harness, the control-message codec, the OOB control-frame decoder, the
+# address space's copy-on-write rule for borrowed frames, checked
+# against its private-pages reference, and the scheduler's lanes,
+# checked against one timer per entry (go test fuzzes one target per
 # invocation). FuzzDecode walks reflect, whose first-use paths make
 # coverage flicker, and FuzzAddressSpace finds new inputs for most of
 # its ten seconds; the engine's default 60 s budget for minimising each
@@ -106,6 +107,7 @@ fuzz:
 	$(GO) test ./internal/codec -run=Fuzz -fuzz=FuzzDecode -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/oob -run=Fuzz -fuzz=FuzzDecodeWire -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/mem -run=Fuzz -fuzz=FuzzAddressSpace -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/sim -run=Fuzz -fuzz=FuzzLaneOrder -fuzztime=10s -fuzzminimizetime=1s
 
 # The programs under examples/, each run to completion. Every one panics
 # when a check it makes fails, so a non-zero exit is a broken example.

@@ -455,8 +455,8 @@ type sendShadow struct {
 	sges rnic.SGEList
 }
 
-func shadowSend(wr rnic.SendWR) sendShadow {
-	e := sendShadow{wr: wr}
+func shadowSend(wr *rnic.SendWR) sendShadow {
+	e := sendShadow{wr: *wr}
 	e.wr.SGEs = nil
 	e.sges.Set(wr.SGEs)
 	return e
@@ -509,20 +509,20 @@ func (qp *QP) Modify(attr rnic.ModifyAttr) error {
 // if the WR had been posted (§3.4 keeps RDMA's asynchronous semantics).
 func (qp *QP) PostSend(wr rnic.SendWR) error {
 	qp.sess.Proc.Gate()
-	return qp.postSend(wr)
+	return qp.postSend(&wr)
 }
 
 // postSend is the gate-free post path, also used by the library itself
 // when replaying WRs during restoration (the process is still frozen
-// then; the library is not).
-func (qp *QP) postSend(wr rnic.SendWR) error {
+// then; the library is not). It reads wr and keeps no reference to it.
+func (qp *QP) postSend(wr *rnic.SendWR) error {
 	s := qp.sess
 	if qp.suspended {
 		qp.intercepted.Push(shadowSend(wr))
 		s.mIntercepts.Inc()
 		return nil
 	}
-	pwr := wr
+	pwr := *wr
 	if err := s.translateSend(qp, &pwr); err != nil {
 		return err
 	}

@@ -267,7 +267,8 @@ func (s *Session) Resume(qps []*QP) error {
 		s.mReplayedWRs.Add(int64(unfinished.Len()))
 		for _, replay := range [2]*fifo.Queue[sendShadow]{&unfinished, &intercepted} {
 			for i := 0; i < replay.Len(); i++ {
-				if err := qp.postSend(replay.At(i).request()); err != nil {
+				wr := replay.At(i).request()
+				if err := qp.postSend(&wr); err != nil {
 					return err
 				}
 			}

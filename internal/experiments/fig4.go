@@ -51,20 +51,31 @@ const fig4BaseSeed = 13
 // flight at suspension time.
 func Fig4Seeded(n, msgSize, partners int, seed int64) (_ Fig4Row, err error) {
 	defer wrapErr(&err, "fig4 n=%d msg=%d partners=%d seed=%d", n, msgSize, partners, seed)
+	r := newFig4Rig(partners, seed)
+	defer r.Close()
+	return r.fig4(n, msgSize, partners)
+}
+
+// newFig4Rig builds Fig. 4's hosts: the source, the destination and one
+// partner node per perftest server (the paper's one-to-many mode).
+// Wait-before-stop is independent of checkpoint costs; the light CRIU
+// configuration keeps the line-rate traffic window (and thus the
+// simulated message count) small.
+func newFig4Rig(partners int, seed int64) *Rig {
 	nodes := []string{"src", "dst"}
-	// One perftest server per partner (the paper's one-to-many mode).
+	for i := 0; i < partners; i++ {
+		nodes = append(nodes, fmt.Sprintf("p%d", i))
+	}
+	return NewRigCfg(cluster.FastCheckpointTestbed(seed), nodes...)
+}
+
+// fig4 runs one Fig. 4 point on a rig newFig4Rig built.
+func (r *Rig) fig4(n, msgSize, partners int) (_ Fig4Row, err error) {
 	at := make([]serverAt, partners)
 	for i := range at {
 		node := fmt.Sprintf("p%d", i)
-		nodes = append(nodes, node)
 		at[i] = serverAt{node, "server-" + node}
 	}
-	// Wait-before-stop is independent of checkpoint costs; the light
-	// CRIU configuration keeps the line-rate traffic window (and thus
-	// the simulated message count) small.
-	cfg := cluster.FastCheckpointTestbed(seed)
-	r := NewRigCfg(cfg, nodes...)
-	defer r.Close()
 	opts := perftest.Options{Verb: rnic.OpSend, MsgSize: msgSize, QueueDepth: 64, NumQPs: n, Messages: 0}
 	pair, servers := r.start("src", "cli", "client", "srv", opts, at...)
 	cli := pair.Client

@@ -65,7 +65,7 @@ type Network struct {
 	// on a flat network, so the classic Send path never consults it.
 	racks []*rackLink
 
-	// freeDeliveries recycles the per-frame delivery events scheduled by
+	// freeDeliveries recycles the per-frame delivery events armed by
 	// deliverAt, so the steady-state data path allocates no event state
 	// per packet.
 	freeDeliveries []*delivery
@@ -142,6 +142,10 @@ type port struct {
 	// plug, when installed, queues matching frames instead of delivering
 	// them (plug-and-forward cutover; see plug.go).
 	plug *plug
+	// arrivals carries the frames the downlink delivers, in arrival order:
+	// an arrival is downBusy plus the propagation delay, and downBusy only
+	// grows. A frame held back by reorderDelay takes a timer of its own.
+	arrivals sim.Lane
 
 	// Registry handles, resolved once at Attach (hot-path increments
 	// are single atomic adds). They are the port's only counts: a test
@@ -179,7 +183,7 @@ func (n *Network) Attach(name string, h Handler) {
 		panic("fabric: duplicate node " + name)
 	}
 	b := n.reg.Block("fabric", metrics.L("node", name), 9)
-	n.ports[name] = &port{
+	p := &port{
 		name: name, handler: h,
 		mTxBytes:   b.Counter("tx_bytes"),
 		mRxBytes:   b.Counter("rx_bytes"),
@@ -191,6 +195,8 @@ func (n *Network) Attach(name string, h Handler) {
 		mReord:     b.Counter("reordered_frames"),
 		mBacklog:   b.Gauge("downlink_backlog_ns"),
 	}
+	p.arrivals.Init(n.sched, deliverCB)
+	n.ports[name] = p
 }
 
 // SetHandler replaces the frame handler of an attached node. It is used
@@ -366,10 +372,12 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 			dst.mDropped.Inc()
 			continue
 		}
+		reordered := false
 		if dst.reorderProb > 0 && (dst.reorderPort == "" || dst.reorderPort == f.Port) &&
 			n.sched.Rand().Float64() < dst.reorderProb {
 			dst.mReord.Inc()
 			arrive += dst.reorderDelay
+			reordered = true
 		}
 		if c > 0 && f.Data != nil {
 			// The switch retransmit is a second physical copy on the
@@ -378,7 +386,7 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 			// corrupt this one.
 			f.Data = append([]byte(nil), f.Data...)
 		}
-		n.deliverAt(dst, f, arrive-now)
+		n.deliverAt(dst, f, reordered, arrive-now)
 	}
 	// downBusy only grows across the copies, so recording the backlog
 	// once after the loop observes the same final value and high-water
@@ -387,21 +395,24 @@ func (n *Network) deliverDownlink(dst *port, f Frame, arriveSwitch time.Duration
 }
 
 // delivery is the pending arrival of one frame at one port. Instances
-// are pooled on the Network and dispatched through the shared deliverCB
-// callback, so scheduling a delivery allocates neither a closure nor an
-// event struct in steady state.
+// are pooled on the Network and ride the port's arrivals lane, which
+// fires the shared deliverCB callback, so scheduling a delivery allocates
+// neither a closure nor an event struct nor a timer in steady state.
 type delivery struct {
 	n   *Network
 	dst *port
 	f   Frame
+	lt  sim.LaneTimer
 }
 
 // deliverCB is the one callback every delivery event shares; the
 // per-event state rides in the argument.
 var deliverCB = func(arg any) { arg.(*delivery).run() }
 
-// deliverAt schedules one delivery of f to dst after d.
-func (n *Network) deliverAt(dst *port, f Frame, d time.Duration) {
+// deliverAt schedules one delivery of f to dst after d: on dst's arrivals
+// lane, or on a timer of its own for a frame held back by reorderDelay,
+// which overtakes the lane's order.
+func (n *Network) deliverAt(dst *port, f Frame, reordered bool, d time.Duration) {
 	var dv *delivery
 	if ln := len(n.freeDeliveries); ln > 0 {
 		dv = n.freeDeliveries[ln-1]
@@ -412,7 +423,11 @@ func (n *Network) deliverAt(dst *port, f Frame, d time.Duration) {
 	}
 	dv.dst = dst
 	dv.f = f
-	n.sched.AfterFuncArg(d, deliverCB, dv)
+	if reordered {
+		n.sched.AfterFuncArg(d, deliverCB, dv)
+		return
+	}
+	dst.arrivals.Arm(&dv.lt, d, dv)
 }
 
 // run hands the frame to the destination handler. The event struct is

@@ -281,6 +281,53 @@ func TestReorderInjection(t *testing.T) {
 	}
 }
 
+// TestDownlinkDeliveriesTakeOneHeapSlot: the frames queued on one
+// downlink ride the port's delivery lane, one timer-heap entry however
+// many are in flight, and still arrive one serialization slot apart.
+func TestDownlinkDeliveriesTakeOneHeapSlot(t *testing.T) {
+	s, n, got, at := newPair(t, Config{})
+	const k = 200
+	s.Go("send", func() {
+		for i := 0; i < k; i++ {
+			n.Send(Frame{Src: "a", Dst: "b", Size: 1024, Data: []byte{byte(i)}})
+		}
+		if h := s.TimerHeapLen(); h != 1 {
+			t.Errorf("%d frames on one downlink take %d heap entries, want 1", k, h)
+		}
+	})
+	s.Run()
+	if len(*got) != k {
+		t.Fatalf("delivered %d frames, want %d", len(*got), k)
+	}
+	ser := n.SerializationTime(1024)
+	for i := 1; i < k; i++ {
+		if (*got)[i].Data[0] != byte(i) || (*at)[i]-(*at)[i-1] != ser {
+			t.Fatalf("frame %d: data %d at %v, previous at %v; want data %d one slot (%v) later",
+				i, (*got)[i].Data[0], (*at)[i], (*at)[i-1], byte(i), ser)
+		}
+	}
+}
+
+// TestLoweredReorderDelayStillOvertakes: a reordered frame due before the
+// reordered frames already in flight (SetReorder lowered the delay) is
+// delivered at its own instant, ahead of them.
+func TestLoweredReorderDelayStillOvertakes(t *testing.T) {
+	s, n, got, at := newPair(t, Config{})
+	s.Go("send", func() {
+		n.SetReorder("b", 1.0, 100*time.Microsecond)
+		n.Send(Frame{Src: "a", Dst: "b", Size: 64, Data: []byte{1}})
+		n.SetReorder("b", 1.0, 10*time.Microsecond)
+		n.Send(Frame{Src: "a", Dst: "b", Size: 64, Data: []byte{2}})
+	})
+	s.Run()
+	if len(*got) != 2 || (*got)[0].Data[0] != 2 || (*got)[1].Data[0] != 1 {
+		t.Fatalf("delivered %v, want frame 2 before frame 1", *got)
+	}
+	if (*at)[1]-(*at)[0] < 80*time.Microsecond {
+		t.Fatalf("frames arrived at %v and %v, want the first held back 100 µs", (*at)[1], (*at)[0])
+	}
+}
+
 func TestRateOverride(t *testing.T) {
 	s, n, got, at := newPair(t, Config{})
 	n.SetRate("b", 1e9) // downlink of b degrades 100×

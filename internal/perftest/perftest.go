@@ -186,20 +186,25 @@ type Server struct {
 	isReady bool
 	stopped bool
 
-	pd  *core.PD
-	cq  *core.CQ
-	ch  *core.CompChannel
-	mr  *core.MR
-	qps []*core.QP
-	// seq tracks expected WR-ID per accepted QP (CheckOrder).
-	seq map[uint32]uint64
-	// srvIdx numbers accepted QPs for recv buffer slotting.
-	srvIdx map[uint32]int
+	pd *core.PD
+	cq *core.CQ
+	ch *core.CompChannel
+	mr *core.MR
+	// qps holds the accepted QPs in accept order, which slots their
+	// receive buffers; byVQPN finds a completion's QP in one probe.
+	qps    []serverQP
+	byVQPN map[uint32]int
 
 	// sge and wc are the serve loop's post and poll scratch: the library
 	// copies a posted SGE list, so one element serves every repost.
 	sge [1]rnic.SGE
 	wc  [pollBatch]rnic.CQE
+}
+
+// serverQP is one accepted QP and the WR ID it expects next (CheckOrder).
+type serverQP struct {
+	qp  *core.QP
+	seq uint64
 }
 
 // pollBatch is how many completions one poll takes.
@@ -209,8 +214,8 @@ const pollBatch = 64
 func NewServer(sched *sim.Scheduler, name string, opts Options) *Server {
 	return &Server{
 		Name: name, Opts: opts.withDefaults(),
-		seq: make(map[uint32]uint64), srvIdx: make(map[uint32]int),
-		ready: sim.NewCond(sched, "pt-server-ready:"+name),
+		byVQPN: make(map[uint32]int),
+		ready:  sim.NewCond(sched, "pt-server-ready:"+name),
 	}
 }
 
@@ -268,9 +273,8 @@ func (s *Server) onConnect(m oob.Msg) []byte {
 		}
 	}
 	idx := len(s.qps)
-	s.qps = append(s.qps, qp)
-	s.srvIdx[qp.VQPN()] = idx
-	s.seq[qp.VQPN()] = 0
+	s.qps = append(s.qps, serverQP{qp: qp})
+	s.byVQPN[qp.VQPN()] = idx
 	// Pre-post receives for two-sided traffic.
 	if req.Verb == rnic.OpSend || req.Verb == rnic.OpSendImm {
 		for i := 0; i < o.RecvDepth; i++ {
@@ -331,12 +335,13 @@ func (s *Server) consume(e rnic.CQE) {
 	}
 	s.Stats.Completed++
 	s.Stats.Bytes += int64(e.ByteLen)
-	idx, ok := s.srvIdx[e.QPN]
+	idx, ok := s.byVQPN[e.QPN]
 	if !ok {
 		s.Stats.errf("completion for unknown QPN %#x", e.QPN)
 		return
 	}
-	want := s.seq[e.QPN]
+	q := &s.qps[idx]
+	want := q.seq
 	if s.Opts.CheckOrder {
 		if e.WRID != want%uint64(s.Opts.RecvDepth) {
 			s.Stats.errf("QP %#x: recv WRID %d, want %d (lost/dup/reorder)", e.QPN, e.WRID, want%uint64(s.Opts.RecvDepth))
@@ -349,11 +354,10 @@ func (s *Server) consume(e rnic.CQE) {
 			}
 		}
 	}
-	s.seq[e.QPN] = want + 1
+	q.seq = want + 1
 	// Repost the consumed receive.
-	qp := s.qps[idx]
 	s.sge[0] = rnic.SGE{Addr: s.recvSlot(idx, want), Len: uint32(s.Opts.MsgSize), LKey: s.mr.LKey()}
-	if err := qp.PostRecv(rnic.RecvWR{WRID: e.WRID, SGEs: s.sge[:]}); err != nil {
+	if err := q.qp.PostRecv(rnic.RecvWR{WRID: e.WRID, SGEs: s.sge[:]}); err != nil {
 		s.Stats.errf("repost recv: %v", err)
 	}
 }

@@ -104,10 +104,18 @@ type Device struct {
 	rxq    fifo.Queue[rxItem]
 	engine *sim.Task
 
+	// rtoLane carries the retransmission timers of every QP on the
+	// device (QP.armRTO).
+	rtoLane sim.Lane
+
 	// TX pacer: frames are pulled (control first, then responder data,
-	// then requester data in QP round-robin) only when the uplink is
-	// free, so retransmission timers see true wire occupancy and deep
-	// send queues drain at line rate instead of flooding the fabric.
+	// then requester data in QP round-robin) one per serialization slot
+	// of the pacer's own, so deep send queues drain at line rate instead
+	// of flooding the fabric. The pacer clocks only its own frames: bytes
+	// the host books on the same uplink outside the NIC (the migration
+	// image's xfer stream, oob control messages) do not slow it, so while
+	// they flow the uplink's queue grows behind them and RDMA frames and
+	// those messages wait in it (EXPERIMENTS.md "Known deltas" 5).
 	ctlq   fifo.Queue[fabric.Frame]
 	respq  fifo.Queue[fabric.Frame]
 	txRing fifo.Queue[*QP]
@@ -207,6 +215,7 @@ func NewDevice(net *fabric.Network, mux *fabric.Mux, node string, cfg Config) *D
 	}
 	mux.Register(PortRDMA, d.onFrame)
 	d.engine = d.sched.NewTask("rnic-engine@"+node, d.runEngine)
+	d.rtoLane.Init(d.sched, fireRTO)
 	return d
 }
 

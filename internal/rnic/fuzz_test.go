@@ -295,15 +295,15 @@ func TestPropPSNOrdering(t *testing.T) {
 }
 
 // TestRTOFiresAtLastArmPlusRTO: the QP's one retransmission timer is
-// pushed back in place by every ACK (sim.Scheduler.Rearm), so its heap
-// entry is queued under a deadline long past by the time traffic stops —
-// and it must still fire one RTO after the last arm, not when that entry
-// surfaces. onRTO checks the instant against the last arm itself, under
-// every test that reaches it (the fault-script corpus above, the fuzzer's
-// seeds, the chaos goldens); here the instants are read off the retry
-// counter: the first fire one RTO after the blackholed send went out,
-// the following ones one RTO after the fire before, until the budget is
-// spent.
+// moved to the tail of its device's RTO lane by every ACK (sim.Lane), so
+// the lane's heap entry is queued under a deadline long past by the time
+// traffic stops — and the timer must still fire one RTO after the last
+// arm, not when that entry surfaces. onRTO checks the instant against
+// the last arm itself, under every test that reaches it (the
+// fault-script corpus above, the fuzzer's seeds, the chaos goldens);
+// here the instants are read off the retry counter: the first fire one
+// RTO after the blackholed send went out, the following ones one RTO
+// after the fire before, until the budget is spent.
 func TestRTOFiresAtLastArmPlusRTO(t *testing.T) {
 	const acked = 40
 	var fires []time.Duration

@@ -67,7 +67,7 @@ type QP struct {
 	rnrBackoff bool
 	retries    int
 	rnrRetries int
-	rtoTimer   sim.Timer
+	rtoTimer   sim.LaneTimer // on the device's rtoLane
 	rtoDue     time.Duration // when rtoTimer was last armed for; onRTO checks it
 
 	// Responder side.
@@ -424,15 +424,16 @@ func ringCap(n int) int {
 	return n
 }
 
-// armRTO (re)arms the retransmission timer if unacked work remains. The
-// QP keeps its one handle whether the timer is pending or cancelled, so
-// that the next arm can reuse the heap entry (sim.Scheduler.Rearm).
+// armRTO (re)arms the retransmission timer if unacked work remains: the
+// QP moves to the tail of its device's RTO lane, which every QP arms
+// with the same delay, so the lane stays in deadline order and all of a
+// device's retransmission timers take one heap entry.
 func (qp *QP) armRTO() {
 	if qp.Type == RC && qp.state == StateRTS {
 		for _, e := range qp.sq {
 			if e.state == sqSent {
 				qp.rtoDue = qp.dev.sched.Now() + rto
-				qp.dev.sched.Rearm(&qp.rtoTimer, rto, fireRTO, qp)
+				qp.dev.rtoLane.Arm(&qp.rtoTimer, rto, qp)
 				return
 			}
 		}
@@ -441,16 +442,17 @@ func (qp *QP) armRTO() {
 }
 
 // fireRTO and fireRNRResume are the retransmission timer callbacks,
-// shared by every QP with the QP as argument, so creating a QP binds no
-// method value and re-arming a timer allocates nothing.
+// shared by every QP with the QP as argument (fireRTO is the RTO lane's
+// callback), so creating a QP binds no method value and re-arming a
+// timer allocates nothing.
 func fireRTO(qp any)       { qp.(*QP).onRTO() }
 func fireRNRResume(qp any) { qp.(*QP).rnrResume() }
 
 // onRTO fires when the oldest unacked message timed out: go-back-N.
 func (qp *QP) onRTO() {
 	if now := qp.dev.sched.Now(); now != qp.rtoDue {
-		// The handle is re-armed in place on every ACK: a fire at the
-		// deadline of an earlier arm would be a spurious go-back-N.
+		// The entry is re-armed on every ACK: a fire at the deadline of
+		// an earlier arm would be a spurious go-back-N.
 		panic(fmt.Sprintf("rnic: QP %d retransmission timer fired at %v, last armed for %v", qp.QPN, now, qp.rtoDue))
 	}
 	if qp.closed || qp.dev.closed || qp.state != StateRTS {

@@ -126,6 +126,50 @@ func TestSendRecvRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRTOTimersTakeOneHeapSlot: the retransmission timers of every QP
+// on a device ride one lane, so n QPs with sends outstanding hold one
+// timer-heap entry between them, and each still times out one RTO after
+// its send went out.
+func TestRTOTimersTakeOneHeapSlot(t *testing.T) {
+	const n = 64
+	var heap int
+	var retries []int
+	var qps []*QP
+	r := newRig(t, Config{}, func(r *rig) {
+		mrA := r.a.regMR(t, 0x100000, 1<<20)
+		for i := 0; i < n; i++ {
+			qa := r.a.dev.CreateQP(r.a.pd, RC, r.a.cq, r.a.cq, nil, QPCaps{})
+			qb := r.b.dev.CreateQP(r.b.pd, RC, r.b.cq, r.b.cq, nil, QPCaps{})
+			connectRC(t, qa, "hostB", qb.QPN)
+			connectRC(t, qb, "hostA", qa.QPN)
+			qps = append(qps, qa)
+		}
+		r.net.SetPartitioned("hostB", true) // no ACK comes back
+		for i, qp := range qps {
+			if err := qp.PostSend(SendWR{WRID: uint64(i), Opcode: OpSend, Signaled: true,
+				SGEs: []SGE{{Addr: 0x100000, Len: 1024, LKey: mrA.LKey}}}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		r.s.Sleep(rto / 2) // every send is on the wire, none timed out
+		heap = r.s.TimerHeapLen()
+		r.s.Sleep(rto/2 + 20*time.Microsecond) // past every QP's deadline
+		for _, qp := range qps {
+			retries = append(retries, qp.retries)
+		}
+	})
+	r.s.RunFor(time.Second)
+	if heap != 1 {
+		t.Errorf("%d QPs with sends outstanding hold %d timer-heap entries, want 1", n, heap)
+	}
+	for i, got := range retries {
+		if got != 1 {
+			t.Fatalf("QP %d timed out %d times one RTO after its send, want 1", i, got)
+		}
+	}
+}
+
 func TestWriteLargeMessage(t *testing.T) {
 	const size = 64 << 10 // 16 fragments at 4 KB MTU
 	r := newRig(t, Config{}, func(r *rig) {

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -79,6 +80,54 @@ func BenchmarkTimerRearm(b *testing.B) {
 	})
 	b.ResetTimer()
 	s.Run()
+}
+
+// BenchmarkLaneFire measures one timer fire on the data path: a frame's
+// delivery, whose ACK pushes back one QP's retransmission timer, with 64
+// frames in flight on one delivery lane and 16 or 1024 QPs armed on one
+// RTO lane. The heap holds the two lanes whatever the QP count, so the
+// cost of a fire should not grow with it.
+func BenchmarkLaneFire(b *testing.B) {
+	const (
+		inFlight = 64
+		slot     = 100 * time.Nanosecond // one frame's serialization
+		rto      = 500 * time.Microsecond
+	)
+	for _, owners := range []int{16, 1024} {
+		b.Run(fmt.Sprintf("owners=%d", owners), func(b *testing.B) {
+			s := New(1)
+			defer s.Close()
+			var frames, rtos Lane
+			rtoTimers := make([]LaneTimer, owners)
+			frameTimers := make([]LaneTimer, min(inFlight, b.N))
+			fired := 0
+			frames.Init(s, func(arg any) {
+				rtos.Arm(&rtoTimers[fired%owners], rto, nil)
+				if fired++; fired <= b.N-len(frameTimers) {
+					lt := arg.(*LaneTimer)
+					frames.Arm(lt, inFlight*slot, lt)
+				}
+				if fired == b.N {
+					for i := range rtoTimers {
+						rtoTimers[i].Cancel()
+					}
+				}
+			})
+			rtos.Init(s, func(any) { b.Fatal("a retransmission timer fired") })
+			for i := range rtoTimers {
+				rtos.Arm(&rtoTimers[i], rto, nil)
+			}
+			for i := range frameTimers {
+				frames.Arm(&frameTimers[i], time.Duration(i+1)*slot, &frameTimers[i])
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			s.Run()
+			if fired != b.N {
+				b.Fatalf("fired %d of %d", fired, b.N)
+			}
+		})
+	}
 }
 
 // BenchmarkSleep measures a proc sleeping through a timer, covering the

@@ -39,6 +39,8 @@ type Scheduler struct {
 	// (they are dropped lazily at pop); when they outnumber the live
 	// entries the heap is compacted in one pass.
 	cancelledTimers int
+	// timersPeak is the most entries the heap has held.
+	timersPeak int
 
 	// Livelock detection: dispatches since the clock last advanced.
 	sameInstant int
@@ -340,13 +342,14 @@ func (s *Scheduler) dispatch(p *Proc) {
 	s.cur = nil
 }
 
-// settleTimers drops cancelled entries from the top of the heap and
-// re-keys re-armed ones (Rearm) until the top is a live timer queued
-// under its own deadline, and reports whether there is one. An entry's
-// queued key never exceeds its timer's key, so once the top is settled
-// nothing below it fires earlier. The loop settles before it advances
-// the clock to the top's deadline or decides by it: the clock must not
-// move to a deadline nothing fires at.
+// settleTimers drops cancelled entries from the top of the heap (an
+// empty lane's slot among them) and re-keys re-armed ones (Rearm, a lane
+// whose head moved on) until the top is a live timer queued under its
+// own deadline, and reports whether there is one. An entry's queued key
+// never exceeds its timer's key, so once the top is settled nothing
+// below it fires earlier. The loop settles before it advances the clock
+// to the top's deadline or decides by it: the clock must not move to a
+// deadline nothing fires at.
 func (s *Scheduler) settleTimers() bool {
 	for len(s.timers) > 0 {
 		if s.timers[0].settled() {
@@ -364,7 +367,7 @@ func (s *Scheduler) fixTop() {
 	if tm := e.tm; tm.cancelled {
 		s.timers.pop()
 		s.cancelledTimers--
-		s.putTimer(tm)
+		s.dropTimer(tm)
 	} else {
 		e.when, e.seq = tm.when, tm.seq
 		s.timers.down(0)
@@ -372,8 +375,8 @@ func (s *Scheduler) fixTop() {
 }
 
 // fireNextTimers advances the clock to the earliest timer deadline and
-// fires every timer due at that instant, in scheduling order. The caller
-// has settled the heap.
+// fires every timer due at that instant, in scheduling order; a lane's
+// slot fires the lane's head. The caller has settled the heap.
 func (s *Scheduler) fireNextTimers() {
 	t := s.timers[0].when
 	if t < s.now {
@@ -390,6 +393,10 @@ func (s *Scheduler) fireNextTimers() {
 	for len(s.timers) > 0 && s.timers[0].when <= s.now {
 		if !s.timers[0].settled() {
 			s.fixTop()
+			continue
+		}
+		if l := s.timers[0].tm.lane; l != nil {
+			l.fireHead()
 			continue
 		}
 		tm := s.timers.pop().tm
@@ -432,6 +439,23 @@ func (s *Scheduler) getTimer() *timer {
 	return &timer{s: s}
 }
 
+// dropTimer disposes of a cancelled timer taken out of the heap: a
+// lane's slot goes back to its lane, any other timer to the free list.
+func (s *Scheduler) dropTimer(tm *timer) {
+	if l := tm.lane; l != nil {
+		tm.cancelled = false
+		l.queued = false
+		return
+	}
+	s.putTimer(tm)
+}
+
+// pushTimer queues a heap entry.
+func (s *Scheduler) pushTimer(e timerEntry) {
+	s.timers.push(e)
+	s.timersPeak = max(s.timersPeak, len(s.timers))
+}
+
 // putTimer recycles a timer popped from the heap. Bumping gen makes
 // every outstanding Timer handle to it inert.
 func (s *Scheduler) putTimer(tm *timer) {
@@ -458,7 +482,7 @@ func (s *Scheduler) after(d time.Duration, p *Proc, fn func(), fnArg func(any), 
 	tm.fn = fn
 	tm.fnArg = fnArg
 	tm.arg = arg
-	s.timers.push(tm.entry())
+	s.pushTimer(tm.entry())
 	return tm
 }
 
@@ -563,12 +587,17 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	tm.cancelled = true
-	s := tm.s
-	s.cancelledTimers++
+	tm.s.cancelledTimers++
+	tm.s.maybeCompact()
+	return true
+}
+
+// maybeCompact compacts the heap once cancelled entries outnumber live
+// ones.
+func (s *Scheduler) maybeCompact() {
 	if s.cancelledTimers > len(s.timers)/2 && len(s.timers) >= compactMinTimers {
 		s.compactTimers()
 	}
-	return true
 }
 
 // compactMinTimers is the heap size below which compaction is not worth
@@ -583,7 +612,7 @@ func (s *Scheduler) compactTimers() {
 	for _, e := range s.timers {
 		if tm := e.tm; tm.cancelled {
 			s.cancelledTimers--
-			s.putTimer(tm)
+			s.dropTimer(tm)
 		} else {
 			live = append(live, tm.entry())
 		}
@@ -595,13 +624,18 @@ func (s *Scheduler) compactTimers() {
 
 // TimerHeapLen reports the number of entries (live plus
 // not-yet-collected cancelled) in the timer heap — a test hook for the
-// cancellation bookkeeping.
+// cancellation bookkeeping. A lane is one entry.
 func (s *Scheduler) TimerHeapLen() int { return len(s.timers) }
 
-// timer is one scheduled wake-up or callback. when and seq are its
-// deadline and its place in the scheduling order; after a Rearm they run
-// ahead of the key its heap entry is queued under until settleTimers
-// catches the entry up.
+// TimerHeapPeak reports the most entries the timer heap has held — a
+// test hook for what the heap grows with.
+func (s *Scheduler) TimerHeapPeak() int { return s.timersPeak }
+
+// timer is one scheduled wake-up or callback, or a lane's heap slot.
+// when and seq are its deadline and its place in the scheduling order
+// (a lane's slot: its head's); after a Rearm, or when a lane's head
+// moves on, they run ahead of the key its heap entry is queued under
+// until settleTimers catches the entry up.
 type timer struct {
 	s         *Scheduler
 	when      time.Duration
@@ -612,6 +646,7 @@ type timer struct {
 	arg       any
 	cancelled bool
 	gen       uint64 // bumped on recycle; stale handles check it
+	lane      *Lane  // set on a lane's slot, which fires the lane's head
 }
 
 // timerEntry is a heap slot: the key by value, so that sifting compares
