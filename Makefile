@@ -93,14 +93,15 @@ chaos-race:
 # Fuzz smoke over the wire-format decoder, the transport fault-script
 # harness, the control-message codec, the OOB control-frame decoder, the
 # address space's copy-on-write rule for borrowed frames, checked
-# against its private-pages reference, and the scheduler's lanes,
-# checked against one timer per entry (go test fuzzes one target per
-# invocation). FuzzDecode walks reflect, whose first-use paths make
-# coverage flicker, and FuzzAddressSpace finds new inputs for most of
-# its ten seconds; the engine's default 60 s budget for minimising each
-# "interesting" input would eat them, hence the 1 s cap. The decoder
-# line first runs its seed corpus (the header-only zero packet among
-# them) and the zero-packet codec test.
+# against its private-pages reference, the scheduler's lanes, checked
+# against one timer per entry, and the tenant service's admission
+# checks, checked against their fixed order and the arena's bytes (go
+# test fuzzes one target per invocation). FuzzDecode walks reflect,
+# whose first-use paths make coverage flicker, and FuzzAddressSpace
+# finds new inputs for most of its ten seconds; the engine's default
+# 60 s budget for minimising each "interesting" input would eat them,
+# hence the 1 s cap. The decoder line first runs its seed corpus (the
+# header-only zero packet among them) and the zero-packet codec test.
 fuzz:
 	$(GO) test ./internal/rnic -run='FuzzDecodePacket|TestZeroPacketCodec' -fuzz=FuzzDecodePacket -fuzztime=10s
 	$(GO) test ./internal/rnic -run=Fuzz -fuzz=FuzzRCFaultScript -fuzztime=10s
@@ -108,6 +109,7 @@ fuzz:
 	$(GO) test ./internal/oob -run=Fuzz -fuzz=FuzzDecodeWire -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/mem -run=Fuzz -fuzz=FuzzAddressSpace -fuzztime=10s -fuzzminimizetime=1s
 	$(GO) test ./internal/sim -run=Fuzz -fuzz=FuzzLaneOrder -fuzztime=10s -fuzzminimizetime=1s
+	$(GO) test ./internal/tenant -run=Fuzz -fuzz=FuzzAdmit -fuzztime=10s -fuzzminimizetime=1s
 
 # The programs under examples/, each run to completion. Every one panics
 # when a check it makes fails, so a non-zero exit is a broken example.

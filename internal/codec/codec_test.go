@@ -275,14 +275,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add(codec.MustEncode(every{}))
 	f.Add(codec.MustEncode(populatedEvery()))
 	// One real message of each package that sends control messages, as
-	// that package encodes it (the fuzzer only ever sees bytes).
+	// that package encodes it (the fuzzer only ever sees bytes), and two
+	// valid encodings of messages no package sends any more.
 	for _, seed := range []string{
 		"026d31067365727665720364737402800280029b029b02",                       // core notifyReq
 		"037372630480029b02b602d102",                                           // tenant attachReq
 		"9b020280808080800218726e69633a20494e4954e2869252545220696e76616c6964", // perftest connectResp
 		"02108080800180b5180880c2d72fc09a0c0401000100",                         // hdfs assignMsg
-		"9b020280808080800c800100",                                             // kvstore openResp
-		"06636c69656e748002",                                                   // rdmarpc rpcOpen
+		"9b020280808080800c800100",                                             // a store's open reply (VQPN, rkey, address, slot count)
+		"06636c69656e748002",                                                   // an RPC open request (node name, VQPN)
 	} {
 		data, err := hex.DecodeString(seed)
 		if err != nil {

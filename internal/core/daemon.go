@@ -572,6 +572,9 @@ func (d *Daemon) switchTo(body []byte, deferResume bool) []byte {
 		for n < len(m.spares) && m.spares[n].qp.sess == s {
 			n++
 		}
+		// Invalidate before the swap: it clears the rkey cache of QPs still
+		// pointing at the source, which no switched QP does after it.
+		s.InvalidateRemoteCaches(req.SrcNode)
 		resumed := make([]*QP, n)
 		for i, sp := range m.spares[:n] {
 			qp := sp.qp
@@ -589,7 +592,6 @@ func (d *Daemon) switchTo(body []byte, deferResume bool) []byte {
 			resumed[i] = qp
 		}
 		m.spares = m.spares[n:]
-		s.InvalidateRemoteCaches(req.SrcNode)
 		if deferResume {
 			m.deferred = append(m.deferred, suspendedSet{s: s, qps: resumed})
 			continue

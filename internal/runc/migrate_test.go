@@ -6,6 +6,7 @@ import (
 
 	"migrrdma/internal/cluster"
 	"migrrdma/internal/core"
+	"migrrdma/internal/mem"
 	"migrrdma/internal/perftest"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
@@ -201,6 +202,89 @@ func TestMigrateReceiverWithPreSetup(t *testing.T) {
 	assertClean(t, "server", srv.Stats)
 	if srv.Sess.Node() != "dst" {
 		t.Fatalf("server session on %s, want dst", srv.Sess.Node())
+	}
+}
+
+// TestMigrateOneSidedResponder migrates the passive side of one-sided
+// traffic (READ, WRITE and both atomics), which posts nothing, so only
+// the client's completions and the server's memory show that the verbs
+// survived the move. Every fresh NIC hands out the same key sequence,
+// so one throwaway registration on dst first makes the restored MR's
+// rkey differ from the source's: the partner must drop its cached
+// translation at the switch and fetch the new key, once per QP.
+func TestMigrateOneSidedResponder(t *testing.T) {
+	for _, verb := range []rnic.Opcode{rnic.OpRead, rnic.OpWrite, rnic.OpFetchAdd, rnic.OpCompSwap} {
+		t.Run(verb.String(), func(t *testing.T) {
+			tb := newTestbed(t, "src", "dst", "partner")
+			defer tb.cl.Close()
+			opts := perftest.Options{Verb: verb, MsgSize: 2048, QueueDepth: 8, NumQPs: 2, PostGap: 5 * time.Microsecond}
+			srv := perftest.NewServer(tb.cl.Sched, "srv", opts)
+			srvCont := NewContainer(tb.cl.Host("src"), "server")
+			srvCont.Start(func(p *task.Process) { srv.Run(p, tb.daemons["src"]) })
+			cli := perftest.NewClient(tb.cl.Sched, "cli", opts, perftest.Target{Node: "src", Name: "srv"})
+			cliCont := NewContainer(tb.cl.Host("partner"), "client")
+			tb.cl.Sched.Go("start-client", func() {
+				srv.WaitReady()
+				cliCont.Start(func(p *task.Process) { cli.Run(p, tb.daemons["partner"]) })
+			})
+
+			var mErr error
+			var fetchesBefore, atSwitch int64
+			finished := false
+			tb.cl.Sched.Go("migrate", func() {
+				// RegMR sleeps for the pinning latency, so it runs here.
+				dev, junk := tb.cl.Host("dst").Dev, task.New(tb.cl.Sched, "junk")
+				if _, mErr = junk.AS.Map(0x1000_0000, 4096, "junk"); mErr != nil {
+					return
+				}
+				if _, mErr = dev.RegMR(dev.AllocPD(), junk.AS, 0x1000_0000, 4096, rnic.AccessLocalWrite); mErr != nil {
+					return
+				}
+				cli.WaitReady()
+				tb.cl.Sched.Sleep(3 * time.Millisecond)
+				fetchesBefore = cli.Sess.RKeyFetches
+				_, mErr = (&Migrator{C: srvCont, Dst: tb.cl.Host("dst"),
+					Plug: core.NewPlugin(tb.daemons["src"], tb.daemons["dst"]),
+					Opts: DefaultMigrateOptions()}).Migrate()
+				atSwitch = cli.Stats.Completed
+				tb.cl.Sched.Sleep(3 * time.Millisecond)
+				cli.Stop()
+				cli.Wait()
+				finished = true
+				srv.Stop()
+			})
+			tb.cl.Sched.RunFor(30 * time.Second)
+			assertClean(t, "client", cli.Stats)
+			if mErr != nil {
+				t.Fatalf("migration failed: %v", mErr)
+			}
+			if !finished {
+				t.Fatalf("client never finished after the migration (%d completions)", cli.Stats.Completed)
+			}
+			if srv.Sess.Node() != "dst" {
+				t.Fatalf("server session on %s, want dst", srv.Sess.Node())
+			}
+			if atSwitch == 0 || cli.Stats.Completed <= atSwitch {
+				t.Fatalf("client completions %d at the switch, %d at the end: no progress on both sides of it", atSwitch, cli.Stats.Completed)
+			}
+			if got := cli.Sess.RKeyFetches - fetchesBefore; got != int64(opts.NumQPs) {
+				t.Errorf("%d rkey fetches across the switch, want one per QP (%d)", got, opts.NumQPs)
+			}
+			if verb != rnic.OpFetchAdd {
+				return
+			}
+			// The counter every FETCH_ADD hits sits at the buffer's base:
+			// each completed add landed on src or dst exactly once.
+			var base mem.Addr
+			for _, v := range srv.Sess.Proc.AS.VMAs() {
+				if v.Name == "pt-buffer" {
+					base = v.Start
+				}
+			}
+			if got, err := srv.Sess.Proc.AS.ReadU64(base); err != nil || int64(got) != cli.Stats.Completed {
+				t.Fatalf("destination counter %d (err %v), want the client's %d completions", got, err, cli.Stats.Completed)
+			}
+		})
 	}
 }
 

@@ -22,7 +22,7 @@ type rig struct {
 	gwCont  *runc.Container
 }
 
-func newRig(t *testing.T, seed int64, opts Options) *rig {
+func newRig(t testing.TB, seed int64, opts Options) *rig {
 	t.Helper()
 	cl := cluster.New(cluster.FastCheckpointTestbed(seed), "gw", "src", "dst")
 	r := &rig{cl: cl, daemons: make(map[string]*core.Daemon)}
