@@ -118,8 +118,9 @@ examples:
 
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.
+# tenant's BenchmarkOpenSessions runs the per-session allocation path.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu ./internal/tenant
 
 # The repository's one fixed benchmark (BENCHMARK.json, bench/README.md):
 # eight migration workloads, one process each. bench-fixed appends one

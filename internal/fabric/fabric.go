@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"time"
 
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/sim"
 )
@@ -65,51 +66,66 @@ type Network struct {
 	// on a flat network, so the classic Send path never consults it.
 	racks []*rackLink
 
-	// freeDeliveries recycles the per-frame delivery events armed by
+	// deliveries recycles the per-frame delivery events armed by
 	// deliverAt, so the steady-state data path allocates no event state
 	// per packet.
-	freeDeliveries []*delivery
+	deliveries fifo.FreeList[*delivery]
 
-	// freeBufs is the network-wide wire-buffer pool. It lives on the
+	// bufs is the network-wide wire-buffer pool. It lives on the
 	// Network rather than on each NIC because buffers flow between
 	// hosts: the sender allocates a frame's buffer and the receiver
 	// retires it, so per-NIC pools drain on any host that transmits
 	// more frames than it receives (a one-way bulk sender never gets
 	// its buffers back, and its receiver's pool grows without bound).
 	// Everything on one Network runs on one scheduler, so the shared
-	// slice needs no locking.
-	freeBufs [][]byte
+	// list needs no locking.
+	bufs fifo.FreeList[[]byte]
 }
 
-// maxPooledBufs bounds the buffer pool; beyond it, retired buffers are
-// left to the garbage collector.
-const maxPooledBufs = 4096
+const (
+	// maxPooledBufs bounds the buffer pool; beyond it, retired buffers
+	// are left to the garbage collector.
+	maxPooledBufs = 4096
+	// bufSlabMax caps a refill of the buffer pool, a max-size frame a
+	// buffer; the delivery pool's cap is fifo.SlabMax. Wire-buffer peaks
+	// run to a few hundred (276 on a 16-QP bandwidth run, 364 with 2,000
+	// tenant sessions), where fifo.SlabMax would leave up to 63 buffers
+	// (262 KB) of slack past the peak and this cap leaves at most 15.
+	bufSlabMax = 16
+)
 
-// TakeBuf pops a retired buffer with capacity ≥ size, or nil when the
-// pool has none (the caller allocates with whatever capacity class it
-// wants). Callers hand the buffer to Send as Frame.Data; the receiver
-// retires it with PutBuf once the frame is fully consumed.
-func (n *Network) TakeBuf(size int) []byte {
-	for ln := len(n.freeBufs); ln > 0; ln = len(n.freeBufs) {
-		b := n.freeBufs[ln-1]
-		n.freeBufs[ln-1] = nil
-		n.freeBufs = n.freeBufs[:ln-1]
+// TakeBuf returns a buffer of length size and capacity ≥ size: a retired
+// one, or one cut from a fresh slab of buffers of capacity c (at least
+// size). Callers hand it to Send as Frame.Data; the receiver retires it
+// with PutBuf once the frame is fully consumed.
+func (n *Network) TakeBuf(size, c int) []byte {
+	c = max(c, size)
+	for {
+		b := n.bufs.Get(bufSlabMax, func(free [][]byte, k int) [][]byte {
+			// Each buffer's capacity ends where its neighbour starts, so
+			// an append past it reallocates instead of writing into the
+			// next buffer.
+			s := make([]byte, k*c)
+			for i := range k {
+				free = append(free, s[i*c:i*c:(i+1)*c])
+			}
+			return free
+		})
 		if cap(b) >= size {
 			return b[:size]
 		}
 		// Undersized for this caller (mixed-MTU networks): drop it and
 		// keep looking rather than returning a short buffer.
 	}
-	return nil
 }
 
 // PutBuf retires a frame buffer into the shared pool. The caller must
 // hold the only live reference.
 func (n *Network) PutBuf(b []byte) {
-	if cap(b) == 0 || len(n.freeBufs) >= maxPooledBufs {
+	if cap(b) == 0 || n.bufs.Len() >= maxPooledBufs {
 		return
 	}
-	n.freeBufs = append(n.freeBufs, b[:0])
+	n.bufs.Put(b[:0])
 }
 
 type port struct {
@@ -413,14 +429,8 @@ var deliverCB = func(arg any) { arg.(*delivery).run() }
 // lane, or on a timer of its own for a frame held back by reorderDelay,
 // which overtakes the lane's order.
 func (n *Network) deliverAt(dst *port, f Frame, reordered bool, d time.Duration) {
-	var dv *delivery
-	if ln := len(n.freeDeliveries); ln > 0 {
-		dv = n.freeDeliveries[ln-1]
-		n.freeDeliveries[ln-1] = nil
-		n.freeDeliveries = n.freeDeliveries[:ln-1]
-	} else {
-		dv = &delivery{n: n}
-	}
+	dv := n.deliveries.Get(fifo.SlabMax, fifo.Objects[delivery])
+	dv.n = n
 	dv.dst = dst
 	dv.f = f
 	if reordered {
@@ -437,7 +447,7 @@ func (dv *delivery) run() {
 	n, dst, f := dv.n, dv.dst, dv.f
 	dv.dst = nil
 	dv.f = Frame{}
-	n.freeDeliveries = append(n.freeDeliveries, dv)
+	n.deliveries.Put(dv)
 	dst.mRxBytes.Add(int64(f.Size))
 	dst.mRxFrames.Inc()
 	// A plugged frame has arrived at the NIC (rx accounting above) but

@@ -3,6 +3,7 @@ package fabric
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"migrrdma/internal/sim"
 )
@@ -381,6 +382,41 @@ func TestFaultKnobsIdleDrawNothing(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("delivery %d at %v vs %v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestPooledBufferAppendStaysInItsSlot: buffers cut from one slab end
+// where the next one starts, so an append to a full buffer reallocates
+// instead of writing into its neighbour.
+func TestPooledBufferAppendStaysInItsSlot(t *testing.T) {
+	const c = 128
+	n := New(sim.New(1), Config{})
+	var bufs [][]byte
+	for range 4 { // slabs of 1, 1 and 2: the last two share one
+		b := n.TakeBuf(c/2, c)
+		if len(b) != c/2 || cap(b) != c {
+			t.Fatalf("buffer of len %d, cap %d; want %d, %d", len(b), cap(b), c/2, c)
+		}
+		bufs = append(bufs, b)
+	}
+	if n.bufs.Made() != 4 {
+		t.Fatalf("pool made %d buffers for 4 takes, want 4", n.bufs.Made())
+	}
+	full, next := bufs[3][:c], bufs[2][:c]
+	if unsafe.Add(unsafe.Pointer(&full[0]), c) != unsafe.Pointer(&next[0]) {
+		t.Fatal("the last two buffers are not neighbours in one slab")
+	}
+	for i := range next {
+		next[i] = 0xAA
+	}
+	grown := append(full, 1)
+	if &grown[0] == &full[0] {
+		t.Fatal("append to a full pooled buffer did not reallocate")
+	}
+	for i, v := range next {
+		if v != 0xAA {
+			t.Fatalf("append to a full pooled buffer wrote byte %d of its neighbour", i)
 		}
 	}
 }

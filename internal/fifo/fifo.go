@@ -1,6 +1,7 @@
 // Package fifo provides the ring queue the per-message paths share
 // (device packet queues, WQE rings, the guest library's shadow
-// work-request lists).
+// work-request lists, the tenant gateway's ack windows) and the free
+// list their pools recycle entries through, refilled a slab at a time.
 package fifo
 
 // Queue is a FIFO ring. Elements stay where they were pushed until they

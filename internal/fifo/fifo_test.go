@@ -167,3 +167,52 @@ func TestReserveAllocatesOnce(t *testing.T) {
 		t.Fatalf("Reserve shrank the queue to %d", len(q.buf))
 	}
 }
+
+// TestFreeListHoldsAtMostTwiceItsPeak takes every peak from 1 to 3000
+// entries out of an empty list and puts them back: the list never makes
+// more than twice the peak, and a peak of 1,024 (a device's send queues
+// at the Fig. 4a point) is met exactly by slabs doubling up to 64.
+func TestFreeListHoldsAtMostTwiceItsPeak(t *testing.T) {
+	for peak := 1; peak <= 3000; peak++ {
+		var l FreeList[*int]
+		out := make([]*int, 0, peak)
+		for round := 0; round < 3; round++ {
+			for range peak {
+				out = append(out, l.Get(SlabMax, Objects[int]))
+			}
+			for _, e := range out {
+				l.Put(e)
+			}
+			out = out[:0]
+		}
+		if l.Made() < peak || l.Made() > 2*peak || l.Len() != l.Made() {
+			t.Fatalf("peak %d: made %d, holds %d", peak, l.Made(), l.Len())
+		}
+		if peak == 1024 && l.Made() != 1024 {
+			t.Fatalf("peak 1024: made %d", l.Made())
+		}
+	}
+}
+
+// TestFreeListSlabsAreDistinct: entries cut from one slab are distinct
+// objects, and a put entry is the next one got.
+func TestFreeListSlabsAreDistinct(t *testing.T) {
+	var l FreeList[*int]
+	seen := map[*int]bool{}
+	for i := range 200 {
+		e := l.Get(SlabMax, Objects[int])
+		if seen[e] {
+			t.Fatalf("get %d returned an entry already out", i)
+		}
+		seen[e] = true
+		*e = i
+	}
+	var last *int
+	for e := range seen {
+		l.Put(e)
+		last = e
+	}
+	if got := l.Get(SlabMax, Objects[int]); got != last {
+		t.Fatal("get did not return the entry put last")
+	}
+}

@@ -582,7 +582,12 @@ func (c *Client) post(q *clientQP) error {
 // complete handles one client-side completion.
 func (c *Client) complete(e rnic.CQE) {
 	if e.Status != rnic.WCSuccess {
+		// A failed WR is finished too, and its QP is in the error state:
+		// stop posting and let the pump return once the rest of the
+		// outstanding WRs have completed or been flushed.
 		c.Stats.errf("client CQE error: %v (wrid %d qpn %#x)", e.Status, e.WRID, e.QPN)
+		c.outstanding--
+		c.stopped = true
 		return
 	}
 	q := c.byVQPN[e.QPN]

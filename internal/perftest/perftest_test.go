@@ -1,12 +1,15 @@
 package perftest
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"migrrdma/internal/cluster"
+	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
 	"migrrdma/internal/mem"
+	"migrrdma/internal/oob"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/task"
 )
@@ -162,5 +165,53 @@ func TestLatencyAcrossMigrationSpike(t *testing.T) {
 	cli, _ := runPair(t, Options{Verb: rnic.OpRead, MsgSize: 1024, NumQPs: 1, Messages: 100, LatencyMode: true})
 	if cli.Stats.LatPercentile(100) == 0 {
 		t.Fatal("no max latency recorded")
+	}
+}
+
+// TestFailedWRFinishesTheClient: a WRITE under an rkey that grants no
+// remote write fails with REM_ACCESS_ERR and moves its QP to the error
+// state. The client counts the failed WR (and the ones flushed behind
+// it) as finished, stops posting and returns, with the error recorded,
+// instead of waiting forever for completions that cannot come.
+func TestFailedWRFinishesTheClient(t *testing.T) {
+	opts := Options{Verb: rnic.OpWrite, MsgSize: 256, QueueDepth: 4, NumQPs: 1, Messages: 50}
+	cl := cluster.New(cluster.Config{Seed: 9}, "a", "b")
+	defer cl.Close()
+	da, db := core.NewDaemon(cl.Host("a")), core.NewDaemon(cl.Host("b"))
+	srv := NewServer(cl.Sched, "srv", opts)
+	sp := task.New(cl.Sched, "server")
+	cl.Sched.Go("server", func() { srv.Run(sp, db) })
+	cli := NewClient(cl.Sched, "cli", opts, Target{Node: "b", Name: "srv"})
+	cp := task.New(cl.Sched, "client")
+	waited := false
+	cl.Sched.Go("client-start", func() {
+		srv.WaitReady()
+		// The server answers the connect with the rkey of a second MR over
+		// its buffer, one registered for local access only.
+		local, err := srv.Sess.RegMR(srv.pd, bufferArena, opts.withDefaults().bufSize(), rnic.AccessLocalWrite)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		db.Host().Hub.Endpoint("pt:srv").Handle("connect", func(m oob.Msg) []byte {
+			var cr connectResp
+			codec.MustDecode(srv.onConnect(m), &cr)
+			cr.RKey = local.RKey()
+			return codec.MustEncode(cr)
+		})
+		cl.Sched.Go("client", func() { cli.Run(cp, da) })
+		cli.Wait()
+		waited = true
+		srv.Stop()
+	})
+	cl.Sched.RunFor(time.Second)
+	if !waited {
+		t.Fatal("Wait did not return after the WR failed")
+	}
+	if len(cli.Stats.Errors) == 0 || !strings.Contains(cli.Stats.Errors[0], rnic.WCRemoteAccessErr.String()) {
+		t.Fatalf("errors %q, want the first to name %v", cli.Stats.Errors, rnic.WCRemoteAccessErr)
+	}
+	if cli.Stats.Completed != 0 {
+		t.Errorf("%d WRITEs completed under an rkey without remote write", cli.Stats.Completed)
 	}
 }

@@ -129,9 +129,9 @@ type Device struct {
 	// hold one max-size frame (header + MTU); a received buffer is
 	// recycled after its packet is fully handled (handlers copy payload
 	// bytes out before returning).
-	freePkts []*packet
-	freeWQEs []*sqEntry
-	bufCap   int
+	pkts   fifo.FreeList[*packet]
+	wqes   fifo.FreeList[*sqEntry]
+	bufCap int
 
 	// Bounded direct-mapped lookup caches for the per-packet map lookups
 	// (QPN→QP, lkey→MR, rkey→MR). A slot index plus a key compare
@@ -221,39 +221,23 @@ func NewDevice(net *fabric.Network, mux *fabric.Mux, node string, cfg Config) *D
 
 // --- Hot-path pools and caches --------------------------------------------
 
-// getPkt takes a zeroed packet from the free list or allocates one.
-func (d *Device) getPkt() *packet {
-	if n := len(d.freePkts); n > 0 {
-		p := d.freePkts[n-1]
-		d.freePkts[n-1] = nil
-		d.freePkts = d.freePkts[:n-1]
-		return p
-	}
-	return &packet{}
-}
+// getPkt takes a zeroed packet from the pool, which refills a slab at a
+// time (fifo.FreeList).
+func (d *Device) getPkt() *packet { return d.pkts.Get(fifo.SlabMax, fifo.Objects[packet]) }
 
 // putPkt recycles a packet the device is done with.
 func (d *Device) putPkt(p *packet) {
 	*p = packet{}
-	d.freePkts = append(d.freePkts, p)
+	d.pkts.Put(p)
 }
 
-// getWQE takes a zeroed send-queue entry from the free list or
-// allocates one.
-func (d *Device) getWQE() *sqEntry {
-	if n := len(d.freeWQEs); n > 0 {
-		e := d.freeWQEs[n-1]
-		d.freeWQEs[n-1] = nil
-		d.freeWQEs = d.freeWQEs[:n-1]
-		return e
-	}
-	return &sqEntry{}
-}
+// getWQE takes a zeroed send-queue entry from the pool.
+func (d *Device) getWQE() *sqEntry { return d.wqes.Get(fifo.SlabMax, fifo.Objects[sqEntry]) }
 
 // putWQE recycles a retired send-queue entry that no queue references.
 func (d *Device) putWQE(e *sqEntry) {
 	*e = sqEntry{}
-	d.freeWQEs = append(d.freeWQEs, e)
+	d.wqes.Put(e)
 }
 
 // getBuf returns an n-byte wire buffer, pooled when n fits a max-size
@@ -262,10 +246,7 @@ func (d *Device) putWQE(e *sqEntry) {
 // would drain on any host that transmits more frames than it receives.
 func (d *Device) getBuf(n int) []byte {
 	if n <= d.bufCap {
-		if b := d.net.TakeBuf(n); b != nil {
-			return b
-		}
-		return make([]byte, n, d.bufCap)
+		return d.net.TakeBuf(n, d.bufCap)
 	}
 	return make([]byte, n)
 }

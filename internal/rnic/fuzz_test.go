@@ -130,6 +130,7 @@ type faultScriptResult struct {
 func runFaultScript(t *testing.T, script []byte) faultScriptResult {
 	var res faultScriptResult
 	r := newRig(t, Config{RNRRetries: 3}, func(r *rig) {
+		checkWQEs(t, r)
 		mrA := r.a.regMR(t, 0x100000, 1<<20)
 		mrB := r.b.regMR(t, 0x100000, 1<<20)
 		next := 0

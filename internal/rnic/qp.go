@@ -59,8 +59,10 @@ type QP struct {
 	remoteNode string
 	remoteQPN  uint32
 
-	// Requester side.
+	// Requester side. nSent counts the entries of sq in state sqSent
+	// (setState keeps it), so armRTO need not walk the queue.
 	sq         []*sqEntry
+	nSent      int
 	txq        fifo.Queue[*sqEntry] // entries with fragments still to transmit
 	inTxRing   bool
 	nextPSN    uint32
@@ -236,7 +238,7 @@ func (qp *QP) Modify(attr ModifyAttr) error {
 // reset returns the QP to its initial state, discarding queues.
 func (qp *QP) reset() {
 	qp.state = StateReset
-	qp.sq = nil
+	qp.sq, qp.nSent = nil, 0
 	qp.rq = fifo.Queue[RecvWQE]{}
 	qp.nextPSN = 0
 	qp.expPSN = 0
@@ -256,7 +258,7 @@ func (qp *QP) enterError() {
 		if e.status == WCSuccess {
 			e.status = WCWRFlushErr
 		}
-		e.state = sqAcked
+		qp.setState(e, sqAcked)
 	}
 	qp.completeInOrder()
 	for i := 0; i < qp.rq.Len(); i++ {
@@ -380,7 +382,7 @@ func (qp *QP) completeInOrder() {
 		if e.state != sqAcked {
 			break
 		}
-		e.state = sqCompleted
+		qp.setState(e, sqCompleted)
 		if e.wr.Signaled || e.status != WCSuccess {
 			qp.sendCQ.push(CQE{
 				WRID:    e.wr.WRID,
@@ -424,19 +426,26 @@ func ringCap(n int) int {
 	return n
 }
 
+// setState moves a send-queue entry to state s, keeping nSent.
+func (qp *QP) setState(e *sqEntry, s sqState) {
+	if e.state == sqSent {
+		qp.nSent--
+	}
+	if s == sqSent {
+		qp.nSent++
+	}
+	e.state = s
+}
+
 // armRTO (re)arms the retransmission timer if unacked work remains: the
 // QP moves to the tail of its device's RTO lane, which every QP arms
 // with the same delay, so the lane stays in deadline order and all of a
 // device's retransmission timers take one heap entry.
 func (qp *QP) armRTO() {
-	if qp.Type == RC && qp.state == StateRTS {
-		for _, e := range qp.sq {
-			if e.state == sqSent {
-				qp.rtoDue = qp.dev.sched.Now() + rto
-				qp.dev.rtoLane.Arm(&qp.rtoTimer, rto, qp)
-				return
-			}
-		}
+	if qp.Type == RC && qp.state == StateRTS && qp.nSent > 0 {
+		qp.rtoDue = qp.dev.sched.Now() + rto
+		qp.dev.rtoLane.Arm(&qp.rtoTimer, rto, qp)
+		return
 	}
 	qp.rtoTimer.Cancel()
 }

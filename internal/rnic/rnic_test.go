@@ -280,6 +280,7 @@ func TestAtomics(t *testing.T) {
 
 func TestRNRRecovery(t *testing.T) {
 	r := newRig(t, Config{}, func(r *rig) {
+		checkWQEs(t, r)
 		mrA := r.a.regMR(t, 0x100000, 4096)
 		mrB := r.b.regMR(t, 0x100000, 4096)
 		r.a.as.Write(0x100000, []byte("eventually"))
@@ -317,6 +318,7 @@ func TestRNRRecovery(t *testing.T) {
 func TestRNRRecoveryMultiFragment(t *testing.T) {
 	const size = 8192 // 2 fragments at the 4 KB default MTU
 	r := newRig(t, Config{}, func(r *rig) {
+		checkWQEs(t, r)
 		mrA := r.a.regMR(t, 0x100000, size)
 		mrB := r.b.regMR(t, 0x110000, size)
 		src := make([]byte, size)
@@ -352,6 +354,7 @@ func TestLossRecoveryOrdering(t *testing.T) {
 	// in order, exactly once, with intact content.
 	const msgs = 200
 	r := newRig(t, Config{}, func(r *rig) {
+		checkWQEs(t, r)
 		mrA := r.a.regMR(t, 0x100000, 1<<20)
 		mrB := r.b.regMR(t, 0x100000, 1<<20)
 		r.net.SetLoss("hostA", 0.1)

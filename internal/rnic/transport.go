@@ -113,11 +113,11 @@ func (qp *QP) nextTxFrame() (*packet, bool, bool) {
 func (qp *QP) finishTransmit(e *sqEntry) {
 	if qp.Type == UD {
 		// Unreliable: completion at transmission.
-		e.state = sqAcked
+		qp.setState(e, sqAcked)
 		qp.completeInOrder()
 		return
 	}
-	e.state = sqSent
+	qp.setState(e, sqSent)
 	qp.armRTO()
 }
 
@@ -743,7 +743,7 @@ func (qp *QP) requester(p *packet) {
 				if !qp.scatter(e.wr.SGEs, buf) {
 					e.status = WCLocalProtErr
 				}
-				e.state = sqAcked
+				qp.setState(e, sqAcked)
 				qp.dev.emitPSN("ack", qp.QPN, e.psn)
 				break
 			}
@@ -761,7 +761,7 @@ func (qp *QP) requester(p *packet) {
 						e.status = WCLocalProtErr
 					}
 				}
-				e.state = sqAcked
+				qp.setState(e, sqAcked)
 				qp.dev.emitPSN("ack", qp.QPN, e.psn)
 				break
 			}
@@ -784,7 +784,7 @@ func (qp *QP) ackUpTo(ack uint32) {
 				// READ/ATOMIC complete only via their response packets.
 				continue
 			}
-			e.state = sqAcked
+			qp.setState(e, sqAcked)
 			qp.dev.emitPSN("ack", qp.QPN, e.psn)
 		}
 	}
@@ -799,7 +799,7 @@ func (qp *QP) ackBelow(psn uint32) {
 			break
 		}
 		if e.state == sqSent && !isFenced(e.wr.Opcode) {
-			e.state = sqAcked
+			qp.setState(e, sqAcked)
 			qp.dev.emitPSN("ack", qp.QPN, e.psn)
 		}
 	}
@@ -824,7 +824,7 @@ func (qp *QP) goBackN(from uint32) {
 func (qp *QP) markUnsent(from uint32) {
 	for _, e := range qp.sq {
 		if e.state == sqSent && !psnLess(e.psn, from) {
-			e.state = sqQueued
+			qp.setState(e, sqQueued)
 			e.retransmit = true
 		}
 	}
@@ -848,7 +848,7 @@ func (qp *QP) retransmitUnackedQueued() {
 	qp.mGoBackN.Inc()
 	for _, e := range qp.sq {
 		if e.state == sqSent {
-			e.state = sqQueued
+			qp.setState(e, sqQueued)
 			e.retransmit = true
 		}
 	}

@@ -84,11 +84,24 @@ func TestPollReturnsOwnBuffer(t *testing.T) {
 }
 
 // wqeInvariant fails the test if a pooled send-queue entry is still
-// referenced by any queue of the device, or appears in the pool twice.
+// referenced by any queue of the device, or appears in the pool twice,
+// or if a QP's count of sent entries (what armRTO tests) is not the
+// number a walk of its send queue finds.
 func wqeInvariant(t *testing.T, d *Device) {
 	t.Helper()
-	free := make(map[*sqEntry]bool, len(d.freeWQEs))
-	for _, e := range d.freeWQEs {
+	for _, qp := range d.qps {
+		walked := 0
+		for _, e := range qp.sq {
+			if e.state == sqSent {
+				walked++
+			}
+		}
+		if qp.nSent != walked {
+			t.Fatalf("QP %#x counts %d sent entries, its send queue holds %d", qp.QPN, qp.nSent, walked)
+		}
+	}
+	free := make(map[*sqEntry]bool, d.wqes.Len())
+	for _, e := range pooledWQEs(d) {
 		if free[e] {
 			t.Fatalf("entry %p is in the pool twice", e)
 		}
@@ -108,6 +121,34 @@ func wqeInvariant(t *testing.T, d *Device) {
 	}
 }
 
+// pooledWQEs returns the entries waiting in d's WQE pool, the one the
+// next getWQE returns first, and leaves the pool as it found it.
+func pooledWQEs(d *Device) []*sqEntry {
+	out := make([]*sqEntry, d.wqes.Len())
+	for i := range out {
+		out[i] = d.getWQE()
+	}
+	for i := len(out) - 1; i >= 0; i-- {
+		d.wqes.Put(out[i])
+	}
+	return out
+}
+
+// checkWQEs runs wqeInvariant on each of the rig's devices at every ack
+// and cqe event that device emits (into its own registry), so a test that
+// recovers from faults checks the pool and the sent counts all the way
+// through.
+func checkWQEs(t *testing.T, r *rig) {
+	for _, d := range []*Device{r.a.dev, r.b.dev} {
+		d.Metrics().Listen(func(e metrics.Event) error {
+			if e.Kind == "ack" || e.Kind == "cqe" {
+				wqeInvariant(t, d)
+			}
+			return nil
+		})
+	}
+}
+
 // TestRecycledWQEsSurviveRecovery drives a window of stamped SENDs
 // through loss (go-back-N by NAK and by timeout) and through a receiver
 // that posts its buffers late (RNR retries), with send-queue entries
@@ -122,12 +163,7 @@ func TestRecycledWQEsSurviveRecovery(t *testing.T) {
 	r := newRig(t, Config{}, func(r *rig) {
 		mrA := r.a.regMR(t, 0x100000, 1<<20)
 		mrB := r.b.regMR(t, 0x100000, 1<<20)
-		r.a.dev.Metrics().Listen(func(e metrics.Event) error {
-			if e.Kind == "cqe" {
-				wqeInvariant(t, r.a.dev)
-			}
-			return nil
-		})
+		checkWQEs(t, r)
 		r.net.SetLoss("hostA", 0.05)
 		r.net.SetLoss("hostB", 0.05)
 		r.s.Go("receiver", func() {
@@ -188,7 +224,7 @@ func TestRecycledWQEsSurviveRecovery(t *testing.T) {
 		wqeInvariant(t, r.a.dev)
 		// Everything retired went back to the pool and was taken from it
 		// again: 300 messages made do with about a window of entries.
-		if n := len(r.a.dev.freeWQEs); n == 0 || n > 2*depth {
+		if n := r.a.dev.wqes.Len(); n == 0 || n > 2*depth {
 			t.Errorf("pool holds %d entries after %d messages at depth %d", n, msgs, depth)
 		}
 	})
@@ -229,13 +265,13 @@ func TestWQEAckedWhileQueuedIsRecycledLate(t *testing.T) {
 		if len(r.qpA.sq) != 0 || r.a.cq.Len() != 1 {
 			t.Fatalf("response did not retire the entry: sq %d, cq %d", len(r.qpA.sq), r.a.cq.Len())
 		}
-		if len(d.freeWQEs) != 0 {
+		if d.wqes.Len() != 0 {
 			t.Fatal("entry recycled while the transmit queue still lists it")
 		}
 		d.txBusy = false
 		d.pump()
-		if r.qpA.txq.Len() != 0 || len(d.freeWQEs) != 1 || d.freeWQEs[0] != e {
-			t.Fatalf("transmit queue did not recycle the entry: txq %d, pool %d", r.qpA.txq.Len(), len(d.freeWQEs))
+		if r.qpA.txq.Len() != 0 || d.wqes.Len() != 1 || pooledWQEs(d)[0] != e {
+			t.Fatalf("transmit queue did not recycle the entry: txq %d, pool %d", r.qpA.txq.Len(), d.wqes.Len())
 		}
 		// The recycled entry carries the next request, once.
 		read.WRID = 2
@@ -367,6 +403,41 @@ func TestSendQueueHoldsNoCompletedEntry(t *testing.T) {
 		}
 		if checks < msgs {
 			t.Fatalf("only %d checks ran", checks)
+		}
+	})
+	r.s.Run()
+}
+
+// TestWQEPoolHoldsAtMostTwiceThePeak posts windows of peak WRITEs at
+// once, each drained before the next: the device's WQE pool refills a
+// slab at a time and never makes more than twice the peak, and every
+// entry it made is back in the pool at the end.
+func TestWQEPoolHoldsAtMostTwiceThePeak(t *testing.T) {
+	const peak = 100
+	r := newRig(t, Config{}, func(r *rig) {
+		mrA, mrB := r.a.regMR(t, 0x100000, 4096), r.b.regMR(t, 0x100000, 4096)
+		checkWQEs(t, r)
+		sge := []SGE{{Addr: 0x100000, Len: 64, LKey: mrA.LKey}}
+		for round := range 5 {
+			for i := range peak {
+				wr := SendWR{WRID: uint64(round*peak + i), Opcode: OpWrite, Signaled: true,
+					SGEs: sge, RemoteAddr: 0x100000, RKey: mrB.RKey}
+				if err := r.qpA.PostSend(wr); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, c := range pollN(r.a.cq, peak) {
+				if c.Status != WCSuccess {
+					t.Fatalf("round %d: %+v", round, c)
+				}
+			}
+		}
+		d := r.a.dev
+		if made := d.wqes.Made(); made < peak || made > 2*peak {
+			t.Errorf("pool made %d entries for a peak of %d", made, peak)
+		}
+		if d.wqes.Len() != d.wqes.Made() {
+			t.Errorf("pool holds %d of the %d entries it made", d.wqes.Len(), d.wqes.Made())
 		}
 	})
 	r.s.Run()

@@ -6,6 +6,7 @@ import (
 
 	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
+	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/metrics"
 	"migrrdma/internal/oob"
@@ -28,9 +29,12 @@ type TenantSession struct {
 
 	sent    uint64 // next sequence number to assign
 	nextAck uint64 // next acknowledgement expected (in-order check)
-	// inflight maps a sent sequence number to the token it claimed;
-	// removal on acknowledgement is the exactly-once check.
-	inflight map[uint64]uint32
+	// window holds one slot per sequence number from the lowest one not
+	// yet acknowledged up to sent, in order, so window.At(i) is sequence
+	// number sent-window.Len()+i. Clearing a slot's live bit on its
+	// acknowledgement is the exactly-once check; the acknowledged slots
+	// at the head leave the ring.
+	window fifo.Queue[ackSlot]
 
 	DataSubmitted   int64
 	ProbesSubmitted int64
@@ -43,6 +47,24 @@ type TenantSession struct {
 	lastRefill time.Duration
 	stalled    bool
 	closed     bool
+}
+
+// ackSlot is one sent request in a session's window: the token it
+// claimed, and whether its acknowledgement is still due.
+type ackSlot struct {
+	claimed uint32
+	live    bool
+}
+
+// unacked returns the number of sent requests not yet acknowledged.
+func (s *TenantSession) unacked() int {
+	n := 0
+	for i := range s.window.Len() {
+		if s.window.At(i).live {
+			n++
+		}
+	}
+	return n
 }
 
 // Pending returns the session's queued (not yet sent) operation count.
@@ -227,13 +249,16 @@ func (g *Gateway) OpenMore(count int) (int, error) {
 	}
 	first := len(g.sessions)
 	now := g.sched.Now()
-	for i := 0; i < count; i++ {
+	// One allocation for the batch: the slice is never resized, so the
+	// pointers Session hands out stay valid.
+	batch := make([]TenantSession, count)
+	for i := range batch {
+		s := &batch[i]
 		id := resp.Base + uint32(i)
-		s := &TenantSession{
+		*s = TenantSession{
 			ID: id, Token: resp.TokenBase ^ (id * resp.TokenMul),
-			lane:     int(id) % g.Opts.Lanes,
-			inflight: make(map[uint64]uint32),
-			credits:  g.Opts.Credits, lastRefill: now,
+			lane:    int(id) % g.Opts.Lanes,
+			credits: g.Opts.Credits, lastRefill: now,
 		}
 		g.sessions = append(g.sessions, s)
 		g.sessByID[id] = s
@@ -493,7 +518,7 @@ func (g *Gateway) post(s *TenantSession, claimed uint32) error {
 	}
 	g.laneSent[lane]++
 	g.laneInflight[lane]++
-	s.inflight[seq] = claimed
+	s.window.Push(ackSlot{claimed: claimed, live: true})
 	s.sent++
 	return nil
 }
@@ -556,12 +581,17 @@ func (g *Gateway) account(lane int, h header) {
 	if s.lane != lane {
 		g.violationf("session %d: ack on lane %d, want %d", h.Sess, lane, s.lane)
 	}
-	claimed, wasInflight := s.inflight[h.Seq]
-	if !wasInflight {
+	lo := s.sent - uint64(s.window.Len())
+	if h.Seq < lo || h.Seq >= s.sent || !s.window.At(int(h.Seq-lo)).live {
 		g.violationf("session %d: duplicate or unsolicited ack seq %d", h.Sess, h.Seq)
 		return
 	}
-	delete(s.inflight, h.Seq)
+	slot := s.window.At(int(h.Seq - lo))
+	claimed := slot.claimed
+	slot.live = false
+	for s.window.Len() > 0 && !s.window.Front().live {
+		s.window.Pop()
+	}
 	if h.Seq != s.nextAck {
 		g.violationf("session %d: ack seq %d, want %d (order)", h.Sess, h.Seq, s.nextAck)
 	}
@@ -603,7 +633,7 @@ func (g *Gateway) CheckInvariants() []string {
 		if n := s.Pending(); n != 0 {
 			add("session %d: %d operations still queued (dropped work)", s.ID, n)
 		}
-		if n := len(s.inflight); n != 0 {
+		if n := s.unacked(); n != 0 {
 			add("session %d: %d operations never acknowledged", s.ID, n)
 		}
 		if s.AckedOK != s.DataSubmitted {

@@ -3,6 +3,7 @@ package tenant
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"migrrdma/internal/codec"
 	"migrrdma/internal/core"
@@ -75,8 +76,9 @@ type Service struct {
 	// gate with a list of its own, so it does not use this one.
 	sge [1]rnic.SGE
 
-	sessions map[uint32]*svcSession
-	nextSess uint32
+	// sessions is the session table, indexed by session ID: onOpen
+	// hands IDs out densely from 0, so the next ID is len(sessions).
+	sessions []svcSession
 	capSess  int
 
 	reg              *metrics.Registry
@@ -92,9 +94,8 @@ func NewService(sched *sim.Scheduler, name string, opts Options) *Service {
 	o := opts.withDefaults()
 	return &Service{
 		Name: name, Opts: o,
-		sessions: make(map[uint32]*svcSession),
-		capSess:  2 * o.Sessions,
-		ready:    sim.NewCond(sched, "tenant-svc-ready:"+name),
+		capSess: 2 * o.Sessions,
+		ready:   sim.NewCond(sched, "tenant-svc-ready:"+name),
 	}
 }
 
@@ -229,6 +230,16 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 	return codec.MustEncode(resp)
 }
 
+// session returns the record of session id, or nil if it was never
+// opened. The pointer is into the table, which onOpen may move: onClose
+// and admit, the callers, finish with it before anything can park.
+func (s *Service) session(id uint32) *svcSession {
+	if int(id) >= len(s.sessions) {
+		return nil
+	}
+	return &s.sessions[id]
+}
+
 // onOpen admits Count new tenant sessions and returns their ID range
 // and the token schedule.
 func (s *Service) onOpen(m oob.Msg) []byte {
@@ -237,15 +248,15 @@ func (s *Service) onOpen(m oob.Msg) []byte {
 	if req.Count <= 0 {
 		req.Count = 1
 	}
-	if int(s.nextSess)+req.Count > s.capSess {
-		return codec.MustEncode(openResp{Err: fmt.Sprintf("open: %d sessions exceed arena capacity %d", int(s.nextSess)+req.Count, s.capSess)})
+	if len(s.sessions)+req.Count > s.capSess {
+		return codec.MustEncode(openResp{Err: fmt.Sprintf("open: %d sessions exceed arena capacity %d", len(s.sessions)+req.Count, s.capSess)})
 	}
-	base := s.nextSess
+	base := uint32(len(s.sessions))
+	s.sessions = slices.Grow(s.sessions, req.Count)
 	for i := 0; i < req.Count; i++ {
 		id := base + uint32(i)
-		s.sessions[id] = &svcSession{token: tokenFor(id), slice: s.sliceAddr(int(id))}
+		s.sessions = append(s.sessions, svcSession{token: tokenFor(id), slice: s.sliceAddr(int(id))})
 	}
-	s.nextSess += uint32(req.Count)
 	s.Stats.Opened += int64(req.Count)
 	s.mOpened.Add(int64(req.Count))
 	return codec.MustEncode(openResp{Base: base, TokenBase: tokenBase, TokenMul: tokenMul})
@@ -256,8 +267,8 @@ func (s *Service) onOpen(m oob.Msg) []byte {
 func (s *Service) onClose(m oob.Msg) []byte {
 	var req closeReq
 	codec.MustDecode(m.Body, &req)
-	t, ok := s.sessions[req.Sess]
-	if !ok || t.closed {
+	t := s.session(req.Sess)
+	if t == nil || t.closed {
 		return codec.MustEncode(closeResp{Err: fmt.Sprintf("close: unknown session %d", req.Sess)})
 	}
 	if t.token != req.Token {
@@ -324,8 +335,8 @@ func (s *Service) consume(e rnic.CQE) {
 // session reports the session, and a foreign token never reaches the
 // bounds check (or memory).
 func (s *Service) admit(h header) byte {
-	t, ok := s.sessions[h.Sess]
-	if !ok || t.closed {
+	t := s.session(h.Sess)
+	if t == nil || t.closed {
 		s.Stats.Unknown++
 		s.mUnknown.Inc()
 		return StatusUnknownSession
