@@ -118,9 +118,11 @@ examples:
 
 # One-iteration smoke over the per-package microbenchmarks: catches
 # bench rot (compile errors, setup panics) without timing flakiness.
-# tenant's BenchmarkOpenSessions runs the per-session allocation path.
+# tenant's BenchmarkOpenSessions runs the per-session allocation path,
+# oob's BenchmarkCallRoundTrip and codec's BenchmarkMessageRoundTrip the
+# per-control-message one.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu ./internal/tenant
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu ./internal/tenant ./internal/oob ./internal/codec
 
 # The repository's one fixed benchmark (BENCHMARK.json, bench/README.md):
 # eight migration workloads, one process each. bench-fixed appends one

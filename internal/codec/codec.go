@@ -11,8 +11,9 @@
 // Anything else — interface, map, pointer field, float, array — is an
 // error when a value reaches it. There is no type information on the
 // wire: both ends name the same Go type, and Decode rejects input that is
-// too short, overflows a field or has bytes left over. There is no state:
-// nothing outlives a call, so concurrent simulations need no lock.
+// too short, overflows a field or has bytes left over. Nothing outlives a
+// call: concurrent simulations need no lock, and a message built on a
+// caller's stack stays there (an error names its type, not the value).
 package codec
 
 import (
@@ -22,36 +23,33 @@ import (
 	"reflect"
 )
 
-var (
-	ErrShort    = errors.New("codec: input ends inside a value")
-	ErrOverflow = errors.New("codec: integer overflows its field")
-	ErrTrailing = errors.New("codec: bytes left over after the value")
-)
+var ErrShort = errors.New("codec: input ends inside a value")
+var ErrOverflow = errors.New("codec: integer overflows its field")
+var ErrTrailing = errors.New("codec: bytes left over after the value")
 
-// Encode returns the encoding of v, a supported value or a pointer to one.
-func Encode(v any) ([]byte, error) {
-	return appendValue(make([]byte, 0, 64), reflect.Indirect(reflect.ValueOf(v)))
+// Append appends to b the encoding of v, a supported value or a pointer to one.
+func Append(b []byte, v any) ([]byte, error) {
+	return appendValue(b, reflect.Indirect(reflect.ValueOf(v)))
 }
 
 // Decode decodes all of data into v, which must be a non-nil pointer.
 func Decode(data []byte, v any) error {
 	rv := reflect.ValueOf(v)
 	if rv.Kind() != reflect.Pointer || rv.IsNil() {
-		return fmt.Errorf("codec: cannot decode into %T, not a pointer", v)
+		return fmt.Errorf("codec: cannot decode into %v, not a pointer", reflect.TypeOf(v))
 	}
 	r := reader{data: data}
-	r.value(rv.Elem())
-	if r.err == nil && len(r.data) != 0 {
+	if r.value(rv.Elem()); r.err == nil && len(r.data) != 0 {
 		r.err = ErrTrailing
 	}
 	return r.err
 }
 
-// MustEncode is Encode for messages whose types are known to encode.
+// MustEncode returns the encoding of a message whose type is known to encode.
 func MustEncode(v any) []byte {
-	out, err := Encode(v)
+	out, err := Append(make([]byte, 0, 64), v)
 	if err != nil {
-		panic(fmt.Sprintf("encode %T: %v", v, err))
+		panic(fmt.Sprintf("encode %v: %v", reflect.TypeOf(v), err))
 	}
 	return out
 }
@@ -59,17 +57,17 @@ func MustEncode(v any) []byte {
 // MustDecode is Decode for replies from this program's own handlers.
 func MustDecode(data []byte, v any) {
 	if err := Decode(data, v); err != nil {
-		panic(fmt.Sprintf("decode %T: %v", v, err))
+		panic(fmt.Sprintf("decode %v: %v", reflect.TypeOf(v), err))
 	}
 }
 
 func appendValue(b []byte, v reflect.Value) (_ []byte, err error) {
 	switch v.Kind() {
 	case reflect.Bool:
-		if v.Bool() {
-			return append(b, 1), nil
+		if b = append(b, 0); v.Bool() {
+			b[len(b)-1] = 1
 		}
-		return append(b, 0), nil
+		return b, nil
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		return binary.AppendVarint(b, v.Int()), nil
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
@@ -105,8 +103,7 @@ type reader struct {
 
 // uvarint reads one varint that must not exceed max.
 func (r *reader) uvarint(max uint64) uint64 {
-	u, n := binary.Uvarint(r.data)
-	switch {
+	switch u, n := binary.Uvarint(r.data); {
 	case r.err != nil:
 	case n == 0:
 		r.err = ErrShort
@@ -130,28 +127,26 @@ func (r *reader) value(v reflect.Value) {
 	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		v.SetUint(r.uvarint(1<<v.Type().Bits() - 1))
 	case reflect.String, reflect.Slice:
-		// An element takes at least a byte (a struct with nothing exported
-		// is no element type), so a count beyond the input cannot be
-		// honest: refuse it before allocating for it.
+		// Every element takes a byte or more: refuse a count beyond the input.
 		n := r.uvarint(^uint64(0))
 		if n > uint64(len(r.data)) {
 			n, r.err = 0, ErrShort
 		}
+		v.SetZero() // what is decoded below gets a fresh array
 		switch {
-		case n == 0:
-			v.SetZero()
 		case v.Kind() == reflect.String:
 			v.SetString(string(r.data[:n]))
-			r.data = r.data[n:]
 		case v.Type().Elem().Kind() == reflect.Uint8:
 			v.SetBytes(append([]byte(nil), r.data[:n]...))
-			r.data = r.data[n:]
-		default:
-			v.Set(reflect.MakeSlice(v.Type(), int(n), int(n)))
+		default: // Grow and SetLen, unlike Set(MakeSlice(…)), keep v off the heap
+			v.Grow(int(n))
+			v.SetLen(int(n))
 			for i := 0; i < int(n); i++ {
 				r.value(v.Index(i))
 			}
+			return
 		}
+		r.data = r.data[n:]
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
 			if f := v.Field(i); f.CanSet() {

@@ -178,11 +178,42 @@ func TestDecodeRejects(t *testing.T) {
 			t.Errorf("%s: %v, want ErrOverflow", tc.name, err)
 		}
 	}
-	if err := codec.Decode(nil, msg{}); err == nil {
-		t.Error("decoding into a non-pointer succeeded")
+	data := codec.MustEncode(populated())
+	if err := codec.Decode(data, msg{}); err == nil || !strings.Contains(err.Error(), "codec_test.msg") {
+		t.Errorf("decoding into a non-pointer: %v, want an error naming its type", err)
+	}
+	if err := codec.Decode(data, nil); err == nil || !strings.Contains(err.Error(), "<nil>") {
+		t.Errorf("decoding into nil: %v, want an error", err)
 	}
 	if err := codec.Decode(nil, (*msg)(nil)); err == nil {
 		t.Error("decoding into a nil pointer succeeded")
+	}
+}
+
+// request is a two-field control request, the shape of an n_sent
+// message.
+type request struct {
+	DstQPN uint32
+	NSent  uint64
+}
+
+// TestMessagesStayOnTheStack: neither encoding nor decoding keeps its
+// argument, so a request built on the caller's stack costs its encoding
+// buffer and nothing else, and decoding it into a stack value costs
+// nothing.
+func TestMessagesStayOnTheStack(t *testing.T) {
+	var data []byte
+	enc := testing.AllocsPerRun(1000, func() {
+		data = codec.MustEncode(request{DstQPN: 0x1234, NSent: 321})
+	})
+	dec := testing.AllocsPerRun(1000, func() {
+		var r request
+		if err := codec.Decode(data, &r); err != nil || r != (request{0x1234, 321}) {
+			t.Fatalf("decoded %+v, %v", r, err)
+		}
+	})
+	if enc > 1 || dec > 0 {
+		t.Fatalf("MustEncode allocates %.0f times and Decode %.0f; want the one buffer and none", enc, dec)
 	}
 }
 
@@ -226,7 +257,7 @@ func TestUnsupportedKinds(t *testing.T) {
 		struct{ V any }{}, struct{ M map[string]uint32 }{}, struct{ P *inner }{},
 		struct{ F float64 }{}, struct{ A [4]byte }{}, []*inner{{ID: 1}}, nil, (*msg)(nil),
 	} {
-		if _, err := codec.Encode(v); err == nil || !strings.Contains(err.Error(), "unsupported kind") {
+		if _, err := codec.Append(nil, v); err == nil || !strings.Contains(err.Error(), "unsupported kind") {
 			t.Errorf("Encode(%T) = %v, want an unsupported-kind error", v, err)
 		}
 	}
@@ -305,4 +336,17 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encoded %+v decodes to %+v, %v", m, again, err)
 		}
 	})
+}
+
+// BenchmarkMessageRoundTrip: one two-field request encoded and decoded
+// back, as TestMessagesStayOnTheStack counts it: one allocation, the
+// encoding buffer.
+func BenchmarkMessageRoundTrip(b *testing.B) {
+	b.ReportAllocs()
+	for i := range b.N {
+		var r request
+		if err := codec.Decode(codec.MustEncode(request{DstQPN: uint32(i), NSent: 321}), &r); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

@@ -28,13 +28,13 @@ func newOOBAdapter(h *cluster.Host, serve oob.Handler) *oobAdapter {
 	return a
 }
 
-func (a *oobAdapter) Call(toNode, kind string, body []byte) ([]byte, bool) {
+func (a *oobAdapter) Call(toNode, kind string, body any) ([]byte, bool) {
 	if kind == "hello" {
 		return a.ep.CallTimeout(toNode, EndpointName, kind, body, probeTimeout)
 	}
 	return a.ep.CallTimeout(toNode, EndpointName, kind, body, 0)
 }
 
-func (a *oobAdapter) Send(toNode, kind string, body []byte) {
+func (a *oobAdapter) Send(toNode, kind string, body any) {
 	a.ep.Send(toNode, EndpointName, kind, body)
 }

@@ -140,6 +140,37 @@ func TestIndirectionRoadmap(t *testing.T) {
 	}
 }
 
+// TestModifyLogIsInline: a QP's INIT, RTR and RTS transitions fill the
+// log its record carries, so they allocate nothing; a fourth spills to
+// the heap, and the log keeps all four in order.
+func TestModifyLogIsInline(t *testing.T) {
+	ind := NewIndirection()
+	const qps = 200
+	for id := verbs.ObjID(1); id <= qps; id++ {
+		ind.Record(verbs.Event{Kind: verbs.EvCreateQP, ID: id})
+	}
+	attrs := []rnic.ModifyAttr{
+		{State: rnic.StateInit},
+		{State: rnic.StateRTR, RemoteNode: "peer", RemoteQPN: 0x11b},
+		{State: rnic.StateRTS},
+	}
+	id := verbs.ObjID(0)
+	allocs := testing.AllocsPerRun(qps-1, func() { // one QP each, the warm-up's too
+		id++
+		for _, a := range attrs {
+			ind.Record(verbs.Event{Kind: verbs.EvModifyQP, ID: id, Attr: a})
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a QP's three transitions allocate %.0f times, want 0", allocs)
+	}
+	ind.Record(verbs.Event{Kind: verbs.EvModifyQP, ID: id, Attr: rnic.ModifyAttr{State: rnic.StateError}})
+	want := append(slices.Clone(attrs), rnic.ModifyAttr{State: rnic.StateError})
+	if got := ind.recs[id].Modifies; !slices.Equal(got, want) {
+		t.Fatalf("log %+v, want %+v", got, want)
+	}
+}
+
 // TestIndirectionDestroyKeepsCreationOrder: destroying records in any
 // order — each finds its own slot, and the list is squeezed whenever the
 // holes outnumber the records — leaves the survivors in creation order,

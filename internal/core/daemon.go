@@ -336,8 +336,8 @@ type abortReq struct {
 // that serves it. The table and the oob kind set made from it are
 // static, so a daemon registers one handler (serve) with its endpoint,
 // not a method value, an adapter closure and a proc name per kind.
-var daemonHandlers = map[string]func(d *Daemon, fromNode string, body []byte) []byte{
-	"hello":           func(*Daemon, string, []byte) []byte { return []byte("ok") },
+var daemonHandlers = map[string]func(d *Daemon, m oob.Msg) []byte{
+	"hello":           func(*Daemon, oob.Msg) []byte { return []byte("ok") },
 	"fetch-rkey":      (*Daemon).hFetchRKey,
 	"fetch-qpn":       (*Daemon).hFetchQPN,
 	"suspend-for":     (*Daemon).hSuspendFor,
@@ -360,45 +360,45 @@ var daemonKinds = func() oob.Kinds {
 
 // serve is the daemon's handler for every kind of daemonKinds.
 func (d *Daemon) serve(m oob.Msg) []byte {
-	return daemonHandlers[m.Kind](d, m.FromNode, m.Body)
+	return daemonHandlers[m.Kind](d, m)
 }
 
-func (d *Daemon) hFetchRKey(_ string, body []byte) []byte {
+func (d *Daemon) hFetchRKey(msg oob.Msg) []byte {
 	var req fetchRKeyReq
-	if err := codec.Decode(body, &req); err != nil {
-		return codec.MustEncode(fetchRKeyResp{Err: err.Error()})
+	if err := codec.Decode(msg.Body, &req); err != nil {
+		return msg.Reply(fetchRKeyResp{Err: err.Error()})
 	}
 	s, ok := d.byPhys[req.RQPN]
 	if !ok {
-		return codec.MustEncode(fetchRKeyResp{Err: fmt.Sprintf("no session owns QPN %#x", req.RQPN)})
+		return msg.Reply(fetchRKeyResp{Err: fmt.Sprintf("no session owns QPN %#x", req.RQPN)})
 	}
 	phys, ok := s.rkeys.lookup(req.VRKey)
 	if !ok {
-		return codec.MustEncode(fetchRKeyResp{Err: fmt.Sprintf("unknown virtual rkey %#x", req.VRKey)})
+		return msg.Reply(fetchRKeyResp{Err: fmt.Sprintf("unknown virtual rkey %#x", req.VRKey)})
 	}
-	return codec.MustEncode(fetchRKeyResp{Phys: phys})
+	return msg.Reply(fetchRKeyResp{Phys: phys})
 }
 
-func (d *Daemon) hFetchQPN(_ string, body []byte) []byte {
+func (d *Daemon) hFetchQPN(msg oob.Msg) []byte {
 	var req fetchQPNReq
-	if err := codec.Decode(body, &req); err != nil {
-		return codec.MustEncode(fetchQPNResp{Err: err.Error()})
+	if err := codec.Decode(msg.Body, &req); err != nil {
+		return msg.Reply(fetchQPNResp{Err: err.Error()})
 	}
 	// Find the session QP whose *virtual* QPN matches.
 	for _, s := range d.sessions {
 		if qp, ok := s.byVQPN[req.VQPN]; ok {
-			return codec.MustEncode(fetchQPNResp{Node: d.Node(), Phys: qp.v.QPN()})
+			return msg.Reply(fetchQPNResp{Node: d.Node(), Phys: qp.v.QPN()})
 		}
 	}
 	if node, ok := d.movedVQPN[req.VQPN]; ok {
-		return codec.MustEncode(fetchQPNResp{Moved: node})
+		return msg.Reply(fetchQPNResp{Moved: node})
 	}
-	return codec.MustEncode(fetchQPNResp{Err: fmt.Sprintf("unknown virtual QPN %#x", req.VQPN)})
+	return msg.Reply(fetchQPNResp{Err: fmt.Sprintf("unknown virtual QPN %#x", req.VQPN)})
 }
 
-func (d *Daemon) hNSent(_ string, body []byte) []byte {
+func (d *Daemon) hNSent(msg oob.Msg) []byte {
 	var m nsentMsg
-	if err := codec.Decode(body, &m); err != nil {
+	if err := codec.Decode(msg.Body, &m); err != nil {
 		return nil
 	}
 	d.deliverOrStashNSent(m.DstQPN, m.NSent)
@@ -422,10 +422,10 @@ func (d *Daemon) deliverOrStashNSent(phys uint32, nSent uint64) {
 // terminates. Several of these can run concurrently on one host — one
 // per in-flight migration this host partners — each draining only its
 // own migration's QPs.
-func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
+func (d *Daemon) hSuspendFor(msg oob.Msg) []byte {
 	var req suspendForReq
-	if err := codec.Decode(body, &req); err != nil {
-		return codec.MustEncode(suspendForResp{})
+	if err := codec.Decode(msg.Body, &req); err != nil {
+		return msg.Reply(suspendForResp{})
 	}
 	var worst WBSResult
 	for _, s := range d.sessions {
@@ -440,15 +440,15 @@ func (d *Daemon) hSuspendFor(_ string, body []byte) []byte {
 			worst = res
 		}
 	}
-	return codec.MustEncode(suspendForResp{ElapsedNS: int64(worst.Elapsed), TimedOut: worst.TimedOut})
+	return msg.Reply(suspendForResp{ElapsedNS: int64(worst.Elapsed), TimedOut: worst.TimedOut})
 }
 
 // hNotify implements the partner pre-setup of §3.2: for each listed
 // local QP, create a spare QP sharing the same CQ/PD/SRQ, connect it to
 // the migration destination, and stash it for the later switch-over.
-func (d *Daemon) hNotify(_ string, body []byte) []byte {
+func (d *Daemon) hNotify(msg oob.Msg) []byte {
 	var req notifyReq
-	if err := codec.Decode(body, &req); err != nil {
+	if err := codec.Decode(msg.Body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	for _, pair := range req.Pairs {
@@ -480,15 +480,11 @@ func (d *Daemon) connectSpare(nv *verbs.QP, req notifyReq, vqpn uint32) error {
 	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 		return err
 	}
-	resp, ok := d.call(req.DestNode, "connect-new", codec.MustEncode(connectNewReq{
+	var cr connectNewResp
+	if err := d.ask(req.DestNode, "connect-new", connectNewReq{
 		MigID: req.MigID, Proc: req.Proc, VQPN: vqpn,
 		PartnerNode: d.Node(), PartnerQPN: nv.QPN(),
-	}))
-	if !ok {
-		return fmt.Errorf("connect-new: no response from %s", req.DestNode)
-	}
-	var cr connectNewResp
-	if err := codec.Decode(resp, &cr); err != nil {
+	}, &cr); err != nil {
 		return fmt.Errorf("connect-new: %w", err)
 	}
 	if cr.Err != "" {
@@ -502,17 +498,17 @@ func (d *Daemon) connectSpare(nv *verbs.QP, req notifyReq, vqpn uint32) error {
 
 // hConnectNew runs on the migration destination: the partner asks the
 // staged QP for vqpn to connect to its fresh QP.
-func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
+func (d *Daemon) hConnectNew(msg oob.Msg) []byte {
 	var req connectNewReq
-	if err := codec.Decode(body, &req); err != nil {
-		return codec.MustEncode(connectNewResp{Err: err.Error()})
+	if err := codec.Decode(msg.Body, &req); err != nil {
+		return msg.Reply(connectNewResp{Err: err.Error()})
 	}
 	var st *Staged
 	if m, ok := d.migs[req.MigID]; ok {
 		st = m.staged[req.Proc]
 	}
 	if st == nil {
-		return codec.MustEncode(connectNewResp{Err: "no staged restore for " + req.Proc})
+		return msg.Reply(connectNewResp{Err: "no staged restore for " + req.Proc})
 	}
 	nv, ok := st.qpByVQPN[req.VQPN]
 	if !ok {
@@ -520,15 +516,15 @@ func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 		for k := range st.qpByVQPN {
 			keys = append(keys, k)
 		}
-		return codec.MustEncode(connectNewResp{Err: fmt.Sprintf("no staged QP for vqpn %#x (have %#x, metas %d, qps %d)", req.VQPN, keys, len(st.qpMeta), len(st.qps))})
+		return msg.Reply(connectNewResp{Err: fmt.Sprintf("no staged QP for vqpn %#x (have %#x, metas %d, qps %d)", req.VQPN, keys, len(st.qpMeta), len(st.qps))})
 	}
 	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTR, RemoteNode: req.PartnerNode, RemoteQPN: req.PartnerQPN}); err != nil {
-		return codec.MustEncode(connectNewResp{Err: err.Error()})
+		return msg.Reply(connectNewResp{Err: err.Error()})
 	}
 	if err := nv.Modify(rnic.ModifyAttr{State: rnic.StateRTS}); err != nil {
-		return codec.MustEncode(connectNewResp{Err: err.Error()})
+		return msg.Reply(connectNewResp{Err: err.Error()})
 	}
-	return codec.MustEncode(connectNewResp{DestQPN: nv.QPN()})
+	return msg.Reply(connectNewResp{DestQPN: nv.QPN()})
 }
 
 // hSwitch runs on partners after the destination restore completed:
@@ -539,8 +535,8 @@ func (d *Daemon) hConnectNew(_ string, body []byte) []byte {
 // holds one record per migration, and activating another migration's
 // spares here would connect QPs whose destination has not finished
 // restoring.
-func (d *Daemon) hSwitch(_ string, body []byte) []byte {
-	return d.switchTo(body, false)
+func (d *Daemon) hSwitch(msg oob.Msg) []byte {
+	return d.switchTo(msg.Body, false)
 }
 
 // hSwitchDefer is hSwitch for the plug-forward cutover: the spare QPs
@@ -548,8 +544,8 @@ func (d *Daemon) hSwitch(_ string, body []byte) []byte {
 // suspended (and the old QPs alive) until hResumePartners — the
 // migrated service thaws first, so the resumed partners never race its
 // empty receive queues.
-func (d *Daemon) hSwitchDefer(_ string, body []byte) []byte {
-	return d.switchTo(body, true)
+func (d *Daemon) hSwitchDefer(msg oob.Msg) []byte {
+	return d.switchTo(msg.Body, true)
 }
 
 // switchTo swaps the record's spares in one session at a time, taking
@@ -641,9 +637,9 @@ func (d *Daemon) retireOldQPs(qps []*QP) {
 // hResumePartners completes a deferred switch-over: resume the
 // re-pointed QPs (replaying their intercepted work against the now-live
 // migrated service) and retire the old incarnations.
-func (d *Daemon) hResumePartners(_ string, body []byte) []byte {
+func (d *Daemon) hResumePartners(msg oob.Msg) []byte {
 	var req switchReq
-	if err := codec.Decode(body, &req); err != nil {
+	if err := codec.Decode(msg.Body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	m, ok := d.migs[req.MigID]
@@ -671,9 +667,9 @@ func (d *Daemon) hResumePartners(_ string, body []byte) []byte {
 // destroyed, the QPs suspended on its behalf resume (replaying
 // intercepted work), the sets a deferred switch-over left suspended are
 // dropped, and a restore this node stages for it is discarded.
-func (d *Daemon) hAbort(_ string, body []byte) []byte {
+func (d *Daemon) hAbort(msg oob.Msg) []byte {
 	var req abortReq
-	if err := codec.Decode(body, &req); err != nil {
+	if err := codec.Decode(msg.Body, &req); err != nil {
 		return []byte(err.Error())
 	}
 	m, ok := d.migs[req.MigID]
@@ -748,9 +744,20 @@ func srqV(srq *SRQ) *verbs.SRQ {
 
 // --- Client helpers ------------------------------------------------------------
 
-// call issues a blocking control RPC to another node's daemon.
-func (d *Daemon) call(node, kind string, body []byte) ([]byte, bool) {
+// call issues a blocking control RPC to another node's daemon; a body
+// is what oob.Endpoint.Send takes.
+func (d *Daemon) call(node, kind string, body any) ([]byte, bool) {
 	return d.ep.Call(node, kind, body)
+}
+
+// ask is call for a request whose reply is a message: it decodes the
+// reply into resp.
+func (d *Daemon) ask(node, kind string, req, resp any) error {
+	data, ok := d.ep.Call(node, kind, req)
+	if !ok {
+		return fmt.Errorf("%s unreachable", node)
+	}
+	return codec.Decode(data, resp)
 }
 
 // fetchRKey asks the node owning physical QPN rqpn to translate vrkey.
@@ -764,13 +771,9 @@ func (d *Daemon) fetchRKey(node string, rqpn, vrkey uint32) (uint32, error) {
 		}
 		return 0, fmt.Errorf("core: local rkey fetch failed for %#x", vrkey)
 	}
-	resp, ok := d.call(node, "fetch-rkey", codec.MustEncode(fetchRKeyReq{RQPN: rqpn, VRKey: vrkey}))
-	if !ok {
-		return 0, fmt.Errorf("core: rkey fetch: %s unreachable", node)
-	}
 	var r fetchRKeyResp
-	if err := codec.Decode(resp, &r); err != nil {
-		return 0, err
+	if err := d.ask(node, "fetch-rkey", fetchRKeyReq{RQPN: rqpn, VRKey: vrkey}, &r); err != nil {
+		return 0, fmt.Errorf("core: rkey fetch: %w", err)
 	}
 	if r.Err != "" {
 		return 0, fmt.Errorf("core: rkey fetch: %s", r.Err)
@@ -783,13 +786,9 @@ func (d *Daemon) fetchRKey(node string, rqpn, vrkey uint32) (uint32, error) {
 // migrated A→B→C leaves one on A and one on B.
 func (d *Daemon) fetchQPN(node string, vqpn uint32) (string, uint32, error) {
 	for hops := 0; hops < 3; hops++ {
-		resp, ok := d.call(node, "fetch-qpn", codec.MustEncode(fetchQPNReq{VQPN: vqpn}))
-		if !ok {
-			return "", 0, fmt.Errorf("core: qpn fetch: %s unreachable", node)
-		}
 		var r fetchQPNResp
-		if err := codec.Decode(resp, &r); err != nil {
-			return "", 0, err
+		if err := d.ask(node, "fetch-qpn", fetchQPNReq{VQPN: vqpn}, &r); err != nil {
+			return "", 0, fmt.Errorf("core: qpn fetch: %w", err)
 		}
 		if r.Moved != "" {
 			node = r.Moved
@@ -809,7 +808,7 @@ func (d *Daemon) sendNSent(node string, dstQPN uint32, nSent uint64) {
 		d.deliverOrStashNSent(dstQPN, nSent)
 		return
 	}
-	d.ep.Send(node, "nsent", codec.MustEncode(nsentMsg{DstQPN: dstQPN, NSent: nSent}))
+	d.ep.Send(node, "nsent", nsentMsg{DstQPN: dstQPN, NSent: nSent})
 }
 
 // Hello probes whether node runs a MigrRDMA daemon (§6 negotiation).

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"migrrdma/internal/oob"
 	"strings"
 	"testing"
 	"time"
@@ -43,7 +44,7 @@ func TestFetchRKeyHandler(t *testing.T) {
 	cl.Sched.Go("test", func() {
 		// A peer asks: translate this virtual rkey of the process that
 		// owns this physical QPN.
-		resp := d.hFetchRKey("peer", codec.MustEncode(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: mr.RKey()}))
+		resp := d.hFetchRKey(oob.Msg{Body: codec.MustEncode(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: mr.RKey()})})
 		var r fetchRKeyResp
 		if err := codec.Decode(resp, &r); err != nil {
 			t.Error(err)
@@ -57,13 +58,13 @@ func TestFetchRKeyHandler(t *testing.T) {
 		}
 		// An attacker guessing a virtual rkey the process never assigned
 		// is rejected (§3.3 security note).
-		resp = d.hFetchRKey("peer", codec.MustEncode(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: 0x7777}))
+		resp = d.hFetchRKey(oob.Msg{Body: codec.MustEncode(fetchRKeyReq{RQPN: qp.v.QPN(), VRKey: 0x7777})})
 		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("bogus virtual rkey resolved")
 		}
 		// An unknown QPN (no owning process) is rejected too.
-		resp = d.hFetchRKey("peer", codec.MustEncode(fetchRKeyReq{RQPN: 0xABCDEF, VRKey: mr.RKey()}))
+		resp = d.hFetchRKey(oob.Msg{Body: codec.MustEncode(fetchRKeyReq{RQPN: 0xABCDEF, VRKey: mr.RKey()})})
 		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("rkey fetch for unowned QPN resolved")
@@ -75,7 +76,7 @@ func TestFetchRKeyHandler(t *testing.T) {
 func TestFetchQPNHandlerAndRedirect(t *testing.T) {
 	cl, d, _, _, qp := newSessionHost(t)
 	cl.Sched.Go("test", func() {
-		resp := d.hFetchQPN("peer", codec.MustEncode(fetchQPNReq{VQPN: qp.VQPN()}))
+		resp := d.hFetchQPN(oob.Msg{Body: codec.MustEncode(fetchQPNReq{VQPN: qp.VQPN()})})
 		var r fetchQPNResp
 		codec.Decode(resp, &r)
 		if r.Err != "" || r.Node != "h" || r.Phys != qp.v.QPN() {
@@ -83,13 +84,13 @@ func TestFetchQPNHandlerAndRedirect(t *testing.T) {
 		}
 		// Simulate the owner having migrated away: the daemon redirects.
 		d.movedVQPN[0x424242] = "elsewhere"
-		resp = d.hFetchQPN("peer", codec.MustEncode(fetchQPNReq{VQPN: 0x424242}))
+		resp = d.hFetchQPN(oob.Msg{Body: codec.MustEncode(fetchQPNReq{VQPN: 0x424242})})
 		codec.Decode(resp, &r)
 		if r.Moved != "elsewhere" {
 			t.Errorf("expected redirect, got %+v", r)
 		}
 		// Entirely unknown QPN errors.
-		resp = d.hFetchQPN("peer", codec.MustEncode(fetchQPNReq{VQPN: 0x99999}))
+		resp = d.hFetchQPN(oob.Msg{Body: codec.MustEncode(fetchQPNReq{VQPN: 0x99999})})
 		codec.Decode(resp, &r)
 		if r.Err == "" {
 			t.Error("unknown virtual QPN resolved")
@@ -131,7 +132,7 @@ func TestFetchQPNFollowsTwoRedirects(t *testing.T) {
 func TestNSentDelivery(t *testing.T) {
 	cl, d, _, _, qp := newSessionHost(t)
 	cl.Sched.Go("test", func() {
-		d.hNSent("peer", codec.MustEncode(nsentMsg{DstQPN: qp.v.QPN(), NSent: 321}))
+		d.hNSent(oob.Msg{Body: codec.MustEncode(nsentMsg{DstQPN: qp.v.QPN(), NSent: 321})})
 		if !qp.peerNSentKnown || qp.peerNSent != 321 {
 			t.Errorf("nsent not delivered: known=%v val=%d", qp.peerNSentKnown, qp.peerNSent)
 		}
@@ -148,8 +149,8 @@ func TestNotifyDestroysSpareOnFailure(t *testing.T) {
 	dev := cl.Host("h").Dev
 	cl.Sched.Go("test", func() {
 		before := dev.QPCount()
-		resp := d.hNotify("src", codec.MustEncode(notifyReq{MigID: "m1", Proc: "ghost", DestNode: "peer",
-			Pairs: []notifyPair{{PartnerQPN: qp.v.QPN(), VQPN: 0x100}}}))
+		resp := d.hNotify(oob.Msg{Body: codec.MustEncode(notifyReq{MigID: "m1", Proc: "ghost", DestNode: "peer",
+			Pairs: []notifyPair{{PartnerQPN: qp.v.QPN(), VQPN: 0x100}}})})
 		if want := "connect-new: no staged restore for ghost"; string(resp) != want {
 			t.Errorf("notify answered %q, want %q", resp, want)
 		}

@@ -32,11 +32,14 @@ type Indirection struct {
 }
 
 // record is one live resource's creation event plus its accumulated
-// QP state transitions.
+// QP state transitions. A QP's usual three (INIT, RTR, RTS) live in
+// mods; a fourth spills to the heap. Records are never recycled: a
+// blob's RecordDTO aliases Modifies.
 type record struct {
 	Ev       verbs.Event
 	Modifies []rnic.ModifyAttr
 	slot     int // index in Indirection.order
+	mods     [3]rnic.ModifyAttr
 }
 
 // NewIndirection creates an empty indirection layer.
@@ -54,6 +57,9 @@ func (ind *Indirection) Record(ev verbs.Event) {
 		ind.recs[ev.ID] = r
 	case verbs.EvModifyQP:
 		if r, ok := ind.recs[ev.ID]; ok {
+			if r.Modifies == nil {
+				r.Modifies = r.mods[:0]
+			}
 			r.Modifies = append(r.Modifies, ev.Attr)
 		}
 	case verbs.EvDeallocPD, verbs.EvDeregMR, verbs.EvDestroyCQ, verbs.EvDestroyQP,
@@ -131,7 +137,7 @@ type Blob struct {
 
 // encodeBlob serializes a blob.
 func encodeBlob(b *Blob) ([]byte, error) {
-	data, err := codec.Encode(b)
+	data, err := codec.Append(make([]byte, 0, 64), b)
 	if err != nil {
 		return nil, fmt.Errorf("core: encode blob: %w", err)
 	}

@@ -262,9 +262,9 @@ func (pl *Plugin) AbortPartners() error {
 	nodes, _ := pl.partners()
 	var firstErr error
 	for _, node := range nodes {
-		resp, ok := pl.Src.call(node, "abort", codec.MustEncode(abortReq{
+		resp, ok := pl.Src.call(node, "abort", abortReq{
 			MigID: pl.ID, Proc: pl.sess.Proc.Name, SrcNode: pl.Src.Node(),
-		}))
+		})
 		switch {
 		case firstErr != nil:
 		case !ok:
@@ -288,7 +288,7 @@ func (pl *Plugin) NotifyPartners() error {
 		for _, qp := range qps[node] {
 			req.Pairs = append(req.Pairs, notifyPair{PartnerQPN: qp.v.RemoteQPN(), VQPN: qp.vqpn})
 		}
-		resp, ok := pl.Src.call(node, "notify-migr", codec.MustEncode(req))
+		resp, ok := pl.Src.call(node, "notify-migr", req)
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for notification", node)
 		}
@@ -317,7 +317,7 @@ func (pl *Plugin) SuspendPartners() error {
 		for _, qp := range qps[node] {
 			req.PartnerQPNs = append(req.PartnerQPNs, qp.v.RemoteQPN())
 		}
-		resp, ok := pl.Src.call(node, "suspend-for", codec.MustEncode(req))
+		resp, ok := pl.Src.call(node, "suspend-for", req)
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for suspension", node)
 		}
@@ -366,9 +366,9 @@ func (pl *Plugin) ResumePartners() error {
 func (pl *Plugin) callPartners(kind string) error {
 	nodes, _ := pl.partners()
 	for _, node := range nodes {
-		resp, ok := pl.Dst.call(node, kind, codec.MustEncode(switchReq{
+		resp, ok := pl.Dst.call(node, kind, switchReq{
 			MigID: pl.ID, Proc: pl.sess.Proc.Name, SrcNode: pl.Src.Node(), DestNode: pl.Dst.Node(),
-		}))
+		})
 		if !ok {
 			return fmt.Errorf("core: partner %s unreachable for %s", node, kind)
 		}

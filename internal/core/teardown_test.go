@@ -1,6 +1,7 @@
 package core
 
 import (
+	"migrrdma/internal/oob"
 	"testing"
 	"time"
 
@@ -112,7 +113,7 @@ func TestAbortClearsDeferredResume(t *testing.T) {
 		p := task.New(cl.Sched, "p")
 		s := NewSession(p, d)
 		d.record("m9").deferred = []suspendedSet{{s: s}}
-		if resp := d.hAbort("peer", codec.MustEncode(abortReq{MigID: "m9"})); len(resp) != 0 {
+		if resp := d.hAbort(oob.Msg{Body: codec.MustEncode(abortReq{MigID: "m9"})}); len(resp) != 0 {
 			t.Fatalf("abort failed: %s", resp)
 		}
 		if c := d.Census(); c != (Census{}) {

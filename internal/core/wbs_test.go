@@ -1,6 +1,7 @@
 package core
 
 import (
+	"migrrdma/internal/oob"
 	"testing"
 	"time"
 
@@ -295,7 +296,7 @@ func TestWBSTimeoutAloneIsHonoured(t *testing.T) {
 					r.sa.daemon.SetWBSTimeout(timeout)
 					var resp suspendForResp
 					req := suspendForReq{MigID: "m", SrcNode: "b", PartnerQPNs: []uint32{r.qpA.v.QPN()}}
-					if err := codec.Decode(r.sa.daemon.hSuspendFor("b", codec.MustEncode(req)), &resp); err != nil {
+					if err := codec.Decode(r.sa.daemon.hSuspendFor(oob.Msg{Body: codec.MustEncode(req)}), &resp); err != nil {
 						t.Fatal(err)
 					}
 					res = WBSResult{Elapsed: time.Duration(resp.ElapsedNS), TimedOut: resp.TimedOut}

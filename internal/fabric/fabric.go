@@ -11,6 +11,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"migrrdma/internal/fifo"
@@ -90,7 +91,9 @@ const (
 	// buffer; the delivery pool's cap is fifo.SlabMax. Wire-buffer peaks
 	// run to a few hundred (276 on a 16-QP bandwidth run, 364 with 2,000
 	// tenant sessions), where fifo.SlabMax would leave up to 63 buffers
-	// (262 KB) of slack past the peak and this cap leaves at most 15.
+	// (262 KB) of slack past the peak and this cap leaves at most 16. A
+	// slab cuts as many buffers as its rounded-up allocation holds: 17
+	// max-size ones in a full slab.
 	bufSlabMax = 16
 )
 
@@ -104,9 +107,11 @@ func (n *Network) TakeBuf(size, c int) []byte {
 		b := n.bufs.Get(bufSlabMax, func(free [][]byte, k int) [][]byte {
 			// Each buffer's capacity ends where its neighbour starts, so
 			// an append past it reallocates instead of writing into the
-			// next buffer.
-			s := make([]byte, k*c)
-			for i := range k {
+			// next buffer. slices.Grow rounds the capacity up to what the
+			// allocator hands out anyway; the room it adds holds more.
+			s := slices.Grow([]byte(nil), k*c)
+			s = s[:cap(s)]
+			for i := range cap(s) / c {
 				free = append(free, s[i*c:i*c:(i+1)*c])
 			}
 			return free

@@ -9,7 +9,8 @@ const SlabMax = 64
 // packets, a network's deliveries and wire buffers): Put keeps a retired
 // entry, Get hands back the one put last. A Get that finds the list empty
 // refills it a slab at a time: one allocation makes as many entries as the
-// list has made so far (at least one, at most the list's limit). A miss
+// list has made so far (at least one, at most the list's limit, or the few
+// more the allocation's rounding leaves room for). A miss
 // means every entry made is out, so a list whose users put back what
 // they take never makes more than twice its peak, and a pool that grows
 // to a steady depth stops allocating once it gets there. The zero value
@@ -26,13 +27,12 @@ func (l *FreeList[E]) Len() int { return len(l.free) }
 func (l *FreeList[E]) Made() int { return l.made }
 
 // Get takes the entry put last. On a miss it first refills: slab appends
-// n fresh entries to the list it is given and returns it, n being the
-// number made so far, clamped to [1, limit].
+// at least n fresh entries to the list it is given and returns it, n being
+// the number made so far, clamped to [1, limit].
 func (l *FreeList[E]) Get(limit int, slab func(free []E, n int) []E) E {
 	if len(l.free) == 0 {
-		n := min(max(l.made, 1), limit)
-		l.free = slab(l.free, n)
-		l.made += n
+		l.free = slab(l.free, min(max(l.made, 1), limit))
+		l.made += len(l.free)
 	}
 	last := len(l.free) - 1
 	e := l.free[last]

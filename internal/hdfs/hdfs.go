@@ -202,7 +202,7 @@ func (m *Master) Submit(spec JobSpec, worker string) {
 		done:    make([]bool, spec.Units()),
 		fin:     sim.NewCond(m.sched, "job-finished"),
 	}
-	m.ep.Send(w.node, "hdfs-w:"+worker, "assign", codec.MustEncode(assignMsg{Spec: spec, Done: m.job.done}))
+	m.ep.Send(w.node, "hdfs-w:"+worker, "assign", assignMsg{Spec: spec, Done: m.job.done})
 }
 
 // Wait blocks until the job finishes and returns its result.
@@ -253,7 +253,7 @@ func (m *Master) MonitorFailover(backup string) {
 		j.failedOv = true
 		done := make([]bool, len(j.done))
 		copy(done, j.done)
-		m.ep.Send(b.node, "hdfs-w:"+backup, "assign", codec.MustEncode(assignMsg{Spec: j.spec, Done: done}))
+		m.ep.Send(b.node, "hdfs-w:"+backup, "assign", assignMsg{Spec: j.spec, Done: done})
 		return
 	}
 }
@@ -346,9 +346,9 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 	if err := w.qp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 		panic(err)
 	}
-	resp := ep.Call(w.DataNode, "dn:"+w.DataNodeName, "open", codec.MustEncode(dnOpenReq{
+	resp := ep.Call(w.DataNode, "dn:"+w.DataNodeName, "open", dnOpenReq{
 		Node: d.Node(), VQPN: w.qp.VQPN(),
-	}))
+	})
 	var or dnOpenResp
 	codec.MustDecode(resp, &or)
 	if or.Err != "" {
@@ -369,9 +369,9 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 		if err := rqp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 			panic(err)
 		}
-		resp := ep.Call(rep.Node, "dn:"+rep.Name, "open", codec.MustEncode(dnOpenReq{
+		resp := ep.Call(rep.Node, "dn:"+rep.Name, "open", dnOpenReq{
 			Node: d.Node(), VQPN: rqp.VQPN(),
-		}))
+		})
 		var ror dnOpenResp
 		codec.MustDecode(resp, &ror)
 		if ror.Err != "" {
@@ -386,7 +386,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 		w.reps = append(w.reps, replicaConn{qp: rqp, rkey: ror.RKey, raddr: mem.Addr(ror.BufAddr)})
 	}
 
-	ep.Call(w.MasterNode, "hdfs-master", "register", codec.MustEncode(registerMsg{Name: w.Name, Node: d.Node()}))
+	ep.Call(w.MasterNode, "hdfs-master", "register", registerMsg{Name: w.Name, Node: d.Node()})
 
 	// Heartbeat proc: stops while frozen (Gate) and dies with the worker.
 	sched.Go("hdfs-hb:"+w.Name, func() {
@@ -395,7 +395,7 @@ func (w *Worker) Run(p *task.Process, d *core.Daemon) {
 			if w.killed {
 				return
 			}
-			ep.Send(w.MasterNode, "hdfs-master", "heartbeat", codec.MustEncode(heartbeatMsg{Name: w.Name}))
+			ep.Send(w.MasterNode, "hdfs-master", "heartbeat", heartbeatMsg{Name: w.Name})
 			sched.Sleep(heartbeatEvery)
 		}
 	})
@@ -436,14 +436,14 @@ func (w *Worker) execute(p *task.Process, ep *oob.Endpoint, a assignMsg) {
 			if err := w.writeBlock(a.Spec, unit); err != nil {
 				panic(fmt.Sprintf("hdfs: block %d: %v", unit, err))
 			}
-			ep.Send(w.MasterNode, "hdfs-master", "unit-done", codec.MustEncode(unitDoneMsg{Name: w.Name, Unit: unit}))
+			ep.Send(w.MasterNode, "hdfs-master", "unit-done", unitDoneMsg{Name: w.Name, Unit: unit})
 		case EstimatePI:
 			inside, total := w.piRound(p, a.Spec)
 			// Ship the partial result over RDMA SEND to the datanode's
 			// collector region, then log completion with the master.
-			ep.Send(w.MasterNode, "hdfs-master", "unit-done", codec.MustEncode(unitDoneMsg{
+			ep.Send(w.MasterNode, "hdfs-master", "unit-done", unitDoneMsg{
 				Name: w.Name, Unit: unit, Inside: inside, Total: total,
-			}))
+			})
 		}
 	}
 	_ = sched
@@ -609,10 +609,10 @@ func (dn *DataNode) Run(p *task.Process, d *core.Daemon) {
 			{State: rnic.StateRTS},
 		} {
 			if err := qp.Modify(a); err != nil {
-				return codec.MustEncode(dnOpenResp{Err: err.Error()})
+				return m.Reply(dnOpenResp{Err: err.Error()})
 			}
 		}
-		return codec.MustEncode(dnOpenResp{VQPN: qp.VQPN(), RKey: dn.mr.RKey(), BufAddr: uint64(dataNodeBuf)})
+		return m.Reply(dnOpenResp{VQPN: qp.VQPN(), RKey: dn.mr.RKey(), BufAddr: uint64(dataNodeBuf)})
 	})
 	dn.ready = true
 	dn.readyC.Broadcast()

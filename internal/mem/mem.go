@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"slices"
 	"unsafe"
+
+	"migrrdma/internal/fifo"
 )
 
 // PageSize is the page granularity of every address space.
@@ -124,6 +126,10 @@ func IsZeros(b []byte) bool {
 // AddressSpace is one process's virtual memory.
 type AddressSpace struct {
 	vmas []*VMA // sorted by Start
+	// slab hands out the VMAs Map makes, a slab at a time. Nothing is
+	// put back: a caller may keep a VMA past its Unmap, and Remap moves
+	// one in place, so every VMA keeps its identity.
+	slab fifo.FreeList[*VMA]
 	// pages holds the written pages: bytes of their own, or a frame they
 	// borrow (zeroPage for a page written only with zeros). A mapped page
 	// not here reads as zeros too, but has no content (PopulatedPages
@@ -208,7 +214,8 @@ func (as *AddressSpace) mapVMA(start Addr, length uint64, name string, dev bool)
 	if as.overlaps(start, length) {
 		return nil, fmt.Errorf("mem: map [%#x,+%#x) overlaps existing mapping", uint64(start), length)
 	}
-	v := &VMA{Start: start, Len: length, Name: name, Device: dev}
+	v := as.slab.Get(fifo.SlabMax, fifo.Objects[VMA])
+	*v = VMA{Start: start, Len: length, Name: name, Device: dev}
 	as.insert(v)
 	return v, nil
 }

@@ -8,6 +8,8 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+
+	"migrrdma/internal/fifo"
 )
 
 func TestMapReadWrite(t *testing.T) {
@@ -404,8 +406,10 @@ func TestAdjacentMappingResolves(t *testing.T) {
 	}
 }
 
-// TestMapAllocations: the n-th Map places its VMA by binary search — a
-// VMA and the list's amortised growth, no sort of the whole list.
+// TestMapAllocations: the n-th Map places its VMA by binary search, with
+// no sort of the whole list, and takes it from the address space's slab:
+// the slabs and the list grow amortised, so a Map allocates nothing on
+// average.
 func TestMapAllocations(t *testing.T) {
 	as := NewAddressSpace()
 	next := Addr(0x100000)
@@ -418,8 +422,80 @@ func TestMapAllocations(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		mapOne()
 	}
-	if n := testing.AllocsPerRun(1000, mapOne); n > 3 {
-		t.Fatalf("the n-th Map allocates %.0f times, want at most 3", n)
+	if n := testing.AllocsPerRun(1000, mapOne); n > 0 {
+		t.Fatalf("the n-th Map allocates %.0f times, want 0", n)
+	}
+}
+
+// TestVMASlabKeepsIdentities: VMAs come from slabs of up to
+// fifo.SlabMax, and none is handed out twice. Across more VMAs than
+// three slabs hold, with a third unmapped (and their ranges mapped
+// again) and a third remapped, every pointer Map returned still
+// describes its own range: a live VMA is what FindVMA and VMAs give for
+// that range, an unmapped one reads as it did and is no live VMA.
+func TestVMASlabKeepsIdentities(t *testing.T) {
+	as := NewAddressSpace()
+	const n = 3*fifo.SlabMax + 5
+	type span struct {
+		start Addr
+		len   uint64
+	}
+	vmas := make([]*VMA, n)
+	want := make([]span, n)
+	for i := range vmas {
+		v, err := as.Map(Addr(0x100000+i*4*PageSize), uint64(1+i%3)*PageSize, fmt.Sprint("v", i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vmas[i], want[i] = v, span{v.Start, v.Len}
+	}
+	live := map[*VMA]bool{}
+	for i, v := range vmas {
+		switch i % 3 {
+		case 0:
+			if err := as.Unmap(v.Start); err != nil {
+				t.Fatal(err)
+			}
+		case 1:
+			to := Addr(0x10000000 + i*4*PageSize)
+			if err := as.Remap(v.Start, to); err != nil {
+				t.Fatal(err)
+			}
+			want[i].start = to
+			live[v] = true
+		default:
+			live[v] = true
+		}
+	}
+	for i := 0; i < n; i += 3 {
+		v, err := as.Map(want[i].start, want[i].len, "again")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v == vmas[i] {
+			t.Fatalf("mapping %#x again handed out the unmapped VMA", uint64(want[i].start))
+		}
+		live[v] = true
+	}
+	for i, v := range vmas {
+		if v.Start != want[i].start || v.Len != want[i].len || v.Name != fmt.Sprint("v", i) {
+			t.Fatalf("VMA %d reads [%#x,+%#x) %q, want [%#x,+%#x)", i, uint64(v.Start), v.Len, v.Name, uint64(want[i].start), want[i].len)
+		}
+		if got := as.FindVMA(v.End() - 1); live[v] != (got == v) {
+			t.Fatalf("VMA %d (live %v): FindVMA of its last byte gives %+v", i, live[v], got)
+		}
+	}
+	listed := as.VMAs()
+	for _, v := range listed {
+		if !live[v] {
+			t.Fatalf("VMAs lists %+v, which no Map returned live", v)
+		}
+		if as.FindVMA(v.Start) != v {
+			t.Fatalf("FindVMA(%#x) is not the VMA listed there", uint64(v.Start))
+		}
+	}
+	if len(listed) != len(live) {
+		t.Fatalf("VMAs lists %d, want %d", len(listed), len(live))
 	}
 }
 

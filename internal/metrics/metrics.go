@@ -31,6 +31,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"migrrdma/internal/fifo"
 )
 
 // Kind discriminates metric types.
@@ -138,6 +140,9 @@ type Registry struct {
 	byKey    map[string]*metric
 	ordered  []*metric // every metric; Snapshot sorts it by key in place
 	unsorted bool      // a metric was registered since the last sort
+	// slab hands out the storage of new metrics, a slab at a time;
+	// nothing is put back, as a metric lives as long as the registry.
+	slab fifo.FreeList[*metric]
 }
 
 // New creates a registry stamping snapshots with now (typically the
@@ -152,18 +157,17 @@ func New(now func() time.Duration) *Registry {
 
 // Block registers the metrics of one owner: component/name{labels} for
 // each name asked of it. Every key of the block is a slice of one key
-// buffer and every new metric an element of one storage array, so an
+// buffer and every new metric comes from the registry's slab, so an
 // owner costs the same few allocations whether it has one counter or
 // ten. n is the number of metrics the owner registers; it only sizes
-// the buffer and the array, and a block asked for more takes another of
-// each. A Block is used where it is declared and not copied.
+// the buffer, and a block asked for more takes another. A Block is used
+// where it is declared and not copied.
 type Block struct {
 	r         *Registry
 	component string
 	labels    Labels
 	left      int             // metrics still expected
 	keys      strings.Builder // the key buffer; keys are slices of its String
-	store     []metric        // unused tail of the storage array
 }
 
 // Block starts registering the n metrics of one owner.
@@ -204,10 +208,7 @@ func (b *Block) lookup(name string, kind Kind, bounds []int64) *metric {
 			panic(fmt.Sprintf("metrics: %s registered as %s, requested as %s", key, m.kind, kind))
 		}
 	} else {
-		if len(b.store) == 0 {
-			b.store = make([]metric, b.left)
-		}
-		m, b.store = &b.store[0], b.store[1:]
+		m = r.slab.Get(fifo.SlabMax, fifo.Objects[metric])
 		m.key, m.kind = key, kind
 		if kind == KindHistogram {
 			m.hist = &histogram{

@@ -76,9 +76,10 @@ func TestKeysMatchReference(t *testing.T) {
 	}
 }
 
-// TestBlockAllocations: a seven-counter owner costs its rendered labels,
-// one key buffer and one storage array — plus the registry's own
-// amortised growth — not six allocations a counter.
+// TestBlockAllocations: a seven-counter owner costs its rendered labels
+// and one key buffer — its metrics come from the registry's slab, which
+// grows amortised with the registry's own tables — not six allocations a
+// counter.
 func TestBlockAllocations(t *testing.T) {
 	r := New(nil)
 	names := [7]string{"send_posts", "recv_posts", "cqes", "naks", "rnr_naks", "go_back_n", "retx_packets"}
@@ -92,8 +93,8 @@ func TestBlockAllocations(t *testing.T) {
 			hs[i] = b.Counter(name)
 		}
 	})
-	if allocs > 4 {
-		t.Fatalf("registering a seven-counter block allocates %.0f times, want at most 4", allocs)
+	if allocs > 2 {
+		t.Fatalf("registering a seven-counter block allocates %.0f times, want at most 2", allocs)
 	}
 	hs[6].Inc()
 	if v, ok := r.Snapshot().Get("rnic/retx_packets{node=hostA,qpn=" + strconv.FormatInt(int64(qpn), 16) + "}"); !ok || v.Value != 1 {

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"migrrdma/internal/codec"
 	"migrrdma/internal/fabric"
 	"migrrdma/internal/fifo"
 	"migrrdma/internal/sim"
@@ -35,6 +36,23 @@ type Msg struct {
 
 	reqID   uint64
 	isReply bool
+	sv      *serving // the handler run serving it, if any
+}
+
+// Reply returns v's encoding (a body, as Send takes it), for a handler
+// to return as its reply. For an RPC served by a handler the reply frame
+// is laid out here, around that encoding, so that the reply costs one
+// buffer; anything else the handler returns instead is sent as is.
+func (m Msg) Reply(v any) []byte {
+	if m.sv == nil || m.reqID == 0 {
+		b, at := wire{}.frame(v)
+		return b[at : len(b)-trailerLen]
+	}
+	sv := m.sv
+	var at int
+	sv.frame, at = sv.reply().frame(v)
+	sv.body = sv.frame[at : len(sv.frame)-trailerLen]
+	return sv.body
 }
 
 // Hub is the per-node demultiplexer.
@@ -129,6 +147,7 @@ type Endpoint struct {
 	kinds    Kinds   // served by all, unless handlers has the kind
 	all      Handler // see HandleAll
 	pending  map[uint64]*call
+	calls    fifo.FreeList[*call] // retired call records
 	nextReq  uint64
 }
 
@@ -144,11 +163,11 @@ func (ep *Endpoint) Name() string { return ep.name }
 // Node returns the node the endpoint lives on.
 func (ep *Endpoint) Node() string { return ep.hub.node }
 
-// Send delivers a one-way message; it does not block.
-func (ep *Endpoint) Send(toNode, toEP, kind string, body []byte) {
-	ep.hub.send(wire{
-		fromEP: ep.name, toEP: toEP, kind: kind, body: body,
-	}, toNode)
+// Send delivers a one-way message; it does not block. A body, here and
+// in Call, is a []byte sent as is or a value codec encodes straight into
+// the frame; nil is an empty body.
+func (ep *Endpoint) Send(toNode, toEP, kind string, body any) {
+	ep.hub.send(wire{fromEP: ep.name, toEP: toEP, kind: kind}, body, toNode)
 }
 
 // inboxCap bounds an endpoint's inbox; a message arriving at a full
@@ -176,41 +195,41 @@ func (ep *Endpoint) Handle(kind string, h Handler) {
 func (ep *Endpoint) HandleAll(k Kinds, h Handler) { ep.kinds, ep.all = k, h }
 
 // Call sends a request and blocks until the reply arrives.
-func (ep *Endpoint) Call(toNode, toEP, kind string, body []byte) []byte {
+func (ep *Endpoint) Call(toNode, toEP, kind string, body any) []byte {
 	resp, _ := ep.call(toNode, toEP, kind, body, 0)
 	return resp
 }
 
 // CallTimeout is Call with a deadline; ok is false when no reply
 // arrived in time (e.g. the peer runs no such endpoint).
-func (ep *Endpoint) CallTimeout(toNode, toEP, kind string, body []byte, timeout time.Duration) ([]byte, bool) {
+func (ep *Endpoint) CallTimeout(toNode, toEP, kind string, body any, timeout time.Duration) ([]byte, bool) {
 	return ep.call(toNode, toEP, kind, body, timeout)
 }
 
-func (ep *Endpoint) call(toNode, toEP, kind string, body []byte, timeout time.Duration) ([]byte, bool) {
+func (ep *Endpoint) call(toNode, toEP, kind string, body any, timeout time.Duration) (resp []byte, ok bool) {
 	ep.nextReq++
 	id := ep.nextReq
-	c := &call{}
+	c := ep.calls.Get(fifo.SlabMax, fifo.Objects[call])
 	c.done.Init(ep.hub.sched, "oob-call")
 	ep.pending[id] = c
-	ep.hub.send(wire{
-		fromEP: ep.name, toEP: toEP, kind: kind, body: body, reqID: id,
-	}, toNode)
+	ep.hub.send(wire{fromEP: ep.name, toEP: toEP, kind: kind, reqID: id}, body, toNode)
 	for !c.ok {
 		if timeout > 0 {
 			if woken := c.done.WaitTimeout(timeout); !woken && !c.ok {
-				delete(ep.pending, id)
-				return nil, false
+				break
 			}
 		} else {
 			c.done.Wait()
 		}
 	}
 	delete(ep.pending, id)
-	return c.resp, true
+	resp, ok = c.resp, c.ok
+	c.resp, c.ok = nil, false
+	ep.calls.Put(c)
+	return resp, ok
 }
 
-// wire is the encoded control frame.
+// wire is a decoded control frame.
 type wire struct {
 	fromEP, toEP, kind string
 	body               []byte
@@ -219,20 +238,45 @@ type wire struct {
 }
 
 // wireFixed is the frame's fixed part: four length prefixes and the
-// request ID with its reply flag.
-const wireFixed = 4*4 + 9
+// trailer, the request ID with its reply flag.
+const (
+	trailerLen = 9
+	wireFixed  = 4*4 + trailerLen
+)
 
-func (w wire) encode() []byte {
-	out := make([]byte, 0, wireFixed+len(w.fromEP)+len(w.toEP)+len(w.kind)+len(w.body))
-	out = appendField(out, w.fromEP)
-	out = appendField(out, w.toEP)
-	out = appendField(out, w.kind)
-	out = appendField(out, w.body)
-	out = binary.BigEndian.AppendUint64(out, w.reqID)
-	if w.isReply {
-		return append(out, 1)
+// bodyRoom is the room a frame leaves for a body codec encodes; a larger
+// body grows the frame as it is written.
+const bodyRoom = 64
+
+// frame lays out the frame carrying body (see Send; w.body is not used)
+// in one buffer: the names, the body with its length filled in once it
+// is written, then the trailer. at is where the body starts.
+func (w wire) frame(body any) (f []byte, at int) {
+	room := bodyRoom
+	raw, isRaw := body.([]byte)
+	if isRaw || body == nil {
+		room = len(raw)
 	}
-	return append(out, 0)
+	f = make([]byte, 0, wireFixed+len(w.fromEP)+len(w.toEP)+len(w.kind)+room)
+	f = appendField(f, w.fromEP)
+	f = appendField(f, w.toEP)
+	f = appendField(f, w.kind)
+	f = append(f, 0, 0, 0, 0)
+	at = len(f)
+	if isRaw {
+		f = append(f, raw...)
+	} else if body != nil {
+		var err error
+		if f, err = codec.Append(f, body); err != nil {
+			panic(fmt.Sprintf("oob: %s body: %v", w.kind, err))
+		}
+	}
+	binary.BigEndian.PutUint32(f[at-4:], uint32(len(f)-at))
+	f = binary.BigEndian.AppendUint64(f, w.reqID)
+	if w.isReply {
+		return append(f, 1), at
+	}
+	return append(f, 0), at
 }
 
 // appendField appends one length-prefixed field.
@@ -271,7 +315,7 @@ func (h *Hub) decodeWire(b []byte) (w wire, err error) {
 	if w.body, b, err = takeField(b); err != nil {
 		return w, err
 	}
-	if len(b) != 9 || b[8] > 1 {
+	if len(b) != trailerLen || b[8] > 1 {
 		return w, fmt.Errorf("oob: bad trailer")
 	}
 	w.fromEP, w.toEP, w.kind = h.name(from), h.name(to), h.name(kind)
@@ -293,8 +337,12 @@ func (h *Hub) name(b []byte) string {
 // controlOverhead approximates TCP/IP framing for a control message.
 const controlOverhead = 66
 
-func (h *Hub) send(w wire, toNode string) {
-	data := w.encode()
+func (h *Hub) send(w wire, body any, toNode string) {
+	data, _ := w.frame(body)
+	h.sendFrame(data, toNode)
+}
+
+func (h *Hub) sendFrame(data []byte, toNode string) {
 	h.net.Send(fabric.Frame{
 		Src: h.node, Dst: toNode, Port: Port,
 		Size: controlOverhead + len(data),
@@ -329,6 +377,7 @@ func (h *Hub) onFrame(f fabric.Frame) {
 		// Handlers serve both RPCs and one-way messages; they run in
 		// their own proc so they may block.
 		sv := h.takeServing()
+		msg.sv = sv
 		sv.ep, sv.fn, sv.msg = ep, hd.fn, msg
 		h.running++
 		h.sched.Go(hd.procName, sv.run)
@@ -343,13 +392,16 @@ func (h *Hub) onFrame(f fabric.Frame) {
 }
 
 // serving is one run of a handler: what its proc needs, kept in a
-// struct the hub reuses so that a request costs no closure.
+// struct the hub reuses so that a request costs no closure. frame is the
+// reply Msg.Reply laid out, and body its body, as the handler got it.
 type serving struct {
-	hub *Hub
-	ep  *Endpoint
-	fn  Handler
-	msg Msg
-	run func() // sv.serve, bound once
+	hub   *Hub
+	ep    *Endpoint
+	fn    Handler
+	msg   Msg
+	frame []byte
+	body  []byte
+	run   func() // sv.serve, bound once
 }
 
 func (h *Hub) takeServing() *serving {
@@ -364,17 +416,23 @@ func (h *Hub) takeServing() *serving {
 	return sv
 }
 
+// reply addresses the reply to the message being served.
+func (sv *serving) reply() wire {
+	m := &sv.msg
+	return wire{fromEP: sv.ep.name, toEP: m.FromEP, kind: m.Kind, reqID: m.reqID, isReply: true}
+}
+
 // serve is the handler proc's body. Only RPCs get a reply.
 func (sv *serving) serve() {
 	msg := sv.msg
 	resp := sv.fn(msg)
 	if msg.reqID != 0 {
-		sv.hub.send(wire{
-			fromEP: sv.ep.name, toEP: msg.FromEP, kind: msg.Kind,
-			body: resp, reqID: msg.reqID, isReply: true,
-		}, msg.FromNode)
+		if sv.frame == nil || len(resp) != len(sv.body) || len(resp) > 0 && &resp[0] != &sv.body[0] {
+			sv.frame, _ = sv.reply().frame(resp)
+		}
+		sv.hub.sendFrame(sv.frame, msg.FromNode)
 	}
-	sv.ep, sv.fn, sv.msg = nil, nil, Msg{}
+	sv.ep, sv.fn, sv.msg, sv.frame, sv.body = nil, nil, Msg{}, nil, nil
 	sv.hub.idle = append(sv.hub.idle, sv)
 	sv.hub.running--
 }

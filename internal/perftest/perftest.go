@@ -269,7 +269,7 @@ func (s *Server) onConnect(m oob.Msg) []byte {
 		{State: rnic.StateRTS},
 	} {
 		if err := qp.Modify(a); err != nil {
-			return codec.MustEncode(connectResp{Err: err.Error()})
+			return m.Reply(connectResp{Err: err.Error()})
 		}
 	}
 	idx := len(s.qps)
@@ -280,11 +280,11 @@ func (s *Server) onConnect(m oob.Msg) []byte {
 		for i := 0; i < o.RecvDepth; i++ {
 			s.sge[0] = rnic.SGE{Addr: s.recvSlot(idx, uint64(i)), Len: uint32(req.MsgSize), LKey: s.mr.LKey()}
 			if err := qp.PostRecv(rnic.RecvWR{WRID: uint64(i), SGEs: s.sge[:]}); err != nil {
-				return codec.MustEncode(connectResp{Err: err.Error()})
+				return m.Reply(connectResp{Err: err.Error()})
 			}
 		}
 	}
-	return codec.MustEncode(connectResp{VQPN: qp.VQPN(), RKey: s.mr.RKey(), BufAddr: uint64(bufferArena)})
+	return m.Reply(connectResp{VQPN: qp.VQPN(), RKey: s.mr.RKey(), BufAddr: uint64(bufferArena)})
 }
 
 // recvSlot places receive buffers; in CheckOrder mode each QP gets its
@@ -456,9 +456,9 @@ func (c *Client) Run(p *task.Process, d *core.Daemon) {
 		if err := qp.Modify(rnic.ModifyAttr{State: rnic.StateInit}); err != nil {
 			panic(err)
 		}
-		resp := ep.Call(tgt.Node, "pt:"+tgt.Name, "connect", codec.MustEncode(connectReq{
+		resp := ep.Call(tgt.Node, "pt:"+tgt.Name, "connect", connectReq{
 			Node: d.Node(), VQPN: qp.VQPN(), Verb: o.Verb, MsgSize: o.MsgSize, Depth: o.QueueDepth,
-		}))
+		})
 		var cr connectResp
 		codec.MustDecode(resp, &cr)
 		if cr.Err != "" {

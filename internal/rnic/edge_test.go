@@ -235,8 +235,9 @@ func TestQPLabelMatchesFmt(t *testing.T) {
 }
 
 // TestCreateQPAllocations pins the per-QP control-path cost: the QP, its
-// rendered labels, one key buffer and one storage array for its seven
-// counters — no maps, send ring or timer callbacks until they are used.
+// rendered labels and one key buffer for its seven counters, whose
+// storage comes from the registry's slab — no maps, send ring or timer
+// callbacks until they are used.
 func TestCreateQPAllocations(t *testing.T) {
 	var allocs float64
 	r := newRig(t, Config{}, func(r *rig) {
@@ -245,7 +246,7 @@ func TestCreateQPAllocations(t *testing.T) {
 		})
 	})
 	r.s.Run()
-	if allocs > 6 {
-		t.Fatalf("CreateQP allocates %.0f times, want at most 6", allocs)
+	if allocs > 3 {
+		t.Fatalf("CreateQP allocates %.0f times, want at most 3", allocs)
 	}
 }

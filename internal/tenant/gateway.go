@@ -223,7 +223,7 @@ func (g *Gateway) attach(d *core.Daemon) {
 		req.Lanes = append(req.Lanes, qp.VQPN())
 	}
 	var resp attachResp
-	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "attach", codec.MustEncode(req)), &resp)
+	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "attach", req), &resp)
 	if resp.Err != "" {
 		panic("tenant attach: " + resp.Err)
 	}
@@ -243,7 +243,7 @@ func (g *Gateway) attach(d *core.Daemon) {
 // call from a driver proc while the pump runs.
 func (g *Gateway) OpenMore(count int) (int, error) {
 	var resp openResp
-	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "open", codec.MustEncode(openReq{Count: count})), &resp)
+	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "open", openReq{Count: count}), &resp)
 	if resp.Err != "" {
 		return 0, fmt.Errorf("%s", resp.Err)
 	}
@@ -273,7 +273,7 @@ func (g *Gateway) CloseSession(i int) error {
 	s := g.sessions[i]
 	var resp closeResp
 	codec.MustDecode(g.ep.Call(g.Target.Node, "tenant:"+g.Target.Name, "close",
-		codec.MustEncode(closeReq{Sess: s.ID, Token: s.Token})), &resp)
+		closeReq{Sess: s.ID, Token: s.Token}), &resp)
 	if resp.Err != "" {
 		return fmt.Errorf("%s", resp.Err)
 	}

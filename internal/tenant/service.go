@@ -195,10 +195,10 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 	codec.MustDecode(m.Body, &req)
 	o := s.Opts
 	if len(req.Lanes) != o.Lanes {
-		return codec.MustEncode(attachResp{Err: fmt.Sprintf("attach: %d lanes, want %d", len(req.Lanes), o.Lanes)})
+		return m.Reply(attachResp{Err: fmt.Sprintf("attach: %d lanes, want %d", len(req.Lanes), o.Lanes)})
 	}
 	if len(s.lanes) != 0 {
-		return codec.MustEncode(attachResp{Err: "attach: already attached"})
+		return m.Reply(attachResp{Err: "attach: already attached"})
 	}
 	var resp attachResp
 	for lane, peer := range req.Lanes {
@@ -212,7 +212,7 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 			{State: rnic.StateRTS},
 		} {
 			if err := qp.Modify(a); err != nil {
-				return codec.MustEncode(attachResp{Err: err.Error()})
+				return m.Reply(attachResp{Err: err.Error()})
 			}
 		}
 		for i := 0; i < o.recvDepth(); i++ {
@@ -220,14 +220,14 @@ func (s *Service) onAttach(m oob.Msg) []byte {
 				Addr: s.rxSlot(lane, i), Len: uint32(msgSize), LKey: s.mr.LKey(),
 			}}}
 			if err := qp.PostRecv(wr); err != nil {
-				return codec.MustEncode(attachResp{Err: err.Error()})
+				return m.Reply(attachResp{Err: err.Error()})
 			}
 		}
 		s.lanes = append(s.lanes, qp)
 		s.txSeq = append(s.txSeq, 0)
 		resp.Lanes = append(resp.Lanes, qp.VQPN())
 	}
-	return codec.MustEncode(resp)
+	return m.Reply(resp)
 }
 
 // session returns the record of session id, or nil if it was never
@@ -249,7 +249,7 @@ func (s *Service) onOpen(m oob.Msg) []byte {
 		req.Count = 1
 	}
 	if len(s.sessions)+req.Count > s.capSess {
-		return codec.MustEncode(openResp{Err: fmt.Sprintf("open: %d sessions exceed arena capacity %d", len(s.sessions)+req.Count, s.capSess)})
+		return m.Reply(openResp{Err: fmt.Sprintf("open: %d sessions exceed arena capacity %d", len(s.sessions)+req.Count, s.capSess)})
 	}
 	base := uint32(len(s.sessions))
 	s.sessions = slices.Grow(s.sessions, req.Count)
@@ -259,7 +259,7 @@ func (s *Service) onOpen(m oob.Msg) []byte {
 	}
 	s.Stats.Opened += int64(req.Count)
 	s.mOpened.Add(int64(req.Count))
-	return codec.MustEncode(openResp{Base: base, TokenBase: tokenBase, TokenMul: tokenMul})
+	return m.Reply(openResp{Base: base, TokenBase: tokenBase, TokenMul: tokenMul})
 }
 
 // onClose retires a session. The claimed token must match: closing is
@@ -269,17 +269,17 @@ func (s *Service) onClose(m oob.Msg) []byte {
 	codec.MustDecode(m.Body, &req)
 	t := s.session(req.Sess)
 	if t == nil || t.closed {
-		return codec.MustEncode(closeResp{Err: fmt.Sprintf("close: unknown session %d", req.Sess)})
+		return m.Reply(closeResp{Err: fmt.Sprintf("close: unknown session %d", req.Sess)})
 	}
 	if t.token != req.Token {
 		s.Stats.CrossTenant++
 		s.mCross.Inc()
-		return codec.MustEncode(closeResp{Err: fmt.Sprintf("close: token mismatch for session %d", req.Sess)})
+		return m.Reply(closeResp{Err: fmt.Sprintf("close: token mismatch for session %d", req.Sess)})
 	}
 	t.closed = true
 	s.Stats.Closed++
 	s.mClosed.Inc()
-	return codec.MustEncode(closeResp{})
+	return m.Reply(closeResp{})
 }
 
 // serve is the completion loop: consume lane receives, validate,
