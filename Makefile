@@ -120,9 +120,10 @@ examples:
 # bench rot (compile errors, setup panics) without timing flakiness.
 # tenant's BenchmarkOpenSessions runs the per-session allocation path,
 # oob's BenchmarkCallRoundTrip and codec's BenchmarkMessageRoundTrip the
-# per-control-message one.
+# per-control-message one, core's BenchmarkCQWaitWake the guest
+# library's completion wait.
 bench-smoke:
-	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu ./internal/tenant ./internal/oob ./internal/codec
+	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim ./internal/fabric ./internal/rnic ./internal/pagechan ./internal/criu ./internal/tenant ./internal/oob ./internal/codec ./internal/core
 
 # The repository's one fixed benchmark (BENCHMARK.json, bench/README.md):
 # eight migration workloads, one process each. bench-fixed appends one

@@ -8,6 +8,7 @@ import (
 	"migrrdma/internal/criu"
 	"migrrdma/internal/mem"
 	"migrrdma/internal/rnic"
+	"migrrdma/internal/sim"
 	"migrrdma/internal/verbs"
 )
 
@@ -384,8 +385,8 @@ func (st *Staged) bind(s *Session) error {
 	for _, cq := range s.cqs {
 		cq, old := cq, cq.v
 		st.srcCQs = append(st.srcCQs, old)
-		cq.v = st.cqs[cq.id]
-		st.undo = append(st.undo, func() { cq.v = old })
+		attach(&cq.v, st.cqs[cq.id], &cq.wake)
+		st.undo = append(st.undo, func() { attach(&cq.v, old, &cq.wake) })
 	}
 	for id, srq := range s.srqs {
 		srq, old := srq, srq.v
@@ -396,8 +397,8 @@ func (st *Staged) bind(s *Session) error {
 	for id, ch := range s.chanMap {
 		if nv, ok := st.chans[id]; ok {
 			ch, old := ch, ch.v
-			ch.v = nv
-			st.undo = append(st.undo, func() { ch.v = old })
+			attach(&ch.v, nv, &ch.wake)
+			st.undo = append(st.undo, func() { attach(&ch.v, old, &ch.wake) })
 		}
 	}
 	if st.qpnPairs == nil {
@@ -423,6 +424,16 @@ func (st *Staged) bind(s *Session) error {
 	}
 	st.bound = true
 	return nil
+}
+
+// attach swaps a guest-library handle's device object *dev (a CQ or a
+// completion channel) for v: the old object stops broadcasting the
+// handle's cond and v starts, and the handle's waiters wake to look at v.
+func attach[T interface{ SetWake(*sim.Cond) }](dev *T, v T, wake *sim.Cond) {
+	(*dev).SetWake(nil)
+	*dev = v
+	v.SetWake(wake)
+	wake.Broadcast()
 }
 
 // unbind reverses bind after an aborted migration: the session's

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
@@ -263,6 +262,7 @@ type CompChannel struct {
 	sess *Session
 	id   verbs.ObjID
 	v    *verbs.CompChannel
+	wake sim.Cond // what Get parks on (see CQ.wake)
 }
 
 // CreateCompChannel creates a completion event channel.
@@ -270,30 +270,23 @@ func (s *Session) CreateCompChannel() *CompChannel {
 	s.Proc.Gate()
 	v := s.ctx.CreateCompChannel()
 	ch := &CompChannel{sess: s, id: v.ID, v: v}
+	ch.wake.Init(s.Sched(), "cq-event")
+	v.SetWake(&ch.wake)
 	s.chanMap[v.ID] = ch
 	return ch
 }
 
 // Get blocks for the next CQ event and returns the guest-lib CQ. The
 // session counts the event as unhandled until the CQ is polled (§3.4).
-// Like CQ.WaitNonEmpty, the wait is sliced so it survives the channel
-// object being swapped at migration; during wait-before-stop, fake-CQ
-// content substitutes for the stolen event.
+// During wait-before-stop, fake-CQ content substitutes for the stolen
+// event.
 func (ch *CompChannel) Get() *CQ {
 	for {
 		ch.sess.Proc.Gate()
 		if vcq, ok := ch.v.TryGet(); ok {
 			for _, cq := range ch.sess.cqs {
 				if cq.v == vcq {
-					// Count at most one unhandled event per CQ: a second
-					// event (or a repeated Get) before the next Poll must
-					// not drift the §3.4 consistency counter — Poll only
-					// ever decrements it once per CQ.
-					if !cq.eventPending {
-						ch.sess.unhandledEvents++
-						cq.eventPending = true
-					}
-					return cq
+					return cq.event()
 				}
 			}
 			continue
@@ -302,15 +295,23 @@ func (ch *CompChannel) Get() *CQ {
 		// wait-before-stop thread; deliver it from there.
 		for _, cq := range ch.sess.cqs {
 			if cq.ch == ch && len(cq.fake) > 0 {
-				if !cq.eventPending {
-					ch.sess.unhandledEvents++
-					cq.eventPending = true
-				}
-				return cq
+				return cq.event()
 			}
 		}
-		ch.sess.Proc.Scheduler().Sleep(cqWaitSlice)
+		ch.wake.Wait()
 	}
+}
+
+// event counts an event Get hands out as unhandled until the CQ is next
+// polled, at most once per CQ: a second event (or a repeated Get) before
+// the next Poll must not drift the §3.4 consistency counter — Poll only
+// ever decrements it once per CQ.
+func (cq *CQ) event() *CQ {
+	if !cq.eventPending {
+		cq.sess.unhandledEvents++
+		cq.eventPending = true
+	}
+	return cq
 }
 
 // CreateCQ creates a completion queue.
@@ -322,6 +323,8 @@ func (s *Session) CreateCQ(capacity int, ch *CompChannel) *CQ {
 	}
 	v := s.ctx.CreateCQ(capacity, vch)
 	cq := &CQ{sess: s, id: v.ID, v: v, cap: capacity, ch: ch, tempQPN: make(map[uint32]uint32)}
+	cq.wake.Init(s.Sched(), "cq-wait")
+	v.SetWake(&cq.wake)
 	s.cqs = append(s.cqs, cq)
 	return cq
 }
@@ -708,6 +711,10 @@ type CQ struct {
 	pollBuf rnic.PollBuf
 
 	eventPending bool
+
+	// wake is what WaitNonEmpty parks on; whatever changes Len broadcasts
+	// it: the device CQ v, sweepCQs, the end of wait-before-stop, attach.
+	wake sim.Cond
 }
 
 // PollInto fills dst with up to len(dst) completions carrying virtual
@@ -796,33 +803,23 @@ func (cq *CQ) Len() int {
 // session's real CQs right now.
 func (s *Session) wbsActive() bool { return s.wbsDepth > 0 }
 
-// WaitNonEmpty parks the caller until completions are available. It
-// re-checks the freeze gate and the (migration-swappable) underlying CQ
-// periodically, so an application blocked here survives a live
-// migration: during the blackout it parks on the freeze gate, and after
-// restoration it observes the fake CQ or the new real CQ.
+// WaitNonEmpty parks the caller until completions are available (Len),
+// standing in for the application's busy-poll loop. It re-checks the
+// freeze gate and Len at the instant of each event that can change Len:
+// during the blackout it parks on the freeze gate, during
+// wait-before-stop it sees the fake CQ only, and after restoration the
+// new real CQ.
 func (cq *CQ) WaitNonEmpty() {
 	cq.sess.activePollers++
 	defer func() { cq.sess.activePollers-- }()
 	for {
 		cq.sess.Proc.Gate()
-		if len(cq.fake) > 0 || (!cq.sess.wbsActive() && cq.v.Len() > 0) {
+		if cq.Len() > 0 {
 			return
 		}
-		if cq.sess.wbsActive() {
-			// The real CQ belongs to the WBS thread right now; it may be
-			// non-empty, so waiting on it would return immediately and
-			// spin. Pace on the clock until entries reach the fake CQ.
-			cq.sess.Proc.Scheduler().Sleep(cqWaitSlice)
-			continue
-		}
-		cq.v.WaitNonEmptyTimeout(cqWaitSlice)
+		cq.wake.Wait()
 	}
 }
-
-// cqWaitSlice bounds how long a completion wait can remain attached to
-// a pre-migration CQ object.
-const cqWaitSlice = 100 * time.Microsecond
 
 // ReqNotify arms the CQ for an event.
 func (cq *CQ) ReqNotify() { cq.v.ReqNotify() }

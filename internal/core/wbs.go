@@ -126,7 +126,14 @@ func (s *Session) deliverNSent(physQPN uint32, nSent uint64) {
 func (s *Session) WaitBeforeStop(qps []*QP, timeout time.Duration) WBSResult {
 	sched := s.ctx.Scheduler()
 	s.wbsDepth++
-	defer func() { s.wbsDepth-- }()
+	defer func() {
+		// The last to end gives the real CQs back to the application.
+		if s.wbsDepth--; s.wbsDepth == 0 {
+			for _, cq := range s.cqs {
+				cq.wake.Broadcast()
+			}
+		}
+	}()
 	start := sched.Now()
 	var inflight int64
 	for _, qp := range qps {
@@ -163,6 +170,7 @@ func (s *Session) sweepCQs() int {
 	s.mWBSRounds.Inc()
 	n := 0
 	for _, cq := range s.cqs {
+		had := len(cq.fake)
 		for {
 			var batch [64]rnic.CQE
 			got := cq.v.PollInto(batch[:])
@@ -177,6 +185,12 @@ func (s *Session) sweepCQs() int {
 				cq.fake = append(cq.fake, e)
 			}
 			n += got
+		}
+		if len(cq.fake) > had {
+			cq.wake.Broadcast()
+			if cq.ch != nil {
+				cq.ch.wake.Broadcast()
+			}
 		}
 		s.mFakeDepth.Set(int64(len(cq.fake)))
 	}

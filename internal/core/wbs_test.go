@@ -20,12 +20,12 @@ type wbsRig struct {
 	mrA, mrB *MR
 }
 
-func newWBSRig(t *testing.T) *wbsRig {
+func newWBSRig(t testing.TB) *wbsRig {
 	t.Helper()
 	return newWBSRigCfg(t, cluster.Config{Seed: 21})
 }
 
-func newWBSRigCfg(t *testing.T, cfg cluster.Config) *wbsRig {
+func newWBSRigCfg(t testing.TB, cfg cluster.Config) *wbsRig {
 	t.Helper()
 	cl := cluster.New(cfg, "a", "b")
 	da, db := NewDaemon(cl.Host("a")), NewDaemon(cl.Host("b"))

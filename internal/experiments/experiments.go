@@ -56,9 +56,9 @@ const Horizon = 10 * time.Minute
 // Run is the life of one run on the rig. It spawns drive as a proc,
 // after everything the caller has spawned, and runs the scheduler until
 // drive returns; then it stops the scheduler at once — what drive
-// measured is fixed, and the idle tail to the horizon (every parked CQ
-// poller re-arming its wait slice at 10 kHz) would dwarf the run — and
-// returns drive's error. drive may block on anything the simulation
+// measured is fixed, and the tail to the horizon (the workload still
+// posting, its timers still firing) would dwarf the run — and returns
+// drive's error. drive may block on anything the simulation
 // will wake. If it has not returned when the clock reaches horizon the
 // run hung, and the error says which procs are parked for good and
 // where. A hung run costs the host time of simulating up to the

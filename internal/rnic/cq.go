@@ -2,7 +2,6 @@ package rnic
 
 import (
 	"encoding/binary"
-	"time"
 
 	"migrrdma/internal/fifo"
 	"migrrdma/internal/mem"
@@ -33,10 +32,15 @@ type CQ struct {
 	ringAddr mem.Addr
 	ringSeq  int
 
-	// waiters lets in-process pollers (the wait-before-stop thread)
-	// block efficiently instead of spinning.
-	waiters *sim.Cond
+	// wake is broadcast on every push: the cond of the guest-library CQ
+	// handle attached to this CQ (SetWake), or one WaitNonEmpty makes.
+	wake *sim.Cond
 }
+
+// SetWake makes every completion pushed from now on broadcast c (nil
+// stops it). The guest library's CQ handle owns c for its whole life
+// and points whichever device CQ it is attached to at it.
+func (cq *CQ) SetWake(c *sim.Cond) { cq.wake = c }
 
 // SetShadowRing points the CQ's DMA target at a library-mapped ring of
 // cap 64-byte slots. Passing nil detaches it. The address space is the
@@ -55,12 +59,11 @@ const cqeSlotSize = 64
 func (d *Device) CreateCQ(capacity int, comp *CompChannel) *CQ {
 	d.sched.Sleep(createCQLat)
 	cq := &CQ{
-		Handle:  d.allocID(),
-		dev:     d,
-		cap:     capacity,
-		comp:    comp,
-		queue:   make([]CQE, 0, ringCap(capacity)),
-		waiters: sim.NewCond(d.sched, "cq-wait"),
+		Handle: d.allocID(),
+		dev:    d,
+		cap:    capacity,
+		comp:   comp,
+		queue:  make([]CQE, 0, ringCap(capacity)),
 	}
 	d.cqs[cq.Handle] = cq
 	return cq
@@ -92,7 +95,9 @@ func (cq *CQ) push(e CQE) {
 		_ = cq.ringAS.Write(cq.ringAddr+mem.Addr((cq.ringSeq%cq.cap)*cqeSlotSize), slot[:])
 		cq.ringSeq++
 	}
-	cq.waiters.Broadcast()
+	if cq.wake != nil {
+		cq.wake.Broadcast()
+	}
 	if cq.armed && cq.comp != nil {
 		cq.armed = false
 		cq.comp.deliver(cq)
@@ -144,19 +149,12 @@ func (cq *CQ) Len() int { return len(cq.queue) }
 // WaitNonEmpty parks the calling proc until the CQ has entries. It is a
 // simulation convenience for busy-poll loops (real code would spin).
 func (cq *CQ) WaitNonEmpty() {
+	if cq.wake == nil {
+		cq.wake = sim.NewCond(cq.dev.sched, "cq-wait")
+	}
 	for len(cq.queue) == 0 {
-		cq.waiters.Wait()
+		cq.wake.Wait()
 	}
-}
-
-// WaitNonEmptyTimeout parks until the CQ has entries or d elapses,
-// reporting whether entries are available.
-func (cq *CQ) WaitNonEmptyTimeout(d time.Duration) bool {
-	if len(cq.queue) > 0 {
-		return true
-	}
-	cq.waiters.WaitTimeout(d)
-	return len(cq.queue) > 0
 }
 
 // ReqNotify arms the CQ: the next completion pushes an event to the
@@ -168,6 +166,7 @@ func (cq *CQ) ReqNotify() { cq.armed = true }
 // of CQs.
 type CompChannel struct {
 	events fifo.Queue[*CQ]
+	wake   *sim.Cond
 }
 
 // compChannelCap bounds the events a completion channel holds.
@@ -176,11 +175,18 @@ const compChannelCap = 1024
 // CreateCompChannel creates a completion channel.
 func (d *Device) CreateCompChannel() *CompChannel { return &CompChannel{} }
 
+// SetWake makes every event delivered from now on broadcast w (nil
+// stops it), as CQ.SetWake does for completions.
+func (c *CompChannel) SetWake(w *sim.Cond) { c.wake = w }
+
 func (c *CompChannel) deliver(cq *CQ) {
 	// Channel full means the consumer is hopelessly behind; events are
 	// edge-triggered so dropping is safe (the CQ stays readable).
 	if c.events.Len() < compChannelCap {
 		c.events.Push(cq)
+	}
+	if c.wake != nil {
+		c.wake.Broadcast()
 	}
 }
 

@@ -64,24 +64,6 @@ func BenchmarkTimerCancel(b *testing.B) {
 	s.Run()
 }
 
-// BenchmarkTimerRearm measures what a retransmission timer costs on
-// every acknowledged message: one handle pushed back in place.
-func BenchmarkTimerRearm(b *testing.B) {
-	s := New(1)
-	var h Timer
-	s.Go("rearm", func() {
-		for i := 0; i < b.N; i++ {
-			s.Rearm(&h, time.Millisecond, func(any) {}, nil)
-			if i%1024 == 1023 {
-				s.Sleep(time.Microsecond)
-			}
-		}
-		h.Cancel()
-	})
-	b.ResetTimer()
-	s.Run()
-}
-
 // BenchmarkLaneFire measures one timer fire on the data path: a frame's
 // delivery, whose ACK pushes back one QP's retransmission timer, with 64
 // frames in flight on one delivery lane and 16 or 1024 QPs armed on one

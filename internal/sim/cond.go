@@ -42,15 +42,13 @@ func (c *Cond) WaitTimeout(d time.Duration) bool {
 	p := c.s.current("Cond.WaitTimeout")
 	c.waiters = append(c.waiters, p)
 	p.waitCond, p.timedOut = c, false
-	// One handle per proc, re-armed: a poll loop that is woken before its
-	// timeout every time keeps one heap entry, not one per wait.
-	c.s.Rearm(&p.waitTimer, d, condTimeout, p)
+	t := c.s.AfterFuncArg(d, condTimeout, p)
 	p.park("wait", c.name)
 	p.waitCond = nil
 	if p.timedOut {
 		return false
 	}
-	p.waitTimer.Cancel()
+	t.Cancel()
 	return true
 }
 

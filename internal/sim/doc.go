@@ -32,18 +32,16 @@
 //     switch each.
 //
 // Timers fire in the order of their deadlines and, at one deadline, in
-// the order they were armed (AfterFunc, AfterFuncArg, Sleep and Rearm all
-// take the next place in that order). A Timer handle cancels its timer
-// until it has fired; a cancelled timer neither fires nor holds the
-// clock. Rearm re-arms through a handle the owner keeps: it is Cancel
-// followed by AfterFuncArg in everything a simulation can observe, and
-// costs no heap operation when it pushes a deadline back — the way to
-// arm a timer that is re-armed far more often than it fires. A Lane
-// carries timers that are armed in deadline order (a port's deliveries,
-// a device's retransmission timers, all armed with one delay): each
-// entry takes its place in the order when it is armed, as AfterFuncArg
-// would give it, but the whole lane takes one heap entry, so the heap
-// does not grow with the frames in flight or the QPs.
+// the order they were armed (AfterFunc, AfterFuncArg and Sleep all take
+// the next place in that order). A Timer handle cancels its timer until
+// it has fired; a cancelled timer neither fires nor holds the clock. A
+// proc waiting for an event parks on a Cond the event broadcasts and
+// holds no timer meanwhile. A Lane carries timers that are armed in
+// deadline order (a port's deliveries, a device's retransmission
+// timers, all armed with one delay): each entry takes its place in the
+// order when it is armed, as AfterFuncArg would give it, but the whole
+// lane takes one heap entry, so the heap does not grow with the frames
+// in flight or the QPs.
 //
 // A scheduler that is done with is closed: Close unwinds every proc
 // still parked — its deferred calls run — and drops the run queue and

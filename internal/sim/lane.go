@@ -113,9 +113,8 @@ func (l *Lane) unlink(e *LaneTimer) {
 // rekey points the lane's slot at the lane's head after the head
 // changed. A queued slot keeps its queued key, which the new head's
 // never undercuts (deadlines never decrease, and a later arm takes a
-// later seq), until settleTimers moves it — the way a Rearm'd timer
-// waits (doc.go). An empty lane's queued slot counts as a cancelled
-// timer until it surfaces or is compacted away.
+// later seq), until settleTimers moves it. An empty lane's queued slot
+// counts as a cancelled timer until it surfaces or is compacted away.
 func (l *Lane) rekey() {
 	sl, s := &l.slot, l.slot.s
 	h := l.head

@@ -11,7 +11,7 @@ import (
 // laneProgram runs one random program over a few lanes — some with a
 // fixed delay (a retransmission timer), some with arbitrary
 // non-decreasing deadlines (a port's deliveries) — amid one-shot
-// AfterFunc and AfterFuncArg timers, Rearm'd handles, cancels of both
+// AfterFunc and AfterFuncArg timers, re-armed handles, cancels of both
 // kinds, bursts of cancelled timers that trigger compaction, and ties on
 // one instant; callbacks arm more entries. It returns what fired, when,
 // in order, and what every cancel reported. With onLanes the lane
@@ -97,7 +97,9 @@ func laneProgram(seed int64, steps int, onLanes bool) []string {
 		case k < 14:
 			s.AfterFuncArg(delay(), fire, fmt.Sprintf("arg %d", step))
 		case k < 16:
-			s.Rearm(&owners[rng.Intn(len(owners))], delay(), fire, fmt.Sprintf("rearm %d", step))
+			o := &owners[rng.Intn(len(owners))]
+			o.Cancel()
+			*o = s.AfterFuncArg(delay(), fire, fmt.Sprintf("re-arm %d", step))
 		case k < 17:
 			logf("cancel owner: %v", owners[rng.Intn(len(owners))].Cancel())
 		case k < 18:
@@ -207,4 +209,39 @@ func TestLaneRefusesAnEarlierDeadline(t *testing.T) {
 		}
 	}()
 	l.Arm(&b, time.Microsecond, nil)
+}
+
+// TestCloseWithStaleLaneSlotQueued: a lane slot queued under a key its
+// head has moved on from stays put below a live top, moves to the new
+// head's key when it surfaces, and goes at Close like any other entry.
+func TestCloseWithStaleLaneSlotQueued(t *testing.T) {
+	s := New(1)
+	fired := 0
+	var l Lane
+	l.Init(s, func(any) { fired++ })
+	var e [4]LaneTimer
+	s.Go("p", func() {
+		for i := range e {
+			l.Arm(&e[i], time.Duration(i+1)*time.Millisecond, nil)
+		}
+		e[0].Cancel() // the head moves on to 2ms; the slot stays queued at 1ms
+		e[1].Cancel() // and on to 3ms
+		s.Sleep(100 * time.Microsecond)
+		s.Sleep(time.Hour)
+	})
+	s.RunFor(250 * time.Microsecond) // the proc's sleep is on top; below it the slot, queued at 1ms
+	if fired != 0 || s.TimerHeapLen() != 2 {
+		t.Fatalf("at 250µs: %d fired, %d entries", fired, s.TimerHeapLen())
+	}
+	s.RunFor(2 * time.Millisecond) // the slot surfaces at 1ms and moves to 3ms
+	if fired != 0 || s.TimerHeapLen() != 2 || s.Now() != 2250*time.Microsecond {
+		t.Fatalf("at %v: %d fired, %d entries", s.Now(), fired, s.TimerHeapLen())
+	}
+	if top := s.timers[0]; top.when != 3*time.Millisecond || !top.settled() {
+		t.Fatalf("top queued at %v (settled %v), want the lane's head at 3ms", top.when, top.settled())
+	}
+	s.Close()
+	if s.TimerHeapLen() != 0 || fired != 0 {
+		t.Fatalf("after Close: %d entries, %d fired", s.TimerHeapLen(), fired)
+	}
 }

@@ -20,9 +20,8 @@ type Proc struct {
 	slot      int    // index in the scheduler's proc list
 
 	// Cond.WaitTimeout state, read by the timeout callback.
-	waitCond  *Cond
-	timedOut  bool
-	waitTimer Timer
+	waitCond *Cond
+	timedOut bool
 }
 
 // Name returns the name the proc was spawned with.

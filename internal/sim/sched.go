@@ -343,8 +343,8 @@ func (s *Scheduler) dispatch(p *Proc) {
 }
 
 // settleTimers drops cancelled entries from the top of the heap (an
-// empty lane's slot among them) and re-keys re-armed ones (Rearm, a lane
-// whose head moved on) until the top is a live timer queued under its
+// empty lane's slot among them) and re-keys the slot of a lane whose
+// head moved on until the top is a live timer queued under its
 // own deadline, and reports whether there is one. An entry's queued key
 // never exceeds its timer's key, so once the top is settled nothing
 // below it fires earlier. The loop settles before it advances the clock
@@ -503,35 +503,6 @@ func (s *Scheduler) AfterFuncArg(d time.Duration, fn func(any), arg any) Timer {
 	return Timer{tm: tm, gen: tm.gen}
 }
 
-// Rearm is t.Cancel() followed by *t = s.AfterFuncArg(d, fn, arg): it
-// takes the next place in the scheduling order, so callbacks fire in the
-// order the two calls would give. What differs is the cost. While the
-// timer *t names is still queued — pending or cancelled, but not fired
-// or compacted away — and the new deadline is not before its old one,
-// its heap entry stays where it is and is moved to the new deadline only
-// when it reaches the top, so an owner that re-arms one handle for ever
-// (a retransmission timer pushed back by every ACK, a poll loop's wait
-// timeout) keeps one entry in the heap instead of leaving a cancelled
-// one behind each time. Otherwise it is the two calls.
-func (s *Scheduler) Rearm(t *Timer, d time.Duration, fn func(any), arg any) {
-	if d < 0 {
-		d = 0
-	}
-	tm := t.tm
-	if tm == nil || tm.gen != t.gen || s.now+d < tm.when {
-		t.Cancel()
-		*t = s.AfterFuncArg(d, fn, arg)
-		return
-	}
-	if tm.cancelled {
-		tm.cancelled = false
-		s.cancelledTimers--
-	}
-	s.seq++
-	tm.when, tm.seq = s.now+d, s.seq
-	tm.fn, tm.fnArg, tm.arg = nil, fn, arg
-}
-
 // wakeableSet collects the procs that have a pending wake-up: they are
 // runnable, or a live timer will ready them.
 func (s *Scheduler) wakeableSet() map[*Proc]bool {
@@ -579,8 +550,8 @@ type Timer struct {
 // cancellation prevented the callback. The timer stays in the heap and
 // is dropped lazily when it surfaces at pop — or in one compaction pass
 // if cancelled entries come to outnumber live ones (one-shot timers
-// that are mostly cancelled, like call timeouts; an owner that re-arms
-// one timer over and over uses Rearm and leaves none).
+// that are mostly cancelled, like call timeouts; timers re-armed over
+// and over ride a Lane and leave none).
 func (t Timer) Cancel() bool {
 	tm := t.tm
 	if tm == nil || tm.gen != t.gen || tm.cancelled {
@@ -633,9 +604,9 @@ func (s *Scheduler) TimerHeapPeak() int { return s.timersPeak }
 
 // timer is one scheduled wake-up or callback, or a lane's heap slot.
 // when and seq are its deadline and its place in the scheduling order
-// (a lane's slot: its head's); after a Rearm, or when a lane's head
-// moves on, they run ahead of the key its heap entry is queued under
-// until settleTimers catches the entry up.
+// (a lane's slot: its head's); when a lane's head moves on, they run
+// ahead of the key the slot is queued under until settleTimers catches
+// the entry up.
 type timer struct {
 	s         *Scheduler
 	when      time.Duration

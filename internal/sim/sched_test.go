@@ -364,7 +364,7 @@ func TestCompactionPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestCondWaitTimeoutAllocatesNothing pins the poll-loop wait: neither
+// TestCondWaitTimeoutAllocatesNothing pins the timed wait: neither
 // the timeout path nor the signalled path allocates per wait (the
 // timeout callback is shared, its argument the waiting proc).
 func TestCondWaitTimeoutAllocatesNothing(t *testing.T) {
@@ -528,5 +528,17 @@ func TestRandIsSeededOnTheFirstDraw(t *testing.T) {
 		if g, w := s.Rand().Int63(), want.Int63(); g != w {
 			t.Fatalf("draw %d: %d, want %d", i, g, w)
 		}
+	}
+}
+
+// TestCancelledTimerDoesNotAdvanceClock: a run ends at its last event,
+// not at the deadline of a timer that was cancelled.
+func TestCancelledTimerDoesNotAdvanceClock(t *testing.T) {
+	s := New(1)
+	s.AfterFunc(time.Microsecond, func() {})
+	s.AfterFunc(time.Hour, func() { t.Error("cancelled timer fired") }).Cancel()
+	s.Run()
+	if s.Now() != time.Microsecond {
+		t.Fatalf("Run ended at %v, want 1µs", s.Now())
 	}
 }

@@ -177,7 +177,7 @@ func (s *Service) WaitReady() {
 // Stop ends the serve loop.
 func (s *Service) Stop() { s.stopped = true }
 
-// Sessions returns the number of open (not yet closed) sessions.
+// SessionsOpen returns the number of open (not yet closed) sessions.
 func (s *Service) SessionsOpen() int {
 	n := 0
 	for _, t := range s.sessions {

@@ -6,9 +6,10 @@
 // It corresponds to the OFED driver + libibverbs pair the paper modifies
 // (§4): every control-path call is reported to an optional Recorder (the
 // seam where MigrRDMA's indirection layer bookkeeps the "roadmap" of
-// RDMA communication establishment) and the restore entry points of
-// Table 3 (RestoreContext / RestorePD / RestoreCQ / RestoreQP, …) let a
-// migration tool rebuild equivalent resources on a destination device.
+// RDMA communication establishment). Restore (Table 3) is not here:
+// core.(*Daemon).RestoreContextFor opens a context on the destination
+// device and replays the recorded roadmap through the ordinary create
+// calls of this package.
 //
 // The values this layer returns to applications — QPNs, lkeys, rkeys —
 // are the NIC's physical ones. Virtualizing them is deliberately NOT
@@ -18,8 +19,6 @@
 package verbs
 
 import (
-	"time"
-
 	"migrrdma/internal/mem"
 	"migrrdma/internal/rnic"
 	"migrrdma/internal/sim"
@@ -221,6 +220,10 @@ func (ch *CompChannel) TryGet() (*CQ, bool) {
 	return ch.ctx.cqFor(rcq), true
 }
 
+// SetWake makes the device channel broadcast c on every event
+// (rnic.CompChannel.SetWake).
+func (ch *CompChannel) SetWake(c *sim.Cond) { ch.ch.SetWake(c) }
+
 // cqs tracks the context's CQ wrappers so channel events can be mapped
 // back to handles.
 func (c *Context) cqFor(rcq *rnic.CQ) *CQ {
@@ -275,9 +278,9 @@ func (cq *CQ) Len() int { return cq.cq.Len() }
 // (simulation stand-in for a busy-poll loop).
 func (cq *CQ) WaitNonEmpty() { cq.cq.WaitNonEmpty() }
 
-// WaitNonEmptyTimeout parks until completions are available or d
-// elapses, reporting availability.
-func (cq *CQ) WaitNonEmptyTimeout(d time.Duration) bool { return cq.cq.WaitNonEmptyTimeout(d) }
+// SetWake makes the device CQ broadcast c on every completion
+// (rnic.CQ.SetWake).
+func (cq *CQ) SetWake(c *sim.Cond) { cq.cq.SetWake(c) }
 
 // ReqNotify arms the CQ for one event (ibv_req_notify_cq).
 func (cq *CQ) ReqNotify() { cq.cq.ReqNotify() }
